@@ -10,6 +10,10 @@
      dune exec bench/main.exe -- fig8 full    # one experiment, paper-scale
      dune exec bench/main.exe -- micro        # only the Bechamel suite
      dune exec bench/main.exe -- quick -j 4   # experiments domain-parallel, 4 cores
+
+   Full-suite runs (no argument, [quick] or [full]) also write the next
+   snapshot, BENCH_<N>.json, N one above the highest in the working
+   directory; single-experiment and [micro] runs write nothing.
 *)
 
 (* Aliased before the opens: Toolkit shadows [Monotonic_clock] with its
@@ -29,14 +33,26 @@ open Ninja_experiments
 let wall () = Int64.to_float (Mclock.now ()) /. 1e9
 
 (* Machine-readable companion to the printed tables: per-entry wall-clock,
-   CPU and simulated seconds, so perf regressions across PRs can be
+   CPU and simulated seconds, so perf regressions across snapshots can be
    compared without scraping stdout. *)
-let bench_json_path = "BENCH_10.json"
+let next_snapshot () =
+  Sys.readdir "."
+  |> Array.fold_left
+       (fun acc f ->
+         if String.starts_with ~prefix:"BENCH_" f && String.ends_with ~suffix:".json" f then
+           match int_of_string_opt (String.sub f 6 (String.length f - 11)) with
+           | Some n -> max acc n
+           | None -> acc
+         else acc)
+       0
+  |> succ
 
 let write_bench_json ctx ~total_wall ~total_cpu entries =
-  let oc = open_out bench_json_path in
-  Printf.fprintf oc "{\n  \"pr\": 10,\n  \"seed\": %Ld,\n  \"jobs\": %d,\n  \"mode\": %S,\n"
-    ctx.Ninja_engine.Run_ctx.seed
+  let n = next_snapshot () in
+  let path = Printf.sprintf "BENCH_%d.json" n in
+  let oc = open_out path in
+  Printf.fprintf oc "{\n  \"pr\": %d,\n  \"seed\": %Ld,\n  \"jobs\": %d,\n  \"mode\": %S,\n"
+    n ctx.Ninja_engine.Run_ctx.seed
     (Ninja_engine.Run_ctx.jobs ctx)
     (match ctx.Ninja_engine.Run_ctx.mode with
     | Ninja_engine.Run_ctx.Quick -> "quick"
@@ -52,9 +68,9 @@ let write_bench_json ctx ~total_wall ~total_cpu entries =
     entries;
   Printf.fprintf oc "  ]\n}\n";
   close_out oc;
-  Printf.printf "wrote %s\n%!" bench_json_path
+  Printf.printf "wrote %s\n%!" path
 
-let run_experiments ctx names =
+let run_experiments ~snapshot ctx names =
   let w0 = wall () and c0 = Sys.time () in
   let results = ref [] in
   List.iter
@@ -86,7 +102,7 @@ let run_experiments ctx names =
   Printf.printf "== total: %.1fs wall, %.1fs CPU (%d job%s) ==\n%!" total_wall total_cpu
     (Ninja_engine.Run_ctx.jobs ctx)
     (if Ninja_engine.Run_ctx.jobs ctx = 1 then "" else "s");
-  write_bench_json ctx ~total_wall ~total_cpu (List.rev !results)
+  if snapshot then write_bench_json ctx ~total_wall ~total_cpu (List.rev !results)
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test per reproduced table/figure (a
@@ -245,15 +261,15 @@ let () =
   match args with
   | [ "micro" ] -> run_micro ()
   | [ "quick" ] ->
-    with_ctx Run_ctx.Quick (fun ctx -> run_experiments ctx Registry.names);
+    with_ctx Run_ctx.Quick (fun ctx -> run_experiments ~snapshot:true ctx Registry.names);
     run_micro ()
   | [ "full" ] | [] ->
-    with_ctx Run_ctx.Full (fun ctx -> run_experiments ctx Registry.names);
+    with_ctx Run_ctx.Full (fun ctx -> run_experiments ~snapshot:true ctx Registry.names);
     run_micro ()
   | [ name ] when Registry.find name <> None ->
-    with_ctx Run_ctx.Quick (fun ctx -> run_experiments ctx [ name ])
+    with_ctx Run_ctx.Quick (fun ctx -> run_experiments ~snapshot:false ctx [ name ])
   | [ name; "full" ] | [ "full"; name ] ->
-    with_ctx Run_ctx.Full (fun ctx -> run_experiments ctx [ name ])
+    with_ctx Run_ctx.Full (fun ctx -> run_experiments ~snapshot:false ctx [ name ])
   | _ ->
     Printf.printf
       "usage: main.exe [quick | full | micro | <experiment> [full]] [-j N]\nexperiments: %s\n"

@@ -99,6 +99,73 @@ let print_tables ~csv_dir name tables =
         Printf.printf "wrote %s\n%!" path)
       tables
 
+let with_pool jobs k =
+  if jobs > 1 then Ninja_engine.Pool.with_pool ~size:jobs (fun p -> k (Some p)) else k None
+
+(* The --trace/--metrics/--spans files of one command. Each unit of work
+   (an experiment, a serve seed) runs under {!capture}, which points the
+   context's sinks at buffers of its own — possibly on a pooled domain;
+   the main domain then {!emit}s the units in submission order, so the
+   files are byte-identical at any -j. *)
+type outputs = {
+  trace_oc : out_channel option;
+  metrics_oc : out_channel option;
+  spans_path : string option;
+  mutable fragments : string list;  (* span fragments, newest first *)
+}
+
+type captured = { trace : string; metrics : string; spans : string list }
+
+let with_outputs ~trace ~metrics ~spans k =
+  let with_out path k =
+    match path with
+    | None -> k None
+    | Some path ->
+      let oc = open_out path in
+      Fun.protect ~finally:(fun () -> close_out oc) (fun () -> k (Some oc))
+  in
+  with_out trace @@ fun trace_oc ->
+  with_out metrics @@ fun metrics_oc ->
+  k { trace_oc; metrics_oc; spans_path = spans; fragments = [] }
+
+let capture o ctx f =
+  let m = Mutex.create () in
+  let tbuf = Buffer.create 256 and mbuf = Buffer.create 256 and sfrags = ref [] in
+  (* Trace and metrics chunks end in a newline in the files. *)
+  let lines buf chunk =
+    Mutex.protect m (fun () ->
+        Buffer.add_string buf chunk;
+        if chunk = "" || chunk.[String.length chunk - 1] <> '\n' then Buffer.add_char buf '\n')
+  in
+  let ctx =
+    Ninja_engine.Run_ctx.with_sinks
+      ?trace:(Option.map (fun _ -> lines tbuf) o.trace_oc)
+      ?metrics:(Option.map (fun _ -> lines mbuf) o.metrics_oc)
+      ?spans:
+        (Option.map
+           (fun _ chunk -> Mutex.protect m (fun () -> sfrags := chunk :: !sfrags))
+           o.spans_path)
+      ctx
+  in
+  let r = f ctx in
+  (r, { trace = Buffer.contents tbuf; metrics = Buffer.contents mbuf; spans = List.rev !sfrags })
+
+let emit o c =
+  Option.iter (fun oc -> output_string oc c.trace) o.trace_oc;
+  Option.iter (fun oc -> output_string oc c.metrics) o.metrics_oc;
+  o.fragments <- List.rev_append c.spans o.fragments
+
+(* All span fragments, in emission order, as one Chrome trace-event JSON
+   document. *)
+let write_spans o =
+  Option.iter
+    (fun path ->
+      let oc = open_out path in
+      output_string oc (Ninja_telemetry.Export.document (List.rev o.fragments));
+      close_out oc;
+      Printf.printf "wrote %s\n%!" path)
+    o.spans_path
+
 let list_cmd =
   let doc = "List the available experiments." in
   let run () =
@@ -190,63 +257,19 @@ let run_cmd =
     | Ok entries ->
       let open Ninja_engine in
       let faults = List.map Ninja_faults.Injector.spec_to_string faults in
-      (* Pooled tasks write their sinks into per-experiment buffers; the
-         main domain drains each buffer in submission order, so the files
-         come out deterministically even under --jobs > 1. *)
-      let locked_sink buf =
-        let m = Mutex.create () in
-        fun chunk ->
-          Mutex.lock m;
-          Buffer.add_string buf chunk;
-          if chunk = "" || chunk.[String.length chunk - 1] <> '\n' then Buffer.add_char buf '\n';
-          Mutex.unlock m
-      in
-      let with_out path k =
-        match path with
-        | None -> k None
-        | Some path ->
-          let oc = open_out path in
-          Fun.protect ~finally:(fun () -> close_out oc) (fun () -> k (Some oc))
-      in
-      let with_pool k =
-        if jobs > 1 then Pool.with_pool ~size:jobs (fun p -> k (Some p)) else k None
-      in
-      with_out trace_file @@ fun trace_oc ->
-      with_out metrics_file @@ fun metrics_oc ->
-      with_pool @@ fun pool ->
+      with_outputs ~trace:trace_file ~metrics:metrics_file ~spans:spans_file @@ fun out ->
+      with_pool jobs @@ fun pool ->
       let topology = Option.map Ninja_hardware.Topology.to_string topology in
       let traffic = Option.map Ninja_workloads.Traffic.to_string traffic in
       let migration = Option.map Ninja_vmm.Migration.mode_name mig_mode in
       let ctx =
         Run_ctx.make ?seed ~mode ~faults ?topology ?traffic ?migration ?pool ()
       in
-      (* Span fragments accumulate across all experiments (in submission
-         order) and are assembled into one JSON document at the end. *)
-      let all_fragments = ref [] in
-      let run_one e =
-        let tbuf = Buffer.create 256 and mbuf = Buffer.create 256 in
-        let smutex = Mutex.create () in
-        let sfrags = ref [] in
-        let ctx =
-          Run_ctx.with_sinks
-            ?trace:(Option.map (fun _ -> locked_sink tbuf) trace_oc)
-            ?metrics:(Option.map (fun _ -> locked_sink mbuf) metrics_oc)
-            ?spans:
-              (Option.map
-                 (fun _ chunk ->
-                   Mutex.protect smutex (fun () -> sfrags := chunk :: !sfrags))
-                 spans_file)
-            ctx
-        in
-        let tables = Registry.run_entry ctx e in
-        (tables, Buffer.contents tbuf, Buffer.contents mbuf, List.rev !sfrags)
-      in
-      let print_result e (tables, tchunk, mchunk, sfrags) =
+      let run_one e = capture out ctx (fun ctx -> Registry.run_entry ctx e) in
+      let print_result e (tables, captured) =
         Printf.printf "== %s: %s ==\n%!" e.Registry.name e.Registry.description;
         print_tables ~csv_dir e.Registry.name tables;
-        Option.iter (fun oc -> output_string oc tchunk) trace_oc;
-        Option.iter (fun oc -> output_string oc mchunk) metrics_oc;
-        all_fragments := List.rev_append sfrags !all_fragments
+        emit out captured
       in
       (* Submit everything up front, then print in submission order as
          results arrive: parallel output is byte-identical to serial. *)
@@ -256,13 +279,7 @@ let run_cmd =
         |> List.map (fun e -> (e, Pool.submit p (fun () -> run_one e)))
         |> List.iter (fun (e, fut) -> print_result e (Pool.await p fut))
       | None -> List.iter (fun e -> print_result e (run_one e)) entries);
-      Option.iter
-        (fun path ->
-          let oc = open_out path in
-          output_string oc (Ninja_telemetry.Export.document (List.rev !all_fragments));
-          close_out oc;
-          Printf.printf "wrote %s\n%!" path)
-        spans_file
+      write_spans out
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
@@ -461,12 +478,8 @@ let check_cmd =
         prerr_endline "check: -n and -j must be at least 1";
         exit 1
       end;
-      let open Ninja_engine in
-      let with_pool k =
-        if jobs > 1 then Pool.with_pool ~size:jobs (fun p -> k (Some p)) else k None
-      in
-      with_pool @@ fun pool ->
-      let ctx = Run_ctx.make ?seed ?pool () in
+      with_pool jobs @@ fun pool ->
+      let ctx = Ninja_engine.Run_ctx.make ?seed ?pool () in
       let summary =
         Fuzz.campaign ctx ~n ?plant ?topology ?strategy ?mode:mig_mode
           ~shrink:(not no_shrink) ()
@@ -682,46 +695,12 @@ let serve_cmd =
       exit 1);
     let faults = List.map Ninja_faults.Injector.spec_to_string faults in
     let seeds = if seeds = [] then [ Option.value seed ~default:1L ] else seeds in
-    let locked_sink buf =
-      let m = Mutex.create () in
-      fun chunk ->
-        Mutex.lock m;
-        Buffer.add_string buf chunk;
-        if chunk = "" || chunk.[String.length chunk - 1] <> '\n' then
-          Buffer.add_char buf '\n';
-        Mutex.unlock m
-    in
-    let with_out path k =
-      match path with
-      | None -> k None
-      | Some path ->
-        let oc = open_out path in
-        Fun.protect ~finally:(fun () -> close_out oc) (fun () -> k (Some oc))
-    in
-    let with_pool k =
-      if jobs > 1 then Pool.with_pool ~size:jobs (fun p -> k (Some p)) else k None
-    in
-    with_out trace_file @@ fun trace_oc ->
-    with_out metrics_file @@ fun metrics_oc ->
-    with_pool @@ fun pool ->
+    with_outputs ~trace:trace_file ~metrics:metrics_file ~spans:spans_file @@ fun out ->
+    with_pool jobs @@ fun pool ->
     let topology = Option.map Ninja_hardware.Topology.to_string topology in
     let ctx = Run_ctx.make ~faults ?topology ?pool ~label:"serve" () in
-    let all_fragments = ref [] in
     let serve_one ctx seed =
-      let tbuf = Buffer.create 256 and mbuf = Buffer.create 256 in
-      let smutex = Mutex.create () in
-      let sfrags = ref [] in
-      let ctx =
-        Run_ctx.with_sinks
-          ?trace:(Option.map (fun _ -> locked_sink tbuf) trace_oc)
-          ?metrics:(Option.map (fun _ -> locked_sink mbuf) metrics_oc)
-          ?spans:
-            (Option.map
-               (fun _ chunk ->
-                 Mutex.protect smutex (fun () -> sfrags := chunk :: !sfrags))
-               spans_file)
-          (Run_ctx.with_seed seed ctx)
-      in
+      capture out (Run_ctx.with_seed seed ctx) @@ fun ctx ->
       let env = Exp_common.fresh ctx in
       let tenant_names =
         List.init tenants_n (fun i ->
@@ -856,18 +835,15 @@ let serve_cmd =
         | _ -> ""
       in
       Option.iter Ninja_telemetry.Flowmon.detach fm;
-      (!status, Buffer.contents b, Buffer.contents tbuf, Buffer.contents mbuf,
-       List.rev !sfrags, stats)
+      (!status, Buffer.contents b, stats)
     in
     let results = Exp_common.sweep ctx ~f:serve_one seeds in
     let stats_buf = Buffer.create 256 in
     let worst =
       List.fold_left
-        (fun acc (status, report, tchunk, mchunk, sfrags, stats) ->
+        (fun acc ((status, report, stats), captured) ->
           print_string report;
-          Option.iter (fun oc -> output_string oc tchunk) trace_oc;
-          Option.iter (fun oc -> output_string oc mchunk) metrics_oc;
-          all_fragments := List.rev_append sfrags !all_fragments;
+          emit out captured;
           Buffer.add_string stats_buf stats;
           max acc status)
         0 results
@@ -879,13 +855,7 @@ let serve_cmd =
         close_out oc;
         Printf.printf "wrote %s\n%!" path)
       stats_file;
-    Option.iter
-      (fun path ->
-        let oc = open_out path in
-        output_string oc (Ninja_telemetry.Export.document (List.rev !all_fragments));
-        close_out oc;
-        Printf.printf "wrote %s\n%!" path)
-      spans_file;
+    write_spans out;
     if worst <> 0 then exit worst
   in
   Cmd.v (Cmd.info "serve" ~doc)

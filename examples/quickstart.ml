@@ -3,7 +3,8 @@
    Two VMs run a two-rank MPI job on the InfiniBand cluster; we migrate
    them to the Ethernet cluster mid-run. The job keeps running — the MPI
    transport switches from openib to tcp underneath it — and we print the
-   overhead breakdown plus the interesting trace lines.
+   overhead breakdown plus the migration and fence events announced on the
+   cluster's probe bus.
 
      dune exec examples/quickstart.exe
 *)
@@ -20,6 +21,12 @@ let () =
   let sim = Sim.create ~seed:7L () in
   let cluster = Cluster.create sim () in
   let host name = Cluster.find_node cluster name in
+  let timeline = ref [] in
+  ignore
+    (Probe.attach (Cluster.probes cluster) (fun e ->
+         match e.Probe.topic with
+         | "migrate" | "fence" -> timeline := Format.asprintf "%a" Probe.pp e :: !timeline
+         | _ -> ()));
 
   (* 2. Two 20 GB VMs on the IB cluster, HCAs passed through. *)
   let ninja = Ninja.setup cluster ~hosts:[ host "ib00"; host "ib01" ] () in
@@ -55,9 +62,4 @@ let () =
   Printf.printf "\njob finished at %.1fs without restarting any MPI process.\n"
     (Time.to_sec_f (Sim.now sim));
   print_endline "\n--- migration-related trace ---";
-  List.iter
-    (fun r ->
-      Printf.printf "[%8.2fs] %-10s %s\n" (Time.to_sec_f r.Trace.at) r.Trace.category
-        r.Trace.message)
-    (Trace.by_category (Cluster.trace cluster) "ninja"
-    @ Trace.by_category (Cluster.trace cluster) "symvirt")
+  List.iter print_endline (List.rev !timeline)

@@ -132,18 +132,14 @@ let observe t name v =
   Metrics.observe t.m name v;
   stat t "histogram" name v
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then nan
-  else sorted.(Stdlib.min (n - 1) (int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1))
-
 let latency_percentiles t =
   match Metrics.samples t.m "ctl.request.latency.seconds" with
   | [] -> None
   | samples ->
     let a = Array.of_list samples in
     Array.sort Float.compare a;
-    Some (percentile a 50.0, percentile a 95.0, percentile a 99.0)
+    let p q = Ninja_metrics.Stats.percentile_sorted q a in
+    Some (p 50.0, p 95.0, p 99.0)
 
 (* {1 Cluster views} *)
 
@@ -187,7 +183,7 @@ let by_vm_name a b = compare (Vm.name a) (Vm.name b)
 
 (* A destination exchange is its own little plan: no packing, just the
    two VMs aimed at each other's hosts ({!Ninja_planner.Plan.of_assignment}
-   turns the 2-cycle into a staged chain or a traced overcommit). Tenants
+   turns the 2-cycle into a staged chain or a counted overcommit). Tenants
    swap among their own VMs; [ops] may swap across tenants. Exchanges
    never cross fabric classes — the device plan for each VM was computed
    for its host's interconnect. *)

@@ -1,7 +1,6 @@
 open Ninja_engine
 open Ninja_guestos
 open Ninja_hardware
-open Ninja_metrics
 open Ninja_mpi
 open Ninja_symvirt
 open Ninja_telemetry
@@ -20,7 +19,6 @@ type outcome =
 type t = {
   cluster : Cluster.t;
   sim : Sim.t;
-  trace : Trace.t;
   nodes : vnode list;
   mutable procs_per_vm : int;
   mutable rt : Runtime.t option;
@@ -46,7 +44,6 @@ let make cluster nodes =
   {
     cluster;
     sim = Cluster.sim cluster;
-    trace = Cluster.trace cluster;
     nodes;
     procs_per_vm = 0;
     rt = None;
@@ -197,7 +194,6 @@ let migrate t ~plan ?(transport = Migration.Tcp) ?(mode = Migration.Precopy) ?ho
     let s = Span.enter sc ~name ~cat () in
     Fun.protect ~finally:(fun () -> Span.exit_ sc s) f
   in
-  Trace.record t.trace ~category:"ninja" "migration triggered";
   if Probe.active probes then
     Probe.emit probes ~topic:"migrate" ~action:"start"
       ~info:(List.map (fun (vm, origin) -> (Vm.name vm, origin.Node.name)) origins)
@@ -244,11 +240,6 @@ let migrate t ~plan ?(transport = Migration.Tcp) ?(mode = Migration.Precopy) ?ho
         ignore (Span.note sc ~name:"retry-attempt" ~cat:"retry" ~start:a0
                   ~args:[ ("phase", name); ("attempt", string_of_int attempt) ] ());
         let fatals, transients = List.partition (fun (vm, msg) -> not (retryable vm msg)) failed in
-        List.iter
-          (fun (vm, msg) ->
-            Trace.recordf t.trace ~category:"faults" "%s: %s unrecoverable: %s" name
-              (Vm.name vm) msg)
-          fatals;
         if best_effort then
           List.iter
             (fun (vm, _msg) ->
@@ -270,15 +261,12 @@ let migrate t ~plan ?(transport = Migration.Tcp) ?(mode = Migration.Precopy) ?ho
           in
           if attempt >= retry.Retry.max_attempts || not within_deadline then begin
             let vm, msg = List.hd transients in
-            if best_effort then begin
-              Trace.recordf t.trace ~category:"faults" "%s: giving up on %s after %d attempts"
-                name (Vm.name vm) attempt;
+            if best_effort then
               List.iter
                 (fun (vm, _msg) ->
                   Probe.emit probes ~topic:"migrate" ~action:"giveup" ~subject:(Vm.name vm)
                     ~info:[ ("phase", name) ] ())
                 transients
-            end
             else
               raise
                 (Phase_failed
@@ -286,9 +274,6 @@ let migrate t ~plan ?(transport = Migration.Tcp) ?(mode = Migration.Precopy) ?ho
                       attempt))
           end
           else begin
-            Trace.recordf t.trace ~category:"faults"
-              "%s: attempt %d failed for %d VM(s); retrying in %a" name attempt
-              (List.length transients) Time.pp delay;
             let backoff =
               Span.enter sc ~name:"backoff" ~cat:"retry" ~args:[ ("phase", name) ] ()
             in
@@ -347,7 +332,6 @@ let migrate t ~plan ?(transport = Migration.Tcp) ?(mode = Migration.Precopy) ?ho
       (* 5. Final signal; guests confirm link-up and rebuild transports. *)
       fence_boundary ~last:true
   | Error reason ->
-      Trace.recordf t.trace ~category:"ninja" "migration failed (%s); rolling back" reason;
       (* The whole rollback is charged to the breakdown's retry bucket as
          one span; retry spans nested inside it are excluded from the sum,
          so the inner failed attempts are not double-billed. *)
@@ -400,16 +384,7 @@ let migrate t ~plan ?(transport = Migration.Tcp) ?(mode = Migration.Precopy) ?ho
               |> List.map (fun device -> Qmp.Device_add { device; noise })));
       Span.exit_ sc rollback;
       let lost = List.filter (fun n -> Vm.is_lost n.vm) t.nodes in
-      (match lost with
-      | [] ->
-          t.last_outcome <- Some (Rolled_back reason);
-          Trace.record t.trace ~category:"ninja" "rollback complete: VMs restored at source"
-      | _ ->
-          t.last_outcome <- Some (Lost reason);
-          Trace.recordf t.trace ~category:"ninja"
-            "rollback complete: %d VM(s) lost (no rollback from a committed switchover), \
-             survivors restored at source"
-            (List.length lost));
+      t.last_outcome <- Some (if lost = [] then Rolled_back reason else Lost reason);
       Probe.emit probes ~topic:"migrate" ~action:"rollback"
         ~info:
           (("reason", reason)
@@ -428,9 +403,7 @@ let migrate t ~plan ?(transport = Migration.Tcp) ?(mode = Migration.Precopy) ?ho
        ~start:(Time.max root.Span.start (Time.diff (Sim.now sim) linkup))
        ());
   Span.exit_ sc root;
-  let breakdown = Export.breakdown_of_root root in
-  Trace.recordf t.trace ~category:"ninja" "migration done: %a" Breakdown.pp breakdown;
-  breakdown
+  Export.breakdown_of_root root
 
 let last_outcome t = t.last_outcome
 

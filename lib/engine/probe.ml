@@ -46,5 +46,6 @@ let emit t ~topic ~action ?(subject = "") ?(info = []) () =
 let info_of e key = List.assoc_opt key e.info
 
 let pp fmt e =
-  Format.fprintf fmt "[%a] %s/%s %s" Time.pp e.at e.topic e.action e.subject;
+  Format.fprintf fmt "[%a] %s/%s" Time.pp e.at e.topic e.action;
+  if e.subject <> "" then Format.fprintf fmt " %s" e.subject;
   List.iter (fun (k, v) -> Format.fprintf fmt " %s=%s" k v) e.info

@@ -4,10 +4,11 @@
     announce protocol-relevant transitions — fence entry/release, VM
     migrations, device hotplug, plan construction, fault firings — as
     plain (topic, action, subject, info) records stamped with the current
-    simulation time. Unlike {!Trace}, events are structured (no string
-    parsing needed to consume them) and delivery is synchronous: a
-    subscriber observes the simulation exactly at the instant of the
-    transition, which is what an invariant checker needs.
+    simulation time. Delivery is synchronous: a subscriber observes the
+    simulation exactly at the instant of the transition, which is what an
+    invariant checker needs. The bus is the simulator's one event
+    channel: the checker, the telemetry recorder and the [--trace]
+    timeline are all subscribers.
 
     When nothing is subscribed, {!emit} returns immediately without
     allocating — an idle bus costs one branch per probe site, so
@@ -59,3 +60,5 @@ val emit :
 val info_of : event -> string -> string option
 
 val pp : Format.formatter -> event -> unit
+(** One line: [\[time\] topic/action subject k=v ...], the subject
+    omitted when empty — e.g. [\[30.00s\] vm/device-del vm0 tag=vf0]. *)

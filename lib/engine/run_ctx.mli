@@ -46,7 +46,10 @@ type t = {
       (** names this run's simulations in telemetry exports (e.g. the
           experiment entry and sweep-point index), so tracks from
           different simulations stay distinct; [""] when unused *)
-  trace : sink option;  (** rendered trace timelines, one per simulation *)
+  trace : sink option;
+      (** probe-event timelines, one chunk per simulation; setting it
+          attaches a renderer to the probe bus of every cluster the run
+          creates *)
   metrics : sink option;  (** result tables as CSV, one chunk per table *)
   spans : sink option;
       (** telemetry span exports (Chrome trace-event JSON), one chunk per

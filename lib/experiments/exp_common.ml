@@ -9,6 +9,7 @@ type env = {
   sim : Sim.t;
   cluster : Cluster.t;
   recorder : Recorder.t option;
+  timeline : Buffer.t option;
 }
 
 let fresh ?spec ctx =
@@ -32,6 +33,19 @@ let fresh ?spec ctx =
       | Ok spec -> Ninja_faults.Injector.arm_spec (Cluster.injector cluster) spec
       | Error msg -> failwith (Printf.sprintf "Exp_common.fresh: bad fault spec %S: %s" text msg))
     ctx.Run_ctx.faults;
+  (* A trace sink renders every probe event this cluster emits, one
+     [Probe.pp] line each. Attached first, so no event escapes it. *)
+  let timeline =
+    Option.map
+      (fun _ ->
+        let b = Buffer.create 4096 in
+        let fmt = Format.formatter_of_buffer b in
+        ignore
+          (Probe.attach (Cluster.probes cluster) (fun ev ->
+               Format.fprintf fmt "%a@." Probe.pp ev));
+        b)
+      ctx.Run_ctx.trace
+  in
   (* A spans sink in the context arms the telemetry recorder: every probe
      event this cluster emits is collected and flushed as one trace-event
      fragment when the simulation completes. Without the sink the bus
@@ -44,7 +58,7 @@ let fresh ?spec ctx =
       ignore (Recorder.attach r (Cluster.probes cluster));
       Some r
   in
-  { ctx; sim; cluster; recorder }
+  { ctx; sim; cluster; recorder; timeline }
 
 (* The context carries the copy mode as text (the engine cannot depend on
    the VMM); it was validated at the entry point, so a bad name here is a
@@ -66,15 +80,11 @@ let track_prefix ctx =
   match ctx.Run_ctx.label with "" -> "" | label -> label ^ "/"
 
 let flush_trace env =
-  match env.ctx.Run_ctx.trace with
-  | None -> ()
-  | Some _ ->
-    let timeline =
-      Format.asprintf "%a" Trace.pp_timeline (Cluster.trace env.cluster)
-    in
-    if String.trim timeline <> "" then
-      Run_ctx.trace_line env.ctx
-        (Printf.sprintf "-- trace (seed %Ld) --\n%s" env.ctx.Run_ctx.seed timeline)
+  match env.timeline with
+  | Some b when Buffer.length b > 0 ->
+    Run_ctx.trace_line env.ctx
+      (Printf.sprintf "-- trace (seed %Ld) --\n%s" env.ctx.Run_ctx.seed (Buffer.contents b))
+  | _ -> ()
 
 let flush_telemetry env =
   match env.recorder with
@@ -102,6 +112,8 @@ let flush_telemetry env =
 
 let finish env =
   Run_ctx.observe env.ctx "sim_s" (Time.to_sec_f (Sim.now env.sim));
+  Run_ctx.observe env.ctx "probe_events"
+    (float_of_int (Probe.emitted (Cluster.probes env.cluster)));
   flush_trace env;
   flush_telemetry env
 

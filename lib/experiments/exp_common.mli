@@ -18,11 +18,15 @@ type env = {
   sim : Sim.t;
   cluster : Cluster.t;
   recorder : Ninja_telemetry.Recorder.t option;
+  timeline : Buffer.t option;
+      (** every probe event rendered with [Probe.pp], one line each;
+          present when the context carries a trace sink *)
 }
 (** One simulated point: a deterministic simulation (seeded from the
     context) plus its cluster, with the context's fault specs armed on
-    the cluster's injector. When the context carries a spans sink, a
-    telemetry recorder is attached to the cluster's probe bus. *)
+    the cluster's injector. When the context carries a trace sink, a
+    timeline renderer is the first subscriber on the cluster's probe bus;
+    when it carries a spans sink, a telemetry recorder follows. *)
 
 val fresh : ?spec:Spec.t -> Run_ctx.t -> env
 (** Cluster population: an explicit [spec] wins; otherwise the context's
@@ -39,10 +43,11 @@ val hosts : Cluster.t -> prefix:string -> first:int -> count:int -> Node.t list
 (** e.g. [hosts c ~prefix:"ib" ~first:8 ~count:8] = ib08..ib15. *)
 
 val run_to_completion : env -> unit
-(** [Sim.run], then flush: the cluster's trace timeline to the trace
-    sink, the recorder's span fragment to the spans sink and its metrics
-    CSV to the metrics sink (each only when armed), and the simulated
-    end time to the observation hook as ["sim_s"]. *)
+(** [Sim.run], then flush: the timeline to the trace sink under a
+    [-- trace (seed N) --] header, the recorder's span fragment to the
+    spans sink and its metrics CSV to the metrics sink (each only when
+    armed), and to the observation hook the simulated end time as
+    ["sim_s"] and the probe events delivered as ["probe_events"]. *)
 
 val run_until : env -> Time.t -> unit
 (** [Sim.run_until] plus the same flush. *)

@@ -31,7 +31,6 @@ type armed = { spec : spec; mutable remaining : int; mutable seen : int }
 type t = {
   sim : Sim.t;
   prng : Prng.t;
-  mutable trace : Trace.t option;
   mutable probes : Probe.t option;
   mutable armed : armed list;
   fired_counts : (point, int ref) Hashtbl.t;
@@ -46,14 +45,11 @@ let create ?(seed = default_seed) sim =
   {
     sim;
     prng = Prng.create ~seed;
-    trace = None;
     probes = None;
     armed = [];
     fired_counts = Hashtbl.create 8;
     hit_counts = Hashtbl.create 8;
   }
-
-let set_trace t trace = t.trace <- Some trace
 
 let set_probes t probes = t.probes <- Some probes
 
@@ -116,11 +112,6 @@ let fire t point ~site =
     | Some a ->
       if a.remaining <> max_int then a.remaining <- a.remaining - 1;
       incr (counter t.fired_counts point);
-      Option.iter
-        (fun trace ->
-          Trace.recordf trace ~category:"faults" "injected %s at %s (firing %d)"
-            (point_name point) site (fired t point))
-        t.trace;
       Option.iter
         (fun probes ->
           Probe.emit probes ~topic:"fault" ~action:(point_name point) ~subject:site

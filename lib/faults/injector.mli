@@ -52,9 +52,6 @@ val create : ?seed:int64 -> Sim.t -> t
     constant) initialises the injector's private PRNG used only by
     [Prob] triggers. *)
 
-val set_trace : t -> Trace.t -> unit
-(** Firings are recorded under category ["faults"]. *)
-
 val set_probes : t -> Probe.t -> unit
 (** Firings are announced on the bus as topic ["fault"], action the point
     name, subject the site, with a ["firing"] ordinal in the info. *)

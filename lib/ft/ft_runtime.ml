@@ -79,10 +79,7 @@ let checkpoint_driver t ~start ~progress =
               let epoch =
                 Rank.last_checkpoint_epoch (Runtime.job (Ninja.runtime t.ninja_))
               in
-              t.last_snap <- Some (start + epoch, snaps);
-              Trace.recordf (Cluster.trace t.cluster) ~category:"ft"
-                "checkpoint set saved at iteration %d (incarnation %d)" (start + epoch)
-                t.incarnation
+              t.last_snap <- Some (start + epoch, snaps)
             end);
       loop ()
     end
@@ -155,8 +152,6 @@ let fail_and_restart t ~new_hosts =
   | Some (iter, snaps) ->
     if List.length new_hosts <> List.length snaps then
       invalid_arg "Ft_runtime.fail_and_restart: host/snapshot count mismatch";
-    Trace.recordf (Cluster.trace t.cluster) ~category:"ft"
-      "incarnation %d failed; restarting from iteration %d" t.incarnation iter;
     kill_current_incarnation t;
     (* Restore the VM images on the replacement hosts... *)
     let vms =

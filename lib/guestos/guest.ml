@@ -7,7 +7,6 @@ type driver = { dev : Device.t; mutable link : Link_state.t }
 type t = {
   vm : Vm.t;
   sim : Sim.t;
-  trace : Trace.t;
   mutable bound : driver list;
   mutable link_waiters : (unit -> unit) list;
   mutable link_hooks : (driver -> unit) list;
@@ -32,8 +31,6 @@ let notify_link t d =
 let set_link t d state =
   if not (Link_state.equal d.link state) then begin
     d.link <- state;
-    Trace.recordf t.trace ~category:"guest"
-      "%s: %s link %a" (Vm.name t.vm) d.dev.Device.tag Link_state.pp state;
     notify_link t d
   end
 
@@ -63,7 +60,6 @@ let boot vm =
     {
       vm;
       sim = Cluster.sim cluster;
-      trace = Cluster.trace cluster;
       bound = [];
       link_waiters = [];
       link_hooks = [];

@@ -35,7 +35,6 @@ type t = {
   vms : (string, vm_entry) Hashtbl.t;
   residents : (string, unit) Hashtbl.t array; (* per node id *)
   used_bytes : float array; (* per node id, registered VM memory *)
-  trace : Trace.t;
   probes : Probe.t;
   inter_racks : (int * int, inter_rack) Hashtbl.t;
   injector : Ninja_faults.Injector.t;
@@ -51,8 +50,6 @@ let sim t = t.sim
 let fabric t = t.fabric
 
 let spec t = t.spec
-
-let trace t = t.trace
 
 (* Aggregation links are created rack-major then pod-major, so link ids
    (and therefore solver tie-breaks) depend only on the topology. *)
@@ -110,10 +107,8 @@ let create sim ?spec ?topology ?solver () =
   let node_list = Array.to_list nodes in
   let ib_list = List.filter Node.has_ib node_list in
   let eth_only_list = List.filter (fun n -> not (Node.has_ib n)) node_list in
-  let trace = Trace.create sim in
   let probes = Probe.create sim in
   let injector = Ninja_faults.Injector.create sim in
-  Ninja_faults.Injector.set_trace injector trace;
   Ninja_faults.Injector.set_probes injector probes;
   {
     sim;
@@ -127,7 +122,6 @@ let create sim ?spec ?topology ?solver () =
     vms = Hashtbl.create 64;
     residents = Array.init (Array.length nodes) (fun _ -> Hashtbl.create 4);
     used_bytes = Array.make (Array.length nodes) 0.0;
-    trace;
     probes;
     inter_racks = Hashtbl.create 4;
     injector;
@@ -143,7 +137,6 @@ let probes t = t.probes
 let kill_node t (n : Node.t) =
   if not (Hashtbl.mem t.dead_nodes n.Node.id) then begin
     Hashtbl.replace t.dead_nodes n.Node.id ();
-    Trace.recordf t.trace ~category:"faults" "node %s died" n.Node.name;
     Probe.emit t.probes ~topic:"node" ~action:"death" ~subject:n.Node.name ()
   end
 

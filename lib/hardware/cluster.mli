@@ -34,8 +34,6 @@ val fabric : t -> Fabric.t
 
 val spec : t -> Spec.t
 
-val trace : t -> Trace.t
-
 val probes : t -> Probe.t
 (** The cluster's probe bus: every protocol layer (hotplug, migration,
     SymVirt fence, planner, faults) announces its transitions here, and

@@ -18,5 +18,11 @@ val percentile : float -> float list -> float
     is always an actual sample). Raises [Invalid_argument] on an empty
     list or [p] outside [0, 100]. *)
 
+val percentile_sorted : float -> float array -> float
+(** [percentile_sorted p a] is {!percentile} over an array already sorted
+    ascending, for callers that sort once and read several percentiles;
+    [nan] when [a] is empty. Raises [Invalid_argument] on [p] outside
+    [0, 100]. *)
+
 val best_of : int -> (unit -> float) -> float
 (** [best_of n f] runs [f] n times and returns the smallest result. *)

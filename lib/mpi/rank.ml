@@ -24,7 +24,6 @@ type ft_hooks = { on_checkpoint : proc -> unit; on_continue : proc -> unit }
 and job = {
   jcluster : Cluster.t;
   sim : Sim.t;
-  trace : Trace.t;
   mutable jprocs : proc array;
   jnp : int;
   continue_like_restart : bool;
@@ -88,7 +87,6 @@ let make_job cluster ~members ~procs_per_vm ~continue_like_restart ~ft_hooks =
     {
       jcluster = cluster;
       sim = Cluster.sim cluster;
-      trace = Cluster.trace cluster;
       jprocs = [||];
       jnp = np;
       continue_like_restart;
@@ -355,7 +353,6 @@ let request_checkpoint job =
   job.ckpt_target <-
     1 + Array.fold_left (fun acc p -> max acc p.points_passed) 0 job.jprocs;
   job.linkup_waits <- [];
-  Trace.recordf job.trace ~category:"crcp" "checkpoint requested (epoch %d)" job.ckpt_target;
   job.ckpt_complete
 
 let checkpoint_requested job = job.ckpt_requested
@@ -399,7 +396,6 @@ let checkpoint_flow p =
     job.ckpt_done <- 0;
     job.ckpt_release <- Ivar.create ();
     job.ckpt_complete <- Ivar.create ();
-    Trace.record job.trace ~category:"crcp" "checkpoint complete";
     Ivar.fill complete ()
   end;
   Ivar.read complete

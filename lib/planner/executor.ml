@@ -75,7 +75,6 @@ let run cluster ?(transport = Migration.Tcp) ?(mode = Migration.Precopy)
   if max_per_host <= 0 then invalid_arg "Executor.run: max_per_host must be positive";
   ignore (Plan.topo_order plan);
   let sim = Cluster.sim cluster in
-  let trace = Cluster.trace cluster in
   let probes = Cluster.probes cluster in
   let run_step = Option.value run_step ~default:(default_run_step transport mode) in
   let steps = Plan.steps plan in
@@ -99,6 +98,7 @@ let run cluster ?(transport = Migration.Tcp) ?(mode = Migration.Precopy)
   let completed = ref [] in
   let failures = ref [] in
   let retries = ref 0 in
+  let rerouted = ref 0 in
   let retry_delay = ref Time.zero in
   List.iter
     (fun (s : Plan.step) ->
@@ -110,9 +110,7 @@ let run cluster ?(transport = Migration.Tcp) ?(mode = Migration.Precopy)
               ignore (Ivar.read (Hashtbl.find done_ivars d.Plan.id)))
             (Plan.deps_of plan s);
           let fail (step : Plan.step) reason =
-            failures := (step, reason) :: !failures;
-            Trace.recordf trace ~category:"planner" "step %d (%s -> %s) failed: %s"
-              step.Plan.id (Vm.name step.Plan.vm) step.Plan.dst.Node.name reason
+            failures := (step, reason) :: !failures
           in
           (* A dead destination is not retried in place: the replanner (if
              any) supplies a live substitute and the step carries on. *)
@@ -124,9 +122,7 @@ let run cluster ?(transport = Migration.Tcp) ?(mode = Migration.Precopy)
             | Some f -> (
                 match f step with
                 | Some (n : Node.t) when Cluster.node_alive cluster n ->
-                    Trace.recordf trace ~category:"planner"
-                      "step %d (%s) rerouted %s -> %s: %s" step.Plan.id
-                      (Vm.name step.Plan.vm) step.Plan.dst.Node.name n.Node.name reason;
+                    incr rerouted;
                     Some (Plan.with_dst step ~dst:n)
                 | _ ->
                     fail step reason;
@@ -145,7 +141,6 @@ let run cluster ?(transport = Migration.Tcp) ?(mode = Migration.Precopy)
                 let nodes = permit_nodes step in
                 List.iter (fun n -> Semaphore.acquire (sem n)) nodes;
                 let t0 = Sim.now sim in
-                Trace.recordf trace ~category:"planner" "%a starts" Plan.pp_step step;
                 (* One span per attempt, on the step's source track, where
                    the VMM migration span it triggers will nest under it. *)
                 let span_name = Printf.sprintf "step-%d" step.Plan.id in
@@ -169,9 +164,7 @@ let run cluster ?(transport = Migration.Tcp) ?(mode = Migration.Precopy)
                     List.iter (fun n -> Semaphore.release (sem n)) nodes;
                     let finished = Sim.now sim in
                     let result = { step; started = t0; finished; stats } in
-                    completed := result :: !completed;
-                    Trace.recordf trace ~category:"planner" "%a done in %a" Plan.pp_step
-                      step Time.pp (Time.diff finished t0)
+                    completed := result :: !completed
                 | exception exn ->
                     List.iter (fun n -> Semaphore.release (sem n)) nodes;
                     let reason =
@@ -192,10 +185,6 @@ let run cluster ?(transport = Migration.Tcp) ?(mode = Migration.Precopy)
                       let delay = Retry.backoff retry ~attempt:attempt_no in
                       incr retries;
                       retry_delay := Time.add !retry_delay delay;
-                      Trace.recordf trace ~category:"planner"
-                        "step %d (%s -> %s) attempt %d failed: %s; retrying in %a"
-                        step.Plan.id (Vm.name step.Plan.vm) step.Plan.dst.Node.name
-                        attempt_no reason Time.pp delay;
                       Span.emit_begin probes ~name:"backoff" ~cat:"executor"
                         ~proc:step.Plan.src.Node.name ~thread:(Vm.name step.Plan.vm)
                         ~args:[ ("step", string_of_int step.Plan.id) ] ();
@@ -224,6 +213,7 @@ let run cluster ?(transport = Migration.Tcp) ?(mode = Migration.Precopy)
         ("steps", string_of_int (List.length step_results));
         ("failures", string_of_int (List.length !failures));
         ("retries", string_of_int !retries);
+        ("rerouted", string_of_int !rerouted);
         ("permits-leaked", string_of_int permits_leaked);
       ]
     ();

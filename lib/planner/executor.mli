@@ -6,9 +6,9 @@
     once — a migration holds a permit on both its source and destination,
     acquired in node-id order so permit waits can never cycle). Steps
     execute through the VM's QEMU monitor by default, exactly as the
-    per-VM SymVirt agents do, and the executor records a per-step trace
-    plus timing so experiments can report makespan, per-step latency and
-    aggregate downtime.
+    per-VM SymVirt agents do, and the executor records per-step timing
+    so experiments can report makespan, per-step latency and aggregate
+    downtime.
 
     Failures are recoverable: a step that errors is re-attempted under the
     [retry] policy, a step whose destination node has died is handed to
@@ -80,6 +80,9 @@ val run :
     its destination is dead, [reroute] is asked for a replacement node
     (a [None] answer, or no [reroute], makes the failure terminal). If any
     step failed terminally, raises {!Step_failed} for the first of them
-    after all steps have settled. *)
+    after all steps have settled. Each attempt is a [step-N] span and
+    each backoff a [backoff] span; an [executor/report] probe closes the
+    run with [steps], [failures], [retries], [rerouted] and
+    [permits-leaked] counts. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -186,7 +186,6 @@ let find_cycle ~edges ~staged m =
   !cycle
 
 let of_assignment cluster ~vms ~dst_of ?(staging = []) ?bytes_of () =
-  let trace = Cluster.trace cluster in
   let bytes_of =
     Option.value bytes_of ~default:(fun vm -> Memory.nonzero_bytes (Vm.memory vm))
   in
@@ -230,6 +229,7 @@ let of_assignment cluster ~vms ~dst_of ?(staging = []) ?bytes_of () =
   in
   let staged = Array.make m false in
   let stage_node = Array.make m None in
+  let overcommits = ref 0 in
   (* Break every conflict cycle, preferring the cheapest member. *)
   let continue = ref true in
   while !continue do
@@ -251,11 +251,7 @@ let of_assignment cluster ~vms ~dst_of ?(staging = []) ?bytes_of () =
       | s :: rest ->
         pool := rest;
         staged.(pick) <- true;
-        stage_node.(pick) <- Some s;
-        Trace.recordf trace ~category:"planner" "cycle of %d broken: %s staged via %s"
-          (List.length cycle)
-          (Vm.name movers.(pick).mvm)
-          s.Node.name
+        stage_node.(pick) <- Some s
       | [] ->
         (* No refuge: drop the picked member's in-cycle edge and accept a
            transient overcommit of its destination. *)
@@ -267,10 +263,7 @@ let of_assignment cluster ~vms ~dst_of ?(staging = []) ?bytes_of () =
         in
         let dropped = next_of cycle in
         edges.(pick) <- List.filter (fun j -> j <> dropped) edges.(pick);
-        Trace.recordf trace ~category:"planner"
-          "cycle of %d: no staging node free, %s overcommits %s" (List.length cycle)
-          (Vm.name movers.(pick).mvm)
-          movers.(pick).mdst.Node.name)
+        incr overcommits)
   done;
   (* Materialise steps and edges. *)
   let plan = create () in
@@ -311,6 +304,8 @@ let of_assignment cluster ~vms ~dst_of ?(staging = []) ?bytes_of () =
         ("steps", string_of_int (length plan));
         ("deps", string_of_int (dep_count plan));
         ("acyclic", string_of_bool (is_acyclic plan));
+        ("staged", string_of_int (Array.fold_left (fun n b -> if b then n + 1 else n) 0 staged));
+        ("overcommits", string_of_int !overcommits);
       ]
     ();
   (* Plan building is pure bookkeeping — no simulated time passes — so the

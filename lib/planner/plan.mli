@@ -15,8 +15,9 @@
       staging node and [Stage_in] to the final destination — which breaks
       the cycle (the destination-swap strategy of Avin et al.,
       arXiv:1309.5826). With no staging node available the weakest
-      conflict edge is dropped instead (a deliberate, traced overcommit —
-      hosts in this model can hold several VMs).
+      conflict edge is dropped instead (a deliberate overcommit, counted
+      on the [plan/built] probe — hosts in this model can hold several
+      VMs).
 
     Solvers ({!Solver}) add further {e ordering} edges on top to shape
     parallelism; the IR does not distinguish the two kinds. *)
@@ -96,7 +97,10 @@ val of_assignment :
     their destination contribute no step. [staging] lists candidate free
     nodes for cycle breaking (nodes that host a VM or serve as a
     destination are filtered out); [bytes_of] defaults to the VM's
-    non-zero memory footprint. The result is acyclic. *)
+    non-zero memory footprint. The result is acyclic. Announces
+    [plan/built] on the cluster's probe bus with [steps], [deps],
+    [acyclic], [staged] (cycle members routed via a staging node) and
+    [overcommits] (cycles broken by dropping an edge). *)
 
 val kind_name : kind -> string
 

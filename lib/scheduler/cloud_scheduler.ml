@@ -69,16 +69,11 @@ let plan_for t trigger =
    parallelism, and run the result inside the fence window that
    [Ninja.migrate] opens. VMs already on an acceptable host contribute no
    step (in particular they no longer pay a loopback self-migration). *)
-let build_plan t trigger dst_of =
+let build_plan t dst_of =
   let cluster = Ninja.cluster t.ninja in
   let vms = Ninja.vms t.ninja in
   let staging = Placement.nodes_free cluster ~vms in
   let plan = Plan.of_assignment cluster ~vms ~dst_of ~staging () in
-  Trace.recordf
-    (Cluster.trace cluster)
-    ~category:"planner" "trigger %s: %d steps, strategy %s, est. serial %a"
-    (trigger_name trigger) (Plan.length plan) (Solver.name t.strategy) Time.pp
-    (Estimator.sequential_duration cluster plan);
   Solver.solve t.strategy cluster ~traffic:t.traffic plan
 
 (* Would [n] be a policy-conformant destination for this trigger? Rerouted
@@ -174,7 +169,7 @@ let execute t trigger =
     (Cluster.probes (Ninja.cluster t.ninja))
     ~topic:"scheduler" ~action:"trigger" ~subject:(trigger_name trigger) ();
   let dst_of = plan_for t trigger in
-  let plan = build_plan t trigger dst_of in
+  let plan = build_plan t dst_of in
   let report = ref None in
   let breakdown =
     Ninja.migrate t.ninja ~plan:dst_of ~mode:t.mode ~retry:t.retry
@@ -187,9 +182,6 @@ let execute t trigger =
       ()
   in
   t.records <- { at = Sim.now t.sim; trigger; breakdown; report = !report } :: t.records;
-  Trace.recordf
-    (Cluster.trace (Ninja.cluster t.ninja))
-    ~category:"scheduler" "trigger %s done: %a" (trigger_name trigger) Breakdown.pp breakdown;
   breakdown
 
 let schedule t ~after trigger =

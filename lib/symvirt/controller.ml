@@ -4,7 +4,7 @@ open Ninja_vmm
 
 type member = { vm : Vm.t; endpoint : Hypercall.t; procs : int }
 
-type t = { cluster : Cluster.t; members : member list; trace : Trace.t }
+type t = { cluster : Cluster.t; members : member list }
 
 exception Agent_failure of string
 
@@ -13,7 +13,7 @@ let create cluster ~members =
     (fun m ->
       if m.procs <= 0 then invalid_arg "Controller.create: procs must be positive")
     members;
-  { cluster; members; trace = Cluster.trace cluster }
+  { cluster; members }
 
 let members t = t.members
 
@@ -33,8 +33,6 @@ let probe_fence t action =
 let wait_all t =
   List.iter (fun m -> Hypercall.await_waiters m.endpoint m.procs) t.members;
   List.iter (fun m -> Vm.pause m.vm) t.members;
-  Trace.recordf t.trace ~category:"symvirt" "fence reached: %d VMs paused"
-    (List.length t.members);
   probe_fence t "enter"
 
 let signal t =
@@ -43,7 +41,6 @@ let signal t =
       Vm.resume m.vm;
       Hypercall.host_signal m.endpoint)
     t.members;
-  Trace.recordf t.trace ~category:"symvirt" "signalled %d VMs" (List.length t.members);
   probe_fence t "release"
 
 (* One agent fiber per VM, driving its monitor; the caller blocks on all of

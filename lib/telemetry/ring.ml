@@ -59,17 +59,12 @@ let mean ?n t =
 
 let max ?n t = if window_len t n = 0 then nan else fold ?n Float.max neg_infinity t
 
-(* Nearest-rank percentile over the window; copies and sorts the window
-   (on-demand cost, not paid by the push path). *)
+(* Copies and sorts the window (on-demand cost, not paid by the push
+   path). *)
 let percentile ?n t p =
-  if not (p >= 0.0 && p <= 100.0) then invalid_arg "Ring.percentile: p outside [0,100]";
   let w = window_len t n in
-  if w = 0 then nan
-  else begin
-    let a = Array.init w (fun i -> t.data.(nth_index t (t.len - w + i))) in
-    Array.sort Float.compare a;
-    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int w)) in
-    a.(Stdlib.max 0 (Stdlib.min (w - 1) (rank - 1)))
-  end
+  let a = Array.init w (fun i -> t.data.(nth_index t (t.len - w + i))) in
+  Array.sort Float.compare a;
+  Ninja_metrics.Stats.percentile_sorted p a
 
 let to_list t = List.init t.len (fun i -> t.data.(nth_index t i))

@@ -38,7 +38,7 @@ val max : ?n:int -> t -> float
 
 val percentile : ?n:int -> t -> float -> float
 (** [percentile t p] is the nearest-rank p-th percentile of the last [n]
-    samples; [nan] when empty. Copies and sorts the window, so the cost
+    samples ({!Ninja_metrics.Stats.percentile_sorted}); [nan] when empty. Copies and sorts the window, so the cost
     lands on the reader, not the sampler. Raises [Invalid_argument] when
     [p] is outside [0, 100]. *)
 

@@ -78,8 +78,9 @@ type t = {
      destination. Pages the guest writes after switchover materialise at
      the destination directly, so [write] marks them resident; the
      puller claims the remaining remote (nonzero, not-yet-resident)
-     pages lowest-index-first via [pull_pages]. *)
-  resident : Bitset.t;
+     pages lowest-index-first via [pull_pages]. Allocated by the first
+     [begin_postcopy]: a precopy-only VM never pays for it. *)
+  mutable resident : Bitset.t;
   mutable resident_count : int;
   mutable postcopy_active : bool;
   mutable pull_cursor : int; (* word index; remote pages never reappear below it *)
@@ -100,7 +101,7 @@ let create ~total_bytes =
     pages;
     nonzero = Bitset.create pages;
     dirty = Bitset.create pages;
-    resident = Bitset.create pages;
+    resident = [||];
     resident_count = 0;
     postcopy_active = false;
     pull_cursor = 0;
@@ -153,7 +154,8 @@ let free t r =
     let last_excl = r.start + r.len in
     t.nonzero_count <- t.nonzero_count - Bitset.clear_range t.nonzero r.start last_excl;
     t.dirty_count <- t.dirty_count - Bitset.clear_range t.dirty r.start last_excl;
-    t.resident_count <- t.resident_count - Bitset.clear_range t.resident r.start last_excl;
+    if t.resident_count > 0 then
+      t.resident_count <- t.resident_count - Bitset.clear_range t.resident r.start last_excl;
     t.free_list <- (r.start, r.len) :: t.free_list
   end
 
@@ -177,7 +179,8 @@ let page_dirty t i = Bitset.get t.dirty i
 (* Postcopy residency *)
 
 let reset_residency t =
-  Bitset.clear_all t.resident;
+  if Array.length t.resident = 0 then t.resident <- Bitset.create t.pages
+  else Bitset.clear_all t.resident;
   t.resident_count <- 0;
   t.pull_cursor <- 0
 
@@ -198,7 +201,7 @@ let resident_bytes t = float_of_int t.resident_count *. float_of_int page_size
 let remote_bytes t =
   float_of_int (t.nonzero_count - t.resident_count) *. float_of_int page_size
 
-let page_resident t i = Bitset.get t.resident i
+let page_resident t i = Array.length t.resident > 0 && Bitset.get t.resident i
 
 let pull_pages t ~max_pages =
   if max_pages <= 0 then 0

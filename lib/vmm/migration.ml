@@ -263,7 +263,6 @@ let migrate vm ~dst ?(transport = Tcp) ?(mode = Precopy) () =
          (Printf.sprintf "%s: VM was lost by an earlier postcopy failure" (Vm.name vm)));
   let cluster = Vm.cluster vm in
   let sim = Cluster.sim cluster in
-  let trace = Cluster.trace cluster in
   let injector = Cluster.injector cluster in
   if
     Injector.enabled injector
@@ -277,8 +276,6 @@ let migrate vm ~dst ?(transport = Tcp) ?(mode = Precopy) () =
   let src = Vm.host vm in
   let started = Sim.now sim in
   let mode_name = mode_name mode in
-  Trace.recordf trace ~category:"migration" "%s: %s %s -> %s begins" (Vm.name vm) mode_name
-    src.Node.name dst.Node.name;
   let probes = Cluster.probes cluster in
   Span.emit_begin probes ~name:mode_name ~cat:"vmm" ~proc:src.Node.name ~thread:(Vm.name vm)
     ~args:[ ("dst", dst.Node.name) ] ();
@@ -294,8 +291,6 @@ let migrate vm ~dst ?(transport = Tcp) ?(mode = Precopy) () =
         | Postcopy -> postcopy vm ~dst ~transport)
   in
   let duration = Time.diff (Sim.now sim) started in
-  Trace.recordf trace ~category:"migration" "%s: done in %a (%d rounds, downtime %a)"
-    (Vm.name vm) Time.pp duration rounds Time.pp downtime;
   if Probe.active probes then
     Probe.emit probes ~topic:"migration" ~action:"done" ~subject:(Vm.name vm)
       ~info:

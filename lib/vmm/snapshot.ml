@@ -36,8 +36,6 @@ let save store vm ~name =
     }
   in
   store.snapshots <- snap :: store.snapshots;
-  Trace.recordf (Cluster.trace store.cluster) ~category:"snapshot" "%s: saved as '%s' (%a)"
-    (Vm.name vm) name Ninja_hardware.Units.pp_bytes image_bytes;
   if was_running then Vm.resume vm;
   snap
 
@@ -48,8 +46,6 @@ let restore store snap ~host =
       ~mem_bytes:snap.total_bytes ~os_resident_bytes:snap.image_bytes ()
   in
   Vm.pause vm;
-  Trace.recordf (Cluster.trace store.cluster) ~category:"snapshot" "%s: restored from '%s' on %s"
-    snap.vm_name snap.name host.Node.name;
   vm
 
 let find store ~name = List.find_opt (fun s -> String.equal s.name name) store.snapshots

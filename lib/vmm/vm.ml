@@ -56,7 +56,6 @@ let attach_device t (d : Device.t) =
   | Some _ -> invalid_arg (Printf.sprintf "Vm.attach_device: duplicate tag %s" d.tag)
   | None -> ());
   t.devices <- t.devices @ [ d ];
-  Trace.recordf (Cluster.trace t.cluster) ~category:"vmm" "%s: device %s attached" t.name d.tag;
   Probe.emit (Cluster.probes t.cluster) ~topic:"vm" ~action:"device-add" ~subject:t.name
     ~info:
       [ ("tag", d.tag); ("bypass", string_of_bool (Device.is_bypass d.kind)) ]
@@ -68,7 +67,6 @@ let detach_device t ~tag =
   | None -> raise Not_found
   | Some d ->
     t.devices <- List.filter (fun (d' : Device.t) -> not (String.equal d'.tag tag)) t.devices;
-    Trace.recordf (Cluster.trace t.cluster) ~category:"vmm" "%s: device %s detached" t.name tag;
     Probe.emit (Cluster.probes t.cluster) ~topic:"vm" ~action:"device-del" ~subject:t.name
       ~info:[ ("tag", tag) ] ();
     List.iter (fun f -> f d) (List.rev t.removed_hooks);
@@ -114,23 +112,13 @@ let set_switchover_committed t v = t.switchover_committed <- v
 
 let is_lost t = t.lost
 
-let mark_lost t =
-  if not t.lost then begin
-    t.lost <- true;
-    Trace.recordf (Cluster.trace t.cluster) ~category:"vmm" "%s: LOST (postcopy source died)"
-      t.name
-  end
+let mark_lost t = t.lost <- true
 
-let pause t =
-  if t.state = Running then begin
-    t.state <- Paused;
-    Trace.recordf (Cluster.trace t.cluster) ~category:"vmm" "%s: paused" t.name
-  end
+let pause t = if t.state = Running then t.state <- Paused
 
 let resume t =
   if t.state = Paused then begin
     t.state <- Running;
-    Trace.recordf (Cluster.trace t.cluster) ~category:"vmm" "%s: resumed" t.name;
     let waiters = List.rev t.pause_waiters in
     t.pause_waiters <- [];
     List.iter (fun wake -> wake ()) waiters
@@ -140,7 +128,6 @@ let set_host t dst =
   let src = t.host in
   t.host <- dst;
   Cluster.move_vm t.cluster ~name:t.name ~node:dst.Node.id;
-  Trace.recordf (Cluster.trace t.cluster) ~category:"vmm" "%s: now on %s" t.name dst.Node.name;
   Probe.emit (Cluster.probes t.cluster) ~topic:"vm" ~action:"migrated" ~subject:t.name
     ~info:
       [

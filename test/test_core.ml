@@ -280,6 +280,10 @@ let test_fence_protocols_equivalent () =
   let run protocol =
     let sim, cluster = setup_agc () in
     let ninja = Ninja.setup cluster ~hosts:(ib_hosts cluster 2) () in
+    let fences = ref 0 in
+    ignore
+      (Probe.attach (Cluster.probes cluster) (fun e ->
+           if e.Probe.topic = "fence" && e.Probe.action = "enter" then incr fences));
     let log = ref [] in
     ignore (Ninja.launch ninja ~procs_per_vm:1 (iteration_workload ~until:150.0 ~log));
     let b = ref Breakdown.zero in
@@ -288,13 +292,7 @@ let test_fence_protocols_equivalent () =
         b := Ninja.migrate ninja ~plan:(fun vm -> Vm.host vm) ~protocol ();
         Ninja.wait_job ninja);
     Sim.run sim;
-    let fences =
-      Trace.by_category (Cluster.trace cluster) "symvirt"
-      |> List.filter (fun r ->
-             String.length r.Trace.message >= 5 && String.sub r.Trace.message 0 5 = "fence")
-      |> List.length
-    in
-    (!b, fences)
+    (!b, !fences)
   in
   let multi, multi_fences = run `Multi_fence in
   let single, single_fences = run `Single_fence in

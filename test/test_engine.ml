@@ -551,48 +551,6 @@ let rated_cancel_conservation_prop =
       Float.abs (sec_f (Sim.now sim) -. expected) < 1e-6)
 
 (* ------------------------------------------------------------------ *)
-(* Trace *)
-
-let test_trace_records_and_filter () =
-  let sim = Sim.create () in
-  let trace = Trace.create sim in
-  Sim.spawn sim (fun () ->
-      Trace.record trace ~category:"vmm" "start";
-      Sim.sleep (Time.sec 2);
-      Trace.recordf trace ~category:"mpi" "rank %d done" 3);
-  Sim.run sim;
-  let all = Trace.records trace in
-  Alcotest.(check int) "two records" 2 (List.length all);
-  (match all with
-  | [ a; b ] ->
-    check_time "first at 0" 0.0 (sec_f a.Trace.at);
-    check_time "second at 2" 2.0 (sec_f b.Trace.at);
-    Alcotest.(check string) "formatted" "rank 3 done" b.Trace.message
-  | _ -> Alcotest.fail "unexpected shape");
-  Alcotest.(check int) "filter" 1 (List.length (Trace.by_category trace "mpi"))
-
-let test_trace_pp_timeline () =
-  let sim = Sim.create () in
-  let trace = Trace.create sim in
-  Sim.spawn sim (fun () ->
-      Trace.record trace ~category:"vmm" "migration started";
-      Sim.sleep (Time.ms 12500);
-      Trace.recordf trace ~category:"ninja" "phase %s done" "precopy");
-  Sim.run sim;
-  Alcotest.(check string) "aligned rows, chronological"
-    "[    0.00s] vmm        migration started\n[   12.50s] ninja      phase precopy done\n"
-    (Format.asprintf "%a" Trace.pp_timeline trace);
-  Alcotest.(check (list string)) "by_category keeps messages and order"
-    [ "migration started" ]
-    (List.map (fun r -> r.Trace.message) (Trace.by_category trace "vmm"));
-  Alcotest.(check (list string)) "by_category of an absent category" []
-    (List.map (fun r -> r.Trace.message) (Trace.by_category trace "mpi"));
-  Trace.clear trace;
-  Alcotest.(check int) "clear empties the log" 0 (List.length (Trace.records trace));
-  Alcotest.(check string) "empty timeline renders nothing" ""
-    (Format.asprintf "%a" Trace.pp_timeline trace)
-
-(* ------------------------------------------------------------------ *)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -774,11 +732,6 @@ let () =
         :: Alcotest.test_case "zero work" `Quick test_ps_zero_work
         :: qsuite [ ps_work_conservation_prop ] );
       ("rated", qsuite [ rated_conservation_prop; rated_cancel_conservation_prop ]);
-      ( "trace",
-        [
-          Alcotest.test_case "records and filter" `Quick test_trace_records_and_filter;
-          Alcotest.test_case "timeline rendering" `Quick test_trace_pp_timeline;
-        ] );
       ( "pool",
         [
           Alcotest.test_case "map order" `Quick test_pool_map_order;

@@ -342,6 +342,42 @@ let test_registry_parallel_identical () =
   in
   Alcotest.(check string) "fig6 -j4 == -j1" serial parallel
 
+(* A trace sink renders the probe bus without touching the results: the
+   tables match an untraced run byte for byte, and the timeline holds one
+   block per simulation with exactly one [Probe.pp] line per event the
+   bus delivered ([Probe.emitted], reported as "probe_events"). *)
+let test_fig6_trace_renders_probe_events () =
+  let e = Option.get (Registry.find "fig6") in
+  let plain = render (e.Registry.run rc) in
+  let chunks = ref [] and emitted = ref 0.0 in
+  let ctx =
+    Run_ctx.make
+      ~trace:(fun c -> chunks := c :: !chunks)
+      ~observe:(fun name v -> if name = "probe_events" then emitted := !emitted +. v)
+      ()
+  in
+  Alcotest.(check string) "tables unchanged by a trace sink" plain (render (e.Registry.run ctx));
+  let lines =
+    List.concat_map (String.split_on_char '\n') (List.rev !chunks)
+    |> List.filter (fun l -> l <> "")
+  in
+  let headers, events = List.partition (String.starts_with ~prefix:"-- trace (seed ") lines in
+  Alcotest.(check int) "one block per simulation" 2 (List.length headers);
+  Alcotest.(check int) "one line per emitted event" (int_of_float !emitted) (List.length events);
+  Alcotest.(check bool) "events were emitted" true (events <> []);
+  Alcotest.(check bool) "every line is a Probe.pp rendering" true
+    (List.for_all (fun l -> l.[0] = '[' && String.contains l '/') events);
+  (* Two migrations under the three-fence protocol. *)
+  let action a =
+    List.length
+      (List.filter
+         (fun l ->
+           match String.split_on_char ' ' l with _ :: ta :: _ -> ta = a | _ -> false)
+         events)
+  in
+  Alcotest.(check (list int)) "migrate/start, fence/enter, migrate/complete" [ 2; 6; 2 ]
+    [ action "migrate/start"; action "fence/enter"; action "migrate/complete" ]
+
 (* A seed change must actually reach the simulations: the context's seed
    initialises the PRNG of every simulation [fresh] creates. (Fault-free
    experiment tables are deliberately seed-insensitive — nothing on those
@@ -385,6 +421,8 @@ let () =
           Alcotest.test_case "all complete under fresh ctx" `Slow test_registry_all_complete;
           Alcotest.test_case "same seed, same tables" `Quick test_registry_deterministic;
           Alcotest.test_case "pooled == serial" `Quick test_registry_parallel_identical;
+          Alcotest.test_case "fig6 trace renders probe events" `Quick
+            test_fig6_trace_renders_probe_events;
           Alcotest.test_case "seed threads through" `Quick test_registry_seed_threads;
         ] );
     ]

@@ -56,9 +56,13 @@ let workload ~until ~log ctx =
     if Mpi.rank ctx = 0 then log := Mpi.wtime ctx :: !log
   done
 
-(* A 2-VM job on ib00/ib01; one migration to [dsts] fires at t = 5 s. *)
+(* A 2-VM job on ib00/ib01; one migration to [dsts] fires at t = 5 s.
+   A probe subscriber is attached before the run; its events come back in
+   emission order. *)
 let run_scenario ?(faults = []) ?(until = 120.0) ~dsts () =
   let sim, cluster = fresh ~faults () in
+  let events = ref [] in
+  ignore (Probe.attach (Cluster.probes cluster) (fun e -> events := e :: !events));
   let ninja = Ninja.setup cluster ~hosts:(ib_hosts cluster 2) () in
   let log = ref [] in
   ignore (Ninja.launch ninja ~procs_per_vm:1 (workload ~until ~log));
@@ -68,12 +72,15 @@ let run_scenario ?(faults = []) ?(until = 120.0) ~dsts () =
       b := Ninja.fallback ninja ~dsts:(dsts cluster) ();
       Ninja.wait_job ninja);
   Sim.run sim;
-  (ninja, cluster, !b, List.rev !log)
+  (ninja, cluster, !b, List.rev !log, List.rev !events)
 
-let faults_trace cluster = Trace.by_category (Cluster.trace cluster) "faults"
-
-let trace_has cluster sub =
-  List.exists (fun r -> contains r.Trace.message sub) (faults_trace cluster)
+let has_event events ~topic ?action ?subject () =
+  List.exists
+    (fun (e : Probe.event) ->
+      e.topic = topic
+      && Option.fold ~none:true ~some:(String.equal e.action) action
+      && Option.fold ~none:true ~some:(String.equal e.subject) subject)
+    events
 
 let outcome_is ninja expected =
   match (Ninja.last_outcome ninja, expected) with
@@ -328,14 +335,14 @@ let test_retry_jitter_deterministic () =
 (* Full migration scenarios under injected faults *)
 
 let test_fault_free_run_clean () =
-  let ninja, cluster, b, log = run_scenario ~dsts:(fun c -> eth_hosts c 2) () in
+  let ninja, _, b, log, events = run_scenario ~dsts:(fun c -> eth_hosts c 2) () in
   check_float "retry is zero" 0.0 (sec b.Breakdown.retry);
   Alcotest.(check bool) "completed" true (outcome_is ninja `Completed);
-  Alcotest.(check int) "no fault events" 0 (List.length (faults_trace cluster));
+  Alcotest.(check bool) "no fault events" false (has_event events ~topic:"fault" ());
   Alcotest.(check bool) "job progressed" true (List.length log > 10)
 
 let test_qmp_timeout_retried () =
-  let ninja, cluster, b, _ =
+  let ninja, _, b, _, events =
     run_scenario ~faults:[ "qmp-timeout@vm0:n=1" ] ~dsts:(fun c -> eth_hosts c 2) ()
   in
   Alcotest.(check bool) "completed despite the timeout" true (outcome_is ninja `Completed);
@@ -344,11 +351,13 @@ let test_qmp_timeout_retried () =
     (Ninja.vms ninja);
   Alcotest.(check bool) "retry covers at least the timeout" true
     (sec b.Breakdown.retry >= sec Qmp.command_timeout);
-  Alcotest.(check bool) "injection traced" true (trace_has cluster "injected qmp-timeout");
-  Alcotest.(check bool) "retry traced" true (trace_has cluster "retrying in")
+  Alcotest.(check bool) "injection announced" true
+    (has_event events ~topic:"fault" ~action:"qmp-timeout" ());
+  Alcotest.(check bool) "backoff span" true
+    (has_event events ~topic:"span" ~action:"begin" ~subject:"backoff" ())
 
 let test_attach_fail_retried () =
-  let ninja, cluster, b, _ =
+  let ninja, _, b, _, events =
     run_scenario
       ~faults:[ "attach-fail@vm0:n=1" ]
       ~dsts:(fun c -> [ node c "ib02"; node c "ib03" ])
@@ -360,11 +369,12 @@ let test_attach_fail_retried () =
       Alcotest.(check bool) "HCA attached at the destination" true (Vm.has_bypass_device vm))
     (Ninja.vms ninja);
   Alcotest.(check bool) "retry time recorded" true (sec b.Breakdown.retry > 0.0);
-  Alcotest.(check bool) "injection traced" true (trace_has cluster "injected attach-fail")
+  Alcotest.(check bool) "injection announced" true
+    (has_event events ~topic:"fault" ~action:"attach-fail" ())
 
 let test_precopy_stall_extends_migration () =
-  let _, _, clean, _ = run_scenario ~dsts:(fun c -> eth_hosts c 2) () in
-  let ninja, _, stalled, _ =
+  let _, _, clean, _, _ = run_scenario ~dsts:(fun c -> eth_hosts c 2) () in
+  let ninja, _, stalled, _, _ =
     run_scenario ~faults:[ "precopy-stall@vm0:n=1" ] ~dsts:(fun c -> eth_hosts c 2) ()
   in
   Alcotest.(check bool) "still completes" true (outcome_is ninja `Completed);
@@ -378,7 +388,7 @@ let test_precopy_stall_extends_migration () =
     && extra <= sec Ninja_vmm.Migration.precopy_stall_duration +. 1.0)
 
 let test_precopy_abort_once_retried () =
-  let ninja, cluster, b, _ =
+  let ninja, _, b, _, events =
     run_scenario ~faults:[ "precopy-abort@vm0:n=1" ] ~dsts:(fun c -> eth_hosts c 2) ()
   in
   Alcotest.(check bool) "completed on the retry" true (outcome_is ninja `Completed);
@@ -386,7 +396,8 @@ let test_precopy_abort_once_retried () =
     (fun vm -> Alcotest.(check bool) "on the eth rack" false (Node.has_ib (Vm.host vm)))
     (Ninja.vms ninja);
   Alcotest.(check bool) "nonzero retry downtime" true (sec b.Breakdown.retry > 0.0);
-  Alcotest.(check bool) "injection traced" true (trace_has cluster "injected precopy-abort")
+  Alcotest.(check bool) "injection announced" true
+    (has_event events ~topic:"fault" ~action:"precopy-abort" ())
 
 let assert_restored_at_source ninja =
   List.iteri
@@ -400,7 +411,7 @@ let assert_restored_at_source ninja =
     (Ninja.vms ninja)
 
 let test_precopy_abort_forever_rolls_back () =
-  let ninja, cluster, b, log =
+  let ninja, _, b, log, events =
     run_scenario ~faults:[ "precopy-abort:count=inf" ] ~dsts:(fun c -> eth_hosts c 2) ()
   in
   Alcotest.(check bool) "rolled back" true (outcome_is ninja `Rolled_back);
@@ -408,21 +419,20 @@ let test_precopy_abort_forever_rolls_back () =
   Alcotest.(check bool) "nonzero retry downtime" true (sec b.Breakdown.retry > 0.0);
   Alcotest.(check bool) "job ran to completion anyway" true
     (match List.rev log with [] -> false | t :: _ -> t > 100.0);
-  Alcotest.(check bool) "rollback traced" true
-    (List.exists
-       (fun r -> contains r.Trace.message "rolling back")
-       (Trace.by_category (Cluster.trace cluster) "ninja"))
+  Alcotest.(check bool) "rollback announced" true
+    (has_event events ~topic:"migrate" ~action:"rollback" ())
 
 let test_agent_crash_retried () =
-  let ninja, cluster, b, _ =
+  let ninja, _, b, _, events =
     run_scenario ~faults:[ "agent-crash@vm0:n=1" ] ~dsts:(fun c -> eth_hosts c 2) ()
   in
   Alcotest.(check bool) "completed" true (outcome_is ninja `Completed);
   Alcotest.(check bool) "retry time recorded" true (sec b.Breakdown.retry > 0.0);
-  Alcotest.(check bool) "injection traced" true (trace_has cluster "injected agent-crash")
+  Alcotest.(check bool) "injection announced" true
+    (has_event events ~topic:"fault" ~action:"agent-crash" ())
 
 let test_node_death_rolls_back () =
-  let ninja, cluster, b, _ =
+  let ninja, cluster, b, _, _ =
     run_scenario ~faults:[ "node-death@eth00:n=1" ] ~dsts:(fun c -> eth_hosts c 2) ()
   in
   (match Ninja.last_outcome ninja with
@@ -437,7 +447,7 @@ let test_node_death_rolls_back () =
 let test_rollback_double_failure_converges () =
   (* The second fault fires during the rollback's own re-attach phase:
      rollback must retry itself and still converge. *)
-  let ninja, cluster, b, _ =
+  let ninja, _, b, _, events =
     run_scenario
       ~faults:[ "precopy-abort:count=inf"; "attach-fail@vm0:n=1" ]
       ~dsts:(fun c -> eth_hosts c 2)
@@ -445,24 +455,25 @@ let test_rollback_double_failure_converges () =
   in
   Alcotest.(check bool) "rolled back" true (outcome_is ninja `Rolled_back);
   assert_restored_at_source ninja;
-  Alcotest.(check bool) "second fault fired" true (trace_has cluster "injected attach-fail");
+  Alcotest.(check bool) "second fault fired" true
+    (has_event events ~topic:"fault" ~action:"attach-fail" ());
   Alcotest.(check bool) "nonzero retry downtime" true (sec b.Breakdown.retry > 0.0)
 
 let test_faulted_run_deterministic () =
   let run () =
-    let ninja, cluster, b, _ =
+    let ninja, _, b, _, events =
       run_scenario ~faults:[ "precopy-abort:count=inf" ] ~dsts:(fun c -> eth_hosts c 2) ()
     in
     ( sec b.Breakdown.total,
       sec b.Breakdown.retry,
-      List.length (Trace.records (Cluster.trace cluster)),
+      List.length events,
       List.map (fun vm -> (Vm.host vm).Node.name) (Ninja.vms ninja) )
   in
   let t1, r1, n1, hosts1 = run () in
   let t2, r2, n2, hosts2 = run () in
   check_float "identical total" t1 t2;
   check_float "identical retry time" r1 r2;
-  Alcotest.(check int) "identical trace length" n1 n2;
+  Alcotest.(check int) "identical probe-event count" n1 n2;
   Alcotest.(check (list string)) "identical placement" hosts1 hosts2
 
 let test_scheduler_reroutes_dead_destination () =
@@ -566,7 +577,7 @@ let prop_rollback_converges_under_second_failure =
           [ "attach-fail@vm0:n=1"; "agent-crash@vm0:n=1"; "qmp-timeout@vm0:n=1" ]
           which
       in
-      let ninja, _cluster, b, _ =
+      let ninja, _cluster, b, _, _ =
         run_scenario
           ~faults:[ "precopy-abort:count=inf"; second ]
           ~dsts:(fun c -> eth_hosts c 2)

@@ -480,9 +480,13 @@ let test_grouped_beats_sequential () =
 let test_overcommit_fallback_executes () =
   (* Two swap cycles but only one free staging node: one cycle gets the
      staging node, the other falls back to overcommitting a destination
-     (trace notes it) — and the overcommitted plan still executes to the
-     right final placement. *)
+     (plan/built counts it) — and the overcommitted plan still executes to
+     the right final placement. *)
   let sim, cluster = setup () in
+  let built = ref [] in
+  ignore
+    (Probe.attach (Cluster.probes cluster) (fun e ->
+         if e.Probe.topic = "plan" && e.Probe.action = "built" then built := e :: !built));
   let a = mk_vm cluster ~name:"a" ~host:"ib00" in
   let b = mk_vm cluster ~name:"b" ~host:"ib01" in
   let c = mk_vm cluster ~name:"c" ~host:"ib02" in
@@ -508,10 +512,10 @@ let test_overcommit_fallback_executes () =
     [ "direct"; "direct"; "direct"; "stage-in"; "stage-out" ]
     kinds;
   Alcotest.(check bool) "acyclic" true (Plan.is_acyclic plan);
-  Alcotest.(check bool) "overcommit fallback recorded" true
-    (List.exists
-       (fun r -> contains r.Trace.message "overcommit")
-       (Trace.by_category (Cluster.trace cluster) "planner"));
+  Alcotest.(check (list (pair (option string) (option string))))
+    "overcommit fallback recorded"
+    [ (Some "1", Some "1") ]
+    (List.map (fun e -> (Probe.info_of e "staged", Probe.info_of e "overcommits")) !built);
   let report = run_plan sim cluster plan in
   Alcotest.(check int) "five steps executed" 5
     (List.length report.Executor.step_results);

@@ -804,6 +804,24 @@ let test_ring_percentile () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "out-of-range percentile accepted"
 
+(* The ring's windowed percentile is the one nearest-rank definition
+   ({!Stats.percentile}) applied to the retained window. *)
+let ring_percentile_matches_stats_prop =
+  QCheck.Test.make ~name:"Ring.percentile ~n equals Stats.percentile over the window"
+    ~count:500
+    QCheck.(
+      quad (int_range 1 16)
+        (list_of_size Gen.(int_range 0 40) (map float_of_int (int_range (-5) 20)))
+        (int_range 1 20) (float_bound_inclusive 100.0))
+    (fun (capacity, pushes, n, p) ->
+      let r = Ring.create ~capacity in
+      List.iter (Ring.push r) pushes;
+      let len = List.length pushes in
+      let w = min n (min capacity len) in
+      let window = List.filteri (fun i _ -> i >= len - w) pushes in
+      let got = Ring.percentile ~n r p in
+      if window = [] then Float.is_nan got else Float.equal got (Stats.percentile p window))
+
 let () =
   Alcotest.run "ninja_telemetry"
     [
@@ -827,6 +845,7 @@ let () =
           Alcotest.test_case "wraparound keeps the newest window" `Quick
             test_ring_wraparound;
           Alcotest.test_case "nearest-rank percentiles" `Quick test_ring_percentile;
+          QCheck_alcotest.to_alcotest ring_percentile_matches_stats_prop;
         ] );
       ( "metrics",
         [
