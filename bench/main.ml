@@ -33,8 +33,9 @@ open Ninja_experiments
 let wall () = Int64.to_float (Mclock.now ()) /. 1e9
 
 (* Machine-readable companion to the printed tables: per-entry wall-clock,
-   CPU and simulated seconds, so perf regressions across snapshots can be
-   compared without scraping stdout. *)
+   CPU and simulated seconds (and, at [-j 1], minor words), so perf
+   regressions across snapshots can be compared without scraping stdout.
+   [nproc] and the OCaml version say what a [-j N] row could use. *)
 let next_snapshot () =
   Sys.readdir "."
   |> Array.fold_left
@@ -57,13 +58,17 @@ let write_bench_json ctx ~total_wall ~total_cpu entries =
     (match ctx.Ninja_engine.Run_ctx.mode with
     | Ninja_engine.Run_ctx.Quick -> "quick"
     | Ninja_engine.Run_ctx.Full -> "full");
+  Printf.fprintf oc "  \"nproc\": %d,\n  \"ocaml\": %S,\n" (Domain.recommended_domain_count ())
+    Sys.ocaml_version;
   Printf.fprintf oc "  \"total_wall_s\": %.3f,\n  \"total_cpu_s\": %.3f,\n  \"entries\": [\n"
     total_wall total_cpu;
   List.iteri
-    (fun i (name, wall_s, cpu_s, sim_s) ->
-      Printf.fprintf oc
-        "    {\"name\": %S, \"wall_s\": %.3f, \"cpu_s\": %.3f, \"sim_s\": %.3f}%s\n" name
-        wall_s cpu_s sim_s
+    (fun i (name, wall_s, cpu_s, sim_s, minor_words) ->
+      Printf.fprintf oc "    {\"name\": %S, \"wall_s\": %.3f, \"cpu_s\": %.3f, \"sim_s\": %.3f%s}%s\n"
+        name wall_s cpu_s sim_s
+        (match minor_words with
+        | Some w -> Printf.sprintf ", \"minor_words\": %.0f" w
+        | None -> "")
         (if i = List.length entries - 1 then "" else ","))
     entries;
   Printf.fprintf oc "  ]\n}\n";
@@ -91,12 +96,20 @@ let run_experiments ~snapshot ctx names =
                    Mutex.protect sim_m (fun () -> sim_s := !sim_s +. v)))
             ctx
         in
-        let w = wall () and c = Sys.time () in
+        let w = wall () and c = Sys.time () and mw = Gc.minor_words () in
         List.iter Ninja_metrics.Table.print (Registry.run_entry ectx e);
         let wall_s = wall () -. w and cpu_s = Sys.time () -. c in
-        Printf.printf "(generated in %.1fs wall, %.1fs CPU, %.1fs simulated)\n\n%!" wall_s
-          cpu_s !sim_s;
-        results := (e.Registry.name, wall_s, cpu_s, !sim_s) :: !results)
+        (* [Gc.minor_words] counts the calling domain only: exact at -j 1,
+           an undercount once pooled domains share the work. *)
+        let minor_words =
+          if Ninja_engine.Run_ctx.jobs ctx = 1 then Some (Gc.minor_words () -. mw) else None
+        in
+        Printf.printf "(generated in %.1fs wall, %.1fs CPU, %.1fs simulated%s)\n\n%!" wall_s
+          cpu_s !sim_s
+          (match minor_words with
+          | Some w -> Printf.sprintf ", %.3fG minor words" (w /. 1e9)
+          | None -> "");
+        results := (e.Registry.name, wall_s, cpu_s, !sim_s, minor_words) :: !results)
     names;
   let total_wall = wall () -. w0 and total_cpu = Sys.time () -. c0 in
   Printf.printf "== total: %.1fs wall, %.1fs CPU (%d job%s) ==\n%!" total_wall total_cpu
@@ -116,7 +129,7 @@ let bench_heap =
     (Staged.stage @@ fun () ->
     let h = Pheap.create () in
     for i = 0 to 999 do
-      Pheap.add h ~key:(Int64.of_int (i * 7919 mod 1000)) ~seq:i i
+      Pheap.add h ~key:(i * 7919 mod 1000) ~seq:i i
     done;
     while not (Pheap.is_empty h) do
       ignore (Pheap.pop h)

@@ -1,4 +1,4 @@
-type 'a entry = { key : int64; seq : int; value : 'a }
+type 'a entry = { key : int; seq : int; value : 'a }
 
 type 'a t = { mutable data : 'a entry array; mutable size : int }
 
@@ -63,4 +63,6 @@ let pop t =
   end;
   min.value
 
-let peek_key t = if t.size = 0 then None else Some (t.data.(0).key, t.data.(0).seq)
+let min_key t =
+  if t.size = 0 then raise Not_found;
+  t.data.(0).key

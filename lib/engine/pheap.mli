@@ -1,6 +1,6 @@
 (** Imperative binary min-heap, specialised for the event queue.
 
-    Elements are ordered by an [int64] primary key (timestamp) with an [int]
+    Elements are ordered by an [int] primary key (timestamp) with an [int]
     tiebreaker (insertion sequence number), so that events scheduled for the
     same instant fire in FIFO order — the property the simulator relies on
     for determinism. *)
@@ -13,11 +13,12 @@ val length : 'a t -> int
 
 val is_empty : 'a t -> bool
 
-val add : 'a t -> key:int64 -> seq:int -> 'a -> unit
+val add : 'a t -> key:int -> seq:int -> 'a -> unit
 
 val pop : 'a t -> 'a
 (** Removes and returns the minimum element. Raises [Not_found] if the heap
     is empty. *)
 
-val peek_key : 'a t -> (int64 * int) option
-(** Key of the minimum element without removing it. *)
+val min_key : 'a t -> int
+(** Key of the minimum element, without removing it or allocating. Raises
+    [Not_found] if the heap is empty. *)

@@ -1,7 +1,11 @@
+(* Remaining work and current rate live in an all-float record, which
+   OCaml stores unboxed: settling and re-rating write them in place
+   without allocating. *)
+type progress = { mutable remaining : float; mutable rate : float }
+
 type 'a task = {
   payload : 'a;
-  mutable remaining : float;
-  mutable rate : float;
+  p : progress;
   finished : unit Ivar.t;
   mutable live : bool;
 }
@@ -12,51 +16,66 @@ type 'a t = {
   sim : Sim.t;
   name : string;
   rerate : 'a t -> unit;
-  mutable tasks : 'a task list; (* reversed insertion order *)
+  mutable tasks : 'a task array; (* live tasks in [0, n), insertion order *)
+  mutable n : int;
   mutable last_settle : Time.t;
   mutable timer : Sim.handle option;
+  mutable argmin : int; (* index of the task the armed timer completes *)
+  mutable fire : unit -> unit; (* the timer's callback, one closure per set *)
   mutable rev_changes : 'a change list; (* membership deltas since last rerate *)
 }
 
-let create sim ~name ~rerate =
-  {
-    sim;
-    name;
-    rerate;
-    tasks = [];
-    last_settle = Sim.now sim;
-    timer = None;
-    rev_changes = [];
-  }
+(* Ordering rules that keep completions and rates bit-identical to a
+   list-based set (newest task first), which is the reference the tests
+   race this implementation against:
+   - every change cancels and re-arms the timer, so the new timer takes a
+     fresh event sequence number;
+   - the timer completes the task with the smallest ETA, ties going to the
+     newest task, then the ε-sweep completes tasks newest first;
+   - the settle and rate arithmetic is per task, so its order is free. *)
 
-let payload task = task.payload
+let[@inline] payload task = task.payload
 
-let rate task = task.rate
+let[@inline] rate task = task.p.rate
 
 let is_done task = not task.live
 
-let set_rate task r =
+(* Inlined, so a caller's freshly computed rate is stored without being
+   boxed for the call. *)
+let[@inline] set_rate task r =
   if not (r >= 0.0 && Float.is_finite r) then
     invalid_arg "Rated.set_rate: rate must be non-negative and finite";
-  task.rate <- r
+  task.p.rate <- r
 
-let active t = List.rev (List.filter (fun task -> task.live) t.tasks)
+let set_rates tasks rates n =
+  for i = 0 to n - 1 do
+    set_rate tasks.(i) (Float.Array.get rates i)
+  done
+
+let length t = t.n
+
+let[@inline] get t i =
+  if i < 0 || i >= t.n then invalid_arg "Rated.get: index out of bounds";
+  Array.unsafe_get t.tasks i
+
+let active t =
+  let rec from i acc = if i < 0 then acc else from (i - 1) (t.tasks.(i) :: acc) in
+  from (t.n - 1) []
 
 (* Advance every live task by its rate over the elapsed interval. *)
 let settle t =
   let now = Sim.now t.sim in
   let dt = Time.to_sec_f (Time.diff now t.last_settle) in
   if dt > 0.0 then
-    List.iter
-      (fun task ->
-        if task.live then
-          task.remaining <- Float.max 0.0 (task.remaining -. (task.rate *. dt)))
-      t.tasks;
+    for i = 0 to t.n - 1 do
+      let p = t.tasks.(i).p in
+      p.remaining <- Float.max 0.0 (p.remaining -. (p.rate *. dt))
+    done;
   t.last_settle <- now
 
 let remaining t task =
   settle t;
-  task.remaining
+  task.p.remaining
 
 let complete t task =
   if task.live then begin
@@ -79,68 +98,112 @@ let run_rerate t =
    floating-point drift. *)
 let eps = 1e-6
 
-let rec reschedule t =
+(* Complete every task with negligible work left, newest first, then
+   close the gaps in place. *)
+let sweep t =
+  for i = t.n - 1 downto 0 do
+    let task = t.tasks.(i) in
+    if task.live && task.p.remaining <= eps then complete t task
+  done;
+  let live = ref 0 in
+  for i = 0 to t.n - 1 do
+    let task = t.tasks.(i) in
+    if task.live then begin
+      if !live < i then t.tasks.(!live) <- task;
+      incr live
+    end
+  done;
+  t.n <- !live
+
+let reschedule t =
   (match t.timer with
   | Some h ->
     Sim.cancel h;
     t.timer <- None
   | None -> ());
-  let next =
-    List.fold_left
-      (fun acc task ->
-        if task.live && task.rate > 0.0 then
-          let eta = task.remaining /. task.rate in
-          match acc with
-          | Some (best_eta, _) when best_eta <= eta -> acc
-          | _ -> Some (eta, task)
-        else acc)
-      None t.tasks
-  in
-  match next with
-  | None -> ()
-  | Some (eta, task) ->
-    let span = Time.of_sec_f (Float.max 0.0 eta) in
-    t.timer <- Some (Sim.schedule t.sim ~after:span (fun () -> on_timer t task))
+  let best = ref (-1) and best_eta = ref 0.0 in
+  for i = t.n - 1 downto 0 do
+    let p = t.tasks.(i).p in
+    if p.rate > 0.0 then begin
+      let eta = p.remaining /. p.rate in
+      if !best < 0 || not (!best_eta <= eta) then begin
+        best := i;
+        best_eta := eta
+      end
+    end
+  done;
+  t.argmin <- !best;
+  if !best >= 0 then
+    t.timer <- Some (Sim.schedule t.sim ~after:(Time.of_sec_f (Float.max 0.0 !best_eta)) t.fire)
 
-and on_timer t argmin =
-  t.timer <- None;
-  settle t;
-  (* Rates were constant since scheduling, so the argmin task has run out
-     of work (modulo rounding): force it, then sweep any ties. *)
-  if argmin.live then begin
-    argmin.remaining <- 0.0;
-    complete t argmin
-  end;
-  List.iter (fun task -> if task.live && task.remaining <= eps then complete t task) t.tasks;
-  t.tasks <- List.filter (fun task -> task.live) t.tasks;
+(* Every change settles first and ends here. *)
+let finish_change t =
+  sweep t;
   run_rerate t;
   reschedule t
 
-let change t f =
+(* Rates were constant since the timer was armed, and any membership
+   change since would have re-armed it, so [argmin] still indexes the task
+   that has run out of work (modulo rounding): force it, then sweep any
+   ties. *)
+let on_timer t =
+  t.timer <- None;
   settle t;
-  let result = f () in
-  List.iter (fun task -> if task.live && task.remaining <= eps then complete t task) t.tasks;
-  t.tasks <- List.filter (fun task -> task.live) t.tasks;
-  run_rerate t;
-  reschedule t;
-  result
+  let argmin = t.tasks.(t.argmin) in
+  if argmin.live then begin
+    argmin.p.remaining <- 0.0;
+    complete t argmin
+  end;
+  finish_change t
+
+let create sim ~name ~rerate =
+  let t =
+    {
+      sim;
+      name;
+      rerate;
+      tasks = [||];
+      n = 0;
+      last_settle = Sim.now sim;
+      timer = None;
+      argmin = -1;
+      fire = ignore;
+      rev_changes = [];
+    }
+  in
+  t.fire <- (fun () -> on_timer t);
+  t
+
+let push t task =
+  if t.n = Array.length t.tasks then begin
+    let grown = Array.make (max 8 (2 * t.n)) task in
+    Array.blit t.tasks 0 grown 0 t.n;
+    t.tasks <- grown
+  end;
+  t.tasks.(t.n) <- task;
+  t.n <- t.n + 1
 
 let add t ~payload ~work =
   if not (work >= 0.0 && Float.is_finite work) then
     invalid_arg (t.name ^ ": work must be non-negative and finite");
-  change t (fun () ->
-      let task =
-        { payload; remaining = work; rate = 0.0; finished = Ivar.create (); live = true }
-      in
-      t.tasks <- task :: t.tasks;
-      t.rev_changes <- Joined task :: t.rev_changes;
-      task)
+  settle t;
+  let task =
+    { payload; p = { remaining = work; rate = 0.0 }; finished = Ivar.create (); live = true }
+  in
+  push t task;
+  t.rev_changes <- Joined task :: t.rev_changes;
+  finish_change t;
+  task
 
 let await task = Ivar.read task.finished
 
 let cancel t task =
-  if task.live then
-    change t (fun () ->
-        complete t task)
+  if task.live then begin
+    settle t;
+    complete t task;
+    finish_change t
+  end
 
-let kick t = change t (fun () -> ())
+let kick t =
+  settle t;
+  finish_change t

@@ -1,6 +1,7 @@
-type handle = { mutable cancelled : bool }
+(* A scheduled event is its own cancellation handle. *)
+type event = { run : unit -> unit; mutable cancelled : bool }
 
-type event = { run : unit -> unit; h : handle }
+type handle = event
 
 type t = {
   mutable now : Time.t;
@@ -9,7 +10,7 @@ type t = {
   prng : Prng.t;
   mutable n_events : int;
   mutable next_fiber : int;
-  fibers : (int, string) Hashtbl.t; (* live (spawned, not yet finished) *)
+  fibers : (int, string) Hashtbl.t; (* live (spawned, not yet finished): id -> name *)
 }
 
 exception Deadlock of string list
@@ -37,16 +38,16 @@ let events_processed t = t.n_events
 
 let schedule_at t at run =
   if Time.(at < t.now) then invalid_arg "Sim.schedule_at: time is in the past";
-  let h = { cancelled = false } in
-  Pheap.add t.queue ~key:(Time.to_ns at) ~seq:t.seq { run; h };
+  let ev = { run; cancelled = false } in
+  Pheap.add t.queue ~key:(Time.to_int at) ~seq:t.seq ev;
   t.seq <- t.seq + 1;
-  h
+  ev
 
 let schedule t ~after run =
   let after = if Time.is_negative after then Time.zero else after in
   schedule_at t (Time.add t.now after) run
 
-let cancel h = h.cancelled <- true
+let cancel ev = ev.cancelled <- true
 
 let live_fibers t = Hashtbl.length t.fibers
 
@@ -85,7 +86,7 @@ let run_fiber t id body =
 let spawn t ?(name = "fiber") body =
   let id = t.next_fiber in
   t.next_fiber <- id + 1;
-  Hashtbl.add t.fibers id (Printf.sprintf "%s#%d" name id);
+  Hashtbl.add t.fibers id name;
   ignore (schedule t ~after:Time.zero (fun () -> run_fiber t id body))
 
 (* These are meaningful only inside a fiber; performing an effect outside
@@ -103,11 +104,6 @@ let suspend_on t register = Effect.perform (Suspend (t, register))
 let current_sim : t option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
-let with_current t f =
-  let saved = Domain.DLS.get current_sim in
-  Domain.DLS.set current_sim (Some t);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set current_sim saved) f
-
 let get_current () =
   match Domain.DLS.get current_sim with
   | Some t -> t
@@ -117,35 +113,41 @@ let sleep d = sleep_on (get_current ()) d
 
 let suspend register = suspend_on (get_current ()) register
 
-let step t ev =
-  t.n_events <- t.n_events + 1;
-  with_current t ev.run
-
 (* The one event loop both entry points share: pop and execute events
-   while the head timestamp passes [keep_going]. *)
-let drain t ~keep_going =
+   whose timestamp is at most [limit]. Every event of this loop runs under
+   [t] as the ambient simulation, so it is set once here, not per event;
+   a nested drain of another simulation restores it on the way out. *)
+let drain t ~limit =
+  let q = t.queue in
   let rec loop () =
-    match Pheap.peek_key t.queue with
-    | Some (k, _) when keep_going (Time.of_ns k) ->
-      let ev = Pheap.pop t.queue in
-      if not ev.h.cancelled then begin
-        t.now <- Time.of_ns k;
-        step t ev
-      end;
-      loop ()
-    | Some _ | None -> ()
+    if not (Pheap.is_empty q) then begin
+      let k = Pheap.min_key q in
+      if k <= limit then begin
+        let ev = Pheap.pop q in
+        if not ev.cancelled then begin
+          t.now <- Time.ns k;
+          t.n_events <- t.n_events + 1;
+          ev.run ()
+        end;
+        loop ()
+      end
+    end
   in
-  loop ()
+  let saved = Domain.DLS.get current_sim in
+  Domain.DLS.set current_sim (Some t);
+  Fun.protect ~finally:(fun () -> Domain.DLS.set current_sim saved) loop
 
 let run t =
-  drain t ~keep_going:(fun _ -> true);
+  drain t ~limit:max_int;
   if Hashtbl.length t.fibers > 0 then begin
-    let stuck = Hashtbl.fold (fun _ name acc -> name :: acc) t.fibers [] in
+    let stuck =
+      Hashtbl.fold (fun id name acc -> Printf.sprintf "%s#%d" name id :: acc) t.fibers []
+    in
     raise (Deadlock (List.sort String.compare stuck))
   end
 
 let run_until t limit =
-  drain t ~keep_going:(fun at -> Time.(at <= limit));
+  drain t ~limit:(Time.to_int limit);
   t.now <- Time.max t.now limit
 
 let run_for t span = run_until t (Time.add t.now span)

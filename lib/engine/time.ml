@@ -1,61 +1,69 @@
-type t = int64
+type t = int
 
 type span = t
 
-let zero = 0L
+let zero = 0
 
-let ns n = Int64.of_int n
+let ns n = n
 
-let us n = Int64.mul (Int64.of_int n) 1_000L
+let us n = n * 1_000
 
-let ms n = Int64.mul (Int64.of_int n) 1_000_000L
+let ms n = n * 1_000_000
 
-let sec n = Int64.mul (Int64.of_int n) 1_000_000_000L
+let sec n = n * 1_000_000_000
 
-let minutes n = Int64.mul (Int64.of_int n) 60_000_000_000L
+let minutes n = n * 60_000_000_000
+
+(* ~95 years; leaves headroom so clamped spans can still be added to any
+   realistic simulation clock (see [add] for the unrealistic ones). *)
+let clamp = 3_000_000_000_000_000_000
 
 let of_sec_f s =
   if not (Float.is_finite s) then invalid_arg "Time.of_sec_f: not finite";
   let ns = Float.round (s *. 1e9) in
-  (* Clamp to the representable range (~±292 years) instead of letting
-     Int64.of_float produce unspecified values. *)
-  (* ~95 years; leaves headroom so clamped spans can still be added to any
-     realistic simulation clock without wrapping. *)
-  if ns >= 3.0e18 then 3_000_000_000_000_000_000L
-  else if ns <= -3.0e18 then (-3_000_000_000_000_000_000L)
-  else Int64.of_float ns
+  if ns >= 3.0e18 then clamp
+  else if ns <= -3.0e18 then -clamp
+  else int_of_float ns
 
-let to_sec_f t = Int64.to_float t /. 1e9
+let to_sec_f t = float_of_int t /. 1e9
 
-let to_ns t = t
+let to_ns t = Int64.of_int t
 
-let of_ns n = n
+let of_ns n = Int64.to_int n
 
-let add = Int64.add
+let to_int t = t
 
-let diff = Int64.sub
+(* Two clamped spans sum past [max_int] (2^62 - 1 ns): saturate instead of
+   wrapping, so a far-future deadline stays in the future. *)
+let add a b =
+  let s = a + b in
+  if a >= 0 && b >= 0 && s < 0 then max_int
+  else if a < 0 && b < 0 && s >= 0 then min_int
+  else s
 
-let mul s n = Int64.mul s (Int64.of_int n)
+let diff a b = a - b
+
+let mul s n = s * n
 
 let scale s f = of_sec_f (to_sec_f s *. f)
 
-let compare = Int64.compare
+let compare = Int.compare
 
-let equal = Int64.equal
+let equal = Int.equal
 
-let ( < ) a b = Int64.compare a b < 0
+let ( < ) (a : int) b = a < b
 
-let ( <= ) a b = Int64.compare a b <= 0
+let ( <= ) (a : int) b = a <= b
 
-let ( > ) a b = Int64.compare a b > 0
+let ( > ) (a : int) b = a > b
 
-let ( >= ) a b = Int64.compare a b >= 0
+let ( >= ) (a : int) b = a >= b
 
-let min a b = if a <= b then a else b
+let min (a : int) b = if a <= b then a else b
 
-let max a b = if a >= b then a else b
+let max (a : int) b = if a >= b then a else b
 
-let is_negative s = s < 0L
+let is_negative s = s < 0
 
 let pp fmt t =
   let f = to_sec_f t in
@@ -63,6 +71,6 @@ let pp fmt t =
   if Stdlib.( >= ) abs 1.0 then Format.fprintf fmt "%.2fs" f
   else if Stdlib.( >= ) abs 1e-3 then Format.fprintf fmt "%.2fms" (f *. 1e3)
   else if Stdlib.( >= ) abs 1e-6 then Format.fprintf fmt "%.2fus" (f *. 1e6)
-  else Format.fprintf fmt "%Ldns" t
+  else Format.fprintf fmt "%dns" t
 
 let pp_sec fmt t = Format.fprintf fmt "%.2f" (to_sec_f t)

@@ -1,12 +1,13 @@
 (** Simulated time.
 
-    All simulation timestamps and durations are expressed as 64-bit signed
-    counts of nanoseconds. Timestamps ([t]) are nanoseconds since the start
-    of the simulation; durations ([span]) are nanosecond differences.
-    Keeping both as integers makes event ordering exact and the simulation
-    bit-for-bit deterministic. *)
+    All simulation timestamps and durations are expressed as signed integer
+    counts of nanoseconds (an immediate 63-bit [int], so storing one never
+    allocates). Timestamps ([t]) are nanoseconds since the start of the
+    simulation; durations ([span]) are nanosecond differences. Keeping both
+    as integers makes event ordering exact and the simulation bit-for-bit
+    deterministic. *)
 
-type t
+type t [@@immediate]
 (** An absolute simulated timestamp (ns since simulation start). *)
 
 type span = t
@@ -22,14 +23,22 @@ val sec : int -> span
 val minutes : int -> span
 
 val of_sec_f : float -> span
-(** [of_sec_f s] is the span closest to [s] seconds. Raises
-    [Invalid_argument] if [s] is not finite. *)
+(** [of_sec_f s] is the span closest to [s] seconds, clamped to about
+    ±95 years (±3e18 ns). Raises [Invalid_argument] if [s] is not
+    finite. *)
 
 val to_sec_f : t -> float
 val to_ns : t -> int64
 val of_ns : int64 -> t
 
+val to_int : t -> int
+(** Nanoseconds as a plain [int], e.g. for a heap key; {!ns} is the
+    inverse. *)
+
 val add : t -> span -> t
+(** Saturates at the representable range (about ±146 years) instead of
+    wrapping: only a sum of two clamped spans can get there. *)
+
 val diff : t -> t -> span
 val mul : span -> int -> span
 val scale : span -> float -> span

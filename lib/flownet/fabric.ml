@@ -15,6 +15,7 @@ type link = {
      the current rerate's affected set. Replaces a per-rerate hashtable so
      a small-fabric rerate allocates nothing beyond the work queue. *)
   mutable mark : int;
+  mutable removed : bool;
 }
 
 and info = { fid : int; route : link list; mutable fmark : int }
@@ -31,9 +32,10 @@ type state = {
 type t = {
   set : info Rated.t;
   state : state;
-  mutable next_link : int;
+  mutable next_link : int; (* ids are never reused, so tie-breaks survive removals *)
   mutable next_fid : int;
-  mutable all_links : link list;
+  mutable rev_links : link list; (* newest first; removed links linger until [links] *)
+  mutable live_links : link list option; (* [links]' answer, until a link is added or removed *)
 }
 
 type flow = info Rated.task
@@ -98,7 +100,7 @@ let solve_subset state flows links =
 
 (* Reference solver: re-solve the whole fabric from scratch. *)
 let global_rerate state set =
-  let flows = Array.of_list (Rated.active set) in
+  let flows = Array.init (Rated.length set) (Rated.get set) in
   if Array.length flows > 0 then begin
     let links =
       let tbl = Hashtbl.create 16 in
@@ -193,7 +195,8 @@ let create ?(solver = Incremental) sim =
     state;
     next_link = 0;
     next_fid = 0;
-    all_links = [];
+    rev_links = [];
+    live_links = None;
   }
 
 let solver t = t.state.solver
@@ -206,12 +209,44 @@ let add_link t ~name ~capacity =
   let id = t.next_link in
   t.next_link <- id + 1;
   let l =
-    { id; name; capacity; residual = 0.0; unfrozen = 0; flows_on = Hashtbl.create 4; mark = 0 }
+    {
+      id;
+      name;
+      capacity;
+      residual = 0.0;
+      unfrozen = 0;
+      flows_on = Hashtbl.create 4;
+      mark = 0;
+      removed = false;
+    }
   in
-  t.all_links <- l :: t.all_links;
+  t.rev_links <- l :: t.rev_links;
+  t.live_links <- None;
   l
 
-let links t = List.rev t.all_links
+let crosses l fl = List.exists (fun l' -> l'.id = l.id) (Rated.payload fl).route
+
+let remove_link t l =
+  let crossed =
+    match t.state.solver with
+    | Incremental -> Hashtbl.length l.flows_on > 0
+    | Global -> List.exists (crosses l) (Rated.active t.set)
+  in
+  if crossed then invalid_arg ("Fabric.remove_link: a flow still crosses " ^ l.name);
+  if not l.removed then begin
+    l.removed <- true;
+    t.live_links <- None
+  end
+
+(* Rebuilt at most once per add/remove, however often observers sweep. *)
+let links t =
+  match t.live_links with
+  | Some links -> links
+  | None ->
+    t.rev_links <- List.filter (fun l -> not l.removed) t.rev_links;
+    let links = List.rev t.rev_links in
+    t.live_links <- Some links;
+    links
 
 let link_name l = l.name
 
@@ -230,6 +265,7 @@ let set_link_capacity t l c =
 
 let check_route route =
   if route = [] then invalid_arg "Fabric: empty route";
+  if List.exists (fun l -> l.removed) route then invalid_arg "Fabric: route crosses a removed link";
   let ids = List.map (fun l -> l.id) route in
   if List.length (List.sort_uniq compare ids) <> List.length ids then
     invalid_arg "Fabric: route contains duplicate links"
@@ -250,7 +286,7 @@ let rate fl = Rated.rate fl
 
 let is_done fl = Rated.is_done fl
 
-let active_flows t = List.length (Rated.active t.set)
+let active_flows t = Rated.length t.set
 
 let link_utilization t l =
   match t.state.solver with
@@ -264,10 +300,9 @@ let link_utilization t l =
     Hashtbl.iter (fun _ fl -> total := !total +. Rated.rate fl) l.flows_on;
     !total
   | Global ->
-    List.fold_left
-      (fun acc fl ->
-        if List.exists (fun l' -> l'.id = l.id) (Rated.payload fl).route then
-          acc +. Rated.rate fl
-        else acc)
-      0.0
-      (Rated.active t.set)
+    let total = ref 0.0 in
+    for i = 0 to Rated.length t.set - 1 do
+      let fl = Rated.get t.set i in
+      if crosses l fl then total := !total +. Rated.rate fl
+    done;
+    !total

@@ -43,9 +43,16 @@ val last_bottlenecks : t -> int list
 val add_link : t -> name:string -> capacity:float -> link
 (** [capacity] in bytes per second; must be positive. *)
 
+val remove_link : t -> link -> unit
+(** Retire a link, e.g. a private first hop whose transfer is over. Raises
+    [Invalid_argument] if a flow still crosses it; removing twice is a
+    no-op. Its id is never reused, and no flow may be started over it
+    afterwards. *)
+
 val links : t -> link list
-(** Every link ever added, in creation order — lets an observer sweep the
-    whole fabric (e.g. to check flow conservation on each link). *)
+(** The live (added, not removed) links, in creation order — lets an
+    observer sweep the whole fabric (e.g. to check flow conservation on
+    each link). The list is cached between additions and removals. *)
 
 val link_name : link -> string
 

@@ -102,7 +102,7 @@ let transfer cluster ~src ~dst kind ~bytes =
       with_cpu_tasks tasks (fun () ->
           (* The guest NIC (virtio queue or emulated device) caps below the
              10 GbE line rate; model it as a private first hop, like the
-             migration sender. *)
+             migration sender, retired once the message is through. *)
           let nic_bw =
             match eth_device_kind src with
             | Some k -> Device.bandwidth k
@@ -112,7 +112,8 @@ let transfer cluster ~src ~dst kind ~bytes =
             Fabric.add_link fabric ~name:(Vm.name src ^ ".virtio") ~capacity:nic_bw
           in
           let route = Cluster.route cluster ~net:Cluster.Eth ~src:src_host ~dst:dst_host in
-          Fabric.transfer fabric ~route:(virtio_cap :: route) ~bytes)
+          Fabric.transfer fabric ~route:(virtio_cap :: route) ~bytes;
+          Fabric.remove_link fabric virtio_cap)
     | Sm ->
       let work = bytes *. Calibration.sm_cpu_per_byte in
       with_cpu_tasks

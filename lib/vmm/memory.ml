@@ -16,9 +16,15 @@ module Bitset = struct
 
   let full = (1 lsl word_bits) - 1
 
-  let create n = Array.make ((n + word_bits - 1) / word_bits) 0
+  let words_for n = (n + word_bits - 1) / word_bits
 
-  let get (t : t) i = t.(i lsr 5) land (1 lsl (i land 31)) <> 0
+  (* Bits past the end of [t] read as zero. *)
+  let get (t : t) i = i lsr 5 < Array.length t && t.(i lsr 5) land (1 lsl (i land 31)) <> 0
+
+  let grow (t : t) words =
+    let grown = Array.make words 0 in
+    Array.blit t 0 grown 0 (Array.length t);
+    grown
 
   let popcount w =
     let w = w - ((w lsr 1) land 0x55555555) in
@@ -69,10 +75,16 @@ module Bitset = struct
   let clear_all (t : t) = Array.fill t 0 (Array.length t) 0
 end
 
+(* The bitmaps cover only the allocated prefix of guest memory, the pages
+   below [next_free], growing with it: no bit can be set beyond it. A VM
+   that only holds its OS image (most of a generated datacenter's fleet)
+   thus carries bitmaps a fraction of its size, which keeps a fleet's
+   set-up from allocating, and the major GC from working through, bitmaps
+   of memory nobody touches. *)
 type t = {
   pages : int;
-  nonzero : Bitset.t;
-  dirty : Bitset.t;
+  mutable nonzero : Bitset.t;
+  mutable dirty : Bitset.t;
   (* Postcopy dual residency: while a postcopy migration is active, the
      [resident] bitmap records which nonzero pages already live at the
      destination. Pages the guest writes after switchover materialise at
@@ -99,8 +111,8 @@ let create ~total_bytes =
   let pages = pages_of_bytes total_bytes in
   {
     pages;
-    nonzero = Bitset.create pages;
-    dirty = Bitset.create pages;
+    nonzero = [||];
+    dirty = [||];
     resident = [||];
     resident_count = 0;
     postcopy_active = false;
@@ -127,6 +139,13 @@ let alloc t ~bytes =
     if t.next_free + len > t.pages then invalid_arg "Memory.alloc: out of guest memory";
     let start = t.next_free in
     t.next_free <- start + len;
+    let words = Array.length t.nonzero in
+    if Bitset.words_for t.next_free > words then begin
+      let grown = min (Bitset.words_for t.pages) (max (Bitset.words_for t.next_free) (2 * words)) in
+      t.nonzero <- Bitset.grow t.nonzero grown;
+      t.dirty <- Bitset.grow t.dirty grown;
+      if Array.length t.resident > 0 then t.resident <- Bitset.grow t.resident grown
+    end;
     { start; len; live = true }
 
 let region_bytes r = float_of_int r.len *. float_of_int page_size
@@ -179,7 +198,8 @@ let page_dirty t i = Bitset.get t.dirty i
 (* Postcopy residency *)
 
 let reset_residency t =
-  if Array.length t.resident = 0 then t.resident <- Bitset.create t.pages
+  if Array.length t.resident < Array.length t.nonzero then
+    t.resident <- Array.make (Array.length t.nonzero) 0
   else Bitset.clear_all t.resident;
   t.resident_count <- 0;
   t.pull_cursor <- 0
@@ -201,7 +221,7 @@ let resident_bytes t = float_of_int t.resident_count *. float_of_int page_size
 let remote_bytes t =
   float_of_int (t.nonzero_count - t.resident_count) *. float_of_int page_size
 
-let page_resident t i = Array.length t.resident > 0 && Bitset.get t.resident i
+let page_resident t i = Bitset.get t.resident i
 
 let pull_pages t ~max_pages =
   if max_pages <= 0 then 0

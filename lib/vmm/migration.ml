@@ -53,8 +53,10 @@ let postcopy_pull_chunk_bytes = 256.0 *. 1024.0 *. 1024.0
 (* Shared sender machinery: a private capacity hop modelling the
    single-threaded QEMU sender (§V: one core saturated, < 1.3 Gb/s wire),
    in series with the shared Ethernet fabric path, plus the sender
-   thread's CPU load on the source host. *)
+   thread's CPU load on the source host. [stop_sender] retires both. *)
 type sender = {
+  fabric : Fabric.t;
+  link : Fabric.link;
   route : Fabric.link list;
   cpu : Ps_resource.t;
   cpu_task : Ps_resource.task;
@@ -75,7 +77,14 @@ let start_sender vm ~src ~dst ~transport =
   let cpu_task =
     Ps_resource.start src.Node.cpu ~demand:(sender_cpu_demand transport) ~work:1e8
   in
-  { route = sender_link :: path; cpu = src.Node.cpu; cpu_task; sent = 0.0 }
+  {
+    fabric;
+    link = sender_link;
+    route = sender_link :: path;
+    cpu = src.Node.cpu;
+    cpu_task;
+    sent = 0.0;
+  }
 
 let send sender vm bytes =
   if bytes > 0.0 then begin
@@ -83,7 +92,9 @@ let send sender vm bytes =
     Fabric.transfer (Cluster.fabric (Vm.cluster vm)) ~route:sender.route ~bytes
   end
 
-let stop_sender sender = Ps_resource.cancel sender.cpu sender.cpu_task
+let stop_sender sender =
+  Ps_resource.cancel sender.cpu sender.cpu_task;
+  Fabric.remove_link sender.fabric sender.link
 
 (* ------------------------------------------------------------------ *)
 

@@ -97,7 +97,7 @@ let pheap_sorted_prop =
     QCheck.(small_list (pair (int_bound 1000) unit))
     (fun l ->
       let h = Pheap.create () in
-      List.iteri (fun i (k, ()) -> Pheap.add h ~key:(Int64.of_int k) ~seq:i k) l;
+      List.iteri (fun i (k, ()) -> Pheap.add h ~key:k ~seq:i k) l;
       let rec drain acc = if Pheap.is_empty h then List.rev acc else drain (Pheap.pop h :: acc) in
       drain [] = List.sort compare (List.map fst l))
 
@@ -121,7 +121,7 @@ let pheap_random_ops_prop =
         (fun is_add ->
           if is_add then begin
             let k = Prng.int prng 50 in
-            Pheap.add h ~key:(Int64.of_int k) ~seq:!seq (k, !seq);
+            Pheap.add h ~key:k ~seq:!seq (k, !seq);
             model := (k, !seq) :: !model;
             incr seq
           end
@@ -139,7 +139,7 @@ let pheap_random_ops_prop =
 
 let test_pheap_fifo_at_same_key () =
   let h = Pheap.create () in
-  List.iteri (fun i v -> Pheap.add h ~key:5L ~seq:i v) [ "a"; "b"; "c"; "d" ];
+  List.iteri (fun i v -> Pheap.add h ~key:5 ~seq:i v) [ "a"; "b"; "c"; "d" ];
   let out = List.init 4 (fun _ -> Pheap.pop h) in
   Alcotest.(check (list string)) "fifo" [ "a"; "b"; "c"; "d" ] out
 
@@ -217,6 +217,21 @@ let test_sim_deadlock_detection () =
     Alcotest.(check bool) "names the fiber" true (String.length name > 0 && String.sub name 0 5 = "stuck")
   | exception Sim.Deadlock names ->
     Alcotest.fail (Printf.sprintf "expected 1 stuck fiber, got %d" (List.length names))
+
+let test_sim_deadlock_names_sorted () =
+  (* Names are formatted only when the deadlock is reported; finished
+     fibers are not listed. *)
+  let sim = Sim.create () in
+  List.iter
+    (fun name ->
+      Sim.spawn sim ~name (fun () ->
+          if name <> "done" then Sim.suspend (fun _resume -> ())))
+    [ "worker"; "rank"; "done"; "worker"; "agent" ];
+  match Sim.run sim with
+  | () -> Alcotest.fail "expected Deadlock"
+  | exception Sim.Deadlock names ->
+    Alcotest.(check (list string))
+      "sorted name#id" [ "agent#4"; "rank#1"; "worker#0"; "worker#3" ] names
 
 let test_sim_schedule_past_rejected () =
   let sim = Sim.create () in
@@ -551,6 +566,203 @@ let rated_cancel_conservation_prop =
       Float.abs (sec_f (Sim.now sim) -. expected) < 1e-6)
 
 (* ------------------------------------------------------------------ *)
+(* Differential: the array-backed Rated and Ps_resource against the
+   list-based implementations they replaced (Engine_oracle). Both run the
+   same random program; their transcripts must be byte-identical. *)
+
+module type RATED = sig
+  type 'a t
+
+  type 'a task
+
+  type 'a change = Joined of 'a task | Left of 'a task
+
+  val create : Sim.t -> name:string -> rerate:('a t -> unit) -> 'a t
+
+  val changes : 'a t -> 'a change list
+
+  val add : 'a t -> payload:'a -> work:float -> 'a task
+
+  val await : 'a task -> unit
+
+  val cancel : 'a t -> 'a task -> unit
+
+  val kick : 'a t -> unit
+
+  val active : 'a t -> 'a task list
+
+  val payload : 'a task -> 'a
+
+  val rate : 'a task -> float
+
+  val set_rate : 'a task -> float -> unit
+
+  val is_done : 'a task -> bool
+end
+
+module type PS = sig
+  type t
+
+  type task
+
+  val create : Sim.t -> name:string -> capacity:float -> t
+
+  val set_capacity : t -> float -> unit
+
+  val start : t -> demand:float -> work:float -> task
+
+  val await : task -> unit
+
+  val cancel : t -> task -> unit
+
+  val active : t -> int
+
+  val load : t -> float
+
+  val utilization : t -> float
+end
+
+type op =
+  | Start of float * float  (** demand, work *)
+  | Cancel of int  (** the i-th started task, if any *)
+  | Capacity of float
+  | Sleep of float
+
+let pp_op = function
+  | Start (d, w) -> Printf.sprintf "start(%g,%g)" d w
+  | Cancel i -> Printf.sprintf "cancel(%d)" i
+  | Capacity c -> Printf.sprintf "capacity(%g)" c
+  | Sleep s -> Printf.sprintf "sleep(%g)" s
+
+(* Every task goes to a Ps_resource and, with the same demand and work, to
+   a raw Rated set re-rated by a water-fill written against the generic
+   API. A task's waiter kicks its set when woken, so changes also come
+   from fibers other than the program's, at instants where other events
+   are already queued: the order in which same-instant events fire (and
+   hence the sequence numbers the timers take) shows up as line order.
+   Floats print as %h, so equal transcripts mean bit-equal values. *)
+module Transcript (R : RATED) (P : PS) = struct
+  let run ops =
+    let sim = Sim.create () in
+    let log = Buffer.create 4096 in
+    let line fmt = Printf.kbprintf (fun b -> Buffer.add_char b '\n') log fmt in
+    let ns () = Time.to_ns (Sim.now sim) in
+    let cap = ref 2.0 in
+    let cpu = P.create sim ~name:"cpu" ~capacity:!cap in
+    let rerate set =
+      let id task = fst (R.payload task) and demand task = snd (R.payload task) in
+      line "  changes %s"
+        (String.concat " "
+           (List.map
+              (function
+                | R.Joined task -> Printf.sprintf "+%d" (id task)
+                | R.Left task -> Printf.sprintf "-%d" (id task))
+              (R.changes set)));
+      let tasks =
+        List.stable_sort (fun a b -> Float.compare (demand a) (demand b)) (R.active set)
+      in
+      let left = ref (List.length tasks) and residual = ref !cap in
+      List.iter
+        (fun task ->
+          let r = Float.min (demand task) (!residual /. float_of_int !left) in
+          R.set_rate task r;
+          line "  rate %d %h" (id task) r;
+          residual := !residual -. r;
+          decr left)
+        tasks
+    in
+    let set = R.create sim ~name:"set" ~rerate in
+    let started = ref [||] in
+    Sim.spawn sim ~name:"program" (fun () ->
+        List.iteri
+          (fun step op ->
+            (match op with
+            | Start (demand, work) ->
+              let id = Array.length !started in
+              let pt = P.start cpu ~demand ~work in
+              let rt = R.add set ~payload:(id, demand) ~work in
+              started := Array.append !started [| (pt, rt) |];
+              Sim.spawn sim (fun () ->
+                  P.await pt;
+                  line "ps %d done %Ld" id (ns ());
+                  P.set_capacity cpu !cap);
+              Sim.spawn sim (fun () ->
+                  R.await rt;
+                  line "rated %d done %Ld" id (ns ());
+                  R.kick set)
+            | Cancel i ->
+              if i < Array.length !started then begin
+                let pt, rt = !started.(i) in
+                P.cancel cpu pt;
+                R.cancel set rt
+              end
+            | Capacity c ->
+              cap := c;
+              P.set_capacity cpu c;
+              R.kick set
+            | Sleep s -> Sim.sleep (Time.of_sec_f s));
+            line "step %d %s at %Ld events %d active %d load %h util %h" step (pp_op op) (ns ())
+              (Sim.events_processed sim) (P.active cpu) (P.load cpu) (P.utilization cpu);
+            Array.iteri
+              (fun i (_, rt) -> line "  task %d rate %h done %b" i (R.rate rt) (R.is_done rt))
+              !started)
+          ops);
+    Sim.run sim;
+    line "end %Ld events %d" (ns ()) (Sim.events_processed sim);
+    Buffer.contents log
+end
+
+module Fast = Transcript (Rated) (Ps_resource)
+module Reference = Transcript (Engine_oracle.Rated) (Engine_oracle.Ps_resource)
+
+(* 1-40 starts among cancels, capacity changes and sleeps. Demands repeat
+   so water-fill ties are common; works include zero and a sub-epsilon
+   amount, which the sweep completes at once. *)
+let program_gen =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        ( 4,
+          map2
+            (fun d w -> Start (d, w))
+            (oneofl [ 0.5; 1.0; 1.0; 2.0 ])
+            (oneofl [ 0.0; 5e-7; 0.25; 0.3; 0.5; 1.0; 1.0; 1.5; 2.0; 3.0 ]) );
+        (1, map (fun i -> Cancel i) (int_bound 39));
+        (1, map (fun c -> Capacity c) (oneofl [ 0.5; 1.0; 2.0; 3.5; 8.0 ]));
+        (3, map (fun s -> Sleep s) (oneofl [ 0.0; 0.1; 0.25; 0.5; 1.0; 1.7 ]));
+      ]
+  in
+  let cap_starts ops =
+    let rec go starts = function
+      | [] -> []
+      | (Start _ as o) :: rest -> if starts = 40 then go starts rest else o :: go (starts + 1) rest
+      | o :: rest -> o :: go starts rest
+    in
+    Start (1.0, 1.0) :: go 1 ops
+  in
+  map cap_starts (list_size (int_range 0 120) op)
+
+(* The first line where two transcripts part, for the failure report. *)
+let first_difference a b =
+  let rec go i = function
+    | x :: xs, y :: ys -> if String.equal x y then go (i + 1) (xs, ys) else Some (i, x, y)
+    | x :: _, [] -> Some (i, x, "<end>")
+    | [], y :: _ -> Some (i, "<end>", y)
+    | [], [] -> None
+  in
+  go 1 (String.split_on_char '\n' a, String.split_on_char '\n' b)
+
+let rated_matches_oracle_prop =
+  QCheck.Test.make ~name:"rated and ps_resource match the list-based oracle" ~count:300
+    (QCheck.make ~print:(fun ops -> String.concat " " (List.map pp_op ops)) program_gen)
+    (fun ops ->
+      match first_difference (Fast.run ops) (Reference.run ops) with
+      | None -> true
+      | Some (line, fast, reference) ->
+        QCheck.Test.fail_reportf "line %d:\n  array: %s\n  list:  %s" line fast reference)
+
+(* ------------------------------------------------------------------ *)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -699,6 +911,7 @@ let () =
           Alcotest.test_case "cancel" `Quick test_sim_cancel;
           Alcotest.test_case "run_until resumable" `Quick test_sim_run_until;
           Alcotest.test_case "deadlock detection" `Quick test_sim_deadlock_detection;
+          Alcotest.test_case "deadlock names sorted" `Quick test_sim_deadlock_names_sorted;
           Alcotest.test_case "schedule in past" `Quick test_sim_schedule_past_rejected;
           Alcotest.test_case "exception propagates" `Quick test_sim_exception_propagates;
           Alcotest.test_case "deterministic replay" `Quick test_sim_determinism;
@@ -731,7 +944,9 @@ let () =
         :: Alcotest.test_case "cancel" `Quick test_ps_cancel
         :: Alcotest.test_case "zero work" `Quick test_ps_zero_work
         :: qsuite [ ps_work_conservation_prop ] );
-      ("rated", qsuite [ rated_conservation_prop; rated_cancel_conservation_prop ]);
+      ( "rated",
+        qsuite [ rated_conservation_prop; rated_cancel_conservation_prop; rated_matches_oracle_prop ]
+      );
       ( "pool",
         [
           Alcotest.test_case "map order" `Quick test_pool_map_order;

@@ -130,6 +130,35 @@ let test_route_validation () =
     (Invalid_argument "Fabric.add_link: capacity must be positive and finite") (fun () ->
       ignore (Fabric.add_link fab ~name:"bad" ~capacity:0.0))
 
+(* A link can be retired only once no flow crosses it, under either
+   solver; afterwards [links] omits it, no flow may use it, and ids keep
+   counting up. *)
+let test_remove_link () =
+  List.iter
+    (fun solver ->
+      let sim = Sim.create () in
+      let fab = Fabric.create ~solver sim in
+      let shared = Fabric.add_link fab ~name:"shared" ~capacity:1.0 in
+      let hop = Fabric.add_link fab ~name:"hop" ~capacity:1.0 in
+      let names () = List.map Fabric.link_name (Fabric.links fab) in
+      Sim.spawn sim (fun () ->
+          let fl = Fabric.start fab ~route:[ hop; shared ] ~bytes:2.0 in
+          Alcotest.check_raises "busy link"
+            (Invalid_argument "Fabric.remove_link: a flow still crosses hop") (fun () ->
+              Fabric.remove_link fab hop);
+          Fabric.await fl;
+          Fabric.remove_link fab hop;
+          Fabric.remove_link fab hop);
+      Sim.run sim;
+      Alcotest.(check (list string)) "live links" [ "shared" ] (names ());
+      Alcotest.check_raises "removed link in a route"
+        (Invalid_argument "Fabric: route crosses a removed link") (fun () ->
+          ignore (Fabric.start fab ~route:[ hop ] ~bytes:1.0));
+      let next = Fabric.add_link fab ~name:"next" ~capacity:1.0 in
+      Alcotest.(check int) "ids not reused" 2 (Fabric.link_id next);
+      Alcotest.(check (list string)) "creation order" [ "shared"; "next" ] (names ()))
+    [ Fabric.Incremental; Fabric.Global ]
+
 (* Property: on a single shared link, n equal flows complete simultaneously
    at n*bytes/capacity — work conservation under fair sharing. *)
 let conservation_prop =
@@ -261,6 +290,7 @@ let () =
         :: Alcotest.test_case "cancel releases bw" `Quick test_cancel_releases_bandwidth
         :: Alcotest.test_case "zero bytes" `Quick test_zero_byte_flow
         :: Alcotest.test_case "route validation" `Quick test_route_validation
+        :: Alcotest.test_case "remove link" `Quick test_remove_link
         :: qsuite
              [
                conservation_prop;

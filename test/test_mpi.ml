@@ -207,6 +207,36 @@ let test_uncoordinated_detach_breaks_job () =
       (String.length msg >= 10 && String.sub msg 0 10 = "btl_openib")
   | None -> Alcotest.fail "expected Transport_failure"
 
+(* A TCP message's private virtio hop and a migration sender's hop are
+   retired once their transfer is over: after an MPI job over TCP and a
+   precopy migration, the fabric has exactly the links it was built with. *)
+let test_private_links_released () =
+  let sim = Sim.create () in
+  let cluster = Cluster.create sim ~spec:Spec.agc () in
+  let fabric = Cluster.fabric cluster in
+  let ids () = List.map Ninja_flownet.Fabric.link_id (Ninja_flownet.Fabric.links fabric) in
+  let built = ids () in
+  let members =
+    List.init 2 (fun i ->
+        make_member ~mem_gb:1.0 cluster
+          ~name:(Printf.sprintf "vm-eth%d" i)
+          (Cluster.find_node cluster (Printf.sprintf "eth%02d" i)))
+  in
+  let job =
+    Runtime.mpirun cluster ~members ~procs_per_vm:1 (fun ctx ->
+        if Mpi.rank ctx = 0 then Mpi.send ctx ~dst:1 ~bytes:1e6 else ignore (Mpi.recv ctx ()))
+  in
+  Sim.spawn sim (fun () ->
+      Runtime.wait job;
+      let vm, _ = List.hd members in
+      ignore (Migration.migrate vm ~dst:(Cluster.find_node cluster "eth02") ()));
+  Sim.run sim;
+  Alcotest.(check (list int)) "links as built" built (ids ());
+  (* Ids are never reused: the next one shows how many hops came and went. *)
+  let next = Ninja_flownet.Fabric.add_link fabric ~name:"probe" ~capacity:1.0 in
+  Alcotest.(check bool) "private hops were used" true
+    (Ninja_flownet.Fabric.link_id next >= List.length built + 2)
+
 (* ------------------------------------------------------------------ *)
 (* Collectives *)
 
@@ -753,6 +783,7 @@ let () =
           Alcotest.test_case "selection matrix" `Quick test_btl_selection_matrix;
           Alcotest.test_case "exclusivity" `Quick test_exclusivity_ordering;
           Alcotest.test_case "uncoordinated detach breaks" `Quick test_uncoordinated_detach_breaks_job;
+          Alcotest.test_case "private links released" `Quick test_private_links_released;
         ] );
       ( "collectives",
         [

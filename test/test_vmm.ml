@@ -92,8 +92,10 @@ let memory_model_prop =
         ops)
 
 (* Differential check of the postcopy dual-residency tracking: 1000
-   random write / clear_dirty / begin / end / pull operations against a
-   naive set-based oracle. The oracle claims remote pages lowest-index-
+   random alloc / write / clear_dirty / begin / end / pull operations
+   against a naive set-based oracle. Guest memory is allocated region by
+   region, so the bitmaps grow with the allocated prefix, also while a
+   postcopy drain is active, and pages past it are queried too. The oracle claims remote pages lowest-index-
    first on pulls, marks post-switchover writes resident, and drops the
    resident set at end_postcopy — after every operation the bitmap
    implementation must agree page-for-page on nonzero, dirty and
@@ -107,9 +109,19 @@ let memory_residency_differential_prop =
       let prng = Prng.create ~seed:(Int64.of_int (8000 + salt)) in
       let total = Units.mb 8.0 in
       let m = Memory.create ~total_bytes:total in
-      let r = Memory.alloc m ~bytes:total in
       let ps = Memory.page_size in
       let pages = int_of_float total / ps in
+      (* (region, first page, pages), in allocation order. *)
+      let regions = ref [||] and allocated = ref 0 in
+      let alloc () =
+        let len = min (pages - !allocated) (1 + Prng.int prng 24) in
+        if len > 0 then begin
+          let r = Memory.alloc m ~bytes:(float_of_int (len * ps)) in
+          regions := Array.append !regions [| (r, !allocated, len) |];
+          allocated := !allocated + len
+        end
+      in
+      alloc ();
       let nonzero = ref IS.empty and dirty = ref IS.empty and resident = ref IS.empty in
       let active = ref false in
       let check_page_for_page op =
@@ -135,20 +147,24 @@ let memory_residency_differential_prop =
       in
       for _ = 1 to 1000 do
         let op =
-          match Prng.int prng 10 with
+          match Prng.int prng 11 with
           | 0 | 1 | 2 | 3 ->
             (* Guest write: dirties and fills pages; materialises them at
                the destination when the drain is in progress. *)
-            let off = Prng.int prng (pages * ps) in
+            let r, first, region_pages = !regions.(Prng.int prng (Array.length !regions)) in
+            let off = Prng.int prng (region_pages * ps) in
             let len = Prng.int prng (ps * 8) in
             Memory.write m r ~offset:(float_of_int off) ~bytes:(float_of_int len);
             if len > 0 then
-              for p = off / ps to min (pages - 1) ((off + len - 1) / ps) do
-                nonzero := IS.add p !nonzero;
-                dirty := IS.add p !dirty;
-                if !active then resident := IS.add p !resident
+              for p = off / ps to min (region_pages - 1) ((off + len - 1) / ps) do
+                nonzero := IS.add (first + p) !nonzero;
+                dirty := IS.add (first + p) !dirty;
+                if !active then resident := IS.add (first + p) !resident
               done;
             "write"
+          | 10 ->
+            alloc ();
+            "alloc"
           | 4 ->
             Memory.clear_dirty m;
             dirty := IS.empty;
