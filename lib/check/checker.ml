@@ -17,17 +17,17 @@ type t = {
   attached : (string, string list ref) Hashtbl.t;  (* vm -> attached tags *)
   gave_up : (string, unit) Hashtbl.t;
   lost : (string, unit) Hashtbl.t;
-      (* VMs reported lost by a ["migration"/"lost"] probe: a committed
+      (* VMs reported lost by a [Migration_lost] probe: a committed
          postcopy switchover whose source died. Never cleared — loss is
          terminal, so later batches must not move or restore these VMs. *)
   pull_remaining : (string, float) Hashtbl.t;
-      (* vm -> the last ["migration"/"pull"] probe's remaining bytes;
-         cleared by ["migration"/"done"] (drain finished) or "lost". An
+      (* vm -> the last [Migration_pull] probe's remaining bytes;
+         cleared by [Migration_done] (drain finished) or [Migration_lost]. An
          entry surviving to the end of the run is an abandoned drain. *)
   origins : (string, (string * string) list) Hashtbl.t;
       (* batch -> (vm, host at migrate start); key "" for unbatched flows *)
   spans : Recorder.t;
-      (* Fed only topic=["span"] events: reassembles the emitters' span
+      (* Fed only span events: reassembles the emitters' span
          trees so {!check_finish} can audit their structure without
          retaining the rest of the stream. *)
   mutable events : int;
@@ -78,39 +78,38 @@ let tags_of t name =
     Hashtbl.add t.attached name r;
     r
 
-let split_csv s = if s = "" then [] else String.split_on_char ',' s
-
 let on_event t (e : Probe.event) =
   t.events <- t.events + 1;
-  if e.Probe.topic = "span" then Recorder.on_event t.spans e;
-  if Time.( < ) e.Probe.at t.last_at then
-    record_at t ~at:e.Probe.at ~invariant:"clock-monotone"
+  let at = e.Probe.at in
+  (match e.Probe.payload with
+  | Probe.Span_begin _ | Probe.Span_end _ | Probe.Span_note _ -> Recorder.on_event t.spans e
+  | _ -> ());
+  if Time.( < ) at t.last_at then begin
+    let action, _, _ = Probe.render e.Probe.payload in
+    record_at t ~at ~invariant:"clock-monotone"
       ~detail:
-        (Format.asprintf "%s/%s at %a precedes an earlier event at %a" e.Probe.topic
-           e.Probe.action Time.pp e.Probe.at Time.pp t.last_at);
-  t.last_at <- Time.max t.last_at e.Probe.at;
-  check_flow_conservation t e.Probe.at;
-  let info key = Option.value (Probe.info_of e key) ~default:"" in
-  match (e.Probe.topic, e.Probe.action) with
-  | "fence", "enter" ->
+        (Format.asprintf "%s/%s at %a precedes an earlier event at %a" e.Probe.topic action
+           Time.pp at Time.pp t.last_at)
+  end;
+  t.last_at <- Time.max t.last_at at;
+  check_flow_conservation t at;
+  match e.Probe.payload with
+  | Probe.Fence_enter { id; vms } ->
     (* Concurrent fences are fine as long as ids are fresh and their VM
        sets are disjoint: one batch may never fence a VM another batch
        already holds quiesced. *)
-    let id = info "id" in
-    let vms = split_csv (info "vms") in
     if Hashtbl.mem t.active_fences id || List.exists (Hashtbl.mem t.fenced) vms then
-      record_at t ~at:e.Probe.at ~invariant:"fence-pairing"
+      record_at t ~at ~invariant:"fence-pairing"
         ~detail:
           (Printf.sprintf "fence %S entered while one of its VMs was already fenced"
              id);
     let prev = Option.value (Hashtbl.find_opt t.active_fences id) ~default:[] in
     Hashtbl.replace t.active_fences id (prev @ vms);
     List.iter (fun vm -> Hashtbl.replace t.fenced vm id) vms
-  | "fence", "release" -> (
-    let id = info "id" in
+  | Probe.Fence_release { id; _ } -> (
     match Hashtbl.find_opt t.active_fences id with
     | None ->
-      record_at t ~at:e.Probe.at ~invariant:"fence-pairing"
+      record_at t ~at ~invariant:"fence-pairing"
         ~detail:"fence released without a matching enter"
     | Some vms ->
       List.iter
@@ -120,74 +119,61 @@ let on_event t (e : Probe.event) =
           | _ -> ())
         vms;
       Hashtbl.remove t.active_fences id)
-  | "vm", "migrated" when watched t e.Probe.subject ->
-    if not (Hashtbl.mem t.fenced e.Probe.subject) then
-      record_at t ~at:e.Probe.at ~invariant:"fence-before-migrate"
+  | Probe.Vm_migrated { vm; src; dst; bypass } when watched t vm ->
+    if not (Hashtbl.mem t.fenced vm) then
+      record_at t ~at ~invariant:"fence-before-migrate"
+        ~detail:(Printf.sprintf "%s moved %s -> %s outside a SymVirt fence" vm src dst);
+    if bypass then
+      record_at t ~at ~invariant:"bypass-migrate"
         ~detail:
-          (Printf.sprintf "%s moved %s -> %s outside a SymVirt fence" e.Probe.subject
-             (info "src") (info "dst"));
-    if info "bypass" = "true" then
-      record_at t ~at:e.Probe.at ~invariant:"bypass-migrate"
-        ~detail:
-          (Printf.sprintf "%s migrated to %s with a VMM-bypass device attached"
-             e.Probe.subject (info "dst"))
-  | "vm", "device-add" when watched t e.Probe.subject ->
-    let tags = tags_of t e.Probe.subject in
-    let tag = info "tag" in
+          (Printf.sprintf "%s migrated to %s with a VMM-bypass device attached" vm dst)
+  | Probe.Device_add { vm; tag; _ } when watched t vm ->
+    let tags = tags_of t vm in
     if List.mem tag !tags then
-      record_at t ~at:e.Probe.at ~invariant:"attach-balance"
-        ~detail:(Printf.sprintf "%s: duplicate attach of %s" e.Probe.subject tag)
+      record_at t ~at ~invariant:"attach-balance"
+        ~detail:(Printf.sprintf "%s: duplicate attach of %s" vm tag)
     else tags := tag :: !tags
-  | "vm", "device-del" when watched t e.Probe.subject ->
-    let tags = tags_of t e.Probe.subject in
-    let tag = info "tag" in
+  | Probe.Device_del { vm; tag } when watched t vm ->
+    let tags = tags_of t vm in
     if not (List.mem tag !tags) then
-      record_at t ~at:e.Probe.at ~invariant:"attach-balance"
-        ~detail:(Printf.sprintf "%s: detach of absent device %s" e.Probe.subject tag)
+      record_at t ~at ~invariant:"attach-balance"
+        ~detail:(Printf.sprintf "%s: detach of absent device %s" vm tag)
     else tags := List.filter (fun x -> x <> tag) !tags
-  | "plan", "built" ->
-    if info "acyclic" <> "true" then
-      record_at t ~at:e.Probe.at ~invariant:"plan-acyclic"
-        ~detail:(Printf.sprintf "plan of %s steps has a dependency cycle" (info "steps"))
-  | "executor", "report" ->
-    if info "permits-leaked" <> "0" then
-      record_at t ~at:e.Probe.at ~invariant:"permit-leak"
-        ~detail:(Printf.sprintf "executor leaked %s per-host permit(s)" (info "permits-leaked"))
-  | "migrate", "start" ->
+  | Probe.Plan_built { steps; acyclic; _ } ->
+    if not acyclic then
+      record_at t ~at ~invariant:"plan-acyclic"
+        ~detail:(Printf.sprintf "plan of %d steps has a dependency cycle" steps)
+  | Probe.Executor_report { permits_leaked; _ } ->
+    if permits_leaked <> 0 then
+      record_at t ~at ~invariant:"permit-leak"
+        ~detail:(Printf.sprintf "executor leaked %d per-host permit(s)" permits_leaked)
+  | Probe.Migrate_start { batch; origins } ->
     (* A fresh transaction for this batch: record its origins; prior
        giveups for the VMs it moves no longer apply. *)
-    let batch = info "batch" in
-    let origins = List.filter (fun (vm, _) -> watched t vm) e.Probe.info in
+    let origins = List.filter (fun (vm, _) -> watched t vm) origins in
     List.iter (fun (vm, _) -> Hashtbl.remove t.gave_up vm) origins;
     Hashtbl.replace t.origins batch origins
-  | "migrate", "giveup" -> Hashtbl.replace t.gave_up e.Probe.subject ()
-  | "migration", "pull" when watched t e.Probe.subject ->
-    let name = e.Probe.subject in
-    if info "dup_pages" <> "0" then
-      record_at t ~at:e.Probe.at ~invariant:"no-double-resident"
+  | Probe.Migrate_giveup { vm; _ } -> Hashtbl.replace t.gave_up vm ()
+  | Probe.Migration_pull { vm; dup_pages; remaining; _ } when watched t vm ->
+    if dup_pages <> 0 then
+      record_at t ~at ~invariant:"no-double-resident"
         ~detail:
-          (Printf.sprintf "%s: a pull re-claimed %s already-resident page(s)" name
-             (info "dup_pages"));
-    (match float_of_string_opt (info "remaining") with
-    | None ->
-      record_at t ~at:e.Probe.at ~invariant:"pull-monotone"
-        ~detail:(Printf.sprintf "%s: pull probe carries no remaining count" name)
-    | Some remaining ->
-      (match Hashtbl.find_opt t.pull_remaining name with
-      | Some prev when remaining >= prev ->
-        record_at t ~at:e.Probe.at ~invariant:"pull-monotone"
-          ~detail:
-            (Printf.sprintf
-               "%s: pull left %.0f bytes remaining, not below the previous %.0f — the \
-                drain is not making progress"
-               name remaining prev)
-      | _ -> ());
-      Hashtbl.replace t.pull_remaining name remaining)
-  | "migration", "lost" when watched t e.Probe.subject ->
-    Hashtbl.replace t.lost e.Probe.subject ();
-    Hashtbl.remove t.pull_remaining e.Probe.subject
-  | "migration", "done" -> Hashtbl.remove t.pull_remaining e.Probe.subject
-  | "migrate", "rollback" ->
+          (Printf.sprintf "%s: a pull re-claimed %d already-resident page(s)" vm dup_pages);
+    (match Hashtbl.find_opt t.pull_remaining vm with
+    | Some prev when remaining >= prev ->
+      record_at t ~at ~invariant:"pull-monotone"
+        ~detail:
+          (Printf.sprintf
+             "%s: pull left %.0f bytes remaining, not below the previous %.0f — the \
+              drain is not making progress"
+             vm remaining prev)
+    | _ -> ());
+    Hashtbl.replace t.pull_remaining vm remaining
+  | Probe.Migration_lost { vm; _ } when watched t vm ->
+    Hashtbl.replace t.lost vm ();
+    Hashtbl.remove t.pull_remaining vm
+  | Probe.Migration_done { vm; _ } -> Hashtbl.remove t.pull_remaining vm
+  | Probe.Migrate_rollback { batch; _ } ->
     List.iter
       (fun (name, origin) ->
         (* A lost VM is exempt from restore-to-source — there is nothing
@@ -196,11 +182,11 @@ let on_event t (e : Probe.event) =
           let vm = Hashtbl.find t.vms name in
           let here = (Vm.host vm).Node.name in
           if here <> origin then
-            record_at t ~at:e.Probe.at ~invariant:"rollback-restore"
+            record_at t ~at ~invariant:"rollback-restore"
               ~detail:
                 (Printf.sprintf "%s rolled back to %s but its origin is %s" name here
                    origin))
-      (Option.value (Hashtbl.find_opt t.origins (info "batch")) ~default:[])
+      (Option.value (Hashtbl.find_opt t.origins batch) ~default:[])
   | _ -> ()
 
 let install cluster ~vms =
@@ -246,7 +232,7 @@ let check_finish t =
   (* Span audit: every tree reassembled from the bus must be closed and
      properly nested once the run is over — an open phase span here means
      an emitter aborted without unwinding, and a begin/end mismatch means
-     the wire encoding itself went wrong. *)
+     an emitter's begins and ends do not pair. *)
   List.iter
     (fun root ->
       List.iter

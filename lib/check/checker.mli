@@ -1,8 +1,9 @@
 (** Protocol invariant checker.
 
-    Subscribes to a cluster's {!Ninja_engine.Probe} bus and asserts,
-    synchronously on every announced transition, the protocol invariants
-    the paper's correctness argument rests on:
+    Subscribes to a cluster's {!Ninja_engine.Probe} bus, pattern-matches
+    on its typed payloads and asserts, synchronously on every announced
+    transition, the protocol invariants the paper's correctness argument
+    rests on:
 
     - {b clock-monotone} — probe timestamps never go backwards;
     - {b fence-before-migrate} — a managed VM only ever changes host
@@ -27,7 +28,7 @@
       already resident at the destination;
     - {b postcopy-lost} — a VM lost to a mid-drain source death ends
       the run frozen (running it would execute over missing pages), and
-      every loss is announced by a ["migration"/"lost"] event;
+      every loss is announced by a [Migration_lost] event;
     - {b postcopy-complete} — a VM that is {e not} lost has finished
       every postcopy drain it started; silently running with pages
       still at the source is the violation the [Lost] accounting
@@ -39,7 +40,7 @@
 
     Violations are collected, not raised: a single run reports every
     invariant it breaks. VMs the transactional rollback abandoned (a
-    ["migrate"/"giveup"] probe) are excused from placement and device
+    [Migrate_giveup] probe) are excused from placement and device
     restoration checks — giving up under a persistent fault is the
     documented best-effort behaviour, not a bug. Lost VMs are likewise
     exempt from restore-to-source and placement checks: rollback from a

@@ -47,12 +47,20 @@ let default_config =
     learned_traffic = None;
   }
 
-type outcome = Completed | Rejected of string | Dropped of string | Failed of string
+type reject_reason = Unknown_tenant | Queue_full
+type drop_reason = Deadline_missed | No_feasible_placement
+type outcome = Completed | Rejected of reject_reason | Dropped of drop_reason | Failed of string
+
+let reject_reason_name = function Unknown_tenant -> "unknown-tenant" | Queue_full -> "queue-full"
+
+let drop_reason_name = function
+  | Deadline_missed -> "deadline-missed"
+  | No_feasible_placement -> "no-feasible-placement"
 
 let outcome_name = function
   | Completed -> "completed"
-  | Rejected r -> "rejected:" ^ r
-  | Dropped r -> "dropped:" ^ r
+  | Rejected r -> "rejected:" ^ reject_reason_name r
+  | Dropped r -> "dropped:" ^ drop_reason_name r
   | Failed _ -> "failed"
 
 type t = {
@@ -112,25 +120,19 @@ let logf t fmt =
         Printf.sprintf "[%10.1f] %s" (Time.to_sec_f (Sim.now t.sim)) line :: t.rev_log)
     fmt
 
-(* Every registry update is mirrored as a ["ctl"]/["stat"] probe so an
-   attached telemetry recorder exports the same numbers; the bus is
-   zero-cost when unobserved. *)
-let stat t kind name v =
-  Probe.emit t.probes ~topic:"ctl" ~action:"stat" ~subject:name
-    ~info:[ ("kind", kind); ("value", Printf.sprintf "%.17g" v) ]
-    ()
-
+(* Every registry update is mirrored as a [Stat] probe so an attached
+   telemetry recorder exports the same numbers. *)
 let count ?(by = 1.0) t name =
   Metrics.incr t.m ~by name;
-  stat t "counter" name by
+  Probe.emit t.probes (Probe.Stat { name; kind = Probe.Counter; value = by })
 
-let gauge t name v =
-  Metrics.gauge t.m name v;
-  stat t "gauge" name v
+let gauge t name value =
+  Metrics.gauge t.m name value;
+  Probe.emit t.probes (Probe.Stat { name; kind = Probe.Gauge; value })
 
-let observe t name v =
-  Metrics.observe t.m name v;
-  stat t "histogram" name v
+let observe t name value =
+  Metrics.observe t.m name value;
+  Probe.emit t.probes (Probe.Stat { name; kind = Probe.Histogram; value })
 
 let latency_percentiles t =
   match Metrics.samples t.m "ctl.request.latency.seconds" with
@@ -274,11 +276,12 @@ let plan_request t (r : Request.t) =
 let thread_of (r : Request.t) = Printf.sprintf "req-%03d" r.Request.id
 
 let note_queued t (r : Request.t) =
-  Span.emit_note t.probes ~name:"queued" ~cat:"ctl" ~proc:"controlplane"
-    ~thread:(thread_of r) ~start:r.Request.submitted
-    ~args:
-      [ ("tenant", r.Request.tenant); ("kind", Request.kind_name r.Request.kind) ]
-    ()
+  if Probe.active t.probes then
+    Probe.emit t.probes
+      (Probe.Span_note
+         { name = "queued"; cat = "ctl"; proc = "controlplane"; thread = thread_of r;
+           start = r.Request.submitted;
+           args = [ ("tenant", r.Request.tenant); ("kind", Request.kind_name r.Request.kind) ] })
 
 let finish t (r : Request.t) outcome =
   Hashtbl.remove t.blocked r.Request.id;
@@ -291,27 +294,27 @@ let finish t (r : Request.t) outcome =
     observe t "ctl.request.latency.seconds" latency
   | Rejected reason ->
     count t "ctl.requests.rejected";
-    count t ("ctl.rejected." ^ reason)
+    count t ("ctl.rejected." ^ reject_reason_name reason)
   | Dropped reason ->
     count t "ctl.requests.dropped";
-    count t ("ctl.dropped." ^ reason)
+    count t ("ctl.dropped." ^ drop_reason_name reason)
   | Failed _ -> count t "ctl.requests.failed");
   (* Announce the terminal outcome with its tenant so live monitors
      (Flowmon's SLO burn-rate and per-tenant attainment) can attribute
      it — the registry counters above carry no tenant dimension. *)
-  Probe.emit t.probes ~topic:"ctl" ~action:"request-done" ~subject:r.Request.tenant
-    ~info:
-      [ ("outcome", outcome_name outcome);
-        ("kind", Request.kind_name r.Request.kind);
-        ("missed", (match outcome with Dropped "deadline-missed" -> "true" | _ -> "false"));
-        ("latency", Printf.sprintf "%.17g" latency) ]
-    ();
+  if Probe.active t.probes then
+    Probe.emit t.probes
+      (Probe.Request_done
+         { tenant = r.Request.tenant; outcome = outcome_name outcome;
+           kind = Request.kind_name r.Request.kind;
+           missed = (match outcome with Dropped Deadline_missed -> true | _ -> false);
+           completed = (match outcome with Completed -> true | _ -> false); latency });
   logf t "req#%d %s after %.1fs" r.Request.id (outcome_name outcome) latency
 
 (* {1 Batch execution} *)
 
 let give_up t vm =
-  Probe.emit t.probes ~topic:"migrate" ~action:"giveup" ~subject:(Vm.name vm) ();
+  Probe.emit t.probes (Probe.Migrate_giveup { vm = Vm.name vm; phase = "" });
   count t "ctl.vms.stranded"
 
 (* Restore each VM to its origin; a VM whose current or origin host is
@@ -378,26 +381,23 @@ let execute_batch t (r : Request.t) claim plan =
     Plan.steps plan |> List.map (fun (s : Plan.step) -> s.Plan.vm) |> List.sort_uniq compare
   in
   let origins = List.map (fun vm -> (vm, Vm.host vm)) moving in
-  let origin_info =
+  let origin_names () =
     List.map (fun (vm, (h : Node.t)) -> (Vm.name vm, h.Node.name)) origins
   in
-  Span.emit_begin t.probes ~name:"execute" ~cat:"ctl" ~proc:"controlplane"
-    ~thread:(thread_of r)
-    ~args:
-      [ ("batch", bid); ("steps", string_of_int (Plan.length plan));
-        ("tenant", r.Request.tenant); ("kind", Request.kind_name r.Request.kind) ]
-    ();
-  Probe.emit t.probes ~topic:"migrate" ~action:"start" ~subject:bid
-    ~info:(origin_info @ [ ("batch", bid) ])
-    ();
+  if Probe.active t.probes then begin
+    Probe.emit t.probes
+      (Probe.Span_begin
+         { name = "execute"; cat = "ctl"; proc = "controlplane"; thread = thread_of r;
+           args =
+             [ ("batch", bid); ("steps", string_of_int (Plan.length plan));
+               ("tenant", r.Request.tenant); ("kind", Request.kind_name r.Request.kind) ] });
+    Probe.emit t.probes (Probe.Migrate_start { batch = bid; origins = origin_names () })
+  end;
   (* The batch's own fence: quiesce, shed bypass devices, move. *)
   List.iter Vm.pause moving;
-  let fence_info =
-    [ ("vms", String.concat "," (List.map Vm.name moving));
-      ("count", string_of_int (List.length moving)); ("id", bid) ]
-  in
+  let vm_names = if Probe.active t.probes then List.map Vm.name moving else [] in
   let entered = Sim.now t.sim in
-  Probe.emit t.probes ~topic:"fence" ~action:"enter" ~info:fence_info ();
+  Probe.emit t.probes (Probe.Fence_enter { id = bid; vms = vm_names });
   List.iter
     (fun vm ->
       List.iter
@@ -444,14 +444,12 @@ let execute_batch t (r : Request.t) claim plan =
       then Vm.attach_device vm (hca ()))
     moving;
   List.iter (fun vm -> if not (Vm.is_lost vm) then Vm.resume vm) moving;
-  Probe.emit t.probes ~topic:"fence" ~action:"release" ~info:fence_info ();
+  Probe.emit t.probes (Probe.Fence_release { id = bid; vms = vm_names });
   let resident = Time.to_sec_f (Time.diff (Sim.now t.sim) entered) in
   List.iter (fun _ -> observe t "ctl.vm.downtime.seconds" resident) moving;
   (match result with
   | Batch_done report ->
-    Probe.emit t.probes ~topic:"migrate" ~action:"complete" ~subject:bid
-      ~info:[ ("batch", bid) ]
-      ();
+    Probe.emit t.probes (Probe.Migrate_complete { batch = bid });
     observe t "ctl.batch.makespan.seconds" (Time.to_sec_f report.Executor.makespan);
     count t ~by:report.Executor.total_wire_bytes "ctl.batch.wire.bytes";
     (match r.Request.kind with
@@ -463,19 +461,22 @@ let execute_batch t (r : Request.t) claim plan =
       (Plan.length plan)
       (Time.to_sec_f report.Executor.makespan)
   | Batch_failed reason ->
-    Probe.emit t.probes ~topic:"migrate" ~action:"rollback" ~subject:bid
-      ~info:(origin_info @ [ ("batch", bid) ])
-      ();
+    if Probe.active t.probes then
+      Probe.emit t.probes
+        (Probe.Migrate_rollback
+           { batch = bid; origins = origin_names (); reason = ""; lost = [] });
     count t "ctl.batches.rolled_back";
     (match r.Request.kind with
     | Request.Swap _ -> count t "ctl.swap.rolled_back"
     | _ -> ());
     logf t "req#%d batch %s rolled back: %s" r.Request.id bid reason);
-  Span.emit_end t.probes ~name:"execute" ~proc:"controlplane" ~thread:(thread_of r)
-    ~args:
-      [ ("outcome",
-         match result with Batch_done _ -> "done" | Batch_failed _ -> "rolled-back") ]
-    ();
+  if Probe.active t.probes then
+    Probe.emit t.probes
+      (Probe.Span_end
+         { name = "execute"; proc = "controlplane"; thread = thread_of r;
+           args =
+             [ ("outcome",
+                match result with Batch_done _ -> "done" | Batch_failed _ -> "rolled-back") ] });
   Locks.release t.locks claim;
   t.inflight <- t.inflight - 1;
   t.epoch <- t.epoch + 1;
@@ -497,7 +498,7 @@ let execute_batch t (r : Request.t) claim plan =
 let defer t tenant (r : Request.t) reason =
   if r.Request.defers >= t.cfg.max_defers then begin
     note_queued t r;
-    finish t r (Dropped "no-feasible-placement")
+    finish t r (Dropped No_feasible_placement)
   end
   else begin
     r.Request.defers <- r.Request.defers + 1;
@@ -512,7 +513,7 @@ let try_dispatch t tenant (r : Request.t) =
   if Request.expired r ~now:(Sim.now t.sim) then begin
     note_queued t r;
     count t "ctl.requests.expired";
-    finish t r (Dropped "deadline-missed")
+    finish t r (Dropped Deadline_missed)
   end
   else
     match plan_request t r with
@@ -595,7 +596,7 @@ let rec dispatch_ready t =
       | (tenant, _, r) :: _ when t.inflight = 0 && t.feeders = 0 ->
         ignore (Fair_queue.pop t.queue ~tenant);
         note_queued t r;
-        finish t r (Dropped "no-feasible-placement");
+        finish t r (Dropped No_feasible_placement);
         dispatch_ready t
       | _ -> ())
   end
@@ -624,9 +625,9 @@ let submit t (r : Request.t) =
     (Request.describe r)
     (Request.priority_name r.Request.priority);
   if not (List.mem r.Request.tenant (Fair_queue.tenants t.queue)) then
-    finish t r (Rejected "unknown-tenant")
+    finish t r (Rejected Unknown_tenant)
   else if Fair_queue.depth t.queue ~tenant:r.Request.tenant >= t.cfg.queue_cap then
-    finish t r (Rejected "queue-full")
+    finish t r (Rejected Queue_full)
   else begin
     Fair_queue.push t.queue ~tenant:r.Request.tenant r;
     count t "ctl.requests.admitted";

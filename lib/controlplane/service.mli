@@ -14,22 +14,22 @@
     ({!Ninja_planner.Solver}) and the fault-aware fiber executor
     ({!Ninja_planner.Executor}).
 
-    Each batch runs inside its own keyed SymVirt-style fence (probe topic
-    ["fence"] with an [id]): the batch's VMs are paused, bypass devices
-    detached, migrated, re-equipped for wherever they landed (an HCA on
-    IB-equipped hosts) and resumed. A failed batch rolls every VM back to
+    Each batch runs inside its own keyed SymVirt-style fence (a
+    [Fence_enter] probe with an [id]): the batch's VMs are paused, bypass
+    devices detached, migrated, re-equipped for wherever they landed (an
+    HCA on IB-equipped hosts) and resumed. A failed batch rolls every VM back to
     its origin — VMs stranded by a dead node are excused with a
-    ["migrate"]/["giveup"] probe, exactly like {!Ninja_core.Ninja} — and
+    [Migrate_giveup] probe, exactly like {!Ninja_core.Ninja} — and
     the request is re-queued until its attempt budget runs out, so faults
     delay requests rather than lose them.
 
     Telemetry: every decision lands in the service's {!Ninja_telemetry.Metrics}
     registry ([ctl.*] counters, queue-depth gauge/histogram, request
     latency / queue-wait / batch-makespan / VM-downtime histograms) and is
-    mirrored on the probe bus (topic ["ctl"], action ["stat"]) so an
-    attached {!Ninja_telemetry.Recorder} exports the same numbers; every
-    terminal request additionally emits a ["ctl"]/["request-done"] probe
-    carrying its tenant, outcome and deadline fate, which is what the
+    mirrored on the probe bus ([Stat] probes) so an attached
+    {!Ninja_telemetry.Recorder} exports the same numbers; every terminal
+    request additionally emits a [Request_done] probe carrying its
+    tenant, outcome and deadline fate, which is what the
     live flow monitor's SLO accounting consumes; each
     request gets a span track ([controlplane]/[req-NNN]) with its queued
     interval and execution window.
@@ -96,13 +96,20 @@ val default_config : config
     3 attempts, 25 deferrals, no auto-swap, the executor's defaults
     otherwise. *)
 
+type reject_reason = Unknown_tenant | Queue_full
+type drop_reason = Deadline_missed | No_feasible_placement
+
 type outcome =
   | Completed
-  | Rejected of string  (** refused at admission (e.g. ["queue-full"]) *)
-  | Dropped of string
-      (** left the queue unserved: ["deadline-missed"],
-          ["no-feasible-placement"], ... *)
+  | Rejected of reject_reason  (** refused at admission *)
+  | Dropped of drop_reason  (** left the queue unserved: expired, or unplaceable *)
   | Failed of string  (** every dispatch attempt rolled back *)
+
+val reject_reason_name : reject_reason -> string
+(** The [ctl.rejected.*] suffix: ["unknown-tenant"] or ["queue-full"]. *)
+
+val drop_reason_name : drop_reason -> string
+(** The [ctl.dropped.*] suffix: ["deadline-missed"] or ["no-feasible-placement"]. *)
 
 val outcome_name : outcome -> string
 

@@ -195,9 +195,9 @@ let migrate t ~plan ?(transport = Migration.Tcp) ?(mode = Migration.Precopy) ?ho
     Fun.protect ~finally:(fun () -> Span.exit_ sc s) f
   in
   if Probe.active probes then
-    Probe.emit probes ~topic:"migrate" ~action:"start"
-      ~info:(List.map (fun (vm, origin) -> (Vm.name vm, origin.Node.name)) origins)
-      ();
+    Probe.emit probes
+      (Probe.Migrate_start
+         { batch = ""; origins = List.map (fun (vm, o) -> (Vm.name vm, o.Node.name)) origins });
   let root = Span.enter sc ~name:"migration" ~cat:"migration" () in
   (* 1. Trigger: the runtime tells every process to reach a safe point and
      call into the coordinator; the controller waits for the fence. *)
@@ -243,8 +243,7 @@ let migrate t ~plan ?(transport = Migration.Tcp) ?(mode = Migration.Precopy) ?ho
         if best_effort then
           List.iter
             (fun (vm, _msg) ->
-              Probe.emit probes ~topic:"migrate" ~action:"giveup" ~subject:(Vm.name vm)
-                ~info:[ ("phase", name) ] ())
+              Probe.emit probes (Probe.Migrate_giveup { vm = Vm.name vm; phase = name }))
             fatals
         else (
           match fatals with
@@ -264,8 +263,7 @@ let migrate t ~plan ?(transport = Migration.Tcp) ?(mode = Migration.Precopy) ?ho
             if best_effort then
               List.iter
                 (fun (vm, _msg) ->
-                  Probe.emit probes ~topic:"migrate" ~action:"giveup" ~subject:(Vm.name vm)
-                    ~info:[ ("phase", name) ] ())
+                  Probe.emit probes (Probe.Migrate_giveup { vm = Vm.name vm; phase = name }))
                 transients
             else
               raise
@@ -328,7 +326,7 @@ let migrate t ~plan ?(transport = Migration.Tcp) ?(mode = Migration.Precopy) ?ho
   (match result with
   | Ok () ->
       t.last_outcome <- Some Completed;
-      Probe.emit probes ~topic:"migrate" ~action:"complete" ();
+      Probe.emit probes (Probe.Migrate_complete { batch = "" });
       (* 5. Final signal; guests confirm link-up and rebuild transports. *)
       fence_boundary ~last:true
   | Error reason ->
@@ -385,11 +383,9 @@ let migrate t ~plan ?(transport = Migration.Tcp) ?(mode = Migration.Precopy) ?ho
       Span.exit_ sc rollback;
       let lost = List.filter (fun n -> Vm.is_lost n.vm) t.nodes in
       t.last_outcome <- Some (if lost = [] then Rolled_back reason else Lost reason);
-      Probe.emit probes ~topic:"migrate" ~action:"rollback"
-        ~info:
-          (("reason", reason)
-          :: List.map (fun n -> ("lost", Vm.name n.vm)) lost)
-        ();
+      Probe.emit probes
+        (Probe.Migrate_rollback
+           { batch = ""; origins = []; reason; lost = List.map (fun n -> Vm.name n.vm) lost });
       (* Release the fence exactly like a completed operation would. *)
       t.operation_active <- false;
       Controller.signal ctl);

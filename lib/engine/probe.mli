@@ -3,23 +3,26 @@
     A lightweight publish/subscribe channel over which model layers
     announce protocol-relevant transitions — fence entry/release, VM
     migrations, device hotplug, plan construction, fault firings — as
-    plain (topic, action, subject, info) records stamped with the current
-    simulation time. Delivery is synchronous: a subscriber observes the
-    simulation exactly at the instant of the transition, which is what an
-    invariant checker needs. The bus is the simulator's one event
-    channel: the checker, the telemetry recorder and the [--trace]
-    timeline are all subscribers.
+    typed {!payload}s stamped with the current simulation time. Delivery
+    is synchronous: a subscriber observes the simulation exactly at the
+    instant of the transition, which is what an invariant checker needs.
+    The bus is the simulator's one event channel: the checker, the
+    telemetry recorder and the [--trace] timeline are all subscribers, and
+    they pattern-match on the payload.
 
-    When nothing is subscribed, {!emit} returns immediately without
-    allocating — an idle bus costs one branch per probe site, so
-    production runs pay nothing for the instrumentation. *)
+    When nothing is subscribed, {!emit} returns immediately — an idle bus
+    costs one branch per probe site. A site that has to compute its
+    payload (a VM-name list, formatted arguments) guards it with
+    {!active}. *)
+
+include module type of struct
+  include Probe_payload
+end
 
 type event = {
   at : Time.t;  (** simulation time at emission *)
-  topic : string;  (** layer, e.g. ["fence"], ["vm"], ["qmp"], ["plan"] *)
-  action : string;  (** transition, e.g. ["enter"], ["migrated"] *)
-  subject : string;  (** VM or node name; [""] when not applicable *)
-  info : (string * string) list;  (** further key/value detail *)
+  topic : string;  (** [topic payload], e.g. ["fence"], ["vm"], ["qmp"] *)
+  payload : payload;
 }
 
 type t
@@ -30,12 +33,9 @@ type subscription
 
 val create : Sim.t -> t
 
-val subscribe : t -> (event -> unit) -> unit
-(** Subscribers are called synchronously, in subscription order, from the
-    emitting fiber. They must not block. *)
-
 val attach : t -> (event -> unit) -> subscription
-(** Like {!subscribe}, but returns a handle for {!detach}. *)
+(** Subscribers are called synchronously, in attachment order, from the
+    emitting fiber. They must not block. *)
 
 val detach : t -> subscription -> unit
 (** Removes the subscriber; a no-op if it was already detached. The bus
@@ -47,17 +47,21 @@ val with_subscriber : t -> (event -> unit) -> (unit -> 'a) -> 'a
     or telemetry recorder cannot leak across runs. *)
 
 val active : t -> bool
-(** Whether any subscriber is attached (probe sites may use this to skip
+(** Whether any subscriber is attached (probe sites use this to skip
     expensive payload construction). *)
 
 val emitted : t -> int
 (** Events delivered so far (0 while no subscriber is attached). *)
 
-val emit :
-  t -> topic:string -> action:string -> ?subject:string -> ?info:(string * string) list ->
-  unit -> unit
+val emit : t -> payload -> unit
 
-val info_of : event -> string -> string option
+val topic : payload -> string
+(** The payload's layer, e.g. ["fence"], ["vm"], ["ctl"], ["span"]. *)
+
+val render : payload -> string * string * (string * string) list
+(** The text form {!pp} and the trace-event exporter share: [(action,
+    subject, key/value pairs)], e.g. [("device-del", "vm0", [("tag",
+    "vf0")])]. Empty fields of a two-emitter payload are omitted. *)
 
 val pp : Format.formatter -> event -> unit
 (** One line: [\[time\] topic/action subject k=v ...], the subject

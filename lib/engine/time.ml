@@ -29,8 +29,6 @@ let to_sec_f t = float_of_int t /. 1e9
 
 let to_ns t = Int64.of_int t
 
-let of_ns n = Int64.to_int n
-
 let to_int t = t
 
 (* Two clamped spans sum past [max_int] (2^62 - 1 ns): saturate instead of

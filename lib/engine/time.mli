@@ -29,7 +29,6 @@ val of_sec_f : float -> span
 
 val to_sec_f : t -> float
 val to_ns : t -> int64
-val of_ns : int64 -> t
 
 val to_int : t -> int
 (** Nanoseconds as a plain [int], e.g. for a heap key; {!ns} is the

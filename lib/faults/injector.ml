@@ -114,9 +114,8 @@ let fire t point ~site =
       incr (counter t.fired_counts point);
       Option.iter
         (fun probes ->
-          Probe.emit probes ~topic:"fault" ~action:(point_name point) ~subject:site
-            ~info:[ ("firing", string_of_int (fired t point)) ]
-            ())
+          Probe.emit probes
+            (Probe.Fault { point = point_name point; site; firing = fired t point }))
         t.probes;
       true
   end

@@ -137,7 +137,7 @@ let probes t = t.probes
 let kill_node t (n : Node.t) =
   if not (Hashtbl.mem t.dead_nodes n.Node.id) then begin
     Hashtbl.replace t.dead_nodes n.Node.id ();
-    Probe.emit t.probes ~topic:"node" ~action:"death" ~subject:n.Node.name ()
+    Probe.emit t.probes (Probe.Node_death { node = n.Node.name })
   end
 
 let node_alive t (n : Node.t) = not (Hashtbl.mem t.dead_nodes n.Node.id)

@@ -1,6 +1,5 @@
 open Ninja_engine
 open Ninja_hardware
-open Ninja_telemetry
 open Ninja_vmm
 
 type step_result = {
@@ -143,19 +142,22 @@ let run cluster ?(transport = Migration.Tcp) ?(mode = Migration.Precopy)
                 let t0 = Sim.now sim in
                 (* One span per attempt, on the step's source track, where
                    the VMM migration span it triggers will nest under it. *)
-                let span_name = Printf.sprintf "step-%d" step.Plan.id in
+                let traced = Probe.active probes in
+                let name = if traced then Printf.sprintf "step-%d" step.Plan.id else "" in
                 let proc = step.Plan.src.Node.name and thread = Vm.name step.Plan.vm in
-                Span.emit_begin probes ~name:span_name ~cat:"executor" ~proc ~thread
-                  ~args:
-                    [
-                      ("dst", step.Plan.dst.Node.name);
-                      ("attempt", string_of_int attempt_no);
-                    ]
-                  ();
+                if traced then
+                  Probe.emit probes
+                    (Probe.Span_begin
+                       { name; cat = "executor"; proc; thread;
+                         args =
+                           [ ("dst", step.Plan.dst.Node.name);
+                             ("attempt", string_of_int attempt_no) ] });
                 match
                   Fun.protect
                     ~finally:(fun () ->
-                      Span.emit_end probes ~name:span_name ~proc ~thread ())
+                      if traced then
+                        Probe.emit probes
+                          (Probe.Span_end { name; proc; thread; args = [] }))
                     (fun () -> run_step step)
                 with
                 | stats ->
@@ -185,12 +187,17 @@ let run cluster ?(transport = Migration.Tcp) ?(mode = Migration.Precopy)
                       let delay = Retry.backoff retry ~attempt:attempt_no in
                       incr retries;
                       retry_delay := Time.add !retry_delay delay;
-                      Span.emit_begin probes ~name:"backoff" ~cat:"executor"
-                        ~proc:step.Plan.src.Node.name ~thread:(Vm.name step.Plan.vm)
-                        ~args:[ ("step", string_of_int step.Plan.id) ] ();
+                      let proc = step.Plan.src.Node.name
+                      and thread = Vm.name step.Plan.vm in
+                      if Probe.active probes then
+                        Probe.emit probes
+                          (Probe.Span_begin
+                             { name = "backoff"; cat = "executor"; proc; thread;
+                               args = [ ("step", string_of_int step.Plan.id) ] });
                       Sim.sleep delay;
-                      Span.emit_end probes ~name:"backoff" ~proc:step.Plan.src.Node.name
-                        ~thread:(Vm.name step.Plan.vm) ();
+                      if Probe.active probes then
+                        Probe.emit probes
+                          (Probe.Span_end { name = "backoff"; proc; thread; args = [] });
                       attempt step (attempt_no + 1)
                     end)
           in
@@ -207,16 +214,10 @@ let run cluster ?(transport = Migration.Tcp) ?(mode = Migration.Precopy)
   in
   (* The probe fires before any [Step_failed] is raised so an observer sees
      the permit balance even when the run fails. *)
-  Probe.emit probes ~topic:"executor" ~action:"report"
-    ~info:
-      [
-        ("steps", string_of_int (List.length step_results));
-        ("failures", string_of_int (List.length !failures));
-        ("retries", string_of_int !retries);
-        ("rerouted", string_of_int !rerouted);
-        ("permits-leaked", string_of_int permits_leaked);
-      ]
-    ();
+  Probe.emit probes
+    (Probe.Executor_report
+       { steps = List.length step_results; failures = List.length !failures;
+         retries = !retries; rerouted = !rerouted; permits_leaked });
   (match List.rev !failures with
   | [] -> ()
   | (step, reason) :: _ -> raise (fail_of step reason));

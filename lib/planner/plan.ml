@@ -1,6 +1,5 @@
 open Ninja_engine
 open Ninja_hardware
-open Ninja_telemetry
 open Ninja_vmm
 
 type kind = Direct | Stage_out | Stage_in
@@ -298,20 +297,19 @@ let of_assignment cluster ~vms ~dst_of ?(staging = []) ?bytes_of () =
             ~after:(Option.get arriving_step.(i)))
         waits_for)
     edges;
-  Probe.emit (Cluster.probes cluster) ~topic:"plan" ~action:"built"
-    ~info:
-      [
-        ("steps", string_of_int (length plan));
-        ("deps", string_of_int (dep_count plan));
-        ("acyclic", string_of_bool (is_acyclic plan));
-        ("staged", string_of_int (Array.fold_left (fun n b -> if b then n + 1 else n) 0 staged));
-        ("overcommits", string_of_int !overcommits);
-      ]
-    ();
-  (* Plan building is pure bookkeeping — no simulated time passes — so the
-     span is a zero-duration marker on the planner track. *)
-  Span.emit_note (Cluster.probes cluster) ~name:"plan-build" ~cat:"planner" ~proc:"planner"
-    ~thread:"plan"
-    ~start:(Sim.now (Cluster.sim cluster))
-    ~args:[ ("steps", string_of_int (length plan)) ] ();
+  let probes = Cluster.probes cluster in
+  if Probe.active probes then begin
+    Probe.emit probes
+      (Probe.Plan_built
+         { steps = length plan; deps = dep_count plan; acyclic = is_acyclic plan;
+           staged = Array.fold_left (fun n b -> if b then n + 1 else n) 0 staged;
+           overcommits = !overcommits });
+    (* Plan building is pure bookkeeping — no simulated time passes — so
+       the span is a zero-duration marker on the planner track. *)
+    Probe.emit probes
+      (Probe.Span_note
+         { name = "plan-build"; cat = "planner"; proc = "planner"; thread = "plan";
+           start = Sim.now (Cluster.sim cluster);
+           args = [ ("steps", string_of_int (length plan)) ] })
+  end;
   plan

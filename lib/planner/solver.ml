@@ -328,14 +328,7 @@ let swap_impl (env : Cost_model.env) plan =
       in
       let probes = Cluster.probes cluster in
       if Probe.active probes then
-        Probe.emit probes ~topic:"plan" ~action:"swap"
-          ~info:
-            [
-              ("swaps", string_of_int !swaps);
-              ("passes", string_of_int !passes);
-              ("movers", string_of_int n);
-            ]
-          ();
+        Probe.emit probes (Probe.Plan_swap { swaps = !swaps; passes = !passes; movers = n });
       grouped_impl env plan'
     end
   end
@@ -360,11 +353,6 @@ let swap =
 
 let default = grouped
 
-let stat probes name v =
-  Probe.emit probes ~topic:"ctl" ~action:"stat" ~subject:name
-    ~info:[ ("kind", "gauge"); ("value", Printf.sprintf "%.17g" v) ]
-    ()
-
 let solve h cluster ?transport ?(traffic = []) plan =
   let env = Cost_model.env cluster ?transport ~traffic () in
   let impl = impl_of h in
@@ -374,16 +362,11 @@ let solve h cluster ?transport ?(traffic = []) plan =
     let before = Cost_model.plan_cost h.cost env plan in
     let plan = impl env plan in
     let after = Cost_model.plan_cost h.cost env plan in
-    stat probes "plan.cost.before" before;
-    stat probes "plan.cost.after" after;
-    Probe.emit probes ~topic:"plan" ~action:"cost"
-      ~info:
-        [
-          ("strategy", h.name);
-          ("model", Cost_model.describe h.cost);
-          ("before", Printf.sprintf "%.17g" before);
-          ("after", Printf.sprintf "%.17g" after);
-        ]
-      ();
+    let gauge name value = Probe.emit probes (Probe.Stat { name; kind = Probe.Gauge; value }) in
+    gauge "plan.cost.before" before;
+    gauge "plan.cost.after" after;
+    Probe.emit probes
+      (Probe.Plan_cost
+         { strategy = h.name; model = Cost_model.describe h.cost; before; after });
     plan
   end

@@ -167,7 +167,7 @@ let make_reroute t trigger plan =
 let execute t trigger =
   Probe.emit
     (Cluster.probes (Ninja.cluster t.ninja))
-    ~topic:"scheduler" ~action:"trigger" ~subject:(trigger_name trigger) ();
+    (Probe.Trigger { trigger = trigger_name trigger });
   let dst_of = plan_for t trigger in
   let plan = build_plan t dst_of in
   let report = ref None in

@@ -19,21 +19,15 @@ let members t = t.members
 
 let cluster t = t.cluster
 
-let probe_fence t action =
+let probe_fence t payload =
   let probes = Cluster.probes t.cluster in
   if Probe.active probes then
-    Probe.emit probes ~topic:"fence" ~action
-      ~info:
-        [
-          ("vms", String.concat "," (List.map (fun m -> Vm.name m.vm) t.members));
-          ("count", string_of_int (List.length t.members));
-        ]
-      ()
+    Probe.emit probes (payload (List.map (fun m -> Vm.name m.vm) t.members))
 
 let wait_all t =
   List.iter (fun m -> Hypercall.await_waiters m.endpoint m.procs) t.members;
   List.iter (fun m -> Vm.pause m.vm) t.members;
-  probe_fence t "enter"
+  probe_fence t (fun vms -> Probe.Fence_enter { id = ""; vms })
 
 let signal t =
   List.iter
@@ -41,7 +35,7 @@ let signal t =
       Vm.resume m.vm;
       Hypercall.host_signal m.endpoint)
     t.members;
-  probe_fence t "release"
+  probe_fence t (fun vms -> Probe.Fence_release { id = ""; vms })
 
 (* One agent fiber per VM, driving its monitor; the caller blocks on all of
    them (the paper's controller joins its agent threads). An armed

@@ -102,14 +102,14 @@ let fragment ?(track_prefix = "") ?(instants = []) ?upto roots =
   List.iter span_event roots;
   List.iter
     (fun (e : Probe.event) ->
-      let thread = if e.Probe.subject = "" then e.Probe.topic else e.Probe.subject in
+      let action, subject, info = Probe.render e.Probe.payload in
+      let thread = if subject = "" then e.Probe.topic else subject in
       let pid, tid = ids tracks ~proc:(track_prefix ^ e.Probe.topic) ~thread in
       push
         (Printf.sprintf
            {|{"name":%s,"cat":%s,"ph":"i","s":"t","ts":%s,"pid":%d,"tid":%d,"args":%s}|}
-           (quoted (e.Probe.topic ^ "/" ^ e.Probe.action))
-           (quoted e.Probe.topic) (usec e.Probe.at) pid tid (args_obj e.Probe.info))
-      )
+           (quoted (e.Probe.topic ^ "/" ^ action))
+           (quoted e.Probe.topic) (usec e.Probe.at) pid tid (args_obj info)))
     instants;
   match (tracks.rev_meta, !rev_events) with
   | [], [] -> ""

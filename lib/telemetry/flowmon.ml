@@ -91,53 +91,42 @@ let observed_window t = t.obs_seconds
 (* {1 The sFlow-style bus subscriber}
 
    The monitor learns about control-plane activity from the probe bus,
-   not by reaching into [Service]: the contract is the ["ctl"] topic —
-   ["request-done"] events carry (tenant, outcome, missed) and ["stat"]
-   events mirror the registry (we watch the queue-depth samples). The
-   handler only updates pre-allocated counters; everything expensive
-   happens on the tick. *)
+   not by reaching into [Service]: [Request_done] events carry (tenant,
+   missed, completed) and [Stat] events mirror the registry (we watch the
+   queue-depth samples). The handler only updates pre-allocated counters;
+   everything expensive happens on the tick. *)
 
 let on_event t (ev : Probe.event) =
-  if String.equal ev.Probe.topic "ctl" then begin
-    if String.equal ev.Probe.action "request-done" then begin
-      let tm =
-        match Hashtbl.find_opt t.tenants ev.Probe.subject with
-        | Some tm -> tm
-        | None ->
-          let tm =
-            {
-              tput = Ring.create ~capacity:t.cfg.retain;
-              completed = 0;
-              missed = 0;
-              other = 0;
-              tick_completed = 0;
-            }
-          in
-          Hashtbl.add t.tenants ev.Probe.subject tm;
-          tm
-      in
-      t.tick_done <- t.tick_done + 1;
-      (match Probe.info_of ev "missed" with
-      | Some "true" ->
-        t.tick_missed <- t.tick_missed + 1;
-        tm.missed <- tm.missed + 1
-      | _ -> (
-        match Probe.info_of ev "outcome" with
-        | Some "completed" ->
-          tm.completed <- tm.completed + 1;
-          tm.tick_completed <- tm.tick_completed + 1
-        | _ -> tm.other <- tm.other + 1))
+  match ev.Probe.payload with
+  | Probe.Request_done { tenant; missed; completed; _ } ->
+    let tm =
+      match Hashtbl.find_opt t.tenants tenant with
+      | Some tm -> tm
+      | None ->
+        let tm =
+          {
+            tput = Ring.create ~capacity:t.cfg.retain;
+            completed = 0;
+            missed = 0;
+            other = 0;
+            tick_completed = 0;
+          }
+        in
+        Hashtbl.add t.tenants tenant tm;
+        tm
+    in
+    t.tick_done <- t.tick_done + 1;
+    if missed then begin
+      t.tick_missed <- t.tick_missed + 1;
+      tm.missed <- tm.missed + 1
     end
-    else if
-      String.equal ev.Probe.action "stat"
-      && String.equal ev.Probe.subject "ctl.queue.depth"
-    then
-      match Probe.info_of ev "value" with
-      | Some v -> ( match float_of_string_opt v with
-        | Some d -> t.cur_queue_depth <- d
-        | None -> ())
-      | None -> ()
-  end
+    else if completed then begin
+      tm.completed <- tm.completed + 1;
+      tm.tick_completed <- tm.tick_completed + 1
+    end
+    else tm.other <- tm.other + 1
+  | Probe.Stat { name = "ctl.queue.depth"; value; _ } -> t.cur_queue_depth <- value
+  | _ -> ()
 
 (* {1 Packet sampling}
 

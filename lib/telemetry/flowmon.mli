@@ -20,8 +20,8 @@
     private PRNG stream (split off lazily, so runs without a monitor
     keep their exact draws). Control-plane series (queue depth, per
     tenant request completions, deadline misses) arrive over the probe
-    bus: ["ctl"]/["request-done"] events and the mirrored
-    ["ctl.queue.depth"] stat.
+    bus: {!Ninja_engine.Probe.Request_done} events and the mirrored
+    ["ctl.queue.depth"] {!Ninja_engine.Probe.Stat}.
 
     {2 Reconstruction error}
 

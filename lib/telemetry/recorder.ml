@@ -43,10 +43,6 @@ let open_spans t = t.open_count
 
 let anomaly t fmt = Printf.ksprintf (fun m -> t.rev_anomalies <- m :: t.rev_anomalies) fmt
 
-let reserved = [ "cat"; "proc"; "tid"; "start" ]
-
-let span_args info = List.filter (fun (k, _) -> not (List.mem k reserved)) info
-
 let track t ~proc ~tid =
   match Hashtbl.find_opt t.tracks (proc, tid) with
   | Some tr -> tr
@@ -65,105 +61,76 @@ let closed t (s : Span.t) =
   | "retry" -> Metrics.observe t.m "retry.lost.seconds" (seconds (Span.duration s))
   | _ -> ()
 
-let on_span t (e : Probe.event) =
-  let info key = Option.value (Probe.info_of e key) ~default:"" in
-  let proc = info "proc" and tid = info "tid" in
-  let tr = track t ~proc ~tid in
-  let attach s =
-    match tr.stack with
-    | top :: _ -> Span.add_child top s
-    | [] -> t.rev_roots <- s :: t.rev_roots
-  in
-  match e.Probe.action with
-  | "begin" ->
-    let s =
-      Span.create ~name:e.Probe.subject ~cat:(info "cat") ~proc ~thread:tid
-        ~start:e.Probe.at ~args:(span_args e.Probe.info) ()
-    in
-    attach s;
-    tr.stack <- s :: tr.stack;
-    t.open_count <- t.open_count + 1
-  | "end" -> (
-    match tr.stack with
-    | [] -> anomaly t "span end %S on %s/%s without a begin" e.Probe.subject proc tid
-    | top :: rest ->
-      if not (String.equal top.Span.name e.Probe.subject) then
-        anomaly t "span end %S on %s/%s closes open span %S" e.Probe.subject proc tid
-          top.Span.name;
-      tr.stack <- rest;
-      t.open_count <- t.open_count - 1;
-      Span.finish top ~at:e.Probe.at ~args:(span_args e.Probe.info) ();
-      closed t top)
-  | "note" -> (
-    match Int64.of_string_opt (info "start") with
-    | None -> anomaly t "span note %S on %s/%s carries no start" e.Probe.subject proc tid
-    | Some ns ->
-      let start = Time.min (Time.of_ns ns) e.Probe.at in
-      let s =
-        Span.create ~name:e.Probe.subject ~cat:(info "cat") ~proc ~thread:tid ~start
-          ~args:(span_args e.Probe.info) ()
-      in
-      Span.finish s ~at:e.Probe.at ();
-      attach s;
-      closed t s)
-  | other -> anomaly t "unknown span action %S" other
-
-let float_info e key = Option.bind (Probe.info_of e key) float_of_string_opt
+let hang t tr s =
+  match tr.stack with
+  | top :: _ -> Span.add_child top s
+  | [] -> t.rev_roots <- s :: t.rev_roots
 
 let on_event t (e : Probe.event) =
   t.events <- t.events + 1;
-  t.last_at <- Time.max t.last_at e.Probe.at;
-  match (e.Probe.topic, e.Probe.action) with
-  | "span", _ -> on_span t e
-  | topic_action ->
+  let at = e.Probe.at in
+  t.last_at <- Time.max t.last_at at;
+  match e.Probe.payload with
+  | Probe.Span_begin { name; cat; proc; thread; args } ->
+    let tr = track t ~proc ~tid:thread in
+    let s = Span.create ~name ~cat ~proc ~thread ~start:at ~args () in
+    hang t tr s;
+    tr.stack <- s :: tr.stack;
+    t.open_count <- t.open_count + 1
+  | Probe.Span_end { name; proc; thread; args } -> (
+    let tr = track t ~proc ~tid:thread in
+    match tr.stack with
+    | [] -> anomaly t "span end %S on %s/%s without a begin" name proc thread
+    | top :: rest ->
+      if not (String.equal top.Span.name name) then
+        anomaly t "span end %S on %s/%s closes open span %S" name proc thread top.Span.name;
+      tr.stack <- rest;
+      t.open_count <- t.open_count - 1;
+      Span.finish top ~at ~args ();
+      closed t top)
+  | Probe.Span_note { name; cat; proc; thread; start; args } ->
+    let s = Span.create ~name ~cat ~proc ~thread ~start:(Time.min start at) ~args () in
+    Span.finish s ~at ();
+    hang t (track t ~proc ~tid:thread) s;
+    closed t s
+  | payload -> (
     t.rev_instants <- e :: t.rev_instants;
-    (match topic_action with
-    | "migrate", "start" -> Metrics.incr t.m "migrations.started"
-    | "migrate", "complete" -> Metrics.incr t.m "migrations.completed"
-    | "migrate", "rollback" -> Metrics.incr t.m "migrations.rolled_back"
-    | "migrate", "giveup" -> Metrics.incr t.m "migrations.gave_up"
-    | "fence", "enter" ->
-      (* Concurrent control-plane batches each run their own fence; events
-         carry an [id] (absent — "" — for the single legacy fence). *)
-      let id = Option.value (Probe.info_of e "id") ~default:"" in
-      Hashtbl.replace t.fences id e.Probe.at;
-      Option.iter (Metrics.gauge t.m "fence.vms.max") (float_info e "count")
-    | "fence", "release" ->
-      let id = Option.value (Probe.info_of e "id") ~default:"" in
+    match payload with
+    | Probe.Migrate_start _ -> Metrics.incr t.m "migrations.started"
+    | Probe.Migrate_complete _ -> Metrics.incr t.m "migrations.completed"
+    | Probe.Migrate_rollback _ -> Metrics.incr t.m "migrations.rolled_back"
+    | Probe.Migrate_giveup _ -> Metrics.incr t.m "migrations.gave_up"
+    | Probe.Fence_enter { id; vms } ->
+      (* Concurrent control-plane batches each run their own fence, keyed
+         by [id] ("" for the SymVirt controller's single fence). *)
+      Hashtbl.replace t.fences id at;
+      Metrics.gauge t.m "fence.vms.max" (float_of_int (List.length vms))
+    | Probe.Fence_release { id; _ } ->
       Option.iter
         (fun entered ->
-          Metrics.observe t.m "fence.residency.seconds"
-            (seconds (Time.diff e.Probe.at entered));
+          Metrics.observe t.m "fence.residency.seconds" (seconds (Time.diff at entered));
           Hashtbl.remove t.fences id)
         (Hashtbl.find_opt t.fences id)
-    | "ctl", "stat" ->
+    | Probe.Stat { name; kind; value } -> (
       (* The control plane mirrors its registry on the bus so a recorder
          exports the same ctl.* numbers. *)
-      Option.iter
-        (fun v ->
-          match Probe.info_of e "kind" with
-          | Some "counter" -> Metrics.incr t.m ~by:v e.Probe.subject
-          | Some "gauge" -> Metrics.gauge t.m e.Probe.subject v
-          | Some "histogram" -> Metrics.observe t.m e.Probe.subject v
-          | _ -> ())
-        (float_info e "value")
-    | "migration", "done" ->
-      Option.iter (fun b -> Metrics.incr t.m ~by:b "precopy.bytes") (float_info e "bytes");
-      Option.iter (fun r -> Metrics.incr t.m ~by:r "precopy.rounds") (float_info e "rounds");
-      Option.iter
-        (fun ns -> Metrics.observe t.m "vm.downtime.seconds" (ns /. 1e9))
-        (float_info e "downtime_ns")
-    | "fault", _ -> Metrics.incr t.m "faults.injected"
-    | "node", "death" -> Metrics.incr t.m "node.deaths"
-    | "plan", "built" -> Metrics.incr t.m "plans.built"
-    | "executor", "report" ->
-      Option.iter (fun v -> Metrics.incr t.m ~by:v "executor.steps") (float_info e "steps");
-      Option.iter
-        (fun v -> Metrics.incr t.m ~by:v "executor.failures")
-        (float_info e "failures");
-      Option.iter
-        (fun v -> Metrics.incr t.m ~by:v "executor.retries")
-        (float_info e "retries")
+      match kind with
+      | Probe.Counter -> Metrics.incr t.m ~by:value name
+      | Probe.Gauge -> Metrics.gauge t.m name value
+      | Probe.Histogram -> Metrics.observe t.m name value)
+    | Probe.Migration_done { bytes; rounds; downtime; _ } ->
+      (* Whole bytes, as the trace prints them. Byte counts are page
+         multiples, so this never moves a value today. *)
+      Metrics.incr t.m ~by:(Float.round bytes) "precopy.bytes";
+      Metrics.incr t.m ~by:(float_of_int rounds) "precopy.rounds";
+      Metrics.observe t.m "vm.downtime.seconds" (seconds downtime)
+    | Probe.Fault _ -> Metrics.incr t.m "faults.injected"
+    | Probe.Node_death _ -> Metrics.incr t.m "node.deaths"
+    | Probe.Plan_built _ -> Metrics.incr t.m "plans.built"
+    | Probe.Executor_report { steps; failures; retries; _ } ->
+      Metrics.incr t.m ~by:(float_of_int steps) "executor.steps";
+      Metrics.incr t.m ~by:(float_of_int failures) "executor.failures";
+      Metrics.incr t.m ~by:(float_of_int retries) "executor.retries"
     | _ -> ())
 
 let attach t probes = Probe.attach probes (on_event t)

@@ -3,9 +3,9 @@
     Subscribes to a cluster's {!Ninja_engine.Probe} bus and turns the
     event stream into
 
-    - {b span trees}, reassembled per track from the ["span"] topic's
-      begin/end/note events (the same trees the emitting {!Span.scope}
-      builds locally), and
+    - {b span trees}, reassembled per track from the [Span_begin],
+      [Span_end] and [Span_note] payloads (the same trees the emitting
+      {!Span.scope} builds locally), and
     - a {b metrics registry}: protocol counters (migrations
       started/completed/rolled back/given up, precopied bytes, fault
       firings, executor step totals), the fence-residency and per-phase

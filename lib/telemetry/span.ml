@@ -62,30 +62,6 @@ let well_formed root =
   List.rev !problems
 
 (* ------------------------------------------------------------------ *)
-(* Probe-bus wire encoding *)
-
-let meta ~cat ~proc ~thread = [ ("cat", cat); ("proc", proc); ("tid", thread) ]
-
-let emit_begin probes ~name ~cat ~proc ~thread ?(args = []) () =
-  if Probe.active probes then
-    Probe.emit probes ~topic:"span" ~action:"begin" ~subject:name
-      ~info:(meta ~cat ~proc ~thread @ args)
-      ()
-
-let emit_end probes ~name ~proc ~thread ?(args = []) () =
-  if Probe.active probes then
-    Probe.emit probes ~topic:"span" ~action:"end" ~subject:name
-      ~info:(meta ~cat:"" ~proc ~thread @ args)
-      ()
-
-let emit_note probes ~name ~cat ~proc ~thread ~start ?(args = []) () =
-  if Probe.active probes then
-    Probe.emit probes ~topic:"span" ~action:"note" ~subject:name
-      ~info:
-        ((("start", Int64.to_string (Time.to_ns start)) :: meta ~cat ~proc ~thread) @ args)
-      ()
-
-(* ------------------------------------------------------------------ *)
 (* Scoped builder *)
 
 type scope = {
@@ -100,6 +76,12 @@ type scope = {
 let scope ?probes ~sim ~proc ~thread () =
   { probes; sim; proc; thread; stack = []; rev_roots = [] }
 
+(* Callers test [observed] before building a payload, so an idle bus
+   costs the scope no allocation. *)
+let observed sc = match sc.probes with Some probes -> Probe.active probes | None -> false
+
+let mirror sc payload = match sc.probes with Some probes -> Probe.emit probes payload | None -> ()
+
 let attach sc s =
   match sc.stack with
   | top :: _ -> add_child top s
@@ -111,17 +93,14 @@ let enter sc ~name ~cat ?(args = []) () =
   in
   attach sc s;
   sc.stack <- s :: sc.stack;
-  Option.iter
-    (fun probes -> emit_begin probes ~name ~cat ~proc:sc.proc ~thread:sc.thread ~args ())
-    sc.probes;
+  if observed sc then
+    mirror sc (Probe.Span_begin { name; cat; proc = sc.proc; thread = sc.thread; args });
   s
 
 let close sc ?(args = []) s =
   finish s ~at:(Sim.now sc.sim) ~args ();
-  Option.iter
-    (fun probes ->
-      emit_end probes ~name:s.name ~proc:sc.proc ~thread:sc.thread ~args ())
-    sc.probes
+  if observed sc then
+    mirror sc (Probe.Span_end { name = s.name; proc = sc.proc; thread = sc.thread; args })
 
 let exit_ sc ?(args = []) s =
   if not (List.memq s sc.stack) then
@@ -147,10 +126,9 @@ let note sc ~name ~cat ~start ?(args = []) () =
   let s = create ~name ~cat ~proc:sc.proc ~thread:sc.thread ~start ~args () in
   finish s ~at:now ();
   attach sc s;
-  Option.iter
-    (fun probes ->
-      emit_note probes ~name ~cat ~proc:sc.proc ~thread:sc.thread ~start ~args ())
-    sc.probes;
+  if observed sc then
+    mirror sc
+      (Probe.Span_note { name; cat; proc = sc.proc; thread = sc.thread; start; args });
   s
 
 let roots sc = List.rev sc.rev_roots

@@ -6,16 +6,17 @@
     migration root span contains one child per protocol phase, a phase
     contains its retry attempts and backoff sleeps, and so on.
 
-    Spans exist in two forms that share one wire encoding:
+    Spans exist in two forms:
 
     - {b local trees}, built inline by model code through a {!scope} —
       always constructed (a handful of allocations per migration, no
       simulation effect), so [Ninja.migrate] can derive its returned
       [Breakdown.t] from the tree without any bus subscriber; and
-    - {b probe events} (topic ["span"], actions ["begin"]/["end"]/
-      ["note"]), mirrored by the scope only while the bus is observed —
-      an idle bus still costs one branch per site — and reassembled into
-      identical trees by {!Recorder}. *)
+    - {b probe events} ({!Ninja_engine.Probe.Span_begin}, [Span_end] and
+      [Span_note]), mirrored by the scope only while the bus is observed
+      and reassembled into identical trees by {!Recorder}. Code without a
+      scope emits those payloads directly, under a [Probe.active]
+      guard. *)
 
 open Ninja_engine
 
@@ -58,27 +59,6 @@ val well_formed : t -> string list
 (** Structural problems of the tree, empty when sound: every span must be
     finished with [stop >= start], and every child interval must lie
     within its parent's. *)
-
-(** {2 Probe-bus mirroring}
-
-    The wire encoding reserves the info keys ["cat"], ["proc"], ["tid"]
-    and ["start"]; any other pair is a span argument. All three emitters
-    are no-ops while the bus is idle. *)
-
-val emit_begin :
-  Probe.t -> name:string -> cat:string -> proc:string -> thread:string ->
-  ?args:(string * string) list -> unit -> unit
-
-val emit_end :
-  Probe.t -> name:string -> proc:string -> thread:string ->
-  ?args:(string * string) list -> unit -> unit
-
-val emit_note :
-  Probe.t -> name:string -> cat:string -> proc:string -> thread:string ->
-  start:Time.t -> ?args:(string * string) list -> unit -> unit
-(** A retroactive, already-closed span [start .. now] — used where an
-    interval is only known after the fact (a failed attempt, link-up),
-    since bus events themselves must carry monotone timestamps. *)
 
 (** {2 Scoped builder}
 

@@ -3,7 +3,6 @@ open Ninja_flownet
 open Ninja_hardware
 
 open Ninja_faults
-open Ninja_telemetry
 
 exception Bypass_device_attached of string
 
@@ -140,8 +139,12 @@ let precopy vm ~dst ~transport =
       Memory.clear_dirty memory;
       let t0 = Sim.now sim in
       send sender vm dirty;
-      Span.emit_note (Cluster.probes cluster) ~name:"stop-and-copy" ~cat:"vmm"
-        ~proc:src.Node.name ~thread:(Vm.name vm) ~start:t0 ();
+      let probes = Cluster.probes cluster in
+      if Probe.active probes then
+        Probe.emit probes
+          (Probe.Span_note
+             { name = "stop-and-copy"; cat = "vmm"; proc = src.Node.name;
+               thread = Vm.name vm; start = t0; args = [] });
       (n + 1, Time.diff (Sim.now sim) t0)
     end
     else begin
@@ -193,8 +196,11 @@ let postcopy vm ~dst ~transport =
   in
   send sender vm (float_of_int hot_pages *. page);
   let downtime = Time.diff (Sim.now sim) t0 in
-  Span.emit_note probes ~name:"stop-and-switch" ~cat:"vmm" ~proc:src.Node.name
-    ~thread:(Vm.name vm) ~start:t0 ();
+  if Probe.active probes then
+    Probe.emit probes
+      (Probe.Span_note
+         { name = "stop-and-switch"; cat = "vmm"; proc = src.Node.name; thread = Vm.name vm;
+           start = t0; args = [] });
   Vm.set_host vm dst;
   Vm.set_switchover_committed vm true;
   if was_running then Vm.resume vm;
@@ -221,15 +227,10 @@ let postcopy vm ~dst ~transport =
       send sender vm bytes;
       pulls := Time.diff (Sim.now sim) t_pull :: !pulls;
       if Probe.active probes then
-        Probe.emit probes ~topic:"migration" ~action:"pull" ~subject:(Vm.name vm)
-          ~info:
-            [
-              ("bytes", Printf.sprintf "%.0f" bytes);
-              ("fresh_pages", string_of_int fresh);
-              ("dup_pages", "0");
-              ("remaining", Printf.sprintf "%.0f" (Memory.remote_bytes memory));
-            ]
-          ()
+        Probe.emit probes
+          (Probe.Migration_pull
+             { vm = Vm.name vm; bytes; fresh_pages = fresh; dup_pages = 0;
+               remaining = Memory.remote_bytes memory })
     end
   done;
   Vm.set_compute_slowdown vm 1.0;
@@ -243,14 +244,9 @@ let postcopy vm ~dst ~transport =
     Vm.set_switchover_committed vm false;
     Memory.end_postcopy memory;
     if Probe.active probes then
-      Probe.emit probes ~topic:"migration" ~action:"lost" ~subject:(Vm.name vm)
-        ~info:
-          [
-            ("src", src.Node.name);
-            ("dst", dst.Node.name);
-            ("missing", Printf.sprintf "%.0f" missing);
-          ]
-        ();
+      Probe.emit probes
+        (Probe.Migration_lost
+           { vm = Vm.name vm; src = src.Node.name; dst = dst.Node.name; missing });
     raise
       (Postcopy_lost
          (Printf.sprintf "%s: source %s died mid-postcopy (%.0f bytes unrecoverable)"
@@ -288,14 +284,20 @@ let migrate vm ~dst ?(transport = Tcp) ?(mode = Precopy) () =
   let started = Sim.now sim in
   let mode_name = mode_name mode in
   let probes = Cluster.probes cluster in
-  Span.emit_begin probes ~name:mode_name ~cat:"vmm" ~proc:src.Node.name ~thread:(Vm.name vm)
-    ~args:[ ("dst", dst.Node.name) ] ();
+  if Probe.active probes then
+    Probe.emit probes
+      (Probe.Span_begin
+         { name = mode_name; cat = "vmm"; proc = src.Node.name; thread = Vm.name vm;
+           args = [ ("dst", dst.Node.name) ] });
   let rounds, zero, downtime, sent, pulls =
     (* The end mirror must fire even when an injected fault aborts the
        attempt mid-copy, or the recorder's track would stay open. *)
     Fun.protect
       ~finally:(fun () ->
-        Span.emit_end probes ~name:mode_name ~proc:src.Node.name ~thread:(Vm.name vm) ())
+        if Probe.active probes then
+          Probe.emit probes
+            (Probe.Span_end
+               { name = mode_name; proc = src.Node.name; thread = Vm.name vm; args = [] }))
       (fun () ->
         match mode with
         | Precopy -> precopy vm ~dst ~transport
@@ -303,15 +305,8 @@ let migrate vm ~dst ?(transport = Tcp) ?(mode = Precopy) () =
   in
   let duration = Time.diff (Sim.now sim) started in
   if Probe.active probes then
-    Probe.emit probes ~topic:"migration" ~action:"done" ~subject:(Vm.name vm)
-      ~info:
-        [
-          ("src", src.Node.name);
-          ("dst", dst.Node.name);
-          ("mode", mode_name);
-          ("bytes", Printf.sprintf "%.0f" sent);
-          ("rounds", string_of_int rounds);
-          ("downtime_ns", Int64.to_string (Time.to_ns downtime));
-        ]
-      ();
+    Probe.emit probes
+      (Probe.Migration_done
+         { vm = Vm.name vm; src = src.Node.name; dst = dst.Node.name; mode = mode_name;
+           bytes = sent; rounds; downtime });
   { duration; rounds; transferred_bytes = sent; scanned_zero_bytes = zero; downtime; pulls }

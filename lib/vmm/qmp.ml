@@ -44,7 +44,7 @@ let command_timeout = Time.sec 2
 let probe_command vm command =
   let probes = Cluster.probes (Vm.cluster vm) in
   if Probe.active probes then begin
-    let action, info =
+    let command, args =
       match command with
       | Device_del { tag; _ } -> ("device_del", [ ("tag", tag) ])
       | Device_add { device; _ } -> ("device_add", [ ("tag", device.Device.tag) ])
@@ -55,7 +55,7 @@ let probe_command vm command =
       | Query_status -> ("query-status", [])
       | Query_migrate -> ("query-migrate", [])
     in
-    Probe.emit probes ~topic:"qmp" ~action ~subject:(Vm.name vm) ~info ()
+    Probe.emit probes (Probe.Qmp { vm = Vm.name vm; command; args })
   end
 
 let execute vm command =

@@ -22,7 +22,6 @@ type t = {
   mutable lost : bool;
   mutable added_hooks : (Device.t -> unit) list;
   mutable removed_hooks : (Device.t -> unit) list;
-  mutable migrated_hooks : (src:Node.t -> dst:Node.t -> unit) list;
 }
 
 let default_os_resident = 2.3e9
@@ -49,17 +48,13 @@ let on_device_added t f = t.added_hooks <- f :: t.added_hooks
 
 let on_device_removed t f = t.removed_hooks <- f :: t.removed_hooks
 
-let on_migrated t f = t.migrated_hooks <- f :: t.migrated_hooks
-
 let attach_device t (d : Device.t) =
   (match find_device t ~tag:d.tag with
   | Some _ -> invalid_arg (Printf.sprintf "Vm.attach_device: duplicate tag %s" d.tag)
   | None -> ());
   t.devices <- t.devices @ [ d ];
-  Probe.emit (Cluster.probes t.cluster) ~topic:"vm" ~action:"device-add" ~subject:t.name
-    ~info:
-      [ ("tag", d.tag); ("bypass", string_of_bool (Device.is_bypass d.kind)) ]
-    ();
+  Probe.emit (Cluster.probes t.cluster)
+    (Probe.Device_add { vm = t.name; tag = d.tag; bypass = Device.is_bypass d.kind });
   List.iter (fun f -> f d) (List.rev t.added_hooks)
 
 let detach_device t ~tag =
@@ -67,8 +62,7 @@ let detach_device t ~tag =
   | None -> raise Not_found
   | Some d ->
     t.devices <- List.filter (fun (d' : Device.t) -> not (String.equal d'.tag tag)) t.devices;
-    Probe.emit (Cluster.probes t.cluster) ~topic:"vm" ~action:"device-del" ~subject:t.name
-      ~info:[ ("tag", tag) ] ();
+    Probe.emit (Cluster.probes t.cluster) (Probe.Device_del { vm = t.name; tag });
     List.iter (fun f -> f d) (List.rev t.removed_hooks);
     d
 
@@ -97,7 +91,6 @@ let create cluster ~name ~host ~vcpus ~mem_bytes ?(os_resident_bytes = default_o
       lost = false;
       added_hooks = [];
       removed_hooks = [];
-      migrated_hooks = [];
     }
   in
   Cluster.register_vm cluster ~name ~node:host.Node.id ~bytes:mem_bytes;
@@ -128,15 +121,9 @@ let set_host t dst =
   let src = t.host in
   t.host <- dst;
   Cluster.move_vm t.cluster ~name:t.name ~node:dst.Node.id;
-  Probe.emit (Cluster.probes t.cluster) ~topic:"vm" ~action:"migrated" ~subject:t.name
-    ~info:
-      [
-        ("src", src.Node.name);
-        ("dst", dst.Node.name);
-        ("bypass", string_of_bool (has_bypass_device t));
-      ]
-    ();
-  List.iter (fun f -> f ~src ~dst) (List.rev t.migrated_hooks)
+  Probe.emit (Cluster.probes t.cluster)
+    (Probe.Vm_migrated
+       { vm = t.name; src = src.Node.name; dst = dst.Node.name; bypass = has_bypass_device t })
 
 let await_running t =
   while t.state = Paused do

@@ -65,8 +65,8 @@ val pause : t -> unit
 val resume : t -> unit
 
 val set_host : t -> Node.t -> unit
-(** Used by {!Migration}; re-binds the virtio NIC to the new host and fires
-    migration hooks. *)
+(** Used by {!Migration}; re-binds the VM to the new host and announces
+    it with a [Vm_migrated] probe. *)
 
 val migration_lock : t -> Semaphore.t
 (** Serialises migration/snapshot operations on this VM. *)
@@ -92,8 +92,6 @@ val mark_lost : t -> unit
 val on_device_added : t -> (Device.t -> unit) -> unit
 
 val on_device_removed : t -> (Device.t -> unit) -> unit
-
-val on_migrated : t -> (src:Node.t -> dst:Node.t -> unit) -> unit
 
 (** {1 Guest-side operations (called from fibers)} *)
 

@@ -275,9 +275,9 @@ let test_checker_fence_pairing () =
   let _sim, cluster = fresh_cluster () in
   let checker = Checker.install cluster ~vms:[] in
   let probes = Cluster.probes cluster in
-  Probe.emit probes ~topic:"fence" ~action:"release" ();
-  Probe.emit probes ~topic:"fence" ~action:"enter" ~info:[ ("vms", "vm0") ] ();
-  Probe.emit probes ~topic:"fence" ~action:"enter" ~info:[ ("vms", "vm0") ] ();
+  Probe.emit probes (Probe.Fence_release { id = ""; vms = [] });
+  Probe.emit probes (Probe.Fence_enter { id = ""; vms = [ "vm0" ] });
+  Probe.emit probes (Probe.Fence_enter { id = ""; vms = [ "vm0" ] });
   Checker.check_finish checker;
   Alcotest.(check (list string)) "release w/o enter, double enter, held at end"
     [ "fence-pairing"; "fence-pairing"; "fence-pairing" ]
@@ -287,12 +287,11 @@ let test_checker_plan_and_permits () =
   let _sim, cluster = fresh_cluster () in
   let checker = Checker.install cluster ~vms:[] in
   let probes = Cluster.probes cluster in
-  Probe.emit probes ~topic:"plan" ~action:"built"
-    ~info:[ ("steps", "3"); ("deps", "3"); ("acyclic", "false") ]
-    ();
-  Probe.emit probes ~topic:"executor" ~action:"report"
-    ~info:[ ("steps", "3"); ("failures", "0"); ("retries", "0"); ("permits-leaked", "2") ]
-    ();
+  Probe.emit probes
+    (Probe.Plan_built { steps = 3; deps = 3; acyclic = false; staged = 0; overcommits = 0 });
+  Probe.emit probes
+    (Probe.Executor_report
+       { steps = 3; failures = 0; retries = 0; rerouted = 0; permits_leaked = 2 });
   Alcotest.(check (list string)) "cyclic plan and leaked permits flagged"
     [ "plan-acyclic"; "permit-leak" ]
     (violation_names checker);
@@ -308,23 +307,17 @@ let test_checker_attach_balance_and_fence_gate () =
   let checker = Checker.install cluster ~vms:[ vm ] in
   let probes = Cluster.probes cluster in
   (* Unwatched subjects are ignored entirely. *)
-  Probe.emit probes ~topic:"vm" ~action:"device-del" ~subject:"other"
-    ~info:[ ("tag", "x") ] ();
+  Probe.emit probes (Probe.Device_del { vm = "other"; tag = "x" });
   (* virtio0 was attached at create time, before install: it is part of
      the baseline, so detaching it once is balanced... *)
-  Probe.emit probes ~topic:"vm" ~action:"device-del" ~subject:"vm0"
-    ~info:[ ("tag", "virtio0") ] ();
+  Probe.emit probes (Probe.Device_del { vm = "vm0"; tag = "virtio0" });
   (* ...but a second detach is not, and neither is a duplicate attach. *)
-  Probe.emit probes ~topic:"vm" ~action:"device-del" ~subject:"vm0"
-    ~info:[ ("tag", "virtio0") ] ();
-  Probe.emit probes ~topic:"vm" ~action:"device-add" ~subject:"vm0"
-    ~info:[ ("tag", "vf0"); ("bypass", "true") ] ();
-  Probe.emit probes ~topic:"vm" ~action:"device-add" ~subject:"vm0"
-    ~info:[ ("tag", "vf0"); ("bypass", "true") ] ();
+  Probe.emit probes (Probe.Device_del { vm = "vm0"; tag = "virtio0" });
+  Probe.emit probes (Probe.Device_add { vm = "vm0"; tag = "vf0"; bypass = true });
+  Probe.emit probes (Probe.Device_add { vm = "vm0"; tag = "vf0"; bypass = true });
   (* A migration outside any fence, with the bypass device attached. *)
-  Probe.emit probes ~topic:"vm" ~action:"migrated" ~subject:"vm0"
-    ~info:[ ("src", "ib00"); ("dst", "eth00"); ("bypass", "true") ]
-    ();
+  Probe.emit probes
+    (Probe.Vm_migrated { vm = "vm0"; src = "ib00"; dst = "eth00"; bypass = true });
   Alcotest.(check (list string)) "unbalanced hotplug and unfenced bypass migration"
     [ "attach-balance"; "attach-balance"; "fence-before-migrate"; "bypass-migrate" ]
     (violation_names checker)
@@ -338,36 +331,43 @@ let test_checker_excuses_giveup () =
   in
   let checker = Checker.install cluster ~vms:[ vm ] in
   let probes = Cluster.probes cluster in
-  Probe.emit probes ~topic:"migrate" ~action:"start" ~info:[ ("vm0", "eth01") ] ();
+  let start = Probe.Migrate_start { batch = ""; origins = [ ("vm0", "eth01") ] } in
+  let rollback =
+    Probe.Migrate_rollback { batch = ""; origins = []; reason = "test"; lost = [] }
+  in
+  Probe.emit probes start;
   (* vm0 is on ib00, not its claimed origin eth01 — but the rollback gave
      up on it, which excuses the mismatch. *)
-  Probe.emit probes ~topic:"migrate" ~action:"giveup" ~subject:"vm0"
-    ~info:[ ("phase", "rollback-return") ] ();
-  Probe.emit probes ~topic:"migrate" ~action:"rollback"
-    ~info:[ ("reason", "test") ] ();
+  Probe.emit probes (Probe.Migrate_giveup { vm = "vm0"; phase = "rollback-return" });
+  Probe.emit probes rollback;
   Alcotest.(check (list string)) "giveup excuses the restore check" []
     (violation_names checker);
   Alcotest.(check bool) "vm0 is excused" true (Checker.excused checker "vm0");
   (* A fresh migration clears the excuse; now the mismatch counts. *)
-  Probe.emit probes ~topic:"migrate" ~action:"start" ~info:[ ("vm0", "eth01") ] ();
-  Probe.emit probes ~topic:"migrate" ~action:"rollback"
-    ~info:[ ("reason", "test") ] ();
+  Probe.emit probes start;
+  Probe.emit probes rollback;
   Alcotest.(check (list string)) "fresh transaction re-arms the check"
     [ "rollback-restore" ] (violation_names checker)
 
 (* ------------------------------------------------------------------ *)
 (* Probe bus basics (the engine hook everything above rides on) *)
 
+(* Synthetic events for the bus tests: a node death named [name]. *)
+let death name = Probe.Node_death { node = name }
+
+let node_of (e : Probe.event) =
+  match e.Probe.payload with Probe.Node_death { node } -> node | _ -> ""
+
 let test_probe_idle_is_free () =
   let sim = Sim.create ~seed:env_seed () in
   let probes = Probe.create sim in
-  Probe.emit probes ~topic:"x" ~action:"y" ();
+  Probe.emit probes (death "y");
   Alcotest.(check bool) "inactive" false (Probe.active probes);
   Alcotest.(check int) "nothing delivered" 0 (Probe.emitted probes);
   let seen = ref [] in
-  Probe.subscribe probes (fun e -> seen := ("a", e.Probe.action) :: !seen);
-  Probe.subscribe probes (fun e -> seen := ("b", e.Probe.action) :: !seen);
-  Probe.emit probes ~topic:"x" ~action:"z" ~info:[ ("k", "v") ] ();
+  ignore (Probe.attach probes (fun e -> seen := ("a", node_of e) :: !seen));
+  ignore (Probe.attach probes (fun e -> seen := ("b", node_of e) :: !seen));
+  Probe.emit probes (death "z");
   Alcotest.(check bool) "active" true (Probe.active probes);
   Alcotest.(check int) "one delivery" 1 (Probe.emitted probes);
   Alcotest.(check (list (pair string string))) "subscription order"
@@ -381,10 +381,10 @@ let test_probe_subscription_scoping () =
   (* attach/detach bracket exactly the events in between; detach is
      idempotent and returns the bus to zero-cost idle. *)
   let sub = Probe.attach probes (fun _ -> incr seen) in
-  Probe.emit probes ~topic:"x" ~action:"a" ();
+  Probe.emit probes (death "a");
   Probe.detach probes sub;
   Probe.detach probes sub;
-  Probe.emit probes ~topic:"x" ~action:"b" ();
+  Probe.emit probes (death "b");
   Alcotest.(check int) "only the bracketed event" 1 !seen;
   Alcotest.(check bool) "idle again" false (Probe.active probes);
   (* with_subscriber detaches even when the body raises. *)
@@ -392,12 +392,147 @@ let test_probe_subscription_scoping () =
      Probe.with_subscriber probes
        (fun _ -> incr seen)
        (fun () ->
-         Probe.emit probes ~topic:"x" ~action:"c" ();
+         Probe.emit probes (death "c");
          failwith "boom")
    with Failure _ -> ());
-  Probe.emit probes ~topic:"x" ~action:"d" ();
+  Probe.emit probes (death "d");
   Alcotest.(check int) "detached on exception" 2 !seen;
   Alcotest.(check bool) "idle after the body" false (Probe.active probes)
+
+(* The text form is a contract: [--trace] timelines and trace-event args
+   are diffed across versions. Each expected line is what the bus printed
+   for the same event before it was typed; fences and migration
+   transactions appear once per emitter (the SymVirt controller or
+   [Ninja.migrate], and the control plane). *)
+let wire_lines =
+  let vms8 = List.init 8 (Printf.sprintf "vm%d") in
+  let span_note ~name ~cat ~proc ~thread ~start args =
+    Probe.Span_note { name; cat; proc; thread; start = Time.ns start; args }
+  in
+  [
+    ( 30.07, Probe.Fence_enter { id = ""; vms = vms8 },
+      "[30.07s] fence/enter vms=vm0,vm1,vm2,vm3,vm4,vm5,vm6,vm7 count=8" );
+    ( 22.17, Probe.Fence_enter { id = "batch-0"; vms = [ "t2-vm0"; "t2-vm1" ] },
+      "[22.17s] fence/enter vms=t2-vm0,t2-vm1 count=2 id=batch-0" );
+    ( 38.61, Probe.Fence_release { id = ""; vms = vms8 },
+      "[38.61s] fence/release vms=vm0,vm1,vm2,vm3,vm4,vm5,vm6,vm7 count=8" );
+    ( 7.79, Probe.Fence_release { id = "batch-0"; vms = [ "t2-vm1" ] },
+      "[7.79s] fence/release vms=t2-vm1 count=1 id=batch-0" );
+    ( 0.0, Probe.Device_add { vm = "vm0"; tag = "vf0"; bypass = true },
+      "[0ns] vm/device-add vm0 tag=vf0 bypass=true" );
+    ( 38.61, Probe.Device_del { vm = "vm0"; tag = "vf0" }, "[38.61s] vm/device-del vm0 tag=vf0" );
+    ( 68.14, Probe.Vm_migrated { vm = "vm7"; src = "ib07"; dst = "ib15"; bypass = false },
+      "[68.14s] vm/migrated vm7 src=ib07 dst=ib15 bypass=false" );
+    ( 12.79,
+      Probe.Qmp { vm = "vm0"; command = "migrate"; args = [ ("dst", "ib00"); ("mode", "precopy") ] },
+      "[12.79s] qmp/migrate vm0 dst=ib00 mode=precopy" );
+    ( 22.17, Probe.Plan_built { steps = 2; deps = 0; acyclic = true; staged = 0; overcommits = 0 },
+      "[22.17s] plan/built steps=2 deps=0 acyclic=true staged=0 overcommits=0" );
+    ( 30.61, Probe.Plan_swap { swaps = 1; passes = 2; movers = 2 },
+      "[30.61s] plan/swap swaps=1 passes=2 movers=2" );
+    ( 22.17,
+      Probe.Plan_cost
+        { strategy = "grouped"; model = "migration-time"; before = 24.93014406; after = 24.93014406 },
+      "[22.17s] plan/cost strategy=grouped model=migration-time before=24.93014406 \
+       after=24.93014406" );
+    ( 34.65,
+      Probe.Executor_report
+        { steps = 2; failures = 0; retries = 0; rerouted = 0; permits_leaked = 0 },
+      "[34.65s] executor/report steps=2 failures=0 retries=0 rerouted=0 permits-leaked=0" );
+    ( 30.0,
+      Probe.Migrate_start
+        { batch = ""; origins = List.init 8 (fun i -> (Printf.sprintf "vm%d" i, Printf.sprintf "ib%02d" i)) },
+      "[30.00s] migrate/start vm0=ib00 vm1=ib01 vm2=ib02 vm3=ib03 vm4=ib04 vm5=ib05 vm6=ib06 \
+       vm7=ib07" );
+    ( 22.17,
+      Probe.Migrate_start
+        { batch = "batch-0"; origins = [ ("t2-vm0", "ib04"); ("t2-vm1", "ib05") ] },
+      "[22.17s] migrate/start batch-0 t2-vm0=ib04 t2-vm1=ib05 batch=batch-0" );
+    (71.66, Probe.Migrate_complete { batch = "" }, "[71.66s] migrate/complete");
+    ( 50.54, Probe.Migrate_complete { batch = "batch-0" },
+      "[50.54s] migrate/complete batch-0 batch=batch-0" );
+    ( 97.54,
+      Probe.Migrate_rollback
+        {
+          batch = "";
+          origins = [];
+          reason =
+            "migration: vm4: vm4: source ib04 died mid-postcopy (4179099648 bytes \
+             unrecoverable)";
+          lost = [ "vm4" ];
+        },
+      "[97.54s] migrate/rollback reason=migration: vm4: vm4: source ib04 died mid-postcopy \
+       (4179099648 bytes unrecoverable) lost=vm4" );
+    ( 24.72,
+      Probe.Migrate_rollback
+        {
+          batch = "batch-0";
+          origins = [ ("t1-vm0", "ib02"); ("t1-vm1", "ib03") ];
+          reason = "";
+          lost = [];
+        },
+      "[24.72s] migrate/rollback batch-0 t1-vm0=ib02 t1-vm1=ib03 batch=batch-0" );
+    ( 32.05, Probe.Migrate_giveup { vm = "t0-vm0"; phase = "" },
+      "[32.05s] migrate/giveup t0-vm0" );
+    ( 41.5, Probe.Migrate_giveup { vm = "vm1"; phase = "rollback-return" },
+      "[41.50s] migrate/giveup vm1 phase=rollback-return" );
+    ( 48.56,
+      Probe.Migration_pull
+        { vm = "vm1"; bytes = 268435456.0; fresh_pages = 4096; dup_pages = 0;
+          remaining = 3910664192.0 },
+      "[48.56s] migration/pull vm1 bytes=268435456 fresh_pages=4096 dup_pages=0 \
+       remaining=3910664192" );
+    ( 47.92,
+      Probe.Migration_lost { vm = "vm4"; src = "ib04"; dst = "ib12"; missing = 4179099648.0 },
+      "[47.92s] migration/lost vm4 src=ib04 dst=ib12 missing=4179099648" );
+    ( 7.65,
+      Probe.Migration_done
+        { vm = "vm0"; src = "ib00"; dst = "ib01"; mode = "postcopy"; bytes = 2568486912.0;
+          rounds = 1; downtime = Time.ns 639132038 },
+      "[7.65s] migration/done vm0 src=ib00 dst=ib01 mode=postcopy bytes=2568486912 rounds=1 \
+       downtime_ns=639132038" );
+    ( 3.56, Probe.Stat { name = "ctl.requests.submitted"; kind = Probe.Counter; value = 1.0 },
+      "[3.56s] ctl/stat ctl.requests.submitted kind=counter value=1" );
+    ( 13.13,
+      Probe.Stat { name = "plan.cost.before"; kind = Probe.Gauge; value = 107.12651873599999 },
+      "[13.13s] ctl/stat plan.cost.before kind=gauge value=107.12651873599999" );
+    ( 0.91833, Probe.Stat { name = "ctl.queue.depth"; kind = Probe.Histogram; value = 1.0 },
+      "[918.33ms] ctl/stat ctl.queue.depth kind=histogram value=1" );
+    ( 50.54,
+      Probe.Request_done
+        { tenant = "t0"; outcome = "completed"; kind = "fallback"; missed = false;
+          completed = true; latency = 24.970144059999999 },
+      "[50.54s] ctl/request-done t0 outcome=completed kind=fallback missed=false \
+       latency=24.970144059999999" );
+    ( 9.98, Probe.Fault { point = "node-death"; site = "ib03"; firing = 1 },
+      "[9.98s] fault/node-death ib03 firing=1" );
+    (47.92, Probe.Node_death { node = "ib04" }, "[47.92s] node/death ib04");
+    ( 13.13, Probe.Trigger { trigger = "consolidate(2/host)" },
+      "[13.13s] scheduler/trigger consolidate(2/host)" );
+    ( 22.98,
+      Probe.Span_begin
+        { name = "step-0"; cat = "executor"; proc = "ib00"; thread = "vm0";
+          args = [ ("dst", "eth00"); ("attempt", "1") ] },
+      "[22.98s] span/begin step-0 cat=executor proc=ib00 tid=vm0 dst=eth00 attempt=1" );
+    ( 50.54,
+      Probe.Span_end
+        { name = "execute"; proc = "controlplane"; thread = "req-000";
+          args = [ ("outcome", "done") ] },
+      "[50.54s] span/end execute cat= proc=controlplane tid=req-000 outcome=done" );
+    ( 25.57,
+      span_note ~name:"queued" ~cat:"ctl" ~proc:"controlplane" ~thread:"req-000"
+        ~start:25567331877
+        [ ("tenant", "t0"); ("kind", "fallback") ],
+      "[25.57s] span/note queued start=25567331877 cat=ctl proc=controlplane tid=req-000 \
+       tenant=t0 kind=fallback" );
+  ]
+
+let test_probe_wire_format () =
+  List.iter
+    (fun (sec, payload, expected) ->
+      let e = { Probe.at = Time.of_sec_f sec; topic = Probe.topic payload; payload } in
+      Alcotest.(check string) expected expected (Format.asprintf "%a" Probe.pp e))
+    wire_lines
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: green campaign, planted bugs, replayable repros *)
@@ -606,6 +741,8 @@ let () =
             test_probe_idle_is_free;
           Alcotest.test_case "attach/detach/with_subscriber scoping" `Quick
             test_probe_subscription_scoping;
+          Alcotest.test_case "rendering keeps the wire format" `Quick
+            test_probe_wire_format;
         ] );
       ( "fuzz",
         [

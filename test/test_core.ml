@@ -283,7 +283,7 @@ let test_fence_protocols_equivalent () =
     let fences = ref 0 in
     ignore
       (Probe.attach (Cluster.probes cluster) (fun e ->
-           if e.Probe.topic = "fence" && e.Probe.action = "enter" then incr fences));
+           match e.Probe.payload with Probe.Fence_enter _ -> incr fences | _ -> ()));
     let log = ref [] in
     ignore (Ninja.launch ninja ~procs_per_vm:1 (iteration_workload ~until:150.0 ~log));
     let b = ref Breakdown.zero in

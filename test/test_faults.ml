@@ -74,13 +74,12 @@ let run_scenario ?(faults = []) ?(until = 120.0) ~dsts () =
   Sim.run sim;
   (ninja, cluster, !b, List.rev !log, List.rev !events)
 
-let has_event events ~topic ?action ?subject () =
-  List.exists
-    (fun (e : Probe.event) ->
-      e.topic = topic
-      && Option.fold ~none:true ~some:(String.equal e.action) action
-      && Option.fold ~none:true ~some:(String.equal e.subject) subject)
-    events
+let has_event events p = List.exists (fun (e : Probe.event) -> p e.Probe.payload) events
+
+let fault_fired ?point events =
+  has_event events (function
+    | Probe.Fault f -> Option.fold ~none:true ~some:(String.equal f.point) point
+    | _ -> false)
 
 let outcome_is ninja expected =
   match (Ninja.last_outcome ninja, expected) with
@@ -338,7 +337,7 @@ let test_fault_free_run_clean () =
   let ninja, _, b, log, events = run_scenario ~dsts:(fun c -> eth_hosts c 2) () in
   check_float "retry is zero" 0.0 (sec b.Breakdown.retry);
   Alcotest.(check bool) "completed" true (outcome_is ninja `Completed);
-  Alcotest.(check bool) "no fault events" false (has_event events ~topic:"fault" ());
+  Alcotest.(check bool) "no fault events" false (fault_fired events);
   Alcotest.(check bool) "job progressed" true (List.length log > 10)
 
 let test_qmp_timeout_retried () =
@@ -352,9 +351,11 @@ let test_qmp_timeout_retried () =
   Alcotest.(check bool) "retry covers at least the timeout" true
     (sec b.Breakdown.retry >= sec Qmp.command_timeout);
   Alcotest.(check bool) "injection announced" true
-    (has_event events ~topic:"fault" ~action:"qmp-timeout" ());
+    (fault_fired ~point:"qmp-timeout" events);
   Alcotest.(check bool) "backoff span" true
-    (has_event events ~topic:"span" ~action:"begin" ~subject:"backoff" ())
+    (has_event events (function
+       | Probe.Span_begin { name = "backoff"; _ } -> true
+       | _ -> false))
 
 let test_attach_fail_retried () =
   let ninja, _, b, _, events =
@@ -370,7 +371,7 @@ let test_attach_fail_retried () =
     (Ninja.vms ninja);
   Alcotest.(check bool) "retry time recorded" true (sec b.Breakdown.retry > 0.0);
   Alcotest.(check bool) "injection announced" true
-    (has_event events ~topic:"fault" ~action:"attach-fail" ())
+    (fault_fired ~point:"attach-fail" events)
 
 let test_precopy_stall_extends_migration () =
   let _, _, clean, _, _ = run_scenario ~dsts:(fun c -> eth_hosts c 2) () in
@@ -397,7 +398,7 @@ let test_precopy_abort_once_retried () =
     (Ninja.vms ninja);
   Alcotest.(check bool) "nonzero retry downtime" true (sec b.Breakdown.retry > 0.0);
   Alcotest.(check bool) "injection announced" true
-    (has_event events ~topic:"fault" ~action:"precopy-abort" ())
+    (fault_fired ~point:"precopy-abort" events)
 
 let assert_restored_at_source ninja =
   List.iteri
@@ -420,7 +421,7 @@ let test_precopy_abort_forever_rolls_back () =
   Alcotest.(check bool) "job ran to completion anyway" true
     (match List.rev log with [] -> false | t :: _ -> t > 100.0);
   Alcotest.(check bool) "rollback announced" true
-    (has_event events ~topic:"migrate" ~action:"rollback" ())
+    (has_event events (function Probe.Migrate_rollback _ -> true | _ -> false))
 
 let test_agent_crash_retried () =
   let ninja, _, b, _, events =
@@ -429,7 +430,7 @@ let test_agent_crash_retried () =
   Alcotest.(check bool) "completed" true (outcome_is ninja `Completed);
   Alcotest.(check bool) "retry time recorded" true (sec b.Breakdown.retry > 0.0);
   Alcotest.(check bool) "injection announced" true
-    (has_event events ~topic:"fault" ~action:"agent-crash" ())
+    (fault_fired ~point:"agent-crash" events)
 
 let test_node_death_rolls_back () =
   let ninja, cluster, b, _, _ =
@@ -456,7 +457,7 @@ let test_rollback_double_failure_converges () =
   Alcotest.(check bool) "rolled back" true (outcome_is ninja `Rolled_back);
   assert_restored_at_source ninja;
   Alcotest.(check bool) "second fault fired" true
-    (has_event events ~topic:"fault" ~action:"attach-fail" ());
+    (fault_fired ~point:"attach-fail" events);
   Alcotest.(check bool) "nonzero retry downtime" true (sec b.Breakdown.retry > 0.0)
 
 let test_faulted_run_deterministic () =

@@ -336,19 +336,16 @@ let test_recorder_anomalies () =
   let probes = Probe.create sim in
   let r = Recorder.create () in
   let _sub = Recorder.attach r probes in
-  Span.emit_end probes ~name:"ghost" ~proc:"p" ~thread:"t" ();
-  Span.emit_begin probes ~name:"a" ~cat:"phase" ~proc:"p" ~thread:"t" ();
-  Span.emit_end probes ~name:"mismatch" ~proc:"p" ~thread:"t" ();
-  Probe.emit probes ~topic:"span" ~action:"note" ~subject:"startless"
-    ~info:[ ("cat", "phase"); ("proc", "p"); ("tid", "t") ]
-    ();
+  let span_end name = Probe.Span_end { name; proc = "p"; thread = "t"; args = [] } in
+  Probe.emit probes (span_end "ghost");
+  Probe.emit probes
+    (Probe.Span_begin { name = "a"; cat = "phase"; proc = "p"; thread = "t"; args = [] });
+  Probe.emit probes (span_end "mismatch");
   let anomalies = Recorder.anomalies r in
-  Alcotest.(check int) "three anomalies" 3 (List.length anomalies);
+  Alcotest.(check int) "two anomalies" 2 (List.length anomalies);
   Alcotest.(check bool) "end without begin" true
     (List.exists (fun a -> contains a "without a begin") anomalies);
-  Alcotest.(check int) "mismatched end still closes" 0 (Recorder.open_spans r);
-  Alcotest.(check bool) "startless note" true
-    (List.exists (fun a -> contains a "carries no start") anomalies)
+  Alcotest.(check int) "mismatched end still closes" 0 (Recorder.open_spans r)
 
 let test_recorder_metrics_from_instants () =
   let sim = Sim.create ~seed:env_seed () in
@@ -356,24 +353,26 @@ let test_recorder_metrics_from_instants () =
   let r = Recorder.create () in
   let _sub = Recorder.attach r probes in
   Sim.spawn sim (fun () ->
-      Probe.emit probes ~topic:"migrate" ~action:"start" ();
-      Probe.emit probes ~topic:"fence" ~action:"enter" ~info:[ ("count", "8") ] ();
+      Probe.emit probes (Probe.Migrate_start { batch = ""; origins = [] });
+      Probe.emit probes
+        (Probe.Fence_enter { id = ""; vms = List.init 8 (Printf.sprintf "vm%d") });
       Sim.sleep (Time.sec 2);
-      Probe.emit probes ~topic:"fence" ~action:"release" ();
-      Probe.emit probes ~topic:"migration" ~action:"done" ~subject:"vm0"
-        ~info:[ ("bytes", "1000"); ("rounds", "3"); ("downtime_ns", "500000000") ]
-        ();
-      Probe.emit probes ~topic:"fault" ~action:"injected" ~subject:"vm0" ();
-      Probe.emit probes ~topic:"node" ~action:"death" ~subject:"eth00" ();
-      Probe.emit probes ~topic:"plan" ~action:"built"
-        ~info:[ ("steps", "4"); ("acyclic", "true") ]
-        ();
-      Probe.emit probes ~topic:"executor" ~action:"report"
-        ~info:[ ("steps", "4"); ("failures", "1"); ("retries", "2"); ("permits-leaked", "0") ]
-        ();
-      Probe.emit probes ~topic:"migrate" ~action:"giveup" ~subject:"vm1" ();
-      Probe.emit probes ~topic:"migrate" ~action:"rollback" ();
-      Probe.emit probes ~topic:"migrate" ~action:"complete" ());
+      Probe.emit probes (Probe.Fence_release { id = ""; vms = [] });
+      Probe.emit probes
+        (Probe.Migration_done
+           { vm = "vm0"; src = "ib00"; dst = "eth00"; mode = "precopy"; bytes = 1000.0;
+             rounds = 3; downtime = Time.ms 500 });
+      Probe.emit probes (Probe.Fault { point = "precopy-abort"; site = "vm0"; firing = 1 });
+      Probe.emit probes (Probe.Node_death { node = "eth00" });
+      Probe.emit probes
+        (Probe.Plan_built { steps = 4; deps = 0; acyclic = true; staged = 0; overcommits = 0 });
+      Probe.emit probes
+        (Probe.Executor_report
+           { steps = 4; failures = 1; retries = 2; rerouted = 0; permits_leaked = 0 });
+      Probe.emit probes (Probe.Migrate_giveup { vm = "vm1"; phase = "" });
+      Probe.emit probes
+        (Probe.Migrate_rollback { batch = ""; origins = []; reason = "test"; lost = [] });
+      Probe.emit probes (Probe.Migrate_complete { batch = "" }));
   Sim.run sim;
   let m = Recorder.metrics r in
   let counter name expected =
@@ -408,13 +407,8 @@ let test_export_fragment_shape () =
   let root = mk ~args:[ ("quo\"te", "line\nbreak") ] "mig\"ration" "migration" 0.0 4.0 in
   Span.add_child root (mk "a" "phase" 1.0 3.0);
   let instant =
-    {
-      Probe.at = Time.sec 2;
-      topic = "fence";
-      action = "enter";
-      subject = "";
-      info = [ ("count", "8") ];
-    }
+    let payload = Probe.Fence_enter { id = ""; vms = [ "vm0"; "vm1" ] } in
+    { Probe.at = Time.sec 2; topic = Probe.topic payload; payload }
   in
   let frag = Export.fragment ~instants:[ instant ] [ root ] in
   Alcotest.(check int) "one complete event per span" 2 (count_substring frag {|"ph":"X"|});
@@ -690,6 +684,19 @@ let test_flowmon_estimation () =
        (fun (a, b, r) (a', b', r') -> a = a' && b = b' && Float.abs (r -. r') < 1e-6)
        learned (Flowmon.learned fm))
 
+(* A terminal control-plane request as [Service] announces it: a missed
+   deadline is a drop, anything else here a completion. *)
+let request_done tenant ~missed =
+  Probe.Request_done
+    {
+      tenant;
+      outcome = (if missed then "dropped:deadline-missed" else "completed");
+      kind = "rebalance";
+      missed;
+      completed = not missed;
+      latency = 1.0;
+    }
+
 let test_flowmon_hotspot_and_burn () =
   let sim = Sim.create ~seed:env_seed () in
   let cluster = Cluster.create sim ~spec:Spec.agc () in
@@ -710,18 +717,8 @@ let test_flowmon_hotspot_and_burn () =
       Sim.sleep (Time.ms 500);
       for i = 1 to 20 do
         Sim.sleep (Time.sec 2);
-        Probe.emit (Cluster.probes cluster) ~topic:"ctl" ~action:"request-done"
-          ~subject:"tenant-a"
-          ~info:[ ("outcome", "completed"); ("missed", "false") ]
-          ();
-        Probe.emit (Cluster.probes cluster) ~topic:"ctl" ~action:"request-done"
-          ~subject:"tenant-b"
-          ~info:
-            [
-              ("outcome", "completed");
-              ("missed", (if i mod 2 = 0 then "true" else "false"));
-            ]
-          ()
+        Probe.emit (Cluster.probes cluster) (request_done "tenant-a" ~missed:false);
+        Probe.emit (Cluster.probes cluster) (request_done "tenant-b" ~missed:(i mod 2 = 0))
       done);
   Sim.run sim;
   (match Flowmon.hotspots fm with
