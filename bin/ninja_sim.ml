@@ -15,39 +15,80 @@ let seed_arg =
   let doc = "PRNG seed for the simulation(s), for reproducibly variable runs." in
   Arg.(value & opt (some int64) None & info [ "seed" ] ~docv:"SEED" ~doc)
 
-let strategy_conv =
+(* The flags below are shared by several commands and declared once; a
+   command passes its own sentence ([extra]) to append to the doc. *)
+
+let strategy_arg extra =
   let parse s = Ninja_planner.Solver.of_string s |> Result.map_error (fun e -> `Msg e) in
-  Arg.conv (parse, fun fmt s -> Format.pp_print_string fmt (Ninja_planner.Solver.name s))
+  let c =
+    Arg.conv (parse, fun fmt s -> Format.pp_print_string fmt (Ninja_planner.Solver.name s))
+  in
+  let doc = Printf.sprintf "Planner strategy: %s.%s" (Ninja_planner.Solver.help ()) extra in
+  Arg.(value & opt (some c) None & info [ "strategy" ] ~docv:"STRATEGY" ~doc)
 
-(* Derived from the solver registry, so a newly registered strategy shows
-   up in every command's help without touching this file. *)
-let strategy_doc =
-  Printf.sprintf "Planner strategy: %s." (Ninja_planner.Solver.help ())
+let default_strategy_doc =
+  Printf.sprintf " Default: %s." (Ninja_planner.Solver.name Ninja_planner.Solver.default)
 
-let mode_conv =
+let mode_arg extra =
   let parse s =
     Ninja_vmm.Migration.mode_of_string s |> Result.map_error (fun e -> `Msg e)
   in
-  Arg.conv
-    ( parse,
-      fun fmt m -> Format.pp_print_string fmt (Ninja_vmm.Migration.mode_name m) )
+  let c =
+    Arg.conv
+      (parse, fun fmt m -> Format.pp_print_string fmt (Ninja_vmm.Migration.mode_name m))
+  in
+  let doc =
+    "Migration copy mode: $(b,precopy) (iterative dirty rounds, then stop-and-copy; \
+     rollback restores the source on failure) or $(b,postcopy) (switch over after a \
+     hot-set push, then demand-page over the fabric; once the switchover commits a \
+     source death makes the VM unrecoverably $(i,lost) — there is no rollback)."
+    ^ extra
+  in
+  Arg.(value & opt (some c) None & info [ "mode" ] ~docv:"MODE" ~doc)
 
-let mode_doc =
-  "Migration copy mode: $(b,precopy) (iterative dirty rounds, then stop-and-copy; \
-   rollback restores the source on failure) or $(b,postcopy) (switch over after a \
-   hot-set push, then demand-page over the fabric; once the switchover commits a \
-   source death makes the VM unrecoverably $(i,lost) — there is no rollback)."
-
-let traffic_conv =
+let traffic_arg extra =
   let parse s = Ninja_workloads.Traffic.of_string s |> Result.map_error (fun e -> `Msg e) in
-  Arg.conv
-    ( parse,
-      fun fmt p -> Format.pp_print_string fmt (Ninja_workloads.Traffic.to_string p) )
+  let c =
+    Arg.conv
+      (parse, fun fmt p -> Format.pp_print_string fmt (Ninja_workloads.Traffic.to_string p))
+  in
+  let doc =
+    "Tenant traffic pattern: PATTERN[:K=V{,K=V}] where PATTERN is uniform, ring or \
+     skewed and keys are rate (bytes/s), elephants and factor. Example: \
+     'skewed:elephants=2,rate=1e5,factor=16'."
+    ^ extra
+  in
+  Arg.(value & opt (some c) None & info [ "traffic" ] ~docv:"PATTERN" ~doc)
 
-let traffic_doc =
-  "Tenant traffic pattern: PATTERN[:K=V{,K=V}] where PATTERN is uniform, ring or \
-   skewed and keys are rate (bytes/s), elephants and factor. Example: \
-   'skewed:elephants=2,rate=1e5,factor=16'."
+(* -j/--jobs; a value below 1 is reported as [cmd]'s error and exits 1. *)
+let jobs_arg ~cmd extra =
+  let doc =
+    "Run up to $(docv) simulations domain-parallel; output is byte-identical to -j 1."
+    ^ extra
+  in
+  let at_least_one n =
+    if n < 1 then begin
+      prerr_endline (cmd ^ ": --jobs must be at least 1");
+      exit 1
+    end;
+    n
+  in
+  Term.(const at_least_one $ Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc))
+
+(* --trace/--metrics/--spans: the output files of one command. *)
+let outputs_arg ~metrics ~spans =
+  let file name doc =
+    Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
+  in
+  Term.(
+    const (fun trace metrics spans -> (trace, metrics, spans))
+    $ file "trace"
+        "Write the simulation trace timelines to $(docv): every probe event, one line \
+         each, one block per simulation."
+    $ file "metrics" ("Write metrics to $(docv) as CSV: " ^ metrics)
+    $ file "spans"
+        ("Write telemetry spans to $(docv) as Chrome trace-event JSON (load it in \
+          Perfetto or chrome://tracing), timestamps in simulated time: " ^ spans))
 
 let fault_conv =
   let parse s =
@@ -116,7 +157,7 @@ type outputs = {
 
 type captured = { trace : string; metrics : string; spans : string list }
 
-let with_outputs ~trace ~metrics ~spans k =
+let with_outputs (trace, metrics, spans) k =
   let with_out path k =
     match path with
     | None -> k None
@@ -189,56 +230,7 @@ let run_cmd =
     let doc = "Also write each table as CSV into $(docv)." in
     Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"DIR" ~doc)
   in
-  let jobs =
-    let doc =
-      "Run up to $(docv) simulations domain-parallel: experiments of 'run all' and each \
-       experiment's internal point grid (fig6 sizes, fig7 kernels, the evacuation matrix, \
-       ...). Output is byte-identical to a serial run."
-    in
-    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-  in
-  let trace_file =
-    let doc =
-      "Write the simulation trace timelines to $(docv) (one block per simulation; block \
-       order across simulations is unspecified under --jobs > 1)."
-    in
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-  in
-  let metrics_file =
-    let doc = "Also write every produced table to $(docv) as CSV, in experiment order." in
-    Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
-  in
-  let spans_file =
-    let doc =
-      "Write telemetry spans to $(docv) as Chrome trace-event JSON (load it in Perfetto or \
-       chrome://tracing): one process track per node/component, one thread per VM/role, \
-       timestamps in simulated time. Also appends the telemetry metrics of each simulation \
-       to --metrics output. Byte-identical at any --jobs value."
-    in
-    Arg.(value & opt (some string) None & info [ "spans" ] ~docv:"FILE" ~doc)
-  in
-  let traffic =
-    let doc =
-      traffic_doc
-      ^ " Traffic-aware experiments (placement) sweep this single pattern instead of \
-         their built-in pattern axis."
-    in
-    Arg.(value & opt (some traffic_conv) None & info [ "traffic" ] ~docv:"PATTERN" ~doc)
-  in
-  let mig_mode =
-    let doc =
-      mode_doc
-      ^ " Experiments that perform Ninja migrations (fig6, ...) use it instead of \
-         their precopy default."
-    in
-    Arg.(value & opt (some mode_conv) None & info [ "mode" ] ~docv:"MODE" ~doc)
-  in
-  let run name full csv_dir seed faults topology traffic mig_mode jobs trace_file
-      metrics_file spans_file =
-    if jobs < 1 then begin
-      prerr_endline "run: --jobs must be at least 1";
-      exit 1
-    end;
+  let run name full csv_dir seed faults topology traffic mig_mode jobs outputs =
     let mode = if full then Ninja_engine.Run_ctx.Full else Ninja_engine.Run_ctx.Quick in
     let entries =
       if String.equal name "all" then Ok Registry.all
@@ -257,7 +249,7 @@ let run_cmd =
     | Ok entries ->
       let open Ninja_engine in
       let faults = List.map Ninja_faults.Injector.spec_to_string faults in
-      with_outputs ~trace:trace_file ~metrics:metrics_file ~spans:spans_file @@ fun out ->
+      with_outputs outputs @@ fun out ->
       with_pool jobs @@ fun pool ->
       let topology = Option.map Ninja_hardware.Topology.to_string topology in
       let traffic = Option.map Ninja_workloads.Traffic.to_string traffic in
@@ -284,7 +276,20 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       const run $ name_arg $ full $ csv_dir $ seed_arg $ fault_args $ topology_arg
-      $ traffic $ mig_mode $ jobs $ trace_file $ metrics_file $ spans_file)
+      $ traffic_arg
+          " Traffic-aware experiments (placement) sweep this single pattern instead of \
+           their built-in pattern axis."
+      $ mode_arg
+          " Experiments that perform Ninja migrations (fig6, ...) use it instead of their \
+           precopy default."
+      $ jobs_arg ~cmd:"run"
+          " Parallelises the experiments of 'run all' and each experiment's internal point \
+           grid (fig6 sizes, fig7 kernels, the evacuation matrix, ...)."
+      $ outputs_arg
+          ~metrics:
+            "every produced table, in experiment order, and under --spans the telemetry \
+             metrics of each simulation."
+          ~spans:"one process track per node/component, one thread per VM/role.")
 
 (* `ninja_sim script [FILE]`: execute a Fig. 5-style migration script
    against a canned demo scenario (2 VMs on the IB cluster running a
@@ -351,17 +356,12 @@ let plan_cmd =
     let doc = "Number of VMs to evacuate (1-8)." in
     Arg.(value & opt int 4 & info [ "vms" ] ~docv:"N" ~doc)
   in
-  let strategy =
-    Arg.(
-      value
-      & opt strategy_conv Ninja_planner.Solver.default
-      & info [ "strategy" ] ~docv:"STRATEGY" ~doc:strategy_doc)
-  in
   let uplink =
     let doc = "Inter-rack uplink capacity in Gb/s." in
     Arg.(value & opt float 10.0 & info [ "uplink-gbps" ] ~docv:"GBPS" ~doc)
   in
   let run n strategy uplink_gbps seed =
+    let strategy = Option.value strategy ~default:Ninja_planner.Solver.default in
     if n < 1 || n > 8 then begin
       prerr_endline "plan: --vms must be between 1 and 8";
       exit 1
@@ -398,7 +398,8 @@ let plan_cmd =
     Sim.run sim;
     Format.printf "%a@." Executor.pp_report (Option.get !report)
   in
-  Cmd.v (Cmd.info "plan" ~doc) Term.(const run $ vms $ strategy $ uplink $ seed_arg)
+  Cmd.v (Cmd.info "plan" ~doc)
+    Term.(const run $ vms $ strategy_arg default_strategy_doc $ uplink $ seed_arg)
 
 (* `ninja_sim check`: fuzz the migration protocol with the invariant
    checker, writing a replayable repro file for every failure; or replay
@@ -411,10 +412,6 @@ let check_cmd =
   let n =
     let doc = "Number of random scenarios to run." in
     Arg.(value & opt int 100 & info [ "n"; "count" ] ~docv:"N" ~doc)
-  in
-  let jobs =
-    let doc = "Fan the scenarios out over $(docv) domains (results are identical to -j 1)." in
-    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
   let out_dir =
     let doc = "Directory for repro files of failing scenarios." in
@@ -430,21 +427,6 @@ let check_cmd =
       value
       & opt (some (enum (List.map (fun p -> (p, p)) Ninja_check.Runner.plants))) None
       & info [ "plant" ] ~docv:"BUG" ~doc)
-  in
-  let strategy =
-    let doc =
-      strategy_doc ^ " Pins every generated scenario to one registered strategy \
-                      (the CI strategy matrix); default: the generator mixes them."
-    in
-    Arg.(value & opt (some strategy_conv) None & info [ "strategy" ] ~docv:"STRATEGY" ~doc)
-  in
-  let mig_mode =
-    let doc =
-      mode_doc
-      ^ " Pins every generated scenario to one mode (the CI mode matrix); default: \
-         the generator mixes them, roughly one in three postcopy."
-    in
-    Arg.(value & opt (some mode_conv) None & info [ "mode" ] ~docv:"MODE" ~doc)
   in
   let no_shrink =
     let doc = "Skip counterexample minimisation." in
@@ -474,8 +456,8 @@ let check_cmd =
         Format.printf "%a@." Runner.pp_result r;
         if Runner.failed r then exit 1)
     | None ->
-      if n < 1 || jobs < 1 then begin
-        prerr_endline "check: -n and -j must be at least 1";
+      if n < 1 then begin
+        prerr_endline "check: -n must be at least 1";
         exit 1
       end;
       with_pool jobs @@ fun pool ->
@@ -500,8 +482,16 @@ let check_cmd =
   in
   Cmd.v (Cmd.info "check" ~doc)
     Term.(
-      const run $ n $ jobs $ out_dir $ plant $ strategy $ mig_mode $ no_shrink $ replay
-      $ seed_arg $ topology_arg)
+      const run $ n
+      $ jobs_arg ~cmd:"check" " Each scenario is one simulation."
+      $ out_dir $ plant
+      $ strategy_arg
+          " Pins every generated scenario to one strategy (the CI strategy matrix); \
+           default: the generator mixes them."
+      $ mode_arg
+          " Pins every generated scenario to one mode (the CI mode matrix); default: the \
+           generator mixes them, roughly one in three postcopy."
+      $ no_shrink $ replay $ seed_arg $ topology_arg)
 
 (* `ninja_sim serve`: run the continuous control plane — an open-loop
    request stream served by the long-running migration scheduler — under
@@ -544,28 +534,6 @@ let serve_cmd =
   let mem_gb =
     let doc = "Memory per VM in GB." in
     Arg.(value & opt float 8.0 & info [ "mem-gb" ] ~docv:"GB" ~doc)
-  in
-  let strategy =
-    Arg.(
-      value
-      & opt strategy_conv Ninja_planner.Solver.default
-      & info [ "strategy" ] ~docv:"STRATEGY" ~doc:strategy_doc)
-  in
-  let mig_mode =
-    let doc =
-      mode_doc
-      ^ " Stamped on every request the service draws; a postcopy request whose \
-         source dies mid-drain leaves the VM lost (counted, never resumed)."
-    in
-    Arg.(value & opt mode_conv Ninja_vmm.Migration.Precopy & info [ "mode" ] ~docv:"MODE" ~doc)
-  in
-  let traffic =
-    let doc =
-      traffic_doc
-      ^ " Each tenant draws a seeded matrix; cost-model strategies and the \
-         auto-swap policy price placements against it."
-    in
-    Arg.(value & opt (some traffic_conv) None & info [ "traffic" ] ~docv:"PATTERN" ~doc)
   in
   let auto_swap =
     let doc =
@@ -616,41 +584,21 @@ let serve_cmd =
     let doc = "Run one service simulation per seed (repeatable; default: --seed or 1)." in
     Arg.(value & opt_all int64 [] & info [ "seeds" ] ~docv:"SEED" ~doc)
   in
-  let jobs =
-    let doc =
-      "Run the seeds domain-parallel on $(docv) domains; output is byte-identical to -j 1."
-    in
-    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-  in
   let show_log =
     let doc = "Print the per-request service log." in
     Arg.(value & flag & info [ "log" ] ~doc)
   in
-  let trace_file =
-    let doc = "Write the simulation trace timelines to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-  in
-  let metrics_file =
-    let doc = "Write the telemetry metrics of each run to $(docv) as CSV." in
-    Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
-  in
-  let spans_file =
-    let doc =
-      "Write request/migration spans to $(docv) as Chrome trace-event JSON (one \
-       controlplane thread per request)."
-    in
-    Arg.(value & opt (some string) None & info [ "spans" ] ~docv:"FILE" ~doc)
-  in
   let run duration rate burst_period burst_size burst_spread tenants_n vms_per_tenant
       mem_gb strategy mig_mode traffic auto_swap stats_file stats_every top_k
-      max_inflight queue_cap slo seed seeds jobs show_log faults topology trace_file
-      metrics_file spans_file =
+      max_inflight queue_cap slo seed seeds jobs show_log faults topology outputs =
+    let strategy = Option.value strategy ~default:Ninja_planner.Solver.default in
+    let mig_mode = Option.value mig_mode ~default:Ninja_vmm.Migration.Precopy in
     if duration <= 0.0 || rate < 0.0 || tenants_n < 1 || vms_per_tenant < 0
-       || max_inflight < 1 || queue_cap < 1 || jobs < 1
+       || max_inflight < 1 || queue_cap < 1
     then begin
       prerr_endline
         "serve: --duration must be positive, --rate non-negative, --tenants, \
-         --max-inflight, --queue-cap and -j at least 1";
+         --max-inflight and --queue-cap at least 1";
       exit 1
     end;
     if stats_every <= 0.0 then begin
@@ -695,7 +643,7 @@ let serve_cmd =
       exit 1);
     let faults = List.map Ninja_faults.Injector.spec_to_string faults in
     let seeds = if seeds = [] then [ Option.value seed ~default:1L ] else seeds in
-    with_outputs ~trace:trace_file ~metrics:metrics_file ~spans:spans_file @@ fun out ->
+    with_outputs outputs @@ fun out ->
     with_pool jobs @@ fun pool ->
     let topology = Option.map Ninja_hardware.Topology.to_string topology in
     let ctx = Run_ctx.make ~faults ?topology ?pool ~label:"serve" () in
@@ -861,9 +809,22 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       const run $ duration $ rate $ burst_period $ burst_size $ burst_spread $ tenants
-      $ vms_per_tenant $ mem_gb $ strategy $ mig_mode $ traffic $ auto_swap $ stats_file
-      $ stats_every $ top_k $ max_inflight $ queue_cap $ slo $ seed_arg $ seeds $ jobs
-      $ show_log $ fault_args $ topology_arg $ trace_file $ metrics_file $ spans_file)
+      $ vms_per_tenant $ mem_gb
+      $ strategy_arg default_strategy_doc
+      $ mode_arg
+          " Stamped on every request the service draws (default: precopy); a postcopy \
+           request whose source dies mid-drain leaves the VM lost (counted, never \
+           resumed)."
+      $ traffic_arg
+          " Each tenant draws a seeded matrix; cost-model strategies and the auto-swap \
+           policy price placements against it."
+      $ auto_swap $ stats_file $ stats_every $ top_k $ max_inflight $ queue_cap $ slo
+      $ seed_arg $ seeds
+      $ jobs_arg ~cmd:"serve" " Each seed is one simulation."
+      $ show_log $ fault_args $ topology_arg
+      $ outputs_arg
+          ~metrics:"under --spans, the telemetry metrics of each run."
+          ~spans:"one controlplane thread per request.")
 
 let () =
   let doc = "Ninja migration reproduction: run the paper's experiments on the simulator." in

@@ -44,7 +44,7 @@ val campaign :
     installs the named planted bug (see {!Runner}) into every scenario;
     [topology] forces every scenario onto the given datacenter topology
     (clamping fleet size and memory to fit it); [strategy] pins every
-    scenario to one registered planner strategy (the CI strategy matrix);
+    scenario to one planner strategy (the CI strategy matrix);
     [mode] pins every scenario to one migration mode (by default
     scenarios keep their generated mix, roughly one-in-three postcopy);
     [shrink] (default true) controls counterexample minimisation. *)

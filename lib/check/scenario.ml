@@ -88,7 +88,7 @@ let gen prng =
     if Prng.int prng 3 = 0 then Ninja_vmm.Migration.Postcopy else Ninja_vmm.Migration.Precopy
   in
   (* One in three scenarios carries a tenant traffic matrix, so every
-     registered strategy (the swap solver in particular) sees priced
+     strategy (the swap solver in particular) sees priced
      communication demand under the checker. *)
   let traffic =
     if Prng.int prng 3 = 0 then
@@ -260,7 +260,7 @@ let default =
     msg_bytes = 1e7;
     until = 40.0;
     uplink_gbps = None;
-    strategy = Solver.sequential;
+    strategy = Solver.Sequential;
     mode = Ninja_vmm.Migration.Precopy;
     traffic = None;
     trigger = Drain;
@@ -353,7 +353,7 @@ let shrink t =
   | Some topo -> List.iter (fun c -> add { t with topo = Some c }) (Topology.shrink topo)
   | None -> ());
   if t.trigger <> Drain then add { t with trigger = Drain };
-  if t.strategy <> Solver.sequential then add { t with strategy = Solver.sequential };
+  if t.strategy <> Solver.Sequential then add { t with strategy = Solver.Sequential };
   if t.mode <> Ninja_vmm.Migration.Precopy then
     add { t with mode = Ninja_vmm.Migration.Precopy };
   if t.traffic <> None then add { t with traffic = None };

@@ -34,7 +34,7 @@ type t = {
   until : float;  (** workload iterates until this MPI wtime *)
   uplink_gbps : float option;  (** inter-rack WAN constraint, if any *)
   strategy : Ninja_planner.Solver.t;
-      (** any registered planner strategy (see {!Ninja_planner.Solver.all}) *)
+      (** any planner strategy (see {!Ninja_planner.Solver.all}) *)
   mode : Ninja_vmm.Migration.mode;
       (** copy strategy for every migration the trigger sets in motion;
           [Postcopy] commits switchovers, so its failure semantics (the

@@ -25,10 +25,7 @@ type config = {
   mode : Migration.mode;
   max_inflight : int;
   queue_cap : int;
-  max_attempts : int;
   max_defers : int;
-  retry : Retry.policy;
-  max_per_host : int;
   auto_swap : swap_pricing option;
   learned_traffic : (unit -> Cost_model.traffic) option;
 }
@@ -39,13 +36,13 @@ let default_config =
     mode = Migration.Precopy;
     max_inflight = 2;
     queue_cap = 8;
-    max_attempts = 3;
     max_defers = 25;
-    retry = Retry.default_policy;
-    max_per_host = Executor.default_max_per_host;
     auto_swap = None;
     learned_traffic = None;
   }
+
+(* Dispatch attempts per request before it is Failed. *)
+let max_attempts = 3
 
 type reject_reason = Unknown_tenant | Queue_full
 type drop_reason = Deadline_missed | No_feasible_placement
@@ -216,26 +213,18 @@ let plan_request t (r : Request.t) =
   match r.Request.kind with
   | Request.Swap { vm_a; vm_b } -> plan_swap t r ~vm_a ~vm_b
   | _ ->
-  let avail = avail t in
   let mine = tenant_vms t r.Request.tenant in
-  let movers, candidates =
+  let movers =
     match r.Request.kind with
     | Request.Swap _ -> assert false
     | Request.Evacuate { node } ->
-      ( List.filter (fun vm -> (Vm.host vm).Node.name = node) t.all_vms,
-        List.filter (fun (n : Node.t) -> n.Node.name <> node) avail )
+      List.filter (fun vm -> (Vm.host vm).Node.name = node) t.all_vms
     | Request.Failover { rack } ->
-      ( List.filter (fun vm -> (Vm.host vm).Node.rack = rack) t.all_vms,
-        List.filter (fun (n : Node.t) -> n.Node.rack <> rack) avail )
-    | Request.Fallback ->
-      ( List.filter (fun vm -> Node.has_ib (Vm.host vm)) mine,
-        List.filter (fun n -> not (Node.has_ib n)) avail )
-    | Request.Return ->
-      ( List.filter (fun vm -> not (Node.has_ib (Vm.host vm))) mine,
-        List.filter Node.has_ib avail )
+      List.filter (fun vm -> (Vm.host vm).Node.rack = rack) t.all_vms
+    | Request.Fallback -> List.filter (fun vm -> Node.has_ib (Vm.host vm)) mine
+    | Request.Return -> List.filter (fun vm -> not (Node.has_ib (Vm.host vm))) mine
     | Request.Rebalance ->
-      (* Keep the first co-located VM of each pile, move the rest onto
-         nodes this tenant does not occupy. *)
+      (* Keep the first co-located VM of each pile, move the rest. *)
       let by_host = Hashtbl.create 8 in
       List.iter
         (fun vm ->
@@ -243,18 +232,24 @@ let plan_request t (r : Request.t) =
           Hashtbl.replace by_host id
             (vm :: Option.value (Hashtbl.find_opt by_host id) ~default:[]))
         mine;
-      let movers =
-        Hashtbl.fold
-          (fun _ piled acc ->
-            match List.sort by_vm_name piled with
-            | [] | [ _ ] -> acc
-            | _keep :: rest -> rest @ acc)
-          by_host []
-        |> List.sort by_vm_name
-      in
-      let occupied = List.map (fun vm -> (Vm.host vm).Node.id) mine in
-      ( movers,
-        List.filter (fun (n : Node.t) -> not (List.mem n.Node.id occupied)) avail )
+      Hashtbl.fold
+        (fun _ piled acc ->
+          match List.sort by_vm_name piled with
+          | [] | [ _ ] -> acc
+          | _keep :: rest -> rest @ acc)
+        by_host []
+      |> List.sort by_vm_name
+  in
+  (* A rebalance also spreads onto nodes this tenant does not occupy. *)
+  let occupied =
+    match r.Request.kind with
+    | Request.Rebalance -> List.map (fun vm -> (Vm.host vm).Node.id) mine
+    | _ -> []
+  in
+  let candidates =
+    List.filter
+      (fun (n : Node.t) -> acceptable_node r n && not (List.mem n.Node.id occupied))
+      (avail t)
   in
   (* A VM lost to a committed postcopy switchover is unmovable forever. *)
   match List.filter (fun vm -> not (Vm.is_lost vm)) movers with
@@ -334,7 +329,7 @@ let roll_back t origins =
         then give_up t vm
         else
           match
-            Retry.run ~sim:t.sim ~policy:t.cfg.retry (fun ~attempt:_ ->
+            Retry.run (fun ~attempt:_ ->
                 ignore (Migration.migrate vm ~dst:origin ()))
           with
           | (), _ -> ()
@@ -409,8 +404,7 @@ let execute_batch t (r : Request.t) claim plan =
   let solved = Solver.solve t.cfg.strategy t.cluster ~traffic:t.traffic plan in
   let result =
     match
-      Executor.run t.cluster ~max_per_host:t.cfg.max_per_host ~mode:r.Request.mode
-        ~retry:t.cfg.retry ~reroute:(reroute t r claim) solved
+      Executor.run t.cluster ~mode:r.Request.mode ~reroute:(reroute t r claim) solved
     with
     | report ->
       (* A destination that died after receiving VMs leaves them stranded
@@ -484,12 +478,12 @@ let execute_batch t (r : Request.t) claim plan =
   | Batch_done _ -> finish t r Completed
   | Batch_failed reason ->
     r.Request.attempts <- r.Request.attempts + 1;
-    if r.Request.attempts >= t.cfg.max_attempts then finish t r (Failed reason)
+    if r.Request.attempts >= max_attempts then finish t r (Failed reason)
     else begin
       Fair_queue.push t.queue ~tenant:r.Request.tenant r;
       count t "ctl.requests.requeued";
       logf t "req#%d requeued (attempt %d/%d)" r.Request.id
-        (r.Request.attempts + 1) t.cfg.max_attempts
+        (r.Request.attempts + 1) max_attempts
     end);
   Semaphore.release t.wake
 

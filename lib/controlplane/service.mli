@@ -75,10 +75,11 @@ type config = {
           switchovers and cannot be rolled back to source *)
   max_inflight : int;  (** concurrent batch plans; >= 1 *)
   queue_cap : int;  (** admission bound per tenant queue *)
-  max_attempts : int;  (** dispatch attempts per request before Failed *)
-  max_defers : int;  (** capacity/lock deferrals before Dropped *)
-  retry : Retry.policy;  (** per-step and rollback retry policy *)
-  max_per_host : int;  (** executor migration slots per node *)
+  max_defers : int;
+      (** capacity/lock deferrals before Dropped. Kept as a field so that
+          a [{ default_config with ... }] expression setting the other six
+          stays legal: one listing every field is a useless [with]
+          (warning 23). *)
   auto_swap : swap_pricing option;
       (** run the online destination-swap policy: whenever the dispatcher
           wakes with no swap outstanding, price every VM pair against the
@@ -91,10 +92,15 @@ type config = {
           accumulate *)
 }
 
+(** The service's settings. What the service does not let a caller set
+    is fixed: a request is Failed after 3 rolled-back dispatch attempts;
+    plan steps and rollback migrations retry on the one
+    {!Ninja_engine.Retry} schedule; the executor runs at most 4
+    migrations per node. *)
+
 val default_config : config
 (** Grouped strategy, precopy mode, 2 batches in flight, queue cap 8,
-    3 attempts, 25 deferrals, no auto-swap, the executor's defaults
-    otherwise. *)
+    25 deferrals, no auto-swap. *)
 
 type reject_reason = Unknown_tenant | Queue_full
 type drop_reason = Deadline_missed | No_feasible_placement

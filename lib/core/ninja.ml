@@ -32,8 +32,8 @@ type t = {
 
 exception Not_launched
 
-(* Internal: a VMM operation phase could not complete even under the retry
-   policy; the migration must roll back. *)
+(* Internal: a VMM operation phase could not complete in its retry
+   attempts; the migration must roll back. *)
 exception Phase_failed of string
 
 let hca_tag = "vf0"
@@ -134,8 +134,6 @@ let controller t =
          (fun n -> { Controller.vm = n.vm; endpoint = n.endpoint; procs = t.procs_per_vm })
          t.nodes)
 
-let span_since sim t0 = Time.diff (Sim.now sim) t0
-
 let default_detach vm =
   match Vm.find_device vm ~tag:hca_tag with Some _ -> [ hca_tag ] | None -> []
 
@@ -143,22 +141,21 @@ let default_attach plan vm =
   if Node.has_ib (plan vm) then [ Device.make ~tag:hca_tag ~pci_addr:hca_addr Device.Ib_hca ]
   else []
 
-(* The complete Fig. 4 control flow. [`Multi] (the default) brackets each
-   VMM operation group in its own wait_all/signal pair, exactly like the
-   Fig. 5 script — the guest runs briefly between fences so the OS can
-   process ACPI events; [`Single] holds one fence across all three phases
-   (measured overheads are equal, asserted by tests).
+(* The complete Fig. 4 control flow. Each VMM operation group gets its
+   own wait_all/signal pair, exactly like the Fig. 5 script — the guest
+   runs briefly between fences so the OS can process ACPI events.
+   {!Script} is the single-fence form of the same sequence (measured
+   overheads are equal, asserted by tests).
 
-   The flow is transactional: each VMM phase retries failed VMs under the
-   [retry] policy, and when a phase still cannot complete the whole
+   The flow is transactional: each VMM phase retries failed VMs on the
+   {!Retry} schedule, and when a phase still cannot complete the whole
    operation rolls back — every VM returns to its origin node, detached
    bypass devices are re-attached where the source hardware allows, the
    fence is released and the guests resume where they were. [migrate]
    never leaks an exception from an injected fault; callers read
    {!last_outcome} to distinguish a completed migration from a rollback. *)
-let migrate t ~plan ?(transport = Migration.Tcp) ?(mode = Migration.Precopy) ?hotplug_noise
-    ?(protocol = `Multi_fence) ?detach:detach_f ?attach:attach_f ?migration_exec
-    ?(retry = Retry.default_policy) () =
+let migrate t ~plan ?(mode = Migration.Precopy) ?detach:detach_f ?attach:attach_f
+    ?migration_exec () =
   let rt = runtime t in
   if Runtime.is_finished rt then
     invalid_arg "Ninja.migrate: the MPI job has already finished (nothing to fence)";
@@ -166,12 +163,7 @@ let migrate t ~plan ?(transport = Migration.Tcp) ?(mode = Migration.Precopy) ?ho
   let detach_f = Option.value detach_f ~default:default_detach in
   let attach_f = Option.value attach_f ~default:(default_attach plan) in
   let moving = List.exists (fun n -> (plan n.vm).Node.id <> (Vm.host n.vm).Node.id) t.nodes in
-  let noise =
-    match hotplug_noise with
-    | Some n -> n
-    | None -> if moving then Calibration.hotplug_noise_factor else 1.0
-  in
-  let multi = protocol = `Multi_fence in
+  let noise = if moving then Calibration.hotplug_noise_factor else 1.0 in
   let ctl = controller t in
   t.last_outcome <- None;
   (* Rollback bookkeeping: where every VM started, and which devices the
@@ -201,27 +193,26 @@ let migrate t ~plan ?(transport = Migration.Tcp) ?(mode = Migration.Precopy) ?ho
   let root = Span.enter sc ~name:"migration" ~cat:"migration" () in
   (* 1. Trigger: the runtime tells every process to reach a safe point and
      call into the coordinator; the controller waits for the fence. *)
-  t.operation_active <- multi;
+  t.operation_active <- true;
   let coordination = Span.enter sc ~name:"coordination" ~cat:"phase" () in
   let complete = Runtime.request_checkpoint rt in
   Controller.wait_all ctl;
   Span.exit_ sc coordination;
-  let fence_boundary ~last =
-    if multi then begin
-      if last then t.operation_active <- false;
-      Controller.signal ctl;
-      if not last then Controller.wait_all ctl
-    end
-    else if last then Controller.signal ctl
+  let next_fence () =
+    Controller.signal ctl;
+    Controller.wait_all ctl
+  in
+  let release_fence () =
+    t.operation_active <- false;
+    Controller.signal ctl
   in
   (* A VMM phase with per-VM retry: only the VMs whose agent reported an
      error are re-issued their (idempotent) command lists, after the
-     policy's backoff. Sim-time spent on failed attempts and backoff
+     retry backoff. Sim-time spent on failed attempts and backoff
      sleeps is recorded as ["retry"]-category spans, which the breakdown
      derivation sums. [best_effort] phases (rollback) log and drop VMs
-     that exhaust the policy instead of raising. *)
+     that exhaust their attempts instead of raising. *)
   let phase ~name ?(best_effort = false) ?(retryable = fun _vm _msg -> true) commands_for =
-    let phase_start = Sim.now sim in
     let rec go attempt pending =
       let a0 = Sim.now sim in
       let results =
@@ -251,14 +242,7 @@ let migrate t ~plan ?(transport = Migration.Tcp) ?(mode = Migration.Precopy) ?ho
               raise (Phase_failed (Printf.sprintf "%s: %s: %s" name (Vm.name vm) msg))
           | [] -> ());
         if transients <> [] then begin
-          let delay = Retry.backoff retry ~attempt in
-          let within_deadline =
-            match retry.Retry.deadline with
-            | None -> true
-            | Some budget ->
-                Time.( <= ) (Time.add (span_since sim phase_start) delay) budget
-          in
-          if attempt >= retry.Retry.max_attempts || not within_deadline then begin
+          if attempt >= Retry.max_attempts then begin
             let vm, msg = List.hd transients in
             if best_effort then
               List.iter
@@ -275,7 +259,7 @@ let migrate t ~plan ?(transport = Migration.Tcp) ?(mode = Migration.Precopy) ?ho
             let backoff =
               Span.enter sc ~name:"backoff" ~cat:"retry" ~args:[ ("phase", name) ] ()
             in
-            Sim.sleep delay;
+            Sim.sleep (Retry.backoff ~attempt);
             Span.exit_ sc backoff;
             go (attempt + 1) (List.map fst transients)
           end
@@ -292,7 +276,9 @@ let migrate t ~plan ?(transport = Migration.Tcp) ?(mode = Migration.Precopy) ?ho
     List.iter (remember_removed vm) devices;
     List.map (fun (d : Device.t) -> Qmp.Device_del { tag = d.Device.tag; noise }) devices
   in
-  let migration_builder vm = [ Qmp.Migrate { dst = plan vm; transport; mode } ] in
+  let migration_builder vm =
+    [ Qmp.Migrate { dst = plan vm; transport = Migration.Tcp; mode } ]
+  in
   let attach_builder vm =
     attach_f vm
     |> List.filter (fun (d : Device.t) -> Vm.find_device vm ~tag:d.Device.tag = None)
@@ -303,7 +289,7 @@ let migrate t ~plan ?(transport = Migration.Tcp) ?(mode = Migration.Precopy) ?ho
   let result =
     try
       in_span "detach" "phase" (fun () -> phase ~name:"detach" detach_builder);
-      fence_boundary ~last:false;
+      next_fence ();
       (* The migration-phase span is named by mode so the breakdown and
          telemetry consumers can tell the copy strategies apart. *)
       in_span (Migration.mode_name mode) "phase" (fun () ->
@@ -316,7 +302,7 @@ let migrate t ~plan ?(transport = Migration.Tcp) ?(mode = Migration.Precopy) ?ho
                      phase immediately so the rollback can run. *)
                   (not (Vm.is_lost vm)) && Cluster.node_alive t.cluster (plan vm))
                 migration_builder);
-      fence_boundary ~last:false;
+      next_fence ();
       in_span "attach" "phase" (fun () -> phase ~name:"attach" attach_builder);
       Ok ()
     with
@@ -328,7 +314,7 @@ let migrate t ~plan ?(transport = Migration.Tcp) ?(mode = Migration.Precopy) ?ho
       t.last_outcome <- Some Completed;
       Probe.emit probes (Probe.Migrate_complete { batch = "" });
       (* 5. Final signal; guests confirm link-up and rebuild transports. *)
-      fence_boundary ~last:true
+      release_fence ()
   | Error reason ->
       (* The whole rollback is charged to the breakdown's retry bucket as
          one span; retry spans nested inside it are excluded from the sum,
@@ -367,7 +353,8 @@ let migrate t ~plan ?(transport = Migration.Tcp) ?(mode = Migration.Precopy) ?ho
                 (* The return trip is always precopy: the origin still holds
                    nothing, so there is no hot set to lean on, and a second
                    committed switchover would compound the failure. *)
-                [ Qmp.Migrate { dst = origin_of vm; transport; mode = Migration.Precopy } ]
+                [ Qmp.Migrate
+                    { dst = origin_of vm; transport = Migration.Tcp; mode = Migration.Precopy } ]
               else []));
       (* c. Re-attach what the detach phase removed, where the (source)
          hardware still backs it. *)
@@ -387,8 +374,7 @@ let migrate t ~plan ?(transport = Migration.Tcp) ?(mode = Migration.Precopy) ?ho
         (Probe.Migrate_rollback
            { batch = ""; origins = []; reason; lost = List.map (fun n -> Vm.name n.vm) lost });
       (* Release the fence exactly like a completed operation would. *)
-      t.operation_active <- false;
-      Controller.signal ctl);
+      release_fence ());
   Runtime.await_checkpoint_complete complete;
   (* Link-up (BTL reconstruction + port polling) happens inside the
      runtime's continue path and is only known after the fact; its

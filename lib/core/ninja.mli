@@ -17,7 +17,6 @@
     different destinations; the transport switch falls out of BTL
     exclusivity, not from any special-casing here. *)
 
-open Ninja_engine
 open Ninja_guestos
 open Ninja_hardware
 open Ninja_metrics
@@ -32,7 +31,7 @@ type vnode = { vm : Vm.t; guest : Guest.t; endpoint : Hypercall.t }
 type outcome =
   | Completed  (** every VM reached its planned destination *)
   | Rolled_back of string
-      (** a phase exhausted its retry policy; every VM was returned to its
+      (** a phase exhausted its retry attempts; every VM was returned to its
           origin node with its bypass devices restored, and the guests
           resumed where they were. The payload is the failure reason. *)
   | Lost of string
@@ -94,23 +93,19 @@ exception Not_launched
 val migrate :
   t ->
   plan:(Vm.t -> Node.t) ->
-  ?transport:Migration.transport ->
   ?mode:Migration.mode ->
-  ?hotplug_noise:float ->
-  ?protocol:[ `Multi_fence | `Single_fence ] ->
   ?detach:(Vm.t -> string list) ->
   ?attach:(Vm.t -> Device.t list) ->
   ?migration_exec:(unit -> unit) ->
-  ?retry:Retry.policy ->
   unit ->
   Breakdown.t
-(** The full Ninja migration of every VM (concurrently, one agent each).
-    [hotplug_noise] defaults to the calibrated "migration noise" factor
-    when any VM actually changes host, and 1.0 for self-migration.
-    [protocol] defaults to [`Multi_fence]: each VMM operation group gets
-    its own SymVirt wait/signal pair as in the Fig. 5 script, the guests
-    briefly running between fences; [`Single_fence] holds one fence across
-    all phases (equal measured overheads). [detach] defaults to the VM's
+(** The full Ninja migration of every VM (concurrently, one agent each),
+    precopied over TCP. Each VMM operation group gets its own SymVirt
+    wait/signal pair as in the Fig. 5 script, the guests briefly running
+    between fences; {!Script} is the single-fence form of the same
+    sequence (equal measured overheads). Hotplug pays the calibrated
+    "migration noise" factor when any VM actually changes host, and none
+    for self-migration. [detach] defaults to the VM's
     bypass HCA if present; [attach] defaults to an HCA wherever the
     destination node has an IB port. The Table II experiment overrides
     both to hotplug the interconnect device under test (including virtio
@@ -119,10 +114,10 @@ val migrate :
     to run an ordered plan inside the fence window; when it returns,
     every VM must already sit on [plan vm].
 
-    The flow is transactional under [retry] (default
-    {!Retry.default_policy}): a VMM phase re-issues only the failed VMs'
-    commands after the policy's backoff, and a phase that still cannot
-    complete rolls the whole operation back — VMs return to their origin
+    The flow is transactional on the {!Retry} schedule: a VMM phase
+    re-issues only the failed VMs' commands after the backoff, and a
+    phase that still fails after {!Retry.max_attempts} tries rolls the
+    whole operation back — VMs return to their origin
     nodes, detached bypass devices are re-attached where the source
     hardware allows, and the fence is released so the job continues where
     it was. [migrate] does not raise on injected faults; the time lost to

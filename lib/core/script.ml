@@ -69,12 +69,10 @@ let device_detach ctl ~tag =
 let device_attach ctl ~host ~tag =
   let span =
     timed ctl (fun () ->
-        Controller.device_attach ctl.controller
-          ~mk_device:(fun vm ->
+        Controller.device_attach ctl.controller ~mk_device:(fun vm ->
             if Node.has_ib (Vm.host vm) then
               Some (Device.make ~tag ~pci_addr:host Device.Ib_hca)
-            else None)
-          ())
+            else None))
   in
   ctl.attach <- Time.add ctl.attach span
 

@@ -15,7 +15,8 @@
     operation group in its own wait/signal pair (the guest briefly runs
     between them to process ACPI events); here a single fence spans the
     whole operation sequence, with ACPI settle time charged inside it —
-    the measured overhead is the same (see DESIGN.md). *)
+    the measured overhead is the same as that of {!Ninja.migrate}, which
+    keeps the per-group fences (asserted by tests; see EXPERIMENTS.md). *)
 
 open Ninja_metrics
 

@@ -1,67 +1,19 @@
-type policy = {
-  max_attempts : int;
-  base_delay : Time.span;
-  multiplier : float;
-  max_delay : Time.span;
-  jitter : float;
-  deadline : Time.span option;
-}
+let max_attempts = 3
 
-let default_policy =
-  {
-    max_attempts = 3;
-    base_delay = Time.ms 100;
-    multiplier = 2.0;
-    max_delay = Time.sec 5;
-    jitter = 0.0;
-    deadline = None;
-  }
-
-let policy ?(max_attempts = default_policy.max_attempts)
-    ?(base_delay = default_policy.base_delay) ?(multiplier = default_policy.multiplier)
-    ?(max_delay = default_policy.max_delay) ?(jitter = default_policy.jitter) ?deadline () =
-  if max_attempts < 1 then invalid_arg "Retry.policy: max_attempts must be >= 1";
-  if Time.is_negative base_delay then invalid_arg "Retry.policy: negative base_delay";
-  if multiplier < 1.0 || not (Float.is_finite multiplier) then
-    invalid_arg "Retry.policy: multiplier must be >= 1.0";
-  if jitter < 0.0 || jitter > 1.0 then invalid_arg "Retry.policy: jitter must be in [0, 1]";
-  { max_attempts; base_delay; multiplier; max_delay; jitter; deadline }
-
-let backoff p ~attempt =
+let backoff ~attempt =
   if attempt < 1 then invalid_arg "Retry.backoff: attempt is 1-based";
-  let grown =
-    Time.scale p.base_delay (p.multiplier ** float_of_int (attempt - 1))
-  in
-  Time.min grown p.max_delay
+  Time.min (Time.scale (Time.ms 100) (2.0 ** float_of_int (attempt - 1))) (Time.sec 5)
 
 type outcome = { attempts : int; delay_total : Time.span }
 
-let run ~sim ?prng ?(policy = default_policy) ?(retryable = fun _ -> true)
-    ?(on_retry = fun ~attempt:_ ~delay:_ _ -> ()) f =
-  let started = Sim.now sim in
-  let delay_total = ref Time.zero in
-  let over_deadline delay =
-    match policy.deadline with
-    | None -> false
-    | Some budget ->
-      Time.(Time.add (Time.diff (Sim.now sim) started) delay > budget)
-  in
-  let rec go attempt =
+let run f =
+  let rec go attempt delay_total =
     match f ~attempt with
-    | v -> (v, { attempts = attempt; delay_total = !delay_total })
+    | v -> (v, { attempts = attempt; delay_total })
     | exception e ->
-      if (not (retryable e)) || attempt >= policy.max_attempts then raise e;
-      let delay = backoff policy ~attempt in
-      let delay =
-        match prng with
-        | Some prng when policy.jitter > 0.0 ->
-          Time.add delay (Time.scale delay (Prng.float prng policy.jitter))
-        | _ -> delay
-      in
-      if over_deadline delay then raise e;
-      on_retry ~attempt ~delay e;
-      delay_total := Time.add !delay_total delay;
+      if attempt >= max_attempts then raise e;
+      let delay = backoff ~attempt in
       Sim.sleep delay;
-      go (attempt + 1)
+      go (attempt + 1) (Time.add delay_total delay)
   in
-  go 1
+  go 1 Time.zero

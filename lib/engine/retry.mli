@@ -1,60 +1,25 @@
-(** Retry policies for simulated operations.
+(** The retry schedule of every recoverable simulated operation.
 
-    A policy bounds how a recoverable operation is re-attempted: a maximum
-    attempt count, exponential backoff between attempts (with an optional
-    uniform jitter drawn from an explicit {!Prng.t} so retries never touch
-    the simulation's main stream), a delay cap, and an optional total
-    deadline — all expressed in sim-time, so retry schedules are exactly
-    reproducible and can be asserted against by tests. *)
+    One fixed schedule: {!max_attempts} tries in all, with an exponential
+    backoff between them — 100 ms after the first failure, doubling per
+    attempt, capped at 5 s. There is no jitter and no deadline, so a retry
+    sequence is a pure function of the failures and can be asserted
+    against by tests. The Ninja migrate flow, the plan executor and the
+    control plane's rollback all retry on it. *)
 
-type policy = {
-  max_attempts : int;  (** total tries including the first; >= 1 *)
-  base_delay : Time.span;  (** backoff before the second attempt *)
-  multiplier : float;  (** geometric growth factor, >= 1.0 *)
-  max_delay : Time.span;  (** cap applied after growth *)
-  jitter : float;  (** fraction of the delay added uniformly, in [0, 1] *)
-  deadline : Time.span option;
-      (** total sim-time budget measured from the first attempt; once
-          exceeded, no further attempts are made *)
-}
+val max_attempts : int
+(** 3: total tries including the first. *)
 
-val default_policy : policy
-(** 3 attempts, 100 ms base delay, x2 growth, 5 s cap, no jitter, no
-    deadline. *)
-
-val policy :
-  ?max_attempts:int ->
-  ?base_delay:Time.span ->
-  ?multiplier:float ->
-  ?max_delay:Time.span ->
-  ?jitter:float ->
-  ?deadline:Time.span ->
-  unit ->
-  policy
-(** {!default_policy} with overrides; validates the fields. *)
-
-val backoff : policy -> attempt:int -> Time.span
-(** Deterministic backoff slept after failed attempt number [attempt]
-    (1-based): [base_delay * multiplier^(attempt-1)], capped at
-    [max_delay]. Jitter is not included — it is applied by {!run} when a
-    PRNG is supplied. *)
+val backoff : attempt:int -> Time.span
+(** Backoff slept after failed attempt number [attempt] (1-based):
+    [100 ms * 2^(attempt-1)], capped at 5 s. *)
 
 type outcome = {
   attempts : int;  (** attempts actually made (>= 1) *)
   delay_total : Time.span;  (** total backoff slept between attempts *)
 }
 
-val run :
-  sim:Sim.t ->
-  ?prng:Prng.t ->
-  ?policy:policy ->
-  ?retryable:(exn -> bool) ->
-  ?on_retry:(attempt:int -> delay:Time.span -> exn -> unit) ->
-  (attempt:int -> 'a) ->
-  'a * outcome
-(** [run ~sim f] calls [f ~attempt:1]; on an exception for which
-    [retryable] holds (default: everything), sleeps the backoff and tries
-    again while attempts and the deadline allow, then re-raises the last
-    exception. Must be called from inside a fiber when any retry can
-    sleep. [on_retry] observes each scheduled retry before its backoff
-    sleep. *)
+val run : (attempt:int -> 'a) -> 'a * outcome
+(** [run f] calls [f ~attempt:1]; on an exception it sleeps the backoff
+    and tries again until {!max_attempts} tries have failed, then
+    re-raises the last exception. Must be called from inside a fiber. *)

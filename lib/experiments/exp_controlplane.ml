@@ -68,7 +68,7 @@ let run rc =
   in
   (* Pinned: the swap solver is exercised by exp_placement; adding it here
      would grow the bench-gated grid. *)
-  let strategies = [ Solver.sequential; Solver.grouped ] in
+  let strategies = [ Solver.Sequential; Solver.Grouped ] in
   let points =
     List.concat_map (fun rate -> List.map (fun s -> (rate, s)) strategies) rates
   in

@@ -78,7 +78,7 @@ let run rc =
   (* Pinned to the two makespan-oriented strategies: this grid feeds the
      bench trajectory, and the swap solver belongs to the communication
      -cost experiment (exp_placement), not the evacuation one. *)
-  let strategies = [ Solver.sequential; Solver.grouped ] in
+  let strategies = [ Solver.Sequential; Solver.Grouped ] in
   let grid =
     List.concat_map (fun n_vms -> List.map (fun s -> (n_vms, s)) strategies) counts
   in

@@ -68,7 +68,7 @@ let measure rc ~pattern ~strategy ?(swap_pricing = Service.Declared) ~vms_per_te
      placement vs none under identical churn. Under [Learned] pricing
      the policy never reads the declared matrices: it prices against the
      flow monitor's sampled reconstruction. *)
-  let auto_swap = if strategy = Solver.swap then Some swap_pricing else None in
+  let auto_swap = if strategy = Solver.Swap then Some swap_pricing else None in
   let fm =
     match auto_swap with
     | Some Service.Learned ->
@@ -152,7 +152,7 @@ let run rc =
         List.map (fun s -> (p, s, Service.Declared)) (Solver.all ())
         @
         match p with
-        | Traffic.Skewed _ -> [ (p, Solver.swap, Service.Learned) ]
+        | Traffic.Skewed _ -> [ (p, Solver.Swap, Service.Learned) ]
         | _ -> [])
       patterns
   in

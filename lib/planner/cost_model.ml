@@ -13,14 +13,9 @@ let describe = function
   | Communication -> "communication"
   | Composite { horizon } -> Printf.sprintf "composite(horizon=%gs)" horizon
 
-type env = {
-  cluster : Cluster.t;
-  transport : Migration.transport;
-  traffic : traffic;
-}
+type env = { cluster : Cluster.t; traffic : traffic }
 
-let env cluster ?(transport = Migration.Tcp) ?(traffic = []) () =
-  { cluster; transport; traffic }
+let env cluster ?(traffic = []) () = { cluster; traffic }
 
 (* Residual capacity floored at 1% so a saturated link prices as "very
    expensive", not as an absorbing infinity that would make every
@@ -55,13 +50,13 @@ let move_seconds e ~vm ~src ~dst ?bytes () =
       match bytes with Some b -> b | None -> Memory.nonzero_bytes (Vm.memory vm)
     in
     let est =
-      Estimator.estimate_move e.cluster ~transport:e.transport ~vm ~src ~dst ~bytes ()
+      Estimator.estimate_move e.cluster ~vm ~src ~dst ~bytes ()
     in
     Ninja_engine.Time.to_sec_f est.Estimator.duration
 
 let plan_seconds e plan =
   Ninja_engine.Time.to_sec_f
-    (Estimator.sequential_duration e.cluster ~transport:e.transport plan)
+    (Estimator.sequential_duration e.cluster plan)
 
 let plan_placement e plan =
   let final : (string, Node.t) Hashtbl.t = Hashtbl.create 16 in

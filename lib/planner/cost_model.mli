@@ -45,16 +45,12 @@ val describe : t -> string
 
 (** {1 Evaluation environment} *)
 
-type env = {
-  cluster : Cluster.t;
-  transport : Migration.transport;
-  traffic : traffic;
-}
+type env = { cluster : Cluster.t; traffic : traffic }
 
-val env :
-  Cluster.t -> ?transport:Migration.transport -> ?traffic:traffic -> unit -> env
-(** [transport] defaults to [Migration.Tcp], [traffic] to the empty
-    matrix (under which [Communication] costs are all zero). *)
+val env : Cluster.t -> ?traffic:traffic -> unit -> env
+(** [traffic] defaults to the empty matrix (under which [Communication]
+    costs are all zero). Migration time is priced by {!Estimator}, for the
+    TCP sender every planned migration uses. *)
 
 (** {1 Cost primitives} *)
 

@@ -12,7 +12,7 @@ type estimate = {
   bottleneck : Fabric.link option;
 }
 
-let sender_demand transport = Migration.sender_rate transport
+let sender_demand = Migration.sender_rate Migration.Tcp
 
 let route_between cluster ~src ~dst =
   Cluster.route cluster ~net:Cluster.Eth ~src ~dst
@@ -28,17 +28,16 @@ let thinnest_link links =
       | _ -> Some l)
     None links
 
-let estimate_move cluster ?(transport = Migration.Tcp) ~vm ~src ~dst ~bytes () =
+let estimate_move cluster ~vm ~src ~dst ~bytes () =
   let memory = Vm.memory vm in
   let wire_bytes = bytes in
   let zero_bytes = Memory.zero_bytes memory in
   let dirty_bytes = Float.min (Memory.dirty_bytes memory) wire_bytes in
-  let sender = sender_demand transport in
   let links = route_between cluster ~src ~dst in
   let thin = thinnest_link links in
   let link_cap = match thin with Some l -> Fabric.link_capacity l | None -> infinity in
-  let rate = Float.min sender link_cap in
-  let bottleneck = if link_cap < sender then thin else None in
+  let rate = Float.min sender_demand link_cap in
+  let bottleneck = if link_cap < sender_demand then thin else None in
   let transfer_sec = (wire_bytes +. dirty_bytes) /. rate in
   let scan_sec = zero_bytes /. Calibration.zero_scan_rate in
   {
@@ -50,8 +49,8 @@ let estimate_move cluster ?(transport = Migration.Tcp) ~vm ~src ~dst ~bytes () =
     bottleneck;
   }
 
-let estimate cluster ?transport (step : Plan.step) =
-  estimate_move cluster ?transport ~vm:step.Plan.vm ~src:step.Plan.src ~dst:step.Plan.dst
+let estimate cluster (step : Plan.step) =
+  estimate_move cluster ~vm:step.Plan.vm ~src:step.Plan.src ~dst:step.Plan.dst
     ~bytes:step.Plan.bytes ()
 
 let shared_links cluster a b =
@@ -82,7 +81,7 @@ let link_load loads link =
   | Some (_, b) -> b
   | None -> 0.0
 
-let sequential_duration cluster ?transport plan =
+let sequential_duration cluster plan =
   List.fold_left
-    (fun acc s -> Time.add acc (estimate cluster ?transport s).duration)
+    (fun acc s -> Time.add acc (estimate cluster s).duration)
     Time.zero (Plan.steps plan)

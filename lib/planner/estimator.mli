@@ -6,7 +6,9 @@
     link capacities along the step's Ethernet route, how long a step takes
     when it has the fabric to itself, and which steps contend for the same
     bottleneck links. Solvers use these estimates to order and group
-    steps; the executor then measures reality. *)
+    steps; the executor then measures reality. Every planned migration
+    runs over TCP, as the Ninja flow's does, so every estimate prices the
+    TCP sender. *)
 
 open Ninja_engine
 open Ninja_flownet
@@ -26,8 +28,8 @@ type estimate = {
           single-threaded sender itself is the bottleneck *)
 }
 
-val sender_demand : Migration.transport -> float
-(** Peak fabric demand of one migration (the sender's private rate). *)
+val sender_demand : float
+(** Peak fabric demand of one migration (the TCP sender's private rate). *)
 
 val route_between : Cluster.t -> src:Node.t -> dst:Node.t -> Fabric.link list
 (** The shared Ethernet path between two hosts (the per-migration private
@@ -39,7 +41,6 @@ val route : Cluster.t -> Plan.step -> Fabric.link list
 
 val estimate_move :
   Cluster.t ->
-  ?transport:Migration.transport ->
   vm:Vm.t ->
   src:Node.t ->
   dst:Node.t ->
@@ -50,7 +51,7 @@ val estimate_move :
     what a destination-swapping solver prices when it weighs moving [vm]
     to a different host than the plan proposed. *)
 
-val estimate : Cluster.t -> ?transport:Migration.transport -> Plan.step -> estimate
+val estimate : Cluster.t -> Plan.step -> estimate
 
 val shared_links : Cluster.t -> Plan.step -> Plan.step -> Fabric.link list
 (** Fabric links the two steps would contend on (empty = link-disjoint). *)
@@ -62,6 +63,6 @@ val contention : Cluster.t -> Plan.t -> (Fabric.link * float) list
 val link_load : (Fabric.link * float) list -> Fabric.link -> float
 (** Lookup in a {!contention} result; 0 for an unlisted link. *)
 
-val sequential_duration : Cluster.t -> ?transport:Migration.transport -> Plan.t -> Time.span
+val sequential_duration : Cluster.t -> Plan.t -> Time.span
 (** Sum of the standalone step durations — the makespan of a strictly
     serial schedule, and an upper bound for any work-conserving one. *)

@@ -51,9 +51,12 @@ let step_mode mode (step : Plan.step) =
   | Plan.Direct -> mode
   | Plan.Stage_out | Plan.Stage_in -> Migration.Precopy
 
-let default_run_step transport mode (step : Plan.step) =
+let default_run_step mode (step : Plan.step) =
   let mode = step_mode mode step in
-  match Qmp.execute step.Plan.vm (Qmp.Migrate { dst = step.Plan.dst; transport; mode }) with
+  match
+    Qmp.execute step.Plan.vm
+      (Qmp.Migrate { dst = step.Plan.dst; transport = Migration.Tcp; mode })
+  with
   | Qmp.Migrated stats -> stats
   | Qmp.Error msg -> raise (fail_of step msg)
   | Qmp.Ok_empty | Qmp.Elapsed _ | Qmp.Status _ ->
@@ -68,14 +71,13 @@ let permit_nodes (step : Plan.step) =
   else if src.Node.id < dst.Node.id then [ src; dst ]
   else [ dst; src ]
 
-let run cluster ?(transport = Migration.Tcp) ?(mode = Migration.Precopy)
-    ?(max_per_host = default_max_per_host) ?run_step ?(retry = Retry.default_policy)
+let run cluster ?(mode = Migration.Precopy) ?(max_per_host = default_max_per_host) ?run_step
     ?reroute plan =
   if max_per_host <= 0 then invalid_arg "Executor.run: max_per_host must be positive";
   ignore (Plan.topo_order plan);
   let sim = Cluster.sim cluster in
   let probes = Cluster.probes cluster in
-  let run_step = Option.value run_step ~default:(default_run_step transport mode) in
+  let run_step = Option.value run_step ~default:(default_run_step mode) in
   let steps = Plan.steps plan in
   let started = Sim.now sim in
   let sems : (int, Semaphore.t) Hashtbl.t = Hashtbl.create 8 in
@@ -174,7 +176,7 @@ let run cluster ?(transport = Migration.Tcp) ?(mode = Migration.Precopy)
                       | Step_failed f -> f.reason
                       | exn -> Printexc.to_string exn
                     in
-                    if attempt_no >= retry.Retry.max_attempts then
+                    if attempt_no >= Retry.max_attempts then
                       fail step
                         (Printf.sprintf "%s (after %d attempts)" reason attempt_no)
                     else if not (Cluster.node_alive cluster step.Plan.dst) then (
@@ -184,7 +186,7 @@ let run cluster ?(transport = Migration.Tcp) ?(mode = Migration.Precopy)
                           attempt step' (attempt_no + 1)
                       | None -> ())
                     else begin
-                      let delay = Retry.backoff retry ~attempt:attempt_no in
+                      let delay = Retry.backoff ~attempt:attempt_no in
                       incr retries;
                       retry_delay := Time.add !retry_delay delay;
                       let proc = step.Plan.src.Node.name

@@ -2,22 +2,23 @@
 
     Runs a solved plan inside the simulation: one fiber per step, each
     blocking on the completion of its dependencies, then on per-host
-    concurrency permits ([max_per_host] migrations may touch a node at
-    once — a migration holds a permit on both its source and destination,
-    acquired in node-id order so permit waits can never cycle). Steps
-    execute through the VM's QEMU monitor by default, exactly as the
-    per-VM SymVirt agents do, and the executor records per-step timing
-    so experiments can report makespan, per-step latency and aggregate
+    concurrency permits (4 migrations may touch a node at once — a
+    migration holds a permit on both its source and destination, acquired
+    in node-id order so permit waits can never cycle). Steps execute as a
+    TCP [migrate] through the VM's QEMU monitor, exactly as the per-VM
+    SymVirt agents do, and the executor records per-step timing so
+    experiments can report makespan, per-step latency and aggregate
     downtime.
 
-    Failures are recoverable: a step that errors is re-attempted under the
-    [retry] policy, a step whose destination node has died is handed to
-    the [reroute] replanner for a live substitute, and a step that still
-    cannot complete is recorded without blocking its dependents — every
-    completion ivar is filled on success and failure alike, so an injected
-    fault can never deadlock the executor. Terminal failures surface as
-    {!Step_failed} raised from the calling fiber after all steps settle
-    (never from inside a step fiber, which would abort the simulation). *)
+    Failures are recoverable: a step that errors is re-attempted on the
+    {!Ninja_engine.Retry} schedule, a step whose destination node has
+    died is handed to the [reroute] replanner for a live substitute, and
+    a step that still cannot complete is recorded without blocking its
+    dependents — every completion ivar is filled on success and failure
+    alike, so an injected fault can never deadlock the executor. Terminal
+    failures surface as {!Step_failed} raised from the calling fiber
+    after all steps settle (never from inside a step fiber, which would
+    abort the simulation). *)
 
 open Ninja_engine
 open Ninja_hardware
@@ -51,8 +52,6 @@ exception
     step id, the VM being moved and the destination node it could not
     reach. *)
 
-val default_max_per_host : int
-
 val step_mode : Migration.mode -> Plan.step -> Migration.mode
 (** The mode a step actually migrates under when the caller requested
     [mode]: [Direct] steps honour the request, [Stage_out]/[Stage_in]
@@ -63,21 +62,22 @@ val step_mode : Migration.mode -> Plan.step -> Migration.mode
 
 val run :
   Cluster.t ->
-  ?transport:Migration.transport ->
   ?mode:Migration.mode ->
   ?max_per_host:int ->
   ?run_step:(Plan.step -> Migration.stats) ->
-  ?retry:Retry.policy ->
   ?reroute:(Plan.step -> Node.t option) ->
   Plan.t ->
   report
 (** Execute every step; blocks the calling fiber until the last one
     settles. Must be called from inside a fiber. The plan must be acyclic
     (checked up front, raising {!Plan.Cyclic} rather than deadlocking the
-    simulation). [run_step] overrides how a single step is performed
-    (default: a [migrate] QMP command to the VM's monitor). A failing step
-    is re-attempted under [retry] (default {!Retry.default_policy}); when
-    its destination is dead, [reroute] is asked for a replacement node
+    simulation). [mode] (default [Precopy]) is the copy mode of [Direct]
+    steps (see {!step_mode}). [max_per_host] (default 4) and [run_step]
+    (default: a TCP [migrate] QMP command to the VM's monitor) are test
+    seams, not settings: tests shrink the permits to 1 to show node-ordered
+    permits cannot deadlock, and substitute a failing step. A failing step
+    is re-attempted up to {!Ninja_engine.Retry.max_attempts} tries in all;
+    when its destination is dead, [reroute] is asked for a replacement node
     (a [None] answer, or no [reroute], makes the failure terminal). If any
     step failed terminally, raises {!Step_failed} for the first of them
     after all steps have settled. Each attempt is a [step-N] span and

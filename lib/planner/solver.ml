@@ -3,58 +3,23 @@ open Ninja_flownet
 open Ninja_hardware
 open Ninja_vmm
 
-type t = { name : string; aliases : string list; doc : string; cost : Cost_model.t }
+type t = Sequential | Grouped | Swap
 
-type impl = Cost_model.env -> Plan.t -> Plan.t
+let all () = [ Sequential; Grouped; Swap ]
 
-(* Append-only; guarded so registration from two domains cannot tear the
-   list. Reads are unsynchronised single-word loads of an immutable list —
-   register strategies before spawning solver-running domains. *)
-let registry : (t * impl) list ref = ref []
+let name = function Sequential -> "sequential" | Grouped -> "grouped" | Swap -> "swap"
 
-let registry_mutex = Mutex.create ()
+let alias = function Sequential -> "seq" | Grouped -> "group" | Swap -> "destination-swap"
 
-let register ~name ?(aliases = []) ?(doc = "") ?(cost = Cost_model.Migration_time) impl =
-  let canon s = String.lowercase_ascii (String.trim s) in
-  let name = canon name in
-  let handle = { name; aliases = List.map canon aliases; doc; cost } in
-  if name = "" then invalid_arg "Solver.register: empty name";
-  Mutex.protect registry_mutex (fun () ->
-      let taken s =
-        List.exists (fun (h, _) -> h.name = s || List.mem s h.aliases) !registry
-      in
-      List.iter
-        (fun s ->
-          if taken s then
-            invalid_arg (Printf.sprintf "Solver.register: strategy %S already registered" s))
-        (name :: handle.aliases);
-      registry := !registry @ [ (handle, impl) ]);
-  handle
-
-let all () = List.map fst !registry
-
-let names () = List.map (fun h -> h.name) (all ())
-
-let help () = String.concat "|" (names ())
-
-let name h = h.name
-
-let doc h = h.doc
-
-let cost_model h = h.cost
+let help () = String.concat "|" (List.map name (all ()))
 
 let of_string s =
   let key = String.lowercase_ascii (String.trim s) in
-  match
-    List.find_opt (fun (h, _) -> h.name = key || List.mem key h.aliases) !registry
-  with
-  | Some (h, _) -> Ok h
+  match List.find_opt (fun h -> name h = key || alias h = key) (all ()) with
+  | Some h -> Ok h
   | None -> Error (Printf.sprintf "unknown strategy %S (expected %s)" s (help ()))
 
-let impl_of h =
-  match List.find_opt (fun (h', _) -> h'.name = h.name) !registry with
-  | Some (_, impl) -> impl
-  | None -> invalid_arg (Printf.sprintf "Solver: strategy %S is not registered" h.name)
+let default = Grouped
 
 (* ---- sequential ---- *)
 
@@ -75,7 +40,7 @@ let sequential_impl _env plan =
    step lands in the earliest wave where (a) all its plan dependencies
    are in strictly earlier waves and (b) adding its standalone rate
    oversubscribes no fabric link used by that wave. *)
-let grouped_waves cluster ?transport plan =
+let grouped_waves cluster plan =
   let steps = Plan.steps plan in
   let n = Plan.length plan in
   if n = 0 then []
@@ -83,7 +48,7 @@ let grouped_waves cluster ?transport plan =
     let est = Array.make n None in
     List.iter
       (fun (s : Plan.step) ->
-        est.(s.Plan.id) <- Some (Estimator.estimate cluster ?transport s))
+        est.(s.Plan.id) <- Some (Estimator.estimate cluster s))
       steps;
     let est i = Option.get est.(i) in
     let loads = Estimator.contention cluster plan in
@@ -161,7 +126,7 @@ let grouped_waves cluster ?transport plan =
   end
 
 let grouped_impl (env : Cost_model.env) plan =
-  let waves = grouped_waves env.Cost_model.cluster ~transport:env.Cost_model.transport plan in
+  let waves = grouped_waves env.Cost_model.cluster plan in
   let rec order earlier = function
     | [] -> ()
     | wave :: rest ->
@@ -333,40 +298,28 @@ let swap_impl (env : Cost_model.env) plan =
     end
   end
 
-(* ---- registry bootstrap ---- *)
+(* ---- solving ---- *)
 
-let sequential =
-  register ~name:"sequential" ~aliases:[ "seq" ]
-    ~doc:"one migration at a time, in dependency order" ~cost:Cost_model.Migration_time
-    sequential_impl
-
-let grouped =
-  register ~name:"grouped" ~aliases:[ "group" ]
-    ~doc:"bandwidth-aware parallel waves; no fabric link oversubscribed"
-    ~cost:Cost_model.Migration_time grouped_impl
-
-let swap =
-  register ~name:"swap" ~aliases:[ "destination-swap" ]
-    ~doc:"adaptive destination exchanges minimising tenant communication cost"
-    ~cost:(Cost_model.Composite { horizon = swap_horizon })
-    swap_impl
-
-let default = grouped
-
-let solve h cluster ?transport ?(traffic = []) plan =
-  let env = Cost_model.env cluster ?transport ~traffic () in
-  let impl = impl_of h in
+let solve h cluster ?(traffic = []) plan =
+  let env = Cost_model.env cluster ~traffic () in
+  (* Each strategy's implementation and the cost model it optimises. *)
+  let impl, cost =
+    match h with
+    | Sequential -> (sequential_impl, Cost_model.Migration_time)
+    | Grouped -> (grouped_impl, Cost_model.Migration_time)
+    | Swap -> (swap_impl, Cost_model.Composite { horizon = swap_horizon })
+  in
   let probes = Cluster.probes cluster in
   if not (Probe.active probes) then impl env plan
   else begin
-    let before = Cost_model.plan_cost h.cost env plan in
+    let before = Cost_model.plan_cost cost env plan in
     let plan = impl env plan in
-    let after = Cost_model.plan_cost h.cost env plan in
+    let after = Cost_model.plan_cost cost env plan in
     let gauge name value = Probe.emit probes (Probe.Stat { name; kind = Probe.Gauge; value }) in
     gauge "plan.cost.before" before;
     gauge "plan.cost.after" after;
     Probe.emit probes
       (Probe.Plan_cost
-         { strategy = h.name; model = Cost_model.describe h.cost; before; after });
+         { strategy = name h; model = Cost_model.describe cost; before; after });
     plan
   end

@@ -1,107 +1,68 @@
-(** Plan scheduling strategies: a registry of pluggable, cost-model-driven
+(** Plan scheduling strategies: a closed set of cost-model-driven
     solvers.
 
     A strategy takes a plan whose edges encode only {e correctness}
     (capacity conflicts, staging chains) and rewrites it — adding
     {e ordering} edges that shape how much of it may run concurrently,
     and possibly re-aiming steps at different destinations — guided by an
-    explicit {!Cost_model}. Strategies are only reachable through the
-    registry: {!register} is the single way to mint a handle, and
-    {!of_string}/{!all} (and therefore every CLI flag, scenario grammar
-    and experiment grid built on them) enumerate exactly what has been
-    registered. Three strategies ship:
+    explicit {!Cost_model}. Three strategies exist, and {!all},
+    {!of_string} and {!help} (and therefore every CLI flag, scenario
+    grammar and experiment grid built on them) enumerate exactly these:
 
-    - [sequential] — a total chain, one migration at a time in dependency
-      order. The pre-planner baseline behaviour of a scheduler that walks
-      its VM list serially. Cost model: migration time.
-    - [grouped] — bandwidth-aware greedy bin-packing (after Wang et al.,
-      arXiv:1412.4980): steps are packed into maximal parallel waves such
-      that no fabric link is oversubscribed — the sum of the member
-      steps' standalone rates stays within every shared link's capacity —
-      processing the most contended work first (largest footprint on the
-      most loaded link). Steps in different waves that share a link are
-      ordered by an edge; link-disjoint steps run freely in parallel.
-      Cost model: migration time.
-    - [swap] — adaptive destination exchanges (Avin/Dunay/Schmid,
-      arXiv:1309.5826): starting from the plan's proposed assignment,
-      repeatedly exchange the destinations of the two steps whose swap
-      most reduces tenant communication cost (priced by {!Cost_model}
-      over fabric routes and residual capacities) net of the migration
-      time the exchange costs, until no exchange pays for itself within
-      the cost model's horizon. Exchanges never cross fabric classes (an
-      IB-planned VM keeps an IB-capable destination). The surviving
-      assignment is rebuilt into a fresh conflict-correct plan and then
-      grouped-wave packed. Cost model: composite. *)
+    - [Sequential] ([sequential], alias [seq]) — a total chain, one
+      migration at a time in dependency order. The pre-planner baseline
+      behaviour of a scheduler that walks its VM list serially. Cost
+      model: migration time.
+    - [Grouped] ([grouped], alias [group]) — bandwidth-aware greedy
+      bin-packing (after Wang et al., arXiv:1412.4980): steps are packed
+      into maximal parallel waves such that no fabric link is
+      oversubscribed — the sum of the member steps' standalone rates stays
+      within every shared link's capacity — processing the most contended
+      work first (largest footprint on the most loaded link). Steps in
+      different waves that share a link are ordered by an edge;
+      link-disjoint steps run freely in parallel. Cost model: migration
+      time.
+    - [Swap] ([swap], alias [destination-swap]) — adaptive destination
+      exchanges (Avin/Dunay/Schmid, arXiv:1309.5826): starting from the
+      plan's proposed assignment, repeatedly exchange the destinations of
+      the two steps whose swap most reduces tenant communication cost
+      (priced by {!Cost_model} over fabric routes and residual capacities)
+      net of the migration time the exchange costs, until no exchange pays
+      for itself within the cost model's horizon. Exchanges never cross
+      fabric classes (an IB-planned VM keeps an IB-capable destination).
+      The surviving assignment is rebuilt into a fresh conflict-correct
+      plan and then grouped-wave packed. Cost model: composite. *)
 
 open Ninja_hardware
-open Ninja_vmm
 
-type t
-(** A registered strategy handle: plain comparable data (no closures), so
-    scenarios can embed it, compare it with structural equality and
-    shrink over it. Obtain one from {!register}, {!of_string} or the
-    built-ins below. *)
-
-val register :
-  name:string ->
-  ?aliases:string list ->
-  ?doc:string ->
-  ?cost:Cost_model.t ->
-  (Cost_model.env -> Plan.t -> Plan.t) ->
-  t
-(** Mint and register a strategy. The implementation receives the
-    evaluation environment (cluster, transport, traffic matrix) and the
-    correctness plan; it must return an acyclic plan (the same value,
-    mutated, or a rebuilt one). [cost] (default [Migration_time])
-    declares the objective, which {!solve} also uses for the
-    [plan.cost.*] telemetry. Names and aliases are lowercased and must
-    be unique across the registry; registration must happen before
-    domains race on {!solve}. Raises [Invalid_argument] on a duplicate
-    or empty name. *)
+type t = Sequential | Grouped | Swap
+(** Plain comparable data (no closures), so scenarios can embed a
+    strategy, compare it with structural equality and shrink over it. *)
 
 val all : unit -> t list
-(** Registration order; the built-ins first. *)
-
-val names : unit -> string list
+(** [Sequential; Grouped; Swap] — the order scenario generators draw
+    from. *)
 
 val help : unit -> string
 (** The canonical names joined with ["|"] — for CLI docs and error
-    messages, so a newly registered strategy shows up everywhere without
-    touching call sites. *)
+    messages. *)
 
 val name : t -> string
 
-val doc : t -> string
-
-val cost_model : t -> Cost_model.t
-
 val of_string : string -> (t, string) result
-(** Case-insensitive lookup by name or alias; the error message
-    enumerates the currently registered names. *)
-
-val sequential : t
-
-val grouped : t
-
-val swap : t
+(** Case- and space-insensitive lookup by name or alias; the error message
+    enumerates the names. *)
 
 val default : t
-(** [grouped]. *)
+(** [Grouped]. *)
 
-val grouped_waves :
-  Cluster.t -> ?transport:Migration.transport -> Plan.t -> Plan.step list list
-(** The wave decomposition [grouped] would use, for inspection: wave [i]
+val grouped_waves : Cluster.t -> Plan.t -> Plan.step list list
+(** The wave decomposition [Grouped] would use, for inspection: wave [i]
     steps only contend with steps in earlier waves. Call it on the unsolved
     plan — ordering edges added by {!solve} count as dependencies and
     would refine the result. *)
 
-val solve :
-  t ->
-  Cluster.t ->
-  ?transport:Migration.transport ->
-  ?traffic:Cost_model.traffic ->
-  Plan.t ->
-  Plan.t
+val solve : t -> Cluster.t -> ?traffic:Cost_model.traffic -> Plan.t -> Plan.t
 (** Run the strategy. The input plan may be mutated; callers must use the
     {e returned} plan (a destination-rewriting strategy builds a fresh
     one). The result is acyclic whenever the input is. When the cluster's

@@ -24,24 +24,11 @@ type t = {
   strategy : Solver.t;
   mode : Migration.mode;
   traffic : Cost_model.traffic;
-  max_per_host : int;
-  retry : Retry.policy;
   mutable records : record list;
 }
 
-let create ?(strategy = Solver.default) ?(mode = Migration.Precopy) ?(traffic = [])
-    ?(max_per_host = Executor.default_max_per_host) ?(retry = Retry.default_policy) ninja =
-  if max_per_host <= 0 then invalid_arg "Cloud_scheduler.create: max_per_host";
-  {
-    ninja;
-    sim = Cluster.sim (Ninja.cluster ninja);
-    strategy;
-    mode;
-    traffic;
-    max_per_host;
-    retry;
-    records = [];
-  }
+let create ?(strategy = Solver.default) ?(mode = Migration.Precopy) ?(traffic = []) ninja =
+  { ninja; sim = Cluster.sim (Ninja.cluster ninja); strategy; mode; traffic; records = [] }
 
 let strategy t = t.strategy
 
@@ -172,12 +159,11 @@ let execute t trigger =
   let plan = build_plan t dst_of in
   let report = ref None in
   let breakdown =
-    Ninja.migrate t.ninja ~plan:dst_of ~mode:t.mode ~retry:t.retry
+    Ninja.migrate t.ninja ~plan:dst_of ~mode:t.mode
       ~migration_exec:(fun () ->
         report :=
           Some
             (Executor.run (Ninja.cluster t.ninja) ~mode:t.mode
-               ~max_per_host:t.max_per_host ~retry:t.retry
                ~reroute:(make_reroute t trigger plan) plan))
       ()
   in

@@ -44,8 +44,6 @@ val create :
   ?strategy:Solver.t ->
   ?mode:Ninja_vmm.Migration.mode ->
   ?traffic:Cost_model.traffic ->
-  ?max_per_host:int ->
-  ?retry:Retry.policy ->
   Ninja.t ->
   t
 (** [strategy] defaults to {!Ninja_planner.Solver.default} ([grouped]);
@@ -55,11 +53,11 @@ val create :
     and a source death mid-drain surfaces as the
     {!Ninja_core.Ninja.Lost} outcome;
     [traffic] (default empty) is the tenant traffic matrix
-    placement-aware strategies price placements against; [max_per_host]
-    bounds concurrent migrations touching one node (default
-    {!Ninja_planner.Executor.default_max_per_host}); [retry] (default
-    {!Ninja_engine.Retry.default_policy}) governs both the executor's
-    per-step re-attempts and the migrate flow's per-phase re-attempts.
+    placement-aware strategies price placements against. The executor's
+    per-step re-attempts and the migrate flow's per-phase re-attempts
+    both follow the one {!Ninja_engine.Retry} schedule, and at most 4
+    migrations touch one node at once (the {!Ninja_planner.Executor}
+    permit count).
     When a plan step's destination dies, the scheduler reroutes it to the
     first live free node the trigger's placement policy accepts (e.g. not
     an avoided node during maintenance) rather than aborting the

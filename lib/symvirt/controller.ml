@@ -78,23 +78,9 @@ let run_agents t commands_for =
     results;
   results
 
-let device_detach t ~tag ?(noise = 1.0) () =
-  ignore (run_agents t (fun _vm -> [ Qmp.Device_del { tag; noise } ]))
-
-let device_attach t ~mk_device ?(noise = 1.0) () =
+let device_attach t ~mk_device =
   ignore
     (run_agents t (fun vm ->
          match mk_device vm with
-         | Some device -> [ Qmp.Device_add { device; noise } ]
+         | Some device -> [ Qmp.Device_add { device; noise = 1.0 } ]
          | None -> []))
-
-let migration t ~plan ?(transport = Migration.Tcp) ?(mode = Migration.Precopy) () =
-  let results =
-    run_agents t (fun vm -> [ Qmp.Migrate { dst = plan vm; transport; mode } ])
-  in
-  List.concat_map
-    (fun (vm, responses) ->
-      List.filter_map
-        (function Qmp.Migrated stats -> Some (vm, stats) | _ -> None)
-        responses)
-    results

@@ -6,7 +6,11 @@
     [wait_all] and [signal], the controller spawns one agent per VM; each
     agent drives its VM's QEMU monitor (detach, migrate, attach). Agents
     run concurrently, exactly like the paper's Python agent threads, with
-    each QMP command paying the controller round-trip overhead. *)
+    each QMP command paying the controller round-trip overhead.
+
+    Callers give the agents explicit QMP command lists ({!run_agents},
+    {!run_agents_results}); {!device_attach} is the one shorthand, kept
+    for the Fig. 5 script's [device_attach]. *)
 
 open Ninja_hardware
 open Ninja_vmm
@@ -42,12 +46,5 @@ val first_error : Qmp.response list -> string option
 
 exception Agent_failure of string
 
-val device_detach : t -> tag:string -> ?noise:float -> unit -> unit
-(** Detach the tagged device from every member VM (agents in parallel). *)
-
-val device_attach : t -> mk_device:(Vm.t -> Device.t option) -> ?noise:float -> unit -> unit
+val device_attach : t -> mk_device:(Vm.t -> Device.t option) -> unit
 (** Attach a device to each VM for which [mk_device] returns one. *)
-
-val migration : t -> plan:(Vm.t -> Node.t) -> ?transport:Migration.transport ->
-  ?mode:Migration.mode -> unit -> (Vm.t * Migration.stats) list
-(** Migrate every member VM to its planned destination in parallel. *)

@@ -87,7 +87,7 @@ let test_generate_deterministic () =
   Alcotest.(check bool) "different seed, different stream" true (a <> c)
 
 (* ------------------------------------------------------------------ *)
-(* Strategy registry properties *)
+(* Strategy properties *)
 
 module Plan = Ninja_planner.Plan
 module Solver = Ninja_planner.Solver
@@ -119,7 +119,7 @@ let layers plan =
   in
   go [] (Plan.steps plan)
 
-(* Every registered strategy — present and future — must honour the
+(* Every strategy — present and future — must honour the
    planner's safety contract on arbitrary evacuation mixes, under both
    migration modes: acyclic output, no concurrent layer oversubscribing
    a fabric link, no VM silently re-aimed across the IB/Ethernet

@@ -258,10 +258,9 @@ let test_requeue_on_node_death () =
 
 let test_failed_after_attempts () =
   (* Every pre-copy toward t0-vm0 aborts, forever: each dispatch rolls
-     back, the request re-queues, and after max_attempts it is Failed —
+     back, the request re-queues, and after 3 attempts it is Failed —
      with the VM safely at its origin and the books balanced. *)
-  let config = { Service.default_config with max_attempts = 2 } in
-  let h = harness ~faults:[ "precopy-abort@t0-vm0:count=inf" ] ~config () in
+  let h = harness ~faults:[ "precopy-abort@t0-vm0:count=inf" ] () in
   Service.inject h.svc ~after:(Time.sec 1) (fun svc ->
       Service.make svc ~tenant:"t0" ~kind:Request.Fallback ());
   finish h;
@@ -270,9 +269,9 @@ let test_failed_after_attempts () =
   | other ->
     Alcotest.failf "expected one Failed outcome, got [%s]"
       (String.concat "; " (List.map (fun (_, o) -> Service.outcome_name o) other)));
-  Alcotest.(check (float 0.0)) "requeued once" 1.0
+  Alcotest.(check (float 0.0)) "requeued twice" 2.0
     (Service.count h.svc "ctl.requests.requeued");
-  Alcotest.(check (float 0.0)) "two rollbacks" 2.0
+  Alcotest.(check (float 0.0)) "three rollbacks" 3.0
     (Service.count h.svc "ctl.batches.rolled_back");
   Alcotest.(check bool) "vm still home on IB" true
     (Node.has_ib (Ninja_vmm.Vm.host (List.hd (Service.vms h.svc))))

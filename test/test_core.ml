@@ -273,11 +273,11 @@ let test_script_fig5_flow () =
     Alcotest.(check (option string)) "openib at the end" (Some "openib") last
 
 let test_fence_protocols_equivalent () =
-  (* The faithful multi-fence protocol (Fig. 5) and the single-fence
-     variant must measure the same overhead (within the extra hypercall
-     round-trips), and multi-fence must pause/resume the VMs once per
-     phase. *)
-  let run protocol =
+  (* The faithful multi-fence protocol of [Ninja.migrate] (Fig. 5) and the
+     single-fence [Script] form of the same sequence must measure the same
+     overhead (within the extra hypercall round-trips), and multi-fence
+     must pause/resume the VMs once per phase. *)
+  let run migrate =
     let sim, cluster = setup_agc () in
     let ninja = Ninja.setup cluster ~hosts:(ib_hosts cluster 2) () in
     let fences = ref 0 in
@@ -289,13 +289,25 @@ let test_fence_protocols_equivalent () =
     let b = ref Breakdown.zero in
     Sim.spawn sim (fun () ->
         Sim.sleep (Time.sec 5);
-        b := Ninja.migrate ninja ~plan:(fun vm -> Vm.host vm) ~protocol ();
+        b := migrate ninja;
         Ninja.wait_job ninja);
     Sim.run sim;
     (!b, !fences)
   in
-  let multi, multi_fences = run `Multi_fence in
-  let single, single_fences = run `Single_fence in
+  let multi, multi_fences =
+    run (fun ninja -> Ninja.migrate ninja ~plan:(fun vm -> Vm.host vm) ())
+  in
+  let single, single_fences =
+    run (fun ninja ->
+        let hosts = [ "ib00"; "ib01" ] in
+        let ctl = Script.controller ninja in
+        Script.wait_all ctl;
+        Script.device_detach ctl ~tag:"vf0";
+        Script.migration ctl ~src:hosts ~dst:hosts;
+        Script.device_attach ctl ~host:"04:00.0" ~tag:"vf0";
+        Script.signal ctl;
+        Script.quit ctl)
+  in
   Alcotest.(check int) "three fences" 3 multi_fences;
   Alcotest.(check int) "one fence" 1 single_fences;
   check_near "equal totals" 0.5 (sec single.Breakdown.total) (sec multi.Breakdown.total);

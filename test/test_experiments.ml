@@ -185,8 +185,8 @@ let test_evacuation_grouped_beats_sequential () =
   (* The acceptance scenario: multi-VM evacuation over one shared uplink.
      Grouped waves must finish strictly sooner than the serial chain, with
      the same number of steps and no extra downtime blowup. *)
-  let seq = Exp_evacuation.measure rc ~n_vms:4 ~strategy:Ninja_planner.Solver.sequential () in
-  let grp = Exp_evacuation.measure rc ~n_vms:4 ~strategy:Ninja_planner.Solver.grouped () in
+  let seq = Exp_evacuation.measure rc ~n_vms:4 ~strategy:Ninja_planner.Solver.Sequential () in
+  let grp = Exp_evacuation.measure rc ~n_vms:4 ~strategy:Ninja_planner.Solver.Grouped () in
   Alcotest.(check int) "same steps" seq.Exp_evacuation.steps grp.Exp_evacuation.steps;
   Alcotest.(check int) "one step per VM" 4 grp.Exp_evacuation.steps;
   Alcotest.(check bool) "grouped strictly faster" true
@@ -210,8 +210,8 @@ let test_placement_swap_converges () =
   let measure strategy =
     Exp_placement.measure rc ~pattern ~strategy ~vms_per_tenant:3 ~hosts_per_rack:4 ()
   in
-  let base = measure Ninja_planner.Solver.grouped in
-  let swap = measure Ninja_planner.Solver.swap in
+  let base = measure Ninja_planner.Solver.Grouped in
+  let swap = measure Ninja_planner.Solver.Swap in
   Alcotest.(check bool) "identical starting placement" true
     (base.Exp_placement.cost_start = swap.Exp_placement.cost_start);
   Alcotest.(check bool) "baseline proposes no swaps" true
@@ -237,7 +237,7 @@ let test_placement_learned_matches_declared () =
       { elephants = 2; rate = Ninja_workloads.Traffic.default_rate; factor = 16.0 }
   in
   let measure pricing =
-    Exp_placement.measure rc ~pattern ~strategy:Ninja_planner.Solver.swap
+    Exp_placement.measure rc ~pattern ~strategy:Ninja_planner.Solver.Swap
       ~swap_pricing:pricing ~vms_per_tenant:3 ~hosts_per_rack:4 ()
   in
   let declared = measure Ninja_controlplane.Service.Declared in

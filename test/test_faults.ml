@@ -1,5 +1,5 @@
 (* Deterministic failure-scenario suite for the fault-injection layer:
-   injector semantics, retry-policy arithmetic, and full Ninja migrations
+   injector semantics, retry-schedule arithmetic, and full Ninja migrations
    under injected faults (retry to completion, or rollback to the source
    with device state restored).
 
@@ -214,7 +214,7 @@ let test_injector_disabled_is_inert () =
   Alcotest.(check bool) "clear disarms" false (Injector.enabled inj)
 
 (* ------------------------------------------------------------------ *)
-(* Retry-policy unit tests *)
+(* Retry-schedule unit tests *)
 
 let in_fiber f =
   let sim = Sim.create ~seed:env_seed () in
@@ -224,16 +224,12 @@ let in_fiber f =
   Option.get !result
 
 let test_backoff_values () =
-  let p =
-    Retry.policy ~max_attempts:10 ~base_delay:(Time.ms 100) ~multiplier:2.0
-      ~max_delay:(Time.sec 5) ()
-  in
   List.iter
     (fun (attempt, expect) ->
       check_float
         (Printf.sprintf "backoff after attempt %d" attempt)
         expect
-        (sec (Retry.backoff p ~attempt)))
+        (sec (Retry.backoff ~attempt)))
     [ (1, 0.1); (2, 0.2); (3, 0.4); (4, 0.8); (6, 3.2); (7, 5.0); (8, 5.0) ]
 
 let test_retry_run_success_after_failures () =
@@ -241,9 +237,7 @@ let test_retry_run_success_after_failures () =
     in_fiber (fun sim ->
         let calls = ref 0 in
         let v, o =
-          Retry.run ~sim
-            ~policy:(Retry.policy ~max_attempts:5 ())
-            (fun ~attempt ->
+          Retry.run (fun ~attempt ->
               incr calls;
               if attempt < 3 then failwith "flaky" else attempt)
         in
@@ -262,9 +256,7 @@ let test_retry_exhaustion_reraises () =
         let raised =
           try
             ignore
-              (Retry.run ~sim
-                 ~policy:(Retry.policy ~max_attempts:3 ())
-                 (fun ~attempt:_ ->
+              (Retry.run (fun ~attempt:_ ->
                    incr calls;
                    failwith "hopeless"));
             false
@@ -273,62 +265,8 @@ let test_retry_exhaustion_reraises () =
         (!calls, sec (Sim.now sim), raised))
   in
   Alcotest.(check bool) "last exception re-raised" true raised;
-  Alcotest.(check int) "exactly max_attempts calls" 3 calls;
+  Alcotest.(check int) "exactly max_attempts calls" Retry.max_attempts calls;
   check_float "slept 100ms + 200ms" 0.3 elapsed
-
-let test_retry_nonretryable () =
-  let calls, elapsed =
-    in_fiber (fun sim ->
-        let calls = ref 0 in
-        (try
-           ignore
-             (Retry.run ~sim
-                ~retryable:(function Failure _ -> false | _ -> true)
-                (fun ~attempt:_ ->
-                  incr calls;
-                  failwith "fatal"))
-         with Failure _ -> ());
-        (!calls, sec (Sim.now sim)))
-  in
-  Alcotest.(check int) "one call only" 1 calls;
-  check_float "no backoff slept" 0.0 elapsed
-
-let test_retry_deadline () =
-  let calls, elapsed =
-    in_fiber (fun sim ->
-        let calls = ref 0 in
-        (try
-           ignore
-             (Retry.run ~sim
-                ~policy:(Retry.policy ~max_attempts:10 ~deadline:(Time.ms 150) ())
-                (fun ~attempt:_ ->
-                  incr calls;
-                  failwith "slow"))
-         with Failure _ -> ());
-        (!calls, sec (Sim.now sim)))
-  in
-  (* attempt 1 fails; 100 ms backoff fits the 150 ms budget; attempt 2
-     fails; the next 200 ms backoff would blow it, so stop. *)
-  Alcotest.(check int) "two attempts" 2 calls;
-  check_float "only the first backoff slept" 0.1 elapsed
-
-let test_retry_jitter_deterministic () =
-  let total seed =
-    in_fiber (fun sim ->
-        let prng = Prng.create ~seed in
-        try
-          ignore
-            (Retry.run ~sim ~prng
-               ~policy:(Retry.policy ~max_attempts:3 ~jitter:0.5 ())
-               (fun ~attempt:_ -> failwith "x"));
-          Time.zero
-        with Failure _ -> Sim.now sim)
-  in
-  let a = total 11L and b = total 11L in
-  Alcotest.(check bool) "same prng seed, same jittered schedule" true (Time.equal a b);
-  (* Jittered delays stay within [delay, 1.5 * delay]. *)
-  Alcotest.(check bool) "within jitter bounds" true
-    (sec a >= 0.3 && sec a <= 0.45)
 
 (* ------------------------------------------------------------------ *)
 (* Full migration scenarios under injected faults *)
@@ -615,9 +553,6 @@ let () =
           Alcotest.test_case "success after failures" `Quick
             test_retry_run_success_after_failures;
           Alcotest.test_case "exhaustion re-raises" `Quick test_retry_exhaustion_reraises;
-          Alcotest.test_case "non-retryable" `Quick test_retry_nonretryable;
-          Alcotest.test_case "deadline" `Quick test_retry_deadline;
-          Alcotest.test_case "jitter determinism" `Quick test_retry_jitter_deterministic;
         ] );
       ( "scenarios",
         [

@@ -149,7 +149,7 @@ let test_estimator_sanity () =
   Alcotest.(check bool) "wire bytes positive" true (e.Estimator.wire_bytes > 0.0);
   Alcotest.(check bool) "rate positive" true (e.Estimator.rate > 0.0);
   Alcotest.(check bool) "rate capped by sender" true
-    (e.Estimator.rate <= Estimator.sender_demand Migration.Tcp +. 1.0);
+    (e.Estimator.rate <= Estimator.sender_demand +. 1.0);
   Alcotest.(check bool) "duration positive" true
     (Time.to_sec_f e.Estimator.duration > 0.0);
   Alcotest.(check bool) "route is non-empty" true
@@ -206,7 +206,7 @@ let evacuation_scenario ?(n = 4) ?(uplink_gbps = 10.0) () =
 let test_sequential_chains_everything () =
   let _, cluster, vms, dst_of = evacuation_scenario () in
   let plan = Plan.of_assignment cluster ~vms ~dst_of () in
-  let plan = Solver.solve Solver.sequential cluster plan in
+  let plan = Solver.solve Solver.Sequential cluster plan in
   Alcotest.(check int) "n-1 chain edges" (List.length vms - 1) (Plan.dep_count plan);
   Alcotest.(check bool) "acyclic" true (Plan.is_acyclic plan);
   (* Exactly one step has no dependency; every other step has exactly one. *)
@@ -252,49 +252,38 @@ let test_grouped_waves_respect_capacity () =
 
 let test_solver_of_string () =
   Alcotest.(check bool) "grouped parses" true
-    (Solver.of_string "grouped" = Ok Solver.grouped);
+    (Solver.of_string "grouped" = Ok Solver.Grouped);
   Alcotest.(check bool) "seq alias parses" true
-    (Solver.of_string "seq" = Ok Solver.sequential);
+    (Solver.of_string "seq" = Ok Solver.Sequential);
   Alcotest.(check bool) "destination-swap alias parses" true
-    (Solver.of_string "destination-swap" = Ok Solver.swap);
+    (Solver.of_string "destination-swap" = Ok Solver.Swap);
   Alcotest.(check bool) "lookup is case/space insensitive" true
-    (Solver.of_string "  GROUPED " = Ok Solver.grouped);
+    (Solver.of_string "  GROUPED " = Ok Solver.Grouped);
   match Solver.of_string "fastest" with
   | Ok _ -> Alcotest.fail "garbage accepted"
   | Error msg ->
-    (* The error enumerates the live registry, so a strategy added by a
-       plugin (or an earlier test) shows up without touching this list. *)
+    (* The error enumerates the strategy names. *)
     List.iter
       (fun name ->
         Alcotest.(check bool) ("error lists " ^ name) true (contains msg name))
       [ "sequential"; "grouped"; "swap" ]
 
-let test_solver_registry () =
+let test_solver_closed_set () =
+  (* The strategy set is closed: [all] fixes the order scenario
+     generators draw from, every alias resolves, and [help] lists the
+     canonical names. *)
+  Alcotest.(check (list string)) "names of all, in order"
+    [ "sequential"; "grouped"; "swap" ]
+    (List.map Solver.name (Solver.all ()));
   List.iter
-    (fun name ->
-      Alcotest.(check bool) (name ^ " in names ()") true
-        (List.mem name (Solver.names ())))
-    [ "sequential"; "grouped"; "swap" ];
-  (* Registration canonicalises (trim + lowercase) and the handle then
-     resolves through every registry surface. *)
-  let custom =
-    Solver.register ~name:" Chain-Test " ~aliases:[ "ct" ]
-      ~doc:"identity strategy for registry tests" (fun _cluster plan -> plan)
-  in
-  Alcotest.(check string) "name canonicalised" "chain-test" (Solver.name custom);
-  Alcotest.(check bool) "listed" true (List.mem "chain-test" (Solver.names ()));
-  Alcotest.(check bool) "alias resolves, case-insensitively" true
-    (Solver.of_string "CT" = Ok custom);
-  Alcotest.(check bool) "help advertises it" true
-    (contains (Solver.help ()) "chain-test");
-  Alcotest.check_raises "duplicate name rejected"
-    (Invalid_argument "Solver.register: strategy \"chain-test\" already registered")
-    (fun () -> ignore (Solver.register ~name:"chain-test" (fun _ p -> p)));
-  (* The custom instance drives Solver.solve like any built-in. *)
-  let _, cluster, vms, dst_of = evacuation_scenario ~n:2 () in
-  let plan = Plan.of_assignment cluster ~vms ~dst_of () in
-  let plan = Solver.solve custom cluster plan in
-  Alcotest.(check int) "identity strategy adds no edges" 0 (Plan.dep_count plan)
+    (fun (text, expected) ->
+      Alcotest.(check bool) (text ^ " resolves") true (Solver.of_string text = Ok expected))
+    [
+      ("sequential", Solver.Sequential); ("seq", Solver.Sequential);
+      ("grouped", Solver.Grouped); ("group", Solver.Grouped);
+      ("swap", Solver.Swap); ("destination-swap", Solver.Swap);
+    ];
+  Alcotest.(check string) "help" "sequential|grouped|swap" (Solver.help ())
 
 (* A leaf-spine datacenter whose Ethernet pod has two racks: the swap
    strategy's playground, since same-fabric-class destinations with
@@ -339,7 +328,7 @@ let test_swap_lowers_communication_cost () =
   let before =
     Cost_model.placement_cost env ~lookup:(Cost_model.plan_placement env plan)
   in
-  let plan' = Solver.solve Solver.swap cluster ~traffic plan in
+  let plan' = Solver.solve Solver.Swap cluster ~traffic plan in
   Alcotest.(check bool) "rewritten plan acyclic" true (Plan.is_acyclic plan');
   Alcotest.(check int) "still one step per VM" (Plan.length plan)
     (Plan.length plan');
@@ -373,7 +362,7 @@ let test_swap_never_crosses_fabric_class () =
      slot over there is the only candidate exchange. *)
   let traffic = [ ("a", "c", 1e9) ] in
   let plan = Plan.of_assignment cluster ~vms:[ a; b ] ~dst_of () in
-  let plan' = Solver.solve Solver.swap cluster ~traffic plan in
+  let plan' = Solver.solve Solver.Swap cluster ~traffic plan in
   let dst name =
     (List.find
        (fun (s : Plan.step) -> Vm.name s.Plan.vm = name)
@@ -430,7 +419,7 @@ let test_executor_swap_via_staging () =
     Plan.of_assignment cluster ~vms:[ a; b ] ~dst_of
       ~staging:[ node cluster "ib02" ] ()
   in
-  let plan = Solver.solve Solver.grouped cluster plan in
+  let plan = Solver.solve Solver.Grouped cluster plan in
   let report = run_plan sim cluster plan in
   Alcotest.(check int) "three steps executed" 3
     (List.length report.Executor.step_results);
@@ -452,7 +441,7 @@ let test_executor_swap_max_per_host_one () =
     Plan.of_assignment cluster ~vms:[ a; b ] ~dst_of
       ~staging:[ node cluster "ib02" ] ()
   in
-  let plan = Solver.solve Solver.sequential cluster plan in
+  let plan = Solver.solve Solver.Sequential cluster plan in
   let report = run_plan sim cluster ~max_per_host:1 plan in
   Alcotest.(check int) "all steps done" 3 (List.length report.Executor.step_results);
   Alcotest.(check string) "a on ib01" "ib01" (Vm.host a).Node.name;
@@ -469,8 +458,8 @@ let test_grouped_beats_sequential () =
     let report = run_plan sim cluster plan in
     Time.to_sec_f report.Executor.makespan
   in
-  let seq = makespan Solver.sequential in
-  let grp = makespan Solver.grouped in
+  let seq = makespan Solver.Sequential in
+  let grp = makespan Solver.Grouped in
   Alcotest.(check bool)
     (Printf.sprintf "grouped (%.1fs) < sequential (%.1fs)" grp seq)
     true (grp < seq);
@@ -541,10 +530,7 @@ let test_step_failed_carries_identity () =
   let seen = ref None in
   Sim.spawn sim (fun () ->
       try
-        ignore
-          (Executor.run cluster ~run_step:failing
-             ~retry:(Retry.policy ~max_attempts:2 ~base_delay:(Time.ms 10) ())
-             plan)
+        ignore (Executor.run cluster ~run_step:failing plan)
       with Executor.Step_failed { step_id; vm; dst; reason } ->
         seen := Some (step_id, vm, dst, reason));
   Sim.run sim;
@@ -554,9 +540,9 @@ let test_step_failed_carries_identity () =
     Alcotest.(check int) "step id" expected_id step_id;
     Alcotest.(check string) "vm name" "a" vm;
     Alcotest.(check string) "destination" "eth00" dst;
-    Alcotest.(check int) "retried per policy before failing" 2 !calls;
+    Alcotest.(check int) "retried on the schedule before failing" 3 !calls;
     Alcotest.(check bool) "reason kept" true (contains reason "synthetic monitor failure");
-    Alcotest.(check bool) "attempt count reported" true (contains reason "2 attempts")
+    Alcotest.(check bool) "attempt count reported" true (contains reason "3 attempts")
 
 let test_executor_rejects_cycle () =
   let sim, cluster = setup () in
@@ -604,7 +590,7 @@ let () =
           Alcotest.test_case "grouped waves fit links" `Quick
             test_grouped_waves_respect_capacity;
           Alcotest.test_case "of_string" `Quick test_solver_of_string;
-          Alcotest.test_case "registry" `Quick test_solver_registry;
+          Alcotest.test_case "closed set" `Quick test_solver_closed_set;
           Alcotest.test_case "swap lowers communication cost" `Quick
             test_swap_lowers_communication_cost;
           Alcotest.test_case "swap never crosses fabric class" `Quick

@@ -94,7 +94,8 @@ let test_agents_run_in_parallel () =
   let elapsed = ref 0.0 in
   Sim.spawn sim (fun () ->
       let t0 = Sim.now sim in
-      Controller.device_detach ctl ~tag:"vf0" ();
+      ignore
+        (Controller.run_agents ctl (fun _vm -> [ Qmp.Device_del { tag = "vf0"; noise = 1.0 } ]));
       elapsed := Time.to_sec_f (Time.diff (Sim.now sim) t0));
   Sim.run sim;
   (* 4 detaches concurrently: ~ detach_ib + QMP overhead, NOT 4x. *)
@@ -111,8 +112,11 @@ let test_agent_failure_propagates () =
   let ctl = Controller.create cluster ~members in
   let failed = ref false in
   Sim.spawn sim (fun () ->
-      match Controller.device_detach ctl ~tag:"missing" () with
-      | () -> ()
+      match
+        Controller.run_agents ctl (fun _vm ->
+            [ Qmp.Device_del { tag = "missing"; noise = 1.0 } ])
+      with
+      | _ -> ()
       | exception Controller.Agent_failure _ -> failed := true);
   Sim.run sim;
   Alcotest.(check bool) "failure surfaced" true !failed
@@ -129,7 +133,16 @@ let test_parallel_migration_via_agents () =
   let plan vm = List.nth dsts (if String.equal (Vm.name vm) "vm0" then 0 else 1) in
   Sim.spawn sim (fun () ->
       List.iter Vm.pause vms;
-      let stats = Controller.migration ctl ~plan () in
+      let results =
+        Controller.run_agents ctl (fun vm ->
+            [ Qmp.Migrate { dst = plan vm; transport = Migration.Tcp; mode = Migration.Precopy } ])
+      in
+      let stats =
+        List.concat_map
+          (fun (_, responses) ->
+            List.filter (function Qmp.Migrated _ -> true | _ -> false) responses)
+          results
+      in
       Alcotest.(check int) "two results" 2 (List.length stats));
   Sim.run sim;
   List.iteri
