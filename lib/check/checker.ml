@@ -30,6 +30,9 @@ type t = {
       (* Fed only span events: reassembles the emitters' span
          trees so {!check_finish} can audit their structure without
          retaining the rest of the stream. *)
+  mutable over : Fabric.link list;
+      (* Links over capacity at the last event, in link-id order; empty on
+         a clean run. *)
   mutable events : int;
   mutable sub : Probe.subscription option;
 }
@@ -57,18 +60,41 @@ let pp_violation fmt v =
 let conserved ~capacity ~utilization =
   utilization <= (capacity *. (1.0 +. 1e-6)) +. 1.0
 
+let rec insert_by_id l = function
+  | [] -> [ l ]
+  | x :: rest as links ->
+    if Fabric.link_id l < Fabric.link_id x then l :: links
+    else if Fabric.link_id l = Fabric.link_id x then links
+    else x :: insert_by_id l rest
+
+let recheck t fabric link =
+  let utilization = Fabric.link_utilization fabric link in
+  if not (conserved ~capacity:(Fabric.link_capacity link) ~utilization) then
+    t.over <- insert_by_id link t.over
+
+(* Only links the fabric re-solved since the last event can have changed,
+   so test those, then report every link still over capacity in creation
+   (id) order, as a sweep of all links would. A link that has since
+   recovered or been removed (it carries nothing) leaves the set. *)
 let check_flow_conservation t at =
   let fabric = Cluster.fabric t.cluster in
-  List.iter
-    (fun link ->
-      let cap = Fabric.link_capacity link in
-      let util = Fabric.link_utilization fabric link in
-      if not (conserved ~capacity:cap ~utilization:util) then
-        record_at t ~at ~invariant:"flow-conservation"
-          ~detail:
-            (Printf.sprintf "link %s carries %.3g B/s over capacity %.3g B/s"
-               (Fabric.link_name link) util cap))
-    (Fabric.links fabric)
+  Fabric.drain_resolved fabric (recheck t fabric);
+  match t.over with
+  | [] -> ()
+  | over ->
+    t.over <-
+      List.filter
+        (fun link ->
+          let cap = Fabric.link_capacity link in
+          let util = Fabric.link_utilization fabric link in
+          let still = not (conserved ~capacity:cap ~utilization:util) in
+          if still then
+            record_at t ~at ~invariant:"flow-conservation"
+              ~detail:
+                (Printf.sprintf "link %s carries %.3g B/s over capacity %.3g B/s"
+                   (Fabric.link_name link) util cap);
+          still)
+        over
 
 let tags_of t name =
   match Hashtbl.find_opt t.attached name with
@@ -204,10 +230,12 @@ let install cluster ~vms =
       pull_remaining = Hashtbl.create 8;
       origins = Hashtbl.create 8;
       spans = Recorder.create ();
+      over = [];
       events = 0;
       sub = None;
     }
   in
+  Fabric.watch (Cluster.fabric cluster);
   List.iter
     (fun vm ->
       Hashtbl.replace t.vms (Vm.name vm) vm;
@@ -222,6 +250,7 @@ let detach t =
   | None -> ()
   | Some sub ->
     Probe.detach (Cluster.probes t.cluster) sub;
+    Fabric.unwatch (Cluster.fabric t.cluster);
     t.sub <- None
 
 let with_checker cluster ~vms f =

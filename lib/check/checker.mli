@@ -16,7 +16,11 @@
     - {b permit-leak} — the plan executor returns every per-host permit
       it acquired;
     - {b flow-conservation} — at every transition, the sum of flow
-      rates on each fabric link stays within its capacity;
+      rates on each fabric link stays within its capacity. Rates and
+      capacities change only when {!Ninja_flownet.Fabric} re-solves, so
+      each transition re-tests just the links re-solved since the last
+      one ({!Ninja_flownet.Fabric.drain_resolved}) and reports every link
+      still over capacity, in creation order;
     - {b fence-pairing} — fence enter/release strictly alternate, and
       no fence is left held at the end of the run;
     - {b rollback-restore} — after a rolled-back migration, every VM
@@ -61,11 +65,15 @@ type t
 val install : Cluster.t -> vms:Vm.t list -> t
 (** Attach a checker to the cluster's probe bus, watching [vms] (their
     current devices become the attach-balance baseline). Install after
-    the fleet is created and before any migration activity. *)
+    the fleet is created and before any migration activity. A cluster
+    takes one checker at a time: installing a second before the first is
+    {!detach}ed raises [Invalid_argument] (the checker is its fabric's
+    {!Ninja_flownet.Fabric.watch}er). *)
 
 val detach : t -> unit
-(** Remove the checker's bus subscription (idempotent). A detached bus
-    with no other subscriber goes back to costing nothing per emit. *)
+(** Remove the checker's bus subscription and fabric watch (idempotent).
+    A detached bus with no other subscriber goes back to costing nothing
+    per emit. *)
 
 val with_checker : Cluster.t -> vms:Vm.t list -> (t -> 'a) -> 'a
 (** [install], run the body, then {!detach} — even on exceptions. *)

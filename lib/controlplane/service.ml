@@ -651,35 +651,128 @@ let pricing_traffic t =
     | None -> t.traffic)
   | Some Declared | None -> t.traffic
 
-let swap_gain t traffic a b =
-  let env = Cost_model.env t.cluster ~traffic () in
-  let ha = Vm.host a and hb = Vm.host b in
-  let na = Vm.name a and nb = Vm.name b in
-  let lookup name = Cluster.vm_node t.cluster ~name in
-  let swapped name =
-    if String.equal name na then Some hb
-    else if String.equal name nb then Some ha
-    else lookup name
+(* No simulated time passes inside one proposal, so placements, residual
+   capacities and migration estimates cannot change while it prices its
+   pairs. Everything a pair's price reads is therefore resolved once per
+   proposal: each traffic entry's endpoints (fleet index and current node),
+   each VM's incident entries in traffic order, and — on first use — each
+   directed node pair's [Cost_model.pair_cost] and each (VM, destination)
+   [Cost_model.move_seconds]. A pair then sums exactly the terms, in
+   exactly the order, that filtering the whole matrix would give it. VM
+   names are unique within a cluster, so a fleet index stands for a name. *)
+type pricing = {
+  env : Cost_model.env;
+  nodes : Node.t array;  (* the nodes a price can read, by slot *)
+  host : int array;  (* fleet index -> slot of its host; slots name distinct nodes *)
+  ex : int array;  (* entry -> fleet index of each endpoint, -1 outside the fleet *)
+  ey : int array;
+  sx : int array;  (* entry -> slot of each endpoint's node, -1 unresolved *)
+  sy : int array;
+  rate : Float.Array.t;
+  incident : int array array;  (* fleet index -> its entries, ascending *)
+  pair : Float.Array.t;  (* slot x slot -> pair cost; nan until first use *)
+  move : Float.Array.t;  (* fleet index x destination slot -> seconds; nan until first use *)
+}
+
+let pricing t traffic (vms : Vm.t array) =
+  let n = Array.length vms in
+  let index = Hashtbl.create n in
+  Array.iteri (fun i vm -> Hashtbl.replace index (Vm.name vm) i) vms;
+  let slot_of = Hashtbl.create (2 * n) in
+  let rev_nodes = ref [] in
+  let slot (node : Node.t) =
+    match Hashtbl.find_opt slot_of node.Node.id with
+    | Some k -> k
+    | None ->
+      let k = Hashtbl.length slot_of in
+      Hashtbl.add slot_of node.Node.id k;
+      rev_nodes := node :: !rev_nodes;
+      k
   in
-  let incident =
-    List.filter
-      (fun (x, y, _) ->
-        String.equal x na || String.equal y na || String.equal x nb || String.equal y nb)
-      traffic
+  let host = Array.map (fun vm -> slot (Vm.host vm)) vms in
+  let entries = Array.of_list traffic in
+  let m = Array.length entries in
+  let fleet name = Option.value (Hashtbl.find_opt index name) ~default:(-1) in
+  let node_slot name =
+    match Cluster.vm_node t.cluster ~name with Some node -> slot node | None -> -1
   in
-  let cost lk =
-    List.fold_left
-      (fun acc (x, y, rate) ->
-        match (lk x, lk y) with
-        | Some nx, Some ny -> acc +. (rate *. Cost_model.pair_cost env nx ny)
-        | _ -> acc)
-      0.0 incident
-  in
-  let saved = cost lookup -. cost swapped in
-  let mig =
-    Cost_model.move_seconds env ~vm:a ~src:ha ~dst:hb ()
-    +. Cost_model.move_seconds env ~vm:b ~src:hb ~dst:ha ()
-  in
+  let ex = Array.map (fun (x, _, _) -> fleet x) entries in
+  let ey = Array.map (fun (_, y, _) -> fleet y) entries in
+  let sx = Array.map (fun (x, _, _) -> node_slot x) entries in
+  let sy = Array.map (fun (_, y, _) -> node_slot y) entries in
+  let rate = Float.Array.init m (fun e -> let _, _, r = entries.(e) in r) in
+  let rev_incident = Array.make n [] in
+  for e = m - 1 downto 0 do
+    if ex.(e) >= 0 then rev_incident.(ex.(e)) <- e :: rev_incident.(ex.(e));
+    if ey.(e) >= 0 && ey.(e) <> ex.(e) then rev_incident.(ey.(e)) <- e :: rev_incident.(ey.(e))
+  done;
+  let k = Hashtbl.length slot_of in
+  {
+    env = Cost_model.env t.cluster ~traffic ();
+    nodes = Array.of_list (List.rev !rev_nodes);
+    host;
+    ex;
+    ey;
+    sx;
+    sy;
+    rate;
+    incident = Array.map Array.of_list rev_incident;
+    pair = Float.Array.make (k * k) nan;
+    move = Float.Array.make (n * k) nan;
+  }
+
+let fill_pair p cell a b =
+  Float.Array.set p.pair cell (Cost_model.pair_cost p.env p.nodes.(a) p.nodes.(b))
+
+let[@inline] pair_cost p a b =
+  let cell = (a * Array.length p.nodes) + b in
+  if Float.is_nan (Float.Array.get p.pair cell) then fill_pair p cell a b;
+  Float.Array.get p.pair cell
+
+let fill_move p (vms : Vm.t array) cell i dst =
+  let vm = vms.(i) in
+  Float.Array.set p.move cell
+    (Cost_model.move_seconds p.env ~vm ~src:(Vm.host vm) ~dst:p.nodes.(dst) ())
+
+let[@inline] move_seconds p vms i dst =
+  let cell = (i * Array.length p.nodes) + dst in
+  if Float.is_nan (Float.Array.get p.move cell) then fill_move p vms cell i dst;
+  Float.Array.get p.move cell
+
+(* The gain of exchanging the hosts of fleet VMs [i] and [j]: the
+   communication their incident entries save over the cost model's
+   horizon, minus the two migrations. Each entry incident to both counts
+   once. *)
+let[@inline] swap_gain p vms i j =
+  let hi = p.host.(i) and hj = p.host.(j) in
+  let inc_i = p.incident.(i) and inc_j = p.incident.(j) in
+  let ni = Array.length inc_i and nj = Array.length inc_j in
+  let before = ref 0.0 and after = ref 0.0 in
+  let a = ref 0 and b = ref 0 in
+  while !a < ni || !b < nj do
+    let e =
+      if !b >= nj || (!a < ni && inc_i.(!a) < inc_j.(!b)) then begin
+        let e = inc_i.(!a) in
+        incr a;
+        e
+      end
+      else begin
+        let e = inc_j.(!b) in
+        if !a < ni && inc_i.(!a) = e then incr a;
+        incr b;
+        e
+      end
+    in
+    let x = p.sx.(e) and y = p.sy.(e) in
+    if x >= 0 && y >= 0 then
+      before := !before +. (Float.Array.get p.rate e *. pair_cost p x y);
+    let x = if p.ex.(e) = i then hj else if p.ex.(e) = j then hi else x in
+    let y = if p.ey.(e) = i then hj else if p.ey.(e) = j then hi else y in
+    if x >= 0 && y >= 0 then
+      after := !after +. (Float.Array.get p.rate e *. pair_cost p x y)
+  done;
+  let saved = !before -. !after in
+  let mig = move_seconds p vms i hj +. move_seconds p vms j hi in
   (Cost_model.default_horizon *. saved) -. mig
 
 let propose_swap t =
@@ -688,29 +781,32 @@ let propose_swap t =
   else begin
     let vms = Array.of_list t.all_vms in
     let n = Array.length vms in
+    let p = pricing t traffic vms in
+    (* A pair is a candidate when its VMs sit on distinct hosts of the
+       same fabric class and each is movable: not lost, on a live host,
+       unlocked. *)
+    let movable =
+      Array.map
+        (fun vm ->
+          (not (Vm.is_lost vm))
+          && Cluster.node_alive t.cluster (Vm.host vm)
+          && Locks.vm_free t.locks (Vm.name vm))
+        vms
+    in
+    let ib = Array.map (fun vm -> Node.has_ib (Vm.host vm)) vms in
     let best = ref None in
     let best_gain = ref 1e-9 in
     for i = 0 to n - 2 do
-      for j = i + 1 to n - 1 do
-        let a = vms.(i) and b = vms.(j) in
-        let ha = Vm.host a and hb = Vm.host b in
-        if
-          ha.Node.id <> hb.Node.id
-          && (not (Vm.is_lost a))
-          && (not (Vm.is_lost b))
-          && Cluster.node_alive t.cluster ha
-          && Cluster.node_alive t.cluster hb
-          && Node.has_ib ha = Node.has_ib hb
-          && Locks.vm_free t.locks (Vm.name a)
-          && Locks.vm_free t.locks (Vm.name b)
-        then begin
-          let g = swap_gain t traffic a b in
-          if g > !best_gain then begin
-            best_gain := g;
-            best := Some (a, b)
+      if movable.(i) then
+        for j = i + 1 to n - 1 do
+          if movable.(j) && p.host.(i) <> p.host.(j) && Bool.equal ib.(i) ib.(j) then begin
+            let g = swap_gain p vms i j in
+            if g > !best_gain then begin
+              best_gain := g;
+              best := Some (vms.(i), vms.(j))
+            end
           end
-        end
-      done
+        done
     done;
     match !best with
     | None ->

@@ -186,6 +186,10 @@ val propose_swap : t -> bool
     submitted, [false] when no exchange pays for its migrations within
     the horizon (counted as [ctl.swap.noop]). Called automatically by
     the dispatcher under [auto_swap]; harmless to call directly.
+    Nothing a price reads changes within one call, so endpoint
+    resolutions, incident entries, node-pair costs and migration
+    estimates are computed at most once per call, not once per pair; the
+    gains are bit-identical to pricing each pair from scratch.
     Telemetry: [ctl.swap.proposed]/[ctl.swap.gain] here,
     [ctl.swap.applied]/[ctl.swap.rolled_back] when the batch settles. *)
 

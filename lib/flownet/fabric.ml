@@ -16,6 +16,7 @@ type link = {
      a small-fabric rerate allocates nothing beyond the work queue. *)
   mutable mark : int;
   mutable removed : bool;
+  mutable slot : int; (* index in [state.resolved]; -1 when not pending *)
 }
 
 and info = { fid : int; route : link list; mutable fmark : int }
@@ -27,6 +28,11 @@ type state = {
   mutable dirty_links : link list; (* capacity changes since last rerate *)
   mutable freeze_log : int list; (* bottleneck ids of the last solve, reversed *)
   mutable epoch : int; (* bumped per incremental rerate; validates marks *)
+  mutable rev_links : link list; (* newest first; removed links linger until [links] *)
+  mutable live_links : link list option; (* [links]' answer, until a link is added or removed *)
+  mutable watched : bool; (* a consumer drains [resolved] *)
+  mutable resolved : link array; (* links re-solved since the last drain, first [n_resolved] *)
+  mutable n_resolved : int;
 }
 
 type t = {
@@ -34,8 +40,6 @@ type t = {
   state : state;
   mutable next_link : int; (* ids are never reused, so tie-breaks survive removals *)
   mutable next_fid : int;
-  mutable rev_links : link list; (* newest first; removed links linger until [links] *)
-  mutable live_links : link list option; (* [links]' answer, until a link is added or removed *)
 }
 
 type flow = info Rated.task
@@ -98,8 +102,60 @@ let solve_subset state flows links =
       done
   done
 
+(* Rebuilt at most once per add/remove, however often observers sweep. *)
+let live_links state =
+  match state.live_links with
+  | Some links -> links
+  | None ->
+    state.rev_links <- List.filter (fun l -> not l.removed) state.rev_links;
+    let links = List.rev state.rev_links in
+    state.live_links <- Some links;
+    links
+
+(* Fills the pending set's vacant slots, so it never keeps a retired
+   private link alive. *)
+let no_link =
+  {
+    id = -1;
+    name = "";
+    capacity = 1.0;
+    residual = 0.0;
+    unfrozen = 0;
+    flows_on = Hashtbl.create 1;
+    mark = 0;
+    removed = true;
+    slot = -1;
+  }
+
+(* Add a link to the watcher's pending set, once until the next drain. *)
+let record state l =
+  if l.slot < 0 then begin
+    if state.n_resolved = Array.length state.resolved then begin
+      let grown = Array.make (max 16 (2 * state.n_resolved)) no_link in
+      Array.blit state.resolved 0 grown 0 state.n_resolved;
+      state.resolved <- grown
+    end;
+    l.slot <- state.n_resolved;
+    state.resolved.(state.n_resolved) <- l;
+    state.n_resolved <- state.n_resolved + 1
+  end
+
+(* A retired link carries nothing and is no longer live, so the watcher
+   need not see it: fill its slot with the last pending link. *)
+let unrecord state l =
+  if l.slot >= 0 then begin
+    let last = state.n_resolved - 1 in
+    let moved = state.resolved.(last) in
+    state.resolved.(l.slot) <- moved;
+    moved.slot <- l.slot;
+    state.resolved.(last) <- no_link;
+    state.n_resolved <- last;
+    l.slot <- -1
+  end
+
 (* Reference solver: re-solve the whole fabric from scratch. *)
 let global_rerate state set =
+  if state.watched then List.iter (record state) (live_links state);
   let flows = Array.init (Rated.length set) (Rated.get set) in
   if Array.length flows > 0 then begin
     let links =
@@ -175,6 +231,10 @@ let incremental_rerate state set =
           end)
         l.flows_on
     done;
+    (* Every utilisation or capacity this rerate can change is on an
+       affected link — including a component whose last flow just left
+       and a re-capacitated link no flow crosses. *)
+    if state.watched then List.iter (record state) !aff_links;
     let flows =
       List.sort (fun a b -> compare (Rated.payload a).fid (Rated.payload b).fid) !aff_flows
       |> Array.of_list
@@ -189,15 +249,20 @@ let rerate state set =
   | Incremental -> incremental_rerate state set
 
 let create ?(solver = Incremental) sim =
-  let state = { solver; dirty_links = []; freeze_log = []; epoch = 0 } in
-  {
-    set = Rated.create sim ~name:"fabric" ~rerate:(rerate state);
-    state;
-    next_link = 0;
-    next_fid = 0;
-    rev_links = [];
-    live_links = None;
-  }
+  let state =
+    {
+      solver;
+      dirty_links = [];
+      freeze_log = [];
+      epoch = 0;
+      rev_links = [];
+      live_links = None;
+      watched = false;
+      resolved = [||];
+      n_resolved = 0;
+    }
+  in
+  { set = Rated.create sim ~name:"fabric" ~rerate:(rerate state); state; next_link = 0; next_fid = 0 }
 
 let solver t = t.state.solver
 
@@ -218,10 +283,11 @@ let add_link t ~name ~capacity =
       flows_on = Hashtbl.create 4;
       mark = 0;
       removed = false;
+      slot = -1;
     }
   in
-  t.rev_links <- l :: t.rev_links;
-  t.live_links <- None;
+  t.state.rev_links <- l :: t.state.rev_links;
+  t.state.live_links <- None;
   l
 
 let crosses l fl = List.exists (fun l' -> l'.id = l.id) (Rated.payload fl).route
@@ -235,18 +301,37 @@ let remove_link t l =
   if crossed then invalid_arg ("Fabric.remove_link: a flow still crosses " ^ l.name);
   if not l.removed then begin
     l.removed <- true;
-    t.live_links <- None
+    unrecord t.state l;
+    t.state.live_links <- None
   end
 
-(* Rebuilt at most once per add/remove, however often observers sweep. *)
-let links t =
-  match t.live_links with
-  | Some links -> links
-  | None ->
-    t.rev_links <- List.filter (fun l -> not l.removed) t.rev_links;
-    let links = List.rev t.rev_links in
-    t.live_links <- Some links;
-    links
+let links t = live_links t.state
+
+let watch t =
+  let state = t.state in
+  if state.watched then invalid_arg "Fabric.watch: the fabric already has a watcher";
+  state.watched <- true;
+  List.iter (record state) (live_links state)
+
+let unwatch t =
+  let state = t.state in
+  state.watched <- false;
+  for i = 0 to state.n_resolved - 1 do
+    state.resolved.(i).slot <- -1
+  done;
+  state.resolved <- [||];
+  state.n_resolved <- 0
+
+let drain_resolved t f =
+  let state = t.state in
+  let n = state.n_resolved in
+  state.n_resolved <- 0;
+  for i = 0 to n - 1 do
+    let l = state.resolved.(i) in
+    state.resolved.(i) <- no_link;
+    l.slot <- -1;
+    f l
+  done
 
 let link_name l = l.name
 
@@ -295,10 +380,14 @@ let link_utilization t l =
        table order is reproducible: hashing is unseeded and the table's
        layout is a pure function of the simulation's (deterministic)
        insert/remove history, so replays and [-j N] runs see the same
-       order. Checkers probe this on every event — keep it allocation-free. *)
-    let total = ref 0.0 in
-    Hashtbl.iter (fun _ fl -> total := !total +. Rated.rate fl) l.flows_on;
-    !total
+       order. The flow monitor polls every link on every tick and most
+       carry nothing, so an idle link answers without allocating. *)
+    if Hashtbl.length l.flows_on = 0 then 0.0
+    else begin
+      let total = ref 0.0 in
+      Hashtbl.iter (fun _ fl -> total := !total +. Rated.rate fl) l.flows_on;
+      !total
+    end
   | Global ->
     let total = ref 0.0 in
     for i = 0 to Rated.length t.set - 1 do

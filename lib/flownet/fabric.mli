@@ -50,9 +50,34 @@ val remove_link : t -> link -> unit
     afterwards. *)
 
 val links : t -> link list
-(** The live (added, not removed) links, in creation order — lets an
-    observer sweep the whole fabric (e.g. to check flow conservation on
-    each link). The list is cached between additions and removals. *)
+(** The live (added, not removed) links, in creation order — what the
+    flow monitor polls on each tick. The list is cached between additions
+    and removals. *)
+
+(** {1 Re-solved links}
+
+    A link's utilisation and capacity change only inside a re-rate, so a
+    consumer that must look at every changed link (the invariant
+    checker's flow-conservation test) need only look at the links the
+    solver covered since it last looked. *)
+
+val watch : t -> unit
+(** Start recording the links each re-rate covers: under [Incremental]
+    the re-solved component's links (a component whose last flow just
+    left and a re-capacitated link no flow crosses included), under
+    [Global] every live link. Every live link starts pending, so the
+    first {!drain_resolved} covers the whole fabric. A fabric has at most
+    one watcher: raises [Invalid_argument] when already watched. An
+    unwatched fabric pays one flag test per re-rate. *)
+
+val unwatch : t -> unit
+(** Stop recording and forget the pending links (idempotent). *)
+
+val drain_resolved : t -> (link -> unit) -> unit
+(** Apply the function to each link recorded since the last drain (or
+    {!watch}), once each, and empty the set. Every live link whose
+    utilisation or capacity differs from the last drain is among them; a
+    link removed since is not. *)
 
 val link_name : link -> string
 

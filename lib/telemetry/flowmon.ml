@@ -42,6 +42,7 @@ let validate cfg =
 type link_mon = {
   link : Fabric.link;
   ring : Ring.t;
+  mutable p95 : float;  (* of the ring's last [window] samples; 0 while empty *)
   mutable hot : bool;
   mutable hot_ticks : int;
   mutable peak : float;
@@ -174,6 +175,7 @@ let create ?(config = default_config) ?registry cluster ~traffic =
            {
              link;
              ring = Ring.create ~capacity:config.retain;
+             p95 = 0.0;
              hot = false;
              hot_ticks = 0;
              peak = 0.0;
@@ -262,11 +264,7 @@ let burn_rate t =
 let hotspots t =
   Array.to_list t.links
   |> List.filter_map (fun lm ->
-         if lm.hot then
-           Some
-             ( Fabric.link_name lm.link,
-               Ring.percentile ~n:t.cfg.window lm.ring 95.0
-               /. Fabric.link_capacity lm.link )
+         if lm.hot then Some (Fabric.link_name lm.link, lm.p95 /. Fabric.link_capacity lm.link)
          else None)
 
 let slo_attainment t =
@@ -298,11 +296,7 @@ let snapshot t =
   pf "# TYPE flowmon_link_utilization_p95_bytes gauge\n";
   Array.iter
     (fun lm ->
-      let p95 =
-        if Ring.length lm.ring = 0 then 0.0
-        else Ring.percentile ~n:t.cfg.window lm.ring 95.0
-      in
-      pf "flowmon_link_utilization_p95_bytes{link=%S} %g\n" (Fabric.link_name lm.link) p95)
+      pf "flowmon_link_utilization_p95_bytes{link=%S} %g\n" (Fabric.link_name lm.link) lm.p95)
     t.links;
   pf "# TYPE flowmon_hot_links gauge\nflowmon_hot_links %d\n" t.hot_now;
   pf "# TYPE flowmon_pair_rate_bytes gauge\n";
@@ -330,16 +324,16 @@ let tick t =
   Metrics.incr t.m "flowmon.ticks";
   let warm = Time.to_sec_f (Time.diff (Sim.now t.sim) t.started) > t.cfg.warmup +. 1e-9 in
   (* Links: poll the solver's live rates; detect hot links on the
-     windowed p95 of the ring. *)
+     windowed p95 of the ring, re-sorted only when the window changed —
+     an idle link pushes a zero that replaces a zero. *)
   let hot_now = ref 0 in
   Array.iter
     (fun lm ->
       let u = Fabric.link_utilization t.fabric lm.link in
-      Ring.push lm.ring u;
+      if Ring.push_changes lm.ring ~n:t.cfg.window u then
+        lm.p95 <- Ring.percentile ~n:t.cfg.window lm.ring 95.0;
       if u > lm.peak then lm.peak <- u;
-      let frac =
-        Ring.percentile ~n:t.cfg.window lm.ring 95.0 /. Fabric.link_capacity lm.link
-      in
+      let frac = lm.p95 /. Fabric.link_capacity lm.link in
       let hot = frac >= t.cfg.hot_threshold in
       if hot then begin
         incr hot_now;

@@ -10,10 +10,12 @@
     {2 Sampling model}
 
     A periodic tick fiber (every [period] sim-seconds) polls
-    {!Ninja_flownet.Fabric.link_utilization} on every link (allocation
-    free, like the checker's conservation sweep) and the fabric's active
-    flow count, pushing each series into a fixed {!Ring}. Inter-VM
-    demand is sampled sFlow-style: a pair at [rate] B/s offers
+    {!Ninja_flownet.Fabric.link_utilization} on every link and the
+    fabric's active flow count, pushing each series into a fixed {!Ring}.
+    Each link keeps its windowed p95 and re-sorts the window only when
+    the push changed it ({!Ring.push_changes}), so an idle link — most of
+    a datacenter's — costs a comparison per tick and allocates nothing.
+    Inter-VM demand is sampled sFlow-style: a pair at [rate] B/s offers
     [rate*period/pkt_bytes] packets per tick, of which 1-in-[sample_rate]
     is sampled — a Poisson draw with mean
     [lambda = rate*period/(pkt_bytes*sample_rate)] from the monitor's

@@ -24,6 +24,11 @@ let length t = t.len
 
 let pushed t = t.pushed
 
+(* Index of the [i]-th live sample, oldest first. *)
+let nth_index t i =
+  let cap = Array.length t.data in
+  (t.head - t.len + i + (2 * cap)) mod cap
+
 let push t v =
   let cap = Array.length t.data in
   t.data.(t.head) <- v;
@@ -31,14 +36,17 @@ let push t v =
   if t.len < cap then t.len <- t.len + 1;
   t.pushed <- t.pushed + 1
 
+(* The window is [t.len - n .. t.len - 1], oldest first; the push drops
+   its oldest sample, at [t.len - n], and adds [v]. *)
+let push_changes t ~n v =
+  if n <= 0 then invalid_arg "Ring: window must be positive";
+  let changed = t.len < n || not (Float.equal v t.data.(nth_index t (t.len - n))) in
+  push t v;
+  changed
+
 let last t =
   if t.len = 0 then None
   else Some t.data.((t.head - 1 + Array.length t.data) mod Array.length t.data)
-
-(* Index of the [i]-th live sample, oldest first. *)
-let nth_index t i =
-  let cap = Array.length t.data in
-  (t.head - t.len + i + (2 * cap)) mod cap
 
 (* The last [n] samples (all when [n] is absent or exceeds the length). *)
 let window_len t = function
@@ -60,7 +68,8 @@ let mean ?n t =
 let max ?n t = if window_len t n = 0 then nan else fold ?n Float.max neg_infinity t
 
 (* Copies and sorts the window (on-demand cost, not paid by the push
-   path). *)
+   path; a caller keeping a windowed percentile re-reads it only when
+   [push_changes] says the window changed). *)
 let percentile ?n t p =
   let w = window_len t n in
   let a = Array.init w (fun i -> t.data.(nth_index t (t.len - w + i))) in

@@ -23,6 +23,14 @@ val pushed : t -> int
 val push : t -> float -> unit
 (** O(1), allocation-free; overwrites the oldest sample when full. *)
 
+val push_changes : t -> n:int -> float -> bool
+(** [push], then whether the window of the last [n] samples changed as a
+    multiset: [false] exactly when the window was already full and the
+    sample it dropped is [Float.equal] to the one pushed. Every windowed
+    aggregate is a function of that multiset, so a caller can keep one
+    (a {!percentile} or a {!max}) and recompute it only on [true].
+    Allocation-free. Raises [Invalid_argument] when [n <= 0]. *)
+
 val last : t -> float option
 (** Most recent sample. *)
 
@@ -38,9 +46,10 @@ val max : ?n:int -> t -> float
 
 val percentile : ?n:int -> t -> float -> float
 (** [percentile t p] is the nearest-rank p-th percentile of the last [n]
-    samples ({!Ninja_metrics.Stats.percentile_sorted}); [nan] when empty. Copies and sorts the window, so the cost
-    lands on the reader, not the sampler. Raises [Invalid_argument] when
-    [p] is outside [0, 100]. *)
+    samples ({!Ninja_metrics.Stats.percentile_sorted}); [nan] when empty.
+    Copies and sorts the window, so the cost lands on the reader, not the
+    sampler; {!push_changes} tells a reader that keeps the value when it
+    is stale. Raises [Invalid_argument] when [p] is outside [0, 100]. *)
 
 val to_list : t -> float list
 (** Retained samples, oldest first (for tests and reports). *)

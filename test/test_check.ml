@@ -349,6 +349,22 @@ let test_checker_excuses_giveup () =
   Alcotest.(check (list string)) "fresh transaction re-arms the check"
     [ "rollback-restore" ] (violation_names checker)
 
+(* The checker owns its fabric's re-solved-link report: a second checker
+   on the same cluster is refused rather than left to split the report
+   with the first, and detaching hands the fabric back. *)
+let test_checker_one_per_cluster () =
+  let _sim, cluster = fresh_cluster () in
+  let first = Checker.install cluster ~vms:[] in
+  (match Checker.install cluster ~vms:[] with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a second checker was installed on the same cluster");
+  Checker.detach first;
+  Checker.with_checker cluster ~vms:[] (fun second ->
+      Probe.emit (Cluster.probes cluster)
+        (Probe.Plan_built { steps = 1; deps = 0; acyclic = true; staged = 0; overcommits = 0 });
+      Alcotest.(check int) "the replacement sees events" 1 (Checker.events_seen second);
+      Alcotest.(check (list string)) "and a clean fabric" [] (violation_names second))
+
 (* ------------------------------------------------------------------ *)
 (* Probe bus basics (the engine hook everything above rides on) *)
 
@@ -734,6 +750,7 @@ let () =
             test_checker_attach_balance_and_fence_gate;
           Alcotest.test_case "rollback giveup is excused" `Quick
             test_checker_excuses_giveup;
+          Alcotest.test_case "one checker per cluster" `Quick test_checker_one_per_cluster;
         ] );
       ( "probe",
         [

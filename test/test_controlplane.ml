@@ -385,6 +385,141 @@ let test_auto_swap_converges () =
   Alcotest.(check bool) "a further proposal is a noop" false
     (Service.propose_swap h.svc)
 
+(* {1 Swap pricing against the per-pair reference} *)
+
+(* The reference swap pricing: every pair builds its environment,
+   filters the whole matrix for the entries incident to it, resolves
+   their endpoints through the cluster's registry and prices both
+   migrations. *)
+let oracle_swap_gain cluster traffic a b =
+  let env = Ninja_planner.Cost_model.env cluster ~traffic () in
+  let ha = Ninja_vmm.Vm.host a and hb = Ninja_vmm.Vm.host b in
+  let na = Ninja_vmm.Vm.name a and nb = Ninja_vmm.Vm.name b in
+  let lookup name = Cluster.vm_node cluster ~name in
+  let swapped name =
+    if String.equal name na then Some hb
+    else if String.equal name nb then Some ha
+    else lookup name
+  in
+  let incident =
+    List.filter
+      (fun (x, y, _) ->
+        String.equal x na || String.equal y na || String.equal x nb || String.equal y nb)
+      traffic
+  in
+  let cost lk =
+    List.fold_left
+      (fun acc (x, y, rate) ->
+        match (lk x, lk y) with
+        | Some nx, Some ny -> acc +. (rate *. Ninja_planner.Cost_model.pair_cost env nx ny)
+        | _ -> acc)
+      0.0 incident
+  in
+  let saved = cost lookup -. cost swapped in
+  let mig =
+    Ninja_planner.Cost_model.move_seconds env ~vm:a ~src:ha ~dst:hb ()
+    +. Ninja_planner.Cost_model.move_seconds env ~vm:b ~src:hb ~dst:ha ()
+  in
+  (Ninja_planner.Cost_model.default_horizon *. saved) -. mig
+
+(* The reference pair loop over a fleet whose VMs are all unlocked. *)
+let oracle_propose cluster vms traffic =
+  let vms = Array.of_list vms in
+  let n = Array.length vms in
+  let best = ref None in
+  let best_gain = ref 1e-9 in
+  for i = 0 to n - 2 do
+    for j = i + 1 to n - 1 do
+      let a = vms.(i) and b = vms.(j) in
+      let ha = Ninja_vmm.Vm.host a and hb = Ninja_vmm.Vm.host b in
+      if
+        ha.Node.id <> hb.Node.id
+        && (not (Ninja_vmm.Vm.is_lost a))
+        && (not (Ninja_vmm.Vm.is_lost b))
+        && Cluster.node_alive cluster ha
+        && Cluster.node_alive cluster hb
+        && Node.has_ib ha = Node.has_ib hb
+      then begin
+        let g = oracle_swap_gain cluster traffic a b in
+        if g > !best_gain then begin
+          best_gain := g;
+          best := Some (a, b)
+        end
+      end
+    done
+  done;
+  Option.map (fun (a, b) -> (Ninja_vmm.Vm.name a, Ninja_vmm.Vm.name b, !best_gain)) !best
+
+(* A random priced fleet on a generated datacenter: VMs of varied
+   footprints, some lost, a node sometimes dead, background flows that
+   load the links, and a declared matrix split over two tenants with
+   duplicate rows, self-entries, entries between fleet VMs (so the winning
+   pair often shares one) and entries naming VMs outside the fleet, some
+   registered with the cluster and some unknown to it. *)
+let swap_pricing_prop =
+  QCheck.Test.make ~name:"propose_swap agrees with the per-pair reference" ~count:150
+    QCheck.small_int (fun salt ->
+      let prng = Prng.create ~seed:(Int64.of_int (1000 + salt)) in
+      let sim = Sim.create ~seed:(Int64.of_int salt) () in
+      let cluster = Cluster.create sim ~topology:(Topology.gen prng) () in
+      let nodes = Array.of_list (Cluster.nodes cluster) in
+      let pick a = a.(Prng.int prng (Array.length a)) in
+      let boot name =
+        Ninja_vmm.Vm.create cluster ~name ~host:(pick nodes) ~vcpus:2
+          ~mem_bytes:(Units.gb 8.0)
+          ~os_resident_bytes:(Units.gb (0.5 +. Prng.float prng 6.0))
+          ()
+      in
+      let fleet = List.init (2 + Prng.int prng 9) (fun i -> boot (Printf.sprintf "vm%02d" i)) in
+      let outsiders = List.init (Prng.int prng 3) (fun i -> boot (Printf.sprintf "out%d" i)) in
+      List.iter (fun vm -> if Prng.int prng 8 = 0 then Ninja_vmm.Vm.mark_lost vm) fleet;
+      if Prng.int prng 4 = 0 then Cluster.kill_node cluster (pick nodes);
+      for _ = 1 to Prng.int prng 6 do
+        match Cluster.route_opt cluster ~net:Cluster.Eth ~src:(pick nodes) ~dst:(pick nodes) with
+        | Some route -> ignore (Ninja_flownet.Fabric.start (Cluster.fabric cluster) ~route ~bytes:1e15)
+        | None -> ()
+      done;
+      let names =
+        Array.of_list
+          (List.map Ninja_vmm.Vm.name (fleet @ fleet @ outsiders) @ [ "ghost" ])
+      in
+      let rows =
+        List.init (1 + Prng.int prng 20) (fun _ ->
+            let x = pick names in
+            let y = if Prng.int prng 10 = 0 then x else pick names in
+            (x, y, 10.0 ** (5.0 +. Prng.float prng 4.0)))
+      in
+      let rows = rows @ List.filter (fun _ -> Prng.int prng 4 = 0) rows in
+      let half = List.length rows / 2 in
+      let fleet_a, fleet_b = List.partition (fun _ -> Prng.bool prng) fleet in
+      let tenant name weight vms traffic = { Service.name; weight; vms; traffic } in
+      let tenants =
+        [ tenant "t0" 2.0 fleet_a (List.filteri (fun i _ -> i < half) rows);
+          tenant "t1" 1.0 fleet_b (List.filteri (fun i _ -> i >= half) rows) ]
+      in
+      let config = { Service.default_config with Service.auto_swap = Some Service.Declared } in
+      let svc = Service.create cluster ~config ~tenants () in
+      let expected = oracle_propose cluster (Service.vms svc) rows in
+      let proposed = Service.propose_swap svc in
+      match expected with
+      | None ->
+        if proposed then QCheck.Test.fail_reportf "proposed a swap the reference prices as a noop";
+        Service.count svc "ctl.swap.noop" = 1.0
+      | Some (a, b, gain) ->
+        if not proposed then QCheck.Test.fail_reportf "noop where the reference swaps %s<->%s" a b;
+        let submit = Printf.sprintf "swap %s<->%s prio=low submit" a b in
+        let ends_with line =
+          let n = String.length line and k = String.length submit in
+          n >= k && String.equal (String.sub line (n - k) k) submit
+        in
+        if not (List.exists ends_with (Service.log svc)) then
+          QCheck.Test.fail_reportf "no %S request submitted:\n%s" submit
+            (String.concat "\n" (Service.log svc));
+        let got = Service.count svc "ctl.swap.gain" in
+        if not (Int64.equal (Int64.bits_of_float got) (Int64.bits_of_float gain)) then
+          QCheck.Test.fail_reportf "gain %.17g, reference %.17g" got gain;
+        true)
+
 (* {1 Open-loop fuzz under faults} *)
 
 let fault_menu =
@@ -500,6 +635,7 @@ let () =
           Alcotest.test_case "swap request exchanges hosts" `Quick
             test_swap_request_exchanges_hosts;
           Alcotest.test_case "auto-swap converges" `Quick test_auto_swap_converges;
+          QCheck_alcotest.to_alcotest swap_pricing_prop;
         ] );
       ("fuzz", [ Alcotest.test_case "open loop under faults" `Slow test_fuzz_open_loop ]);
       ( "experiment",

@@ -819,6 +819,29 @@ let ring_percentile_matches_stats_prop =
       let got = Ring.percentile ~n r p in
       if window = [] then Float.is_nan got else Float.equal got (Stats.percentile p window))
 
+(* A windowed percentile kept across pushes — re-read only when
+   [Ring.push_changes] reports the window changed, as the flow monitor's
+   per-link p95 is — always equals one recomputed from scratch. Samples
+   come from a tiny alphabet, so runs of equal values (zeros included)
+   are common; windows range from shorter than the ring to its whole
+   capacity. *)
+let ring_kept_percentile_prop =
+  QCheck.Test.make ~name:"a percentile kept through push_changes equals a fresh one"
+    ~count:500
+    QCheck.(
+      quad (int_range 1 12)
+        (list_of_size Gen.(int_range 0 60) (map float_of_int (int_range 0 3)))
+        (int_range 0 12) (float_bound_inclusive 100.0))
+    (fun (capacity, pushes, shorter, p) ->
+      let n = Stdlib.max 1 (capacity - shorter) in
+      let r = Ring.create ~capacity in
+      let kept = ref 0.0 in
+      List.for_all
+        (fun v ->
+          if Ring.push_changes r ~n v then kept := Ring.percentile ~n r p;
+          Float.equal !kept (Ring.percentile ~n r p))
+        pushes)
+
 let () =
   Alcotest.run "ninja_telemetry"
     [
@@ -843,6 +866,7 @@ let () =
             test_ring_wraparound;
           Alcotest.test_case "nearest-rank percentiles" `Quick test_ring_percentile;
           QCheck_alcotest.to_alcotest ring_percentile_matches_stats_prop;
+          QCheck_alcotest.to_alcotest ring_kept_percentile_prop;
         ] );
       ( "metrics",
         [

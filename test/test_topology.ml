@@ -231,11 +231,54 @@ let test_fuzz_hook () =
 (* ------------------------------------------------------------------ *)
 (* Differential: incremental vs global max-min solver *)
 
+(* The reference flow-conservation check: sweep every live link and keep
+   those whose flows exceed its capacity (the checker's tolerance). *)
+let sweep fabric =
+  List.filter
+    (fun l ->
+      Fabric.link_utilization fabric l > (Fabric.link_capacity l *. (1.0 +. 1e-6)) +. 1.0)
+    (Fabric.links fabric)
+
+(* What the checker relies on instead of the sweep: between two drains,
+   every link whose utilisation or capacity changed was re-solved and so
+   drained. [watch_changes fabric links] watches the fabric and returns a
+   step check naming the first changed link the drain missed. *)
+let watch_changes fabric links =
+  Fabric.watch fabric;
+  let state () =
+    Array.map (fun l -> (Fabric.link_utilization fabric l, Fabric.link_capacity l)) links
+  in
+  let drained = Hashtbl.create 64 in
+  Fabric.drain_resolved fabric ignore;
+  let prev = ref (state ()) in
+  fun () ->
+    Hashtbl.reset drained;
+    Fabric.drain_resolved fabric (fun l -> Hashtbl.replace drained (Fabric.link_id l) ());
+    let now = state () in
+    let missed = ref None in
+    Array.iteri
+      (fun i l ->
+        let (u0, c0), (u1, c1) = (!prev.(i), now.(i)) in
+        if
+          !missed = None
+          && ((not (Float.equal u0 u1)) || not (Float.equal c0 c1))
+          && not (Hashtbl.mem drained (Fabric.link_id l))
+        then
+          missed :=
+            Some
+              (Printf.sprintf "%s changed (%.17g/%.17g -> %.17g/%.17g) but was not drained"
+                 (Fabric.link_name l) u0 c0 u1 c1))
+      links;
+    prev := now;
+    !missed
+
 (* Drive one random join/leave/capacity-change sequence over two clusters
    built from the same generated topology, one per solver, and compare
    every live flow's rate after every operation. Flows carry far more
    bytes than could ever complete (the simulations never run), so the
-   sequence exercises pure re-rating. *)
+   sequence exercises pure re-rating. After every operation both fabrics
+   must also have reported every link that changed, and neither may hold
+   an over-capacity link. *)
 let paired_sequence ~ops ~solver_b ~compare_logs prng =
   let topo = Topology.gen prng in
   let mk solver = Cluster.create (Sim.create ()) ~topology:topo ~solver () in
@@ -245,6 +288,7 @@ let paired_sequence ~ops ~solver_b ~compare_logs prng =
   let nodes_b = Array.of_list (Cluster.nodes cb) in
   let links_a = Array.of_list (Fabric.links fa) in
   let links_b = Array.of_list (Fabric.links fb) in
+  let changes_a = watch_changes fa links_a and changes_b = watch_changes fb links_b in
   let n = Array.length nodes_a in
   let live = ref [] in
   let failure = ref None in
@@ -257,7 +301,18 @@ let paired_sequence ~ops ~solver_b ~compare_logs prng =
             Some (Printf.sprintf "step %d: incremental %.17g vs reference %.17g" step ra rb))
       !live;
     if compare_logs && Fabric.last_bottlenecks fa <> Fabric.last_bottlenecks fb then
-      failure := Some (Printf.sprintf "step %d: freeze logs diverge" step)
+      failure := Some (Printf.sprintf "step %d: freeze logs diverge" step);
+    List.iter
+      (fun (tag, changes, fabric) ->
+        (match changes () with
+        | Some msg -> failure := Some (Printf.sprintf "step %d (%s): %s" step tag msg)
+        | None -> ());
+        match sweep fabric with
+        | [] -> ()
+        | l :: _ ->
+          failure :=
+            Some (Printf.sprintf "step %d (%s): %s over capacity" step tag (Fabric.link_name l)))
+      [ ("incremental", changes_a, fa); ("reference", changes_b, fb) ]
   in
   for step = 1 to ops do
     (match !failure with
