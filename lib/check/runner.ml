@@ -108,6 +108,23 @@ let apply_plant (sc : Scenario.t) cluster ninja =
     | Some (Ninja.Lost _) | Some Ninja.Completed | None -> ())
   | Some other -> invalid_arg (Printf.sprintf "unknown plant %S" other)
 
+(* Every VM that is neither lost nor excused must be back on its origin
+   once the migration has failed; [after] names how it failed. *)
+let check_restored ~origins ninja checker ~after =
+  List.iteri
+    (fun i vm ->
+      let origin = (List.nth origins i).Node.name in
+      if
+        (not (Vm.is_lost vm))
+        && (not (Checker.excused checker (Vm.name vm)))
+        && (Vm.host vm).Node.name <> origin
+      then
+        Checker.record checker ~invariant:"rollback-restore"
+          ~detail:
+            (Printf.sprintf "%s ends on %s after %s; its origin is %s" (Vm.name vm)
+               (Vm.host vm).Node.name after origin))
+    (Ninja.vms ninja)
+
 let final_checks ~origins (sc : Scenario.t) ninja checker =
   match Ninja.last_outcome ninja with
   | None ->
@@ -137,19 +154,7 @@ let final_checks ~origins (sc : Scenario.t) ninja checker =
                  "%s was lost mid-postcopy but the outcome claims a clean rollback"
                  (Vm.name vm)))
       (Ninja.vms ninja);
-    List.iteri
-      (fun i vm ->
-        let origin = (List.nth origins i).Node.name in
-        if
-          (not (Vm.is_lost vm))
-          && (not (Checker.excused checker (Vm.name vm)))
-          && (Vm.host vm).Node.name <> origin
-        then
-          Checker.record checker ~invariant:"rollback-restore"
-            ~detail:
-              (Printf.sprintf "%s ends on %s after a rollback; its origin is %s"
-                 (Vm.name vm) (Vm.host vm).Node.name origin))
-      (Ninja.vms ninja)
+    check_restored ~origins ninja checker ~after:"a rollback"
   | Some (Ninja.Lost _) ->
     (* The terminal postcopy outcome: at least one VM must really be
        lost (and paused — {!Checker.check_finish} asserts that part),
@@ -157,19 +162,7 @@ let final_checks ~origins (sc : Scenario.t) ninja checker =
     if not (List.exists Vm.is_lost (Ninja.vms ninja)) then
       Checker.record checker ~invariant:"lost-accounting"
         ~detail:"outcome is Lost but no VM is marked lost";
-    List.iteri
-      (fun i vm ->
-        let origin = (List.nth origins i).Node.name in
-        if
-          (not (Vm.is_lost vm))
-          && (not (Checker.excused checker (Vm.name vm)))
-          && (Vm.host vm).Node.name <> origin
-        then
-          Checker.record checker ~invariant:"rollback-restore"
-            ~detail:
-              (Printf.sprintf "%s ends on %s after a lost migration; its origin is %s"
-                 (Vm.name vm) (Vm.host vm).Node.name origin))
-      (Ninja.vms ninja)
+    check_restored ~origins ninja checker ~after:"a lost migration"
 
 let run ?attach scenario =
   let checker_ref = ref None in

@@ -78,6 +78,3 @@ let release t c =
 
 let claimed_hosts t =
   Hashtbl.fold (fun id _ acc -> id :: acc) t.hosts [] |> List.sort compare
-
-let claimed_vms t =
-  Hashtbl.fold (fun name _ acc -> name :: acc) t.vms [] |> List.sort compare

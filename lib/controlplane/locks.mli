@@ -50,6 +50,3 @@ val release : t -> claim -> unit
 
 val claimed_hosts : t -> int list
 (** Sorted; for introspection and tests. *)
-
-val claimed_vms : t -> string list
-(** Sorted. *)

@@ -30,13 +30,7 @@ let full = make ~mode:Full ()
 
 let with_seed seed t = { t with seed }
 
-let with_mode mode t = { t with mode }
-
 let with_topology topology t = { t with topology }
-
-let with_traffic traffic t = { t with traffic }
-
-let with_migration migration t = { t with migration }
 
 let with_pool pool t = { t with pool }
 

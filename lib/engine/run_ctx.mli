@@ -88,13 +88,7 @@ val full : t
 
 val with_seed : int64 -> t -> t
 
-val with_mode : mode -> t -> t
-
 val with_topology : string option -> t -> t
-
-val with_traffic : string option -> t -> t
-
-val with_migration : string option -> t -> t
 
 val with_pool : Pool.t option -> t -> t
 

@@ -49,8 +49,6 @@ let schedule t ~after run =
 
 let cancel ev = ev.cancelled <- true
 
-let live_fibers t = Hashtbl.length t.fibers
-
 (* The per-fiber effect handler. [Suspend]'s register function receives a
    resume callback that is idempotent: only its first invocation schedules
    the continuation, so primitives may safely keep stale wakeup references
@@ -149,5 +147,3 @@ let run t =
 let run_until t limit =
   drain t ~limit:(Time.to_int limit);
   t.now <- Time.max t.now limit
-
-let run_for t span = run_until t (Time.add t.now span)

@@ -54,8 +54,6 @@ val spawn : t -> ?name:string -> (unit -> unit) -> unit
     simulation's effect handler; any exception it raises aborts the whole
     simulation run with that exception. *)
 
-val live_fibers : t -> int
-
 val sleep : Time.span -> unit
 (** Block the calling fiber for a simulated duration. Must be called from
     inside a fiber. *)
@@ -77,6 +75,3 @@ val run_until : t -> Time.t -> unit
 (** Execute events with timestamps [<=] the given time, then set the clock
     to exactly that time. Suspended fibers are not an error here — the
     simulation can be resumed with further [run_until]/[run] calls. *)
-
-val run_for : t -> Time.span -> unit
-(** [run_for t span] is [run_until t (Time.add (now t) span)]. *)

@@ -70,5 +70,3 @@ let pp fmt t =
   else if Stdlib.( >= ) abs 1e-3 then Format.fprintf fmt "%.2fms" (f *. 1e3)
   else if Stdlib.( >= ) abs 1e-6 then Format.fprintf fmt "%.2fus" (f *. 1e6)
   else Format.fprintf fmt "%dns" t
-
-let pp_sec fmt t = Format.fprintf fmt "%.2f" (to_sec_f t)

@@ -57,6 +57,3 @@ val is_negative : span -> bool
 val pp : Format.formatter -> t -> unit
 (** Human-readable rendering with an adaptive unit, e.g. ["3.88s"],
     ["29.91ms"], ["250ns"]. *)
-
-val pp_sec : Format.formatter -> t -> unit
-(** Rendering always in seconds with two decimals, e.g. ["53.70"]. *)

@@ -45,8 +45,6 @@ let is_ib_pod t pod = pod >= 0 && pod < t.ib_pods
 
 let pod_of_rack t rack = rack / t.racks_per_pod
 
-let ib_host_count t = t.ib_pods * t.racks_per_pod * t.hosts_per_rack
-
 let eth_host_count t = (t.pods - t.ib_pods) * t.racks_per_pod * t.hosts_per_rack
 
 let mem_bytes t = Units.gb t.mem_gb

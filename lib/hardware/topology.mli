@@ -56,8 +56,6 @@ val rack_count : t -> int
 
 val host_count : t -> int
 
-val ib_host_count : t -> int
-
 val eth_host_count : t -> int
 
 val is_ib_pod : t -> int -> bool

@@ -5,8 +5,7 @@ open Ninja_vmm
 let large_threshold = 512.0 *. 1024.0
 
 (* Distinct tag spaces per collective; per-pair FIFO ordering makes one tag
-   per collective sufficient across consecutive calls. Communicator
-   context ids are folded in on top (see [view]). *)
+   per collective sufficient across consecutive calls. *)
 let tag_barrier = 0x10000
 
 let tag_bcast = 0x11000
@@ -17,60 +16,31 @@ let tag_allgather = 0x13000
 
 let tag_gather = 0x14000
 
-let tag_scatter = 0x15000
-
 let tag_alltoall = 0x16000
 
-(* ------------------------------------------------------------------ *)
-(* A view abstracts "who am I, how many of us, how do I reach rank i" so
-   every algorithm below works identically on the world communicator and
-   on sub-communicators (ranks and tags translated by the caller). *)
-
-type view = {
-  vme : int;
-  vn : int;
-  vsend : dst:int -> tag:int -> bytes:float -> unit;
-  vrecv : src:int option -> tag:int -> float;
-  vspawn : (unit -> unit) -> unit;
-  vreduce_cost : bytes:float -> unit;
-}
-
-let reduction_cost proc ~bytes =
+let reduction_cost p ~bytes =
   if bytes > 0.0 then
-    Vm.compute (Rank.vm proc) ~core_seconds:(bytes /. Calibration.reduction_rate)
+    Vm.compute (Rank.vm p) ~core_seconds:(bytes /. Calibration.reduction_rate)
 
-let sim_of proc = Cluster.sim (Rank.cluster (Rank.job proc))
-
-(* The world view: communicator ranks are job ranks, tags unchanged
-   (context id 0). *)
-let world_view p =
-  {
-    vme = Rank.rank p;
-    vn = Rank.size p;
-    vsend = (fun ~dst ~tag ~bytes -> Rank.send p ~dst ~tag ~bytes);
-    vrecv = (fun ~src ~tag -> Rank.recv p ?src ~tag ());
-    vspawn = (fun f -> Ninja_engine.Sim.spawn (sim_of p) ~name:"coll" f);
-    vreduce_cost = (fun ~bytes -> reduction_cost p ~bytes);
-  }
-
-let v_sendrecv v ~dst ~src ~tag ~send_bytes =
+let sendrecv p ~dst ~src ~tag ~send_bytes =
   let send_done = Ivar.create () in
-  v.vspawn (fun () ->
-      v.vsend ~dst ~tag ~bytes:send_bytes;
+  Sim.spawn (Cluster.sim (Rank.cluster (Rank.job p))) ~name:"coll" (fun () ->
+      Rank.send p ~dst ~tag ~bytes:send_bytes;
       Ivar.fill send_done ());
-  let got = v.vrecv ~src:(Some src) ~tag in
+  let got = Rank.recv p ~src ~tag () in
   Ivar.read send_done;
   got
 
 (* ------------------------------------------------------------------ *)
 
-let v_barrier v =
-  if v.vn > 1 then begin
+let barrier p =
+  let n = Rank.size p and me = Rank.rank p in
+  if n > 1 then begin
     let mask = ref 1 in
-    while !mask < v.vn do
-      let dst = (v.vme + !mask) mod v.vn in
-      let src = (v.vme - !mask + v.vn) mod v.vn in
-      ignore (v_sendrecv v ~dst ~src ~tag:tag_barrier ~send_bytes:1.0);
+    while !mask < n do
+      let dst = (me + !mask) mod n in
+      let src = (me - !mask + n) mod n in
+      ignore (sendrecv p ~dst ~src ~tag:tag_barrier ~send_bytes:1.0);
       mask := !mask lsl 1
     done
   end
@@ -78,16 +48,16 @@ let v_barrier v =
 (* ------------------------------------------------------------------ *)
 (* Broadcast *)
 
-let v_bcast_binomial v ~root ~bytes =
-  let n = v.vn in
-  let vr = (v.vme - root + n) mod n in
+let bcast_binomial p ~root ~bytes =
+  let n = Rank.size p in
+  let vr = (Rank.rank p - root + n) mod n in
   let abs x = (x + root) mod n in
   (* Receive from the parent (the lowest set bit of vr). *)
   let mask = ref 1 in
   (try
      while !mask < n do
        if vr land !mask <> 0 then begin
-         ignore (v.vrecv ~src:(Some (abs (vr - !mask))) ~tag:tag_bcast);
+         ignore (Rank.recv p ~src:(abs (vr - !mask)) ~tag:tag_bcast ());
          raise Exit
        end;
        mask := !mask lsl 1
@@ -96,15 +66,15 @@ let v_bcast_binomial v ~root ~bytes =
   (* Relay to children. *)
   mask := !mask lsr 1;
   while !mask > 0 do
-    if vr + !mask < n then v.vsend ~dst:(abs (vr + !mask)) ~tag:tag_bcast ~bytes;
+    if vr + !mask < n then Rank.send p ~dst:(abs (vr + !mask)) ~tag:tag_bcast ~bytes;
     mask := !mask lsr 1
   done
 
 (* Binomial scatter of [bytes] into n contiguous chunks (MPICH
    scatter_for_bcast). Returns this rank's chunk size. *)
-let v_scatter_for_bcast v ~root ~bytes =
-  let n = v.vn in
-  let vr = (v.vme - root + n) mod n in
+let scatter_for_bcast p ~root ~bytes =
+  let n = Rank.size p in
+  let vr = (Rank.rank p - root + n) mod n in
   let abs x = (x + root) mod n in
   let chunk = bytes /. float_of_int n in
   let curr = ref (if vr = 0 then bytes else 0.0) in
@@ -113,7 +83,8 @@ let v_scatter_for_bcast v ~root ~bytes =
      while !mask < n do
        if vr land !mask <> 0 then begin
          let recv_size = bytes -. (float_of_int vr *. chunk) in
-         if recv_size > 0.0 then curr := v.vrecv ~src:(Some (abs (vr - !mask))) ~tag:tag_bcast;
+         if recv_size > 0.0 then
+           curr := Rank.recv p ~src:(abs (vr - !mask)) ~tag:tag_bcast ();
          raise Exit
        end;
        mask := !mask lsl 1
@@ -124,7 +95,7 @@ let v_scatter_for_bcast v ~root ~bytes =
     if vr + !mask < n then begin
       let send_size = !curr -. (chunk *. float_of_int !mask) in
       if send_size > 0.0 then begin
-        v.vsend ~dst:(abs (vr + !mask)) ~tag:tag_bcast ~bytes:send_size;
+        Rank.send p ~dst:(abs (vr + !mask)) ~tag:tag_bcast ~bytes:send_size;
         curr := !curr -. send_size
       end
     end;
@@ -132,40 +103,47 @@ let v_scatter_for_bcast v ~root ~bytes =
   done;
   chunk
 
+(* Ring allgather of one [chunk] per rank: n-1 steps, each passing the
+   chunk received last step on to the right. *)
+let ring_allgather p ~tag ~chunk =
+  let n = Rank.size p and me = Rank.rank p in
+  let right = (me + 1) mod n and left = (me - 1 + n) mod n in
+  for _step = 1 to n - 1 do
+    ignore (sendrecv p ~dst:right ~src:left ~tag ~send_bytes:chunk)
+  done
+
 (* van de Geijn: binomial scatter + ring allgather. Bandwidth term
    ~ 2·bytes·(n-1)/n, which beats the binomial tree's bytes·log n for
    large payloads. *)
-let v_bcast_vandegeijn v ~root ~bytes =
-  let chunk = v_scatter_for_bcast v ~root ~bytes in
-  let right = (v.vme + 1) mod v.vn and left = (v.vme - 1 + v.vn) mod v.vn in
-  for _step = 1 to v.vn - 1 do
-    ignore (v_sendrecv v ~dst:right ~src:left ~tag:tag_bcast ~send_bytes:chunk)
-  done
+let bcast_vandegeijn p ~root ~bytes =
+  let chunk = scatter_for_bcast p ~root ~bytes in
+  ring_allgather p ~tag:tag_bcast ~chunk
 
-let v_bcast v ~root ~bytes =
-  if root < 0 || root >= v.vn then invalid_arg "Coll.bcast: bad root";
-  if v.vn > 1 then
-    if bytes <= large_threshold then v_bcast_binomial v ~root ~bytes
-    else v_bcast_vandegeijn v ~root ~bytes
+let bcast p ~root ~bytes =
+  let n = Rank.size p in
+  if root < 0 || root >= n then invalid_arg "Coll.bcast: bad root";
+  if n > 1 then
+    if bytes <= large_threshold then bcast_binomial p ~root ~bytes
+    else bcast_vandegeijn p ~root ~bytes
 
 (* ------------------------------------------------------------------ *)
 (* Reduce *)
 
-let v_reduce_binomial v ~root ~bytes =
-  let n = v.vn in
-  let vr = (v.vme - root + n) mod n in
+let reduce_binomial p ~root ~bytes =
+  let n = Rank.size p in
+  let vr = (Rank.rank p - root + n) mod n in
   let abs x = (x + root) mod n in
   let mask = ref 1 in
   (try
      while !mask < n do
        if vr land !mask = 0 then begin
          if vr + !mask < n then begin
-           ignore (v.vrecv ~src:(Some (abs (vr + !mask))) ~tag:tag_reduce);
-           v.vreduce_cost ~bytes
+           ignore (Rank.recv p ~src:(abs (vr + !mask)) ~tag:tag_reduce ());
+           reduction_cost p ~bytes
          end
        end
        else begin
-         v.vsend ~dst:(abs (vr - !mask)) ~tag:tag_reduce ~bytes;
+         Rank.send p ~dst:(abs (vr - !mask)) ~tag:tag_reduce ~bytes;
          raise Exit
        end;
        mask := !mask lsl 1
@@ -174,120 +152,48 @@ let v_reduce_binomial v ~root ~bytes =
 
 (* Ring reduce-scatter: after n-1 steps, rank r owns the fully reduced
    chunk ((r+1) mod n). Each step moves bytes/n and reduces it. *)
-let v_ring_reduce_scatter v ~bytes =
-  let chunk = bytes /. float_of_int v.vn in
-  let right = (v.vme + 1) mod v.vn and left = (v.vme - 1 + v.vn) mod v.vn in
-  for _step = 1 to v.vn - 1 do
-    ignore (v_sendrecv v ~dst:right ~src:left ~tag:tag_reduce ~send_bytes:chunk);
-    v.vreduce_cost ~bytes:chunk
+let ring_reduce_scatter p ~bytes =
+  let n = Rank.size p and me = Rank.rank p in
+  let chunk = bytes /. float_of_int n in
+  let right = (me + 1) mod n and left = (me - 1 + n) mod n in
+  for _step = 1 to n - 1 do
+    ignore (sendrecv p ~dst:right ~src:left ~tag:tag_reduce ~send_bytes:chunk);
+    reduction_cost p ~bytes:chunk
   done;
   chunk
 
-let v_reduce_rabenseifner v ~root ~bytes =
-  let chunk = v_ring_reduce_scatter v ~bytes in
+let reduce_rabenseifner p ~root ~bytes =
+  let chunk = ring_reduce_scatter p ~bytes in
   (* Gather the reduced chunks at the root. *)
-  if v.vme = root then
-    for _ = 1 to v.vn - 1 do
-      ignore (v.vrecv ~src:None ~tag:tag_gather)
+  if Rank.rank p = root then
+    for _ = 1 to Rank.size p - 1 do
+      ignore (Rank.recv p ~tag:tag_gather ())
     done
-  else v.vsend ~dst:root ~tag:tag_gather ~bytes:chunk
+  else Rank.send p ~dst:root ~tag:tag_gather ~bytes:chunk
 
-let v_reduce v ~root ~bytes =
-  if root < 0 || root >= v.vn then invalid_arg "Coll.reduce: bad root";
-  if v.vn > 1 then
-    if bytes <= large_threshold then v_reduce_binomial v ~root ~bytes
-    else v_reduce_rabenseifner v ~root ~bytes
+let reduce p ~root ~bytes =
+  let n = Rank.size p in
+  if root < 0 || root >= n then invalid_arg "Coll.reduce: bad root";
+  if n > 1 then
+    if bytes <= large_threshold then reduce_binomial p ~root ~bytes
+    else reduce_rabenseifner p ~root ~bytes
 
 (* ------------------------------------------------------------------ *)
 
-let v_ring_allgather v ~chunk =
-  let right = (v.vme + 1) mod v.vn and left = (v.vme - 1 + v.vn) mod v.vn in
-  for _step = 1 to v.vn - 1 do
-    ignore (v_sendrecv v ~dst:right ~src:left ~tag:tag_allgather ~send_bytes:chunk)
-  done
-
-let v_allreduce v ~bytes =
-  if v.vn > 1 then
+let allreduce p ~bytes =
+  if Rank.size p > 1 then
     if bytes <= large_threshold then begin
-      v_reduce_binomial v ~root:0 ~bytes;
-      v_bcast_binomial v ~root:0 ~bytes
+      reduce_binomial p ~root:0 ~bytes;
+      bcast_binomial p ~root:0 ~bytes
     end
     else begin
-      let chunk = v_ring_reduce_scatter v ~bytes in
-      v_ring_allgather v ~chunk
+      let chunk = ring_reduce_scatter p ~bytes in
+      ring_allgather p ~tag:tag_allgather ~chunk
     end
 
-let v_allgather v ~bytes_per_rank = if v.vn > 1 then v_ring_allgather v ~chunk:bytes_per_rank
-
-let v_gather v ~root ~bytes_per_rank =
-  if v.vn > 1 then
-    if v.vme = root then
-      for _ = 1 to v.vn - 1 do
-        ignore (v.vrecv ~src:None ~tag:tag_gather)
-      done
-    else v.vsend ~dst:root ~tag:tag_gather ~bytes:bytes_per_rank
-
-let v_scatter v ~root ~bytes_per_rank =
-  if v.vn > 1 then
-    if v.vme = root then
-      for dst = 0 to v.vn - 1 do
-        if dst <> root then v.vsend ~dst ~tag:tag_scatter ~bytes:bytes_per_rank
-      done
-    else ignore (v.vrecv ~src:(Some root) ~tag:tag_scatter)
-
-let v_alltoall v ~bytes_per_pair =
-  for step = 1 to v.vn - 1 do
-    let dst = (v.vme + step) mod v.vn and src = (v.vme - step + v.vn) mod v.vn in
-    ignore (v_sendrecv v ~dst ~src ~tag:tag_alltoall ~send_bytes:bytes_per_pair)
+let alltoall p ~bytes_per_pair =
+  let n = Rank.size p and me = Rank.rank p in
+  for step = 1 to n - 1 do
+    let dst = (me + step) mod n and src = (me - step + n) mod n in
+    ignore (sendrecv p ~dst ~src ~tag:tag_alltoall ~send_bytes:bytes_per_pair)
   done
-
-let v_reduce_scatter v ~bytes_per_rank =
-  if v.vn > 1 then ignore (v_ring_reduce_scatter v ~bytes:(bytes_per_rank *. float_of_int v.vn))
-
-(* Linear-pipeline scan: rank r receives the prefix from r-1, combines,
-   forwards to r+1. MPI_Scan and MPI_Exscan differ only in whether the
-   local contribution is folded in, which costs the same — both map
-   here. *)
-let v_scan v ~bytes =
-  if v.vn > 1 then begin
-    if v.vme > 0 then begin
-      ignore (v.vrecv ~src:(Some (v.vme - 1)) ~tag:tag_reduce);
-      v.vreduce_cost ~bytes
-    end;
-    if v.vme < v.vn - 1 then v.vsend ~dst:(v.vme + 1) ~tag:tag_reduce ~bytes
-  end
-
-(* ------------------------------------------------------------------ *)
-(* World-communicator wrappers (the original public API). *)
-
-let sendrecv p ~dst ~src ~tag ~send_bytes ~recv_bytes:_ =
-  let v = world_view p in
-  let send_done = Ivar.create () in
-  v.vspawn (fun () ->
-      v.vsend ~dst ~tag ~bytes:send_bytes;
-      Ivar.fill send_done ());
-  let got = v.vrecv ~src:(Some src) ~tag in
-  Ivar.read send_done;
-  got
-
-let barrier p = v_barrier (world_view p)
-
-let bcast p ~root ~bytes = v_bcast (world_view p) ~root ~bytes
-
-let reduce p ~root ~bytes = v_reduce (world_view p) ~root ~bytes
-
-let allreduce p ~bytes = v_allreduce (world_view p) ~bytes
-
-let allgather p ~bytes_per_rank = v_allgather (world_view p) ~bytes_per_rank
-
-let gather p ~root ~bytes_per_rank = v_gather (world_view p) ~root ~bytes_per_rank
-
-let scatter p ~root ~bytes_per_rank = v_scatter (world_view p) ~root ~bytes_per_rank
-
-let alltoall p ~bytes_per_pair = v_alltoall (world_view p) ~bytes_per_pair
-
-let reduce_scatter p ~bytes_per_rank = v_reduce_scatter (world_view p) ~bytes_per_rank
-
-let scan p ~bytes = v_scan (world_view p) ~bytes
-
-let exscan p ~bytes = v_scan (world_view p) ~bytes

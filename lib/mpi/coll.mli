@@ -1,20 +1,19 @@
 (** Collective communication algorithms (Open MPI "tuned" style).
 
-    Small payloads use latency-optimal trees (binomial); large payloads use
-    bandwidth-optimal compositions (binomial scatter + ring allgather for
-    bcast — van de Geijn; ring reduce-scatter for reduce/allreduce —
+    Payloads up to 512 KiB use latency-optimal binomial trees; larger ones
+    use bandwidth-optimal compositions (binomial scatter + ring allgather
+    for bcast — van de Geijn; ring reduce-scatter for reduce/allreduce —
     Rabenseifner), which is what gives the paper's collectives their
     near-line-rate cost on 8 GB payloads.
 
     All functions are SPMD: every rank of the job calls the same function
     with the same arguments. Reduction operators charge CPU time on the
-    combining rank. These primitives do NOT intercept checkpoints — the
-    {!Mpi} wrappers do. *)
+    combining rank. Checkpoints are taken only at explicit
+    {!Mpi.checkpoint_point}s, never inside a collective. *)
 
-val sendrecv :
-  Rank.proc -> dst:int -> src:int -> tag:int -> send_bytes:float -> recv_bytes:float -> float
-(** Concurrent send+receive (ring building block); returns received size.
-    [recv_bytes] is only documentation of the expected size. *)
+val sendrecv : Rank.proc -> dst:int -> src:int -> tag:int -> send_bytes:float -> float
+(** Concurrent send+receive (ring building block); returns the received
+    size. *)
 
 val barrier : Rank.proc -> unit
 (** Dissemination barrier (works for any process count). *)
@@ -25,56 +24,4 @@ val reduce : Rank.proc -> root:int -> bytes:float -> unit
 
 val allreduce : Rank.proc -> bytes:float -> unit
 
-val allgather : Rank.proc -> bytes_per_rank:float -> unit
-
-val gather : Rank.proc -> root:int -> bytes_per_rank:float -> unit
-
-val scatter : Rank.proc -> root:int -> bytes_per_rank:float -> unit
-
 val alltoall : Rank.proc -> bytes_per_pair:float -> unit
-
-val reduce_scatter : Rank.proc -> bytes_per_rank:float -> unit
-(** Ring reduce-scatter: each rank ends up owning one reduced chunk. *)
-
-val scan : Rank.proc -> bytes:float -> unit
-(** MPI_Scan: inclusive prefix reduction along the rank order. *)
-
-val exscan : Rank.proc -> bytes:float -> unit
-
-val large_threshold : float
-(** Payload size above which the bandwidth-optimal algorithms kick in. *)
-
-(** {1 Algorithm core over an abstract process view}
-
-    The same algorithms run on sub-communicators: {!Comm} builds a [view]
-    that translates ranks and offsets tags by the communicator's context
-    id. *)
-
-type view = {
-  vme : int;  (** my rank within the group *)
-  vn : int;  (** group size *)
-  vsend : dst:int -> tag:int -> bytes:float -> unit;
-  vrecv : src:int option -> tag:int -> float;
-  vspawn : (unit -> unit) -> unit;
-  vreduce_cost : bytes:float -> unit;
-}
-
-val world_view : Rank.proc -> view
-
-val v_sendrecv : view -> dst:int -> src:int -> tag:int -> send_bytes:float -> float
-
-val v_barrier : view -> unit
-
-val v_bcast : view -> root:int -> bytes:float -> unit
-
-val v_reduce : view -> root:int -> bytes:float -> unit
-
-val v_allreduce : view -> bytes:float -> unit
-
-val v_allgather : view -> bytes_per_rank:float -> unit
-
-val v_gather : view -> root:int -> bytes_per_rank:float -> unit
-
-val v_scatter : view -> root:int -> bytes_per_rank:float -> unit
-
-val v_alltoall : view -> bytes_per_pair:float -> unit

@@ -9,8 +9,6 @@ let size = Rank.size
 
 let vm = Rank.vm
 
-let guest = Rank.guest
-
 let wtime ctx =
   Ninja_engine.Time.to_sec_f (Ninja_engine.Sim.now (Cluster.sim (Rank.cluster (Rank.job ctx))))
 
@@ -24,7 +22,7 @@ let send ?(tag = default_tag) ctx ~dst ~bytes =
 let recv ctx ?src ?tag () = Rank.recv ctx ?src ?tag ()
 
 let sendrecv ?(tag = default_tag) ctx ~dst ~src ~bytes =
-  Coll.sendrecv ctx ~dst ~src ~tag ~send_bytes:bytes ~recv_bytes:bytes
+  Coll.sendrecv ctx ~dst ~src ~tag ~send_bytes:bytes
 
 let barrier ctx = Coll.barrier ctx
 
@@ -34,42 +32,7 @@ let reduce ctx ~root ~bytes = Coll.reduce ctx ~root ~bytes
 
 let allreduce ctx ~bytes = Coll.allreduce ctx ~bytes
 
-let allgather ctx ~bytes_per_rank = Coll.allgather ctx ~bytes_per_rank
-
-let gather ctx ~root ~bytes_per_rank = Coll.gather ctx ~root ~bytes_per_rank
-
-let scatter ctx ~root ~bytes_per_rank = Coll.scatter ctx ~root ~bytes_per_rank
-
 let alltoall ctx ~bytes_per_pair = Coll.alltoall ctx ~bytes_per_pair
-
-let reduce_scatter ctx ~bytes_per_rank = Coll.reduce_scatter ctx ~bytes_per_rank
-
-let scan ctx ~bytes = Coll.scan ctx ~bytes
-
-let exscan ctx ~bytes = Coll.exscan ctx ~bytes
-
-type request = float Ninja_engine.Ivar.t
-
-let spawn_op ctx f =
-  let result = Ninja_engine.Ivar.create () in
-  Ninja_engine.Sim.spawn
-    (Cluster.sim (Rank.cluster (Rank.job ctx)))
-    ~name:"mpi-nb"
-    (fun () -> Ninja_engine.Ivar.fill result (f ()));
-  result
-
-let isend ?(tag = default_tag) ctx ~dst ~bytes =
-  spawn_op ctx (fun () ->
-      Rank.send ctx ~dst ~tag ~bytes;
-      bytes)
-
-let irecv ctx ?src ?tag () = spawn_op ctx (fun () -> Rank.recv ctx ?src ?tag ())
-
-let wait request = Ninja_engine.Ivar.read request
-
-let test request = Ninja_engine.Ivar.peek request
-
-let waitall requests = List.map wait requests
 
 let checkpoint_point ctx = Rank.checkpoint_point ctx
 

@@ -6,7 +6,6 @@
     (every process, the same number of times); the runtime agrees on a
     common epoch so all processes fence at the same iteration boundary. *)
 
-open Ninja_guestos
 open Ninja_vmm
 
 type ctx = Rank.proc
@@ -16,8 +15,6 @@ val rank : ctx -> int
 val size : ctx -> int
 
 val vm : ctx -> Vm.t
-
-val guest : ctx -> Guest.t
 
 val wtime : ctx -> float
 (** Simulated seconds since simulation start. *)
@@ -39,37 +36,7 @@ val reduce : ctx -> root:int -> bytes:float -> unit
 
 val allreduce : ctx -> bytes:float -> unit
 
-val allgather : ctx -> bytes_per_rank:float -> unit
-
-val gather : ctx -> root:int -> bytes_per_rank:float -> unit
-
-val scatter : ctx -> root:int -> bytes_per_rank:float -> unit
-
 val alltoall : ctx -> bytes_per_pair:float -> unit
-
-val reduce_scatter : ctx -> bytes_per_rank:float -> unit
-
-val scan : ctx -> bytes:float -> unit
-(** Inclusive prefix reduction (MPI_Scan). *)
-
-val exscan : ctx -> bytes:float -> unit
-
-(** {1 Non-blocking operations} *)
-
-type request
-(** Handle to an in-flight isend/irecv. *)
-
-val isend : ?tag:int -> ctx -> dst:int -> bytes:float -> request
-
-val irecv : ctx -> ?src:int -> ?tag:int -> unit -> request
-
-val wait : request -> float
-(** Block until the operation completes; returns the message size. *)
-
-val test : request -> float option
-(** Non-blocking completion probe. *)
-
-val waitall : request list -> float list
 
 (** {1 Checkpointing} *)
 

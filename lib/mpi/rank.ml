@@ -41,18 +41,6 @@ and job = {
   mutable running_ranks : int;
   mutable inited : int;
   init_done : unit Ivar.t;
-  (* Communicator support: context-id allocator and the rendezvous state
-     for in-flight MPI_Comm_split-style exchanges (one per parent
-     communicator at a time). *)
-  mutable next_context_id : int;
-  split_scratch : (int, split_state) Hashtbl.t;
-}
-
-and split_state = {
-  mutable deposits : (int * int * int) list; (* (job rank, color, key) *)
-  expected : int;
-  outcome : ((int * int * int) list * (int * int) list) Ivar.t;
-      (* (all deposits, color -> context id) *)
 }
 
 and proc = {
@@ -103,8 +91,6 @@ let make_job cluster ~members ~procs_per_vm ~continue_like_restart ~ft_hooks =
       running_ranks = 0;
       inited = 0;
       init_done = Ivar.create ();
-      next_context_id = 1;
-      split_scratch = Hashtbl.create 4;
     }
   in
   let members = Array.of_list members in
@@ -128,8 +114,6 @@ let make_job cluster ~members ~procs_per_vm ~continue_like_restart ~ft_hooks =
 
 let procs job = Array.to_list job.jprocs
 
-let np job = job.jnp
-
 let cluster job = job.jcluster
 
 let job_finished job = job.finished
@@ -145,8 +129,6 @@ let rank p = p.prank
 let size p = p.pjob.jnp
 
 let vm p = p.pvm
-
-let guest p = p.pguest
 
 let job p = p.pjob
 
@@ -355,8 +337,6 @@ let request_checkpoint job =
   job.linkup_waits <- [];
   job.ckpt_complete
 
-let checkpoint_requested job = job.ckpt_requested
-
 let last_checkpoint_epoch job = job.ckpt_target
 
 let last_linkup_wait job = List.fold_left Time.max Time.zero job.linkup_waits
@@ -399,41 +379,6 @@ let checkpoint_flow p =
     Ivar.fill complete ()
   end;
   Ivar.read complete
-
-(* ------------------------------------------------------------------ *)
-(* Communicator support services *)
-
-let alloc_context_id job =
-  let id = job.next_context_id in
-  job.next_context_id <- id + 1;
-  id
-
-let proc_of_rank job r = job.jprocs.(r)
-
-(* Collective rendezvous for MPI_Comm_split/dup: every member of the
-   parent communicator deposits (color, key); the last arrival assigns one
-   fresh context id per distinct color and releases everyone with the full
-   picture. *)
-let split_exchange job ~parent_ctx ~members ~me ~color ~key =
-  let state =
-    match Hashtbl.find_opt job.split_scratch parent_ctx with
-    | Some s -> s
-    | None ->
-      let s = { deposits = []; expected = members; outcome = Ivar.create () } in
-      Hashtbl.replace job.split_scratch parent_ctx s;
-      s
-  in
-  state.deposits <- (me.prank, color, key) :: state.deposits;
-  if List.length state.deposits = state.expected then begin
-    Hashtbl.remove job.split_scratch parent_ctx;
-    let deposits = List.rev state.deposits in
-    let colors =
-      List.sort_uniq compare (List.map (fun (_, c, _) -> c) deposits)
-    in
-    let assignments = List.map (fun c -> (c, alloc_context_id job)) colors in
-    Ivar.fill state.outcome (deposits, assignments)
-  end;
-  Ivar.read state.outcome
 
 let checkpoint_point p =
   p.points_passed <- p.points_passed + 1;

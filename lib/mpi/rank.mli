@@ -36,8 +36,6 @@ val make_job :
 
 val procs : job -> proc list
 
-val np : job -> int
-
 val cluster : job -> Cluster.t
 
 val job_finished : job -> unit Ivar.t
@@ -53,8 +51,6 @@ val rank : proc -> int
 val size : proc -> int
 
 val vm : proc -> Vm.t
-
-val guest : proc -> Guest.t
 
 val job : proc -> job
 
@@ -89,8 +85,6 @@ val request_checkpoint : job -> unit Ivar.t
     completed the continue phase (transports reconstructed, links
     confirmed). *)
 
-val checkpoint_requested : job -> bool
-
 val checkpoint_point : proc -> unit
 (** Safe point. If a checkpoint is pending and this process has reached
     the globally agreed epoch, run quiesce → release IB →
@@ -115,22 +109,3 @@ val last_checkpoint_epoch : job -> int
 (** The safe-point epoch (per-process iteration count) at which the most
     recent checkpoint fenced — i.e. the application progress captured in
     the corresponding VM images. *)
-
-(** {1 Communicator support services (used by {!Comm})} *)
-
-val alloc_context_id : job -> int
-
-val proc_of_rank : job -> int -> proc
-
-val split_exchange :
-  job ->
-  parent_ctx:int ->
-  members:int ->
-  me:proc ->
-  color:int ->
-  key:int ->
-  (int * int * int) list * (int * int) list
-(** Collective rendezvous: blocks until [members] processes have called
-    with the same [parent_ctx]; returns every deposit as
-    [(job rank, color, key)] plus one fresh context id per distinct
-    color. *)

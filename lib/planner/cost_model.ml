@@ -4,13 +4,12 @@ open Ninja_vmm
 
 type traffic = (string * string * float) list
 
-type t = Migration_time | Communication | Composite of { horizon : float }
+type t = Migration_time | Composite of { horizon : float }
 
 let default_horizon = 600.0
 
 let describe = function
   | Migration_time -> "migration-time"
-  | Communication -> "communication"
   | Composite { horizon } -> Printf.sprintf "composite(horizon=%gs)" horizon
 
 type env = { cluster : Cluster.t; traffic : traffic }
@@ -74,6 +73,5 @@ let plan_placement e plan =
 let plan_cost model e plan =
   match model with
   | Migration_time -> plan_seconds e plan
-  | Communication -> placement_cost e ~lookup:(plan_placement e plan)
   | Composite { horizon } ->
     plan_seconds e plan +. (horizon *. placement_cost e ~lookup:(plan_placement e plan))

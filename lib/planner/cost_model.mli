@@ -1,22 +1,21 @@
 (** Pluggable cost models for plan solvers.
 
     A strategy is "solve + cost model": the solver shapes the plan, the
-    cost model says what it is optimising. Three models ship:
+    cost model says what it is optimising. Two models ship:
 
     - [Migration_time] — the classic objective, seconds of migration work
       as priced by {!Estimator} (sum of standalone step durations). What
       [sequential] and [grouped] have always minimised implicitly.
-    - [Communication] — steady-state tenant communication cost of the
-      {e placement} the plan ends in. Tenant traffic matrices (VM-pair
-      demand rates, see {!Ninja_workloads.Traffic} for generators) are
-      priced over the {!Ninja_flownet.Fabric} routes between the hosts
-      the VMs land on, weighted by residual link capacity, so demand
-      crossing congested oversubscribed spine links costs more than
-      demand staying inside a rack.
-    - [Composite] — migration seconds plus communication cost amortised
-      over a [horizon] of steady-state seconds: the objective of the
-      destination-swap strategy (Avin et al., arXiv:1309.5826), which
-      accepts a swap exactly when the communication saving over the
+    - [Composite] — migration seconds plus the steady-state tenant
+      communication cost of the {e placement} the plan ends in, amortised
+      over a [horizon] of steady-state seconds. Tenant traffic matrices
+      (VM-pair demand rates, see {!Ninja_workloads.Traffic} for
+      generators) are priced over the {!Ninja_flownet.Fabric} routes
+      between the hosts the VMs land on, weighted by residual link
+      capacity, so demand crossing congested oversubscribed spine links
+      costs more than demand staying inside a rack. This is the objective
+      of the destination-swap strategy (Avin et al., arXiv:1309.5826),
+      which accepts a swap exactly when the communication saving over the
       horizon exceeds the extra migration time it costs.
 
     Traffic matrices are plain data — [(vm_a, vm_b, bytes_per_sec)]
@@ -33,7 +32,6 @@ type traffic = (string * string * float) list
 
 type t =
   | Migration_time
-  | Communication
   | Composite of { horizon : float }
       (** [horizon] — seconds of steady-state communication one unit of
           migration time trades against. *)
@@ -48,7 +46,7 @@ val describe : t -> string
 type env = { cluster : Cluster.t; traffic : traffic }
 
 val env : Cluster.t -> ?traffic:traffic -> unit -> env
-(** [traffic] defaults to the empty matrix (under which [Communication]
+(** [traffic] defaults to the empty matrix (under which communication
     costs are all zero). Migration time is priced by {!Estimator}, for the
     TCP sender every planned migration uses. *)
 
@@ -87,5 +85,6 @@ val plan_placement : env -> Plan.t -> (string -> Node.t option)
     registered VM where the cluster registry has it. *)
 
 val plan_cost : t -> env -> Plan.t -> float
-(** The model's objective for a plan: migration seconds, communication
-    cost of {!plan_placement}, or their horizon-weighted sum. *)
+(** The model's objective for a plan: migration seconds, plus for
+    [Composite] [horizon] times the {!placement_cost} of
+    {!plan_placement}. *)

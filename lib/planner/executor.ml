@@ -59,7 +59,7 @@ let default_run_step mode (step : Plan.step) =
   with
   | Qmp.Migrated stats -> stats
   | Qmp.Error msg -> raise (fail_of step msg)
-  | Qmp.Ok_empty | Qmp.Elapsed _ | Qmp.Status _ ->
+  | Qmp.Elapsed _ ->
       raise (fail_of step "unexpected QMP response to migrate")
 
 (* Permits for the step's endpoints, in global node-id order: fibers never

@@ -71,9 +71,6 @@ let dep_ids t step =
 
 let deps_of t step = List.map (find t) (dep_ids t step)
 
-let dependents_of t step =
-  List.filter (fun s -> Hashtbl.mem t.dep_set (s.id, step.id)) (steps t)
-
 let dep_count t = Hashtbl.fold (fun _ c acc -> acc + List.length !c) t.deps 0
 
 let topo_order t =

@@ -69,8 +69,6 @@ val with_dst : step -> dst:Node.t -> step
 val deps_of : t -> step -> step list
 (** Steps that must complete before the given step starts. *)
 
-val dependents_of : t -> step -> step list
-
 val dep_count : t -> int
 (** Total number of edges. *)
 

@@ -188,8 +188,6 @@ let clear_dirty t =
   Bitset.clear_all t.dirty;
   t.dirty_count <- 0
 
-let used_fraction t = float_of_int t.nonzero_count /. float_of_int t.pages
-
 let page_nonzero t i = Bitset.get t.nonzero i
 
 let page_dirty t i = Bitset.get t.dirty i

@@ -47,8 +47,6 @@ val dirty_bytes : t -> float
 
 val clear_dirty : t -> unit
 
-val used_fraction : t -> float
-
 (** {1 Postcopy dual residency}
 
     During a postcopy migration the VMM tracks, per page, whether it is

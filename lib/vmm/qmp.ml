@@ -5,17 +5,8 @@ type command =
   | Device_del of { tag : string; noise : float }
   | Device_add of { device : Device.t; noise : float }
   | Migrate of { dst : Node.t; transport : Migration.transport; mode : Migration.mode }
-  | Stop
-  | Cont
-  | Query_status
-  | Query_migrate
 
-type response =
-  | Ok_empty
-  | Elapsed of Time.span
-  | Migrated of Migration.stats
-  | Status of Vm.state
-  | Error of string
+type response = Elapsed of Time.span | Migrated of Migration.stats | Error of string
 
 let command_to_string = function
   | Device_del { tag; _ } -> Printf.sprintf "device_del %s" tag
@@ -31,10 +22,6 @@ let command_to_string = function
   | Migrate { dst; transport = Migration.Tcp; _ } -> Printf.sprintf "migrate %s" dst.Node.name
   | Migrate { dst; transport = Migration.Rdma; _ } ->
     Printf.sprintf "migrate_rdma %s" dst.Node.name
-  | Stop -> "stop"
-  | Cont -> "cont"
-  | Query_status -> "query-status"
-  | Query_migrate -> "query-migrate"
 
 (* How long the controller waits on a monitor command before declaring the
    round-trip lost (the injected [Qmp_timeout] failure mode: the command is
@@ -50,10 +37,6 @@ let probe_command vm command =
       | Device_add { device; _ } -> ("device_add", [ ("tag", device.Device.tag) ])
       | Migrate { dst; mode; _ } ->
         ("migrate", [ ("dst", dst.Node.name); ("mode", Migration.mode_name mode) ])
-      | Stop -> ("stop", [])
-      | Cont -> ("cont", [])
-      | Query_status -> ("query-status", [])
-      | Query_migrate -> ("query-migrate", [])
     in
     Probe.emit probes (Probe.Qmp { vm = Vm.name vm; command; args })
   end
@@ -90,47 +73,4 @@ let execute vm command =
     | exception Migration.Postcopy_lost msg -> Error msg
     | exception Cluster.Node_dead msg -> Error msg
     | exception Cluster.Unreachable msg -> Error msg)
-  | Stop ->
-    Vm.pause vm;
-    Ok_empty
-  | Cont ->
-    Vm.resume vm;
-    Ok_empty
-  | Query_status -> Status (Vm.state vm)
-  | Query_migrate -> Ok_empty
   end
-
-let parse cluster line =
-  match String.split_on_char ' ' (String.trim line) |> List.filter (fun s -> s <> "") with
-  | [ "device_del"; tag ] -> Result.Ok (Device_del { tag; noise = 1.0 })
-  | [ "device_add"; tag; pci_addr; kind ] -> (
-    match kind with
-    | "ib" -> Result.Ok (Device_add { device = Device.make ~tag ~pci_addr Device.Ib_hca; noise = 1.0 })
-    | "virtio" ->
-      Result.Ok (Device_add { device = Device.make ~tag ~pci_addr Device.Virtio_net; noise = 1.0 })
-    | _ -> Result.Error (Printf.sprintf "unknown device kind: %s" kind))
-  | [ "migrate"; dest ] -> (
-    match Cluster.find_node cluster dest with
-    | dst -> Result.Ok (Migrate { dst; transport = Migration.Tcp; mode = Migration.Precopy })
-    | exception Not_found -> Result.Error (Printf.sprintf "unknown node: %s" dest))
-  | [ "migrate_rdma"; dest ] -> (
-    match Cluster.find_node cluster dest with
-    | dst -> Result.Ok (Migrate { dst; transport = Migration.Rdma; mode = Migration.Precopy })
-    | exception Not_found -> Result.Error (Printf.sprintf "unknown node: %s" dest))
-  | [ "migrate_postcopy"; dest ] -> (
-    match Cluster.find_node cluster dest with
-    | dst -> Result.Ok (Migrate { dst; transport = Migration.Tcp; mode = Migration.Postcopy })
-    | exception Not_found -> Result.Error (Printf.sprintf "unknown node: %s" dest))
-  | [ "stop" ] -> Result.Ok Stop
-  | [ "cont" ] -> Result.Ok Cont
-  | [ "query-status" ] -> Result.Ok Query_status
-  | [ "query-migrate" ] -> Result.Ok Query_migrate
-  | _ -> Result.Error (Printf.sprintf "unparsable command: %s" line)
-
-let response_to_string = function
-  | Ok_empty -> "ok"
-  | Elapsed span -> Format.asprintf "ok elapsed=%a" Time.pp span
-  | Migrated stats -> Format.asprintf "ok migrated in %a" Time.pp stats.Migration.duration
-  | Status Vm.Running -> "status=running"
-  | Status Vm.Paused -> "status=paused"
-  | Error msg -> "error: " ^ msg

@@ -1,11 +1,9 @@
 (** QEMU Monitor Protocol endpoint.
 
-    Each VM exposes a monitor that accepts the commands the paper's SymVirt
-    agents issue ([device_del], [device_add], [migrate], [stop], [cont],
-    plus queries). Commands have a small controller round-trip overhead and
-    execute the corresponding VMM operation; a textual form mirrors the
-    QMP/telnet wire protocol so agents can be driven by scripts and tests
-    can exercise parsing. *)
+    Each VM exposes a monitor that accepts the three commands the paper's
+    SymVirt agents issue (Fig. 5): [device_del], [migrate] and
+    [device_add]. Commands have a small controller round-trip overhead and
+    execute the corresponding VMM operation. *)
 
 open Ninja_engine
 open Ninja_hardware
@@ -14,17 +12,8 @@ type command =
   | Device_del of { tag : string; noise : float }
   | Device_add of { device : Device.t; noise : float }
   | Migrate of { dst : Node.t; transport : Migration.transport; mode : Migration.mode }
-  | Stop
-  | Cont
-  | Query_status
-  | Query_migrate
 
-type response =
-  | Ok_empty
-  | Elapsed of Time.span
-  | Migrated of Migration.stats
-  | Status of Vm.state
-  | Error of string
+type response = Elapsed of Time.span | Migrated of Migration.stats | Error of string
 
 val command_timeout : Time.span
 (** How long an injected [Qmp_timeout] fault stalls before the command is
@@ -37,10 +26,6 @@ val execute : Vm.t -> command -> response
     precopies, lost postcopies, hotplug attach failures and dead
     destinations) surface as [Error]. *)
 
-val parse : Cluster.t -> string -> (command, string) result
-(** Textual command, e.g. ["device_del vf0"], ["device_add vf0 04:00.0 ib"],
-    ["migrate eth03"], ["migrate_postcopy eth03"], ["stop"], ["cont"]. *)
-
 val command_to_string : command -> string
-
-val response_to_string : response -> string
+(** The command's monitor text, e.g. ["device_add vf0 04:00.0 ib"] or
+    ["migrate_postcopy eth03"]; a timed-out command's [Error] quotes it. *)

@@ -1,37 +1,13 @@
 open Ninja_mpi
 open Ninja_vmm
 
-type kernel = BT | CG | FT | LU | EP | IS | MG | SP
+type kernel = BT | CG | FT | LU
 
 type klass = C | D
 
-(* The paper's Fig. 7 uses BT/CG/FT/LU; the remaining NPB kernels are
-   provided for workload-library completeness. *)
 let all = [ BT; CG; FT; LU ]
 
-let extended = [ BT; CG; FT; LU; EP; IS; MG; SP ]
-
-let kernel_name = function
-  | BT -> "BT"
-  | CG -> "CG"
-  | FT -> "FT"
-  | LU -> "LU"
-  | EP -> "EP"
-  | IS -> "IS"
-  | MG -> "MG"
-  | SP -> "SP"
-
-let kernel_of_string s =
-  match String.uppercase_ascii s with
-  | "BT" -> Some BT
-  | "CG" -> Some CG
-  | "FT" -> Some FT
-  | "LU" -> Some LU
-  | "EP" -> Some EP
-  | "IS" -> Some IS
-  | "MG" -> Some MG
-  | "SP" -> Some SP
-  | _ -> None
+let kernel_name = function BT -> "BT" | CG -> "CG" | FT -> "FT" | LU -> "LU"
 
 (* Per-kernel model parameters. Compute is core-seconds per rank per
    iteration at 64 ranks of class D, calibrated so the analytic baselines
@@ -48,12 +24,6 @@ let iterations kernel klass =
   | FT, C -> 20
   | LU, D -> 300
   | LU, C -> 250
-  | EP, (C | D) -> 16
-  | IS, (C | D) -> 10
-  | MG, D -> 50
-  | MG, C -> 40
-  | SP, D -> 400
-  | SP, C -> 320
 
 let compute_per_iter kernel klass =
   let d =
@@ -62,10 +32,6 @@ let compute_per_iter kernel klass =
     | CG -> 7.60
     | FT -> 16.70
     | LU -> 1.95
-    | EP -> 8.00
-    | IS -> 2.20
-    | MG -> 4.50
-    | SP -> 1.40
   in
   match klass with D -> d | C -> d /. 4.0
 
@@ -79,10 +45,6 @@ let footprint_per_vm kernel klass ~procs_per_vm =
     | CG -> 1.5e9
     | FT -> 13.7e9
     | LU -> 3.9e9
-    | EP -> 0.3e9
-    | IS -> 4.6e9
-    | MG -> 7.1e9
-    | SP -> 6.0e9
   in
   let class_factor = match klass with D -> 1.0 | C -> 0.25 in
   per_vm_8 *. class_factor *. float_of_int procs_per_vm /. 8.0
@@ -95,11 +57,7 @@ let nominal_baseline kernel klass =
     | CG, D -> 0.02
     | FT, D -> 1.4
     | LU, D -> 0.01
-    | EP, D -> 0.0
-    | IS, D -> 0.5
-    | MG, D -> 0.03
-    | SP, D -> 0.04
-    | (BT | CG | FT | LU | EP | IS | MG | SP), C -> 0.01
+    | (BT | CG | FT | LU), C -> 0.01
   in
   iters *. (compute_per_iter kernel klass +. comm)
 
@@ -145,34 +103,6 @@ let communicate ctx kernel klass =
     if np > 1 then begin
       ignore (Mpi.sendrecv ctx ~dst:(neighbor 1) ~src:(neighbor (-1)) ~bytes:pencil);
       ignore (Mpi.sendrecv ctx ~dst:(neighbor (-1)) ~src:(neighbor 1) ~bytes:pencil)
-    end
-  | EP ->
-    (* Embarrassingly parallel: only the final counts are reduced. *)
-    if np > 1 then Mpi.allreduce ctx ~bytes:80.0
-  | IS ->
-    (* Bucket sort: key histogram allreduce + all-to-all key exchange. *)
-    if np > 1 then begin
-      Mpi.allreduce ctx ~bytes:(scale ctx 4.0e3 klass);
-      Mpi.alltoall ctx ~bytes_per_pair:(scale ctx (8.6e9 /. (64.0 *. 64.0)) klass)
-    end
-  | MG ->
-    (* V-cycle: nearest-neighbour face exchanges at several grid levels
-       plus a residual-norm allreduce. *)
-    let face = scale ctx 1.2e6 klass in
-    if np > 1 then begin
-      for level = 0 to 3 do
-        let d = 1 lsl level in
-        ignore (Mpi.sendrecv ctx ~dst:(neighbor d) ~src:(neighbor (-d)) ~bytes:(face /. float_of_int (1 lsl level)))
-      done;
-      Mpi.allreduce ctx ~bytes:8.0
-    end
-  | SP ->
-    (* Scalar pentadiagonal: like BT but lighter per sweep. *)
-    let face = scale ctx 1.8e6 klass in
-    let row = max 1 (int_of_float (Float.sqrt (float_of_int np))) in
-    if np > 1 then begin
-      ignore (Mpi.sendrecv ctx ~dst:(neighbor 1) ~src:(neighbor (-1)) ~bytes:face);
-      ignore (Mpi.sendrecv ctx ~dst:(neighbor row) ~src:(neighbor (-row)) ~bytes:face)
     end
 
 (* Touch the kernel's working set once so the VM's migratable footprint is

@@ -15,20 +15,14 @@
 
 open Ninja_mpi
 
-type kernel = BT | CG | FT | LU | EP | IS | MG | SP
+type kernel = BT | CG | FT | LU
 
 type klass = C | D
 
 val all : kernel list
 (** The four kernels the paper's Fig. 7 evaluates (BT, CG, FT, LU). *)
 
-val extended : kernel list
-(** All eight modelled kernels, including EP/IS/MG/SP (not used by the
-    paper; provided for workload-library completeness). *)
-
 val kernel_name : kernel -> string
-
-val kernel_of_string : string -> kernel option
 
 val iterations : kernel -> klass -> int
 

@@ -390,7 +390,7 @@ let test_cost_model_decomposition () =
     Plan.of_assignment cluster ~vms:[ a ] ~dst_of:(fun _ -> node cluster "eth01") ()
   in
   let m = Cost_model.plan_cost Cost_model.Migration_time env plan in
-  let c = Cost_model.plan_cost Cost_model.Communication env plan in
+  let c = Cost_model.placement_cost env ~lookup:(Cost_model.plan_placement env plan) in
   let comp =
     Cost_model.plan_cost (Cost_model.Composite { horizon = 10.0 }) env plan
   in

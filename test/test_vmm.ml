@@ -499,30 +499,25 @@ let test_qmp_roundtrip () =
   let sim, cluster = small_cluster () in
   let vm = mk_vm cluster (Cluster.find_node cluster "ib00") in
   Sim.spawn sim (fun () ->
-      (match Qmp.execute vm (Qmp.Query_status) with
-      | Qmp.Status Vm.Running -> ()
-      | r -> Alcotest.failf "unexpected response %s" (Qmp.response_to_string r));
-      (match Qmp.execute vm Qmp.Stop with
-      | Qmp.Ok_empty -> ()
-      | r -> Alcotest.failf "unexpected response %s" (Qmp.response_to_string r));
-      Alcotest.(check bool) "stopped" true (Vm.state vm = Vm.Paused);
       match Qmp.execute vm (Qmp.Device_del { tag = "nope"; noise = 1.0 }) with
-      | Qmp.Error _ -> ()
-      | r -> Alcotest.failf "expected error, got %s" (Qmp.response_to_string r));
+      | Qmp.Error msg -> Alcotest.(check string) "error" "device not found: nope" msg
+      | Qmp.Elapsed _ | Qmp.Migrated _ -> Alcotest.fail "expected an error");
   Sim.run sim
 
-let test_qmp_parse () =
-  let sim = Sim.create () in
-  let cluster = Cluster.create sim ~spec:Spec.small () in
-  let ok = function Result.Ok c -> Qmp.command_to_string c | Result.Error e -> "ERR " ^ e in
-  Alcotest.(check string) "device_del" "device_del vf0" (ok (Qmp.parse cluster "device_del vf0"));
-  Alcotest.(check string) "device_add" "device_add vf0 04:00.0 ib"
-    (ok (Qmp.parse cluster "device_add vf0 04:00.0 ib"));
-  Alcotest.(check string) "migrate" "migrate eth00" (ok (Qmp.parse cluster "migrate eth00"));
-  Alcotest.(check string) "stop" "stop" (ok (Qmp.parse cluster "stop"));
-  Alcotest.(check bool) "unknown node" true
-    (Result.is_error (Qmp.parse cluster "migrate mars"));
-  Alcotest.(check bool) "garbage" true (Result.is_error (Qmp.parse cluster "frobnicate"))
+let test_qmp_command_text () =
+  let _, cluster = small_cluster () in
+  let dst = Cluster.find_node cluster "eth00" in
+  let vf0 = Device.make ~tag:"vf0" ~pci_addr:"04:00.0" Device.Ib_hca in
+  Alcotest.(check (list string))
+    "monitor text"
+    [ "device_del vf0"; "device_add vf0 04:00.0 ib"; "migrate eth00"; "migrate_postcopy eth00" ]
+    (List.map Qmp.command_to_string
+       [
+         Qmp.Device_del { tag = "vf0"; noise = 1.0 };
+         Qmp.Device_add { device = vf0; noise = 1.0 };
+         Qmp.Migrate { dst; transport = Migration.Tcp; mode = Migration.Precopy };
+         Qmp.Migrate { dst; transport = Migration.Tcp; mode = Migration.Postcopy };
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot *)
@@ -597,7 +592,7 @@ let () =
       ( "qmp",
         [
           Alcotest.test_case "roundtrip" `Quick test_qmp_roundtrip;
-          Alcotest.test_case "parse" `Quick test_qmp_parse;
+          Alcotest.test_case "command text" `Quick test_qmp_command_text;
         ] );
       ("snapshot", [ Alcotest.test_case "save/restore" `Quick test_snapshot_save_restore ]);
     ]
