@@ -174,9 +174,7 @@ let bench_collective =
               ~name:(Printf.sprintf "b%d" i)
               ~host ~vcpus:8 ~mem_bytes:21.5e9 ()
           in
-          Ninja_vmm.Vm.attach_device vm
-            (Ninja_hardware.Device.make ~tag:"vf0" ~pci_addr:"04:00.0"
-               Ninja_hardware.Device.Ib_hca);
+          Ninja_vmm.Vm.attach_device vm (Ninja_hardware.Device.hca ());
           (vm, Ninja_guestos.Guest.boot vm))
     in
     let job =

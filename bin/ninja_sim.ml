@@ -143,69 +143,56 @@ let print_tables ~csv_dir name tables =
 let with_pool jobs k =
   if jobs > 1 then Ninja_engine.Pool.with_pool ~size:jobs (fun p -> k (Some p)) else k None
 
-(* The --trace/--metrics/--spans files of one command. Each unit of work
-   (an experiment, a serve seed) runs under {!capture}, which points the
-   context's sinks at buffers of its own — possibly on a pooled domain;
-   the main domain then {!emit}s the units in submission order, so the
-   files are byte-identical at any -j. *)
-type outputs = {
-  trace_oc : out_channel option;
-  metrics_oc : out_channel option;
-  spans_path : string option;
-  mutable fragments : string list;  (* span fragments, newest first *)
-}
-
-type captured = { trace : string; metrics : string; spans : string list }
-
-let with_outputs (trace, metrics, spans) k =
-  let with_out path k =
-    match path with
-    | None -> k None
-    | Some path ->
-      let oc = open_out path in
-      Fun.protect ~finally:(fun () -> close_out oc) (fun () -> k (Some oc))
+(* --seed --fault --topology --traffic --mode -j --trace --metrics --spans,
+   the flags [run] and [serve] share, as one term. Its value runs a
+   command body under the context they describe: it opens the output
+   files and the pool, fills the context's text fields, runs the body,
+   then writes the spans document. Pooled work replays its sink chunks
+   in submission order ({!Ninja_engine.Run_ctx.buffered}), so the files
+   are byte-identical at any -j. A command passes its own default seed
+   and its own --help sentences. *)
+let run_ctx_term ~cmd ~default_seed ~traffic ~mode ~jobs ~metrics ~spans =
+  let session seed faults topology traffic migration jobs (trace, metrics, spans) body =
+    let with_out path k =
+      match path with
+      | None -> k None
+      | Some path ->
+        let oc = open_out path in
+        Fun.protect ~finally:(fun () -> close_out oc) (fun () -> k (Some oc))
+    in
+    (* Trace and metrics chunks end in a newline in the files. *)
+    let lines oc chunk =
+      output_string oc chunk;
+      if chunk = "" || chunk.[String.length chunk - 1] <> '\n' then output_char oc '\n'
+    in
+    with_out trace @@ fun trace_oc ->
+    with_out metrics @@ fun metrics_oc ->
+    with_pool jobs @@ fun pool ->
+    let fragments = ref [] in
+    let ctx =
+      Ninja_engine.Run_ctx.make
+        ~seed:(Option.value seed ~default:default_seed)
+        ~faults:(List.map Ninja_faults.Injector.spec_to_string faults)
+        ?topology:(Option.map Ninja_hardware.Topology.to_string topology)
+        ?traffic:(Option.map Ninja_workloads.Traffic.to_string traffic)
+        ?migration:(Option.map Ninja_vmm.Migration.mode_name migration)
+        ?trace:(Option.map lines trace_oc) ?metrics:(Option.map lines metrics_oc)
+        ?spans:(Option.map (fun _ chunk -> fragments := chunk :: !fragments) spans)
+        ?pool ()
+    in
+    let result = body ctx in
+    Option.iter
+      (fun path ->
+        let oc = open_out path in
+        output_string oc (Ninja_telemetry.Export.document (List.rev !fragments));
+        close_out oc;
+        Printf.printf "wrote %s\n%!" path)
+      spans;
+    result
   in
-  with_out trace @@ fun trace_oc ->
-  with_out metrics @@ fun metrics_oc ->
-  k { trace_oc; metrics_oc; spans_path = spans; fragments = [] }
-
-let capture o ctx f =
-  let m = Mutex.create () in
-  let tbuf = Buffer.create 256 and mbuf = Buffer.create 256 and sfrags = ref [] in
-  (* Trace and metrics chunks end in a newline in the files. *)
-  let lines buf chunk =
-    Mutex.protect m (fun () ->
-        Buffer.add_string buf chunk;
-        if chunk = "" || chunk.[String.length chunk - 1] <> '\n' then Buffer.add_char buf '\n')
-  in
-  let ctx =
-    Ninja_engine.Run_ctx.with_sinks
-      ?trace:(Option.map (fun _ -> lines tbuf) o.trace_oc)
-      ?metrics:(Option.map (fun _ -> lines mbuf) o.metrics_oc)
-      ?spans:
-        (Option.map
-           (fun _ chunk -> Mutex.protect m (fun () -> sfrags := chunk :: !sfrags))
-           o.spans_path)
-      ctx
-  in
-  let r = f ctx in
-  (r, { trace = Buffer.contents tbuf; metrics = Buffer.contents mbuf; spans = List.rev !sfrags })
-
-let emit o c =
-  Option.iter (fun oc -> output_string oc c.trace) o.trace_oc;
-  Option.iter (fun oc -> output_string oc c.metrics) o.metrics_oc;
-  o.fragments <- List.rev_append c.spans o.fragments
-
-(* All span fragments, in emission order, as one Chrome trace-event JSON
-   document. *)
-let write_spans o =
-  Option.iter
-    (fun path ->
-      let oc = open_out path in
-      output_string oc (Ninja_telemetry.Export.document (List.rev o.fragments));
-      close_out oc;
-      Printf.printf "wrote %s\n%!" path)
-    o.spans_path
+  Term.(
+    const session $ seed_arg $ fault_args $ topology_arg $ traffic_arg traffic
+    $ mode_arg mode $ jobs_arg ~cmd jobs $ outputs_arg ~metrics ~spans)
 
 let list_cmd =
   let doc = "List the available experiments." in
@@ -230,8 +217,7 @@ let run_cmd =
     let doc = "Also write each table as CSV into $(docv)." in
     Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"DIR" ~doc)
   in
-  let run name full csv_dir seed faults topology traffic mig_mode jobs outputs =
-    let mode = if full then Ninja_engine.Run_ctx.Full else Ninja_engine.Run_ctx.Quick in
+  let run name full csv_dir session =
     let entries =
       if String.equal name "all" then Ok Registry.all
       else
@@ -248,44 +234,38 @@ let run_cmd =
       exit 1
     | Ok entries ->
       let open Ninja_engine in
-      let faults = List.map Ninja_faults.Injector.spec_to_string faults in
-      with_outputs outputs @@ fun out ->
-      with_pool jobs @@ fun pool ->
-      let topology = Option.map Ninja_hardware.Topology.to_string topology in
-      let traffic = Option.map Ninja_workloads.Traffic.to_string traffic in
-      let migration = Option.map Ninja_vmm.Migration.mode_name mig_mode in
-      let ctx =
-        Run_ctx.make ?seed ~mode ~faults ?topology ?traffic ?migration ?pool ()
-      in
-      let run_one e = capture out ctx (fun ctx -> Registry.run_entry ctx e) in
-      let print_result e (tables, captured) =
+      session @@ fun ctx ->
+      let ctx = { ctx with Run_ctx.mode = (if full then Run_ctx.Full else Run_ctx.Quick) } in
+      let print_result e tables =
         Printf.printf "== %s: %s ==\n%!" e.Registry.name e.Registry.description;
-        print_tables ~csv_dir e.Registry.name tables;
-        emit out captured
+        print_tables ~csv_dir e.Registry.name tables
       in
       (* Submit everything up front, then print in submission order as
          results arrive: parallel output is byte-identical to serial. *)
-      (match pool with
+      match ctx.Run_ctx.pool with
       | Some p ->
+        let task e () = Run_ctx.buffered ctx (fun ctx -> Registry.run_entry ctx e) in
         entries
-        |> List.map (fun e -> (e, Pool.submit p (fun () -> run_one e)))
-        |> List.iter (fun (e, fut) -> print_result e (Pool.await p fut))
-      | None -> List.iter (fun e -> print_result e (run_one e)) entries);
-      write_spans out
+        |> List.map (fun e -> (e, Pool.submit p (task e)))
+        |> List.iter (fun (e, fut) ->
+               let tables, replay = Pool.await p fut in
+               print_result e tables;
+               replay ())
+      | None -> List.iter (fun e -> print_result e (Registry.run_entry ctx e)) entries
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run $ name_arg $ full $ csv_dir $ seed_arg $ fault_args $ topology_arg
-      $ traffic_arg
-          " Traffic-aware experiments (placement) sweep this single pattern instead of \
-           their built-in pattern axis."
-      $ mode_arg
-          " Experiments that perform Ninja migrations (fig6, ...) use it instead of their \
-           precopy default."
-      $ jobs_arg ~cmd:"run"
-          " Parallelises the experiments of 'run all' and each experiment's internal point \
-           grid (fig6 sizes, fig7 kernels, the evacuation matrix, ...)."
-      $ outputs_arg
+      const run $ name_arg $ full $ csv_dir
+      $ run_ctx_term ~cmd:"run" ~default_seed:42L
+          ~traffic:
+            " Traffic-aware experiments (placement) sweep this single pattern instead of \
+             their built-in pattern axis."
+          ~mode:
+            " Experiments that perform Ninja migrations (fig6, ...) use it instead of their \
+             precopy default."
+          ~jobs:
+            " Parallelises the experiments of 'run all' and each experiment's internal point \
+             grid (fig6 sizes, fig7 kernels, the evacuation matrix, ...)."
           ~metrics:
             "every produced table, in experiment order, and under --spans the telemetry \
              metrics of each simulation."
@@ -423,10 +403,10 @@ let check_cmd =
        $(b,skip-rollback) or $(b,skip-fence). The campaign then $(i,fails) unless the \
        checker catches it."
     in
-    Arg.(
-      value
-      & opt (some (enum (List.map (fun p -> (p, p)) Ninja_check.Runner.plants))) None
-      & info [ "plant" ] ~docv:"BUG" ~doc)
+    let plants =
+      List.map (fun p -> (Ninja_check.Scenario.plant_name p, p)) Ninja_check.Scenario.plants
+    in
+    Arg.(value & opt (some (enum plants)) None & info [ "plant" ] ~docv:"BUG" ~doc)
   in
   let no_shrink =
     let doc = "Skip counterexample minimisation." in
@@ -588,12 +568,11 @@ let serve_cmd =
     let doc = "Print the per-request service log." in
     Arg.(value & flag & info [ "log" ] ~doc)
   in
-  let run duration rate burst_period burst_size burst_spread tenants_n vms_per_tenant
-      mem_gb strategy mig_mode traffic auto_swap stats_file stats_every top_k
-      max_inflight queue_cap slo seed seeds jobs show_log faults topology outputs =
+  let run duration rate burst_period burst_size burst_spread tenants vms_per_tenant mem_gb
+      strategy auto_swap stats_file stats_every top_k max_inflight queue_cap slo seeds
+      show_log session =
     let strategy = Option.value strategy ~default:Ninja_planner.Solver.default in
-    let mig_mode = Option.value mig_mode ~default:Ninja_vmm.Migration.Precopy in
-    if duration <= 0.0 || rate < 0.0 || tenants_n < 1 || vms_per_tenant < 0
+    if duration <= 0.0 || rate < 0.0 || tenants < 1 || vms_per_tenant < 0
        || max_inflight < 1 || queue_cap < 1
     then begin
       prerr_endline
@@ -624,8 +603,14 @@ let serve_cmd =
     in
     (* The flow monitor is armed only when something consumes it; plain
        serve runs keep their exact PRNG draws and output. *)
-    let flowmon_on =
-      stats_file <> None || top_k <> None || auto_swap = Some Service.Learned
+    let flowmon =
+      if stats_file <> None || top_k <> None || auto_swap = Some Service.Learned then
+        Some
+          { Ninja_telemetry.Flowmon.default_config with
+            Ninja_telemetry.Flowmon.snapshot_every =
+              (if stats_file <> None then stats_every else 0.0)
+          }
+      else None
     in
     let process =
       let base = Ninja_workloads.Arrivals.Poisson { rate } in
@@ -641,169 +626,110 @@ let serve_cmd =
     | Error msg ->
       prerr_endline ("serve: " ^ msg);
       exit 1);
-    let faults = List.map Ninja_faults.Injector.spec_to_string faults in
-    let seeds = if seeds = [] then [ Option.value seed ~default:1L ] else seeds in
-    with_outputs outputs @@ fun out ->
-    with_pool jobs @@ fun pool ->
-    let topology = Option.map Ninja_hardware.Topology.to_string topology in
-    let ctx = Run_ctx.make ~faults ?topology ?pool ~label:"serve" () in
-    let serve_one ctx seed =
-      capture out (Run_ctx.with_seed seed ctx) @@ fun ctx ->
-      let env = Exp_common.fresh ctx in
-      let tenant_names =
-        List.init tenants_n (fun i ->
-            (Printf.sprintf "t%d" i, [| 3.0; 2.0; 1.0 |].(i mod 3)))
-      in
-      let specs =
-        Service.boot_tenants ?traffic env.Exp_common.cluster ~tenants:tenant_names
-          ~vms_per_tenant ~mem_bytes:(Ninja_hardware.Units.gb mem_gb)
-      in
-      (* The learned hook is a forward reference: the monitor needs the
-         service's registry, the service config needs the monitor's
-         estimate — tie the knot through a ref. *)
-      let learned_ref = ref (fun () -> []) in
+    let worst =
+      session @@ fun ctx ->
+      let ctx = Run_ctx.with_label "serve" ctx in
+      let mig_mode = Exp_common.migration_mode ctx and traffic = Exp_common.traffic ctx in
       let config =
         { Service.default_config with
           strategy;
           mode = mig_mode;
           max_inflight;
           queue_cap;
-          auto_swap;
-          learned_traffic =
-            (if auto_swap = Some Service.Learned then Some (fun () -> !learned_ref ())
-             else None)
+          auto_swap
         }
       in
-      let svc = Service.create env.Exp_common.cluster ~config ~tenants:specs () in
-      let fm =
-        if not flowmon_on then None
-        else begin
-          let traffic_all =
-            List.concat_map (fun (ts : Service.tenant_spec) -> ts.Service.traffic) specs
-          in
-          let fconfig =
-            { Ninja_telemetry.Flowmon.default_config with
-              Ninja_telemetry.Flowmon.snapshot_every =
-                (if stats_file <> None then stats_every else 0.0)
-            }
-          in
-          let fm =
-            Ninja_telemetry.Flowmon.create ~config:fconfig
-              ~registry:(Service.metrics svc) env.Exp_common.cluster ~traffic:traffic_all
-          in
-          (learned_ref :=
-             fun () ->
-               if Ninja_telemetry.Flowmon.observed_window fm <= 0.0 then []
-               else
-                 Ninja_workloads.Traffic.of_observations
-                   ~sample_rate:fconfig.Ninja_telemetry.Flowmon.sample_rate
-                   ~pkt_bytes:fconfig.Ninja_telemetry.Flowmon.pkt_bytes
-                   ~window:(Ninja_telemetry.Flowmon.observed_window fm)
-                   (Ninja_telemetry.Flowmon.samples fm));
-          Ninja_telemetry.Flowmon.start fm ~horizon:duration;
-          Some fm
-        end
+      let serve_one ctx seed =
+        let { Exp_controlplane.service = svc; flowmon = fm; violations } =
+          Exp_controlplane.serve (Run_ctx.with_seed seed ctx) ?traffic ?flowmon ~tenants
+            ~vms_per_tenant ~mem_gb ~config ~process ~duration ()
+        in
+        let b = Buffer.create 1024 in
+        let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+        pf "== serve: seed %Ld, %.0fs at rate %.3g/s, strategy %s, mode %s ==\n" seed
+          duration rate
+          (Ninja_planner.Solver.name strategy)
+          (Ninja_vmm.Migration.mode_name mig_mode);
+        if show_log then List.iter (fun line -> pf "%s\n" line) (Service.log svc);
+        let c name = int_of_float (Service.count svc name) in
+        pf
+          "requests: %d submitted, %d completed, %d rejected, %d dropped, %d failed \
+           (%d deferrals, %d requeues, %d rollbacks, %d stranded VMs, %d lost VMs)\n"
+          (Service.submitted svc) (c "ctl.requests.completed") (c "ctl.requests.rejected")
+          (c "ctl.requests.dropped") (c "ctl.requests.failed") (c "ctl.requests.deferred")
+          (c "ctl.requests.requeued") (c "ctl.batches.rolled_back") (c "ctl.vms.stranded")
+          (c "ctl.vms.lost");
+        (match Service.latency_percentiles svc with
+        | None -> pf "request latency: no completed requests\n"
+        | Some (p50, p95, p99) ->
+          pf "request latency: p50 %.1fs, p95 %.1fs, p99 %.1fs\n" p50 p95 p99);
+        (match
+           Ninja_telemetry.Metrics.samples (Service.metrics svc) "ctl.vm.downtime.seconds"
+         with
+        | [] -> pf "vm downtime: none\n"
+        | samples ->
+          pf "vm downtime: %d fenced intervals, max %.2fs, total %.2fs\n"
+            (List.length samples)
+            (List.fold_left Float.max 0.0 samples)
+            (List.fold_left ( +. ) 0.0 samples));
+        Option.iter
+          (fun fm ->
+            pf "flowmon: %d ticks, slo burn rate %.3f, %d hot links, %d learned pairs\n"
+              (Ninja_telemetry.Flowmon.ticks fm)
+              (Ninja_telemetry.Flowmon.burn_rate fm)
+              (List.length (Ninja_telemetry.Flowmon.hotspots fm))
+              (List.length (Ninja_telemetry.Flowmon.learned fm)))
+          fm;
+        pf "%s"
+          (Format.asprintf "%a" Ninja_metrics.Table.pp
+             (Ninja_telemetry.Metrics.to_table (Service.metrics svc)));
+        (match (fm, top_k) with
+        | Some fm, Some k ->
+          List.iter
+            (fun tbl -> pf "%s" (Format.asprintf "%a" Ninja_metrics.Table.pp tbl))
+            (Ninja_telemetry.Flowmon.report ~k fm)
+        | _ -> ());
+        let status = ref 0 in
+        (match Service.accounting svc with
+        | Ok () -> ()
+        | Error msg ->
+          pf "ACCOUNTING VIOLATION: %s\n" msg;
+          status := 2);
+        if violations <> [] then begin
+          List.iter
+            (fun v ->
+              pf "INVARIANT VIOLATION: %s\n"
+                (Format.asprintf "%a" Ninja_check.Checker.pp_violation v))
+            violations;
+          status := 2
+        end;
+        (match (slo, Service.latency_percentiles svc) with
+        | Some budget, Some (_, _, p99) when p99 > budget && !status = 0 ->
+          pf "SLO BREACH: p99 %.1fs > %.1fs\n" p99 budget;
+          status := 3
+        | _ -> ());
+        let stats =
+          match (fm, stats_file) with
+          | Some fm, Some _ ->
+            let snaps = Ninja_telemetry.Flowmon.snapshots fm in
+            Printf.sprintf "# flowmon seed=%Ld snapshots=%d\n%s" seed (List.length snaps)
+              (String.concat "" snaps)
+          | _ -> ""
+        in
+        (!status, Buffer.contents b, stats)
       in
-      let checker =
-        Ninja_check.Checker.install env.Exp_common.cluster ~vms:(Service.vms svc)
-      in
-      Service.open_loop svc ~process ~horizon:duration;
-      Exp_common.run_to_completion env;
-      Ninja_check.Checker.check_finish checker;
-      Ninja_check.Checker.detach checker;
-      let violations = Ninja_check.Checker.violations checker in
-      let b = Buffer.create 1024 in
-      let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-      pf "== serve: seed %Ld, %.0fs at rate %.3g/s, strategy %s, mode %s ==\n" seed
-        duration rate
-        (Ninja_planner.Solver.name strategy)
-        (Ninja_vmm.Migration.mode_name mig_mode);
-      if show_log then List.iter (fun line -> pf "%s\n" line) (Service.log svc);
-      let c name = int_of_float (Service.count svc name) in
-      pf
-        "requests: %d submitted, %d completed, %d rejected, %d dropped, %d failed \
-         (%d deferrals, %d requeues, %d rollbacks, %d stranded VMs, %d lost VMs)\n"
-        (Service.submitted svc) (c "ctl.requests.completed") (c "ctl.requests.rejected")
-        (c "ctl.requests.dropped") (c "ctl.requests.failed") (c "ctl.requests.deferred")
-        (c "ctl.requests.requeued") (c "ctl.batches.rolled_back") (c "ctl.vms.stranded")
-        (c "ctl.vms.lost");
-      (match Service.latency_percentiles svc with
-      | None -> pf "request latency: no completed requests\n"
-      | Some (p50, p95, p99) ->
-        pf "request latency: p50 %.1fs, p95 %.1fs, p99 %.1fs\n" p50 p95 p99);
-      (match Ninja_telemetry.Metrics.samples (Service.metrics svc) "ctl.vm.downtime.seconds" with
-      | [] -> pf "vm downtime: none\n"
-      | samples ->
-        pf "vm downtime: %d fenced intervals, max %.2fs, total %.2fs\n"
-          (List.length samples)
-          (List.fold_left Float.max 0.0 samples)
-          (List.fold_left ( +. ) 0.0 samples));
+      let seeds = if seeds = [] then [ ctx.Run_ctx.seed ] else seeds in
+      let results = Exp_common.sweep ctx ~f:serve_one seeds in
+      List.iter (fun (_, report, _) -> print_string report) results;
       Option.iter
-        (fun fm ->
-          pf "flowmon: %d ticks, slo burn rate %.3f, %d hot links, %d learned pairs\n"
-            (Ninja_telemetry.Flowmon.ticks fm)
-            (Ninja_telemetry.Flowmon.burn_rate fm)
-            (List.length (Ninja_telemetry.Flowmon.hotspots fm))
-            (List.length (Ninja_telemetry.Flowmon.learned fm)))
-        fm;
-      pf "%s"
-        (Format.asprintf "%a" Ninja_metrics.Table.pp
-           (Ninja_telemetry.Metrics.to_table (Service.metrics svc)));
-      (match (fm, top_k) with
-      | Some fm, Some k ->
-        List.iter
-          (fun tbl -> pf "%s" (Format.asprintf "%a" Ninja_metrics.Table.pp tbl))
-          (Ninja_telemetry.Flowmon.report ~k fm)
-      | _ -> ());
-      let status = ref 0 in
-      (match Service.accounting svc with
-      | Ok () -> ()
-      | Error msg ->
-        pf "ACCOUNTING VIOLATION: %s\n" msg;
-        status := 2);
-      if violations <> [] then begin
-        List.iter
-          (fun v ->
-            pf "INVARIANT VIOLATION: %s\n"
-              (Format.asprintf "%a" Ninja_check.Checker.pp_violation v))
-          violations;
-        status := 2
-      end;
-      (match (slo, Service.latency_percentiles svc) with
-      | Some budget, Some (_, _, p99) when p99 > budget && !status = 0 ->
-        pf "SLO BREACH: p99 %.1fs > %.1fs\n" p99 budget;
-        status := 3
-      | _ -> ());
-      let stats =
-        match (fm, stats_file) with
-        | Some fm, Some _ ->
-          let snaps = Ninja_telemetry.Flowmon.snapshots fm in
-          Printf.sprintf "# flowmon seed=%Ld snapshots=%d\n%s" seed (List.length snaps)
-            (String.concat "" snaps)
-        | _ -> ""
-      in
-      Option.iter Ninja_telemetry.Flowmon.detach fm;
-      (!status, Buffer.contents b, stats)
+        (fun path ->
+          let oc = open_out path in
+          List.iter (fun (_, _, stats) -> output_string oc stats) results;
+          close_out oc;
+          Printf.printf "wrote %s\n%!" path)
+        stats_file;
+      List.fold_left (fun acc (status, _, _) -> max acc status) 0 results
     in
-    let results = Exp_common.sweep ctx ~f:serve_one seeds in
-    let stats_buf = Buffer.create 256 in
-    let worst =
-      List.fold_left
-        (fun acc ((status, report, stats), captured) ->
-          print_string report;
-          emit out captured;
-          Buffer.add_string stats_buf stats;
-          max acc status)
-        0 results
-    in
-    Option.iter
-      (fun path ->
-        let oc = open_out path in
-        output_string oc (Buffer.contents stats_buf);
-        close_out oc;
-        Printf.printf "wrote %s\n%!" path)
-      stats_file;
-    write_spans out;
     if worst <> 0 then exit worst
   in
   Cmd.v (Cmd.info "serve" ~doc)
@@ -811,18 +737,17 @@ let serve_cmd =
       const run $ duration $ rate $ burst_period $ burst_size $ burst_spread $ tenants
       $ vms_per_tenant $ mem_gb
       $ strategy_arg default_strategy_doc
-      $ mode_arg
-          " Stamped on every request the service draws (default: precopy); a postcopy \
-           request whose source dies mid-drain leaves the VM lost (counted, never \
-           resumed)."
-      $ traffic_arg
-          " Each tenant draws a seeded matrix; cost-model strategies and the auto-swap \
-           policy price placements against it."
-      $ auto_swap $ stats_file $ stats_every $ top_k $ max_inflight $ queue_cap $ slo
-      $ seed_arg $ seeds
-      $ jobs_arg ~cmd:"serve" " Each seed is one simulation."
-      $ show_log $ fault_args $ topology_arg
-      $ outputs_arg
+      $ auto_swap $ stats_file $ stats_every $ top_k $ max_inflight $ queue_cap $ slo $ seeds
+      $ show_log
+      $ run_ctx_term ~cmd:"serve" ~default_seed:1L
+          ~traffic:
+            " Each tenant draws a seeded matrix; cost-model strategies and the auto-swap \
+             policy price placements against it."
+          ~mode:
+            " Stamped on every request the service draws (default: precopy); a postcopy \
+             request whose source dies mid-drain leaves the VM lost (counted, never \
+             resumed)."
+          ~jobs:" Each seed is one simulation."
           ~metrics:"under --spans, the telemetry metrics of each run."
           ~spans:"one controlplane thread per request.")
 

@@ -326,7 +326,7 @@ let check_finish t =
               ~detail:(Printf.sprintf "%s ends on dead node %s" name host.Node.name)
         end
         else if not (excused t name) then begin
-          if Node.has_ib host && Vm.find_device vm ~tag:"vf0" = None then
+          if Node.has_ib host && Vm.find_device vm ~tag:Device.hca_tag = None then
             record t ~invariant:"device-consistency"
               ~detail:
                 (Printf.sprintf "%s on IB node %s without its HCA" name host.Node.name);

@@ -33,7 +33,7 @@ val shrink_result : ?budget:int -> Runner.result -> Runner.result option
 val campaign :
   Ninja_engine.Run_ctx.t ->
   n:int ->
-  ?plant:string ->
+  ?plant:Scenario.plant ->
   ?topology:Ninja_hardware.Topology.t ->
   ?strategy:Ninja_planner.Solver.t ->
   ?mode:Ninja_vmm.Migration.mode ->
@@ -41,7 +41,7 @@ val campaign :
   unit ->
   summary
 (** Run a campaign of [n] scenarios seeded from the context. [plant]
-    installs the named planted bug (see {!Runner}) into every scenario;
+    installs that planted bug (see {!Runner}) into every scenario;
     [topology] forces every scenario onto the given datacenter topology
     (clamping fleet size and memory to fit it); [strategy] pins every
     scenario to one planner strategy (the CI strategy matrix);

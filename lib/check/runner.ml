@@ -15,8 +15,6 @@ type result = {
   sim_end : float;
 }
 
-let plants = [ "skip-rollback"; "skip-fence" ]
-
 let failed r = match r.outcome with Passed -> false | Violated _ | Crashed _ -> true
 
 (* The persistent fault that guarantees the skip-rollback plant actually
@@ -25,7 +23,7 @@ let abort_forever = "precopy-abort:count=inf"
 
 let effective_faults (sc : Scenario.t) =
   match sc.Scenario.plant with
-  | Some "skip-rollback" when not (List.mem abort_forever sc.Scenario.faults) ->
+  | Some Scenario.Skip_rollback when not (List.mem abort_forever sc.Scenario.faults) ->
     sc.Scenario.faults @ [ abort_forever ]
   | _ -> sc.Scenario.faults
 
@@ -91,22 +89,21 @@ let sneak_migrate cluster vm =
   match dst with
   | None -> ()
   | Some dst ->
-    (match Vm.find_device vm ~tag:"vf0" with
-    | Some _ -> ignore (Vm.detach_device vm ~tag:"vf0")
+    (match Vm.find_device vm ~tag:Device.hca_tag with
+    | Some _ -> ignore (Vm.detach_device vm ~tag:Device.hca_tag)
     | None -> ());
     ignore (Migration.migrate vm ~dst ~transport:Migration.Tcp ())
 
 let apply_plant (sc : Scenario.t) cluster ninja =
   match sc.Scenario.plant with
   | None -> ()
-  | Some "skip-fence" -> sneak_migrate cluster (List.hd (Ninja.vms ninja))
-  | Some "skip-rollback" -> (
+  | Some Scenario.Skip_fence -> sneak_migrate cluster (List.hd (Ninja.vms ninja))
+  | Some Scenario.Skip_rollback -> (
     match Ninja.last_outcome ninja with
     | Some (Ninja.Rolled_back _) -> sneak_migrate cluster (List.hd (Ninja.vms ninja))
     (* A lost VM cannot be migrated at all — the plant has nothing to
        sneak past the protocol. *)
     | Some (Ninja.Lost _) | Some Ninja.Completed | None -> ())
-  | Some other -> invalid_arg (Printf.sprintf "unknown plant %S" other)
 
 (* Every VM that is neither lost nor excused must be back on its origin
    once the migration has failed; [after] names how it failed. *)

@@ -8,13 +8,13 @@
     campaign always completes.
 
     {b Planted bugs} (for harness self-tests; never generated): a
-    scenario whose [plant] field names one of
+    scenario whose [plant] field is one of
 
-    - ["skip-rollback"] — force a persistent precopy abort so the
+    - [Skip_rollback] — force a persistent precopy abort so the
       migration rolls back, then re-apply the aborted move directly,
       bypassing both the rollback contract and the SymVirt fence (the
       bug class: a scheduler that "knows better" than the transaction);
-    - ["skip-fence"] — migrate a VM through the VMM layer without
+    - [Skip_fence] — migrate a VM through the VMM layer without
       fencing the MPI job first;
 
     must be caught by the checker — that is the harness's own
@@ -31,9 +31,6 @@ type result = {
   events : int;  (** probe events the checker observed *)
   sim_end : float;  (** final simulation clock, seconds *)
 }
-
-val plants : string list
-(** The recognised plant names. *)
 
 val run : ?attach:(Ninja_hardware.Cluster.t -> unit) -> Scenario.t -> result
 (** [attach], when given, is called with the scenario's cluster after it

@@ -4,6 +4,20 @@ open Ninja_planner
 
 type trigger = Drain | Disaster | Consolidate of int | Rebalance
 
+type plant = Skip_rollback | Skip_fence
+
+let plants = [ Skip_rollback; Skip_fence ]
+
+let plant_name = function Skip_rollback -> "skip-rollback" | Skip_fence -> "skip-fence"
+
+let plant_of_string s =
+  match List.find_opt (fun p -> plant_name p = s) plants with
+  | Some p -> Ok p
+  | None ->
+    Error
+      (Printf.sprintf "unknown plant %S (expected %s)" s
+         (String.concat " or " (List.map plant_name plants)))
+
 type t = {
   seed : int64;
   ib : int;
@@ -22,7 +36,7 @@ type t = {
   trigger : trigger;
   trigger_at : float;
   faults : string list;
-  plant : string option;
+  plant : plant option;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -244,7 +258,7 @@ let to_string t =
   line "trigger" (trigger_to_string t.trigger);
   line "trigger_at" (fstr t.trigger_at);
   List.iter (fun f -> line "fault" f) t.faults;
-  (match t.plant with Some p -> line "plant" p | None -> ());
+  (match t.plant with Some p -> line "plant" (plant_name p) | None -> ());
   Buffer.contents b
 
 let default =
@@ -320,7 +334,7 @@ let of_string text =
       | "trigger" -> Result.map (fun tr -> { t with trigger = tr }) (trigger_of_string v)
       | "trigger_at" -> Result.map (fun f -> { t with trigger_at = f }) (parse_float k v)
       | "fault" -> Ok { t with faults = t.faults @ [ v ] }
-      | "plant" -> Ok { t with plant = Some v }
+      | "plant" -> Result.map (fun p -> { t with plant = Some p }) (plant_of_string v)
       | _ -> Error (Printf.sprintf "unknown scenario key %S" k))
   in
   let* t = List.fold_left apply (Ok default) lines in
@@ -387,4 +401,4 @@ let pp fmt t =
     (match t.faults with
     | [] -> ""
     | fs -> " faults=[" ^ String.concat "; " fs ^ "]")
-    (match t.plant with None -> "" | Some p -> " plant=" ^ p)
+    (match t.plant with None -> "" | Some p -> " plant=" ^ plant_name p)

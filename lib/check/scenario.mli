@@ -17,6 +17,17 @@ type trigger =
   | Consolidate of int  (** pack [k] VMs per Ethernet host *)
   | Rebalance  (** spread one VM per Ethernet host *)
 
+type plant =
+  | Skip_rollback
+  | Skip_fence  (** a planted protocol bug, for self-tests (see {!Runner}) *)
+
+val plants : plant list
+(** Every plant, in declaration order. *)
+
+val plant_name : plant -> string
+(** ["skip-rollback"] or ["skip-fence"], the replay-file and [--plant]
+    spelling. *)
+
 type t = {
   seed : int64;  (** seeds the simulation (and nothing else) *)
   ib : int;  (** IB-equipped node count (rack 0); ignored under [topo] *)
@@ -47,7 +58,7 @@ type t = {
   trigger : trigger;
   trigger_at : float;  (** sim seconds before the trigger fires *)
   faults : string list;  (** {!Ninja_faults.Injector} textual specs *)
-  plant : string option;  (** planted bug name, for self-tests *)
+  plant : plant option;  (** planted bug, for self-tests *)
 }
 
 val gen : Ninja_engine.Prng.t -> t
@@ -69,8 +80,9 @@ val to_string : t -> string
 (** Render as a replay file (with a leading comment header). *)
 
 val of_string : string -> (t, string) result
-(** Parse a replay file. Unknown keys and malformed values are errors;
-    missing keys fall back to the documented defaults. *)
+(** Parse a replay file. Unknown keys and malformed values (an unknown
+    plant name among them) are errors; missing keys fall back to the
+    documented defaults. *)
 
 val shrink : t -> t list
 (** Single-step simplification candidates, most aggressive first: drop a

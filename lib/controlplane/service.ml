@@ -13,8 +13,6 @@ type tenant_spec = {
 
 type swap_pricing = Declared | Learned
 
-let swap_pricing_name = function Declared -> "declared" | Learned -> "learned"
-
 let swap_pricing_of_string = function
   | "declared" -> Ok Declared
   | "learned" -> Ok Learned
@@ -368,8 +366,6 @@ let reroute t (r : Request.t) claim (step : Plan.step) =
 
 type batch_end = Batch_done of Executor.report | Batch_failed of string
 
-let hca () = Device.make ~tag:"vf0" ~pci_addr:"04:00.0" Device.Ib_hca
-
 let execute_batch t (r : Request.t) claim plan =
   let bid = Printf.sprintf "batch-%d" (Locks.batch claim) in
   let moving =
@@ -434,8 +430,8 @@ let execute_batch t (r : Request.t) claim plan =
         (not (Vm.is_lost vm))
         && Cluster.node_alive t.cluster h
         && Node.has_ib h
-        && Vm.find_device vm ~tag:"vf0" = None
-      then Vm.attach_device vm (hca ()))
+        && Vm.find_device vm ~tag:Device.hca_tag = None
+      then Vm.attach_device vm (Device.hca ()))
     moving;
   List.iter (fun vm -> if not (Vm.is_lost vm) then Vm.resume vm) moving;
   Probe.emit t.probes (Probe.Fence_release { id = bid; vms = vm_names });
@@ -948,7 +944,7 @@ let boot_tenants ?traffic cluster ~tenants ~vms_per_tenant ~mem_bytes =
                 ~name:(Printf.sprintf "%s-vm%d" name i)
                 ~host ~vcpus:2 ~mem_bytes ()
             in
-            if Node.has_ib host then Vm.attach_device vm (hca ());
+            if Node.has_ib host then Vm.attach_device vm (Device.hca ());
             vm)
       in
       let traffic =

@@ -63,8 +63,6 @@ type swap_pricing =
           {!Ninja_workloads.Traffic.of_observations}); falls back to the
           declared matrices while the estimate is still empty *)
 
-val swap_pricing_name : swap_pricing -> string
-
 val swap_pricing_of_string : string -> (swap_pricing, string) result
 
 type config = {
@@ -164,18 +162,16 @@ val make :
 val submit : t -> Request.t -> unit
 (** Admission: reject (["queue-full"], ["unknown-tenant"]) or enqueue. *)
 
-val random_request : t -> Request.t
-(** Draw from the built-in traffic mix (tenant placement changes plus
-    operator evacuations/failovers) using the service's PRNG stream. *)
-
 val inject : t -> after:Time.span -> (t -> Request.t) -> unit
 (** Submit one constructed request after a delay (a registered feeder, so
     the dispatcher outlives it). *)
 
 val open_loop : t -> process:Ninja_workloads.Arrivals.process -> horizon:float -> unit
 (** Spawn the open-loop source: arrival instants drawn over [horizon]
-    seconds from now, one {!random_request} submitted at each. May be
-    called several times to overlay sources. *)
+    seconds from now, one request submitted at each, drawn from the
+    built-in mix (tenant placement changes plus operator
+    evacuations/failovers) on the service's PRNG stream. May be called
+    several times to overlay sources. *)
 
 val propose_swap : t -> bool
 (** One round of the online destination-swap policy: price every

@@ -36,10 +36,6 @@ exception Not_launched
    attempts; the migration must roll back. *)
 exception Phase_failed of string
 
-let hca_tag = "vf0"
-
-let hca_addr = "04:00.0"
-
 let make cluster nodes =
   {
     cluster;
@@ -63,7 +59,7 @@ let setup cluster ~hosts ?(vcpus = 8) ?(mem_gb = 20.0) ?(attach_hca = true) () =
             ~host ~vcpus ~mem_bytes:(Units.gb mem_gb) ()
         in
         if attach_hca && Node.has_ib host then
-          Vm.attach_device vm (Device.make ~tag:hca_tag ~pci_addr:hca_addr Device.Ib_hca);
+          Vm.attach_device vm (Device.hca ());
         let guest = Guest.boot vm in
         { vm; guest; endpoint = Hypercall.create vm })
       hosts
@@ -135,11 +131,9 @@ let controller t =
          t.nodes)
 
 let default_detach vm =
-  match Vm.find_device vm ~tag:hca_tag with Some _ -> [ hca_tag ] | None -> []
+  match Vm.find_device vm ~tag:Device.hca_tag with Some _ -> [ Device.hca_tag ] | None -> []
 
-let default_attach plan vm =
-  if Node.has_ib (plan vm) then [ Device.make ~tag:hca_tag ~pci_addr:hca_addr Device.Ib_hca ]
-  else []
+let default_attach plan vm = if Node.has_ib (plan vm) then [ Device.hca () ] else []
 
 (* The complete Fig. 4 control flow. Each VMM operation group gets its
    own wait_all/signal pair, exactly like the Fig. 5 script — the guest

@@ -51,8 +51,8 @@ val setup :
   unit ->
   t
 (** One VM per host entry (named vm0, vm1, ...). With [attach_hca] (the
-    default), hosts that have an InfiniBand port get a VMM-bypass HCA
-    passed through at ["04:00.0"] with tag ["vf0"]. *)
+    default), hosts that have an InfiniBand port get the VMM-bypass HCA
+    {!Ninja_hardware.Device.hca}. *)
 
 val of_vms : Cluster.t -> vms:Vm.t list -> t
 (** Wrap existing VMs (e.g. snapshot-restored ones) instead of creating

@@ -1,8 +1,7 @@
 (** Unbounded FIFO message queue between fibers.
 
-    Senders never block; receivers block while the queue is empty. Used for
-    mailbox-style actors (the QMP monitor, the SymVirt controller, MPI
-    unexpected-message queues). *)
+    Senders never block; receivers block while the queue is empty. Used by
+    the fault-tolerant runtime ([Ft_runtime]) for its progress mailbox. *)
 
 type 'a t
 

@@ -24,8 +24,6 @@ let make ?(seed = 42L) ?(mode = Quick) ?(faults = []) ?topology ?traffic ?migrat
 
 let default = make ()
 
-let quick = default
-
 let full = make ~mode:Full ()
 
 let with_seed seed t = { t with seed }
@@ -35,8 +33,6 @@ let with_topology topology t = { t with topology }
 let with_pool pool t = { t with pool }
 
 let with_label label t = { t with label }
-
-let with_sinks ?trace ?metrics ?spans t = { t with trace; metrics; spans }
 
 let with_observer observe t = { t with observe }
 
@@ -52,3 +48,16 @@ let emit_metrics t chunk = Option.iter (fun sink -> sink chunk) t.metrics
 let emit_spans t chunk = Option.iter (fun sink -> sink chunk) t.spans
 
 let observe t name value = Option.iter (fun f -> f name value) t.observe
+
+let buffered t f =
+  let mutex = Mutex.create () and rev_chunks = ref [] in
+  let redirect sink =
+    Option.map
+      (fun sink chunk ->
+        Mutex.protect mutex (fun () -> rev_chunks := (sink, chunk) :: !rev_chunks))
+      sink
+  in
+  let r =
+    f { t with trace = redirect t.trace; metrics = redirect t.metrics; spans = redirect t.spans }
+  in
+  (r, fun () -> List.iter (fun (sink, chunk) -> sink chunk) (List.rev !rev_chunks))

@@ -19,8 +19,8 @@ type mode = Quick | Full
 
 type sink = string -> unit
 (** Receives self-contained chunks (a rendered trace timeline, a CSV
-    table). Chunks arriving from pooled tasks may interleave across
-    concurrent runs; each single chunk is delivered in one call. *)
+    table), each in one call. Pooled work run under {!buffered} reaches
+    the sink on the submitting domain, in submission order. *)
 
 type t = {
   seed : int64;  (** seeds every simulation the run creates *)
@@ -82,8 +82,6 @@ val make :
 val default : t
 (** [make ()]. *)
 
-val quick : t
-
 val full : t
 
 val with_seed : int64 -> t -> t
@@ -93,10 +91,6 @@ val with_topology : string option -> t -> t
 val with_pool : Pool.t option -> t -> t
 
 val with_label : string -> t -> t
-
-val with_sinks : ?trace:sink -> ?metrics:sink -> ?spans:sink -> t -> t
-(** Replaces all three sinks (absent arguments clear the sink — deriving
-    a silent context from a noisy one is the common case). *)
 
 val with_observer : (string -> float -> unit) option -> t -> t
 
@@ -118,3 +112,12 @@ val emit_spans : t -> string -> unit
 
 val observe : t -> string -> float -> unit
 (** Report a named scalar to the observation hook, if any. *)
+
+val buffered : t -> (t -> 'a) -> 'a * (unit -> unit)
+(** [buffered t f] runs [f] under [t] with each of its sinks redirected
+    into one private buffer (absent sinks stay absent), and returns
+    [f]'s result with a replay function that sends the buffered chunks,
+    in arrival order, to [t]'s own sinks. A mutex guards the buffer, so
+    [f] may fan out over the pool. Pooled work keeps its output in
+    submission order this way: each task runs under [buffered] on its
+    domain, and the submitting domain replays the tasks in order. *)

@@ -25,7 +25,7 @@ let make_pair cluster setup =
           ~mem_bytes:(Units.gb 20.0) ()
       in
       (match setup with
-      | Bypass_ib -> Vm.attach_device vm (Device.make ~tag:"vf0" ~pci_addr:"04:00.0" Device.Ib_hca)
+      | Bypass_ib -> Vm.attach_device vm (Device.hca ())
       | Virtio -> ()
       | Emulated ->
         ignore (Vm.detach_device vm ~tag:"virtio0");

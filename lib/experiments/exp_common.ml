@@ -72,6 +72,15 @@ let migration_mode ctx =
     | Error msg ->
       failwith (Printf.sprintf "Exp_common.migration_mode: bad mode %S: %s" text msg))
 
+let traffic ctx =
+  Option.map
+    (fun text ->
+      match Ninja_workloads.Traffic.of_string text with
+      | Ok pattern -> pattern
+      | Error msg ->
+        failwith (Printf.sprintf "Exp_common.traffic: bad pattern %S: %s" text msg))
+    ctx.Run_ctx.traffic
+
 let hosts cluster ~prefix ~first ~count =
   List.init count (fun i ->
       Cluster.find_node cluster (Printf.sprintf "%s%02d" prefix (first + i)))
@@ -125,35 +134,6 @@ let run_until env limit =
   Sim.run_until env.sim limit;
   finish env
 
-(* One buffered redirection of a context's sinks: chunks are kept, in
-   order, until [drain] replays them into the parent. The mutex only
-   guards against a future in-point fan-out; each buffer is written by
-   the one domain running its point. *)
-type buffer = {
-  mutex : Mutex.t;
-  mutable rev_chunks : ([ `Trace | `Metrics | `Spans ] * string) list;
-}
-
-let redirect parent buf =
-  let push kind chunk =
-    Mutex.protect buf.mutex (fun () -> buf.rev_chunks <- (kind, chunk) :: buf.rev_chunks)
-  in
-  let sub kind = function None -> None | Some _ -> Some (push kind) in
-  Run_ctx.with_sinks
-    ?trace:(sub `Trace parent.Run_ctx.trace)
-    ?metrics:(sub `Metrics parent.Run_ctx.metrics)
-    ?spans:(sub `Spans parent.Run_ctx.spans)
-    parent
-
-let drain parent buf =
-  List.iter
-    (fun (kind, chunk) ->
-      match kind with
-      | `Trace -> Run_ctx.trace_line parent chunk
-      | `Metrics -> Run_ctx.emit_metrics parent chunk
-      | `Spans -> Run_ctx.emit_spans parent chunk)
-    (List.rev buf.rev_chunks)
-
 let point_label ctx i =
   match ctx.Run_ctx.label with
   | "" -> "#" ^ string_of_int i
@@ -164,25 +144,16 @@ let sweep ctx ~f xs =
   | None ->
     List.mapi (fun i x -> f (Run_ctx.with_label (point_label ctx i) ctx) x) xs
   | Some _ ->
-    (* Pooled points write into per-point buffers, drained in input order
+    (* Pooled points buffer their sink chunks, replayed in input order
        afterwards: the parent sinks see the exact chunk sequence of the
        serial sweep, so output is byte-identical at any -j. Points run
        their own simulations serially (no nested pool). *)
-    let tagged =
-      List.mapi
-        (fun i x ->
-          let buf = { mutex = Mutex.create (); rev_chunks = [] } in
-          let pctx =
-            ctx
-            |> Run_ctx.with_label (point_label ctx i)
-            |> Run_ctx.with_pool None
-            |> fun c -> redirect c buf
-          in
-          (pctx, x, buf))
-        xs
+    let point (i, x) =
+      let pctx = ctx |> Run_ctx.with_label (point_label ctx i) |> Run_ctx.with_pool None in
+      Run_ctx.buffered pctx (fun pctx -> f pctx x)
     in
-    let results = Run_ctx.map ctx ~f:(fun (pctx, x, _) -> f pctx x) tagged in
-    List.iter (fun (_, _, buf) -> drain ctx buf) tagged;
-    results
+    let results = Run_ctx.map ctx ~f:point (List.mapi (fun i x -> (i, x)) xs) in
+    List.iter (fun (_, replay) -> replay ()) results;
+    List.map fst results
 
 let sec = Time.to_sec_f

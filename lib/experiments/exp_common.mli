@@ -39,6 +39,10 @@ val migration_mode : Run_ctx.t -> Ninja_vmm.Migration.mode
 (** The context's migration copy mode ([Precopy] when unset). Raises
     [Failure] on a malformed mode name (the CLI validates upstream). *)
 
+val traffic : Run_ctx.t -> Ninja_workloads.Traffic.pattern option
+(** The context's tenant traffic pattern, if set. Raises [Failure] on a
+    malformed pattern (the CLI validates upstream). *)
+
 val hosts : Cluster.t -> prefix:string -> first:int -> count:int -> Node.t list
 (** e.g. [hosts c ~prefix:"ib" ~first:8 ~count:8] = ib08..ib15. *)
 
@@ -56,8 +60,8 @@ val sweep : Run_ctx.t -> f:(Run_ctx.t -> 'a -> 'b) -> 'a list -> 'b list
 (** An experiment's point grid. [f] receives a derived context labelled
     ["<parent>#<index>"] (so each point's telemetry tracks are distinct)
     and runs on its own domain when the parent carries a pool. Pooled
-    points buffer their sink output and replay it in input order, so
-    trace/metrics/spans chunks arrive byte-identically to a serial
-    sweep. *)
+    points run under {!Run_ctx.buffered} and are replayed in input
+    order, so trace/metrics/spans chunks arrive byte-identically to a
+    serial sweep. *)
 
 val sec : Time.span -> float

@@ -2,6 +2,7 @@ open Ninja_engine
 open Ninja_metrics
 open Ninja_planner
 open Ninja_controlplane
+open Ninja_telemetry
 open Exp_common
 
 type row = {
@@ -19,23 +20,71 @@ type row = {
   violations : int;
 }
 
-let measure rc ~rate ~strategy ~duration () =
+let learned_traffic (fconfig : Flowmon.config) fm () =
+  if Flowmon.observed_window fm <= 0.0 then []
+  else
+    Ninja_workloads.Traffic.of_observations ~sample_rate:fconfig.Flowmon.sample_rate
+      ~pkt_bytes:fconfig.Flowmon.pkt_bytes ~window:(Flowmon.observed_window fm)
+      (Flowmon.samples fm)
+
+type served = {
+  service : Service.t;
+  flowmon : Flowmon.t option;
+  violations : Ninja_check.Checker.violation list;
+}
+
+let serve rc ?traffic ?flowmon ~tenants ~vms_per_tenant ~mem_gb ~config ~process ~duration
+    () =
   let env = fresh rc in
-  let tenants =
-    Service.boot_tenants env.cluster
-      ~tenants:[ ("t0", 3.0); ("t1", 2.0); ("t2", 1.0) ]
-      ~vms_per_tenant:2
-      ~mem_bytes:(Ninja_hardware.Units.gb 8.0)
+  let specs =
+    let weight i = [| 3.0; 2.0; 1.0 |].(i mod 3) in
+    Service.boot_tenants ?traffic env.cluster
+      ~tenants:(List.init tenants (fun i -> (Printf.sprintf "t%d" i, weight i)))
+      ~vms_per_tenant ~mem_bytes:(Ninja_hardware.Units.gb mem_gb)
   in
-  let config = { Service.default_config with strategy } in
-  let svc = Service.create env.cluster ~config ~tenants () in
-  let checker = Ninja_check.Checker.install env.cluster ~vms:(Service.vms svc) in
-  Service.open_loop svc
-    ~process:(Ninja_workloads.Arrivals.Poisson { rate })
-    ~horizon:duration;
+  (* The learned hook is a forward reference: the monitor needs the
+     service's registry, the service config needs the monitor's
+     estimate — tie the knot through a ref. *)
+  let learned_ref = ref (fun () -> []) in
+  let config =
+    { config with
+      Service.learned_traffic =
+        (if config.Service.auto_swap = Some Service.Learned then
+           Some (fun () -> !learned_ref ())
+         else None)
+    }
+  in
+  let service = Service.create env.cluster ~config ~tenants:specs () in
+  let flowmon =
+    Option.map
+      (fun fconfig ->
+        let traffic =
+          List.concat_map (fun (ts : Service.tenant_spec) -> ts.Service.traffic) specs
+        in
+        let fm =
+          Flowmon.create ~config:fconfig ~registry:(Service.metrics service) env.cluster
+            ~traffic
+        in
+        learned_ref := learned_traffic fconfig fm;
+        Flowmon.start fm ~horizon:duration;
+        fm)
+      flowmon
+  in
+  let checker = Ninja_check.Checker.install env.cluster ~vms:(Service.vms service) in
+  Service.open_loop service ~process ~horizon:duration;
   run_to_completion env;
   Ninja_check.Checker.check_finish checker;
   Ninja_check.Checker.detach checker;
+  Option.iter Flowmon.detach flowmon;
+  { service; flowmon; violations = Ninja_check.Checker.violations checker }
+
+let measure rc ~rate ~strategy ~duration =
+  let { service = svc; violations; _ } =
+    serve rc ~tenants:3 ~vms_per_tenant:2 ~mem_gb:8.0
+      ~config:{ Service.default_config with strategy }
+      ~process:(Ninja_workloads.Arrivals.Poisson { rate })
+      ~duration ()
+  in
   (match Service.accounting svc with
   | Ok () -> ()
   | Error msg -> failwith ("exp_controlplane: stranded requests: " ^ msg));
@@ -56,8 +105,8 @@ let measure rc ~rate ~strategy ~duration () =
     p99;
     downtime =
       List.fold_left ( +. ) 0.0
-        (Ninja_telemetry.Metrics.samples (Service.metrics svc) "ctl.vm.downtime.seconds");
-    violations = List.length (Ninja_check.Checker.violations checker);
+        (Metrics.samples (Service.metrics svc) "ctl.vm.downtime.seconds");
+    violations = List.length violations;
   }
 
 let run rc =
@@ -74,7 +123,7 @@ let run rc =
   in
   let rows =
     sweep rc points ~f:(fun rc (rate, strategy) ->
-        measure rc ~rate ~strategy ~duration ())
+        measure rc ~rate ~strategy ~duration)
   in
   let table =
     Table.create ~title:"control plane: request SLO by arrival rate and strategy"

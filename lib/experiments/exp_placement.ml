@@ -77,16 +77,7 @@ let measure rc ~pattern ~strategy ?(swap_pricing = Service.Declared) ~vms_per_te
       Some fm
     | _ -> None
   in
-  let learned_traffic =
-    Option.map
-      (fun fm () ->
-        if Ninja_telemetry.Flowmon.observed_window fm <= 0.0 then []
-        else
-          Traffic.of_observations ~sample_rate:fm_config.Ninja_telemetry.Flowmon.sample_rate
-            ~window:(Ninja_telemetry.Flowmon.observed_window fm)
-            (Ninja_telemetry.Flowmon.samples fm))
-      fm
-  in
+  let learned_traffic = Option.map (Exp_controlplane.learned_traffic fm_config) fm in
   let config =
     { Service.default_config with Service.strategy; auto_swap; learned_traffic }
   in
@@ -130,11 +121,8 @@ let run rc =
     match rc.Run_ctx.mode with Quick -> (3, 4) | Full -> (6, 8)
   in
   let patterns =
-    match rc.Run_ctx.traffic with
-    | Some text -> (
-      match Traffic.of_string text with
-      | Ok p -> [ p ]
-      | Error e -> failwith (Printf.sprintf "Exp_placement: bad traffic %S: %s" text e))
+    match traffic rc with
+    | Some p -> [ p ]
     | None ->
       [
         Traffic.Uniform { rate = Traffic.default_rate };

@@ -78,14 +78,12 @@ let measure rc entry ~mode =
   run_until env (Time.minutes 120);
   { mode; stats = Option.get !stats }
 
-let pull_tail_ms pulls =
-  match List.sort Time.compare pulls with
+let pull_tail_ms = function
   | [] -> 0.0
-  | sorted ->
-    let a = Array.of_list sorted in
-    let n = Array.length a in
-    let rank = Stdlib.min (n - 1) (int_of_float (ceil (0.99 *. float_of_int n)) - 1) in
-    Time.to_sec_f a.(Stdlib.max 0 rank) *. 1e3
+  | pulls ->
+    let sorted = Array.of_list (List.map Time.to_sec_f pulls) in
+    Array.sort Float.compare sorted;
+    Stats.percentile_sorted 99.0 sorted *. 1e3
 
 let run rc =
   let entries = entries rc in

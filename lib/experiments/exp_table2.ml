@@ -8,7 +8,7 @@ open Exp_common
 
 let virtio_tag = "virtio0"
 
-let hca_of _vm = [ Device.make ~tag:"vf0" ~pci_addr:"04:00.0" Device.Ib_hca ]
+let hca_of _vm = [ Device.hca () ]
 
 (* The destination-side NIC for Ethernet rows: a freshly hot-added virtio
    device (the source one is the device under test and was unplugged). *)
@@ -35,7 +35,7 @@ let measure rc combo ~hotplug ~linkup =
          bypass HCA on InfiniBand sides, the virtio NIC on Ethernet
          sides. *)
       let detach vm =
-        if src_ib then [ "vf0" ]
+        if src_ib then [ Device.hca_tag ]
         else if Vm.find_device vm ~tag:virtio_tag <> None then [ virtio_tag ]
         else []
       in

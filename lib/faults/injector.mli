@@ -23,14 +23,9 @@ type point =
   | Hotplug_attach_fail  (** a [device_add] fails after the ACPI delay *)
   | Agent_crash  (** a SymVirt agent dies before issuing its commands *)
   | Node_death  (** the targeted destination node dies permanently *)
-
-val point_name : point -> string
-(** ["precopy-stall"], ["precopy-abort"], ["qmp-timeout"], ["attach-fail"],
-    ["agent-crash"], ["node-death"]. *)
-
-val point_of_name : string -> point option
-
-val all_points : point list
+(** Spelled ["precopy-stall"], ["precopy-abort"], ["qmp-timeout"],
+    ["attach-fail"], ["agent-crash"] and ["node-death"] in a {!spec}'s
+    text form. *)
 
 type trigger =
   | Always  (** every matching hit fires (subject to the count budget) *)

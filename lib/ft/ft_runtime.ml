@@ -119,8 +119,6 @@ let start cluster ~store ~hosts spec =
   launch_incarnation t ~start:0 ~vms_to_resume:[];
   t
 
-let hca_tag = "vf0"
-
 let kill_current_incarnation t =
   (* Wait out any in-flight periodic checkpoint, then fence everyone and
      let the coordinators raise Job_aborted. *)
@@ -163,7 +161,7 @@ let fail_and_restart t ~new_hosts =
     List.iter2
       (fun vm host ->
         if Node.has_ib host then
-          Vm.attach_device vm (Device.make ~tag:hca_tag ~pci_addr:"04:00.0" Device.Ib_hca))
+          Vm.attach_device vm (Device.hca ()))
       vms new_hosts;
     launch_incarnation t ~start:iter ~vms_to_resume:vms
 

@@ -4,6 +4,10 @@ type t = { tag : string; pci_addr : string; kind : kind }
 
 let make ~tag ~pci_addr kind = { tag; pci_addr; kind }
 
+let hca_tag = "vf0"
+
+let hca () = make ~tag:hca_tag ~pci_addr:"04:00.0" Ib_hca
+
 let is_bypass = function Ib_hca -> true | Virtio_net | Eth_10g | Emulated_nic -> false
 
 let bandwidth = function

@@ -20,6 +20,13 @@ type t = {
 
 val make : tag:string -> pci_addr:string -> kind -> t
 
+val hca_tag : string
+(** ["vf0"], the tag of the passthrough HCA. *)
+
+val hca : unit -> t
+(** The passthrough HCA every VM on an InfiniBand host carries: an
+    [Ib_hca] tagged {!hca_tag} at PCI address ["04:00.0"]. *)
+
 val is_bypass : kind -> bool
 (** True for devices that bypass the VMM and therefore block migration. *)
 

@@ -75,10 +75,6 @@ val move_seconds :
     defaults to the VM's non-zero footprint); 0 when [src] and [dst] are
     the same node. *)
 
-val plan_seconds : env -> Plan.t -> float
-(** {!Estimator.sequential_duration} in seconds — the migration-time
-    component of a plan's cost. *)
-
 val plan_placement : env -> Plan.t -> (string -> Node.t option)
 (** The placement the plan ends in: each moved VM at its final
     destination (a staged VM at its [Stage_in] target), every other

@@ -31,13 +31,10 @@ type estimate = {
 val sender_demand : float
 (** Peak fabric demand of one migration (the TCP sender's private rate). *)
 
-val route_between : Cluster.t -> src:Node.t -> dst:Node.t -> Fabric.link list
-(** The shared Ethernet path between two hosts (the per-migration private
-    sender hop is excluded). *)
-
 val route : Cluster.t -> Plan.step -> Fabric.link list
-(** Fabric links the step's migration traffic crosses
-    ({!route_between} the step's source and destination). *)
+(** The shared Ethernet path the step's migration traffic crosses between
+    its source and destination (the per-migration private sender hop is
+    excluded). *)
 
 val estimate_move :
   Cluster.t ->

@@ -68,8 +68,6 @@ val strategy : t -> Solver.t
 
 val mode : t -> Ninja_vmm.Migration.mode
 
-val plan_for : t -> trigger -> Ninja_vmm.Vm.t -> Node.t
-
 val execute : t -> trigger -> Breakdown.t
 (** Run the migration now (must be called from a fiber). *)
 

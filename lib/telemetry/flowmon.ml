@@ -49,11 +49,9 @@ type link_mon = {
 }
 
 type tenant_mon = {
-  tput : Ring.t;  (* completed requests per second, one sample per tick *)
   mutable completed : int;
   mutable missed : int;  (* deadline-missed drops and expiries *)
   mutable other : int;  (* rejected / failed / other drops *)
-  mutable tick_completed : int;  (* completions since the last tick *)
 }
 
 type t = {
@@ -66,12 +64,11 @@ type t = {
   links : link_mon array;
   pairs : (string * string * float) array;  (* canonical declared demand *)
   counts : int array;  (* post-warmup sampled packets per pair *)
-  queue_ring : Ring.t;
-  flows_ring : Ring.t;
   missed_ring : Ring.t;  (* per-tick deadline misses *)
   done_ring : Ring.t;  (* per-tick terminal requests *)
   tenants : (string, tenant_mon) Hashtbl.t;
   mutable cur_queue_depth : float;
+  mutable active_flows : float;  (* the fabric's flow count at the last tick *)
   mutable tick_missed : int;
   mutable tick_done : int;
   mutable total_samples : int;
@@ -104,15 +101,7 @@ let on_event t (ev : Probe.event) =
       match Hashtbl.find_opt t.tenants tenant with
       | Some tm -> tm
       | None ->
-        let tm =
-          {
-            tput = Ring.create ~capacity:t.cfg.retain;
-            completed = 0;
-            missed = 0;
-            other = 0;
-            tick_completed = 0;
-          }
-        in
+        let tm = { completed = 0; missed = 0; other = 0 } in
         Hashtbl.add t.tenants tenant tm;
         tm
     in
@@ -121,10 +110,7 @@ let on_event t (ev : Probe.event) =
       t.tick_missed <- t.tick_missed + 1;
       tm.missed <- tm.missed + 1
     end
-    else if completed then begin
-      tm.completed <- tm.completed + 1;
-      tm.tick_completed <- tm.tick_completed + 1
-    end
+    else if completed then tm.completed <- tm.completed + 1
     else tm.other <- tm.other + 1
   | Probe.Stat { name = "ctl.queue.depth"; value; _ } -> t.cur_queue_depth <- value
   | _ -> ()
@@ -210,12 +196,11 @@ let create ?(config = default_config) ?registry cluster ~traffic =
       links;
       pairs;
       counts = Array.make (Array.length pairs) 0;
-      queue_ring = Ring.create ~capacity:config.retain;
-      flows_ring = Ring.create ~capacity:config.retain;
       missed_ring = Ring.create ~capacity:config.retain;
       done_ring = Ring.create ~capacity:config.retain;
       tenants = Hashtbl.create 8;
       cur_queue_depth = 0.0;
+      active_flows = 0.0;
       tick_missed = 0;
       tick_done = 0;
       total_samples = 0;
@@ -304,8 +289,7 @@ let snapshot t =
     (fun (a, b_, n) -> pf "flowmon_pair_rate_bytes{src=%S,dst=%S} %g\n" a b_ (estimate t n))
     (samples t);
   pf "# TYPE flowmon_queue_depth gauge\nflowmon_queue_depth %g\n" t.cur_queue_depth;
-  pf "# TYPE flowmon_active_flows gauge\nflowmon_active_flows %g\n"
-    (match Ring.last t.flows_ring with Some v -> v | None -> 0.0);
+  pf "# TYPE flowmon_active_flows gauge\nflowmon_active_flows %g\n" t.active_flows;
   pf "# TYPE flowmon_slo_burn_rate gauge\nflowmon_slo_burn_rate %g\n" (burn_rate t);
   List.iter
     (fun (tenant, completed, missed, att) ->
@@ -362,17 +346,11 @@ let tick t =
     t.pairs;
   if warm then t.obs_seconds <- t.obs_seconds +. t.cfg.period;
   (* Control-plane series. *)
-  Ring.push t.queue_ring t.cur_queue_depth;
-  Ring.push t.flows_ring (float_of_int (Fabric.active_flows t.fabric));
+  t.active_flows <- float_of_int (Fabric.active_flows t.fabric);
   Ring.push t.missed_ring (float_of_int t.tick_missed);
   Ring.push t.done_ring (float_of_int t.tick_done);
   t.tick_missed <- 0;
   t.tick_done <- 0;
-  Hashtbl.iter
-    (fun _ tm ->
-      Ring.push tm.tput (float_of_int tm.tick_completed /. t.cfg.period);
-      tm.tick_completed <- 0)
-    t.tenants;
   Metrics.gauge t.m "ctl.slo.burn.max" (burn_rate t);
   if
     t.cfg.snapshot_every > 0.0

@@ -10,9 +10,9 @@
     {2 Sampling model}
 
     A periodic tick fiber (every [period] sim-seconds) polls
-    {!Ninja_flownet.Fabric.link_utilization} on every link and the
-    fabric's active flow count, pushing each series into a fixed {!Ring}.
-    Each link keeps its windowed p95 and re-sorts the window only when
+    {!Ninja_flownet.Fabric.link_utilization} on every link, pushing each
+    link's series into a fixed {!Ring}, and reads the fabric's active
+    flow count. Each link keeps its windowed p95 and re-sorts the window only when
     the push changed it ({!Ring.push_changes}), so an idle link — most of
     a datacenter's — costs a comparison per tick and allocates nothing.
     Inter-VM demand is sampled sFlow-style: a pair at [rate] B/s offers

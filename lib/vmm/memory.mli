@@ -27,8 +27,6 @@ val alloc : t -> bytes:float -> region
 (** Reserve a contiguous region (pages still zero until written). Raises
     [Invalid_argument] if the VM is out of memory. *)
 
-val region_bytes : region -> float
-
 val write : t -> region -> offset:float -> bytes:float -> unit
 (** Mark the page range as non-zero and dirty. Clipped to the region. *)
 

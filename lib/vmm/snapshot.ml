@@ -3,7 +3,6 @@ open Ninja_hardware
 
 type t = {
   name : string;
-  taken_at : Time.t;
   image_bytes : float;
   total_bytes : float;
   vcpus : int;
@@ -28,7 +27,6 @@ let save store vm ~name =
   let snap =
     {
       name;
-      taken_at = Sim.now (Cluster.sim store.cluster);
       image_bytes;
       total_bytes = Memory.total_bytes (Vm.memory vm);
       vcpus = Vm.vcpus vm;
@@ -51,7 +49,5 @@ let restore store snap ~host =
 let find store ~name = List.find_opt (fun s -> String.equal s.name name) store.snapshots
 
 let name t = t.name
-
-let taken_at t = t.taken_at
 
 let image_bytes t = t.image_bytes

@@ -6,7 +6,6 @@
     non-zero memory image; saving and restoring stream it through the NFS
     path at a calibrated rate. *)
 
-open Ninja_engine
 open Ninja_hardware
 
 type store
@@ -29,7 +28,5 @@ val restore : store -> t -> host:Node.t -> Vm.t
 val find : store -> name:string -> t option
 
 val name : t -> string
-
-val taken_at : t -> Time.t
 
 val image_bytes : t -> float

@@ -95,9 +95,6 @@ val on_device_removed : t -> (Device.t -> unit) -> unit
 
 (** {1 Guest-side operations (called from fibers)} *)
 
-val await_running : t -> unit
-(** Block while the VM is paused. *)
-
 val compute : ?cores:float -> ?chunk:float -> t -> core_seconds:float -> unit
 (** Execute CPU work on the current host, in [chunk]-sized pieces (default
     1 core-second) so that pauses and host changes take effect promptly.

@@ -26,8 +26,9 @@ let scenario_roundtrip_prop =
   QCheck.Test.make ~name:"scenario text form round-trips" ~count:200 QCheck.small_int
     (fun salt ->
       let prng = Prng.create ~seed:(salted salt) in
-      let sc = Scenario.gen prng in
-      let sc = if salt mod 3 = 0 then { sc with Scenario.plant = Some "skip-fence" } else sc in
+      let plants = None :: List.map Option.some Scenario.plants in
+      let plant = List.nth plants (salt mod List.length plants) in
+      let sc = { (Scenario.gen prng) with Scenario.plant } in
       match Scenario.of_string (Scenario.to_string sc) with
       | Ok sc' -> sc' = sc
       | Error e -> QCheck.Test.fail_reportf "did not parse back: %s" e)
@@ -66,7 +67,14 @@ let test_scenario_parse_errors () =
       "uplink_gbps=-2";
       "traffic=bogus";
       "traffic=skewed:factor=0.5";
-    ]
+      "plant=skip-fences";
+    ];
+  (* A misspelled plant is a parse error naming the valid plants, not a
+     crash once the simulation reaches the plant. *)
+  Alcotest.(check (result reject string))
+    "misspelled plant"
+    (Error "unknown plant \"skip-fences\" (expected skip-rollback or skip-fence)")
+    (Result.map ignore (Scenario.of_string "plant=skip-fences"))
 
 let test_scenario_parse_comments_and_defaults () =
   let text = "# a comment\n\nseed=9\n  vms=2  \nib=2\neth=3\nfault=agent-crash@vm0\n" in
@@ -585,7 +593,9 @@ let violated_invariants (r : Runner.result) =
   | _ -> []
 
 let test_plant_skip_fence_caught () =
-  let summary = Fuzz.campaign (small_ctx ()) ~n:2 ~plant:"skip-fence" ~shrink:false () in
+  let summary =
+    Fuzz.campaign (small_ctx ()) ~n:2 ~plant:Scenario.Skip_fence ~shrink:false ()
+  in
   Alcotest.(check int) "every scenario fails" 2 (List.length summary.Fuzz.failures);
   List.iter
     (fun f ->
@@ -595,7 +605,7 @@ let test_plant_skip_fence_caught () =
 
 let test_plant_skip_rollback_caught_and_replays () =
   let summary =
-    Fuzz.campaign (small_ctx ()) ~n:1 ~plant:"skip-rollback" ~shrink:true ()
+    Fuzz.campaign (small_ctx ()) ~n:1 ~plant:Scenario.Skip_rollback ~shrink:true ()
   in
   match summary.Fuzz.failures with
   | [ f ] ->
@@ -615,7 +625,7 @@ let test_plant_skip_rollback_caught_and_replays () =
 
 let test_shrink_result_minimises () =
   let prng = Prng.create ~seed:env_seed in
-  let sc = { (Scenario.gen prng) with Scenario.plant = Some "skip-fence" } in
+  let sc = { (Scenario.gen prng) with Scenario.plant = Some Scenario.Skip_fence } in
   let r = Runner.run sc in
   Alcotest.(check bool) "planted run fails" true (Runner.failed r);
   match Fuzz.shrink_result ~budget:40 r with
@@ -623,7 +633,7 @@ let test_shrink_result_minimises () =
   | Some smaller ->
     Alcotest.(check bool) "shrunk run still fails" true (Runner.failed smaller);
     Alcotest.(check bool) "plant preserved" true
-      (smaller.Runner.scenario.Scenario.plant = Some "skip-fence")
+      (smaller.Runner.scenario.Scenario.plant = Some Scenario.Skip_fence)
 
 (* Regressions for bugs the fuzzer actually found, pinned as the repro
    files it emitted. *)

@@ -309,7 +309,7 @@ let test_registry_all_complete () =
   List.iter
     (fun e ->
       let chunks = ref 0 in
-      let ctx = Run_ctx.(with_sinks ~metrics:(fun _ -> incr chunks) default) in
+      let ctx = Run_ctx.make ~metrics:(fun _ -> incr chunks) () in
       let tables = Registry.run_entry ctx e in
       if tables = [] then Alcotest.failf "%s produced no tables" e.Registry.name;
       List.iter
@@ -333,14 +333,29 @@ let test_registry_deterministic () =
     [ "table2"; "evacuation" ]
 
 (* A pooled context must produce byte-identical tables to a serial one,
-   whatever the completion order of the grid points. *)
+   whatever the completion order of the grid points, and each of the
+   three sinks must receive the same chunk sequence. *)
 let test_registry_parallel_identical () =
   let e = Option.get (Registry.find "fig6") in
-  let serial = render (e.Registry.run rc) in
-  let parallel =
-    Pool.with_pool ~size:4 (fun pool -> render (e.Registry.run (Run_ctx.make ~pool ())))
+  let run pool =
+    let m = Mutex.create () in
+    let trace = ref [] and metrics = ref [] and spans = ref [] in
+    let sink r chunk = Mutex.protect m (fun () -> r := chunk :: !r) in
+    let ctx =
+      Run_ctx.make ~trace:(sink trace) ~metrics:(sink metrics) ~spans:(sink spans) ?pool ()
+    in
+    let tables = render (Registry.run_entry ctx e) in
+    (tables, List.map (fun r -> List.rev !r) [ trace; metrics; spans ])
   in
-  Alcotest.(check string) "fig6 -j4 == -j1" serial parallel
+  let serial, serial_chunks = run None in
+  let parallel, parallel_chunks = Pool.with_pool ~size:4 (fun pool -> run (Some pool)) in
+  Alcotest.(check string) "fig6 -j4 == -j1" serial parallel;
+  List.iter2
+    (fun name (s, p) ->
+      Alcotest.(check bool) (name ^ " received chunks") true (s <> []);
+      Alcotest.(check (list string)) (name ^ " chunk sequence") s p)
+    [ "trace"; "metrics"; "spans" ]
+    (List.combine serial_chunks parallel_chunks)
 
 (* A trace sink renders the probe bus without touching the results: the
    tables match an untraced run byte for byte, and the timeline holds one
