@@ -1,4 +1,4 @@
-.PHONY: all build test check fmt clean
+.PHONY: all build test check digests fmt clean
 
 all: build
 
@@ -10,6 +10,19 @@ test:
 
 # The gate CI runs: everything compiles and the full suite passes.
 check: build test
+
+# The benchmark's digest check (CI job perfbench-digests): every workload
+# briefly at seed 1, then one round of dc-serve at four more recorded seeds
+# and of fuzz-campaign at two. perfbench/run.py exits 1 when a round's
+# simulated results differ from perfbench/digests.txt, and so does this.
+digests:
+	python3 perfbench/run.py --workload all --seed 1 --seconds 5 --trace 0
+	for seed in 0 7 17 42; do \
+	  python3 perfbench/run.py --workload dc-serve --seed $$seed --seconds 1 --trace 0 || exit 1; \
+	done
+	for seed in 0 7; do \
+	  python3 perfbench/run.py --workload fuzz-campaign --seed $$seed --seconds 1 --trace 0 || exit 1; \
+	done
 
 # Advisory: requires ocamlformat, which not every dev box has.
 fmt:

@@ -83,8 +83,6 @@ type t = {
   mutable rev_log : string list;
 }
 
-let cluster t = t.cluster
-
 let vms t = t.all_vms
 
 let metrics t = t.m
@@ -593,14 +591,14 @@ let rec dispatch_ready t =
 
 (* {1 Feeding} *)
 
-let make t ~tenant ~kind ?mode ?(priority = Request.Normal) ?deadline () =
+let make t ~tenant ~kind ?(priority = Request.Normal) ?deadline () =
   let id = t.next_id in
   t.next_id <- id + 1;
   {
     Request.id;
     tenant;
     kind;
-    mode = Option.value mode ~default:t.cfg.mode;
+    mode = t.cfg.mode;
     priority;
     deadline;
     submitted = Sim.now t.sim;
@@ -629,11 +627,11 @@ let submit t (r : Request.t) =
 
 (* {1 The online destination-swap policy (Avin et al., arXiv:1309.5826)}
 
-   Priced exactly like the planner's [swap] strategy: exchanging the
-   hosts of two VMs is worth proposing when the tenant-communication
-   saving, amortised over the cost model's horizon, exceeds the two
-   migrations it costs. Only entries incident to the candidate pair can
-   change, so the scan prices those. *)
+   Priced by the planner's [Swap_price], the kernel the batch [swap]
+   strategy climbs with: exchanging the hosts of two VMs is worth
+   proposing when the tenant-communication saving, amortised over the
+   cost model's horizon, exceeds the two migrations it costs. Every
+   managed VM is a mover at its current host, so staying costs nothing. *)
 
 (* The matrix swap proposals are priced against: the declared tenant
    matrices by default, or whatever the learned-traffic hook currently
@@ -647,168 +645,33 @@ let pricing_traffic t =
     | None -> t.traffic)
   | Some Declared | None -> t.traffic
 
-(* No simulated time passes inside one proposal, so placements, residual
-   capacities and migration estimates cannot change while it prices its
-   pairs. Everything a pair's price reads is therefore resolved once per
-   proposal: each traffic entry's endpoints (fleet index and current node),
-   each VM's incident entries in traffic order, and — on first use — each
-   directed node pair's [Cost_model.pair_cost] and each (VM, destination)
-   [Cost_model.move_seconds]. A pair then sums exactly the terms, in
-   exactly the order, that filtering the whole matrix would give it. VM
-   names are unique within a cluster, so a fleet index stands for a name. *)
-type pricing = {
-  env : Cost_model.env;
-  nodes : Node.t array;  (* the nodes a price can read, by slot *)
-  host : int array;  (* fleet index -> slot of its host; slots name distinct nodes *)
-  ex : int array;  (* entry -> fleet index of each endpoint, -1 outside the fleet *)
-  ey : int array;
-  sx : int array;  (* entry -> slot of each endpoint's node, -1 unresolved *)
-  sy : int array;
-  rate : Float.Array.t;
-  incident : int array array;  (* fleet index -> its entries, ascending *)
-  pair : Float.Array.t;  (* slot x slot -> pair cost; nan until first use *)
-  move : Float.Array.t;  (* fleet index x destination slot -> seconds; nan until first use *)
-}
-
-let pricing t traffic (vms : Vm.t array) =
-  let n = Array.length vms in
-  let index = Hashtbl.create n in
-  Array.iteri (fun i vm -> Hashtbl.replace index (Vm.name vm) i) vms;
-  let slot_of = Hashtbl.create (2 * n) in
-  let rev_nodes = ref [] in
-  let slot (node : Node.t) =
-    match Hashtbl.find_opt slot_of node.Node.id with
-    | Some k -> k
-    | None ->
-      let k = Hashtbl.length slot_of in
-      Hashtbl.add slot_of node.Node.id k;
-      rev_nodes := node :: !rev_nodes;
-      k
-  in
-  let host = Array.map (fun vm -> slot (Vm.host vm)) vms in
-  let entries = Array.of_list traffic in
-  let m = Array.length entries in
-  let fleet name = Option.value (Hashtbl.find_opt index name) ~default:(-1) in
-  let node_slot name =
-    match Cluster.vm_node t.cluster ~name with Some node -> slot node | None -> -1
-  in
-  let ex = Array.map (fun (x, _, _) -> fleet x) entries in
-  let ey = Array.map (fun (_, y, _) -> fleet y) entries in
-  let sx = Array.map (fun (x, _, _) -> node_slot x) entries in
-  let sy = Array.map (fun (_, y, _) -> node_slot y) entries in
-  let rate = Float.Array.init m (fun e -> let _, _, r = entries.(e) in r) in
-  let rev_incident = Array.make n [] in
-  for e = m - 1 downto 0 do
-    if ex.(e) >= 0 then rev_incident.(ex.(e)) <- e :: rev_incident.(ex.(e));
-    if ey.(e) >= 0 && ey.(e) <> ex.(e) then rev_incident.(ey.(e)) <- e :: rev_incident.(ey.(e))
-  done;
-  let k = Hashtbl.length slot_of in
-  {
-    env = Cost_model.env t.cluster ~traffic ();
-    nodes = Array.of_list (List.rev !rev_nodes);
-    host;
-    ex;
-    ey;
-    sx;
-    sy;
-    rate;
-    incident = Array.map Array.of_list rev_incident;
-    pair = Float.Array.make (k * k) nan;
-    move = Float.Array.make (n * k) nan;
-  }
-
-let fill_pair p cell a b =
-  Float.Array.set p.pair cell (Cost_model.pair_cost p.env p.nodes.(a) p.nodes.(b))
-
-let[@inline] pair_cost p a b =
-  let cell = (a * Array.length p.nodes) + b in
-  if Float.is_nan (Float.Array.get p.pair cell) then fill_pair p cell a b;
-  Float.Array.get p.pair cell
-
-let fill_move p (vms : Vm.t array) cell i dst =
-  let vm = vms.(i) in
-  Float.Array.set p.move cell
-    (Cost_model.move_seconds p.env ~vm ~src:(Vm.host vm) ~dst:p.nodes.(dst) ())
-
-let[@inline] move_seconds p vms i dst =
-  let cell = (i * Array.length p.nodes) + dst in
-  if Float.is_nan (Float.Array.get p.move cell) then fill_move p vms cell i dst;
-  Float.Array.get p.move cell
-
-(* The gain of exchanging the hosts of fleet VMs [i] and [j]: the
-   communication their incident entries save over the cost model's
-   horizon, minus the two migrations. Each entry incident to both counts
-   once. *)
-let[@inline] swap_gain p vms i j =
-  let hi = p.host.(i) and hj = p.host.(j) in
-  let inc_i = p.incident.(i) and inc_j = p.incident.(j) in
-  let ni = Array.length inc_i and nj = Array.length inc_j in
-  let before = ref 0.0 and after = ref 0.0 in
-  let a = ref 0 and b = ref 0 in
-  while !a < ni || !b < nj do
-    let e =
-      if !b >= nj || (!a < ni && inc_i.(!a) < inc_j.(!b)) then begin
-        let e = inc_i.(!a) in
-        incr a;
-        e
-      end
-      else begin
-        let e = inc_j.(!b) in
-        if !a < ni && inc_i.(!a) = e then incr a;
-        incr b;
-        e
-      end
-    in
-    let x = p.sx.(e) and y = p.sy.(e) in
-    if x >= 0 && y >= 0 then
-      before := !before +. (Float.Array.get p.rate e *. pair_cost p x y);
-    let x = if p.ex.(e) = i then hj else if p.ex.(e) = j then hi else x in
-    let y = if p.ey.(e) = i then hj else if p.ey.(e) = j then hi else y in
-    if x >= 0 && y >= 0 then
-      after := !after +. (Float.Array.get p.rate e *. pair_cost p x y)
-  done;
-  let saved = !before -. !after in
-  let mig = move_seconds p vms i hj +. move_seconds p vms j hi in
-  (Cost_model.default_horizon *. saved) -. mig
-
 let propose_swap t =
   let traffic = pricing_traffic t in
   if traffic = [] then false
   else begin
     let vms = Array.of_list t.all_vms in
-    let n = Array.length vms in
-    let p = pricing t traffic vms in
-    (* A pair is a candidate when its VMs sit on distinct hosts of the
-       same fabric class and each is movable: not lost, on a live host,
-       unlocked. *)
-    let movable =
-      Array.map
-        (fun vm ->
-          (not (Vm.is_lost vm))
-          && Cluster.node_alive t.cluster (Vm.host vm)
-          && Locks.vm_free t.locks (Vm.name vm))
-        vms
+    let prices =
+      Swap_price.make
+        (Cost_model.env t.cluster ~traffic ())
+        ~place:(fun name -> Cluster.vm_node t.cluster ~name)
+        (Array.map
+           (fun vm -> { Swap_price.vm; src = Vm.host vm; host = Vm.host vm; bytes = None })
+           vms)
     in
-    let ib = Array.map (fun vm -> Node.has_ib (Vm.host vm)) vms in
-    let best = ref None in
-    let best_gain = ref 1e-9 in
-    for i = 0 to n - 2 do
-      if movable.(i) then
-        for j = i + 1 to n - 1 do
-          if movable.(j) && p.host.(i) <> p.host.(j) && Bool.equal ib.(i) ib.(j) then begin
-            let g = swap_gain p vms i j in
-            if g > !best_gain then begin
-              best_gain := g;
-              best := Some (vms.(i), vms.(j))
-            end
-          end
-        done
-    done;
-    match !best with
+    (* A VM is movable when it is not lost, its host is alive and it is
+       unlocked. *)
+    let movable i =
+      let vm = vms.(i) in
+      (not (Vm.is_lost vm))
+      && Cluster.node_alive t.cluster (Vm.host vm)
+      && Locks.vm_free t.locks (Vm.name vm)
+    in
+    match Swap_price.best prices ~movable with
     | None ->
       count t "ctl.swap.noop";
       false
-    | Some (a, b) ->
+    | Some (i, j, gain) ->
+      let a = vms.(i) and b = vms.(j) in
       let tenant_of vm =
         List.find_opt (fun ts -> List.exists (fun v -> v == vm) ts.vms) t.tenants
       in
@@ -826,8 +689,8 @@ let propose_swap t =
          synchronously, which clears the flag again. *)
       t.swap_pending <- true;
       count t "ctl.swap.proposed";
-      gauge t "ctl.swap.gain" !best_gain;
-      logf t "swap proposal %s<->%s (gain %.3f)" (Vm.name a) (Vm.name b) !best_gain;
+      gauge t "ctl.swap.gain" gain;
+      logf t "swap proposal %s<->%s (gain %.3f)" (Vm.name a) (Vm.name b) gain;
       submit t r;
       true
   end

@@ -68,9 +68,8 @@ val swap_pricing_of_string : string -> (swap_pricing, string) result
 type config = {
   strategy : Ninja_planner.Solver.t;
   mode : Migration.mode;
-      (** default copy strategy stamped on every request ({!make} can
-          override per request); postcopy requests commit their
-          switchovers and cannot be rolled back to source *)
+      (** copy strategy stamped on every request; postcopy requests
+          commit their switchovers and cannot be rolled back to source *)
   max_inflight : int;  (** concurrent batch plans; >= 1 *)
   queue_cap : int;  (** admission bound per tenant queue *)
   max_defers : int;
@@ -109,12 +108,6 @@ type outcome =
   | Dropped of drop_reason  (** left the queue unserved: expired, or unplaceable *)
   | Failed of string  (** every dispatch attempt rolled back *)
 
-val reject_reason_name : reject_reason -> string
-(** The [ctl.rejected.*] suffix: ["unknown-tenant"] or ["queue-full"]. *)
-
-val drop_reason_name : drop_reason -> string
-(** The [ctl.dropped.*] suffix: ["deadline-missed"] or ["no-feasible-placement"]. *)
-
 val outcome_name : outcome -> string
 
 type t
@@ -138,8 +131,6 @@ val boot_tenants :
     dedicated split of the sim's PRNG; tenants without traffic leave the
     stream untouched). *)
 
-val cluster : t -> Cluster.t
-
 val vms : t -> Vm.t list
 (** Every managed VM, sorted by name — the checker's watch list. *)
 
@@ -151,16 +142,12 @@ val make :
   t ->
   tenant:string ->
   kind:Request.kind ->
-  ?mode:Migration.mode ->
   ?priority:Request.priority ->
   ?deadline:Time.span ->
   unit ->
   Request.t
-(** Allocate the next request id, stamped with the current sim time.
-    [mode] defaults to the service config's mode. *)
-
-val submit : t -> Request.t -> unit
-(** Admission: reject (["queue-full"], ["unknown-tenant"]) or enqueue. *)
+(** Allocate the next request id, stamped with the current sim time and
+    the service config's mode. *)
 
 val inject : t -> after:Time.span -> (t -> Request.t) -> unit
 (** Submit one constructed request after a delay (a registered feeder, so
@@ -175,19 +162,20 @@ val open_loop : t -> process:Ninja_workloads.Arrivals.process -> horizon:float -
 
 val propose_swap : t -> bool
 (** One round of the online destination-swap policy: price every
-    same-fabric-class, unlocked VM pair against the configured traffic
-    matrix — declared, or the learned estimate under [Learned] pricing
-    ({!Ninja_planner.Cost_model}) — and submit the most improving
-    exchange as a [Low]-priority [Swap] request — [true] if one was
-    submitted, [false] when no exchange pays for its migrations within
-    the horizon (counted as [ctl.swap.noop]). Called automatically by
-    the dispatcher under [auto_swap]; harmless to call directly.
-    Nothing a price reads changes within one call, so endpoint
-    resolutions, incident entries, node-pair costs and migration
-    estimates are computed at most once per call, not once per pair; the
-    gains are bit-identical to pricing each pair from scratch.
-    Telemetry: [ctl.swap.proposed]/[ctl.swap.gain] here,
-    [ctl.swap.applied]/[ctl.swap.rolled_back] when the batch settles. *)
+    same-fabric-class pair of movable VMs (not lost, on a live host,
+    unlocked) against the configured traffic matrix — declared, or the
+    learned estimate under [Learned] pricing — and submit the most
+    improving exchange as a [Low]-priority [Swap] request, owned by the
+    pair's tenant when both VMs share one and by ["ops"] otherwise —
+    [true] if one was submitted, [false] when no exchange pays for its
+    migrations within the horizon (counted as [ctl.swap.noop]). Called
+    automatically by the dispatcher under [auto_swap]; harmless to call
+    directly. Pricing is one {!Ninja_planner.Swap_price.best} scan over
+    every managed VM at its current host, the kernel the batch [Swap]
+    strategy also climbs with; its gains are bit-identical to pricing
+    each pair from scratch. Telemetry: [ctl.swap.proposed]/[ctl.swap.gain]
+    here, [ctl.swap.applied]/[ctl.swap.rolled_back] when the batch
+    settles. *)
 
 (** {1 Results} *)
 

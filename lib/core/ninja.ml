@@ -48,7 +48,7 @@ let make cluster nodes =
     last_outcome = None;
   }
 
-let setup cluster ~hosts ?(vcpus = 8) ?(mem_gb = 20.0) ?(attach_hca = true) () =
+let setup cluster ~hosts ?(mem_gb = 20.0) ?(attach_hca = true) () =
   if hosts = [] then invalid_arg "Ninja.setup: no hosts";
   let nodes =
     List.mapi
@@ -56,7 +56,7 @@ let setup cluster ~hosts ?(vcpus = 8) ?(mem_gb = 20.0) ?(attach_hca = true) () =
         let vm =
           Vm.create cluster
             ~name:(Printf.sprintf "vm%d" i)
-            ~host ~vcpus ~mem_bytes:(Units.gb mem_gb) ()
+            ~host ~vcpus:8 ~mem_bytes:(Units.gb mem_gb) ()
         in
         if attach_hca && Node.has_ib host then
           Vm.attach_device vm (Device.hca ());
@@ -106,13 +106,12 @@ let ft_hooks t =
     Rank.on_continue = (fun _ -> ());
   }
 
-let launch t ~procs_per_vm ?(continue_like_restart = true) body =
+let launch t ~procs_per_vm body =
   (match t.rt with Some _ -> invalid_arg "Ninja.launch: job already launched" | None -> ());
   t.procs_per_vm <- procs_per_vm;
   let members = List.map (fun n -> (n.vm, n.guest)) t.nodes in
   let rt =
-    Runtime.mpirun t.cluster ~members ~procs_per_vm ~continue_like_restart
-      ~ft_hooks:(ft_hooks t) body
+    Runtime.mpirun t.cluster ~members ~procs_per_vm ~ft_hooks:(ft_hooks t) body
   in
   t.rt <- Some rt;
   rt
@@ -391,7 +390,7 @@ let plan_of_dsts t dsts =
 
 let fallback t ~dsts ?mode () = migrate t ~plan:(plan_of_dsts t dsts) ?mode ()
 
-let recovery t ~dsts ?mode () = migrate t ~plan:(plan_of_dsts t dsts) ?mode ()
+let recovery t ~dsts () = migrate t ~plan:(plan_of_dsts t dsts) ()
 
 let self_migration t = migrate t ~plan:(fun vm -> Vm.host vm) ()
 

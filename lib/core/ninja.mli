@@ -45,14 +45,13 @@ type outcome =
 val setup :
   Cluster.t ->
   hosts:Node.t list ->
-  ?vcpus:int ->
   ?mem_gb:float ->
   ?attach_hca:bool ->
   unit ->
   t
-(** One VM per host entry (named vm0, vm1, ...). With [attach_hca] (the
-    default), hosts that have an InfiniBand port get the VMM-bypass HCA
-    {!Ninja_hardware.Device.hca}. *)
+(** One 8-vCPU VM of [mem_gb] (default 20) GB per host entry (named vm0,
+    vm1, ...). With [attach_hca] (the default), hosts that have an
+    InfiniBand port get the VMM-bypass HCA {!Ninja_hardware.Device.hca}. *)
 
 val of_vms : Cluster.t -> vms:Vm.t list -> t
 (** Wrap existing VMs (e.g. snapshot-restored ones) instead of creating
@@ -72,12 +71,12 @@ val vms : t -> Vm.t list
 val launch :
   t ->
   procs_per_vm:int ->
-  ?continue_like_restart:bool ->
   (Mpi.ctx -> unit) ->
   Runtime.t
 (** Start the MPI job across the VMs with the SymVirt coordinator
     installed (checkpoint callback = [symvirt_wait], as libsymvirt.so does
-    via LD_PRELOAD + the SELF CRS component). *)
+    via LD_PRELOAD + the SELF CRS component), with Open MPI's
+    [continue_like_restart] set as the paper does. *)
 
 val runtime : t -> Runtime.t
 (** Raises {!Not_launched} before {!launch}. *)
@@ -137,8 +136,8 @@ val fallback : t -> dsts:Node.t list -> ?mode:Migration.mode -> unit -> Breakdow
 (** Migrate VM i to [dsts.(i)] — e.g. from the IB cluster to the Ethernet
     cluster. Raises [Invalid_argument] on a length mismatch. *)
 
-val recovery : t -> dsts:Node.t list -> ?mode:Migration.mode -> unit -> Breakdown.t
-(** Same mechanics as {!fallback}; named for the Fig. 2 phase. *)
+val recovery : t -> dsts:Node.t list -> unit -> Breakdown.t
+(** Same mechanics as {!fallback}, precopied; named for the Fig. 2 phase. *)
 
 val self_migration : t -> Breakdown.t
 (** Each VM migrates to its own host (the Table II measurement mode). *)

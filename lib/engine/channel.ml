@@ -22,6 +22,4 @@ let recv t =
 
 let try_recv t = Queue.take_opt t.items
 
-let length t = Queue.length t.items
-
 let is_empty t = Queue.is_empty t.items

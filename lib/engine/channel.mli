@@ -15,6 +15,4 @@ val recv : 'a t -> 'a
 
 val try_recv : 'a t -> 'a option
 
-val length : 'a t -> int
-
 val is_empty : 'a t -> bool

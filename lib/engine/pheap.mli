@@ -9,8 +9,6 @@ type 'a t
 
 val create : unit -> 'a t
 
-val length : 'a t -> int
-
 val is_empty : 'a t -> bool
 
 val add : 'a t -> key:int -> seq:int -> 'a -> unit

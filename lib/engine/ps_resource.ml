@@ -54,8 +54,6 @@ let create sim ~name ~capacity =
   let set = Rated.create sim ~name ~rerate:(rerate fill) in
   { name; fill; set }
 
-let name t = t.name
-
 let capacity t = t.fill.cap
 
 let set_capacity t c =

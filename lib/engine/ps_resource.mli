@@ -16,8 +16,6 @@ type t
 val create : Sim.t -> name:string -> capacity:float -> t
 (** [capacity] in core-equivalents; must be positive. *)
 
-val name : t -> string
-
 val capacity : t -> float
 
 val set_capacity : t -> float -> unit

@@ -73,10 +73,6 @@ let settle t =
     done;
   t.last_settle <- now
 
-let remaining t task =
-  settle t;
-  task.p.remaining
-
 let complete t task =
   if task.live then begin
     task.live <- false;

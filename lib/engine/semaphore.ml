@@ -22,8 +22,6 @@ let try_acquire t =
 
 let available t = t.permits
 
-let waiters t = Queue.length t.queue
-
 let with_permit t f =
   acquire t;
   Fun.protect ~finally:(fun () -> release t) f

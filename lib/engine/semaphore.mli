@@ -17,7 +17,5 @@ val try_acquire : t -> bool
 
 val available : t -> int
 
-val waiters : t -> int
-
 val with_permit : t -> (unit -> 'a) -> 'a
 (** Acquire, run, release (also on exception). *)

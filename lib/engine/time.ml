@@ -45,8 +45,6 @@ let mul s n = s * n
 
 let scale s f = of_sec_f (to_sec_f s *. f)
 
-let compare = Int.compare
-
 let equal = Int.equal
 
 let ( < ) (a : int) b = a < b

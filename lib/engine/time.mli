@@ -42,7 +42,6 @@ val diff : t -> t -> span
 val mul : span -> int -> span
 val scale : span -> float -> span
 
-val compare : t -> t -> int
 val equal : t -> t -> bool
 val ( < ) : t -> t -> bool
 val ( <= ) : t -> t -> bool

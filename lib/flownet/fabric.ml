@@ -264,8 +264,6 @@ let create ?(solver = Incremental) sim =
   in
   { set = Rated.create sim ~name:"fabric" ~rerate:(rerate state); state; next_link = 0; next_fid = 0 }
 
-let solver t = t.state.solver
-
 let last_bottlenecks t = List.rev t.state.freeze_log
 
 let add_link t ~name ~capacity =

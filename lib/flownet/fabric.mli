@@ -33,8 +33,6 @@ val create : ?solver:solver -> Ninja_engine.Sim.t -> t
 (** Default solver is [Incremental]; pass [~solver:Global] to run the
     reference implementation (differential tests race the two). *)
 
-val solver : t -> solver
-
 val last_bottlenecks : t -> int list
 (** Link ids frozen by the most recent re-rate, in freeze order — the
     solve's deterministic tie-break trace, exposed for tests. Under

@@ -12,8 +12,6 @@ type t = {
   mutable link_hooks : (driver -> unit) list;
 }
 
-let vm t = t.vm
-
 let drivers t = t.bound
 
 let device d = d.dev

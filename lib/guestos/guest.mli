@@ -21,8 +21,6 @@ val boot : Vm.t -> t
 (** Bind drivers for already-attached devices (links immediately active,
     as after a normal boot) and subscribe to hotplug events. *)
 
-val vm : t -> Vm.t
-
 val drivers : t -> driver list
 
 val device : driver -> Device.t

@@ -49,8 +49,6 @@ let sim t = t.sim
 
 let fabric t = t.fabric
 
-let spec t = t.spec
-
 (* Aggregation links are created rack-major then pod-major, so link ids
    (and therefore solver tie-breaks) depend only on the topology. *)
 let build_topo_links fabric topo =
@@ -127,8 +125,6 @@ let create sim ?spec ?topology ?solver () =
     injector;
     dead_nodes = Hashtbl.create 4;
   }
-
-let topology t = Option.map (fun (tl : topo_links) -> tl.topo) t.topo
 
 let injector t = t.injector
 

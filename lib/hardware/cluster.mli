@@ -26,13 +26,9 @@ val create :
     {!Fabric.create} (differential tests pit [Incremental] against
     [Global] on the same topology). *)
 
-val topology : t -> Topology.t option
-
 val sim : t -> Sim.t
 
 val fabric : t -> Fabric.t
-
-val spec : t -> Spec.t
 
 val probes : t -> Probe.t
 (** The cluster's probe bus: every protocol layer (hotplug, migration,

@@ -45,5 +45,3 @@ let kind_name = function
   | Virtio_net -> "virtio-net"
   | Eth_10g -> "eth-10g"
   | Emulated_nic -> "emulated-nic"
-
-let pp fmt t = Format.fprintf fmt "%s(%s@%s)" t.tag (kind_name t.kind) t.pci_addr

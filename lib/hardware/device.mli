@@ -43,5 +43,3 @@ val attach_time : kind -> Ninja_engine.Time.span
 val linkup_time : kind -> Ninja_engine.Time.span
 
 val kind_name : kind -> string
-
-val pp : Format.formatter -> t -> unit

@@ -44,6 +44,3 @@ let create sim fabric ~id ~name ~rack ~cores ~mem_bytes ~with_ib =
   }
 
 let has_ib t = Option.is_some t.ib_port
-
-let pp fmt t =
-  Format.fprintf fmt "%s(rack%d%s)" t.name t.rack (if has_ib t then ",ib" else "")

@@ -33,5 +33,3 @@ val create :
   t
 
 val has_ib : t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -1,24 +1,28 @@
 open Ninja_engine
 
-type model = { sleep_watts : float; idle_watts : float; dynamic_watts : float }
+(* A PowerEdge M610-class blade: ~15 W asleep, ~160 W idle, +110 W at
+   full load. *)
+let sleep_watts = 15.0
 
-let m610 = { sleep_watts = 15.0; idle_watts = 160.0; dynamic_watts = 110.0 }
+let idle_watts = 160.0
+
+let dynamic_watts = 110.0
 
 type meter = {
-  model : model;
   nodes : Node.t list;
   joules : (int, float) Hashtbl.t;
   mutable n_samples : int;
 }
 
-let node_power model ~awake node =
-  if not (awake node) then model.sleep_watts
-  else model.idle_watts +. (model.dynamic_watts *. Ps_resource.utilization node.Node.cpu)
+let node_power ~awake node =
+  if not (awake node) then sleep_watts
+  else idle_watts +. (dynamic_watts *. Ps_resource.utilization node.Node.cpu)
 
 let default_awake (n : Node.t) = Ps_resource.utilization n.Node.cpu > 0.0
 
-let measure sim ?(model = m610) ?(interval = Time.sec 1) ?(awake = default_awake) ~until nodes =
-  let meter = { model; nodes; joules = Hashtbl.create 16; n_samples = 0 } in
+let measure sim ?(awake = default_awake) ~until nodes =
+  let meter = { nodes; joules = Hashtbl.create 16; n_samples = 0 } in
+  let interval = Time.sec 1 in
   List.iter (fun (n : Node.t) -> Hashtbl.replace meter.joules n.Node.id 0.0) nodes;
   let dt = Time.to_sec_f interval in
   Sim.spawn sim ~name:"power-meter" (fun () ->
@@ -28,7 +32,7 @@ let measure sim ?(model = m610) ?(interval = Time.sec 1) ?(awake = default_awake
         List.iter
           (fun (n : Node.t) ->
             let j = Hashtbl.find meter.joules n.Node.id in
-            Hashtbl.replace meter.joules n.Node.id (j +. (node_power model ~awake n *. dt)))
+            Hashtbl.replace meter.joules n.Node.id (j +. (node_power ~awake n *. dt)))
           nodes
       done);
   meter

@@ -10,28 +10,12 @@
 
 open Ninja_engine
 
-type model = {
-  sleep_watts : float;  (** suspended / powered-down host *)
-  idle_watts : float;  (** powered on, 0% CPU *)
-  dynamic_watts : float;  (** additional draw at 100% CPU *)
-}
-
-val m610 : model
-(** A PowerEdge M610-class blade: ~15 W asleep, ~160 W idle, +110 W at
-    full load. *)
-
 type meter
 
-val measure :
-  Sim.t ->
-  ?model:model ->
-  ?interval:Time.span ->
-  ?awake:(Node.t -> bool) ->
-  until:Time.t ->
-  Node.t list ->
-  meter
-(** Sample every [interval] (default 1 s) until the given time,
-    integrating each node's power draw. [awake] decides whether a host is
+val measure : Sim.t -> ?awake:(Node.t -> bool) -> until:Time.t -> Node.t list -> meter
+(** Sample every second until the given time, integrating each node's
+    power draw as a PowerEdge M610-class blade: 15 W asleep, 160 W idle
+    and 110 W more at full load. [awake] decides whether a host is
     powered at all — the consolidation policy can only power off hosts
     with no resident VMs, so callers typically pass "hosts a VM"; the
     default treats any host with non-zero CPU utilisation as awake. *)

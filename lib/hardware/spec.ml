@@ -9,8 +9,8 @@ type group = {
 
 type t = { name : string; groups : group list }
 
-let make ?(name = "cluster") ~ib_nodes ~eth_nodes ?(cores = 8.0) ?(mem_gb = 48.0) () =
-  let mem_bytes = Units.gb mem_gb in
+let make ?(name = "cluster") ~ib_nodes ~eth_nodes () =
+  let cores = 8.0 and mem_bytes = Units.gb 48.0 in
   let groups =
     [
       { count = ib_nodes; name_prefix = "ib"; rack = 0; cores; mem_bytes; with_ib = true };

@@ -31,8 +31,9 @@ val agc_ib16 : t
 val small : t
 (** A 2+2-node miniature for quickstart examples and fast tests. *)
 
-val make :
-  ?name:string -> ib_nodes:int -> eth_nodes:int -> ?cores:float -> ?mem_gb:float -> unit -> t
+val make : ?name:string -> ib_nodes:int -> eth_nodes:int -> unit -> t
+(** [ib_nodes] InfiniBand blades in rack 0 and [eth_nodes] Ethernet-only
+    blades in rack 1, each with Table I's 8 cores and 48 GB. *)
 
 val total_nodes : t -> int
 

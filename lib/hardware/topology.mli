@@ -63,8 +63,6 @@ val is_ib_pod : t -> int -> bool
 val pod_of_rack : t -> int -> int
 (** Global rack id (as found in {!Spec.group.rack}) to pod. *)
 
-val mem_bytes : t -> float
-
 val host_name : pod:int -> rack:int -> host:int -> string
 (** ["p0r1h03"]: pod 0, rack 1 within the pod, host 3 within the rack. *)
 

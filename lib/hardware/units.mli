@@ -1,9 +1,5 @@
 (** Byte and bandwidth unit helpers. *)
 
-val kib : float
-val mib : float
-val gib : float
-
 val gb : float -> float
 (** [gb x] is x·2{^30} bytes — the paper reports memory sizes in binary
     gigabytes (a "20 GB" VM is 20 GiB of RAM). *)

@@ -21,8 +21,8 @@ let send ?(tag = default_tag) ctx ~dst ~bytes =
 
 let recv ctx ?src ?tag () = Rank.recv ctx ?src ?tag ()
 
-let sendrecv ?(tag = default_tag) ctx ~dst ~src ~bytes =
-  Coll.sendrecv ctx ~dst ~src ~tag ~send_bytes:bytes
+let sendrecv ctx ~dst ~src ~bytes =
+  Coll.sendrecv ctx ~dst ~src ~tag:default_tag ~send_bytes:bytes
 
 let barrier ctx = Coll.barrier ctx
 

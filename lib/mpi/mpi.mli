@@ -26,7 +26,7 @@ val send : ?tag:int -> ctx -> dst:int -> bytes:float -> unit
 
 val recv : ctx -> ?src:int -> ?tag:int -> unit -> float
 
-val sendrecv : ?tag:int -> ctx -> dst:int -> src:int -> bytes:float -> float
+val sendrecv : ctx -> dst:int -> src:int -> bytes:float -> float
 
 val barrier : ctx -> unit
 

@@ -145,15 +145,12 @@ let grouped_impl (env : Cost_model.env) plan =
 
 (* ---- swap ---- *)
 
-let swap_horizon = Cost_model.default_horizon
-
 (* Greedy best-swap-first hill climb over destination exchanges. Each
-   pass scans every pair of direct steps and applies the single exchange
-   with the largest positive net gain (communication saving over the
-   horizon minus the extra migration seconds); deterministic because ties
-   keep the first (lowest-index) maximum. Destination multisets are
-   invariant under exchanges, so per-node load is exactly what the
-   original assignment committed to. *)
+   pass applies the single exchange of two direct steps' destinations
+   with the largest positive net gain, priced by {!Swap_price};
+   deterministic because ties keep the first (lowest-index) maximum.
+   Destination multisets are invariant under exchanges, so per-node load
+   is exactly what the original assignment committed to. *)
 let swap_impl (env : Cost_model.env) plan =
   let cluster = env.Cost_model.cluster in
   let directs =
@@ -163,78 +160,19 @@ let swap_impl (env : Cost_model.env) plan =
   let n = Array.length directs in
   if n < 2 || env.Cost_model.traffic = [] then grouped_impl env plan
   else begin
-    let proposal = Array.map (fun (s : Plan.step) -> s.Plan.dst) directs in
-    let index_of_vm : (string, int) Hashtbl.t = Hashtbl.create n in
-    Array.iteri
-      (fun i (s : Plan.step) -> Hashtbl.replace index_of_vm (Vm.name s.Plan.vm) i)
-      directs;
-    (* Staged VMs and bystanders resolve through the original plan's final
-       placement; direct movers through the live proposal. *)
-    let base_lookup = Cost_model.plan_placement env plan in
-    let place name =
-      match Hashtbl.find_opt index_of_vm name with
-      | Some i -> Some proposal.(i)
-      | None -> base_lookup name
-    in
-    let pair_cache : (int * int, float) Hashtbl.t = Hashtbl.create 64 in
-    let pair_cost a b =
-      let key =
-        if a.Node.id <= b.Node.id then (a.Node.id, b.Node.id) else (b.Node.id, a.Node.id)
-      in
-      match Hashtbl.find_opt pair_cache key with
-      | Some c -> c
-      | None ->
-        let c = Cost_model.pair_cost env a b in
-        Hashtbl.add pair_cache key c;
-        c
-    in
-    let traffic = Array.of_list env.Cost_model.traffic in
-    let incident = Array.make n [] in
-    Array.iteri
-      (fun ti (a, b, _) ->
-        (match Hashtbl.find_opt index_of_vm a with
-        | Some i -> incident.(i) <- ti :: incident.(i)
-        | None -> ());
-        match Hashtbl.find_opt index_of_vm b with
-        | Some j -> if not (List.mem ti incident.(j)) then incident.(j) <- ti :: incident.(j)
-        | None -> ())
-      traffic;
-    let entry_cost lookup ti =
-      let a, b, rate = traffic.(ti) in
-      match (lookup a, lookup b) with
-      | Some na, Some nb -> rate *. pair_cost na nb
-      | _ -> 0.0
-    in
-    let comm_around i j lookup =
-      List.sort_uniq compare (incident.(i) @ incident.(j))
-      |> List.fold_left (fun acc ti -> acc +. entry_cost lookup ti) 0.0
-    in
-    let mig i dst =
-      let s = directs.(i) in
-      if s.Plan.src.Node.id = dst.Node.id then 0.0
-      else
-        Cost_model.move_seconds env ~vm:s.Plan.vm ~src:s.Plan.src ~dst ~bytes:s.Plan.bytes
-          ()
-    in
-    (* Net gain of exchanging the proposed destinations of i and j;
-       [neg_infinity] vetoes the pair. Fabric classes never mix: a VM the
-       planner aimed at an IB-capable host keeps one (the PR-4 reroute
-       bug family made this a hard invariant). *)
-    let gain i j =
-      let di = proposal.(i) and dj = proposal.(j) in
-      if di.Node.id = dj.Node.id then neg_infinity
-      else if Node.has_ib di <> Node.has_ib dj then neg_infinity
-      else begin
-        let vi = Vm.name directs.(i).Plan.vm and vj = Vm.name directs.(j).Plan.vm in
-        let swapped name =
-          if String.equal name vi then Some dj
-          else if String.equal name vj then Some di
-          else place name
-        in
-        let saved = comm_around i j place -. comm_around i j swapped in
-        let mig_delta = mig i dj +. mig j di -. mig i di -. mig j dj in
-        (swap_horizon *. saved) -. mig_delta
-      end
+    (* Staged VMs and bystanders sit where the original plan leaves them;
+       direct movers at their live proposal. *)
+    let prices =
+      Swap_price.make env ~place:(Cost_model.plan_placement env plan)
+        (Array.map
+           (fun (s : Plan.step) ->
+             {
+               Swap_price.vm = s.Plan.vm;
+               src = s.Plan.src;
+               host = s.Plan.dst;
+               bytes = Some s.Plan.bytes;
+             })
+           directs)
     in
     let swaps = ref 0 in
     let pass_limit = (4 * n) + 16 in
@@ -242,29 +180,21 @@ let swap_impl (env : Cost_model.env) plan =
     let passes = ref 0 in
     while !continue_ && !passes < pass_limit do
       incr passes;
-      let best_gain = ref 1e-9 and best = ref None in
-      for i = 0 to n - 2 do
-        for j = i + 1 to n - 1 do
-          let g = gain i j in
-          if g > !best_gain then begin
-            best_gain := g;
-            best := Some (i, j)
-          end
-        done
-      done;
-      (match !best with
-      | Some (i, j) ->
-        let d = proposal.(i) in
-        proposal.(i) <- proposal.(j);
-        proposal.(j) <- d;
+      match Swap_price.best prices ~movable:(fun _ -> true) with
+      | Some (i, j, _) ->
+        Swap_price.exchange prices i j;
         incr swaps
-      | None -> continue_ := false)
+      | None -> continue_ := false
     done;
     if !swaps = 0 then grouped_impl env plan
     else begin
       (* Rebuild a conflict-correct plan for the adjusted assignment; the
          original plan's staging choices and byte estimates carry over. *)
       let final : (string, Node.t) Hashtbl.t = Hashtbl.create n in
+      Array.iteri
+        (fun i (s : Plan.step) ->
+          Hashtbl.replace final (Vm.name s.Plan.vm) (Swap_price.host prices i))
+        directs;
       let bytes : (string, float) Hashtbl.t = Hashtbl.create n in
       let staging = ref [] in
       let vms = ref [] in
@@ -272,9 +202,7 @@ let swap_impl (env : Cost_model.env) plan =
         (fun (s : Plan.step) ->
           let nm = Vm.name s.Plan.vm in
           (match s.Plan.kind with
-          | Plan.Direct ->
-            Hashtbl.replace final nm proposal.(Hashtbl.find index_of_vm nm);
-            Hashtbl.replace bytes nm s.Plan.bytes
+          | Plan.Direct -> Hashtbl.replace bytes nm s.Plan.bytes
           | Plan.Stage_in -> Hashtbl.replace final nm s.Plan.dst
           | Plan.Stage_out ->
             Hashtbl.replace bytes nm s.Plan.bytes;
@@ -307,7 +235,7 @@ let solve h cluster ?(traffic = []) plan =
     match h with
     | Sequential -> (sequential_impl, Cost_model.Migration_time)
     | Grouped -> (grouped_impl, Cost_model.Migration_time)
-    | Swap -> (swap_impl, Cost_model.Composite { horizon = swap_horizon })
+    | Swap -> (swap_impl, Cost_model.Composite { horizon = Cost_model.default_horizon })
   in
   let probes = Cluster.probes cluster in
   if not (Probe.active probes) then impl env plan

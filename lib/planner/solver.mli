@@ -25,10 +25,14 @@
     - [Swap] ([swap], alias [destination-swap]) — adaptive destination
       exchanges (Avin/Dunay/Schmid, arXiv:1309.5826): starting from the
       plan's proposed assignment, repeatedly exchange the destinations of
-      the two steps whose swap most reduces tenant communication cost
-      (priced by {!Cost_model} over fabric routes and residual capacities)
-      net of the migration time the exchange costs, until no exchange pays
-      for itself within the cost model's horizon. Exchanges never cross
+      the two direct steps whose swap most reduces tenant communication
+      cost net of the migration time the exchange costs, until no exchange
+      pays for itself within the cost model's horizon. Each pass is one
+      {!Swap_price.best} scan — the pricer the control plane's online swap
+      policy also uses — with every direct step a mover at its proposed
+      destination; staged VMs and bystanders sit where the unsolved plan
+      leaves them. Pair costs are directional: demand from [a] to [b]
+      prices the route from [a]'s host to [b]'s. Exchanges never cross
       fabric classes (an IB-planned VM keeps an IB-capable destination).
       The surviving assignment is rebuilt into a fresh conflict-correct
       plan and then grouped-wave packed. Cost model: composite. *)

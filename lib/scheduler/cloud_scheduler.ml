@@ -30,10 +30,6 @@ type t = {
 let create ?(strategy = Solver.default) ?(mode = Migration.Precopy) ?(traffic = []) ninja =
   { ninja; sim = Cluster.sim (Ninja.cluster ninja); strategy; mode; traffic; records = [] }
 
-let strategy t = t.strategy
-
-let mode t = t.mode
-
 let trigger_name = function
   | Maintenance _ -> "maintenance"
   | Disaster { rack } -> Printf.sprintf "disaster(rack%d)" rack

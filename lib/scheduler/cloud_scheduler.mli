@@ -64,10 +64,6 @@ val create :
     trigger; candidates come from the cluster's indexed free-memory
     registry, not a scan over every node. *)
 
-val strategy : t -> Solver.t
-
-val mode : t -> Ninja_vmm.Migration.mode
-
 val execute : t -> trigger -> Breakdown.t
 (** Run the migration now (must be called from a fiber). *)
 

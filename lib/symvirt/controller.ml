@@ -15,10 +15,6 @@ let create cluster ~members =
     members;
   { cluster; members }
 
-let members t = t.members
-
-let cluster t = t.cluster
-
 let probe_fence t payload =
   let probes = Cluster.probes t.cluster in
   if Probe.active probes then

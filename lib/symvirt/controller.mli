@@ -21,10 +21,6 @@ type t
 
 val create : Cluster.t -> members:member list -> t
 
-val members : t -> member list
-
-val cluster : t -> Cluster.t
-
 val wait_all : t -> unit
 (** Block until every member VM has [procs] waiters, then pause the VMs. *)
 

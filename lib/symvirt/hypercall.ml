@@ -10,8 +10,6 @@ type t = {
 
 let create vm = { vm; waiters = []; arrival_watchers = [] }
 
-let vm t = t.vm
-
 let waiting t = List.length t.waiters
 
 let guest_wait t =

@@ -15,8 +15,6 @@ type t
 
 val create : Vm.t -> t
 
-val vm : t -> Vm.t
-
 val guest_wait : t -> unit
 (** Guest-side hypercall (costs the calibrated mode-switch overhead). Blocks
     until the next {!host_signal}. *)

@@ -80,8 +80,6 @@ type t = {
   mutable sub : Probe.subscription option;
 }
 
-let metrics t = t.m
-
 let ticks t = t.ticks
 
 let observed_window t = t.obs_seconds

@@ -62,8 +62,6 @@ val default_config : config
 (** 5 s ticks, 120-sample rings, 24-tick windows, 1-in-16 sampling of
     1500 B packets, hot at 80% capacity, 60 s warm-up, snapshots off. *)
 
-val validate : config -> (unit, string) result
-
 type t
 
 val create :
@@ -77,7 +75,10 @@ val create :
     truth the estimator is later judged against). [registry] receives
     the [ctl.hotspot.*] / [ctl.slo.*] / [flowmon.*] metrics — pass the
     service's registry so they land in the serve report. Raises
-    [Invalid_argument] when the config does not {!validate}. *)
+    [Invalid_argument] when a config field is out of range: a period,
+    packet size or hot threshold that is not positive (the threshold at
+    most 1), a window outside [1, retain], a sample rate below 1, or a
+    negative warm-up or snapshot interval. *)
 
 val start : t -> horizon:float -> unit
 (** Spawn the tick fiber, sampling every [period] seconds until
@@ -88,8 +89,6 @@ val detach : t -> unit
 (** Remove the bus subscriber (idempotent). *)
 
 val ticks : t -> int
-
-val metrics : t -> Metrics.t
 
 (** {1 Estimation} *)
 

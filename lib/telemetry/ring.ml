@@ -18,8 +18,6 @@ let create ~capacity =
   if capacity < 1 then invalid_arg "Ring.create: capacity must be >= 1";
   { data = Array.make capacity 0.0; len = 0; head = 0; pushed = 0 }
 
-let capacity t = Array.length t.data
-
 let length t = t.len
 
 let pushed t = t.pushed

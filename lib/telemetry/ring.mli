@@ -12,8 +12,6 @@ type t
 val create : capacity:int -> t
 (** Raises [Invalid_argument] when [capacity < 1]. *)
 
-val capacity : t -> int
-
 val length : t -> int
 (** Live samples currently retained ([<= capacity]). *)
 

@@ -32,10 +32,6 @@ let add_child parent child = parent.rev_children <- child :: parent.rev_children
 
 let children s = List.rev s.rev_children
 
-let rec iter f s =
-  f s;
-  List.iter (iter f) (children s)
-
 let find_child s name = List.find_opt (fun c -> String.equal c.name name) (children s)
 
 let well_formed root =

@@ -39,8 +39,6 @@ val finish : t -> at:Time.t -> ?args:(string * string) list -> unit -> unit
 (** Closes the span, appending [args]. Raises [Invalid_argument] if it is
     already finished or [at] precedes its start. *)
 
-val finished : t -> bool
-
 val duration : t -> Time.span
 (** Raises [Invalid_argument] on an open span. *)
 
@@ -48,9 +46,6 @@ val add_child : t -> t -> unit
 
 val children : t -> t list
 (** In creation order. *)
-
-val iter : (t -> unit) -> t -> unit
-(** Preorder traversal of the whole tree. *)
 
 val find_child : t -> string -> t option
 (** First direct child with the given name. *)

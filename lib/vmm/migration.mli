@@ -83,9 +83,4 @@ val sender_rate : transport -> float
 
 val precopy_stall_duration : Ninja_engine.Time.span
 
-val postcopy_hot_set_bytes : float
-
 val postcopy_fault_slowdown : float
-
-val postcopy_pull_chunk_bytes : float
-(** Bytes moved per prioritized pull (one probe/flow each). *)

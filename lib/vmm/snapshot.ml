@@ -9,21 +9,20 @@ type t = {
   vm_name : string;
 }
 
-type store = {
-  cluster : Cluster.t;
-  nfs_bandwidth : float;
-  mutable snapshots : t list;
-}
+type store = { cluster : Cluster.t; mutable snapshots : t list }
 
-let create_store ?(nfs_bandwidth = 0.4e9) cluster = { cluster; nfs_bandwidth; snapshots = [] }
+let create_store cluster = { cluster; snapshots = [] }
 
-let stream store bytes = Sim.sleep (Time.of_sec_f (bytes /. store.nfs_bandwidth))
+(* NFSv3 over the 10 GbE network. *)
+let nfs_bandwidth = 0.4e9
+
+let stream bytes = Sim.sleep (Time.of_sec_f (bytes /. nfs_bandwidth))
 
 let save store vm ~name =
   let was_running = Vm.state vm = Vm.Running in
   Vm.pause vm;
   let image_bytes = Memory.nonzero_bytes (Vm.memory vm) in
-  stream store image_bytes;
+  stream image_bytes;
   let snap =
     {
       name;
@@ -38,7 +37,7 @@ let save store vm ~name =
   snap
 
 let restore store snap ~host =
-  stream store snap.image_bytes;
+  stream snap.image_bytes;
   let vm =
     Vm.create store.cluster ~name:snap.vm_name ~host ~vcpus:snap.vcpus
       ~mem_bytes:snap.total_bytes ~os_resident_bytes:snap.image_bytes ()
@@ -47,7 +46,5 @@ let restore store snap ~host =
   vm
 
 let find store ~name = List.find_opt (fun s -> String.equal s.name name) store.snapshots
-
-let name t = t.name
 
 let image_bytes t = t.image_bytes

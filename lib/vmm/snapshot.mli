@@ -13,8 +13,8 @@ type store
 
 type t
 
-val create_store : ?nfs_bandwidth:float -> Cluster.t -> store
-(** Default bandwidth 0.4 GB/s (NFSv3 over the 10 GbE network). *)
+val create_store : Cluster.t -> store
+(** Streams at 0.4 GB/s (NFSv3 over the 10 GbE network). *)
 
 val save : store -> Vm.t -> name:string -> t
 (** Pause the VM, stream its non-zero memory to storage, resume. Blocking;
@@ -26,7 +26,5 @@ val restore : store -> t -> host:Node.t -> Vm.t
     restored VM boots paused; {!Vm.resume} it when coordination allows. *)
 
 val find : store -> name:string -> t option
-
-val name : t -> string
 
 val image_bytes : t -> float

@@ -136,13 +136,13 @@ let set_compute_slowdown t f =
 
 let compute_slowdown t = t.slowdown
 
-let compute ?(cores = 1.0) ?(chunk = 1.0) t ~core_seconds =
+let compute ?(chunk = 1.0) t ~core_seconds =
   if core_seconds < 0.0 then invalid_arg "Vm.compute: negative work";
   let remaining = ref core_seconds in
   while !remaining > 0.0 do
     await_running t;
     let work = Float.min chunk !remaining in
-    Ps_resource.consume t.host.Node.cpu ~demand:cores ~work:(work *. t.slowdown);
+    Ps_resource.consume t.host.Node.cpu ~demand:1.0 ~work:(work *. t.slowdown);
     remaining := !remaining -. work
   done
 
@@ -157,7 +157,3 @@ let guest_write t region ~offset ~bytes ~bandwidth =
     Memory.write t.memory region ~offset:(offset +. !written) ~bytes:n;
     written := !written +. n
   done
-
-let pp fmt t =
-  Format.fprintf fmt "%s@%s(%s)" t.name t.host.Node.name
-    (match t.state with Running -> "running" | Paused -> "paused")

@@ -95,9 +95,10 @@ val on_device_removed : t -> (Device.t -> unit) -> unit
 
 (** {1 Guest-side operations (called from fibers)} *)
 
-val compute : ?cores:float -> ?chunk:float -> t -> core_seconds:float -> unit
-(** Execute CPU work on the current host, in [chunk]-sized pieces (default
-    1 core-second) so that pauses and host changes take effect promptly.
+val compute : ?chunk:float -> t -> core_seconds:float -> unit
+(** Execute CPU work on one core of the current host, in [chunk]-sized
+    pieces (default 1 core-second) so that pauses and host changes take
+    effect promptly.
     Over-committed hosts slow this down via processor sharing; an active
     {!set_compute_slowdown} factor (demand paging during a postcopy pull)
     inflates the work. *)
@@ -112,5 +113,3 @@ val guest_write : t -> Memory.region -> offset:float -> bytes:float -> bandwidth
 (** Write [bytes] into guest memory at the given memory bandwidth (one core
     of demand), dirtying pages as it goes, in 256 MiB chunks — the write
     pattern precopy migration reacts to. *)
-
-val pp : Format.formatter -> t -> unit

@@ -55,9 +55,3 @@ let times prng p ~horizon =
   if not (horizon >= 0.0 && Float.is_finite horizon) then
     invalid_arg "Arrivals.times: horizon must be non-negative and finite";
   List.sort Float.compare (draw prng p ~horizon)
-
-let rec describe = function
-  | Poisson { rate } -> Printf.sprintf "poisson %.2f/s" rate
-  | Bursts { period; size; spread } ->
-    Printf.sprintf "burst %d every %gs (spread %gs)" size period spread
-  | Overlay ps -> String.concat " + " (List.map describe ps)

@@ -32,6 +32,3 @@ val times : Prng.t -> process -> horizon:float -> float list
 (** The arrival instants in [\[0, horizon)], sorted ascending. Draw order
     is fixed by the process structure, so equal seeds give equal traces.
     Raises [Invalid_argument] when {!validate} would fail. *)
-
-val describe : process -> string
-(** One-line human description, e.g. ["poisson 0.50/s + burst 8 every 600s"]. *)

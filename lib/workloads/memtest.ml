@@ -16,8 +16,8 @@ let run ctx ~array_bytes ?(passes = 3) ?(write_bandwidth = default_bandwidth) ()
     one_pass ctx region ~array_bytes ~write_bandwidth
   done
 
-let run_until ctx ~array_bytes ~until ?(write_bandwidth = default_bandwidth) () =
+let run_until ctx ~array_bytes ~until () =
   let region = alloc ctx ~array_bytes in
   while Mpi.wtime ctx < until do
-    one_pass ctx region ~array_bytes ~write_bandwidth
+    one_pass ctx region ~array_bytes ~write_bandwidth:default_bandwidth
   done

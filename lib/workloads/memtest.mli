@@ -18,7 +18,7 @@ val run_until :
   Ninja_mpi.Mpi.ctx ->
   array_bytes:float ->
   until:float ->
-  ?write_bandwidth:float ->
   unit ->
   unit
-(** Keep writing passes until simulated time [until] (seconds). *)
+(** Keep writing passes at 3 GB/s until simulated time [until]
+    (seconds). *)

@@ -29,12 +29,6 @@ let to_string = function
   | Skewed { elephants; rate; factor } ->
     Printf.sprintf "skewed:elephants=%d,rate=%.17g,factor=%.17g" elephants rate factor
 
-let describe = function
-  | Uniform { rate } -> Printf.sprintf "uniform %g B/s per pair" rate
-  | Ring { rate } -> Printf.sprintf "ring %g B/s per neighbour" rate
-  | Skewed { elephants; rate; factor } ->
-    Printf.sprintf "skewed: %d elephant(s) at %gx over %g B/s ring" elephants factor rate
-
 let of_string s =
   let s = String.trim s in
   let shape, params =
@@ -128,8 +122,7 @@ let ring_pairs vms rate =
    seconds at 1-in-[sample_rate] of [pkt_bytes]-byte packets estimate
    n * sample_rate * pkt_bytes / window bytes per second. Duplicate
    observations of a pair (either orientation) accumulate. *)
-let of_observations ?(sample_rate = 16) ?(pkt_bytes = 1500.0) ?(min_rate = 0.0) ~window
-    obs =
+let of_observations ?(sample_rate = 16) ?(pkt_bytes = 1500.0) ~window obs =
   if window <= 0.0 || not (Float.is_finite window) then
     invalid_arg "Traffic.of_observations: window must be positive and finite";
   if sample_rate < 1 then invalid_arg "Traffic.of_observations: sample_rate must be >= 1";
@@ -144,7 +137,7 @@ let of_observations ?(sample_rate = 16) ?(pkt_bytes = 1500.0) ?(min_rate = 0.0) 
   Hashtbl.fold
     (fun (a, b) n acc ->
       let rate = float_of_int n *. scale in
-      if rate >= min_rate && rate > 0.0 then (a, b, rate) :: acc else acc)
+      if rate > 0.0 then (a, b, rate) :: acc else acc)
     counts []
   |> List.sort compare
 

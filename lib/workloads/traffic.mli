@@ -46,16 +46,12 @@ val to_string : pattern -> string
 
 val of_string : string -> (pattern, string) result
 
-val describe : pattern -> string
-(** Human-readable one-liner. *)
-
 val gen : Prng.t -> pattern
 (** Draw a random pattern (for the scenario fuzzer). *)
 
 val of_observations :
   ?sample_rate:int ->
   ?pkt_bytes:float ->
-  ?min_rate:float ->
   window:float ->
   (string * string * int) list ->
   (string * string * float) list
@@ -67,7 +63,7 @@ val of_observations :
     bytes per second. Entries are canonicalised (endpoints name-ordered,
     duplicates summed) and sorted — the same shape {!matrix} produces, so
     the result prices directly through {!Ninja_planner.Cost_model}.
-    Pairs below [min_rate] (default 0) are dropped. Raises
+    Pairs whose estimate is not positive are dropped. Raises
     [Invalid_argument] on a non-positive [window], [sample_rate] or
     [pkt_bytes]. *)
 

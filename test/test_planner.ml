@@ -372,6 +372,227 @@ let test_swap_never_crosses_fabric_class () =
   Alcotest.(check string) "a keeps its InfiniBand destination" "ib01" (dst "a");
   Alcotest.(check string) "b keeps its Ethernet destination" "eth00" (dst "b")
 
+(* Pinned regression: a node pair's communication cost is directional.
+   Under one 1 TB flow p1r0h00 -> p1r1h00 the route that way crosses the
+   flow's loaded tx, leaf-uplink, leaf-downlink and rx links and the route
+   back crosses none of them, so demand from v0 to v1 costs far more with
+   v0 on p1r0h00 and v1 on p1r1h00 than the other way round. Both VMs
+   leave one host with equal footprints, so exchanging their destinations
+   costs no migration time: only a solver that prices each direction sees
+   the saving. *)
+let test_swap_prices_each_direction () =
+  let _, cluster = leaf_spine_cluster () in
+  let host ~pod ~rack ~host = node cluster (Topology.host_name ~pod ~rack ~host) in
+  let sender = host ~pod:1 ~rack:0 ~host:0 and receiver = host ~pod:1 ~rack:1 ~host:0 in
+  (match Cluster.route_opt cluster ~net:Cluster.Eth ~src:sender ~dst:receiver with
+  | Some route ->
+    ignore (Ninja_flownet.Fabric.start (Cluster.fabric cluster) ~route ~bytes:1e12)
+  | None -> Alcotest.fail "no route");
+  let env = Cost_model.env cluster () in
+  Alcotest.(check bool) "the flow's direction costs more" true
+    (Cost_model.pair_cost env sender receiver
+    > 10.0 *. Cost_model.pair_cost env receiver sender);
+  let vms =
+    List.init 2 (fun i ->
+        Vm.create cluster
+          ~name:(Printf.sprintf "v%d" i)
+          ~host:(host ~pod:0 ~rack:0 ~host:0)
+          ~vcpus:4 ~mem_bytes:(Units.gb 4.0) ())
+  in
+  let dst_of vm = if Vm.name vm = "v0" then sender else receiver in
+  let plan = Plan.of_assignment cluster ~vms ~dst_of () in
+  let plan' = Solver.solve Solver.Swap cluster ~traffic:[ ("v0", "v1", 1e8) ] plan in
+  let dst name =
+    (List.find (fun (s : Plan.step) -> Vm.name s.Plan.vm = name) (Plan.steps plan'))
+      .Plan.dst.Node.name
+  in
+  Alcotest.(check string) "v0 takes the receiving host" receiver.Node.name (dst "v0");
+  Alcotest.(check string) "v1 takes the sending host" sender.Node.name (dst "v1")
+
+(* The reference batch hill climb: each pass prices every pair of direct
+   steps from scratch — the whole matrix filtered for the pair's entries,
+   their endpoints resolved through the live proposal or the unsolved
+   plan's placement, each direction of a node pair and all four migrations
+   priced afresh — and applies the first largest gain above 1e-9. Returns
+   the final placement, and the swaps and passes a climb that swapped
+   reports. Alongside, a [Swap_price] table over the same movers follows
+   every exchange and must price every pair of every pass bit for bit. *)
+let oracle_hill_climb env plan =
+  let directs =
+    Array.of_list
+      (List.filter (fun (s : Plan.step) -> s.Plan.kind = Plan.Direct) (Plan.steps plan))
+  in
+  let n = Array.length directs in
+  let proposal = Array.map (fun (s : Plan.step) -> s.Plan.dst) directs in
+  let base = Cost_model.plan_placement env plan in
+  let mover name =
+    let found = ref None in
+    Array.iteri
+      (fun i (s : Plan.step) -> if Vm.name s.Plan.vm = name then found := Some i)
+      directs;
+    !found
+  in
+  let place name = match mover name with Some i -> Some proposal.(i) | None -> base name in
+  let prices =
+    Swap_price.make env ~place:base
+      (Array.map
+         (fun (s : Plan.step) ->
+           {
+             Swap_price.vm = s.Plan.vm;
+             src = s.Plan.src;
+             host = s.Plan.dst;
+             bytes = Some s.Plan.bytes;
+           })
+         directs)
+  in
+  let gain i j =
+    let vi = Vm.name directs.(i).Plan.vm and vj = Vm.name directs.(j).Plan.vm in
+    let di = proposal.(i) and dj = proposal.(j) in
+    let swapped name =
+      if name = vi then Some dj else if name = vj then Some di else place name
+    in
+    let incident =
+      List.filter
+        (fun (x, y, _) -> x = vi || y = vi || x = vj || y = vj)
+        env.Cost_model.traffic
+    in
+    let cost lookup =
+      List.fold_left
+        (fun acc (x, y, rate) ->
+          match (lookup x, lookup y) with
+          | Some nx, Some ny -> acc +. (rate *. Cost_model.pair_cost env nx ny)
+          | _ -> acc)
+        0.0 incident
+    in
+    let mig i dst =
+      let s = directs.(i) in
+      Cost_model.move_seconds env ~vm:s.Plan.vm ~src:s.Plan.src ~dst ~bytes:s.Plan.bytes ()
+    in
+    (Cost_model.default_horizon *. (cost place -. cost swapped))
+    -. (mig i dj +. mig j di -. mig i di -. mig j dj)
+  in
+  let swaps = ref 0 and passes = ref 0 and continue_ = ref (n >= 2) in
+  while !continue_ && !passes < (4 * n) + 16 do
+    incr passes;
+    let best = ref None and best_gain = ref 1e-9 in
+    for i = 0 to n - 2 do
+      for j = i + 1 to n - 1 do
+        let di = proposal.(i) and dj = proposal.(j) in
+        if di.Node.id <> dj.Node.id && Node.has_ib di = Node.has_ib dj then begin
+          let g = gain i j in
+          let k = Swap_price.gain prices i j in
+          if not (Int64.equal (Int64.bits_of_float k) (Int64.bits_of_float g)) then
+            QCheck.Test.fail_reportf "pass %d: gain(%d, %d) %.17g, reference %.17g" !passes i j
+              k g;
+          if g > !best_gain then begin
+            best_gain := g;
+            best := Some (i, j)
+          end
+        end
+      done
+    done;
+    match !best with
+    | Some (i, j) ->
+      let d = proposal.(i) in
+      proposal.(i) <- proposal.(j);
+      proposal.(j) <- d;
+      Swap_price.exchange prices i j;
+      incr swaps
+    | None -> continue_ := false
+  done;
+  Array.iteri
+    (fun i d ->
+      if (Swap_price.host prices i).Node.id <> d.Node.id then
+        QCheck.Test.fail_reportf "mover %d on %s, reference %s" i
+          (Swap_price.host prices i).Node.name d.Node.name)
+    proposal;
+  (place, !swaps, !passes)
+
+(* A random batch on a generated datacenter: VMs of varied footprints on
+   random hosts, each aimed at a random node (some at their own host, so
+   they stay bystanders), sometimes a two-VM rotation a free node stages,
+   background flows that load the links one way, and a matrix with
+   duplicate rows and self-entries whose endpoints are direct movers,
+   staged VMs, bystanders and names unknown to the cluster. *)
+let solver_swap_prop =
+  QCheck.Test.make ~name:"Solver Swap agrees with the per-pair reference hill climb"
+    ~count:150 QCheck.small_int (fun salt ->
+      let prng = Prng.create ~seed:(Int64.of_int (2000 + salt)) in
+      let sim = Sim.create ~seed:(Int64.of_int salt) () in
+      let cluster = Cluster.create sim ~topology:(Topology.gen prng) () in
+      let nodes = Array.of_list (Cluster.nodes cluster) in
+      let pick a = a.(Prng.int prng (Array.length a)) in
+      let boot name =
+        Vm.create cluster ~name ~host:(pick nodes) ~vcpus:2 ~mem_bytes:(Units.gb 8.0)
+          ~os_resident_bytes:(Units.gb (0.5 +. Prng.float prng 6.0))
+          ()
+      in
+      let fleet =
+        Array.init (2 + Prng.int prng 9) (fun i -> boot (Printf.sprintf "vm%02d" i))
+      in
+      let outsiders = List.init (Prng.int prng 3) (fun i -> boot (Printf.sprintf "out%d" i)) in
+      let dst =
+        Array.map (fun vm -> if Prng.int prng 6 = 0 then Vm.host vm else pick nodes) fleet
+      in
+      (let a = Prng.int prng (Array.length fleet) and b = Prng.int prng (Array.length fleet) in
+       if Prng.bool prng && a <> b then begin
+         dst.(a) <- Vm.host fleet.(b);
+         dst.(b) <- Vm.host fleet.(a)
+       end);
+      for _ = 1 to 1 + Prng.int prng 6 do
+        match Cluster.route_opt cluster ~net:Cluster.Eth ~src:(pick nodes) ~dst:(pick nodes) with
+        | Some route ->
+          ignore (Ninja_flownet.Fabric.start (Cluster.fabric cluster) ~route ~bytes:1e15)
+        | None -> ()
+      done;
+      let names =
+        Array.of_list (List.map Vm.name (Array.to_list fleet @ outsiders) @ [ "ghost" ])
+      in
+      let rows =
+        List.init (1 + Prng.int prng 20) (fun _ ->
+            let x = pick names in
+            let y = if Prng.int prng 10 = 0 then x else pick names in
+            (x, y, 10.0 ** (5.0 +. Prng.float prng 4.0)))
+      in
+      let traffic = rows @ List.filter (fun _ -> Prng.int prng 4 = 0) rows in
+      let index vm =
+        let found = ref 0 in
+        Array.iteri (fun i v -> if v == vm then found := i) fleet;
+        !found
+      in
+      let plan =
+        Plan.of_assignment cluster ~vms:(Array.to_list fleet)
+          ~dst_of:(fun vm -> dst.(index vm))
+          ~staging:(List.filter (fun _ -> Prng.int prng 3 = 0) (Array.to_list nodes))
+          ()
+      in
+      let env = Cost_model.env cluster ~traffic () in
+      let expected, swaps, passes = oracle_hill_climb env plan in
+      let reported = ref [] in
+      let plan' =
+        Probe.with_subscriber (Cluster.probes cluster)
+          (fun ev ->
+            match ev.Probe.payload with
+            | Probe.Plan_swap { swaps; passes; _ } -> reported := (swaps, passes) :: !reported
+            | _ -> ())
+          (fun () -> Solver.solve Solver.Swap cluster ~traffic plan)
+      in
+      let got = Cost_model.plan_placement env plan' in
+      Array.iter
+        (fun name ->
+          let where f = match f name with Some n -> n.Node.name | None -> "-" in
+          if where got <> where expected then
+            QCheck.Test.fail_reportf "%s lands on %s, reference %s" name (where got)
+              (where expected))
+        names;
+      let want = if swaps = 0 then [] else [ (swaps, passes) ] in
+      if !reported <> want then
+        QCheck.Test.fail_reportf "Plan_swap reported %s, reference %d swaps in %d passes"
+          (String.concat "; "
+             (List.map (fun (s, p) -> Printf.sprintf "%d swaps in %d passes" s p) !reported))
+          swaps passes;
+      true)
+
 let test_cost_model_decomposition () =
   let _, cluster = setup () in
   let a = mk_vm cluster ~name:"a" ~host:"ib00" in
@@ -595,6 +816,9 @@ let () =
             test_swap_lowers_communication_cost;
           Alcotest.test_case "swap never crosses fabric class" `Quick
             test_swap_never_crosses_fabric_class;
+          Alcotest.test_case "swap prices each direction" `Quick
+            test_swap_prices_each_direction;
+          QCheck_alcotest.to_alcotest solver_swap_prop;
           Alcotest.test_case "cost model decomposition" `Quick
             test_cost_model_decomposition;
         ] );
