@@ -1,4 +1,4 @@
-.PHONY: all build test check digests fmt clean
+.PHONY: all build test check digests parity fmt clean
 
 all: build
 
@@ -23,6 +23,12 @@ digests:
 	for seed in 0 7; do \
 	  python3 perfbench/run.py --workload fuzz-campaign --seed $$seed --seconds 1 --trace 0 || exit 1; \
 	done
+
+# Byte-identity of the working tree against REV (default HEAD): stdout,
+# exit codes and every output file of a fixed command list, built from
+# `git archive REV` in a temporary directory. Exits 1 on any difference.
+parity:
+	bench/parity.sh $(REV)
 
 # Advisory: requires ocamlformat, which not every dev box has.
 fmt:

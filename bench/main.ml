@@ -251,13 +251,22 @@ let run_micro () =
 
 (* ------------------------------------------------------------------ *)
 
-(* Pull "-j N" / "--jobs N" out of the argument list. *)
+let usage () =
+  Printf.sprintf
+    "usage: main.exe [quick | full | micro | <experiment> [full]] [-j N]\nexperiments: %s\n"
+    (String.concat ", " Registry.names)
+
+(* Pull "-j N" / "--jobs N" out of the argument list (the first one
+   counts). N must be a positive integer: anything else is a usage
+   error, exit 2. *)
 let rec extract_jobs = function
   | [] -> (1, [])
-  | ("-j" | "--jobs") :: n :: rest ->
-    let jobs, rest = extract_jobs rest in
-    ignore jobs;
-    ((try max 1 (int_of_string n) with Failure _ -> 1), rest)
+  | ("-j" | "--jobs") :: n :: rest
+    when Option.fold (int_of_string_opt n) ~none:false ~some:(( <= ) 1) ->
+    (int_of_string n, snd (extract_jobs rest))
+  | (("-j" | "--jobs") as flag) :: _ ->
+    Printf.eprintf "main.exe: %s takes a positive integer\n%s" flag (usage ());
+    exit 2
   | arg :: rest ->
     let jobs, rest = extract_jobs rest in
     (jobs, arg :: rest)
@@ -281,7 +290,4 @@ let () =
     with_ctx Run_ctx.Quick (fun ctx -> run_experiments ~snapshot:false ctx [ name ])
   | [ name; "full" ] | [ "full"; name ] ->
     with_ctx Run_ctx.Full (fun ctx -> run_experiments ~snapshot:false ctx [ name ])
-  | _ ->
-    Printf.printf
-      "usage: main.exe [quick | full | micro | <experiment> [full]] [-j N]\nexperiments: %s\n"
-      (String.concat ", " Registry.names)
+  | _ -> print_string (usage ())

@@ -145,14 +145,30 @@ let with_pool jobs k =
 
 (* --seed --fault --topology --traffic --mode -j --trace --metrics --spans,
    the flags [run] and [serve] share, as one term. Its value runs a
-   command body under the context they describe: it opens the output
-   files and the pool, fills the context's text fields, runs the body,
-   then writes the spans document. Pooled work replays its sink chunks
-   in submission order ({!Ninja_engine.Run_ctx.buffered}), so the files
-   are byte-identical at any -j. A command passes its own default seed
-   and its own --help sentences. *)
+   command body under the context they describe: it fills the context's
+   text fields, runs the command's [check] on that context (an [Error]
+   is [cmd]'s one-line error, exit 1, before any output file exists),
+   opens the output files and the pool, runs the body, then writes the
+   spans document. Pooled work replays its sink chunks in submission
+   order ({!Ninja_engine.Run_ctx.buffered}), so the files are
+   byte-identical at any -j. A command passes its own default seed and
+   its own --help sentences. *)
 let run_ctx_term ~cmd ~default_seed ~traffic ~mode ~jobs ~metrics ~spans =
-  let session seed faults topology traffic migration jobs (trace, metrics, spans) body =
+  let session seed faults topology traffic migration jobs (trace, metrics, spans) ~check body =
+    let ctx =
+      Ninja_engine.Run_ctx.make
+        ~seed:(Option.value seed ~default:default_seed)
+        ~faults:(List.map Ninja_faults.Injector.spec_to_string faults)
+        ?topology:(Option.map Ninja_hardware.Topology.to_string topology)
+        ?traffic:(Option.map Ninja_workloads.Traffic.to_string traffic)
+        ?migration:(Option.map Ninja_vmm.Migration.mode_name migration)
+        ()
+    in
+    (match check ctx with
+    | Ok () -> ()
+    | Error msg ->
+      prerr_endline (cmd ^ ": " ^ msg);
+      exit 1);
     let with_out path k =
       match path with
       | None -> k None
@@ -170,15 +186,12 @@ let run_ctx_term ~cmd ~default_seed ~traffic ~mode ~jobs ~metrics ~spans =
     with_pool jobs @@ fun pool ->
     let fragments = ref [] in
     let ctx =
-      Ninja_engine.Run_ctx.make
-        ~seed:(Option.value seed ~default:default_seed)
-        ~faults:(List.map Ninja_faults.Injector.spec_to_string faults)
-        ?topology:(Option.map Ninja_hardware.Topology.to_string topology)
-        ?traffic:(Option.map Ninja_workloads.Traffic.to_string traffic)
-        ?migration:(Option.map Ninja_vmm.Migration.mode_name migration)
-        ?trace:(Option.map lines trace_oc) ?metrics:(Option.map lines metrics_oc)
-        ?spans:(Option.map (fun _ chunk -> fragments := chunk :: !fragments) spans)
-        ?pool ()
+      { ctx with
+        Ninja_engine.Run_ctx.trace = Option.map lines trace_oc;
+        metrics = Option.map lines metrics_oc;
+        spans = Option.map (fun _ chunk -> fragments := chunk :: !fragments) spans;
+        pool
+      }
     in
     let result = body ctx in
     Option.iter
@@ -234,7 +247,7 @@ let run_cmd =
       exit 1
     | Ok entries ->
       let open Ninja_engine in
-      session @@ fun ctx ->
+      session ~check:(fun _ -> Ok ()) @@ fun ctx ->
       let ctx = { ctx with Run_ctx.mode = (if full then Run_ctx.Full else Run_ctx.Quick) } in
       let print_result e tables =
         Printf.printf "== %s: %s ==\n%!" e.Registry.name e.Registry.description;
@@ -344,6 +357,10 @@ let plan_cmd =
     let strategy = Option.value strategy ~default:Ninja_planner.Solver.default in
     if n < 1 || n > 8 then begin
       prerr_endline "plan: --vms must be between 1 and 8";
+      exit 1
+    end;
+    if not (uplink_gbps > 0.0 && Float.is_finite uplink_gbps) then begin
+      prerr_endline "plan: --uplink-gbps must be positive and finite";
       exit 1
     end;
     let open Ninja_engine in
@@ -572,23 +589,33 @@ let serve_cmd =
       strategy auto_swap stats_file stats_every top_k max_inflight queue_cap slo seeds
       show_log session =
     let strategy = Option.value strategy ~default:Ninja_planner.Solver.default in
-    if duration <= 0.0 || rate < 0.0 || tenants < 1 || vms_per_tenant < 0
-       || max_inflight < 1 || queue_cap < 1
-    then begin
-      prerr_endline
-        "serve: --duration must be positive, --rate non-negative, --tenants, \
-         --max-inflight and --queue-cap at least 1";
-      exit 1
-    end;
-    if stats_every <= 0.0 then begin
-      prerr_endline "serve: --stats-every must be positive";
-      exit 1
-    end;
-    (match top_k with
-    | Some k when k < 1 ->
-      prerr_endline "serve: --top must be at least 1";
-      exit 1
-    | _ -> ());
+    let positive x = x > 0.0 && Float.is_finite x in
+    List.iter
+      (fun (ok, msg) ->
+        if not ok then begin
+          prerr_endline ("serve: " ^ msg);
+          exit 1
+        end)
+      [
+        (positive duration, "--duration must be positive and finite");
+        ( rate >= 0.0 && tenants >= 1 && vms_per_tenant >= 0 && max_inflight >= 1
+          && queue_cap >= 1,
+          "--rate must be non-negative, --tenants, --max-inflight and --queue-cap at least 1"
+        );
+        (positive mem_gb, "--mem-gb must be positive and finite");
+        (positive stats_every, "--stats-every must be positive and finite");
+        (Option.fold top_k ~none:true ~some:(fun k -> k >= 1), "--top must be at least 1");
+      ];
+    (* Boot placement depends on the context's cluster, so this check
+       runs in the session, still before any output file is opened. *)
+    let fits ctx =
+      let vms = tenants * vms_per_tenant in
+      if
+        Ninja_controlplane.Service.fits (Exp_common.fresh ctx).Exp_common.cluster ~vms
+          ~mem_bytes:(Ninja_hardware.Units.gb mem_gb)
+      then Ok ()
+      else Error (Printf.sprintf "--mem-gb %g: %d VMs do not fit in the cluster's memory" mem_gb vms)
+    in
     let open Ninja_engine in
     let open Ninja_controlplane in
     let auto_swap =
@@ -627,7 +654,7 @@ let serve_cmd =
       prerr_endline ("serve: " ^ msg);
       exit 1);
     let worst =
-      session @@ fun ctx ->
+      session ~check:fits @@ fun ctx ->
       let ctx = Run_ctx.with_label "serve" ctx in
       let mig_mode = Exp_common.migration_mode ctx and traffic = Exp_common.traffic ctx in
       let config =

@@ -769,26 +769,37 @@ let open_loop t ~process ~horizon =
 
 (* {1 Construction} *)
 
-let boot_tenants ?traffic cluster ~tenants ~vms_per_tenant ~mem_bytes =
+(* Round-robin first fit over the alive nodes in id order: each call
+   takes the next node with room for one more VM of [mem_bytes]. *)
+let first_fit cluster ~mem_bytes =
   let nodes = Array.of_list (List.sort by_node_id (Cluster.alive_nodes cluster)) in
-  if Array.length nodes = 0 then failwith "Service.boot_tenants: no alive nodes";
   let k = Array.length nodes in
-  let used = Hashtbl.create 8 in
-  let used_of (n : Node.t) = Option.value (Hashtbl.find_opt used n.Node.id) ~default:0.0 in
+  let used = Array.make k 0.0 in
   let cursor = ref 0 in
-  let place () =
+  fun () ->
     let rec probe i =
-      if i >= k then failwith "Service.boot_tenants: cluster out of memory"
+      if i >= k then None
       else
-        let n = nodes.((!cursor + i) mod k) in
-        if used_of n +. mem_bytes <= n.Node.mem_bytes *. (1.0 +. 1e-9) then begin
-          cursor := (!cursor + i + 1) mod k;
-          Hashtbl.replace used n.Node.id (used_of n +. mem_bytes);
-          n
+        let j = (!cursor + i) mod k in
+        if used.(j) +. mem_bytes <= nodes.(j).Node.mem_bytes *. (1.0 +. 1e-9) then begin
+          cursor := (j + 1) mod k;
+          used.(j) <- used.(j) +. mem_bytes;
+          Some nodes.(j)
         end
         else probe (i + 1)
     in
     probe 0
+
+let fits cluster ~vms ~mem_bytes =
+  let next = first_fit cluster ~mem_bytes in
+  List.for_all (fun _ -> next () <> None) (List.init vms Fun.id)
+
+let boot_tenants ?traffic cluster ~tenants ~vms_per_tenant ~mem_bytes =
+  let next = first_fit cluster ~mem_bytes in
+  let place () =
+    match next () with
+    | Some n -> n
+    | None -> failwith "Service.boot_tenants: cluster out of memory"
   in
   (* Split lazily: tenants without traffic must not perturb the sim's
      PRNG stream (existing seeds keep their draws). *)

@@ -129,7 +129,11 @@ val boot_tenants :
     capacity, attaching a VMM-bypass HCA on IB-equipped hosts. [traffic]
     draws each tenant a seeded matrix of the given pattern (from a
     dedicated split of the sim's PRNG; tenants without traffic leave the
-    stream untouched). *)
+    stream untouched). Raises [Failure] when the VMs do not fit. *)
+
+val fits : Cluster.t -> vms:int -> mem_bytes:float -> bool
+(** Whether {!boot_tenants} can place [vms] VMs of [mem_bytes] each on
+    the cluster's alive nodes. *)
 
 val vms : t -> Vm.t list
 (** Every managed VM, sorted by name — the checker's watch list. *)

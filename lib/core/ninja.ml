@@ -171,26 +171,38 @@ let migrate t ~plan ?(mode = Migration.Precopy) ?detach:detach_f ?attach:attach_
       r := d :: !r
   in
   let probes = Cluster.probes t.cluster in
-  (* The span tree is built unconditionally (a handful of allocations, no
-     simulated effect): the returned breakdown is derived from it. The
-     scope mirrors transitions onto the probe bus only while observed. *)
-  let sc = Span.scope ~probes ~sim ~proc:"ninja" ~thread:"migration" () in
+  (* Each span transition goes out on the bus (a no-op while nothing is
+     subscribed) and into a private recorder: the returned breakdown is
+     derived from its one root, by construction the tree a viewer shows. *)
+  let spans = Recorder.create () in
+  let span payload =
+    Probe.emit probes payload;
+    Recorder.on_event spans { Probe.at = Sim.now sim; topic = Probe.topic payload; payload }
+  in
+  let proc = "ninja" and thread = "migration" in
+  let enter ?(args = []) name cat = span (Probe.Span_begin { name; cat; proc; thread; args }) in
+  let exit_ name = span (Probe.Span_end { name; proc; thread; args = [] }) in
+  let note ?(args = []) name cat ~start =
+    span
+      (Probe.Span_note { name; cat; proc; thread; start = Time.min start (Sim.now sim); args })
+  in
   let in_span name cat f =
-    let s = Span.enter sc ~name ~cat () in
-    Fun.protect ~finally:(fun () -> Span.exit_ sc s) f
+    enter name cat;
+    Fun.protect ~finally:(fun () -> exit_ name) f
   in
   if Probe.active probes then
     Probe.emit probes
       (Probe.Migrate_start
          { batch = ""; origins = List.map (fun (vm, o) -> (Vm.name vm, o.Node.name)) origins });
-  let root = Span.enter sc ~name:"migration" ~cat:"migration" () in
+  let started = Sim.now sim in
+  enter "migration" "migration";
   (* 1. Trigger: the runtime tells every process to reach a safe point and
      call into the coordinator; the controller waits for the fence. *)
   t.operation_active <- true;
-  let coordination = Span.enter sc ~name:"coordination" ~cat:"phase" () in
+  enter "coordination" "phase";
   let complete = Runtime.request_checkpoint rt in
   Controller.wait_all ctl;
-  Span.exit_ sc coordination;
+  exit_ "coordination";
   let next_fence () =
     Controller.signal ctl;
     Controller.wait_all ctl
@@ -221,8 +233,8 @@ let migrate t ~plan ?(mode = Migration.Precopy) ?detach:detach_f ?attach:attach_
           results
       in
       if failed <> [] then begin
-        ignore (Span.note sc ~name:"retry-attempt" ~cat:"retry" ~start:a0
-                  ~args:[ ("phase", name); ("attempt", string_of_int attempt) ] ());
+        note "retry-attempt" "retry" ~start:a0
+          ~args:[ ("phase", name); ("attempt", string_of_int attempt) ];
         let fatals, transients = List.partition (fun (vm, msg) -> not (retryable vm msg)) failed in
         if best_effort then
           List.iter
@@ -249,11 +261,9 @@ let migrate t ~plan ?(mode = Migration.Precopy) ?detach:detach_f ?attach:attach_
                       attempt))
           end
           else begin
-            let backoff =
-              Span.enter sc ~name:"backoff" ~cat:"retry" ~args:[ ("phase", name) ] ()
-            in
+            enter "backoff" "retry" ~args:[ ("phase", name) ];
             Sim.sleep (Retry.backoff ~attempt);
-            Span.exit_ sc backoff;
+            exit_ "backoff";
             go (attempt + 1) (List.map fst transients)
           end
         end
@@ -312,9 +322,7 @@ let migrate t ~plan ?(mode = Migration.Precopy) ?detach:detach_f ?attach:attach_
       (* The whole rollback is charged to the breakdown's retry bucket as
          one span; retry spans nested inside it are excluded from the sum,
          so the inner failed attempts are not double-billed. *)
-      let rollback =
-        Span.enter sc ~name:"rollback" ~cat:"rollback" ~args:[ ("reason", reason) ] ()
-      in
+      enter "rollback" "rollback" ~args:[ ("reason", reason) ];
       (* A VM lost to a mid-drain source death has no complete image to
          restore: it stays paused at the destination and every rollback
          phase skips it — re-issuing commands to it would be exactly the
@@ -360,7 +368,7 @@ let migrate t ~plan ?(mode = Migration.Precopy) ?detach:detach_f ?attach:attach_
                      Vm.find_device vm ~tag:d.Device.tag = None
                      && (not (Device.is_bypass d.Device.kind) || Node.has_ib (Vm.host vm)))
               |> List.map (fun device -> Qmp.Device_add { device; noise })));
-      Span.exit_ sc rollback;
+      exit_ "rollback";
       let lost = List.filter (fun n -> Vm.is_lost n.vm) t.nodes in
       t.last_outcome <- Some (if lost = [] then Rolled_back reason else Lost reason);
       Probe.emit probes
@@ -373,12 +381,9 @@ let migrate t ~plan ?(mode = Migration.Precopy) ?detach:detach_f ?attach:attach_
      runtime's continue path and is only known after the fact; its
      interval ends exactly when the checkpoint completes. *)
   let linkup = Runtime.last_linkup_wait rt in
-  ignore
-    (Span.note sc ~name:"link-up" ~cat:"phase"
-       ~start:(Time.max root.Span.start (Time.diff (Sim.now sim) linkup))
-       ());
-  Span.exit_ sc root;
-  Export.breakdown_of_root root
+  note "link-up" "phase" ~start:(Time.max started (Time.diff (Sim.now sim) linkup));
+  exit_ "migration";
+  Export.breakdown_of_root (List.hd (Recorder.roots spans))
 
 let last_outcome t = t.last_outcome
 

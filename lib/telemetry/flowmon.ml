@@ -32,11 +32,14 @@ let validate cfg =
   else if cfg.window < 1 || cfg.window > cfg.retain then
     Error "window must be in [1, retain]"
   else if cfg.sample_rate < 1 then Error "sample-rate must be >= 1"
-  else if cfg.pkt_bytes <= 0.0 then Error "pkt-bytes must be positive"
+  else if not (cfg.pkt_bytes > 0.0 && Float.is_finite cfg.pkt_bytes) then
+    Error "pkt-bytes must be positive and finite"
   else if not (cfg.hot_threshold > 0.0 && cfg.hot_threshold <= 1.0) then
     Error "hot-threshold must be in (0, 1]"
-  else if cfg.warmup < 0.0 then Error "warmup must be non-negative"
-  else if cfg.snapshot_every < 0.0 then Error "snapshot-every must be non-negative"
+  else if not (cfg.warmup >= 0.0 && Float.is_finite cfg.warmup) then
+    Error "warmup must be non-negative and finite"
+  else if not (cfg.snapshot_every >= 0.0 && Float.is_finite cfg.snapshot_every) then
+    Error "snapshot-every must be non-negative and finite"
   else Ok ()
 
 type link_mon = {

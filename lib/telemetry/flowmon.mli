@@ -75,10 +75,10 @@ val create :
     truth the estimator is later judged against). [registry] receives
     the [ctl.hotspot.*] / [ctl.slo.*] / [flowmon.*] metrics — pass the
     service's registry so they land in the serve report. Raises
-    [Invalid_argument] when a config field is out of range: a period,
-    packet size or hot threshold that is not positive (the threshold at
-    most 1), a window outside [1, retain], a sample rate below 1, or a
-    negative warm-up or snapshot interval. *)
+    [Invalid_argument] when a config field is out of range: a period or
+    packet size that is not positive and finite, a hot threshold outside
+    (0, 1], a window outside [1, retain], a sample rate below 1, or a
+    warm-up or snapshot interval that is negative or not finite. *)
 
 val start : t -> horizon:float -> unit
 (** Spawn the tick fiber, sampling every [period] seconds until

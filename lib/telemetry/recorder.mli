@@ -4,8 +4,8 @@
     event stream into
 
     - {b span trees}, reassembled per track from the [Span_begin],
-      [Span_end] and [Span_note] payloads (the same trees the emitting
-      {!Span.scope} builds locally), and
+      [Span_end] and [Span_note] payloads (the one span-tree builder:
+      [Ninja.migrate] derives its breakdown from a private recorder), and
     - a {b metrics registry}: protocol counters (migrations
       started/completed/rolled back/given up, precopied bytes, fault
       firings, executor step totals), the fence-residency and per-phase

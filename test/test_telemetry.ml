@@ -1,6 +1,7 @@
-(* Telemetry subsystem tests: the span scope builds well-formed local
-   trees and mirrors them onto the probe bus; the recorder reassembles
-   identical trees and derives the protocol metrics; the exporters render
+(* Telemetry subsystem tests: one track's span transitions build a
+   well-formed tree, span lifecycle guards and the tree soundness check;
+   the recorder reassembles the same trees from the probe bus and
+   derives the protocol metrics; the exporters render
    valid Chrome trace-event fragments; and — the load-bearing property —
    the breakdown re-derived from a bus-reconstructed migration root is
    exactly the one [Ninja.migrate] returns, fault-free and rolled-back
@@ -87,55 +88,87 @@ let mk ?(proc = "proc") ?(thread = "thr") ?(args = []) name cat start stop =
   s
 
 (* ------------------------------------------------------------------ *)
-(* Span scope: local trees *)
+(* Spans *)
 
+(* One track's nested transitions, in the shape [Ninja.migrate]
+   announces them: root [0,4] holds a [1,3] (begin args k=v, end args
+   outcome=ok), a retroactive note n [1,3] announced at 3, and b [3,4]
+   holding c [3,4]. Each payload goes to [emit] when it happens. *)
+let nested_track sim emit =
+  let proc = "ninja" and thread = "migration" in
+  let begin_ ?(args = []) name cat = emit (Probe.Span_begin { name; cat; proc; thread; args }) in
+  let end_ ?(args = []) name = emit (Probe.Span_end { name; proc; thread; args }) in
+  Sim.spawn sim (fun () ->
+      begin_ "root" "migration";
+      Sim.sleep (Time.sec 1);
+      begin_ "a" "phase" ~args:[ ("k", "v") ];
+      Sim.sleep (Time.sec 2);
+      end_ "a" ~args:[ ("outcome", "ok") ];
+      (* Retroactive interval, known only after the fact. *)
+      emit
+        (Probe.Span_note
+           { name = "n"; cat = "retry"; proc; thread; start = Time.sec 1;
+             args = [ ("phase", "a") ] });
+      begin_ "b" "phase";
+      begin_ "c" "retry";
+      Sim.sleep (Time.sec 1);
+      end_ "c";
+      end_ "b";
+      end_ "root")
+
+(* Feeds [payload] to [r] stamped with the current sim time, as the bus
+   would deliver it. *)
+let record_now sim r payload =
+  Recorder.on_event r { Probe.at = Sim.now sim; topic = Probe.topic payload; payload }
+
+(* A scope — one track's nested begin/note/end — fed straight to a
+   recorder, as [Ninja.migrate] feeds its private one, builds the nested
+   tree: children in order, durations, args, and a retroactive note's
+   start as given. *)
 let test_scope_builds_tree () =
   let sim = Sim.create ~seed:env_seed () in
-  let sc = Span.scope ~sim ~proc:"ninja" ~thread:"migration" () in
-  let root_ref = ref None in
-  Sim.spawn sim (fun () ->
-      let root = Span.enter sc ~name:"root" ~cat:"migration" () in
-      root_ref := Some root;
-      Sim.sleep (Time.sec 1);
-      let a = Span.enter sc ~name:"a" ~cat:"phase" ~args:[ ("k", "v") ] () in
-      Sim.sleep (Time.sec 2);
-      Span.exit_ sc a;
-      (* Retroactive interval, known only after the fact. *)
-      ignore (Span.note sc ~name:"n" ~cat:"retry" ~start:(Time.sec 1) ());
-      let b = Span.enter sc ~name:"b" ~cat:"phase" () in
-      let _c = Span.enter sc ~name:"c" ~cat:"retry" () in
-      Sim.sleep (Time.sec 1);
-      (* Closing [b] unwinds past the still-open [c]. *)
-      Span.exit_ sc b;
-      Span.exit_ sc root);
+  let r = Recorder.create () in
+  nested_track sim (record_now sim r);
   Sim.run sim;
-  let root = Option.get !root_ref in
-  Alcotest.(check int) "single root" 1 (List.length (Span.roots sc));
-  Alcotest.(check (list string)) "well-formed" [] (Span.well_formed root);
-  Alcotest.(check (list string)) "children in order" [ "a"; "n"; "b" ]
-    (List.map (fun (s : Span.t) -> s.Span.name) (Span.children root));
-  check_time "root duration" (Time.sec 4) (Span.duration root);
-  let child name = Option.get (Span.find_child root name) in
-  check_time "a duration" (Time.sec 2) (Span.duration (child "a"));
-  check_time "note spans 1..3" (Time.sec 2) (Span.duration (child "n"));
-  check_time "note start unclamped" (Time.sec 1) (child "n").Span.start;
-  let b = child "b" in
-  check_time "b duration" (Time.sec 1) (Span.duration b);
-  match Span.children b with
-  | [ c ] ->
-    Alcotest.(check string) "abandoned child closed" "c" c.Span.name;
-    Alcotest.(check bool) "abandoned flagged" true
-      (List.mem ("abandoned", "true") c.Span.args);
-    check_time "closed where the unwind stood" (Time.sec 4)
-      (Option.get c.Span.stop)
-  | _ -> Alcotest.fail "expected exactly one child under b"
+  Alcotest.(check (list string)) "no anomalies" [] (Recorder.anomalies r);
+  match Recorder.roots r with
+  | [ root ] -> (
+    Alcotest.(check (list string)) "well-formed" [] (Span.well_formed root);
+    Alcotest.(check (list string)) "children in order" [ "a"; "n"; "b" ]
+      (List.map (fun (s : Span.t) -> s.Span.name) (Span.children root));
+    check_time "root duration" (Time.sec 4) (Span.duration root);
+    let child name = Option.get (Span.find_child root name) in
+    check_time "a duration" (Time.sec 2) (Span.duration (child "a"));
+    Alcotest.(check (list (pair string string))) "end args append to begin args"
+      [ ("k", "v"); ("outcome", "ok") ] (child "a").Span.args;
+    check_time "note spans 1..3" (Time.sec 2) (Span.duration (child "n"));
+    check_time "note start unclamped" (Time.sec 1) (child "n").Span.start;
+    Alcotest.(check (list (pair string string))) "note args" [ ("phase", "a") ]
+      (child "n").Span.args;
+    let b = child "b" in
+    check_time "b duration" (Time.sec 1) (Span.duration b);
+    match Span.children b with
+    | [ c ] ->
+      Alcotest.(check string) "nested child" "c" c.Span.name;
+      check_time "c duration" (Time.sec 1) (Span.duration c)
+    | _ -> Alcotest.fail "expected exactly one child under b")
+  | roots -> Alcotest.failf "expected a single root, got %d" (List.length roots)
 
+(* A note announced with a start after its own timestamp is clamped to
+   the event time: a zero-length span, never one that stops before it
+   starts. *)
 let test_note_clamps_future_start () =
-  let sim = Sim.create ~seed:env_seed () in
-  let sc = Span.scope ~sim ~proc:"p" ~thread:"t" () in
-  let n = Span.note sc ~name:"n" ~cat:"phase" ~start:(Time.sec 99) () in
-  check_time "start clamped to now" Time.zero n.Span.start;
-  check_time "zero duration" Time.zero (Span.duration n)
+  let r = Recorder.create () in
+  let payload =
+    Probe.Span_note
+      { name = "n"; cat = "phase"; proc = "p"; thread = "t"; start = Time.sec 99; args = [] }
+  in
+  Recorder.on_event r { Probe.at = Time.sec 3; topic = Probe.topic payload; payload };
+  match Recorder.roots r with
+  | [ n ] ->
+    check_time "start clamped to the event time" (Time.sec 3) n.Span.start;
+    check_time "zero duration" Time.zero (Span.duration n)
+  | roots -> Alcotest.failf "expected one note, got %d roots" (List.length roots)
 
 let test_span_guards () =
   let s = mk "s" "phase" 1.0 2.0 in
@@ -148,15 +181,9 @@ let test_span_guards () =
      ignore (Span.duration open_span);
      Alcotest.fail "duration of an open span accepted"
    with Invalid_argument _ -> ());
-  (try
-     Span.finish open_span ~at:(Time.sec 4) ();
-     Alcotest.fail "stop before start accepted"
-   with Invalid_argument _ -> ());
-  let sim = Sim.create ~seed:env_seed () in
-  let sc = Span.scope ~sim ~proc:"p" ~thread:"t" () in
   try
-    Span.exit_ sc s;
-    Alcotest.fail "exit of a span foreign to the scope accepted"
+    Span.finish open_span ~at:(Time.sec 4) ();
+    Alcotest.fail "stop before start accepted"
   with Invalid_argument _ -> ()
 
 let test_well_formed_flags_problems () =
@@ -291,32 +318,23 @@ let test_metrics_table_percentiles () =
 (* ------------------------------------------------------------------ *)
 (* Recorder: bus-event reassembly *)
 
-let test_recorder_mirrors_scope () =
+(* A recorder attached to the bus reassembles the very tree that one fed
+   the same payloads directly builds — the pairing [Ninja.migrate] relies
+   on — and closing spans feed the taxonomy histograms. *)
+let test_recorder_reassembles_tree () =
   let sim = Sim.create ~seed:env_seed () in
   let probes = Probe.create sim in
-  let r = Recorder.create () in
+  let r = Recorder.create () and local = Recorder.create () in
   let sub = Recorder.attach r probes in
-  let sc = Span.scope ~probes ~sim ~proc:"ninja" ~thread:"migration" () in
-  Sim.spawn sim (fun () ->
-      let root = Span.enter sc ~name:"root" ~cat:"migration" () in
-      Sim.sleep (Time.sec 1);
-      let a = Span.enter sc ~name:"a" ~cat:"phase" ~args:[ ("k", "v") ] () in
-      Sim.sleep (Time.sec 2);
-      Span.exit_ sc a ~args:[ ("outcome", "ok") ];
-      ignore
-        (Span.note sc ~name:"n" ~cat:"retry" ~start:(Time.sec 1)
-           ~args:[ ("phase", "a") ] ());
-      let b = Span.enter sc ~name:"b" ~cat:"phase" () in
-      let _c = Span.enter sc ~name:"c" ~cat:"retry" () in
-      Sim.sleep (Time.sec 1);
-      Span.exit_ sc b;
-      Span.exit_ sc root);
+  nested_track sim (fun payload ->
+      Probe.emit probes payload;
+      record_now sim local payload);
   Sim.run sim;
   Probe.detach probes sub;
   Alcotest.(check (list string)) "no anomalies" [] (Recorder.anomalies r);
   Alcotest.(check int) "all spans closed" 0 (Recorder.open_spans r);
-  (match (Span.roots sc, Recorder.roots r) with
-  | [ local ], [ wire ] -> check_same_tree "root" local wire
+  (match (Recorder.roots local, Recorder.roots r) with
+  | [ l ], [ w ] -> check_same_tree "root" l w
   | l, w ->
     Alcotest.failf "expected one root on each side, got %d local / %d reconstructed"
       (List.length l) (List.length w));
@@ -327,7 +345,7 @@ let test_recorder_mirrors_scope () =
     + List.length (Metrics.samples m "phase.b.seconds"));
   Alcotest.(check (list (float 1e-9))) "migration total" [ 4.0 ]
     (Metrics.samples m "migration.total.seconds");
-  (* note (2s) + abandoned c (1s) *)
+  (* note (2s) + c (1s) *)
   Alcotest.(check (float 1e-9)) "retry seconds" 3.0
     (List.fold_left ( +. ) 0.0 (Metrics.samples m "retry.lost.seconds"))
 
@@ -684,6 +702,32 @@ let test_flowmon_estimation () =
        (fun (a, b, r) (a', b', r') -> a = a' && b = b' && Float.abs (r -. r') < 1e-6)
        learned (Flowmon.learned fm))
 
+(* One out-of-range value per config field. The float fields take nan
+   or inf, which ordered comparisons alone let through: a nan warm-up
+   never warms up, a nan snapshot interval never snapshots, and a
+   non-finite packet size makes every estimate meaningless. *)
+let test_flowmon_config_validation () =
+  let sim = Sim.create ~seed:env_seed () in
+  let cluster = Cluster.create sim ~spec:Spec.agc () in
+  let d = Flowmon.default_config in
+  List.iter
+    (fun (field, config) ->
+      match Flowmon.create ~config cluster ~traffic:[] with
+      | exception Invalid_argument _ -> ()
+      | fm ->
+        Flowmon.detach fm;
+        Alcotest.failf "bad %s accepted" field)
+    [
+      ("period", { d with period = Float.nan });
+      ("retain", { d with retain = 0 });
+      ("window", { d with window = d.retain + 1 });
+      ("sample_rate", { d with sample_rate = 0 });
+      ("pkt_bytes", { d with pkt_bytes = Float.infinity });
+      ("hot_threshold", { d with hot_threshold = Float.nan });
+      ("warmup", { d with warmup = Float.nan });
+      ("snapshot_every", { d with snapshot_every = Float.nan });
+    ]
+
 (* A terminal control-plane request as [Service] announces it: a missed
    deadline is a drop, anything else here a completion. *)
 let request_done tenant ~missed =
@@ -858,6 +902,8 @@ let () =
           Alcotest.test_case "reconstruction within 10%" `Quick test_flowmon_estimation;
           Alcotest.test_case "hotspots, burn rate, SLO attainment" `Quick
             test_flowmon_hotspot_and_burn;
+          Alcotest.test_case "config rejects out-of-range values" `Quick
+            test_flowmon_config_validation;
         ] );
       ( "ring",
         [
@@ -880,7 +926,7 @@ let () =
       ( "recorder",
         [
           Alcotest.test_case "reassembles the emitted tree" `Quick
-            test_recorder_mirrors_scope;
+            test_recorder_reassembles_tree;
           Alcotest.test_case "anomalies on a broken stream" `Quick test_recorder_anomalies;
           Alcotest.test_case "protocol metrics from instants" `Quick
             test_recorder_metrics_from_instants;
