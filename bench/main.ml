@@ -33,9 +33,10 @@ open Ninja_experiments
 let wall () = Int64.to_float (Mclock.now ()) /. 1e9
 
 (* Machine-readable companion to the printed tables: per-entry wall-clock,
-   CPU and simulated seconds (and, at [-j 1], minor words), so perf
-   regressions across snapshots can be compared without scraping stdout.
-   [nproc] and the OCaml version say what a [-j N] row could use. *)
+   CPU and simulated seconds, events executed and heap insertions (and, at
+   [-j 1], minor words), so perf regressions across snapshots can be
+   compared without scraping stdout. [nproc] and the OCaml version say
+   what a [-j N] row could use. *)
 let next_snapshot () =
   Sys.readdir "."
   |> Array.fold_left
@@ -47,6 +48,11 @@ let next_snapshot () =
          else acc)
        0
   |> succ
+
+(* What an entry's simulations report through the context's observation
+   hook, summed over the entry. The counts are integers far below 2^53, so
+   their float sums are exact in any order, hence at any [-j]. *)
+type sums = { mutable sim_s : float; mutable events : float; mutable heap_insertions : float }
 
 let write_bench_json ctx ~total_wall ~total_cpu entries =
   let n = next_snapshot () in
@@ -63,9 +69,11 @@ let write_bench_json ctx ~total_wall ~total_cpu entries =
   Printf.fprintf oc "  \"total_wall_s\": %.3f,\n  \"total_cpu_s\": %.3f,\n  \"entries\": [\n"
     total_wall total_cpu;
   List.iteri
-    (fun i (name, wall_s, cpu_s, sim_s, minor_words) ->
-      Printf.fprintf oc "    {\"name\": %S, \"wall_s\": %.3f, \"cpu_s\": %.3f, \"sim_s\": %.3f%s}%s\n"
-        name wall_s cpu_s sim_s
+    (fun i (name, wall_s, cpu_s, (sums : sums), minor_words) ->
+      Printf.fprintf oc
+        "    {\"name\": %S, \"wall_s\": %.3f, \"cpu_s\": %.3f, \"sim_s\": %.3f, \"events\": %.0f, \
+         \"heap_insertions\": %.0f%s}%s\n"
+        name wall_s cpu_s sums.sim_s sums.events sums.heap_insertions
         (match minor_words with
         | Some w -> Printf.sprintf ", \"minor_words\": %.0f" w
         | None -> "")
@@ -75,42 +83,45 @@ let write_bench_json ctx ~total_wall ~total_cpu entries =
   close_out oc;
   Printf.printf "wrote %s\n%!" path
 
-let run_experiments ~snapshot ctx names =
+let run_experiments ~snapshot ctx entries =
   let w0 = wall () and c0 = Sys.time () in
   let results = ref [] in
   List.iter
-    (fun name ->
-      match Registry.find name with
-      | None -> Printf.printf "unknown experiment: %s\n%!" name
-      | Some e ->
-        Printf.printf "== %s: %s ==\n%!" e.Registry.name e.Registry.description;
-        (* Each simulation reports its simulated end time through the
-           context's observation hook, possibly from a pooled domain. *)
-        let sim_s = ref 0.0 in
-        let sim_m = Mutex.create () in
-        let ectx =
-          Ninja_engine.Run_ctx.with_observer
-            (Some
-               (fun name v ->
-                 if String.equal name "sim_s" then
-                   Mutex.protect sim_m (fun () -> sim_s := !sim_s +. v)))
-            ctx
-        in
-        let w = wall () and c = Sys.time () and mw = Gc.minor_words () in
-        List.iter Ninja_metrics.Table.print (Registry.run_entry ectx e);
-        let wall_s = wall () -. w and cpu_s = Sys.time () -. c in
-        (* [Gc.minor_words] counts the calling domain only: exact at -j 1,
-           an undercount once pooled domains share the work. *)
-        let minor_words =
-          if Ninja_engine.Run_ctx.jobs ctx = 1 then Some (Gc.minor_words () -. mw) else None
-        in
-        Printf.printf "(generated in %.1fs wall, %.1fs CPU, %.1fs simulated%s)\n\n%!" wall_s
-          cpu_s !sim_s
-          (match minor_words with
-          | Some w -> Printf.sprintf ", %.3fG minor words" (w /. 1e9)
-          | None -> "");
-        results := (e.Registry.name, wall_s, cpu_s, !sim_s, minor_words) :: !results)
-    names;
+    (fun e ->
+      Printf.printf "== %s: %s ==\n%!" e.Registry.name e.Registry.description;
+      (* Each simulation reports through the context's observation hook,
+         possibly from a pooled domain. *)
+      let sums = { sim_s = 0.0; events = 0.0; heap_insertions = 0.0 } in
+      let m = Mutex.create () in
+      let ectx =
+        Ninja_engine.Run_ctx.with_observer
+          (Some
+             (fun name v ->
+               Mutex.protect m (fun () ->
+                   match name with
+                   | "sim_s" -> sums.sim_s <- sums.sim_s +. v
+                   | "sim_events" -> sums.events <- sums.events +. v
+                   | "heap_insertions" -> sums.heap_insertions <- sums.heap_insertions +. v
+                   | _ -> ())))
+          ctx
+      in
+      let w = wall () and c = Sys.time () and mw = Gc.minor_words () in
+      List.iter Ninja_metrics.Table.print (Registry.run_entry ectx e);
+      let wall_s = wall () -. w and cpu_s = Sys.time () -. c in
+      (* [Gc.minor_words] counts the calling domain only: exact at -j 1,
+         an undercount once pooled domains share the work. *)
+      let minor_words =
+        if Ninja_engine.Run_ctx.jobs ctx = 1 then Some (Gc.minor_words () -. mw) else None
+      in
+      Printf.printf
+        "(generated in %.1fs wall, %.1fs CPU, %.1fs simulated, %.0f events, %.0f heap \
+         insertions%s)\n\n%!"
+        wall_s cpu_s sums.sim_s sums.events sums.heap_insertions
+        (match minor_words with
+        | Some w -> Printf.sprintf ", %.3fG minor words" (w /. 1e9)
+        | None -> "");
+      results := (e.Registry.name, wall_s, cpu_s, sums, minor_words) :: !results)
+    entries;
   let total_wall = wall () -. w0 and total_cpu = Sys.time () -. c0 in
   Printf.printf "== total: %.1fs wall, %.1fs CPU (%d job%s) ==\n%!" total_wall total_cpu
     (Ninja_engine.Run_ctx.jobs ctx)
@@ -124,16 +135,15 @@ let run_experiments ~snapshot ctx names =
 
 open Ninja_engine
 
-let bench_heap =
-  Test.make ~name:"engine/event-heap push+pop x1k"
+let bench_events =
+  Test.make ~name:"engine/schedule x1k, cancel 1/3, run"
     (Staged.stage @@ fun () ->
-    let h = Pheap.create () in
+    let sim = Sim.create () in
     for i = 0 to 999 do
-      Pheap.add h ~key:(i * 7919 mod 1000) ~seq:i i
+      let h = Sim.schedule sim ~after:(Time.ns (i * 7919 mod 1000)) ignore in
+      if i mod 3 = 0 then Sim.cancel sim h
     done;
-    while not (Pheap.is_empty h) do
-      ignore (Pheap.pop h)
-    done)
+    Sim.run sim)
 
 let bench_fibers =
   Test.make ~name:"engine/spawn+run 100 sleeping fibers"
@@ -205,7 +215,7 @@ let bench_fig8 =
 let micro_tests =
   Test.make_grouped ~name:"ninja" ~fmt:"%s %s"
     [
-      bench_heap;
+      bench_events;
       bench_fibers;
       bench_fabric;
       bench_collective;
@@ -278,16 +288,23 @@ let () =
       Pool.with_pool ~size:jobs (fun pool -> k (Run_ctx.make ~mode ~pool ()))
     else k (Run_ctx.make ~mode ())
   in
+  let one mode name =
+    match Registry.find name with
+    | Some e -> with_ctx mode (fun ctx -> run_experiments ~snapshot:false ctx [ e ])
+    | None ->
+      prerr_string (usage ());
+      exit 2
+  in
   match args with
   | [ "micro" ] -> run_micro ()
   | [ "quick" ] ->
-    with_ctx Run_ctx.Quick (fun ctx -> run_experiments ~snapshot:true ctx Registry.names);
+    with_ctx Run_ctx.Quick (fun ctx -> run_experiments ~snapshot:true ctx Registry.all);
     run_micro ()
   | [ "full" ] | [] ->
-    with_ctx Run_ctx.Full (fun ctx -> run_experiments ~snapshot:true ctx Registry.names);
+    with_ctx Run_ctx.Full (fun ctx -> run_experiments ~snapshot:true ctx Registry.all);
     run_micro ()
-  | [ name ] when Registry.find name <> None ->
-    with_ctx Run_ctx.Quick (fun ctx -> run_experiments ~snapshot:false ctx [ name ])
-  | [ name; "full" ] | [ "full"; name ] ->
-    with_ctx Run_ctx.Full (fun ctx -> run_experiments ~snapshot:false ctx [ name ])
-  | _ -> print_string (usage ())
+  | [ name ] -> one Run_ctx.Quick name
+  | [ name; "full" ] | [ "full"; name ] -> one Run_ctx.Full name
+  | _ ->
+    prerr_string (usage ());
+    exit 2

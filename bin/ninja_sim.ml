@@ -604,6 +604,9 @@ let serve_cmd =
         );
         (positive mem_gb, "--mem-gb must be positive and finite");
         (positive stats_every, "--stats-every must be positive and finite");
+        (Option.fold slo ~none:true ~some:positive, "--slo must be positive and finite");
+        ( burst_period = 0.0 || positive burst_period,
+          "--burst-period must be 0 or positive and finite" );
         (Option.fold top_k ~none:true ~some:(fun k -> k >= 1), "--top must be at least 1");
       ];
     (* Boot placement depends on the context's cluster, so this check

@@ -114,7 +114,7 @@ let sweep t =
 let reschedule t =
   (match t.timer with
   | Some h ->
-    Sim.cancel h;
+    Sim.cancel t.sim h;
     t.timer <- None
   | None -> ());
   let best = ref (-1) and best_eta = ref 0.0 in

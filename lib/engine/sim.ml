@@ -1,14 +1,131 @@
-(* A scheduled event is its own cancellation handle. *)
-type event = { run : unit -> unit; mutable cancelled : bool }
+(* A scheduled event is its own cancellation handle. [slot] is its index
+   in the heap while it waits there, [in_fifo] while it waits in the
+   same-instant queue, and [dead] once it has fired or been cancelled. *)
+type event = { run : unit -> unit; mutable slot : int }
 
 type handle = event
 
+let in_fifo = -1
+
+let dead = -2
+
+(* Fills vacated slots, so the queues hold no fired closure alive. *)
+let vacant = { run = ignore; slot = dead }
+
+(* Events after the current instant: a binary min-heap on (key, seq).
+   Keys and sequence numbers sit unboxed in parallel arrays beside the
+   events, and every move writes the event's new index into its [slot],
+   so a cancel removes it in O(log n) instead of leaving a tombstone. *)
+module Heap = struct
+  type t = {
+    mutable keys : int array;
+    mutable seqs : int array;
+    mutable evs : event array;
+    mutable size : int;
+  }
+
+  let create () = { keys = [||]; seqs = [||]; evs = [||]; size = 0 }
+
+  let[@inline] put h i key seq ev =
+    Array.unsafe_set h.keys i key;
+    Array.unsafe_set h.seqs i seq;
+    Array.unsafe_set h.evs i ev;
+    ev.slot <- i
+
+  (* Whether the entry at [i] orders before (key, seq). *)
+  let[@inline] before h i key seq =
+    let k = Array.unsafe_get h.keys i in
+    k < key || (k = key && Array.unsafe_get h.seqs i < seq)
+
+  (* Sift (key, seq, ev) from the hole [i] up, or down, to its place. *)
+  let rec sift_up h i key seq ev =
+    let p = (i - 1) / 2 in
+    if i > 0 && not (before h p key seq) then begin
+      put h i (Array.unsafe_get h.keys p) (Array.unsafe_get h.seqs p) (Array.unsafe_get h.evs p);
+      sift_up h p key seq ev
+    end
+    else put h i key seq ev
+
+  let rec sift_down h i key seq ev =
+    let l = (2 * i) + 1 in
+    let c =
+      if l + 1 < h.size && before h (l + 1) (Array.unsafe_get h.keys l) (Array.unsafe_get h.seqs l)
+      then l + 1
+      else l
+    in
+    if c < h.size && before h c key seq then begin
+      put h i (Array.unsafe_get h.keys c) (Array.unsafe_get h.seqs c) (Array.unsafe_get h.evs c);
+      sift_down h c key seq ev
+    end
+    else put h i key seq ev
+
+  let add h key seq ev =
+    let cap = Array.length h.keys in
+    if h.size = cap then begin
+      let grow a fill =
+        let b = Array.make (max 64 (2 * cap)) fill in
+        Array.blit a 0 b 0 cap;
+        b
+      in
+      h.keys <- grow h.keys 0;
+      h.seqs <- grow h.seqs 0;
+      h.evs <- grow h.evs vacant
+    end;
+    h.size <- h.size + 1;
+    sift_up h (h.size - 1) key seq ev
+
+  (* Fill the hole at [i] with the last entry. *)
+  let remove h i =
+    let last = h.size - 1 in
+    let key = h.keys.(last) and seq = h.seqs.(last) and ev = h.evs.(last) in
+    h.evs.(last) <- vacant;
+    h.size <- last;
+    if i < last then
+      if i > 0 && not (before h ((i - 1) / 2) key seq) then sift_up h i key seq ev
+      else sift_down h i key seq ev
+
+  let pop h =
+    let ev = h.evs.(0) in
+    remove h 0;
+    ev
+end
+
+(* Events at the current instant: a growable circular FIFO, its capacity
+   a power of two. *)
+module Fifo = struct
+  type t = { mutable buf : event array; mutable head : int; mutable len : int }
+
+  let create () = { buf = Array.make 64 vacant; head = 0; len = 0 }
+
+  let push q ev =
+    let cap = Array.length q.buf in
+    if q.len = cap then begin
+      let buf = Array.make (2 * cap) vacant in
+      for i = 0 to cap - 1 do
+        buf.(i) <- q.buf.((q.head + i) land (cap - 1))
+      done;
+      q.buf <- buf;
+      q.head <- 0
+    end;
+    q.buf.((q.head + q.len) land (Array.length q.buf - 1)) <- ev;
+    q.len <- q.len + 1
+
+  let pop q =
+    let ev = q.buf.(q.head) in
+    q.buf.(q.head) <- vacant;
+    q.head <- (q.head + 1) land (Array.length q.buf - 1);
+    q.len <- q.len - 1;
+    ev
+end
+
 type t = {
   mutable now : Time.t;
-  mutable seq : int;
-  queue : event Pheap.t;
+  mutable seq : int; (* numbers heap entries, so it counts heap insertions too *)
+  heap : Heap.t;
+  fifo : Fifo.t;
   prng : Prng.t;
   mutable n_events : int;
+  mutable n_pending : int;
   mutable next_fiber : int;
   fibers : (int, string) Hashtbl.t; (* live (spawned, not yet finished): id -> name *)
 }
@@ -23,9 +140,11 @@ let create ?(seed = 1L) () =
   {
     now = Time.zero;
     seq = 0;
-    queue = Pheap.create ();
+    heap = Heap.create ();
+    fifo = Fifo.create ();
     prng = Prng.create ~seed;
     n_events = 0;
+    n_pending = 0;
     next_fiber = 0;
     fibers = Hashtbl.create 64;
   }
@@ -36,18 +155,34 @@ let prng t = t.prng
 
 let events_processed t = t.n_events
 
+let pending t = t.n_pending
+
+let heap_insertions t = t.seq
+
+(* An event at [now] was scheduled after every heap entry keyed [now]
+   (those were scheduled before the clock got here), so queueing it behind
+   them keeps the (key, seq) order without a sequence number. *)
 let schedule_at t at run =
   if Time.(at < t.now) then invalid_arg "Sim.schedule_at: time is in the past";
-  let ev = { run; cancelled = false } in
-  Pheap.add t.queue ~key:(Time.to_int at) ~seq:t.seq ev;
-  t.seq <- t.seq + 1;
+  let ev = { run; slot = in_fifo } in
+  if Time.equal at t.now then Fifo.push t.fifo ev
+  else begin
+    Heap.add t.heap (Time.to_int at) t.seq ev;
+    t.seq <- t.seq + 1
+  end;
+  t.n_pending <- t.n_pending + 1;
   ev
 
 let schedule t ~after run =
   let after = if Time.is_negative after then Time.zero else after in
   schedule_at t (Time.add t.now after) run
 
-let cancel ev = ev.cancelled <- true
+let cancel t ev =
+  if ev.slot <> dead then begin
+    if ev.slot >= 0 then Heap.remove t.heap ev.slot;
+    ev.slot <- dead;
+    t.n_pending <- t.n_pending - 1
+  end
 
 (* The per-fiber effect handler. [Suspend]'s register function receives a
    resume callback that is idempotent: only its first invocation schedules
@@ -111,24 +246,31 @@ let sleep d = sleep_on (get_current ()) d
 
 let suspend register = suspend_on (get_current ()) register
 
-(* The one event loop both entry points share: pop and execute events
-   whose timestamp is at most [limit]. Every event of this loop runs under
+let fire t ev =
+  ev.slot <- dead;
+  t.n_pending <- t.n_pending - 1;
+  t.n_events <- t.n_events + 1;
+  ev.run ()
+
+(* The one event loop both entry points share: execute events whose
+   timestamp is at most [limit], in (key, seq) order. At an instant the
+   heap's entries keyed [now] go first, then the FIFO; only then does the
+   clock move to the heap's minimum. Every event of this loop runs under
    [t] as the ambient simulation, so it is set once here, not per event;
    a nested drain of another simulation restores it on the way out. *)
 let drain t ~limit =
-  let q = t.queue in
+  let h = t.heap and q = t.fifo in
   let rec loop () =
-    if not (Pheap.is_empty q) then begin
-      let k = Pheap.min_key q in
-      if k <= limit then begin
-        let ev = Pheap.pop q in
-        if not ev.cancelled then begin
-          t.now <- Time.ns k;
-          t.n_events <- t.n_events + 1;
-          ev.run ()
-        end;
-        loop ()
-      end
+    let now = Time.to_int t.now in
+    if h.size > 0 && h.keys.(0) <= limit && (q.len = 0 || h.keys.(0) = now) then begin
+      t.now <- Time.ns h.keys.(0);
+      fire t (Heap.pop h);
+      loop ()
+    end
+    else if q.len > 0 && now <= limit then begin
+      let ev = Fifo.pop q in
+      if ev.slot = in_fifo then fire t ev;
+      loop ()
     end
   in
   let saved = Domain.DLS.get current_sim in

@@ -121,6 +121,8 @@ let flush_telemetry env =
 
 let finish env =
   Run_ctx.observe env.ctx "sim_s" (Time.to_sec_f (Sim.now env.sim));
+  Run_ctx.observe env.ctx "sim_events" (float_of_int (Sim.events_processed env.sim));
+  Run_ctx.observe env.ctx "heap_insertions" (float_of_int (Sim.heap_insertions env.sim));
   Run_ctx.observe env.ctx "probe_events"
     (float_of_int (Probe.emitted (Cluster.probes env.cluster)));
   flush_trace env;

@@ -51,7 +51,9 @@ val run_to_completion : env -> unit
     [-- trace (seed N) --] header, the recorder's span fragment to the
     spans sink and its metrics CSV to the metrics sink (each only when
     armed), and to the observation hook the simulated end time as
-    ["sim_s"] and the probe events delivered as ["probe_events"]. *)
+    ["sim_s"], the events executed as ["sim_events"], the events that
+    entered the heap as ["heap_insertions"] and the probe events delivered
+    as ["probe_events"]. *)
 
 val run_until : env -> Time.t -> unit
 (** [Sim.run_until] plus the same flush. *)

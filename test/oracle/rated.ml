@@ -82,7 +82,7 @@ let eps = 1e-6
 let rec reschedule t =
   (match t.timer with
   | Some h ->
-    Sim.cancel h;
+    Sim.cancel t.sim h;
     t.timer <- None
   | None -> ());
   let next =

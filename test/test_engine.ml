@@ -90,7 +90,9 @@ let test_prng_exponential_mean () =
   Alcotest.(check bool) "mean within 5%" true (Float.abs (mean -. 5.0) < 0.25)
 
 (* ------------------------------------------------------------------ *)
-(* Pheap *)
+(* Pheap: the heap the heap-only oracle Sim runs on *)
+
+module Pheap = Engine_oracle.Pheap
 
 let pheap_sorted_prop =
   QCheck.Test.make ~name:"pheap pops keys in order" ~count:300
@@ -190,7 +192,7 @@ let test_sim_cancel () =
   let sim = Sim.create () in
   let fired = ref false in
   let h = Sim.schedule sim ~after:(Time.sec 1) (fun () -> fired := true) in
-  Sim.cancel h;
+  Sim.cancel sim h;
   Sim.run sim;
   Alcotest.(check bool) "cancelled event did not fire" false !fired
 
@@ -260,6 +262,106 @@ let test_sim_determinism () =
     Buffer.contents log
   in
   Alcotest.(check string) "identical replays" (observe ()) (observe ())
+
+let test_sim_cancel_same_instant () =
+  let sim = Sim.create () in
+  let ran = ref [] in
+  ignore
+    (Sim.schedule sim ~after:(Time.sec 1) (fun () ->
+         let h = Sim.schedule sim ~after:Time.zero (fun () -> ran := "cancelled" :: !ran) in
+         ignore (Sim.schedule sim ~after:Time.zero (fun () -> ran := "kept" :: !ran));
+         Sim.cancel sim h));
+  Sim.run sim;
+  Alcotest.(check (list string)) "never runs" [ "kept" ] !ran;
+  Alcotest.(check int) "not counted" 2 (Sim.events_processed sim);
+  Alcotest.(check int) "nothing pending" 0 (Sim.pending sim)
+
+let test_sim_cancel_fired_or_cancelled () =
+  (* A stale handle must not take another event's heap slot with it. *)
+  let sim = Sim.create () in
+  let log = ref [] in
+  let at s = Sim.schedule sim ~after:(Time.sec s) (fun () -> log := s :: !log) in
+  let a = at 1 in
+  let b = at 2 in
+  ignore (at 3);
+  ignore (at 4);
+  Sim.run_until sim (Time.of_sec_f 1.5);
+  Sim.cancel sim a;
+  Sim.cancel sim b;
+  Sim.cancel sim b;
+  Alcotest.(check int) "one cancel counted" 2 (Sim.pending sim);
+  Sim.run sim;
+  Alcotest.(check (list int)) "the others fire" [ 1; 3; 4 ] (List.rev !log)
+
+let test_sim_cancelled_timer_keeps_clock () =
+  let sim = Sim.create () in
+  ignore (Sim.schedule sim ~after:(Time.sec 1) ignore);
+  let far = Sim.schedule sim ~after:(Time.sec 100) ignore in
+  Sim.cancel sim far;
+  Sim.run sim;
+  check_time "clock at the last live event" 1.0 (sec_f (Sim.now sim))
+
+let test_sim_run_until_below_now () =
+  let sim = Sim.create () in
+  Sim.run_until sim (Time.sec 5);
+  let log = ref [] in
+  ignore (Sim.schedule sim ~after:Time.zero (fun () -> log := "now" :: !log));
+  ignore (Sim.schedule sim ~after:(Time.sec 1) (fun () -> log := "later" :: !log));
+  Sim.run_until sim (Time.sec 3);
+  Alcotest.(check (list string)) "nothing ran" [] !log;
+  check_time "clock unchanged" 5.0 (sec_f (Sim.now sim));
+  Sim.run sim;
+  Alcotest.(check (list string)) "both run later" [ "now"; "later" ] (List.rev !log);
+  check_time "clock" 6.0 (sec_f (Sim.now sim))
+
+(* Heap removal keeps the heap ordered: up to 300 events at colliding
+   times, a random third cancelled before a partial run and another third
+   after it, and the survivors fire in (time, scheduling order). *)
+let sim_cancel_order_prop =
+  QCheck.Test.make ~name:"sim fires the survivors of random cancels in order" ~count:300
+    QCheck.(pair small_int (int_range 1 300))
+    (fun (salt, n) ->
+      let prng = Prng.create ~seed:(Int64.add env_seed (Int64.of_int salt)) in
+      let sim = Sim.create () in
+      let fired = ref [] in
+      let keys = Array.init n (fun _ -> Prng.int prng 40) in
+      let handles =
+        Array.mapi (fun i k -> Sim.schedule_at sim (Time.ns k) (fun () -> fired := i :: !fired)) keys
+      in
+      let cancel_third () =
+        let gone = Array.make n false in
+        for _ = 1 to n / 3 do
+          let i = Prng.int prng n in
+          gone.(i) <- true;
+          Sim.cancel sim handles.(i)
+        done;
+        gone
+      in
+      let before = cancel_third () in
+      Sim.run_until sim (Time.ns 10);
+      let after = cancel_third () in
+      Sim.run sim;
+      let in_order ok =
+        List.filter ok (List.init n Fun.id)
+        |> List.stable_sort (fun i j -> compare keys.(i) keys.(j))
+      in
+      List.rev !fired
+      = in_order (fun i -> keys.(i) <= 10 && not before.(i))
+        @ in_order (fun i -> keys.(i) > 10 && not (before.(i) || after.(i))))
+
+let test_sim_pending_per_cancel () =
+  let sim = Sim.create () in
+  (* Three at the current instant, nine in the heap. *)
+  let handles = List.init 12 (fun i -> Sim.schedule sim ~after:(Time.ms (i mod 4)) ignore) in
+  Alcotest.(check int) "all pending" 12 (Sim.pending sim);
+  Alcotest.(check int) "heap insertions" 9 (Sim.heap_insertions sim);
+  List.iteri
+    (fun i h ->
+      Sim.cancel sim h;
+      Alcotest.(check int) "one fewer" (11 - i) (Sim.pending sim))
+    handles;
+  Sim.run sim;
+  Alcotest.(check int) "none ran" 0 (Sim.events_processed sim)
 
 (* ------------------------------------------------------------------ *)
 (* Ivar *)
@@ -492,6 +594,23 @@ let test_ps_zero_work () =
       ok := true);
   Sim.run sim;
   Alcotest.(check bool) "zero work completes" true !ok
+
+let test_ps_rerate_one_timer () =
+  (* Every re-rate cancels and re-arms the completion timer: the cancelled
+     ones leave the queue at once. *)
+  let sim = Sim.create () in
+  let cpu = Ps_resource.create sim ~name:"cpu" ~capacity:1.0 in
+  let task = Ps_resource.start cpu ~demand:1.0 ~work:5.0 in
+  for i = 1 to 10_000 do
+    Ps_resource.set_capacity cpu (if i mod 2 = 0 then 1.0 else 0.5)
+  done;
+  Alcotest.(check int) "one pending completion timer" 1 (Sim.pending sim);
+  let finished = ref 0.0 in
+  Sim.spawn sim (fun () ->
+      Ps_resource.await task;
+      finished := sec_f (Sim.now sim));
+  Sim.run sim;
+  check_time "completes at full capacity" 5.0 !finished
 
 let ps_work_conservation_prop =
   (* Total completion time of n equal tasks = total work / min(capacity,
@@ -763,8 +882,184 @@ let rated_matches_oracle_prop =
         QCheck.Test.fail_reportf "line %d:\n  array: %s\n  list:  %s" line fast reference)
 
 (* ------------------------------------------------------------------ *)
+(* Differential: Sim's same-instant FIFO and indexed heap against the
+   heap-only Sim they replaced (Engine_oracle.Heap_sim). Both run the same
+   random program of raw events, cancels, fibers, suspends, resumes and
+   run_until calls; their transcripts must be identical. *)
+
+module type SIM = sig
+  type t
+
+  type handle
+
+  exception Deadlock of string list
+
+  val create : ?seed:int64 -> unit -> t
+
+  val now : t -> Time.t
+
+  val events_processed : t -> int
+
+  val schedule : t -> after:Time.span -> (unit -> unit) -> handle
+
+  val schedule_at : t -> Time.t -> (unit -> unit) -> handle
+
+  val cancel : t -> handle -> unit
+
+  val spawn : t -> ?name:string -> (unit -> unit) -> unit
+
+  val sleep : Time.span -> unit
+
+  val suspend : ((unit -> unit) -> unit) -> unit
+
+  val run : t -> unit
+
+  val run_until : t -> Time.t -> unit
+end
+
+module Heap_sim = struct
+  include Engine_oracle.Heap_sim
+
+  let cancel _ h = cancel h
+end
+
+(* Offsets are in ns, from a small range so that keys collide. *)
+type act =
+  | At of int * act list  (** [schedule_at] now + offset *)
+  | After of int * act list  (** [schedule ~after], negative offsets included *)
+  | Cancel of int  (** the k-th handle (mod count): pending, due now, fired or cancelled *)
+  | Spawn of fiber_op list
+  | Resume of int  (** the k-th registered resume (mod count), possibly again *)
+
+and fiber_op = Sleep_ns of int | Suspend | Act of act
+
+type step = Do of act | Until of int  (** [run_until] now + offset, negative included *)
+
+let rec pp_act = function
+  | At (d, body) -> Printf.sprintf "at(%d)[%s]" d (pp_acts body)
+  | After (d, body) -> Printf.sprintf "after(%d)[%s]" d (pp_acts body)
+  | Cancel k -> Printf.sprintf "cancel(%d)" k
+  | Spawn ops ->
+    Printf.sprintf "spawn{%s}"
+      (String.concat " "
+         (List.map
+            (function
+              | Sleep_ns d -> Printf.sprintf "sleep(%d)" d
+              | Suspend -> "suspend"
+              | Act a -> pp_act a)
+            ops))
+  | Resume k -> Printf.sprintf "resume(%d)" k
+
+and pp_acts acts = String.concat " " (List.map pp_act acts)
+
+let pp_step = function Do a -> pp_act a | Until d -> Printf.sprintf "until(%+d)" d
+
+(* Each firing logs its id and time; each run_until logs the clock and
+   the event count; the run ends with its Deadlock payload, if any. *)
+module Sim_transcript (S : SIM) = struct
+  let run steps =
+    let sim = S.create () in
+    let log = Buffer.create 1024 in
+    let line fmt = Printf.kbprintf (fun b -> Buffer.add_char b '\n') log fmt in
+    let ns () = Time.to_int (S.now sim) in
+    let handles = ref [||] and resumes = ref [||] and ids = ref 0 in
+    let nth arr k = if Array.length !arr = 0 then None else Some !arr.(k mod Array.length !arr) in
+    let fresh () =
+      incr ids;
+      !ids
+    in
+    let rec act = function
+      | At (d, body) -> arm (fun run -> S.schedule_at sim (Time.ns (ns () + d)) run) body
+      | After (d, body) -> arm (fun run -> S.schedule sim ~after:(Time.ns d) run) body
+      | Cancel k -> Option.iter (S.cancel sim) (nth handles k)
+      | Spawn ops ->
+        let id = fresh () in
+        S.spawn sim ~name:(Printf.sprintf "f%d" id) (fun () ->
+            line "f%d start %d" id (ns ());
+            List.iter (fiber_op id) ops;
+            line "f%d end %d" id (ns ()))
+      | Resume k -> Option.iter (fun resume -> resume ()) (nth resumes k)
+    and arm schedule body =
+      let id = fresh () in
+      let h =
+        schedule (fun () ->
+            line "e%d fire %d" id (ns ());
+            List.iter act body)
+      in
+      handles := Array.append !handles [| h |]
+    and fiber_op id = function
+      | Sleep_ns d ->
+        S.sleep (Time.ns d);
+        line "f%d woke %d" id (ns ())
+      | Suspend ->
+        S.suspend (fun resume -> resumes := Array.append !resumes [| resume |]);
+        line "f%d resumed %d" id (ns ())
+      | Act a -> act a
+    in
+    List.iter
+      (function
+        | Do a -> act a
+        | Until d ->
+          S.run_until sim (Time.ns (ns () + d));
+          line "until %+d: now %d events %d" d (ns ()) (S.events_processed sim))
+      steps;
+    (match S.run sim with
+    | () -> line "run: ok"
+    | exception S.Deadlock names -> line "run: deadlock %s" (String.concat " " names));
+    line "end: now %d events %d" (ns ()) (S.events_processed sim);
+    Buffer.contents log
+end
+
+module Queue_transcript = Sim_transcript (Sim)
+module Heap_transcript = Sim_transcript (Heap_sim)
+
+let sim_program_gen =
+  let open QCheck.Gen in
+  let offset = frequency [ (4, return 0); (4, int_range 1 4); (1, return 7); (1, return (-1)) ] in
+  let rec act depth =
+    let leaves = [ (2, map (fun k -> Cancel k) small_nat); (1, map (fun k -> Resume k) small_nat) ] in
+    if depth = 0 then frequency leaves
+    else
+      frequency
+        (leaves
+        @ [
+            (3, map2 (fun d body -> At (max 0 d, body)) offset (acts (depth - 1)));
+            (3, map2 (fun d body -> After (d, body)) offset (acts (depth - 1)));
+            (2, map (fun ops -> Spawn ops) (list_size (int_range 1 4) (fiber_op (depth - 1))));
+          ])
+  and acts depth = list_size (int_bound 3) (act depth)
+  and fiber_op depth =
+    frequency
+      [
+        (3, map (fun d -> Sleep_ns d) offset);
+        (2, return Suspend);
+        (3, map (fun a -> Act a) (act depth));
+      ]
+  in
+  list_size (int_range 1 25)
+    (frequency [ (5, map (fun a -> Do a) (act 3)); (2, map (fun d -> Until d) (int_range (-2) 6)) ])
+
+let sim_matches_oracle_prop =
+  QCheck.Test.make ~name:"sim queue matches the heap-only oracle" ~count:500
+    (QCheck.make ~shrink:QCheck.Shrink.list
+       ~print:(fun steps -> String.concat "; " (List.map pp_step steps))
+       sim_program_gen)
+    (fun steps ->
+      match first_difference (Queue_transcript.run steps) (Heap_transcript.run steps) with
+      | None -> true
+      | Some (line, queue, heap) ->
+        QCheck.Test.fail_reportf "line %d:\n  queue: %s\n  heap:  %s" line queue heap)
+
+(* ------------------------------------------------------------------ *)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
+
+(* Programs drawn from NINJA_TEST_SEED, so each seed of the CI matrix
+   races the queues on its own reproducible stream. *)
+let seeded_qsuite tests =
+  List.map
+    (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| Int64.to_int env_seed |]))
+    tests
 
 
 (* ------------------------------------------------------------------ *)
@@ -915,7 +1210,15 @@ let () =
           Alcotest.test_case "schedule in past" `Quick test_sim_schedule_past_rejected;
           Alcotest.test_case "exception propagates" `Quick test_sim_exception_propagates;
           Alcotest.test_case "deterministic replay" `Quick test_sim_determinism;
-        ] );
+          Alcotest.test_case "cancel same instant" `Quick test_sim_cancel_same_instant;
+          Alcotest.test_case "cancel fired or cancelled" `Quick test_sim_cancel_fired_or_cancelled;
+          Alcotest.test_case "cancelled timer keeps clock" `Quick
+            test_sim_cancelled_timer_keeps_clock;
+          Alcotest.test_case "run_until below now" `Quick test_sim_run_until_below_now;
+          Alcotest.test_case "pending per cancel" `Quick test_sim_pending_per_cancel;
+        ]
+        @ qsuite [ sim_cancel_order_prop ]
+        @ seeded_qsuite [ sim_matches_oracle_prop ] );
       ( "ivar",
         [
           Alcotest.test_case "fill then read" `Quick test_ivar_fill_then_read;
@@ -943,6 +1246,7 @@ let () =
         :: Alcotest.test_case "capacity change" `Quick test_ps_capacity_change
         :: Alcotest.test_case "cancel" `Quick test_ps_cancel
         :: Alcotest.test_case "zero work" `Quick test_ps_zero_work
+        :: Alcotest.test_case "rerated 10k times, one timer" `Quick test_ps_rerate_one_timer
         :: qsuite [ ps_work_conservation_prop ] );
       ( "rated",
         qsuite [ rated_conservation_prop; rated_cancel_conservation_prop; rated_matches_oracle_prop ]
