@@ -1,4 +1,4 @@
-.PHONY: all build test check digests parity fmt clean
+.PHONY: all build test check digests parity mutants fmt clean
 
 all: build
 
@@ -29,6 +29,12 @@ digests:
 # `git archive REV` in a temporary directory. Exits 1 on any difference.
 parity:
 	bench/parity.sh $(REV)
+
+# Planted bugs (test/mutants/*.patch) each fail the test they name,
+# built from `git archive REV` (default HEAD). Exits 1 if one survives
+# or no longer applies. Kept out of `dune runtest`.
+mutants:
+	test/mutants/run.sh $(REV)
 
 # Advisory: requires ocamlformat, which not every dev box has.
 fmt:

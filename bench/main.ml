@@ -33,8 +33,8 @@ open Ninja_experiments
 let wall () = Int64.to_float (Mclock.now ()) /. 1e9
 
 (* Machine-readable companion to the printed tables: per-entry wall-clock,
-   CPU and simulated seconds, events executed and heap insertions (and, at
-   [-j 1], minor words), so perf regressions across snapshots can be
+   CPU and simulated seconds, events executed, heap insertions and rate-set
+   policy runs (and, at [-j 1], minor words), so perf regressions across snapshots can be
    compared without scraping stdout. [nproc] and the OCaml version say
    what a [-j N] row could use. *)
 let next_snapshot () =
@@ -52,7 +52,12 @@ let next_snapshot () =
 (* What an entry's simulations report through the context's observation
    hook, summed over the entry. The counts are integers far below 2^53, so
    their float sums are exact in any order, hence at any [-j]. *)
-type sums = { mutable sim_s : float; mutable events : float; mutable heap_insertions : float }
+type sums = {
+  mutable sim_s : float;
+  mutable events : float;
+  mutable heap_insertions : float;
+  mutable rerates : float;
+}
 
 let write_bench_json ctx ~total_wall ~total_cpu entries =
   let n = next_snapshot () in
@@ -72,8 +77,8 @@ let write_bench_json ctx ~total_wall ~total_cpu entries =
     (fun i (name, wall_s, cpu_s, (sums : sums), minor_words) ->
       Printf.fprintf oc
         "    {\"name\": %S, \"wall_s\": %.3f, \"cpu_s\": %.3f, \"sim_s\": %.3f, \"events\": %.0f, \
-         \"heap_insertions\": %.0f%s}%s\n"
-        name wall_s cpu_s sums.sim_s sums.events sums.heap_insertions
+         \"heap_insertions\": %.0f, \"rerates\": %.0f%s}%s\n"
+        name wall_s cpu_s sums.sim_s sums.events sums.heap_insertions sums.rerates
         (match minor_words with
         | Some w -> Printf.sprintf ", \"minor_words\": %.0f" w
         | None -> "")
@@ -91,7 +96,7 @@ let run_experiments ~snapshot ctx entries =
       Printf.printf "== %s: %s ==\n%!" e.Registry.name e.Registry.description;
       (* Each simulation reports through the context's observation hook,
          possibly from a pooled domain. *)
-      let sums = { sim_s = 0.0; events = 0.0; heap_insertions = 0.0 } in
+      let sums = { sim_s = 0.0; events = 0.0; heap_insertions = 0.0; rerates = 0.0 } in
       let m = Mutex.create () in
       let ectx =
         Ninja_engine.Run_ctx.with_observer
@@ -102,6 +107,7 @@ let run_experiments ~snapshot ctx entries =
                    | "sim_s" -> sums.sim_s <- sums.sim_s +. v
                    | "sim_events" -> sums.events <- sums.events +. v
                    | "heap_insertions" -> sums.heap_insertions <- sums.heap_insertions +. v
+                   | "rerates" -> sums.rerates <- sums.rerates +. v
                    | _ -> ())))
           ctx
       in
@@ -115,8 +121,8 @@ let run_experiments ~snapshot ctx entries =
       in
       Printf.printf
         "(generated in %.1fs wall, %.1fs CPU, %.1fs simulated, %.0f events, %.0f heap \
-         insertions%s)\n\n%!"
-        wall_s cpu_s sums.sim_s sums.events sums.heap_insertions
+         insertions, %.0f re-rates%s)\n\n%!"
+        wall_s cpu_s sums.sim_s sums.events sums.heap_insertions sums.rerates
         (match minor_words with
         | Some w -> Printf.sprintf ", %.3fG minor words" (w /. 1e9)
         | None -> "");

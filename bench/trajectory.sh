@@ -1,7 +1,8 @@
 #!/bin/sh
 # Bench trajectory: chart wall-time across every committed BENCH_N.json,
-# with each entry's events executed and event-heap insertions where the
-# snapshot records them ("-" before BENCH_13).
+# with each entry's events executed, event-heap insertions and rate-set
+# re-rates where the snapshot records them ("-" before BENCH_13, and for
+# re-rates before BENCH_14).
 #
 #   bench/trajectory.sh              # all snapshots in the repo root
 #   bench/trajectory.sh evacuation   # one experiment's trajectory only
@@ -36,10 +37,11 @@ if [ "$#" -eq 1 ]; then
   jobs=$(jq -r '.jobs // 1' "$f")
   printf 'single snapshot (PR %s, -j%s): %ss total wall\n' "$pr" "$jobs" "$w"
   jq -r '.entries[] | [.name, (.wall_s | tostring), (.events // "-" | tostring),
-      (.heap_insertions // "-" | tostring)] | @tsv' "$f" \
-    | while IFS="$(printf '\t')" read -r name w ev hi; do
+      (.heap_insertions // "-" | tostring), (.rerates // "-" | tostring)] | @tsv' "$f" \
+    | while IFS="$(printf '\t')" read -r name w ev hi rr; do
         if [ -n "$only" ] && [ "$name" != "$only" ]; then continue; fi
-        printf '  %-18s %8.3fs %11s events %11s heap insertions\n' "$name" "$w" "$ev" "$hi"
+        printf '  %-18s %8.3fs %11s events %11s heap insertions %11s re-rates\n' \
+          "$name" "$w" "$ev" "$hi" "$rr"
       done
   exit 0
 fi
@@ -77,7 +79,7 @@ for name in $names; do
     w=$(jq -r --arg n "$name" '[.entries[] | select(.name == $n) | .wall_s] | first // 0' "$f")
     max=$(jq -n --argjson a "$max" --argjson b "$w" 'if $b > $a then $b else $a end')
   done
-  echo "$name: wall, delta, events, heap insertions"
+  echo "$name: wall, delta, events, heap insertions, re-rates"
   prev=""
   for f; do
     pr=$(jq -r '.pr' "$f")
@@ -86,15 +88,17 @@ for name in $names; do
       printf '  PR %-3s %8s\n' "$pr" "-"
     else
       counts=$(jq -r --arg n "$name" \
-        '[.entries[] | select(.name == $n) | "\(.events // "-") \(.heap_insertions // "-")"] | first' "$f")
+        '[.entries[] | select(.name == $n)
+          | "\(.events // "-") \(.heap_insertions // "-") \(.rerates // "-")"] | first' "$f")
       delta=""
       if [ -n "$prev" ]; then
         delta=$(jq -n --argjson p "$prev" --argjson w "$w" \
           'if $p <= 0 then "" else ((($w - $p) / $p * 100) | if . >= 0 then "+\(. | floor)%" else "\(. | ceil)%" end) end' \
           | tr -d '"')
       fi
-      printf '  PR %-3s %8.3fs %6s %11s %11s %s\n' "$pr" "$w" "$delta" "${counts% *}" "${counts#* }" \
-        "$(bar "$w" "$max")"
+      ev=${counts%% *} rest=${counts#* }
+      printf '  PR %-3s %8.3fs %6s %11s %11s %11s %s\n' "$pr" "$w" "$delta" "$ev" "${rest%% *}" \
+        "${rest#* }" "$(bar "$w" "$max")"
       prev="$w"
     fi
   done

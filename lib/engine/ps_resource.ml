@@ -80,6 +80,8 @@ let load t =
   done;
   !sum
 
+let rerates t = Rated.rerates t.set
+
 let utilization t =
   let granted = ref 0.0 in
   for i = 0 to Rated.length t.set - 1 do

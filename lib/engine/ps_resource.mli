@@ -9,7 +9,11 @@
     This is what turns CPU over-commit into slowdown mechanistically: 16
     single-core tasks on an 8-core node each progress at rate 0.5, which is
     exactly the Fig. 8 "2 hosts (TCP)" consolidation penalty in the
-    paper. *)
+    paper.
+
+    The set is a {!Rated} set: however many tasks start, end or change
+    capacity at one instant, the water-fill runs once, at the set's flush
+    or at the first {!utilization} read, whichever comes first. *)
 
 type t
 
@@ -38,7 +42,12 @@ val active : t -> int
 (** Number of in-flight tasks. *)
 
 val load : t -> float
-(** Sum of demands of in-flight tasks (may exceed capacity). *)
+(** Sum of demands of in-flight tasks (may exceed capacity). Membership
+    is always current, so this reads no rate. *)
 
 val utilization : t -> float
-(** Fraction of capacity currently granted to tasks, in [0, 1]. *)
+(** Fraction of capacity currently granted to tasks, in [0, 1]. Runs a
+    pending water-fill first. *)
+
+val rerates : t -> int
+(** How many times the water-fill has run (a cost counter). *)

@@ -8,9 +8,21 @@
     differ in their rate-assignment policy.
 
     Between events rates are constant, so completions can be scheduled
-    exactly; on any membership or capacity change the set is settled
-    (remaining work advanced), re-rated, and the next completion is
-    re-scheduled. *)
+    exactly. A change ({!add}, {!cancel}, {!kick} or a completion timer
+    firing) has an eager part and a deferred one. At once the set is
+    settled (remaining work advanced), tasks out of work complete, and
+    the armed completion timer is cancelled. The policy and the timer's
+    re-arm run once per instant, in one {e flush} per set that every
+    change moves to the tail of the same-instant FIFO: many changes at
+    one instant cost one re-rate. Reading a rate ({!rate}, or a caller's
+    own reader through {!refresh}) runs a pending policy first.
+
+    Order rule: events run exactly as if the set re-rated and re-armed at
+    every change. The re-armed timer takes the sequence number
+    ({!Sim.reserve}) reserved at the set's last change, and a timer due
+    within the instant (its ETA rounds to 0 ns) runs inline at the flush,
+    which sits at the last change's FIFO slot, counted as one event; the
+    flush itself counts as none. *)
 
 type 'a t
 
@@ -20,19 +32,35 @@ type 'a change = Joined of 'a task | Left of 'a task
 
 val create : Sim.t -> name:string -> rerate:('a t -> unit) -> 'a t
 (** [rerate] assigns rates with {!set_rate}; it is called with the set
-    already settled to the current instant. A global policy re-rates every
-    active task; an incremental policy may consult {!changes} and leave
-    unaffected tasks' rates untouched. *)
+    already settled to the current instant, at most once per change and
+    at most once per flush. Its result must depend only on the set's
+    membership and on state the caller changes together with a {!kick}.
+    A global policy re-rates every active task; an incremental policy
+    may consult {!changes} and leave unaffected tasks' rates untouched.
+    Creating a set allocates no event: its timer and flush come with its
+    first change. *)
 
 val changes : 'a t -> 'a change list
-(** Membership deltas since the previous [rerate] call, oldest first —
-    only meaningful from within the [rerate] callback (the log is cleared
-    when it returns). A task added and completed within one change shows
-    up as [Joined] then [Left]. *)
+(** Every membership delta since the previous [rerate] call, oldest
+    first, over however many changes that call covers — only meaningful
+    from within the [rerate] callback (the log is cleared when it
+    returns). A task added and completed between two calls shows up as
+    [Joined] then [Left]. *)
+
+val refresh : 'a t -> unit
+(** Run the policy now if a change since its last run is pending: the
+    read barrier for a caller that reads rates, or state its policy
+    keeps, other than through {!rate}. The timer's re-arm still waits for
+    the flush. *)
+
+val rerates : 'a t -> int
+(** How many times the policy has run (a cost counter). *)
 
 val add : 'a t -> payload:'a -> work:float -> 'a task
-(** Register a new task (non-blocking). [work] must be non-negative; a
-    zero-work task completes at the next instant. *)
+(** Register a new task (non-blocking). [work] must be non-negative. A
+    task with at most 1e-6 units of work (zero included) completes
+    within [add]: {!is_done} holds and its waiters are woken before
+    [add] returns, before any event runs. *)
 
 val await : 'a task -> unit
 (** Block the calling fiber until the task completes (or is cancelled). *)
@@ -42,8 +70,9 @@ val cancel : 'a t -> 'a task -> unit
     task already completed. *)
 
 val kick : 'a t -> unit
-(** Settle, re-rate and re-schedule after an external change the set
-    cannot observe (e.g. a capacity update). *)
+(** A change with no membership delta, after an external change the set
+    cannot observe (e.g. a capacity update): settle now, re-rate and
+    re-arm at the flush. *)
 
 val active : 'a t -> 'a task list
 (** Active (incomplete) tasks, in insertion order. Builds a fresh list;
@@ -60,6 +89,7 @@ val get : 'a t -> int -> 'a task
 val payload : 'a task -> 'a
 
 val rate : 'a task -> float
+(** The task's current rate, running its set's pending policy first. *)
 
 val set_rate : 'a task -> float -> unit
 (** Only meaningful from within the [rerate] callback. Rates must be

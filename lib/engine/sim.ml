@@ -1,6 +1,8 @@
 (* A scheduled event is its own cancellation handle. [slot] is its index
    in the heap while it waits there, [in_fifo] while it waits in the
-   same-instant queue, and [dead] once it has fired or been cancelled. *)
+   same-instant queue, [dead] once it has fired or been cancelled (or
+   before a reusable event is first armed), and [quiet ticket] while a
+   quiet event waits in the FIFO at position [ticket]. *)
 type event = { run : unit -> unit; mutable slot : int }
 
 type handle = event
@@ -8,6 +10,8 @@ type handle = event
 let in_fifo = -1
 
 let dead = -2
+
+let[@inline] quiet ticket = -3 - ticket
 
 (* Fills vacated slots, so the queues hold no fired closure alive. *)
 let vacant = { run = ignore; slot = dead }
@@ -91,11 +95,17 @@ module Heap = struct
 end
 
 (* Events at the current instant: a growable circular FIFO, its capacity
-   a power of two. *)
+   a power of two. [pushed] counts every push, so the entry at the head
+   is push number [pushed - len]: its ticket. *)
 module Fifo = struct
-  type t = { mutable buf : event array; mutable head : int; mutable len : int }
+  type t = {
+    mutable buf : event array;
+    mutable head : int;
+    mutable len : int;
+    mutable pushed : int;
+  }
 
-  let create () = { buf = Array.make 64 vacant; head = 0; len = 0 }
+  let create () = { buf = Array.make 64 vacant; head = 0; len = 0; pushed = 0 }
 
   let push q ev =
     let cap = Array.length q.buf in
@@ -108,7 +118,8 @@ module Fifo = struct
       q.head <- 0
     end;
     q.buf.((q.head + q.len) land (Array.length q.buf - 1)) <- ev;
-    q.len <- q.len + 1
+    q.len <- q.len + 1;
+    q.pushed <- q.pushed + 1
 
   let pop q =
     let ev = q.buf.(q.head) in
@@ -120,7 +131,8 @@ end
 
 type t = {
   mutable now : Time.t;
-  mutable seq : int; (* numbers heap entries, so it counts heap insertions too *)
+  mutable seq : int; (* the next sequence number, for a heap entry or a reservation *)
+  mutable n_heap : int; (* heap insertions *)
   heap : Heap.t;
   fifo : Fifo.t;
   prng : Prng.t;
@@ -140,6 +152,7 @@ let create ?(seed = 1L) () =
   {
     now = Time.zero;
     seq = 0;
+    n_heap = 0;
     heap = Heap.create ();
     fifo = Fifo.create ();
     prng = Prng.create ~seed;
@@ -157,7 +170,7 @@ let events_processed t = t.n_events
 
 let pending t = t.n_pending
 
-let heap_insertions t = t.seq
+let heap_insertions t = t.n_heap
 
 (* An event at [now] was scheduled after every heap entry keyed [now]
    (those were scheduled before the clock got here), so queueing it behind
@@ -168,7 +181,8 @@ let schedule_at t at run =
   if Time.equal at t.now then Fifo.push t.fifo ev
   else begin
     Heap.add t.heap (Time.to_int at) t.seq ev;
-    t.seq <- t.seq + 1
+    t.seq <- t.seq + 1;
+    t.n_heap <- t.n_heap + 1
   end;
   t.n_pending <- t.n_pending + 1;
   ev
@@ -176,6 +190,31 @@ let schedule_at t at run =
 let schedule t ~after run =
   let after = if Time.is_negative after then Time.zero else after in
   schedule_at t (Time.add t.now after) run
+
+let event run = { run; slot = dead }
+
+let reserve t =
+  let seq = t.seq in
+  t.seq <- seq + 1;
+  seq
+
+let arm_at t ev at ~seq =
+  if not Time.(at > t.now) then invalid_arg "Sim.arm_at: time is not in the future";
+  if ev.slot <> dead then invalid_arg "Sim.arm_at: event already scheduled";
+  Heap.add t.heap (Time.to_int at) seq ev;
+  t.n_heap <- t.n_heap + 1;
+  t.n_pending <- t.n_pending + 1
+
+(* A copy left behind by an earlier re-queue keeps its old ticket, which
+   no longer matches the event's slot, so the drain skips it. *)
+let requeue t ev =
+  let q = t.fifo in
+  if not (q.len > 0 && ev.slot = quiet (q.pushed - 1)) then begin
+    ev.slot <- quiet q.pushed;
+    Fifo.push q ev
+  end
+
+let count_event t = t.n_events <- t.n_events + 1
 
 let cancel t ev =
   if ev.slot <> dead then begin
@@ -268,8 +307,13 @@ let drain t ~limit =
       loop ()
     end
     else if q.len > 0 && now <= limit then begin
+      let ticket = q.pushed - q.len in
       let ev = Fifo.pop q in
-      if ev.slot = in_fifo then fire t ev;
+      if ev.slot = in_fifo then fire t ev
+      else if ev.slot = quiet ticket then begin
+        ev.slot <- dead;
+        ev.run ()
+      end;
       loop ()
     end
   in

@@ -123,6 +123,7 @@ let finish env =
   Run_ctx.observe env.ctx "sim_s" (Time.to_sec_f (Sim.now env.sim));
   Run_ctx.observe env.ctx "sim_events" (float_of_int (Sim.events_processed env.sim));
   Run_ctx.observe env.ctx "heap_insertions" (float_of_int (Sim.heap_insertions env.sim));
+  Run_ctx.observe env.ctx "rerates" (float_of_int (Cluster.rerates env.cluster));
   Run_ctx.observe env.ctx "probe_events"
     (float_of_int (Probe.emitted (Cluster.probes env.cluster)));
   flush_trace env;

@@ -264,7 +264,14 @@ let create ?(solver = Incremental) sim =
   in
   { set = Rated.create sim ~name:"fabric" ~rerate:(rerate state); state; next_link = 0; next_fid = 0 }
 
-let last_bottlenecks t = List.rev t.state.freeze_log
+(* The read barriers: the freeze log, the per-link registries and the
+   pending set are the policy's, so a reader first runs a policy its
+   set's last change left pending. *)
+let last_bottlenecks t =
+  Rated.refresh t.set;
+  List.rev t.state.freeze_log
+
+let rerates t = Rated.rerates t.set
 
 let add_link t ~name ~capacity =
   if not (capacity > 0.0 && Float.is_finite capacity) then
@@ -291,6 +298,7 @@ let add_link t ~name ~capacity =
 let crosses l fl = List.exists (fun l' -> l'.id = l.id) (Rated.payload fl).route
 
 let remove_link t l =
+  Rated.refresh t.set;
   let crossed =
     match t.state.solver with
     | Incremental -> Hashtbl.length l.flows_on > 0
@@ -321,6 +329,7 @@ let unwatch t =
   state.n_resolved <- 0
 
 let drain_resolved t f =
+  Rated.refresh t.set;
   let state = t.state in
   let n = state.n_resolved in
   state.n_resolved <- 0;
@@ -372,6 +381,7 @@ let is_done fl = Rated.is_done fl
 let active_flows t = Rated.length t.set
 
 let link_utilization t l =
+  Rated.refresh t.set;
   match t.state.solver with
   | Incremental ->
     (* The registry holds exactly the live flows crossing [l]. Summing in

@@ -8,6 +8,12 @@
     the residual capacities. Between changes rates are constant, so flow
     completions are exact events.
 
+    The flows are a {!Ninja_engine.Rated} set, so the re-solve runs once
+    per instant over every change made in it: at the set's flush, or
+    first at a read barrier — {!rate}, {!link_utilization},
+    {!remove_link}, {!drain_resolved} or {!last_bottlenecks}. Membership
+    ({!active_flows}) is always current.
+
     This models both MPI traffic and migration traffic sharing the same
     interconnect, which is where the paper's congestion effects (e.g.
     migration time growth under load) come from. Propagation latency is
@@ -36,7 +42,11 @@ val create : ?solver:solver -> Ninja_engine.Sim.t -> t
 val last_bottlenecks : t -> int list
 (** Link ids frozen by the most recent re-rate, in freeze order — the
     solve's deterministic tie-break trace, exposed for tests. Under
-    [Incremental] it covers only the re-solved component. *)
+    [Incremental] it covers only the re-solved components: those every
+    change since the previous re-rate touched. *)
+
+val rerates : t -> int
+(** How many times the fabric has re-solved (a cost counter). *)
 
 val add_link : t -> name:string -> capacity:float -> link
 (** [capacity] in bytes per second; must be positive. *)

@@ -144,6 +144,9 @@ let node t i = t.nodes.(i)
 
 let nodes t = Array.to_list t.nodes
 
+let rerates t =
+  Array.fold_left (fun acc n -> acc + Ps_resource.rerates n.Node.cpu) (Fabric.rerates t.fabric) t.nodes
+
 let ib_nodes t = t.ib_list
 
 let eth_only_nodes t = t.eth_only_list

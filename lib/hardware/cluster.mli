@@ -30,6 +30,10 @@ val sim : t -> Sim.t
 
 val fabric : t -> Fabric.t
 
+val rerates : t -> int
+(** Policy runs so far, summed over the nodes' CPU sets and the fabric (a
+    cost counter: each [Rated] set re-rates at most once per instant). *)
+
 val probes : t -> Probe.t
 (** The cluster's probe bus: every protocol layer (hotplug, migration,
     SymVirt fence, planner, faults) announces its transitions here, and

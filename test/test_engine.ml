@@ -596,21 +596,51 @@ let test_ps_zero_work () =
   Alcotest.(check bool) "zero work completes" true !ok
 
 let test_ps_rerate_one_timer () =
-  (* Every re-rate cancels and re-arms the completion timer: the cancelled
-     ones leave the queue at once. *)
+  (* Every change cancels the completion timer at once, and the set
+     re-rates and re-arms once per instant: 10,000 capacity changes before
+     any event runs leave one queued flush and no timer; running the
+     instant runs the water-fill once and arms exactly one timer. *)
   let sim = Sim.create () in
   let cpu = Ps_resource.create sim ~name:"cpu" ~capacity:1.0 in
   let task = Ps_resource.start cpu ~demand:1.0 ~work:5.0 in
   for i = 1 to 10_000 do
     Ps_resource.set_capacity cpu (if i mod 2 = 0 then 1.0 else 0.5)
   done;
+  Alcotest.(check int) "no timer armed yet" 0 (Sim.pending sim);
+  Alcotest.(check int) "no re-rate yet" 0 (Ps_resource.rerates cpu);
+  Sim.run_until sim Time.zero;
+  Alcotest.(check int) "one flush ran" 1 (Ps_resource.rerates cpu);
+  Alcotest.(check int) "the flush is no event" 0 (Sim.events_processed sim);
   Alcotest.(check int) "one pending completion timer" 1 (Sim.pending sim);
+  Alcotest.(check int) "one heap insertion" 1 (Sim.heap_insertions sim);
   let finished = ref 0.0 in
   Sim.spawn sim (fun () ->
       Ps_resource.await task;
       finished := sec_f (Sim.now sim));
   Sim.run sim;
   check_time "completes at full capacity" 5.0 !finished
+
+(* A task with at most ε of work completes inside [add], before any event
+   runs: this held before re-rating was deferred, and still does. *)
+let test_rated_tiny_work_done_in_add () =
+  let sim = Sim.create () in
+  let set = Rated.create sim ~name:"set" ~rerate:(fun set ->
+      for i = 0 to Rated.length set - 1 do
+        Rated.set_rate (Rated.get set i) 1.0
+      done)
+  in
+  let big = Rated.add set ~payload:() ~work:1.0 in
+  List.iter
+    (fun work ->
+      let task = Rated.add set ~payload:() ~work in
+      Alcotest.(check bool) (Printf.sprintf "work %g done in add" work) true (Rated.is_done task))
+    [ 0.0; 5e-7; 1e-6 ];
+  Alcotest.(check bool) "1 unit still running" false (Rated.is_done big);
+  Alcotest.(check int) "only the big task is left" 1 (Rated.length set);
+  Alcotest.(check int) "no event has run" 0 (Sim.events_processed sim);
+  Sim.run sim;
+  Alcotest.(check bool) "the big task completes" true (Rated.is_done big);
+  check_time "at its own pace" 1.0 (sec_f (Sim.now sim))
 
 let ps_work_conservation_prop =
   (* Total completion time of n equal tasks = total work / min(capacity,
@@ -743,55 +773,74 @@ end
 
 type op =
   | Start of float * float  (** demand, work *)
+  | Race of float * float  (** demand, work: a fiber's start, then a sleep to its ETA *)
   | Cancel of int  (** the i-th started task, if any *)
   | Capacity of float
   | Sleep of float
 
 let pp_op = function
   | Start (d, w) -> Printf.sprintf "start(%g,%g)" d w
+  | Race (d, w) -> Printf.sprintf "race(%g,%g)" d w
   | Cancel i -> Printf.sprintf "cancel(%d)" i
   | Capacity c -> Printf.sprintf "capacity(%g)" c
   | Sleep s -> Printf.sprintf "sleep(%g)" s
 
+(* Bytes and bytes per second: the [giga] set runs every task at 1e9
+   times its work and capacity plus an odd fraction of a byte, so tasks
+   that would finish together finish a fraction of a nanosecond apart,
+   and their timers re-arm with spans that round to zero. *)
+let giga = 1e9
+
+let odd_bytes id = float_of_int (id mod 5) *. 0.15
+
+(* What a run shows: [lines] is everything written outside the policy
+   callbacks — per-step rates read through the barrier, is_done, events,
+   load and utilisation, and every completion with its ns; [deltas] is
+   each set's whole stream of membership deltas its callbacks saw, which
+   the coalescing set may deliver in fewer calls ([callbacks]). *)
+type transcript = { lines : string; deltas : string; callbacks : int }
+
 (* Every task goes to a Ps_resource and, with the same demand and work, to
    a raw Rated set re-rated by a water-fill written against the generic
-   API. A task's waiter kicks its set when woken, so changes also come
-   from fibers other than the program's, at instants where other events
-   are already queued: the order in which same-instant events fire (and
-   hence the sequence numbers the timers take) shows up as line order.
+   API, and to the [giga] set. A task's waiter kicks its set when woken,
+   so changes also come from fibers other than the program's, at instants
+   where other events are already queued: the order in which same-instant
+   events fire (and hence the sequence numbers the timers take) shows up
+   as line order. A race fiber starts a raw task and sleeps to exactly its
+   ETA, so its wake-up shares a key with the timer that change armed.
    Floats print as %h, so equal transcripts mean bit-equal values. *)
 module Transcript (R : RATED) (P : PS) = struct
   let run ops =
     let sim = Sim.create () in
-    let log = Buffer.create 4096 in
+    let log = Buffer.create 4096 and callbacks = ref 0 in
     let line fmt = Printf.kbprintf (fun b -> Buffer.add_char b '\n') log fmt in
     let ns () = Time.to_ns (Sim.now sim) in
     let cap = ref 2.0 in
     let cpu = P.create sim ~name:"cpu" ~capacity:!cap in
-    let rerate set =
+    let rerate deltas scale set =
+      incr callbacks;
       let id task = fst (R.payload task) and demand task = snd (R.payload task) in
-      line "  changes %s"
-        (String.concat " "
-           (List.map
-              (function
-                | R.Joined task -> Printf.sprintf "+%d" (id task)
-                | R.Left task -> Printf.sprintf "-%d" (id task))
-              (R.changes set)));
+      List.iter
+        (function
+          | R.Joined task -> Printf.bprintf deltas "+%d " (id task)
+          | R.Left task -> Printf.bprintf deltas "-%d " (id task))
+        (R.changes set);
       let tasks =
         List.stable_sort (fun a b -> Float.compare (demand a) (demand b)) (R.active set)
       in
-      let left = ref (List.length tasks) and residual = ref !cap in
+      let left = ref (List.length tasks) and residual = ref (!cap *. scale) in
       List.iter
         (fun task ->
           let r = Float.min (demand task) (!residual /. float_of_int !left) in
           R.set_rate task r;
-          line "  rate %d %h" (id task) r;
           residual := !residual -. r;
           decr left)
         tasks
     in
-    let set = R.create sim ~name:"set" ~rerate in
-    let started = ref [||] in
+    let deltas = Buffer.create 1024 and gdeltas = Buffer.create 1024 in
+    let set = R.create sim ~name:"set" ~rerate:(rerate deltas 1.0) in
+    let gset = R.create sim ~name:"giga" ~rerate:(rerate gdeltas giga) in
+    let started = ref [||] and raced = ref [||] in
     Sim.spawn sim ~name:"program" (fun () ->
         List.iteri
           (fun step op ->
@@ -800,7 +849,10 @@ module Transcript (R : RATED) (P : PS) = struct
               let id = Array.length !started in
               let pt = P.start cpu ~demand ~work in
               let rt = R.add set ~payload:(id, demand) ~work in
-              started := Array.append !started [| (pt, rt) |];
+              let gt =
+                R.add gset ~payload:(id, demand *. giga) ~work:((work *. giga) +. odd_bytes id)
+              in
+              started := Array.append !started [| (pt, rt, gt) |];
               Sim.spawn sim (fun () ->
                   P.await pt;
                   line "ps %d done %Ld" id (ns ());
@@ -808,45 +860,68 @@ module Transcript (R : RATED) (P : PS) = struct
               Sim.spawn sim (fun () ->
                   R.await rt;
                   line "rated %d done %Ld" id (ns ());
+                  R.kick set);
+              Sim.spawn sim (fun () ->
+                  R.await gt;
+                  line "giga %d done %Ld" id (ns ());
+                  R.kick gset)
+            | Race (demand, work) ->
+              let id = 1000 + Array.length !raced in
+              Sim.spawn sim (fun () ->
+                  let rt = R.add set ~payload:(id, demand) ~work in
+                  raced := Array.append !raced [| rt |];
+                  let r = R.rate rt in
+                  if r > 0.0 then Sim.sleep (Time.of_sec_f (work /. r));
+                  line "race %d woke %Ld done %b" id (ns ()) (R.is_done rt);
                   R.kick set)
             | Cancel i ->
               if i < Array.length !started then begin
-                let pt, rt = !started.(i) in
+                let pt, rt, gt = !started.(i) in
                 P.cancel cpu pt;
-                R.cancel set rt
+                R.cancel set rt;
+                R.cancel gset gt
               end
             | Capacity c ->
               cap := c;
               P.set_capacity cpu c;
-              R.kick set
+              R.kick set;
+              R.kick gset
             | Sleep s -> Sim.sleep (Time.of_sec_f s));
             line "step %d %s at %Ld events %d active %d load %h util %h" step (pp_op op) (ns ())
               (Sim.events_processed sim) (P.active cpu) (P.load cpu) (P.utilization cpu);
             Array.iteri
-              (fun i (_, rt) -> line "  task %d rate %h done %b" i (R.rate rt) (R.is_done rt))
-              !started)
+              (fun i (_, rt, gt) ->
+                line "  task %d rate %h done %b giga %h done %b" i (R.rate rt) (R.is_done rt)
+                  (R.rate gt) (R.is_done gt))
+              !started;
+            Array.iteri
+              (fun i rt -> line "  race %d rate %h done %b" (1000 + i) (R.rate rt) (R.is_done rt))
+              !raced)
           ops);
     Sim.run sim;
     line "end %Ld events %d" (ns ()) (Sim.events_processed sim);
-    Buffer.contents log
+    {
+      lines = Buffer.contents log;
+      deltas = Printf.sprintf "set: %s\n  giga: %s" (Buffer.contents deltas) (Buffer.contents gdeltas);
+      callbacks = !callbacks;
+    }
 end
 
 module Fast = Transcript (Rated) (Ps_resource)
 module Reference = Transcript (Engine_oracle.Rated) (Engine_oracle.Ps_resource)
 
-(* 1-40 starts among cancels, capacity changes and sleeps. Demands repeat
-   so water-fill ties are common; works include zero and a sub-epsilon
-   amount, which the sweep completes at once. *)
+(* 1-40 starts among races, cancels, capacity changes and sleeps. Demands
+   repeat so water-fill ties are common; works include zero and a
+   sub-epsilon amount, which the sweep completes at once. *)
 let program_gen =
   let open QCheck.Gen in
+  let demand = oneofl [ 0.5; 1.0; 1.0; 2.0 ] in
+  let work = oneofl [ 0.0; 5e-7; 0.25; 0.3; 0.5; 1.0; 1.0; 1.5; 2.0; 3.0 ] in
   let op =
     frequency
       [
-        ( 4,
-          map2
-            (fun d w -> Start (d, w))
-            (oneofl [ 0.5; 1.0; 1.0; 2.0 ])
-            (oneofl [ 0.0; 5e-7; 0.25; 0.3; 0.5; 1.0; 1.0; 1.5; 2.0; 3.0 ]) );
+        (4, map2 (fun d w -> Start (d, w)) demand work);
+        (1, map2 (fun d w -> Race (d, w)) demand work);
         (1, map (fun i -> Cancel i) (int_bound 39));
         (1, map (fun c -> Capacity c) (oneofl [ 0.5; 1.0; 2.0; 3.5; 8.0 ]));
         (3, map (fun s -> Sleep s) (oneofl [ 0.0; 0.1; 0.25; 0.5; 1.0; 1.7 ]));
@@ -876,10 +951,18 @@ let rated_matches_oracle_prop =
   QCheck.Test.make ~name:"rated and ps_resource match the list-based oracle" ~count:300
     (QCheck.make ~print:(fun ops -> String.concat " " (List.map pp_op ops)) program_gen)
     (fun ops ->
-      match first_difference (Fast.run ops) (Reference.run ops) with
-      | None -> true
+      let fast = Fast.run ops and reference = Reference.run ops in
+      match first_difference fast.lines reference.lines with
       | Some (line, fast, reference) ->
-        QCheck.Test.fail_reportf "line %d:\n  array: %s\n  list:  %s" line fast reference)
+        QCheck.Test.fail_reportf "line %d:\n  array: %s\n  list:  %s" line fast reference
+      | None ->
+        if not (String.equal fast.deltas reference.deltas) then
+          QCheck.Test.fail_reportf "delta streams differ:\n  array: %s\n  list:  %s" fast.deltas
+            reference.deltas;
+        if fast.callbacks > reference.callbacks then
+          QCheck.Test.fail_reportf "%d policy calls, the eager reference made %d" fast.callbacks
+            reference.callbacks;
+        true)
 
 (* ------------------------------------------------------------------ *)
 (* Differential: Sim's same-instant FIFO and indexed heap against the
@@ -1052,15 +1135,14 @@ let sim_matches_oracle_prop =
 
 (* ------------------------------------------------------------------ *)
 
-let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
-
-(* Programs drawn from NINJA_TEST_SEED, so each seed of the CI matrix
-   races the queues on its own reproducible stream. *)
-let seeded_qsuite tests =
+(* Every property draws its cases from NINJA_TEST_SEED, each from a fresh
+   state, so each seed of the CI matrix tests its own reproducible cases,
+   and two runs at one seed test the same ones. *)
+let qsuite tests =
   List.map
-    (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| Int64.to_int env_seed |]))
+    (fun test ->
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| Int64.to_int env_seed |]) test)
     tests
-
 
 (* ------------------------------------------------------------------ *)
 (* Pool: domain-parallel task execution with deterministic collection *)
@@ -1217,8 +1299,7 @@ let () =
           Alcotest.test_case "run_until below now" `Quick test_sim_run_until_below_now;
           Alcotest.test_case "pending per cancel" `Quick test_sim_pending_per_cancel;
         ]
-        @ qsuite [ sim_cancel_order_prop ]
-        @ seeded_qsuite [ sim_matches_oracle_prop ] );
+        @ qsuite [ sim_cancel_order_prop; sim_matches_oracle_prop ] );
       ( "ivar",
         [
           Alcotest.test_case "fill then read" `Quick test_ivar_fill_then_read;
@@ -1250,7 +1331,7 @@ let () =
         :: qsuite [ ps_work_conservation_prop ] );
       ( "rated",
         qsuite [ rated_conservation_prop; rated_cancel_conservation_prop; rated_matches_oracle_prop ]
-      );
+        @ [ Alcotest.test_case "tiny work done in add" `Quick test_rated_tiny_work_done_in_add ] );
       ( "pool",
         [
           Alcotest.test_case "map order" `Quick test_pool_map_order;

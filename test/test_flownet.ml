@@ -159,6 +159,35 @@ let test_remove_link () =
       Alcotest.(check (list string)) "creation order" [ "shared"; "next" ] (names ()))
     [ Fabric.Incremental; Fabric.Global ]
 
+(* The fabric re-solves once per instant, at its flush, so every read
+   made in between must run the solve first. Within one event: start a
+   flow and read before yielding, start a second one and read again; at
+   the instant the first completes, retire its private hop (the link
+   registries are the solver's) and read the survivor. Every value is
+   what a solve at each change gives. *)
+let test_reads_before_flush () =
+  let sim = Sim.create () in
+  let fab = Fabric.create sim in
+  let shared = Fabric.add_link fab ~name:"shared" ~capacity:10.0 in
+  let hop = Fabric.add_link fab ~name:"hop" ~capacity:10.0 in
+  Sim.spawn sim (fun () ->
+      let f1 = Fabric.start fab ~route:[ hop; shared ] ~bytes:5.0 in
+      check_rate "shared carries f1" 10.0 (Fabric.link_utilization fab shared);
+      check_rate "f1 alone" 10.0 (Fabric.rate f1);
+      let f2 = Fabric.start fab ~route:[ shared ] ~bytes:100.0 in
+      check_rate "hop carries half" 5.0 (Fabric.link_utilization fab hop);
+      check_rate "f2 shares" 5.0 (Fabric.rate f2);
+      check_rate "shared stays full" 10.0 (Fabric.link_utilization fab shared);
+      Fabric.await f1;
+      check_time "f1 done at 1 s" 1.0 (sec_f (Sim.now sim));
+      Fabric.remove_link fab hop;
+      check_rate "f2 takes the link" 10.0 (Fabric.rate f2);
+      check_rate "shared carries f2" 10.0 (Fabric.link_utilization fab shared);
+      Fabric.cancel fab f2);
+  Sim.run sim;
+  Alcotest.(check (list string)) "live links" [ "shared" ]
+    (List.map Fabric.link_name (Fabric.links fab))
+
 (* Property: on a single shared link, n equal flows complete simultaneously
    at n*bytes/capacity — work conservation under fair sharing. *)
 let conservation_prop =
@@ -291,6 +320,7 @@ let () =
         :: Alcotest.test_case "zero bytes" `Quick test_zero_byte_flow
         :: Alcotest.test_case "route validation" `Quick test_route_validation
         :: Alcotest.test_case "remove link" `Quick test_remove_link
+        :: Alcotest.test_case "reads before the flush" `Quick test_reads_before_flush
         :: qsuite
              [
                conservation_prop;
