@@ -1,4 +1,4 @@
-.PHONY: all build test check digests parity mutants fmt clean
+.PHONY: all build test check digests parity scaling replay mutants fmt clean
 
 all: build
 
@@ -29,6 +29,18 @@ digests:
 # `git archive REV` in a temporary directory. Exits 1 on any difference.
 parity:
 	bench/parity.sh $(REV)
+
+# Dispatch scaling: one fixed serve stream on 128 to 1,024 hosts, with
+# and without the online swap policy; prints hosts, VMs, requests and
+# wall seconds. With REV, also times a `git archive REV` build and exits 1
+# if any stdout differs from it.
+scaling:
+	bench/scaling.sh $(REV)
+
+# Seeded properties replay: each suite that draws its qcheck cases from
+# NINJA_TEST_SEED prints the same output on two runs at one seed.
+replay:
+	test/replay.sh $(SEED)
 
 # Planted bugs (test/mutants/*.patch) each fail the test they name,
 # built from `git archive REV` (default HEAD). Exits 1 if one survives

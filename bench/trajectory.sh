@@ -1,8 +1,9 @@
 #!/bin/sh
 # Bench trajectory: chart wall-time across every committed BENCH_N.json,
-# with each entry's events executed, event-heap insertions and rate-set
-# re-rates where the snapshot records them ("-" before BENCH_13, and for
-# re-rates before BENCH_14).
+# with each entry's events executed, event-heap insertions, rate-set
+# re-rates and swap pairs priced where the snapshot records them ("-"
+# before BENCH_13, for re-rates before BENCH_14, and for swap pairs before
+# BENCH_15).
 #
 #   bench/trajectory.sh              # all snapshots in the repo root
 #   bench/trajectory.sh evacuation   # one experiment's trajectory only
@@ -37,11 +38,12 @@ if [ "$#" -eq 1 ]; then
   jobs=$(jq -r '.jobs // 1' "$f")
   printf 'single snapshot (PR %s, -j%s): %ss total wall\n' "$pr" "$jobs" "$w"
   jq -r '.entries[] | [.name, (.wall_s | tostring), (.events // "-" | tostring),
-      (.heap_insertions // "-" | tostring), (.rerates // "-" | tostring)] | @tsv' "$f" \
-    | while IFS="$(printf '\t')" read -r name w ev hi rr; do
+      (.heap_insertions // "-" | tostring), (.rerates // "-" | tostring),
+      (.swap_pairs_priced // "-" | tostring)] | @tsv' "$f" \
+    | while IFS="$(printf '\t')" read -r name w ev hi rr sp; do
         if [ -n "$only" ] && [ "$name" != "$only" ]; then continue; fi
-        printf '  %-18s %8.3fs %11s events %11s heap insertions %11s re-rates\n' \
-          "$name" "$w" "$ev" "$hi" "$rr"
+        printf '  %-18s %8.3fs %11s events %11s heap insertions %11s re-rates %11s swap pairs\n' \
+          "$name" "$w" "$ev" "$hi" "$rr" "$sp"
       done
   exit 0
 fi
@@ -79,7 +81,7 @@ for name in $names; do
     w=$(jq -r --arg n "$name" '[.entries[] | select(.name == $n) | .wall_s] | first // 0' "$f")
     max=$(jq -n --argjson a "$max" --argjson b "$w" 'if $b > $a then $b else $a end')
   done
-  echo "$name: wall, delta, events, heap insertions, re-rates"
+  echo "$name: wall, delta, events, heap insertions, re-rates, swap pairs priced"
   prev=""
   for f; do
     pr=$(jq -r '.pr' "$f")
@@ -89,16 +91,19 @@ for name in $names; do
     else
       counts=$(jq -r --arg n "$name" \
         '[.entries[] | select(.name == $n)
-          | "\(.events // "-") \(.heap_insertions // "-") \(.rerates // "-")"] | first' "$f")
+          | "\(.events // "-") \(.heap_insertions // "-") \(.rerates // "-") \(.swap_pairs_priced // "-")"]
+          | first' "$f")
       delta=""
       if [ -n "$prev" ]; then
         delta=$(jq -n --argjson p "$prev" --argjson w "$w" \
           'if $p <= 0 then "" else ((($w - $p) / $p * 100) | if . >= 0 then "+\(. | floor)%" else "\(. | ceil)%" end) end' \
           | tr -d '"')
       fi
-      ev=${counts%% *} rest=${counts#* }
-      printf '  PR %-3s %8.3fs %6s %11s %11s %11s %s\n' "$pr" "$w" "$delta" "$ev" "${rest%% *}" \
-        "${rest#* }" "$(bar "$w" "$max")"
+      read -r ev hi rr sp <<EOF
+$counts
+EOF
+      printf '  PR %-3s %8.3fs %6s %11s %11s %11s %11s %s\n' "$pr" "$w" "$delta" "$ev" "$hi" "$rr" \
+        "$sp" "$(bar "$w" "$max")"
       prev="$w"
     fi
   done

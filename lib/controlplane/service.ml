@@ -78,6 +78,7 @@ type t = {
   mutable feeders : int;
   mutable epoch : int;  (* bumped whenever a batch settles *)
   mutable swap_pending : bool;  (* an auto-proposed swap is queued or in flight *)
+  mutable swap_pairs : int;  (* pairs the swap policy has priced *)
   mutable submitted_n : int;
   mutable rev_done : (Request.t * outcome) list;
   mutable rev_log : string list;
@@ -88,6 +89,8 @@ let vms t = t.all_vms
 let metrics t = t.m
 
 let submitted t = t.submitted_n
+
+let swap_pairs_priced t = t.swap_pairs
 
 let outcomes t = List.rev t.rev_done
 
@@ -140,21 +143,34 @@ let latency_percentiles t =
 
 let by_node_id (a : Node.t) (b : Node.t) = compare a.Node.id b.Node.id
 
+(* Alive and unclaimed, in id order. *)
 let avail t =
-  Cluster.alive_nodes t.cluster
-  |> List.filter (fun (n : Node.t) -> Locks.host_free t.locks n.Node.id)
-  |> List.sort by_node_id
+  List.filter
+    (fun (n : Node.t) -> Locks.host_free t.locks n.Node.id)
+    (Cluster.alive_nodes t.cluster)
 
 let vm_bytes vm = Memory.total_bytes (Vm.memory vm)
 
-let resident_bytes t (n : Node.t) =
-  List.fold_left
-    (fun acc vm -> if (Vm.host vm).Node.id = n.Node.id then acc +. vm_bytes vm else acc)
-    0.0 t.all_vms
+(* Each host's resident bytes, indexed by [Node.id] (ids are array
+   indices): one pass over the managed VMs in name order, so every host
+   sums the same terms in the same order as folding the VM list for it
+   alone would. A snapshot is valid until simulated time passes. *)
+let resident t =
+  let bytes = Array.make (Cluster.node_count t.cluster) 0.0 in
+  List.iter
+    (fun vm ->
+      let id = (Vm.host vm).Node.id in
+      bytes.(id) <- bytes.(id) +. vm_bytes vm)
+    t.all_vms;
+  bytes
 
-let load_bytes t n = resident_bytes t n +. Locks.reserved_bytes t.locks n.Node.id
+(* Each host's load: its resident bytes plus the bytes in-flight batches
+   have reserved on it. *)
+let loads t resident =
+  Array.mapi (fun id bytes -> bytes +. Locks.reserved_bytes t.locks id) resident
 
-let staging_nodes t = List.filter (fun n -> resident_bytes t n = 0.0) (avail t)
+let staging_nodes t resident =
+  List.filter (fun (n : Node.t) -> resident.(n.Node.id) = 0.0) (avail t)
 
 let tenant_vms t name =
   match List.find_opt (fun ts -> String.equal ts.name name) t.tenants with
@@ -205,7 +221,7 @@ let plan_swap t (r : Request.t) ~vm_a ~vm_b =
     else Assignment [ (a, hb); (b, ha) ]
   | _ -> Noop
 
-let plan_request t (r : Request.t) =
+let plan_request t resident (r : Request.t) =
   match r.Request.kind with
   | Request.Swap { vm_a; vm_b } -> plan_swap t r ~vm_a ~vm_b
   | _ ->
@@ -237,15 +253,12 @@ let plan_request t (r : Request.t) =
       |> List.sort by_vm_name
   in
   (* A rebalance also spreads onto nodes this tenant does not occupy. *)
-  let occupied =
-    match r.Request.kind with
-    | Request.Rebalance -> List.map (fun vm -> (Vm.host vm).Node.id) mine
-    | _ -> []
-  in
+  let occupied = Array.make (Cluster.node_count t.cluster) false in
+  (match r.Request.kind with
+  | Request.Rebalance -> List.iter (fun vm -> occupied.((Vm.host vm).Node.id) <- true) mine
+  | _ -> ());
   let candidates =
-    List.filter
-      (fun (n : Node.t) -> acceptable_node r n && not (List.mem n.Node.id occupied))
-      (avail t)
+    List.filter (fun (n : Node.t) -> acceptable_node r n && not occupied.(n.Node.id)) (avail t)
   in
   (* A VM lost to a committed postcopy switchover is unmovable forever. *)
   match List.filter (fun vm -> not (Vm.is_lost vm)) movers with
@@ -254,10 +267,12 @@ let plan_request t (r : Request.t) =
     if List.exists (fun vm -> not (Locks.vm_free t.locks (Vm.name vm))) movers then
       Blocked "vm-locked"
     else (
+      let load = loads t resident in
       match
         Ninja_scheduler.Placement.pack_least_loaded ~vms:movers
           ~candidates:(fun _ -> candidates)
-          ~load_bytes:(load_bytes t) ~bytes_of:vm_bytes ()
+          ~load_bytes:(fun (n : Node.t) -> load.(n.Node.id))
+          ~bytes_of:vm_bytes ()
       with
       | Error e -> Blocked e
       | Ok assignment -> Assignment assignment)
@@ -329,7 +344,7 @@ let roll_back t origins =
                 ignore (Migration.migrate vm ~dst:origin ()))
           with
           | (), _ -> ()
-          | exception _ -> give_up t vm
+          | exception e when Retry.retryable e -> give_up t vm
       end
       else if not (Cluster.node_alive t.cluster here) then give_up t vm)
     origins
@@ -343,6 +358,8 @@ let reroute t (r : Request.t) claim (step : Plan.step) =
   else
   let need = vm_bytes vm in
   let here = Vm.host vm in
+  (* Mid-batch: VMs have moved since any earlier snapshot. *)
+  let load = loads t (resident t) in
   Cluster.alive_nodes t.cluster
   |> List.filter (fun (n : Node.t) ->
          n.Node.id <> here.Node.id
@@ -350,17 +367,11 @@ let reroute t (r : Request.t) claim (step : Plan.step) =
          && (match r.Request.kind with
             | Request.Swap _ -> Node.has_ib n = Node.has_ib step.Plan.dst
             | _ -> true)
-         && Locks.host_free t.locks ~batch:(Locks.batch claim) n.Node.id
-         && load_bytes t n +. need <= n.Node.mem_bytes *. (1.0 +. 1e-9))
-  |> List.sort (fun a b ->
-         match Float.compare (load_bytes t a) (load_bytes t b) with
-         | 0 -> by_node_id a b
-         | c -> c)
-  |> function
-  | [] -> None
-  | n :: _ ->
-    Locks.extend t.locks claim ~host:n.Node.id ~bytes:need;
-    Some n
+         && Locks.host_free t.locks ~batch:(Locks.batch claim) n.Node.id)
+  |> Ninja_scheduler.Placement.least_loaded ~load:(fun (n : Node.t) -> load.(n.Node.id)) ~need
+  |> Option.map (fun (n : Node.t) ->
+         Locks.extend t.locks claim ~host:n.Node.id ~bytes:need;
+         n)
 
 type batch_end = Batch_done of Executor.report | Batch_failed of string
 
@@ -504,7 +515,10 @@ let try_dispatch t tenant (r : Request.t) =
     finish t r (Dropped Deadline_missed)
   end
   else
-    match plan_request t r with
+    (* No simulated time passes between planning and staging, so both
+       read one snapshot. *)
+    let resident = resident t in
+    match plan_request t resident r with
     | Noop ->
       note_queued t r;
       count t "ctl.requests.noop";
@@ -514,7 +528,8 @@ let try_dispatch t tenant (r : Request.t) =
       let movers = List.map fst assignment in
       let dst_of vm = List.assq vm assignment in
       let plan =
-        Plan.of_assignment t.cluster ~vms:movers ~dst_of ~staging:(staging_nodes t) ()
+        Plan.of_assignment t.cluster ~vms:movers ~dst_of
+          ~staging:(staging_nodes t resident) ()
       in
       if Plan.length plan = 0 then begin
         note_queued t r;
@@ -666,7 +681,9 @@ let propose_swap t =
       && Cluster.node_alive t.cluster (Vm.host vm)
       && Locks.vm_free t.locks (Vm.name vm)
     in
-    match Swap_price.best prices ~movable with
+    let best = Swap_price.best prices ~movable in
+    t.swap_pairs <- t.swap_pairs + Swap_price.priced prices;
+    match best with
     | None ->
       count t "ctl.swap.noop";
       false
@@ -710,7 +727,7 @@ let random_request t =
     | [] -> "ops"
     | _ -> (List.nth user (Prng.int t.prng (List.length user))).name
   in
-  let alive = List.sort by_node_id (Cluster.alive_nodes t.cluster) in
+  let alive = Cluster.alive_nodes t.cluster in
   let racks =
     List.sort_uniq compare
       (List.map (fun (n : Node.t) -> n.Node.rack) (Cluster.nodes t.cluster))
@@ -859,6 +876,7 @@ let create cluster ~config ~tenants () =
       feeders = 0;
       epoch = 0;
       swap_pending = false;
+      swap_pairs = 0;
       submitted_n = 0;
       rev_done = [];
       rev_log = [];

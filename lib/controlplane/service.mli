@@ -165,7 +165,7 @@ val open_loop : t -> process:Ninja_workloads.Arrivals.process -> horizon:float -
     several times to overlay sources. *)
 
 val propose_swap : t -> bool
-(** One round of the online destination-swap policy: price every
+(** One round of the online destination-swap policy: weigh every
     same-fabric-class pair of movable VMs (not lost, on a live host,
     unlocked) against the configured traffic matrix — declared, or the
     learned estimate under [Learned] pricing — and submit the most
@@ -184,6 +184,12 @@ val propose_swap : t -> bool
 (** {1 Results} *)
 
 val submitted : t -> int
+
+val swap_pairs_priced : t -> int
+(** VM pairs the swap policy has priced over every {!propose_swap} round,
+    after {!Ninja_planner.Swap_price.best}'s bound skipped the rest. A
+    cost counter kept outside the metrics registry, so [--stats] output
+    does not carry it. *)
 
 val outcomes : t -> (Request.t * outcome) list
 (** In completion order. *)

@@ -310,7 +310,7 @@ let migrate t ~plan ?(mode = Migration.Precopy) ?detach:detach_f ?attach:attach_
       Ok ()
     with
     | Phase_failed reason -> Error reason
-    | exn -> Error (Printexc.to_string exn)
+    | exn when Retry.retryable exn -> Error (Printexc.to_string exn)
   in
   (match result with
   | Ok () ->

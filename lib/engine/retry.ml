@@ -6,12 +6,16 @@ let backoff ~attempt =
 
 type outcome = { attempts : int; delay_total : Time.span }
 
+let retryable = function
+  | Invalid_argument _ | Assert_failure _ | Match_failure _ -> false
+  | _ -> true
+
 let run f =
   let rec go attempt delay_total =
     match f ~attempt with
     | v -> (v, { attempts = attempt; delay_total })
     | exception e ->
-      if attempt >= max_attempts then raise e;
+      if attempt >= max_attempts || not (retryable e) then raise e;
       let delay = backoff ~attempt in
       Sim.sleep delay;
       go (attempt + 1) (Time.add delay_total delay)

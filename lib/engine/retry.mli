@@ -19,7 +19,14 @@ type outcome = {
   delay_total : Time.span;  (** total backoff slept between attempts *)
 }
 
+val retryable : exn -> bool
+(** Whether an exception is a failure worth retrying. [Invalid_argument],
+    [Assert_failure] and [Match_failure] are programming errors: no retry
+    can mend them, so every retry loop re-raises them at once and the run
+    ends. Anything else ([Failure] included) is retryable. *)
+
 val run : (attempt:int -> 'a) -> 'a * outcome
-(** [run f] calls [f ~attempt:1]; on an exception it sleeps the backoff
-    and tries again until {!max_attempts} tries have failed, then
-    re-raises the last exception. Must be called from inside a fiber. *)
+(** [run f] calls [f ~attempt:1]; on a {!retryable} exception it sleeps
+    the backoff and tries again until {!max_attempts} tries have failed,
+    then re-raises the last exception. Any other exception is re-raised
+    at once. Must be called from inside a fiber. *)

@@ -73,6 +73,8 @@ let serve rc ?traffic ?flowmon ~tenants ~vms_per_tenant ~mem_gb ~config ~process
   let checker = Ninja_check.Checker.install env.cluster ~vms:(Service.vms service) in
   Service.open_loop service ~process ~horizon:duration;
   run_to_completion env;
+  Run_ctx.observe env.ctx "swap_pairs_priced"
+    (float_of_int (Service.swap_pairs_priced service));
   Ninja_check.Checker.check_finish checker;
   Ninja_check.Checker.detach checker;
   Option.iter Flowmon.detach flowmon;

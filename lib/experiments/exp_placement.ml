@@ -98,6 +98,7 @@ let measure rc ~pattern ~strategy ?(swap_pricing = Service.Declared) ~vms_per_te
         (fun svc -> Service.make svc ~tenant ~kind:Request.Return ()))
     tenants;
   run_to_completion env;
+  Run_ctx.observe env.ctx "swap_pairs_priced" (float_of_int (Service.swap_pairs_priced svc));
   (match Service.accounting svc with
   | Ok () -> ()
   | Error msg -> failwith ("Exp_placement: stranded requests: " ^ msg));

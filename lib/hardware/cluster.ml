@@ -142,6 +142,8 @@ let alive_nodes t = List.filter (node_alive t) (Array.to_list t.nodes)
 
 let node t i = t.nodes.(i)
 
+let node_count t = Array.length t.nodes
+
 let nodes t = Array.to_list t.nodes
 
 let rerates t =

@@ -41,8 +41,13 @@ val probes : t -> Probe.t
     subscribed. *)
 
 val node : t -> int -> Node.t
+(** [node t i] is the node whose [Node.id] is [i]: ids are the indices
+    [0 .. node_count t - 1] of the nodes in creation order. *)
+
+val node_count : t -> int
 
 val nodes : t -> Node.t list
+(** Every node, in id order. *)
 
 val ib_nodes : t -> Node.t list
 
@@ -97,6 +102,7 @@ val kill_node : t -> Node.t -> unit
 val node_alive : t -> Node.t -> bool
 
 val alive_nodes : t -> Node.t list
+(** The nodes not killed, in id order (the order of {!nodes}). *)
 
 exception Node_dead of string
 

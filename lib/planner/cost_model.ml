@@ -53,6 +53,22 @@ let move_seconds e ~vm ~src ~dst ?bytes () =
     in
     Ninja_engine.Time.to_sec_f est.Estimator.duration
 
+(* [move_seconds] at the sender's own rate: the estimator's rate is
+   [min sender_demand thinnest_capacity], and each step after it (the
+   division, the sum, rounding to whole nanoseconds) is monotone, so this
+   is at most the estimate to any host. The 1 us margin is slack on top. *)
+let min_move_seconds ~vm ?bytes () =
+  let memory = Vm.memory vm in
+  let bytes = match bytes with Some b -> b | None -> Memory.nonzero_bytes memory in
+  let wire = bytes +. Float.min (Memory.dirty_bytes memory) bytes in
+  let s =
+    (wire /. Estimator.sender_demand)
+    +. (Memory.zero_bytes memory /. Calibration.zero_scan_rate)
+  in
+  if Float.is_finite s && wire >= 0.0 then
+    Ninja_engine.Time.to_sec_f (Ninja_engine.Time.of_sec_f s) -. 1e-6
+  else neg_infinity
+
 let plan_seconds e plan =
   Ninja_engine.Time.to_sec_f
     (Estimator.sequential_duration e.cluster plan)

@@ -75,6 +75,15 @@ val move_seconds :
     defaults to the VM's non-zero footprint); 0 when [src] and [dst] are
     the same node. *)
 
+val min_move_seconds : vm:Vm.t -> ?bytes:float -> unit -> float
+(** A lower bound on {!move_seconds} of [vm] between any two distinct
+    nodes: the estimate at the TCP sender's own rate, which no route's
+    thinnest link can raise, minus 1 us. So
+    [min_move_seconds ~vm ?bytes () <= move_seconds e ~vm ~src ~dst ?bytes ()]
+    whenever [src] and [dst] differ; when they are the same node the move
+    costs 0 instead. [neg_infinity] when the estimate is not a finite,
+    non-negative time. *)
+
 val plan_placement : env -> Plan.t -> (string -> Node.t option)
 (** The placement the plan ends in: each moved VM at its final
     destination (a staged VM at its [Stage_in] target), every other

@@ -98,6 +98,10 @@ let run cluster ?(mode = Migration.Precopy) ?(max_per_host = default_max_per_hos
   List.iter (fun (s : Plan.step) -> Hashtbl.add done_ivars s.Plan.id (Ivar.create ())) steps;
   let completed = ref [] in
   let failures = ref [] in
+  (* The first programming error a step raised: no retry can mend it, so
+     no further step starts, and [run] re-raises it once every started
+     step has settled. *)
+  let fatal = ref None in
   let retries = ref 0 in
   let rerouted = ref 0 in
   let retry_delay = ref Time.zero in
@@ -138,6 +142,7 @@ let run cluster ?(mode = Migration.Precopy) ?(max_per_host = default_max_per_hos
             in
             match step with
             | None -> ()
+            | Some _ when !fatal <> None -> ()
             | Some step -> (
                 let nodes = permit_nodes step in
                 List.iter (fun n -> Semaphore.acquire (sem n)) nodes;
@@ -169,6 +174,9 @@ let run cluster ?(mode = Migration.Precopy) ?(max_per_host = default_max_per_hos
                     let finished = Sim.now sim in
                     let result = { step; started = t0; finished; stats } in
                     completed := result :: !completed
+                | exception exn when not (Retry.retryable exn) ->
+                    List.iter (fun n -> Semaphore.release (sem n)) nodes;
+                    if !fatal = None then fatal := Some (exn, Printexc.get_raw_backtrace ())
                 | exception exn ->
                     List.iter (fun n -> Semaphore.release (sem n)) nodes;
                     let reason =
@@ -209,6 +217,7 @@ let run cluster ?(mode = Migration.Precopy) ?(max_per_host = default_max_per_hos
   List.iter
     (fun (s : Plan.step) -> ignore (Ivar.read (Hashtbl.find done_ivars s.Plan.id)))
     steps;
+  Option.iter (fun (exn, bt) -> Printexc.raise_with_backtrace exn bt) !fatal;
   let finished = Sim.now sim in
   let step_results = List.rev !completed in
   let permits_leaked =

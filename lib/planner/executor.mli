@@ -80,7 +80,10 @@ val run :
     when its destination is dead, [reroute] is asked for a replacement node
     (a [None] answer, or no [reroute], makes the failure terminal). If any
     step failed terminally, raises {!Step_failed} for the first of them
-    after all steps have settled. Each attempt is a [step-N] span and
+    after all steps have settled. A step that raises an exception that is
+    not {!Ninja_engine.Retry.retryable} (a programming error such as
+    [Invalid_argument]) is not retried: no further step starts, and once
+    the started ones settle [run] re-raises it. Each attempt is a [step-N] span and
     each backoff a [backoff] span; an [executor/report] probe closes the
     run with [steps], [failures], [retries], [rerouted] and
     [permits-leaked] counts. *)

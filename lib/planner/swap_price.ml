@@ -17,6 +17,7 @@ type t = {
   nodes : Node.t array;  (* the nodes a price can read, by slot *)
   ib : bool array;  (* slot -> its node has InfiniBand *)
   host : int array;  (* mover -> slot of its current or proposed host *)
+  src : int array;  (* mover -> slot of its source, -1 when no slot holds it *)
   ex : int array;  (* entry -> mover at each endpoint, -1 for none *)
   ey : int array;
   sx : int array;  (* entry -> slot of each non-mover endpoint, -1 unresolved *)
@@ -25,6 +26,8 @@ type t = {
   incident : int array array;  (* mover -> its entries, ascending *)
   pair : Float.Array.t;  (* slot x slot -> pair cost; nan until first use *)
   move : Float.Array.t;  (* mover x destination slot -> seconds; nan until first use *)
+  bounded : bool;  (* every rate is >= 0, so [best] may skip pairs by their bound *)
+  mutable priced : int;  (* pairs [best] has priced *)
 }
 
 let make (env : Cost_model.env) ~place movers =
@@ -68,6 +71,10 @@ let make (env : Cost_model.env) ~place movers =
     nodes;
     ib = Array.map Node.has_ib nodes;
     host;
+    src =
+      Array.map
+        (fun (m : mover) -> Option.value (Hashtbl.find_opt slot_of m.src.Node.id) ~default:(-1))
+        movers;
     ex;
     ey;
     sx;
@@ -76,6 +83,8 @@ let make (env : Cost_model.env) ~place movers =
     incident = Array.map Array.of_list rev_incident;
     pair = Float.Array.make (k * k) nan;
     move = Float.Array.make (n * k) nan;
+    bounded = Float.Array.for_all (fun r -> r >= 0.0) rate;
+    priced = 0;
   }
 
 let host p i = p.nodes.(p.host.(i))
@@ -142,16 +151,79 @@ let[@inline] gain p i j =
   in
   (Cost_model.default_horizon *. saved) -. mig
 
+let priced p = p.priced
+
+(* Mover [i]'s communication cost at the current slots: [rate x pair_cost]
+   summed over its incident entries. *)
+let incident_cost p i =
+  let inc = p.incident.(i) in
+  let sum = ref 0.0 in
+  for k = 0 to Array.length inc - 1 do
+    let e = inc.(k) in
+    let x = at p p.ex.(e) p.sx.(e) and y = at p p.ey.(e) p.sy.(e) in
+    if x >= 0 && y >= 0 then sum := !sum +. (Float.Array.get p.rate e *. pair_cost p x y)
+  done;
+  !sum
+
+(* The scan skips a pair whose gain provably cannot beat the best so far.
+   With every rate >= 0 and every pair cost >= 0, [after >= 0] and
+   [before <= c_i + c_j] (an entry incident to both counts twice on the
+   right), and a migration costs at least its lower bound [L], so
+
+     gain(i, j) <= H (c_i + c_j) + s_i + s_j - L(i, h_j) - L(j, h_i)
+
+   where [s_i] is the stay term m(i->h_i) and [L(i, h)] is 0 when [h] is
+   i's source and [Cost_model.min_move_seconds] otherwise. A pair is
+   skipped only when this bound, plus a rounding margin relative to the
+   size of its terms, is at most the best gain; a NaN or infinite bound
+   never skips. A skipped pair could not have replaced the best (the
+   comparison is strict), so the scan returns what a full scan would.
+   Each mover's terms are computed on its first eligible pair of the
+   scan, when a full scan would price them too. *)
 let best p ~movable =
   let n = Array.length p.movers in
   let ok = Array.init n movable in
+  (* Each mover's bound terms, filled on its first eligible pair: [cost]
+     its incident entries' cost, [stay] m(i->h_i) and [least] a lower
+     bound on a move off its source. *)
+  let known = Array.make n false in
+  let cost = Float.Array.make n 0.0 in
+  let stay = Float.Array.make n 0.0 in
+  let least = Float.Array.make n 0.0 in
+  let know i =
+    if not known.(i) then begin
+      known.(i) <- true;
+      let m = p.movers.(i) in
+      Float.Array.set cost i (incident_cost p i);
+      Float.Array.set stay i (move_seconds p i p.host.(i));
+      Float.Array.set least i (Cost_model.min_move_seconds ~vm:m.vm ?bytes:m.bytes ())
+    end
+  in
+  let lower i h = if h = p.src.(i) then 0.0 else Float.Array.get least i in
+  let hopeless i j best_gain =
+    p.bounded
+    && begin
+      know i;
+      know j;
+      let up =
+        (Cost_model.default_horizon *. (Float.Array.get cost i +. Float.Array.get cost j))
+        +. Float.Array.get stay i +. Float.Array.get stay j
+      in
+      let li = lower i p.host.(j) and lj = lower j p.host.(i) in
+      let bound = up -. li -. lj in
+      Float.is_finite bound
+      && bound +. (1e-9 *. (Float.abs up +. Float.abs li +. Float.abs lj)) +. 1e-6 <= best_gain
+    end
+  in
   let best = ref None in
   let best_gain = ref 1e-9 in
   for i = 0 to n - 2 do
     if ok.(i) then
       for j = i + 1 to n - 1 do
         let hi = p.host.(i) and hj = p.host.(j) in
-        if ok.(j) && hi <> hj && Bool.equal p.ib.(hi) p.ib.(hj) then begin
+        if ok.(j) && hi <> hj && Bool.equal p.ib.(hi) p.ib.(hj) && not (hopeless i j !best_gain)
+        then begin
+          p.priced <- p.priced + 1;
           let g = gain p i j in
           if g > !best_gain then begin
             best_gain := g;

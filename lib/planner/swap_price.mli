@@ -51,7 +51,24 @@ val best : t -> movable:(int -> bool) -> (int * int * float) option
     among pairs of movable movers on distinct hosts of the same fabric
     class (an InfiniBand host never trades with an Ethernet-only one);
     ties keep the lowest [(i, j)]. [movable] is asked once per mover per
-    scan. [None] when no exchange pays for its migrations. *)
+    scan. [None] when no exchange pays for its migrations.
+
+    The scan visits the pairs in [(i, j)] order but prices only those
+    that could beat the best gain so far. With every traffic rate [>= 0],
+    a pair's gain is at most
+    [horizon × (c_i + c_j) + m(i→hi) + m(j→hj) − L(i, hj) − L(j, hi)],
+    where [c_i] is the cost of [i]'s incident entries at the current
+    hosts, and [L(i, h)] is 0 when [h] is [i]'s source and
+    {!Cost_model.min_move_seconds} otherwise. A pair whose bound, plus a
+    rounding margin, is at most the best gain so far is skipped; a NaN
+    or infinite bound never is. A skipped pair could not have replaced
+    the best, so the result is bit-identical to pricing every pair with
+    {!gain}. If any rate is negative or NaN the bound does not hold, and
+    every eligible pair is priced. *)
+
+val priced : t -> int
+(** Pairs that {!best} has priced on this table so far: at most the
+    eligible pairs of its scans. *)
 
 val exchange : t -> int -> int -> unit
 (** Exchange the hosts of movers [i] and [j]. *)

@@ -38,26 +38,39 @@ let consolidation_plan _cluster ~vms ~vms_per_host ~targets =
     | Some dst -> dst
     | None -> Vm.host vm
 
+let least_loaded ~load ~need candidates =
+  let rec go best best_load = function
+    | [] -> best
+    | (n : Node.t) :: rest ->
+      let l = load n in
+      if
+        l +. need <= n.Node.mem_bytes *. (1.0 +. 1e-9)
+        && (match best with
+           | None -> true
+           | Some (b : Node.t) -> l < best_load || (l = best_load && n.Node.id < b.Node.id))
+      then go (Some n) l rest
+      else go best best_load rest
+  in
+  go None infinity candidates
+
 let pack_least_loaded ~vms ~candidates ~load_bytes ~bytes_of () =
-  let planned = Hashtbl.create 8 in
-  let extra (n : Node.t) = Option.value (Hashtbl.find_opt planned n.Node.id) ~default:0.0 in
+  (* Bytes this call has assigned to each node, by id, grown on demand. *)
+  let planned = ref [||] in
+  let extra (n : Node.t) =
+    if n.Node.id < Array.length !planned then !planned.(n.Node.id) else 0.0
+  in
   let projected n = load_bytes n +. extra n in
   let rec go acc = function
     | [] -> Ok (List.rev acc)
     | vm :: rest -> (
       let need = bytes_of vm in
-      let fits n = projected n +. need <= (n.Node.mem_bytes *. (1.0 +. 1e-9)) in
-      let best =
-        candidates vm |> List.filter fits
-        |> List.sort (fun a b ->
-               match Float.compare (projected a) (projected b) with
-               | 0 -> compare a.Node.id b.Node.id
-               | c -> c)
-      in
-      match best with
-      | [] -> Error (Printf.sprintf "no feasible destination for %s" (Vm.name vm))
-      | n :: _ ->
-        Hashtbl.replace planned n.Node.id (extra n +. need);
+      match least_loaded ~load:projected ~need (candidates vm) with
+      | None -> Error (Printf.sprintf "no feasible destination for %s" (Vm.name vm))
+      | Some n ->
+        let id = n.Node.id in
+        let k = Array.length !planned in
+        if id >= k then planned := Array.append !planned (Array.make ((2 * id) + 1 - k) 0.0);
+        !planned.(id) <- !planned.(id) +. need;
         go ((vm, n) :: acc) rest)
   in
   go [] vms

@@ -22,6 +22,14 @@ val consolidation_plan :
 val spread_plan : Cluster.t -> vms:Vm.t list -> targets:Node.t list -> (Vm.t -> Node.t)
 (** One VM per target node, in order (the recovery / rebalance shape). *)
 
+val least_loaded : load:(Node.t -> float) -> need:float -> Node.t list -> Node.t option
+(** The candidate with the least [(load n, node id)] among those where
+    [load n +. need] fits within [Node.mem_bytes] (plus a 1e-9 relative
+    slack), found in one pass that asks [load] once per candidate. Ties
+    go to the lower id whatever order the candidates come in, so the
+    winner is the head of the fitting candidates sorted by [(load, id)].
+    [None] when no candidate fits. *)
+
 val pack_least_loaded :
   vms:Vm.t list ->
   candidates:(Vm.t -> Node.t list) ->
@@ -30,10 +38,9 @@ val pack_least_loaded :
   unit ->
   ((Vm.t * Node.t) list, string) result
 (** Capacity-aware greedy assignment, the control-plane building block:
-    each VM (in list order) goes to the acceptable candidate with the
-    least projected memory load — [load_bytes] (residents plus in-flight
+    each VM (in list order) goes to the {!least_loaded} candidate by
+    projected memory load — [load_bytes] (residents plus in-flight
     reservations, supplied by the caller) plus bytes already assigned to
-    that node by this call — among those where the VM still fits within
-    [Node.mem_bytes]. Ties break by node id, so the result is
-    deterministic. [Error] names the first VM with no feasible
-    destination. *)
+    that node by this call. Ties break by node id, so the result is
+    deterministic and independent of the candidates' order. [Error] names
+    the first VM with no feasible destination. *)

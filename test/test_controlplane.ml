@@ -256,6 +256,31 @@ let test_requeue_on_node_death () =
          Cluster.node_alive h.cluster host && not (Node.has_ib host)))
     (Service.vms h.svc)
 
+let test_reroute_counts_reservations () =
+  (* t0's fallback packs t0-vm0 onto eth02 (empty) and t0-vm1 onto eth00
+     (t1-vm0's host, which ties eth01 at one VM and has the lower id).
+     eth02 dies as the first migration starts. Its reroute weighs eth00
+     by its resident VM plus the bytes this batch reserved there for
+     t0-vm1, so the lighter eth01 wins; a load that left the reservation
+     out would tie the two and stack t0-vm0 onto eth00. *)
+  let h =
+    harness ~spec:(Spec.make ~ib_nodes:2 ~eth_nodes:3 ()) ~faults:[ "node-death@eth02" ]
+      ~tenants:[ ("t0", 1.0); ("t1", 1.0) ] ~vms_per_tenant:2 ()
+  in
+  Service.inject h.svc ~after:(Time.sec 1) (fun svc ->
+      Service.make svc ~tenant:"t0" ~kind:Request.Fallback ());
+  finish h;
+  Alcotest.(check (list string)) "completed" [ "completed" ] (outcome_names h);
+  Alcotest.(check (float 0.0)) "no rollback" 0.0
+    (Service.count h.svc "ctl.batches.rolled_back");
+  let host name =
+    (Ninja_vmm.Vm.host
+       (List.find (fun vm -> Ninja_vmm.Vm.name vm = name) (Service.vms h.svc)))
+      .Node.name
+  in
+  Alcotest.(check string) "t0-vm1 where it was packed" "eth00" (host "t0-vm1");
+  Alcotest.(check string) "t0-vm0 rerouted to the lighter host" "eth01" (host "t0-vm0")
+
 let test_failed_after_attempts () =
   (* Every pre-copy toward t0-vm0 aborts, forever: each dispatch rolls
      back, the request re-queues, and after 3 attempts it is Failed —
@@ -626,6 +651,8 @@ let () =
           Alcotest.test_case "same seed, same run" `Quick test_service_deterministic;
           Alcotest.test_case "node death re-queues, not strands" `Quick
             test_requeue_on_node_death;
+          Alcotest.test_case "reroute counts its batch's reservations" `Quick
+            test_reroute_counts_reservations;
           Alcotest.test_case "attempt budget exhausts to Failed" `Quick
             test_failed_after_attempts;
           Alcotest.test_case "expired deadline dropped" `Quick test_deadline_drop;
@@ -635,8 +662,8 @@ let () =
           Alcotest.test_case "swap request exchanges hosts" `Quick
             test_swap_request_exchanges_hosts;
           Alcotest.test_case "auto-swap converges" `Quick test_auto_swap_converges;
-          QCheck_alcotest.to_alcotest swap_pricing_prop;
-        ] );
+        ]
+        @ Qsuite.tests [ swap_pricing_prop ] );
       ("fuzz", [ Alcotest.test_case "open loop under faults" `Slow test_fuzz_open_loop ]);
       ( "experiment",
         [

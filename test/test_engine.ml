@@ -103,12 +103,6 @@ let pheap_sorted_prop =
       let rec drain acc = if Pheap.is_empty h then List.rev acc else drain (Pheap.pop h :: acc) in
       drain [] = List.sort compare (List.map fst l))
 
-(* Seed qcheck data that flows through a Prng from the environment, so the
-   CI seed matrix (NINJA_TEST_SEED=1/7/1337) exercises distinct streams
-   while any one run stays reproducible. *)
-let env_seed =
-  match Sys.getenv_opt "NINJA_TEST_SEED" with Some s -> Int64.of_string s | None -> 1L
-
 let pheap_random_ops_prop =
   (* Heap order under an arbitrary interleaving of adds and pops, checked
      against a sorted-list model — [pheap_sorted_prop] only covers the
@@ -116,7 +110,7 @@ let pheap_random_ops_prop =
   QCheck.Test.make ~name:"pheap heap order under interleaved add/pop" ~count:300
     QCheck.(pair small_int (small_list bool))
     (fun (salt, ops) ->
-      let prng = Prng.create ~seed:(Int64.add env_seed (Int64.of_int salt)) in
+      let prng = Prng.create ~seed:(Int64.add Qsuite.seed (Int64.of_int salt)) in
       let h = Pheap.create () in
       let model = ref [] and seq = ref 0 and ok = ref true in
       List.iter
@@ -321,7 +315,7 @@ let sim_cancel_order_prop =
   QCheck.Test.make ~name:"sim fires the survivors of random cancels in order" ~count:300
     QCheck.(pair small_int (int_range 1 300))
     (fun (salt, n) ->
-      let prng = Prng.create ~seed:(Int64.add env_seed (Int64.of_int salt)) in
+      let prng = Prng.create ~seed:(Int64.add Qsuite.seed (Int64.of_int salt)) in
       let sim = Sim.create () in
       let fired = ref [] in
       let keys = Array.init n (fun _ -> Prng.int prng 40) in
@@ -1135,15 +1129,6 @@ let sim_matches_oracle_prop =
 
 (* ------------------------------------------------------------------ *)
 
-(* Every property draws its cases from NINJA_TEST_SEED, each from a fresh
-   state, so each seed of the CI matrix tests its own reproducible cases,
-   and two runs at one seed test the same ones. *)
-let qsuite tests =
-  List.map
-    (fun test ->
-      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| Int64.to_int env_seed |]) test)
-    tests
-
 (* ------------------------------------------------------------------ *)
 (* Pool: domain-parallel task execution with deterministic collection *)
 
@@ -1275,11 +1260,11 @@ let () =
         :: Alcotest.test_case "seed sensitivity" `Quick test_prng_seed_sensitivity
         :: Alcotest.test_case "split independence" `Quick test_prng_split_independent
         :: Alcotest.test_case "exponential mean" `Quick test_prng_exponential_mean
-        :: qsuite [ prng_range_prop; prng_shuffle_prop ] );
+        :: Qsuite.tests [ prng_range_prop; prng_shuffle_prop ] );
       ( "pheap",
         Alcotest.test_case "fifo at same key" `Quick test_pheap_fifo_at_same_key
         :: Alcotest.test_case "pop empty" `Quick test_pheap_empty_pop
-        :: qsuite [ pheap_sorted_prop; pheap_random_ops_prop ] );
+        :: Qsuite.tests [ pheap_sorted_prop; pheap_random_ops_prop ] );
       ( "sim",
         [
           Alcotest.test_case "sleep ordering" `Quick test_sim_sleep_ordering;
@@ -1299,7 +1284,7 @@ let () =
           Alcotest.test_case "run_until below now" `Quick test_sim_run_until_below_now;
           Alcotest.test_case "pending per cancel" `Quick test_sim_pending_per_cancel;
         ]
-        @ qsuite [ sim_cancel_order_prop; sim_matches_oracle_prop ] );
+        @ Qsuite.tests [ sim_cancel_order_prop; sim_matches_oracle_prop ] );
       ( "ivar",
         [
           Alcotest.test_case "fill then read" `Quick test_ivar_fill_then_read;
@@ -1328,9 +1313,9 @@ let () =
         :: Alcotest.test_case "cancel" `Quick test_ps_cancel
         :: Alcotest.test_case "zero work" `Quick test_ps_zero_work
         :: Alcotest.test_case "rerated 10k times, one timer" `Quick test_ps_rerate_one_timer
-        :: qsuite [ ps_work_conservation_prop ] );
+        :: Qsuite.tests [ ps_work_conservation_prop ] );
       ( "rated",
-        qsuite [ rated_conservation_prop; rated_cancel_conservation_prop; rated_matches_oracle_prop ]
+        Qsuite.tests [ rated_conservation_prop; rated_cancel_conservation_prop; rated_matches_oracle_prop ]
         @ [ Alcotest.test_case "tiny work done in add" `Quick test_rated_tiny_work_done_in_add ] );
       ( "pool",
         [

@@ -268,6 +268,50 @@ let test_retry_exhaustion_reraises () =
   Alcotest.(check int) "exactly max_attempts calls" Retry.max_attempts calls;
   check_float "slept 100ms + 200ms" 0.3 elapsed
 
+let test_retry_programming_error_not_retried () =
+  let calls, elapsed, raised =
+    in_fiber (fun sim ->
+        let calls = ref 0 in
+        let raised =
+          try
+            ignore
+              (Retry.run (fun ~attempt:_ ->
+                   incr calls;
+                   invalid_arg "planted"));
+            false
+          with Invalid_argument m -> m = "planted"
+        in
+        (!calls, sec (Sim.now sim), raised))
+  in
+  Alcotest.(check bool) "re-raised" true raised;
+  Alcotest.(check int) "after one call" 1 calls;
+  check_float "no backoff slept" 0.0 elapsed;
+  Alcotest.(check bool) "Failure stays retryable" true (Retry.retryable (Failure "x"));
+  Alcotest.(check bool) "Assert_failure is not" false
+    (Retry.retryable (Assert_failure ("f.ml", 1, 2)))
+
+(* A programming error inside the migration phase is not a migration
+   failure to roll back: [Ninja.migrate] re-raises it. *)
+let test_migrate_programming_error_not_rolled_back () =
+  let sim, cluster = fresh () in
+  let ninja = Ninja.setup cluster ~hosts:(ib_hosts cluster 2) () in
+  ignore (Ninja.launch ninja ~procs_per_vm:1 (workload ~until:60.0 ~log:(ref [])));
+  let dsts = List.combine (Ninja.vms ninja) (eth_hosts cluster 2) in
+  let seen = ref None in
+  Sim.spawn sim (fun () ->
+      Sim.sleep (Time.sec 5);
+      match
+        Ninja.migrate ninja
+          ~plan:(fun vm -> List.assq vm dsts)
+          ~migration_exec:(fun () -> invalid_arg "planted")
+          ()
+      with
+      | _ -> seen := Some "returned"
+      | exception Invalid_argument msg -> seen := Some msg);
+  (try Sim.run sim with Sim.Deadlock _ -> ());
+  Alcotest.(check (option string)) "re-raised" (Some "planted") !seen;
+  Alcotest.(check bool) "no rollback recorded" true (Ninja.last_outcome ninja = None)
+
 (* ------------------------------------------------------------------ *)
 (* Full migration scenarios under injected faults *)
 
@@ -553,6 +597,10 @@ let () =
           Alcotest.test_case "success after failures" `Quick
             test_retry_run_success_after_failures;
           Alcotest.test_case "exhaustion re-raises" `Quick test_retry_exhaustion_reraises;
+          Alcotest.test_case "programming error not retried" `Quick
+            test_retry_programming_error_not_retried;
+          Alcotest.test_case "programming error not rolled back" `Quick
+            test_migrate_programming_error_not_rolled_back;
         ] );
       ( "scenarios",
         [

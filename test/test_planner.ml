@@ -593,6 +593,155 @@ let solver_swap_prop =
           swaps passes;
       true)
 
+(* The full scan [Swap_price.best] prunes: every eligible pair priced with
+   [Swap_price.gain] in (i, j) order, the first largest gain above 1e-9
+   kept. Returns that and the number of eligible pairs. *)
+let exhaustive_best prices ~n ~movable =
+  let best = ref None and best_gain = ref 1e-9 and eligible = ref 0 in
+  for i = 0 to n - 2 do
+    if movable i then
+      for j = i + 1 to n - 1 do
+        let hi = Swap_price.host prices i and hj = Swap_price.host prices j in
+        if movable j && hi.Node.id <> hj.Node.id && Node.has_ib hi = Node.has_ib hj then begin
+          incr eligible;
+          let g = Swap_price.gain prices i j in
+          if g > !best_gain then begin
+            best_gain := g;
+            best := Some (i, j)
+          end
+        end
+      done
+  done;
+  (Option.map (fun (i, j) -> (i, j, !best_gain)) !best, !eligible)
+
+(* Scans on generated datacenters in the shapes the bound must survive.
+   Online, every mover sits at its source. In a batch, a mover's proposed
+   host may be its source, another node, or another mover's source (so an
+   exchange can send a mover home, where its move costs nothing). Byte
+   counts are the footprint or explicit. The matrix holds zero rates,
+   duplicate rows, self-entries and names the table cannot place; some
+   scans price nothing worth a swap (every gain negative); some route
+   demand into a link so thin that its pair costs overflow to infinity;
+   and some carry a negative rate, under which every eligible pair must
+   be priced. A batch climbs up to four exchanges. Two tables built from
+   the same inputs, one scanned by [best] and one by the full scan, must
+   agree on every pass bit for bit. *)
+let swap_scan_prop =
+  QCheck.Test.make ~name:"best equals the exhaustive scan" ~count:200 QCheck.small_int
+    (fun salt ->
+      let prng = Prng.create ~seed:(Int64.add Qsuite.seed (Int64.of_int (3000 + salt))) in
+      let sim = Sim.create ~seed:(Int64.of_int salt) () in
+      let cluster = Cluster.create sim ~topology:(Topology.gen prng) () in
+      let nodes = Array.of_list (Cluster.nodes cluster) in
+      let pick a = a.(Prng.int prng (Array.length a)) in
+      let boot ?(host = pick nodes) name =
+        Vm.create cluster ~name ~host ~vcpus:2 ~mem_bytes:(Units.gb 8.0)
+          ~os_resident_bytes:(Units.gb (0.5 +. Prng.float prng 6.0))
+          ()
+      in
+      let fleet = Array.init (2 + Prng.int prng 11) (fun i -> boot (Printf.sprintf "vm%02d" i)) in
+      let n = Array.length fleet in
+      let srcs = Array.map Vm.host fleet in
+      let online = Prng.bool prng in
+      let hosts =
+        Array.map
+          (fun src ->
+            if online then src
+            else match Prng.int prng 3 with 0 -> src | 1 -> pick srcs | _ -> pick nodes)
+          srcs
+      in
+      let outsiders = List.init (Prng.int prng 3) (fun i -> boot (Printf.sprintf "out%d" i)) in
+      let thin =
+        let used (z : Node.t) =
+          Array.exists (fun (h : Node.t) -> h.Node.id = z.Node.id) (Array.append srcs hosts)
+        in
+        match List.filter (fun z -> not (used z)) (Array.to_list nodes) with
+        | z :: _ when Prng.int prng 5 = 0 ->
+          Ninja_flownet.Fabric.set_link_capacity (Cluster.fabric cluster) z.Node.eth_port.rx
+            1e-320;
+          [ boot ~host:z "thin" ]
+        | _ -> []
+      in
+      for _ = 1 to Prng.int prng 6 do
+        match Cluster.route_opt cluster ~net:Cluster.Eth ~src:(pick nodes) ~dst:(pick nodes) with
+        | Some route ->
+          ignore (Ninja_flownet.Fabric.start (Cluster.fabric cluster) ~route ~bytes:1e15)
+        | None -> ()
+      done;
+      let names =
+        Array.of_list
+          (List.map Vm.name (Array.to_list fleet @ outsiders @ thin) @ [ "ghost" ])
+      in
+      let idle = Prng.int prng 6 = 0 in
+      let rate () =
+        if idle then 1e-6
+        else if Prng.int prng 5 = 0 then 0.0
+        else 10.0 ** (5.0 +. Prng.float prng 4.0)
+      in
+      let rows =
+        List.init (1 + Prng.int prng 24) (fun _ ->
+            let x = pick names in
+            let y = if Prng.int prng 10 = 0 then x else pick names in
+            (x, y, rate ()))
+      in
+      let negative = Prng.int prng 8 = 0 in
+      let traffic =
+        rows
+        @ List.filter (fun _ -> Prng.int prng 4 = 0) rows
+        @ if negative then [ (pick names, pick names, -1e6) ] else []
+      in
+      let bytes =
+        Array.map
+          (fun _ -> if Prng.bool prng then None else Some (Units.gb (Prng.float prng 8.0)))
+          fleet
+      in
+      let table () =
+        Swap_price.make (Cost_model.env cluster ~traffic ())
+          ~place:(fun name -> Cluster.vm_node cluster ~name)
+          (Array.init n (fun i ->
+               { Swap_price.vm = fleet.(i); src = srcs.(i); host = hosts.(i); bytes = bytes.(i) }))
+      in
+      let pruned = table () and full = table () in
+      let movable = Array.init n (fun _ -> (not online) || Prng.int prng 6 > 0) in
+      let movable i = movable.(i) in
+      let show = function
+        | None -> "none"
+        | Some (i, j, g) -> Printf.sprintf "(%d, %d, %.17g)" i j g
+      in
+      let passes = if online then 1 else 4 in
+      let rec climb pass =
+        if pass <= passes then begin
+          let before = Swap_price.priced pruned in
+          let got = Swap_price.best pruned ~movable in
+          let priced = Swap_price.priced pruned - before in
+          let want, eligible = exhaustive_best full ~n ~movable in
+          let same =
+            match (got, want) with
+            | None, None -> true
+            | Some (i, j, g), Some (i', j', g') ->
+              i = i' && j = j' && Int64.equal (Int64.bits_of_float g) (Int64.bits_of_float g')
+            | _ -> false
+          in
+          if not same then
+            QCheck.Test.fail_reportf "pass %d: best %s, exhaustive scan %s" pass (show got)
+              (show want);
+          if priced > eligible then
+            QCheck.Test.fail_reportf "pass %d: priced %d of %d eligible pairs" pass priced
+              eligible;
+          if negative && priced <> eligible then
+            QCheck.Test.fail_reportf "pass %d: a negative rate, yet priced %d of %d" pass priced
+              eligible;
+          match got with
+          | Some (i, j, _) ->
+            Swap_price.exchange pruned i j;
+            Swap_price.exchange full i j;
+            climb (pass + 1)
+          | None -> ()
+        end
+      in
+      climb 1;
+      true)
+
 let test_cost_model_decomposition () =
   let _, cluster = setup () in
   let a = mk_vm cluster ~name:"a" ~host:"ib00" in
@@ -765,6 +914,33 @@ let test_step_failed_carries_identity () =
     Alcotest.(check bool) "reason kept" true (contains reason "synthetic monitor failure");
     Alcotest.(check bool) "attempt count reported" true (contains reason "3 attempts")
 
+(* A programming error is not a migration failure: the step that raised
+   it is not retried, no further step starts, and [Executor.run] re-raises
+   it instead of reporting [Step_failed]. *)
+let test_programming_error_ends_run () =
+  let sim, cluster = setup () in
+  let a = mk_vm cluster ~name:"a" ~host:"ib00" in
+  let b = mk_vm cluster ~name:"b" ~host:"ib01" in
+  let plan =
+    Plan.of_assignment cluster ~vms:[ a; b ]
+      ~dst_of:(fun vm -> node cluster (if Vm.name vm = "a" then "eth00" else "eth01"))
+      ()
+  in
+  let calls = ref 0 in
+  let broken (_ : Plan.step) =
+    incr calls;
+    invalid_arg "planted"
+  in
+  let seen = ref None in
+  Sim.spawn sim (fun () ->
+      match Executor.run cluster ~run_step:broken plan with
+      | _ -> seen := Some "returned"
+      | exception Invalid_argument msg -> seen := Some msg
+      | exception Executor.Step_failed _ -> seen := Some "Step_failed");
+  Sim.run sim;
+  Alcotest.(check (option string)) "Executor.run re-raises it" (Some "planted") !seen;
+  Alcotest.(check int) "after one call" 1 !calls
+
 let test_executor_rejects_cycle () =
   let sim, cluster = setup () in
   let a = mk_vm cluster ~name:"a" ~host:"ib00" in
@@ -818,10 +994,12 @@ let () =
             test_swap_never_crosses_fabric_class;
           Alcotest.test_case "swap prices each direction" `Quick
             test_swap_prices_each_direction;
-          QCheck_alcotest.to_alcotest solver_swap_prop;
-          Alcotest.test_case "cost model decomposition" `Quick
-            test_cost_model_decomposition;
-        ] );
+        ]
+        @ Qsuite.tests [ solver_swap_prop; swap_scan_prop ]
+        @ [
+            Alcotest.test_case "cost model decomposition" `Quick
+              test_cost_model_decomposition;
+          ] );
       ( "executor",
         [
           Alcotest.test_case "swap via staging" `Quick test_executor_swap_via_staging;
@@ -834,5 +1012,7 @@ let () =
           Alcotest.test_case "Step_failed carries identity" `Quick
             test_step_failed_carries_identity;
           Alcotest.test_case "cyclic plan rejected" `Quick test_executor_rejects_cycle;
+          Alcotest.test_case "programming error ends the run" `Quick
+            test_programming_error_ends_run;
         ] );
     ]

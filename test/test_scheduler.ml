@@ -95,6 +95,93 @@ let test_spread_plan () =
       in
       ())
 
+(* The filter + sort + head that [Placement.pack_least_loaded] replaced:
+   every fitting candidate sorted by (projected load, node id), first
+   taken. The oracle for its one-pass argmin. *)
+let reference_pack ~vms ~candidates ~load_bytes ~bytes_of =
+  let planned = Hashtbl.create 8 in
+  let extra (n : Node.t) = Option.value (Hashtbl.find_opt planned n.Node.id) ~default:0.0 in
+  let projected n = load_bytes n +. extra n in
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | vm :: rest -> (
+      let need = bytes_of vm in
+      let fits n = projected n +. need <= n.Node.mem_bytes *. (1.0 +. 1e-9) in
+      let sorted =
+        candidates vm |> List.filter fits
+        |> List.sort (fun a b ->
+               match Float.compare (projected a) (projected b) with
+               | 0 -> compare a.Node.id b.Node.id
+               | c -> c)
+      in
+      match sorted with
+      | [] -> Error (Printf.sprintf "no feasible destination for %s" (Vm.name vm))
+      | n :: _ ->
+        Hashtbl.replace planned n.Node.id (extra n +. need);
+        go ((vm, n) :: acc) rest)
+  in
+  go [] vms
+
+(* Random packings where the argmin's edge cases are common: loads, VM
+   sizes and node capacities drawn from a few multiples of 4 GB (so equal
+   loads and fits at the exact edge of a node's memory occur), each VM's
+   candidates a random subset in random order, and some VMs with no room
+   anywhere (the [Error] case). *)
+let pack_least_loaded_prop =
+  QCheck.Test.make ~name:"pack_least_loaded equals filter, sort and head" ~count:300
+    QCheck.small_int (fun salt ->
+      let prng = Prng.create ~seed:(Int64.add Qsuite.seed (Int64.of_int salt)) in
+      let gb k = Units.gb (4.0 *. float_of_int k) in
+      let k = 1 + Prng.int prng 8 in
+      let spec =
+        {
+          Spec.name = "pack";
+          groups =
+            List.init k (fun i ->
+                {
+                  Spec.count = 1;
+                  name_prefix = Printf.sprintf "n%d-" i;
+                  rack = 0;
+                  cores = 8.0;
+                  mem_bytes = gb (2 + Prng.int prng 6);
+                  with_ib = Prng.bool prng;
+                });
+        }
+      in
+      let cluster = Cluster.create (Sim.create ()) ~spec () in
+      let nodes = Array.of_list (Cluster.nodes cluster) in
+      let vms =
+        List.init (1 + Prng.int prng 6) (fun i ->
+            Vm.create cluster ~name:(Printf.sprintf "vm%d" i) ~host:nodes.(0) ~vcpus:1
+              ~mem_bytes:(Units.gb 1.0) ())
+      in
+      let base = Array.map (fun _ -> gb (Prng.int prng 4)) nodes in
+      let need = Hashtbl.create 8 and offered = Hashtbl.create 8 in
+      List.iter
+        (fun vm ->
+          Hashtbl.replace need (Vm.name vm) (gb (1 + Prng.int prng 3));
+          let subset =
+            Array.of_list (List.filter (fun _ -> Prng.int prng 4 > 0) (Array.to_list nodes))
+          in
+          Prng.shuffle prng subset;
+          Hashtbl.replace offered (Vm.name vm) (Array.to_list subset))
+        vms;
+      let candidates vm = Hashtbl.find offered (Vm.name vm) in
+      let load_bytes (n : Node.t) = base.(n.Node.id) in
+      let bytes_of vm = Hashtbl.find need (Vm.name vm) in
+      let show = function
+        | Ok l ->
+          String.concat " "
+            (List.map (fun (vm, (n : Node.t)) -> Vm.name vm ^ "->" ^ n.Node.name) l)
+        | Error e -> "Error " ^ e
+      in
+      let got = Placement.pack_least_loaded ~vms ~candidates ~load_bytes ~bytes_of () in
+      let want = reference_pack ~vms ~candidates ~load_bytes ~bytes_of in
+      if show got <> show want then
+        QCheck.Test.fail_reportf "pack_least_loaded: %s\nreference:         %s" (show got)
+          (show want);
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Cloud scheduler *)
 
@@ -163,7 +250,8 @@ let () =
           Alcotest.test_case "capacity failure" `Quick test_evacuation_capacity_failure;
           Alcotest.test_case "consolidation packs" `Quick test_consolidation_plan_packs;
           Alcotest.test_case "spread" `Quick test_spread_plan;
-        ] );
+        ]
+        @ Qsuite.tests [ pack_least_loaded_prop ] );
       ( "scheduler",
         [
           Alcotest.test_case "disaster evacuation" `Quick test_scheduler_executes_disaster;
