@@ -60,6 +60,16 @@ let traffic_arg extra =
   in
   Arg.(value & opt (some c) None & info [ "traffic" ] ~docv:"PATTERN" ~doc)
 
+(* The contents of an input file. An unreadable one is [cmd]'s one-line
+   error, [cmd: path: reason], and exits 1. *)
+let read_input ~cmd path =
+  try In_channel.with_open_bin path In_channel.input_all
+  with Sys_error msg ->
+    (* An open error names the path already; a read error does not. *)
+    let msg = if String.starts_with ~prefix:(path ^ ": ") msg then msg else path ^ ": " ^ msg in
+    prerr_endline (cmd ^ ": " ^ msg);
+    exit 1
+
 (* -j/--jobs; a value below 1 is reported as [cmd]'s error and exits 1. *)
 let jobs_arg ~cmd extra =
   let doc =
@@ -297,12 +307,7 @@ let script_cmd =
     let text =
       match file with
       | None | Some "-" -> Ninja_core.Script_lang.fig5
-      | Some path ->
-        let ic = open_in path in
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
+      | Some path -> read_input ~cmd:"script" path
     in
     match Ninja_core.Script_lang.parse text with
     | Error msg ->
@@ -437,14 +442,7 @@ let check_cmd =
     let open Ninja_check in
     match replay with
     | Some path ->
-      let text =
-        let ic = open_in path in
-        let len = in_channel_length ic in
-        let s = really_input_string ic len in
-        close_in ic;
-        s
-      in
-      (match Scenario.of_string text with
+      (match Scenario.of_string (read_input ~cmd:"check --replay" path) with
       | Error msg ->
         prerr_endline ("check --replay: " ^ msg);
         exit 1

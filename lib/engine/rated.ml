@@ -87,10 +87,6 @@ let[@inline] get t i =
   if i < 0 || i >= t.n then invalid_arg "Rated.get: index out of bounds";
   Array.unsafe_get t.tasks i
 
-let active t =
-  let rec from i acc = if i < 0 then acc else from (i - 1) (t.tasks.(i) :: acc) in
-  from (t.n - 1) []
-
 (* Advance every live task by its rate over the elapsed interval. The
    clock moves only once the FIFO, and so every flush, has run, so the
    rates are the policy's. *)

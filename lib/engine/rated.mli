@@ -74,10 +74,6 @@ val kick : 'a t -> unit
     cannot observe (e.g. a capacity update): settle now, re-rate and
     re-arm at the flush. *)
 
-val active : 'a t -> 'a task list
-(** Active (incomplete) tasks, in insertion order. Builds a fresh list;
-    hot paths iterate with {!length} and {!get} instead. *)
-
 val length : 'a t -> int
 (** Number of active tasks. *)
 

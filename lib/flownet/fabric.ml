@@ -8,8 +8,7 @@ type link = {
   mutable residual : float;
   mutable unfrozen : int;
   (* Live flows crossing this link (fid -> task), maintained by the
-     incremental solver from the rated set's change log. Stays empty under
-     the [Global] reference solver. *)
+     solver from the rated set's change log. *)
   flows_on : (int, info Rated.task) Hashtbl.t;
   (* Epoch stamp: equal to the state's epoch iff this link is already in
      the current rerate's affected set. Replaces a per-rerate hashtable so
@@ -21,13 +20,10 @@ type link = {
 
 and info = { fid : int; route : link list; mutable fmark : int }
 
-type solver = Incremental | Global
-
 type state = {
-  solver : solver;
   mutable dirty_links : link list; (* capacity changes since last rerate *)
   mutable freeze_log : int list; (* bottleneck ids of the last solve, reversed *)
-  mutable epoch : int; (* bumped per incremental rerate; validates marks *)
+  mutable epoch : int; (* bumped per rerate; validates marks *)
   mutable rev_links : link list; (* newest first; removed links linger until [links] *)
   mutable live_links : link list option; (* [links]' answer, until a link is added or removed *)
   mutable watched : bool; (* a consumer drains [resolved] *)
@@ -46,21 +42,22 @@ type flow = info Rated.task
 
 (* Bottleneck choice: lexicographic minimum of (fair share, link id). A
    strictly smaller fair share wins; an exact floating-point tie goes to
-   the smaller link id. Shared by both solvers, so they freeze links in
-   the same order and a replay is deterministic. *)
+   the smaller link id. It is a total order, so the freeze order depends
+   on neither the links' order nor the arrival history, and a replay is
+   deterministic. *)
 let better (fair, l) acc =
   match acc with
   | Some (bfair, bl) when bfair < fair || (bfair = fair && bl.id < l.id) -> acc
   | _ -> Some (fair, l)
 
 (* Progressive filling (max–min fairness) over a closed subproblem:
-   [links] is exactly the union of the [flows]' routes, and [flows] are in
-   insertion (fid) order — the order the global solve scans them in, so a
-   component-local solve performs the identical arithmetic. Repeatedly
-   pick the bottleneck link (smallest fair share = residual / unfrozen
-   flows), freeze the unfrozen flows crossing it at that share, subtract
-   their rate along their whole routes, and repeat until every flow is
-   frozen. *)
+   [links] is exactly the union of the [flows]' routes. Repeatedly pick
+   the bottleneck link (smallest fair share = residual / unfrozen flows),
+   freeze the unfrozen flows crossing it at that share, subtract their
+   rate along their whole routes, and repeat until every flow is frozen.
+   The order of [flows] changes no result: every flow frozen in one round
+   takes the same share, and each link subtracts that share once per such
+   flow, so no rate and no freeze order depends on it. *)
 let solve_subset state flows links =
   let n = Array.length flows in
   let routes = Array.map (fun fl -> (Rated.payload fl).route) flows in
@@ -153,30 +150,14 @@ let unrecord state l =
     l.slot <- -1
   end
 
-(* Reference solver: re-solve the whole fabric from scratch. *)
-let global_rerate state set =
-  if state.watched then List.iter (record state) (live_links state);
-  let flows = Array.init (Rated.length set) (Rated.get set) in
-  if Array.length flows > 0 then begin
-    let links =
-      let tbl = Hashtbl.create 16 in
-      Array.iter
-        (fun fl ->
-          List.iter
-            (fun l -> if not (Hashtbl.mem tbl l.id) then Hashtbl.add tbl l.id l)
-            (Rated.payload fl).route)
-        flows;
-      Hashtbl.fold (fun _ l acc -> l :: acc) tbl []
-    in
-    solve_subset state flows links
-  end
-
-(* Incremental solver: flows partition into connected components of the
-   link-sharing graph, and components are independent — freezing a flow
-   never touches another component's links. So only the component(s)
-   reachable from this change need re-solving; every other flow's rate is
-   already exactly what a global re-solve would assign (see DESIGN). *)
-let incremental_rerate state set =
+(* The incremental solve: flows partition into connected components of
+   the link-sharing graph, and components are independent — freezing a
+   flow never touches another component's links. So only the
+   component(s) reachable from this change need re-solving; every other
+   flow's rate is already exactly what a solve of the whole fabric would
+   assign (see DESIGN). *)
+let rerate state set =
+  state.freeze_log <- [];
   let deltas = Rated.changes set in
   let dirty = state.dirty_links in
   state.dirty_links <- [];
@@ -235,23 +216,13 @@ let incremental_rerate state set =
        affected link — including a component whose last flow just left
        and a re-capacitated link no flow crosses. *)
     if state.watched then List.iter (record state) !aff_links;
-    let flows =
-      List.sort (fun a b -> compare (Rated.payload a).fid (Rated.payload b).fid) !aff_flows
-      |> Array.of_list
-    in
+    let flows = Array.of_list !aff_flows in
     if Array.length flows > 0 then solve_subset state flows !aff_links
   end
 
-let rerate state set =
-  state.freeze_log <- [];
-  match state.solver with
-  | Global -> global_rerate state set
-  | Incremental -> incremental_rerate state set
-
-let create ?(solver = Incremental) sim =
+let create sim =
   let state =
     {
-      solver;
       dirty_links = [];
       freeze_log = [];
       epoch = 0;
@@ -295,16 +266,10 @@ let add_link t ~name ~capacity =
   t.state.live_links <- None;
   l
 
-let crosses l fl = List.exists (fun l' -> l'.id = l.id) (Rated.payload fl).route
-
 let remove_link t l =
   Rated.refresh t.set;
-  let crossed =
-    match t.state.solver with
-    | Incremental -> Hashtbl.length l.flows_on > 0
-    | Global -> List.exists (crosses l) (Rated.active t.set)
-  in
-  if crossed then invalid_arg ("Fabric.remove_link: a flow still crosses " ^ l.name);
+  if Hashtbl.length l.flows_on > 0 then
+    invalid_arg ("Fabric.remove_link: a flow still crosses " ^ l.name);
   if not l.removed then begin
     l.removed <- true;
     unrecord t.state l;
@@ -350,9 +315,7 @@ let set_link_capacity t l c =
   if not (c > 0.0 && Float.is_finite c) then
     invalid_arg "Fabric.set_link_capacity: capacity must be positive and finite";
   l.capacity <- c;
-  (match t.state.solver with
-  | Incremental -> t.state.dirty_links <- l :: t.state.dirty_links
-  | Global -> ());
+  t.state.dirty_links <- l :: t.state.dirty_links;
   Rated.kick t.set
 
 let check_route route =
@@ -380,26 +343,17 @@ let is_done fl = Rated.is_done fl
 
 let active_flows t = Rated.length t.set
 
+(* The registry holds exactly the live flows crossing [l]. Summing in
+   table order is reproducible: hashing is unseeded and the table's
+   layout is a pure function of the simulation's (deterministic)
+   insert/remove history, so replays and [-j N] runs see the same order.
+   The flow monitor polls every link on every tick and most carry
+   nothing, so an idle link answers without allocating. *)
 let link_utilization t l =
   Rated.refresh t.set;
-  match t.state.solver with
-  | Incremental ->
-    (* The registry holds exactly the live flows crossing [l]. Summing in
-       table order is reproducible: hashing is unseeded and the table's
-       layout is a pure function of the simulation's (deterministic)
-       insert/remove history, so replays and [-j N] runs see the same
-       order. The flow monitor polls every link on every tick and most
-       carry nothing, so an idle link answers without allocating. *)
-    if Hashtbl.length l.flows_on = 0 then 0.0
-    else begin
-      let total = ref 0.0 in
-      Hashtbl.iter (fun _ fl -> total := !total +. Rated.rate fl) l.flows_on;
-      !total
-    end
-  | Global ->
+  if Hashtbl.length l.flows_on = 0 then 0.0
+  else begin
     let total = ref 0.0 in
-    for i = 0 to Rated.length t.set - 1 do
-      let fl = Rated.get t.set i in
-      if crosses l fl then total := !total +. Rated.rate fl
-    done;
+    Hashtbl.iter (fun _ fl -> total := !total +. Rated.rate fl) l.flows_on;
     !total
+  end

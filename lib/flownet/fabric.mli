@@ -2,11 +2,15 @@
 
     A fabric is a set of directed capacity-constrained links; a {e flow} is
     a bulk transfer routed over a list of links. Whenever the flow
-    population changes (or a capacity changes), all flow rates are
-    recomputed by progressive filling: repeatedly saturate the most
-    contended link, freeze its flows at the fair share, and continue with
-    the residual capacities. Between changes rates are constant, so flow
-    completions are exact events.
+    population changes (or a capacity changes), flow rates are recomputed
+    by progressive filling: repeatedly saturate the most contended link,
+    freeze its flows at the fair share, and continue with the residual
+    capacities. Only the connected component (flows linked by shared
+    links) that a join, leave or capacity change touches is re-solved;
+    components are independent, so every rate equals that of a solve of
+    the whole fabric (see DESIGN), at a cost proportional to the component.
+    Between changes rates are constant, so flow completions are exact
+    events.
 
     The flows are a {!Ninja_engine.Rated} set, so the re-solve runs once
     per instant over every change made in it: at the set's flush, or
@@ -26,24 +30,13 @@ type link
 
 type flow
 
-type solver =
-  | Incremental
-      (** Re-run progressive filling only over the affected bottleneck set
-          — the connected component (flows linked by shared links) touched
-          by a join/leave/capacity change. Produces rates identical to
-          [Global] (components are independent; see DESIGN), at cost
-          proportional to the component instead of the fabric. *)
-  | Global  (** Reference implementation: full re-solve on every change. *)
-
-val create : ?solver:solver -> Ninja_engine.Sim.t -> t
-(** Default solver is [Incremental]; pass [~solver:Global] to run the
-    reference implementation (differential tests race the two). *)
+val create : Ninja_engine.Sim.t -> t
 
 val last_bottlenecks : t -> int list
 (** Link ids frozen by the most recent re-rate, in freeze order — the
-    solve's deterministic tie-break trace, exposed for tests. Under
-    [Incremental] it covers only the re-solved components: those every
-    change since the previous re-rate touched. *)
+    solve's deterministic tie-break trace, exposed for tests. It covers
+    only the re-solved components: those every change since the previous
+    re-rate touched. *)
 
 val rerates : t -> int
 (** How many times the fabric has re-solved (a cost counter). *)
@@ -70,13 +63,13 @@ val links : t -> link list
     solver covered since it last looked. *)
 
 val watch : t -> unit
-(** Start recording the links each re-rate covers: under [Incremental]
-    the re-solved component's links (a component whose last flow just
-    left and a re-capacitated link no flow crosses included), under
-    [Global] every live link. Every live link starts pending, so the
-    first {!drain_resolved} covers the whole fabric. A fabric has at most
-    one watcher: raises [Invalid_argument] when already watched. An
-    unwatched fabric pays one flag test per re-rate. *)
+(** Start recording the links each re-rate covers: the re-solved
+    components' links, a component whose last flow just left and a
+    re-capacitated link no flow crosses included. Every live link starts
+    pending, so the first {!drain_resolved} covers the whole fabric. A
+    fabric has at most one watcher: raises [Invalid_argument] when
+    already watched. An unwatched fabric pays one flag test per
+    re-rate. *)
 
 val unwatch : t -> unit
 (** Stop recording and forget the pending links (idempotent). *)

@@ -30,10 +30,8 @@ type t = {
   topo : topo_links option;
   nodes : Node.t array;
   by_name : (string, Node.t) Hashtbl.t;
-  ib_list : Node.t list;
   eth_only_list : Node.t list;
   vms : (string, vm_entry) Hashtbl.t;
-  residents : (string, unit) Hashtbl.t array; (* per node id *)
   used_bytes : float array; (* per node id, registered VM memory *)
   probes : Probe.t;
   inter_racks : (int * int, inter_rack) Hashtbl.t;
@@ -79,14 +77,14 @@ let build_topo_links fabric topo =
   let ib_down = Array.init racks (ib_rack "down") in
   { topo; leaf_up; leaf_down; pod_up; pod_down; ib_up; ib_down }
 
-let create sim ?spec ?topology ?solver () =
+let create sim ?spec ?topology () =
   let spec =
     match (topology, spec) with
     | Some topo, _ -> Topology.to_spec topo
     | None, Some s -> s
     | None, None -> Spec.agc
   in
-  let fabric = Fabric.create ?solver sim in
+  let fabric = Fabric.create sim in
   let topo = Option.map (build_topo_links fabric) topology in
   let nodes =
     List.concat_map
@@ -102,9 +100,7 @@ let create sim ?spec ?topology ?solver () =
   in
   let by_name = Hashtbl.create (Array.length nodes) in
   Array.iter (fun (n : Node.t) -> Hashtbl.replace by_name n.name n) nodes;
-  let node_list = Array.to_list nodes in
-  let ib_list = List.filter Node.has_ib node_list in
-  let eth_only_list = List.filter (fun n -> not (Node.has_ib n)) node_list in
+  let eth_only_list = List.filter (fun n -> not (Node.has_ib n)) (Array.to_list nodes) in
   let probes = Probe.create sim in
   let injector = Ninja_faults.Injector.create sim in
   Ninja_faults.Injector.set_probes injector probes;
@@ -115,10 +111,8 @@ let create sim ?spec ?topology ?solver () =
     topo;
     nodes;
     by_name;
-    ib_list;
     eth_only_list;
     vms = Hashtbl.create 64;
-    residents = Array.init (Array.length nodes) (fun _ -> Hashtbl.create 4);
     used_bytes = Array.make (Array.length nodes) 0.0;
     probes;
     inter_racks = Hashtbl.create 4;
@@ -149,8 +143,6 @@ let nodes t = Array.to_list t.nodes
 let rerates t =
   Array.fold_left (fun acc n -> acc + Ps_resource.rerates n.Node.cpu) (Fabric.rerates t.fabric) t.nodes
 
-let ib_nodes t = t.ib_list
-
 let eth_only_nodes t = t.eth_only_list
 
 let find_node t name = Hashtbl.find t.by_name name
@@ -158,8 +150,7 @@ let find_node t name = Hashtbl.find t.by_name name
 (* ------------------------------------------------------------------ *)
 (* VM registry *)
 
-let remove_entry t name (e : vm_entry) =
-  Hashtbl.remove t.residents.(e.vm_node) name;
+let remove_entry t (e : vm_entry) =
   t.used_bytes.(e.vm_node) <- Float.max 0.0 (t.used_bytes.(e.vm_node) -. e.vm_bytes)
 
 let register_vm t ~name ~node ~bytes =
@@ -170,10 +161,9 @@ let register_vm t ~name ~node ~bytes =
   (* Latest registration wins: restoring a snapshot re-creates a VM under
      its original name while the stale instance may still linger. *)
   (match Hashtbl.find_opt t.vms name with
-  | Some stale -> remove_entry t name stale
+  | Some stale -> remove_entry t stale
   | None -> ());
   Hashtbl.replace t.vms name { vm_node = node; vm_bytes = bytes };
-  Hashtbl.replace t.residents.(node) name ();
   t.used_bytes.(node) <- t.used_bytes.(node) +. bytes
 
 let move_vm t ~name ~node =
@@ -183,29 +173,13 @@ let move_vm t ~name ~node =
   | None -> raise Not_found
   | Some e ->
     if e.vm_node <> node then begin
-      remove_entry t name e;
+      remove_entry t e;
       e.vm_node <- node;
-      Hashtbl.replace t.residents.(node) name ();
       t.used_bytes.(node) <- t.used_bytes.(node) +. e.vm_bytes
     end
 
-let unregister_vm t ~name =
-  match Hashtbl.find_opt t.vms name with
-  | None -> ()
-  | Some e ->
-    remove_entry t name e;
-    Hashtbl.remove t.vms name
-
-let vm_count t = Hashtbl.length t.vms
-
 let vm_node t ~name =
   Option.map (fun e -> t.nodes.(e.vm_node)) (Hashtbl.find_opt t.vms name)
-
-let vms_on t (n : Node.t) =
-  Hashtbl.fold (fun name () acc -> name :: acc) t.residents.(n.Node.id) []
-  |> List.sort String.compare
-
-let node_used_bytes t (n : Node.t) = t.used_bytes.(n.Node.id)
 
 let node_free_bytes t (n : Node.t) = n.Node.mem_bytes -. t.used_bytes.(n.Node.id)
 

@@ -18,13 +18,10 @@ type net = Ib | Eth
 
 type t
 
-val create :
-  Sim.t -> ?spec:Spec.t -> ?topology:Topology.t -> ?solver:Fabric.solver -> unit -> t
+val create : Sim.t -> ?spec:Spec.t -> ?topology:Topology.t -> unit -> t
 (** Default spec is {!Spec.agc}. When [topology] is given it takes
     precedence: the node population comes from {!Topology.to_spec} and
-    multi-tier routing is enabled. [solver] is passed to
-    {!Fabric.create} (differential tests pit [Incremental] against
-    [Global] on the same topology). *)
+    multi-tier routing is enabled. *)
 
 val sim : t -> Sim.t
 
@@ -49,8 +46,6 @@ val node_count : t -> int
 val nodes : t -> Node.t list
 (** Every node, in id order. *)
 
-val ib_nodes : t -> Node.t list
-
 val eth_only_nodes : t -> Node.t list
 
 val find_node : t -> string -> Node.t
@@ -59,10 +54,10 @@ val find_node : t -> string -> Node.t
 (** {1 VM registry}
 
     An indexed store of VM placements, kept in sync by
-    [Ninja_vmm.Vm.create]/[set_host]: name → node plus per-node resident
-    sets and memory aggregates, so occupancy queries cost O(1) per node
-    instead of a scan over every VM. Keyed by name because this layer
-    sits below the VMM. *)
+    [Ninja_vmm.Vm.create]/[set_host]: name → node plus per-node memory
+    aggregates, so occupancy queries cost O(1) per node instead of a scan
+    over every VM. Keyed by name because this layer sits below the
+    VMM. *)
 
 val register_vm : t -> name:string -> node:int -> bytes:float -> unit
 (** Latest registration under a name wins (snapshot restore re-creates a
@@ -71,17 +66,7 @@ val register_vm : t -> name:string -> node:int -> bytes:float -> unit
 val move_vm : t -> name:string -> node:int -> unit
 (** Raises [Not_found] for an unregistered name. *)
 
-val unregister_vm : t -> name:string -> unit
-(** No-op for an unregistered name. *)
-
-val vm_count : t -> int
-
 val vm_node : t -> name:string -> Node.t option
-
-val vms_on : t -> Node.t -> string list
-(** Registered VMs resident on the node, sorted by name. *)
-
-val node_used_bytes : t -> Node.t -> float
 
 val node_free_bytes : t -> Node.t -> float
 

@@ -10,7 +10,7 @@
 set -eu
 
 seed="${1:-1}"
-suites="test_engine test_scheduler test_planner test_controlplane"
+suites="test_engine test_scheduler test_planner test_controlplane test_topology test_flownet"
 root=$(git rev-parse --show-toplevel)
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT INT TERM

@@ -666,9 +666,10 @@ let rated_conservation_prop =
       let sim = Sim.create () in
       let capacity = float_of_int cap in
       let rerate set =
-        let tasks = Rated.active set in
-        let n = float_of_int (List.length tasks) in
-        List.iter (fun task -> Rated.set_rate task (capacity /. n)) tasks
+        let n = Rated.length set in
+        for i = 0 to n - 1 do
+          Rated.set_rate (Rated.get set i) (capacity /. float_of_int n)
+        done
       in
       let set = Rated.create sim ~name:"net" ~rerate in
       Sim.spawn sim (fun () ->
@@ -690,9 +691,10 @@ let rated_cancel_conservation_prop =
       let sim = Sim.create () in
       let capacity = float_of_int cap in
       let rerate set =
-        let tasks = Rated.active set in
-        let n = float_of_int (List.length tasks) in
-        List.iter (fun task -> Rated.set_rate task (capacity /. n)) tasks
+        let n = Rated.length set in
+        for i = 0 to n - 1 do
+          Rated.set_rate (Rated.get set i) (capacity /. float_of_int n)
+        done
       in
       let set = Rated.create sim ~name:"net" ~rerate in
       let w = float_of_int work in
@@ -901,7 +903,16 @@ module Transcript (R : RATED) (P : PS) = struct
     }
 end
 
-module Fast = Transcript (Rated) (Ps_resource)
+(* The array-backed set has no list of its tasks; the policy's list is
+   built from its [length]/[get]. *)
+module Fast =
+  Transcript
+    (struct
+      include Rated
+
+      let active set = List.init (length set) (get set)
+    end)
+    (Ps_resource)
 module Reference = Transcript (Engine_oracle.Rated) (Engine_oracle.Ps_resource)
 
 (* 1-40 starts among races, cancels, capacity changes and sleeps. Demands

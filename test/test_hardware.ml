@@ -46,7 +46,9 @@ let test_spec_agc () =
 let test_cluster_construction () =
   let sim = Sim.create () in
   let cluster = Cluster.create sim () in
-  Alcotest.(check int) "8 ib nodes" 8 (List.length (Cluster.ib_nodes cluster));
+  Alcotest.(check int)
+    "8 ib nodes" 8
+    (List.length (List.filter Node.has_ib (Cluster.nodes cluster)));
   Alcotest.(check int) "8 eth nodes" 8 (List.length (Cluster.eth_only_nodes cluster));
   let ib0 = Cluster.find_node cluster "ib00" in
   let eth0 = Cluster.find_node cluster "eth00" in

@@ -1,24 +1,22 @@
 (* Datacenter topologies and the incremental Flownet solver, tested four
    ways: the topology generator itself (grammar, lowering, reachability,
    oversubscription, seeded placement); a differential suite racing the
-   incremental max-min solver against the global reference over random
-   join/leave/capacity sequences; the cluster's VM-placement index
-   against a list-scan oracle under randomized churn; and the 1000-VM
-   evacuation study under a host-CPU budget.
+   incremental max-min solver against a from-scratch reference
+   (Engine_oracle.Maxmin) over random join/leave/capacity sequences; the
+   cluster's VM-placement index against a list-scan oracle under
+   randomized churn; and the 1000-VM evacuation study under a host-CPU
+   budget.
 
-   Seeded from NINJA_TEST_SEED (default 1) so the CI seed matrix
-   (1/7/1337) exercises distinct random streams. *)
+   Seeded from NINJA_TEST_SEED (default 1, through Qsuite) so the CI seed
+   matrix (1/7/1337) exercises distinct random streams, and two runs at
+   one seed test the same cases. *)
 
 open Ninja_engine
 open Ninja_flownet
 open Ninja_hardware
+module Maxmin = Engine_oracle.Maxmin
 
-let env_seed =
-  match Sys.getenv_opt "NINJA_TEST_SEED" with
-  | Some s -> ( try Int64.of_string s with Failure _ -> 1L)
-  | None -> 1L
-
-let salted salt = Int64.add env_seed (Int64.of_int salt)
+let salted salt = Int64.add Qsuite.seed (Int64.of_int salt)
 
 let ok_exn = function Ok t -> t | Error e -> Alcotest.failf "unexpected error: %s" e
 
@@ -56,9 +54,8 @@ let test_validate_and_parse_errors () =
   Alcotest.(check int) "racks default" 2 t.Topology.racks_per_pod
 
 let roundtrip_prop =
-  QCheck.Test.make ~name:"topology text form round-trips" ~count:200 QCheck.small_int
-    (fun salt ->
-      let prng = Prng.create ~seed:(salted salt) in
+  QCheck.Test.make ~name:"topology text form round-trips" ~count:200 QCheck.int (fun seed ->
+      let prng = Prng.create ~seed:(Int64.of_int seed) in
       let t = Topology.gen prng in
       match Topology.of_string (Topology.to_string t) with
       | Ok t' -> t' = t
@@ -191,8 +188,8 @@ let test_place () =
 
 let shrink_prop =
   QCheck.Test.make ~name:"topology shrinks stay valid and get smaller" ~count:200
-    QCheck.small_int (fun salt ->
-      let prng = Prng.create ~seed:(salted salt) in
+    QCheck.int (fun seed ->
+      let prng = Prng.create ~seed:(Int64.of_int seed) in
       let t = Topology.gen prng in
       let size (t : Topology.t) =
         Topology.host_count t
@@ -218,7 +215,7 @@ let test_fuzz_hook () =
   let open Ninja_check in
   let prng = Prng.create ~seed:(salted 17) in
   let topo = Topology.gen prng in
-  let ctx = Run_ctx.make ~seed:env_seed () in
+  let ctx = Run_ctx.make ~seed:Qsuite.seed () in
   let summary = Fuzz.campaign ctx ~n:3 ~topology:topo () in
   Alcotest.(check int) "forced-topology campaign total" 3 summary.Fuzz.total;
   Alcotest.(check int) "forced-topology campaign green" 3 summary.Fuzz.passed;
@@ -229,7 +226,7 @@ let test_fuzz_hook () =
   if with_topo = 0 then Alcotest.fail "no generated scenario carried a topology"
 
 (* ------------------------------------------------------------------ *)
-(* Differential: incremental vs global max-min solver *)
+(* Differential: the incremental solver against the max-min oracle *)
 
 (* The reference flow-conservation check: sweep every live link and keep
    those whose flows exceed its capacity (the checker's tolerance). *)
@@ -272,147 +269,182 @@ let watch_changes fabric links =
     prev := now;
     !missed
 
-(* Drive one random join/leave/capacity-change sequence over two clusters
-   built from the same generated topology, one per solver, and compare
-   every live flow's rate after every operation. Flows carry far more
-   bytes than could ever complete (the simulations never run), so the
-   sequence exercises pure re-rating. After every operation both fabrics
-   must also have reported every link that changed, and neither may hold
-   an over-capacity link. *)
-let paired_sequence ~ops ~solver_b ~compare_logs prng =
+(* After every operation a fabric must have reported every link that
+   changed, and may hold no over-capacity link. *)
+let soundness fabric =
+  let changes = watch_changes fabric (Array.of_list (Fabric.links fabric)) in
+  fun () ->
+    match (changes (), sweep fabric) with
+    | Some msg, _ -> Some msg
+    | None, l :: _ -> Some (Fabric.link_name l ^ " over capacity")
+    | None, [] -> None
+
+(* A live flow: its link ids, and the flow on each fabric. *)
+type live = { route : int list; flows : Fabric.flow array }
+
+(* Drive one random join/leave/capacity-change sequence over [copies]
+   clusters built from the same generated topology, the same operation on
+   each. [checker fabrics] is called once, before the first operation; the
+   check it returns is called with the live flows, oldest first, after
+   every operation. Flows carry far more bytes than could ever complete
+   (the simulations never run), so the sequence exercises pure
+   re-rating. *)
+let sequence ~ops ~copies ~checker prng =
   let topo = Topology.gen prng in
-  let mk solver = Cluster.create (Sim.create ()) ~topology:topo ~solver () in
-  let ca = mk Fabric.Incremental and cb = mk solver_b in
-  let fa = Cluster.fabric ca and fb = Cluster.fabric cb in
-  let nodes_a = Array.of_list (Cluster.nodes ca) in
-  let nodes_b = Array.of_list (Cluster.nodes cb) in
-  let links_a = Array.of_list (Fabric.links fa) in
-  let links_b = Array.of_list (Fabric.links fb) in
-  let changes_a = watch_changes fa links_a and changes_b = watch_changes fb links_b in
-  let n = Array.length nodes_a in
+  let clusters = Array.init copies (fun _ -> Cluster.create (Sim.create ()) ~topology:topo ()) in
+  let fabrics = Array.map Cluster.fabric clusters in
+  let nodes = Array.map (fun c -> Array.of_list (Cluster.nodes c)) clusters in
+  let links = Array.map (fun f -> Array.of_list (Fabric.links f)) fabrics in
+  let check = checker fabrics in
+  let n = Array.length nodes.(0) in
   let live = ref [] in
-  let failure = ref None in
-  let check_step step =
-    List.iter
-      (fun (x, y) ->
-        let ra = Fabric.rate x and rb = Fabric.rate y in
-        if Float.abs (ra -. rb) > 1e-9 *. Float.max 1.0 (Float.abs rb) then
-          failure :=
-            Some (Printf.sprintf "step %d: incremental %.17g vs reference %.17g" step ra rb))
-      !live;
-    if compare_logs && Fabric.last_bottlenecks fa <> Fabric.last_bottlenecks fb then
-      failure := Some (Printf.sprintf "step %d: freeze logs diverge" step);
-    List.iter
-      (fun (tag, changes, fabric) ->
-        (match changes () with
-        | Some msg -> failure := Some (Printf.sprintf "step %d (%s): %s" step tag msg)
-        | None -> ());
-        match sweep fabric with
-        | [] -> ()
-        | l :: _ ->
-          failure :=
-            Some (Printf.sprintf "step %d (%s): %s over capacity" step tag (Fabric.link_name l)))
-      [ ("incremental", changes_a, fa); ("reference", changes_b, fb) ]
-  in
-  for step = 1 to ops do
-    (match !failure with
-    | Some _ -> ()
-    | None ->
+  let rec step i =
+    if i > ops then None
+    else begin
       let x = Prng.int prng 100 in
       if x < 55 || !live = [] then begin
         let s = Prng.int prng n and d = Prng.int prng n in
-        let want_ib =
-          Node.has_ib nodes_a.(s) && Node.has_ib nodes_a.(d) && Prng.bool prng
-        in
-        let route c (nodes : Node.t array) =
-          let attempt net = Cluster.route_opt c ~net ~src:nodes.(s) ~dst:nodes.(d) in
+        let want_ib = Node.has_ib nodes.(0).(s) && Node.has_ib nodes.(0).(d) && Prng.bool prng in
+        let route k =
+          let src = nodes.(k).(s) and dst = nodes.(k).(d) in
+          let attempt net = Cluster.route_opt clusters.(k) ~net ~src ~dst in
           match (if want_ib then attempt Cluster.Ib else None) with
           | Some r -> r
           | None -> ( match attempt Cluster.Eth with Some r -> r | None -> assert false)
         in
         let bytes = 1e12 *. float_of_int (1 + Prng.int prng 8) in
-        let fx = Fabric.start fa ~route:(route ca nodes_a) ~bytes in
-        let fy = Fabric.start fb ~route:(route cb nodes_b) ~bytes in
-        live := (fx, fy) :: !live
+        let routes = Array.init copies route in
+        let flows = Array.mapi (fun k route -> Fabric.start fabrics.(k) ~route ~bytes) routes in
+        live := { route = List.map Fabric.link_id routes.(0); flows } :: !live
       end
       else if x < 85 then begin
-        let i = Prng.int prng (List.length !live) in
-        let fx, fy = List.nth !live i in
-        live := List.filteri (fun j _ -> j <> i) !live;
-        Fabric.cancel fa fx;
-        Fabric.cancel fb fy
+        let victim = Prng.int prng (List.length !live) in
+        let gone = List.nth !live victim in
+        live := List.filteri (fun j _ -> j <> victim) !live;
+        Array.iteri (fun k fabric -> Fabric.cancel fabric gone.flows.(k)) fabrics
       end
       else begin
-        let li = Prng.int prng (Array.length links_a) in
+        let li = Prng.int prng (Array.length links.(0)) in
         let cap = 1e8 *. float_of_int (1 + Prng.int prng 100) in
-        Fabric.set_link_capacity fa links_a.(li) cap;
-        Fabric.set_link_capacity fb links_b.(li) cap
+        Array.iteri (fun k fabric -> Fabric.set_link_capacity fabric links.(k).(li) cap) fabrics
       end;
-      check_step step)
-  done;
-  !failure
+      match check (List.rev !live) with
+      | Some msg -> Some (Printf.sprintf "step %d: %s" i msg)
+      | None -> step (i + 1)
+    end
+  in
+  step 1
+
+let rec subsequence xs ys =
+  match (xs, ys) with
+  | [], _ -> true
+  | _, [] -> false
+  | x :: xs', y :: ys' -> if x = y then subsequence xs' ys' else subsequence xs ys'
+
+let ids l = String.concat "," (List.map string_of_int l)
+
+(* After every operation each live flow's rate must equal, bit for bit,
+   the oracle's from-scratch solve over every live flow. The re-rate
+   covers only the components the operation touched, so its freeze log
+   must be the oracle's freeze order restricted to those components'
+   links: a subsequence of it. *)
+let against_oracle fabrics =
+  let fabric = fabrics.(0) in
+  let by_id = Hashtbl.create 64 in
+  List.iter (fun l -> Hashtbl.replace by_id (Fabric.link_id l) l) (Fabric.links fabric);
+  let capacity id = Fabric.link_capacity (Hashtbl.find by_id id) in
+  let sound = soundness fabric in
+  fun live ->
+    let oracle = Maxmin.solve ~capacity (Array.of_list (List.map (fun f -> f.route) live)) in
+    let rates =
+      List.combine
+        (List.map (fun f -> Fabric.rate f.flows.(0)) live)
+        (Array.to_list oracle.Maxmin.rates)
+    in
+    let log = Fabric.last_bottlenecks fabric in
+    match List.find_opt (fun (got, want) -> not (Float.equal got want)) rates with
+    | Some (got, want) -> Some (Printf.sprintf "incremental %.17g vs oracle %.17g" got want)
+    | None when not (subsequence log oracle.Maxmin.freeze_order) ->
+      Some
+        (Printf.sprintf "freeze log [%s] is not a subsequence of the oracle's [%s]" (ids log)
+           (ids oracle.Maxmin.freeze_order))
+    | None -> sound ()
 
 let differential_prop =
-  QCheck.Test.make ~name:"incremental rates = global rates (1e-9, 300 sequences)"
-    ~count:300 QCheck.small_int (fun salt ->
-      let prng = Prng.create ~seed:(salted salt) in
-      match paired_sequence ~ops:40 ~solver_b:Fabric.Global ~compare_logs:false prng with
+  QCheck.Test.make ~name:"incremental rates = oracle rates (exact, 300 sequences)" ~count:300
+    QCheck.int (fun seed ->
+      let prng = Prng.create ~seed:(Int64.of_int seed) in
+      match sequence ~ops:40 ~copies:1 ~checker:against_oracle prng with
       | None -> true
       | Some msg -> QCheck.Test.fail_reportf "%s" msg)
 
 (* Determinism, including tie-breaks: replaying a sequence on a second
    incremental fabric reproduces the exact freeze order and rates. *)
+let replayed fabrics =
+  let sound = Array.map soundness fabrics in
+  fun live ->
+    let differs f = not (Float.equal (Fabric.rate f.flows.(0)) (Fabric.rate f.flows.(1))) in
+    if List.exists differs live then Some "rates diverge"
+    else if Fabric.last_bottlenecks fabrics.(0) <> Fabric.last_bottlenecks fabrics.(1) then
+      Some "freeze logs diverge"
+    else
+      match (sound.(0) (), sound.(1) ()) with
+      | Some msg, _ | None, Some msg -> Some msg
+      | None, None -> None
+
 let tie_break_determinism_prop =
-  QCheck.Test.make ~name:"incremental freeze order is deterministic" ~count:100
-    QCheck.small_int (fun salt ->
-      let prng = Prng.create ~seed:(salted salt) in
-      match
-        paired_sequence ~ops:40 ~solver_b:Fabric.Incremental ~compare_logs:true prng
-      with
+  QCheck.Test.make ~name:"incremental freeze order is deterministic" ~count:100 QCheck.int
+    (fun seed ->
+      let prng = Prng.create ~seed:(Int64.of_int seed) in
+      match sequence ~ops:40 ~copies:2 ~checker:replayed prng with
       | None -> true
       | Some msg -> QCheck.Test.fail_reportf "%s" msg)
 
 (* The two-equal-links regression: when several links tie at the minimum
    fair share, the solver must freeze them in link-id order — the
-   lexicographic (share, id) tie-break — under both solvers. *)
+   lexicographic (share, id) tie-break — and so must the oracle. *)
 let test_tie_break_two_equal_links () =
-  List.iter
-    (fun solver ->
-      let tag =
-        match solver with Fabric.Incremental -> "incremental" | Fabric.Global -> "global"
-      in
-      (* One flow over two equally contended links: the bottleneck is the
-         lower link id. *)
-      let sim = Sim.create () in
-      let fab = Fabric.create ~solver sim in
-      let a = Fabric.add_link fab ~name:"a" ~capacity:10.0 in
-      let b = Fabric.add_link fab ~name:"b" ~capacity:10.0 in
-      let f = Fabric.start fab ~route:[ a; b ] ~bytes:1e12 in
-      Alcotest.(check (list int))
-        (tag ^ ": single flow freezes the lower-id link")
-        [ Fabric.link_id a ]
-        (Fabric.last_bottlenecks fab);
-      Alcotest.(check (float 0.0)) (tag ^ ": flow at capacity") 10.0 (Fabric.rate f);
-      (* Two flows through a shared wide link, private links tied at the
-         minimum share: one re-rate must freeze a then b. *)
-      let sim = Sim.create () in
-      let fab = Fabric.create ~solver sim in
-      let a = Fabric.add_link fab ~name:"a" ~capacity:10.0 in
-      let b = Fabric.add_link fab ~name:"b" ~capacity:10.0 in
-      let shared = Fabric.add_link fab ~name:"shared" ~capacity:1000.0 in
-      let f1 = Fabric.start fab ~route:[ a; shared ] ~bytes:1e12 in
-      let f2 = Fabric.start fab ~route:[ b; shared ] ~bytes:1e12 in
-      Alcotest.(check (list int))
-        (tag ^ ": equal links freeze in id order")
-        [ Fabric.link_id a; Fabric.link_id b ]
-        (Fabric.last_bottlenecks fab);
-      Alcotest.(check (float 0.0)) (tag ^ ": f1 fair share") 10.0 (Fabric.rate f1);
-      Alcotest.(check (float 0.0)) (tag ^ ": f2 fair share") 10.0 (Fabric.rate f2))
-    [ Fabric.Incremental; Fabric.Global ]
+  let freeze_order capacity routes =
+    (Maxmin.solve ~capacity (Array.of_list (List.map (List.map Fabric.link_id) routes)))
+      .Maxmin.freeze_order
+  in
+  (* One flow over two equally contended links: the bottleneck is the
+     lower link id. *)
+  let sim = Sim.create () in
+  let fab = Fabric.create sim in
+  let a = Fabric.add_link fab ~name:"a" ~capacity:10.0 in
+  let b = Fabric.add_link fab ~name:"b" ~capacity:10.0 in
+  let f = Fabric.start fab ~route:[ a; b ] ~bytes:1e12 in
+  Alcotest.(check (list int))
+    "single flow freezes the lower-id link" [ Fabric.link_id a ] (Fabric.last_bottlenecks fab);
+  Alcotest.(check (float 0.0)) "flow at capacity" 10.0 (Fabric.rate f);
+  Alcotest.(check (list int))
+    "oracle: single flow freezes the lower-id link" [ Fabric.link_id a ]
+    (freeze_order (fun _ -> 10.0) [ [ b; a ] ]);
+  (* Two flows through a shared wide link, private links tied at the
+     minimum share: one re-rate must freeze a then b. *)
+  let sim = Sim.create () in
+  let fab = Fabric.create sim in
+  let a = Fabric.add_link fab ~name:"a" ~capacity:10.0 in
+  let b = Fabric.add_link fab ~name:"b" ~capacity:10.0 in
+  let shared = Fabric.add_link fab ~name:"shared" ~capacity:1000.0 in
+  let f1 = Fabric.start fab ~route:[ a; shared ] ~bytes:1e12 in
+  let f2 = Fabric.start fab ~route:[ b; shared ] ~bytes:1e12 in
+  Alcotest.(check (list int))
+    "equal links freeze in id order" [ Fabric.link_id a; Fabric.link_id b ]
+    (Fabric.last_bottlenecks fab);
+  Alcotest.(check (float 0.0)) "f1 fair share" 10.0 (Fabric.rate f1);
+  Alcotest.(check (float 0.0)) "f2 fair share" 10.0 (Fabric.rate f2);
+  let capacity id = if id = Fabric.link_id shared then 1000.0 else 10.0 in
+  Alcotest.(check (list int))
+    "oracle: equal links freeze in id order" [ Fabric.link_id a; Fabric.link_id b ]
+    (freeze_order capacity [ [ shared; b ]; [ shared; a ] ])
 
 (* ------------------------------------------------------------------ *)
 (* Cluster VM index vs a list-scan oracle *)
 
+(* Registrations (a name already registered is re-registered: the latest
+   wins) and moves, checked against a name -> (node, bytes) table. *)
 let test_cluster_index_oracle () =
   let prng = Prng.create ~seed:(salted 23) in
   let t =
@@ -427,39 +459,25 @@ let test_cluster_index_oracle () =
   let names = Array.init 48 (Printf.sprintf "vm%02d") in
   for _ = 1 to 1000 do
     let name = names.(Prng.int prng (Array.length names)) in
-    match Prng.int prng 3 with
-    | 0 ->
-      let node = Prng.int prng n in
+    let node = Prng.int prng n in
+    match (Prng.bool prng, Hashtbl.find_opt oracle name) with
+    | true, Some (_, bytes) ->
+      Cluster.move_vm cluster ~name ~node;
+      Hashtbl.replace oracle name (node, bytes)
+    | _ ->
       let bytes = float_of_int (1 + Prng.int prng 4) *. 1e9 in
       Cluster.register_vm cluster ~name ~node ~bytes;
       Hashtbl.replace oracle name (node, bytes)
-    | 1 -> (
-      match Hashtbl.find_opt oracle name with
-      | Some (_, bytes) ->
-        let node = Prng.int prng n in
-        Cluster.move_vm cluster ~name ~node;
-        Hashtbl.replace oracle name (node, bytes)
-      | None -> ())
-    | _ ->
-      Cluster.unregister_vm cluster ~name;
-      Hashtbl.remove oracle name
   done;
-  Alcotest.(check int) "vm count" (Hashtbl.length oracle) (Cluster.vm_count cluster);
+  let free (node : Node.t) =
+    Hashtbl.fold
+      (fun _ (d, b) acc -> if d = node.Node.id then acc -. b else acc)
+      oracle node.Node.mem_bytes
+  in
   Array.iter
     (fun (node : Node.t) ->
-      let on_node f init =
-        Hashtbl.fold
-          (fun nm (nd, b) acc -> if nd = node.Node.id then f nm b acc else acc)
-          oracle init
-      in
-      Alcotest.(check (list string))
-        (node.Node.name ^ " residents")
-        (List.sort compare (on_node (fun nm _ acc -> nm :: acc) []))
-        (Cluster.vms_on cluster node);
       Alcotest.(check (float 1e3))
-        (node.Node.name ^ " used bytes")
-        (on_node (fun _ b acc -> acc +. b) 0.0)
-        (Cluster.node_used_bytes cluster node))
+        (node.Node.name ^ " free bytes") (free node) (Cluster.node_free_bytes cluster node))
     nodes;
   Hashtbl.iter
     (fun name (node, _) ->
@@ -471,12 +489,7 @@ let test_cluster_index_oracle () =
   Alcotest.(check (list string))
     "nodes_with_free matches a scan"
     (Array.to_list nodes
-    |> List.filter (fun (nd : Node.t) ->
-           nd.Node.mem_bytes
-           -. Hashtbl.fold
-                (fun _ (d, b) acc -> if d = nd.Node.id then acc +. b else acc)
-                oracle 0.0
-           >= want)
+    |> List.filter (fun nd -> free nd >= want)
     |> List.map (fun (nd : Node.t) -> nd.Node.name))
     (List.map
        (fun (nd : Node.t) -> nd.Node.name)
@@ -488,7 +501,7 @@ let test_cluster_index_oracle () =
 let test_evacuation_budget () =
   let open Ninja_experiments in
   let topo = Exp_scalability.dc_topology ~pods:4 ~racks:4 ~hosts:16 ~mem_gb:48.0 in
-  let ctx = Run_ctx.make ~seed:env_seed () in
+  let ctx = Run_ctx.make ~seed:Qsuite.seed () in
   let c0 = Sys.time () in
   let e =
     Exp_scalability.evacuate ctx ~topo ~vms:1000 ~vm_gb:0.5
@@ -502,11 +515,9 @@ let test_evacuation_budget () =
   if e.Exp_scalability.e_moved_gb < 200.0 then
     Alcotest.failf "only %.1f GB moved" e.Exp_scalability.e_moved_gb;
   (* The incremental solver keeps a 1000-VM evacuation within seconds of
-     host time; the global reference alone would blow this budget long
-     before CI noise does. *)
+     host time; re-solving the whole fabric on every change would blow
+     this budget long before CI noise does. *)
   if cpu > 30.0 then Alcotest.failf "1000-VM evacuation took %.1f CPU seconds" cpu
-
-let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
   Alcotest.run "ninja_topology"
@@ -520,10 +531,10 @@ let () =
              test_oversubscription_capacities
         :: Alcotest.test_case "seeded placement" `Quick test_place
         :: Alcotest.test_case "fuzz hook" `Quick test_fuzz_hook
-        :: qsuite [ roundtrip_prop; shrink_prop ] );
+        :: Qsuite.tests [ roundtrip_prop; shrink_prop ] );
       ( "differential",
         Alcotest.test_case "two equal links tie-break" `Quick test_tie_break_two_equal_links
-        :: qsuite [ differential_prop; tie_break_determinism_prop ] );
+        :: Qsuite.tests [ differential_prop; tie_break_determinism_prop ] );
       ( "cluster-index",
         [ Alcotest.test_case "index matches oracle under churn" `Quick test_cluster_index_oracle ] );
       ( "scale",
