@@ -34,7 +34,8 @@ let wall () = Int64.to_float (Mclock.now ()) /. 1e9
 
 (* Machine-readable companion to the printed tables: per-entry wall-clock,
    CPU and simulated seconds, events executed, heap insertions, rate-set
-   policy runs and swap pairs priced (and, at [-j 1], minor words), so perf
+   policy runs, swap pairs priced and flow-monitor link polls (and, at
+   [-j 1], minor words), so perf
    regressions across snapshots can be compared without scraping stdout. [nproc] and the OCaml version say
    what a [-j N] row could use. *)
 let next_snapshot () =
@@ -58,6 +59,7 @@ type sums = {
   mutable heap_insertions : float;
   mutable rerates : float;
   mutable swap_pairs : float;
+  mutable link_polls : float;
 }
 
 let write_bench_json ctx ~total_wall ~total_cpu entries =
@@ -78,9 +80,10 @@ let write_bench_json ctx ~total_wall ~total_cpu entries =
     (fun i (name, wall_s, cpu_s, (sums : sums), minor_words) ->
       Printf.fprintf oc
         "    {\"name\": %S, \"wall_s\": %.3f, \"cpu_s\": %.3f, \"sim_s\": %.3f, \"events\": %.0f, \
-         \"heap_insertions\": %.0f, \"rerates\": %.0f, \"swap_pairs_priced\": %.0f%s}%s\n"
+         \"heap_insertions\": %.0f, \"rerates\": %.0f, \"swap_pairs_priced\": %.0f, \
+         \"link_polls\": %.0f%s}%s\n"
         name wall_s cpu_s sums.sim_s sums.events sums.heap_insertions sums.rerates
-        sums.swap_pairs
+        sums.swap_pairs sums.link_polls
         (match minor_words with
         | Some w -> Printf.sprintf ", \"minor_words\": %.0f" w
         | None -> "")
@@ -99,7 +102,14 @@ let run_experiments ~snapshot ctx entries =
       (* Each simulation reports through the context's observation hook,
          possibly from a pooled domain. *)
       let sums =
-        { sim_s = 0.0; events = 0.0; heap_insertions = 0.0; rerates = 0.0; swap_pairs = 0.0 }
+        {
+          sim_s = 0.0;
+          events = 0.0;
+          heap_insertions = 0.0;
+          rerates = 0.0;
+          swap_pairs = 0.0;
+          link_polls = 0.0;
+        }
       in
       let m = Mutex.create () in
       let ectx =
@@ -113,6 +123,7 @@ let run_experiments ~snapshot ctx entries =
                    | "heap_insertions" -> sums.heap_insertions <- sums.heap_insertions +. v
                    | "rerates" -> sums.rerates <- sums.rerates +. v
                    | "swap_pairs_priced" -> sums.swap_pairs <- sums.swap_pairs +. v
+                   | "link_polls" -> sums.link_polls <- sums.link_polls +. v
                    | _ -> ())))
           ctx
       in
@@ -126,8 +137,9 @@ let run_experiments ~snapshot ctx entries =
       in
       Printf.printf
         "(generated in %.1fs wall, %.1fs CPU, %.1fs simulated, %.0f events, %.0f heap \
-         insertions, %.0f re-rates, %.0f swap pairs priced%s)\n\n%!"
+         insertions, %.0f re-rates, %.0f swap pairs priced, %.0f link polls%s)\n\n%!"
         wall_s cpu_s sums.sim_s sums.events sums.heap_insertions sums.rerates sums.swap_pairs
+        sums.link_polls
         (match minor_words with
         | Some w -> Printf.sprintf ", %.3fG minor words" (w /. 1e9)
         | None -> "");

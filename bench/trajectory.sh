@@ -1,9 +1,10 @@
 #!/bin/sh
 # Bench trajectory: chart wall-time across every committed BENCH_N.json,
 # with each entry's events executed, event-heap insertions, rate-set
-# re-rates and swap pairs priced where the snapshot records them ("-"
-# before BENCH_13, for re-rates before BENCH_14, and for swap pairs before
-# BENCH_15).
+# re-rates, swap pairs priced and flow-monitor link polls where the
+# snapshot records them ("-" before BENCH_13, for re-rates before
+# BENCH_14, for swap pairs before BENCH_15, and for link polls before
+# BENCH_17).
 #
 #   bench/trajectory.sh              # all snapshots in the repo root
 #   bench/trajectory.sh evacuation   # one experiment's trajectory only
@@ -39,11 +40,11 @@ if [ "$#" -eq 1 ]; then
   printf 'single snapshot (PR %s, -j%s): %ss total wall\n' "$pr" "$jobs" "$w"
   jq -r '.entries[] | [.name, (.wall_s | tostring), (.events // "-" | tostring),
       (.heap_insertions // "-" | tostring), (.rerates // "-" | tostring),
-      (.swap_pairs_priced // "-" | tostring)] | @tsv' "$f" \
-    | while IFS="$(printf '\t')" read -r name w ev hi rr sp; do
+      (.swap_pairs_priced // "-" | tostring), (.link_polls // "-" | tostring)] | @tsv' "$f" \
+    | while IFS="$(printf '\t')" read -r name w ev hi rr sp lp; do
         if [ -n "$only" ] && [ "$name" != "$only" ]; then continue; fi
-        printf '  %-18s %8.3fs %11s events %11s heap insertions %11s re-rates %11s swap pairs\n' \
-          "$name" "$w" "$ev" "$hi" "$rr" "$sp"
+        printf '  %-18s %8.3fs %11s events %11s heap insertions %11s re-rates %11s swap pairs %11s link polls\n' \
+          "$name" "$w" "$ev" "$hi" "$rr" "$sp" "$lp"
       done
   exit 0
 fi
@@ -81,7 +82,7 @@ for name in $names; do
     w=$(jq -r --arg n "$name" '[.entries[] | select(.name == $n) | .wall_s] | first // 0' "$f")
     max=$(jq -n --argjson a "$max" --argjson b "$w" 'if $b > $a then $b else $a end')
   done
-  echo "$name: wall, delta, events, heap insertions, re-rates, swap pairs priced"
+  echo "$name: wall, delta, events, heap insertions, re-rates, swap pairs priced, link polls"
   prev=""
   for f; do
     pr=$(jq -r '.pr' "$f")
@@ -91,7 +92,7 @@ for name in $names; do
     else
       counts=$(jq -r --arg n "$name" \
         '[.entries[] | select(.name == $n)
-          | "\(.events // "-") \(.heap_insertions // "-") \(.rerates // "-") \(.swap_pairs_priced // "-")"]
+          | "\(.events // "-") \(.heap_insertions // "-") \(.rerates // "-") \(.swap_pairs_priced // "-") \(.link_polls // "-")"]
           | first' "$f")
       delta=""
       if [ -n "$prev" ]; then
@@ -99,11 +100,11 @@ for name in $names; do
           'if $p <= 0 then "" else ((($w - $p) / $p * 100) | if . >= 0 then "+\(. | floor)%" else "\(. | ceil)%" end) end' \
           | tr -d '"')
       fi
-      read -r ev hi rr sp <<EOF
+      read -r ev hi rr sp lp <<EOF
 $counts
 EOF
-      printf '  PR %-3s %8.3fs %6s %11s %11s %11s %11s %s\n' "$pr" "$w" "$delta" "$ev" "$hi" "$rr" \
-        "$sp" "$(bar "$w" "$max")"
+      printf '  PR %-3s %8.3fs %6s %11s %11s %11s %11s %11s %s\n' "$pr" "$w" "$delta" "$ev" "$hi" \
+        "$rr" "$sp" "$lp" "$(bar "$w" "$max")"
       prev="$w"
     fi
   done

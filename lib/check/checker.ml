@@ -30,6 +30,7 @@ type t = {
       (* Fed only span events: reassembles the emitters' span
          trees so {!check_finish} can audit their structure without
          retaining the rest of the stream. *)
+  feed : Fabric.reader;  (* the links re-solved since the last event *)
   mutable over : Fabric.link list;
       (* Links over capacity at the last event, in link-id order; empty on
          a clean run. *)
@@ -78,7 +79,7 @@ let recheck t fabric link =
    recovered or been removed (it carries nothing) leaves the set. *)
 let check_flow_conservation t at =
   let fabric = Cluster.fabric t.cluster in
-  Fabric.drain_resolved fabric (recheck t fabric);
+  Fabric.drain t.feed (recheck t fabric);
   match t.over with
   | [] -> ()
   | over ->
@@ -230,12 +231,12 @@ let install cluster ~vms =
       pull_remaining = Hashtbl.create 8;
       origins = Hashtbl.create 8;
       spans = Recorder.create ();
+      feed = Fabric.reader (Cluster.fabric cluster);
       over = [];
       events = 0;
       sub = None;
     }
   in
-  Fabric.watch (Cluster.fabric cluster);
   List.iter
     (fun vm ->
       Hashtbl.replace t.vms (Vm.name vm) vm;
@@ -250,7 +251,7 @@ let detach t =
   | None -> ()
   | Some sub ->
     Probe.detach (Cluster.probes t.cluster) sub;
-    Fabric.unwatch (Cluster.fabric t.cluster);
+    Fabric.release t.feed;
     t.sub <- None
 
 let with_checker cluster ~vms f =

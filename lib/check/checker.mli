@@ -19,8 +19,8 @@
       rates on each fabric link stays within its capacity. Rates and
       capacities change only when {!Ninja_flownet.Fabric} re-solves, so
       each transition re-tests just the links re-solved since the last
-      one ({!Ninja_flownet.Fabric.drain_resolved}) and reports every link
-      still over capacity, in creation order;
+      one (the checker's own {!Ninja_flownet.Fabric.reader}) and reports
+      every link still over capacity, in creation order;
     - {b fence-pairing} — fence enter/release strictly alternate, and
       no fence is left held at the end of the run;
     - {b rollback-restore} — after a rolled-back migration, every VM
@@ -64,16 +64,15 @@ type t
 
 val install : Cluster.t -> vms:Vm.t list -> t
 (** Attach a checker to the cluster's probe bus, watching [vms] (their
-    current devices become the attach-balance baseline). Install after
-    the fleet is created and before any migration activity. A cluster
-    takes one checker at a time: installing a second before the first is
-    {!detach}ed raises [Invalid_argument] (the checker is its fabric's
-    {!Ninja_flownet.Fabric.watch}er). *)
+    current devices become the attach-balance baseline), and take a
+    reader of its fabric's change feed. Install after the fleet is
+    created and before any migration activity. Several checkers may watch
+    one cluster; each sees every event and every changed link. *)
 
 val detach : t -> unit
-(** Remove the checker's bus subscription and fabric watch (idempotent).
-    A detached bus with no other subscriber goes back to costing nothing
-    per emit. *)
+(** Remove the checker's bus subscription and release its fabric reader
+    (idempotent). A detached bus with no other subscriber goes back to
+    costing nothing per emit. *)
 
 val with_checker : Cluster.t -> vms:Vm.t list -> (t -> 'a) -> 'a
 (** [install], run the body, then {!detach} — even on exceptions. *)

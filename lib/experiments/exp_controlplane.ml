@@ -75,6 +75,9 @@ let serve rc ?traffic ?flowmon ~tenants ~vms_per_tenant ~mem_gb ~config ~process
   run_to_completion env;
   Run_ctx.observe env.ctx "swap_pairs_priced"
     (float_of_int (Service.swap_pairs_priced service));
+  Option.iter
+    (fun fm -> Run_ctx.observe env.ctx "link_polls" (float_of_int (Flowmon.polls fm)))
+    flowmon;
   Ninja_check.Checker.check_finish checker;
   Ninja_check.Checker.detach checker;
   Option.iter Flowmon.detach flowmon;

@@ -99,6 +99,10 @@ let measure rc ~pattern ~strategy ?(swap_pricing = Service.Declared) ~vms_per_te
     tenants;
   run_to_completion env;
   Run_ctx.observe env.ctx "swap_pairs_priced" (float_of_int (Service.swap_pairs_priced svc));
+  Option.iter
+    (fun fm ->
+      Run_ctx.observe env.ctx "link_polls" (float_of_int (Ninja_telemetry.Flowmon.polls fm)))
+    fm;
   (match Service.accounting svc with
   | Ok () -> ()
   | Error msg -> failwith ("Exp_placement: stranded requests: " ^ msg));

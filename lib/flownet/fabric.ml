@@ -4,9 +4,8 @@ type link = {
   id : int;
   name : string;
   mutable capacity : float;
-  (* Scratch fields for the progressive-filling pass. *)
-  mutable residual : float;
-  mutable unfrozen : int;
+  num : floats;
+  mutable unfrozen : int; (* scratch for the progressive-filling pass *)
   (* Live flows crossing this link (fid -> task), maintained by the
      solver from the rated set's change log. *)
   flows_on : (int, info Rated.task) Hashtbl.t;
@@ -15,10 +14,34 @@ type link = {
      a small-fabric rerate allocates nothing beyond the work queue. *)
   mutable mark : int;
   mutable removed : bool;
-  mutable slot : int; (* index in [state.resolved]; -1 when not pending *)
+  mutable pending : int; (* the readers holding this link pending, one bit each *)
+}
+
+(* An all-float record, which OCaml stores unboxed, so writing either
+   field allocates nothing. *)
+and floats = {
+  mutable residual : float; (* scratch for the progressive-filling pass *)
+  mutable util : float; (* [link_utilization]'s memo; nan until summed *)
 }
 
 and info = { fid : int; route : link list; mutable fmark : int }
+
+(* One consumer of the change feed: the links re-rates covered since it
+   last drained, each once. *)
+type reader = {
+  set : info Rated.t; (* for the read barrier *)
+  feed : feed;
+  bit : int; (* this reader's bit in each link's [pending] *)
+  born : int; (* ids below it were added before the reader *)
+  mutable queue : link array; (* pending links, first [n] *)
+  mutable n : int;
+  mutable released : bool;
+}
+
+and feed = {
+  mutable readers : reader list; (* oldest first *)
+  mutable bits : int; (* the bits the readers hold *)
+}
 
 type state = {
   mutable dirty_links : link list; (* capacity changes since last rerate *)
@@ -26,9 +49,7 @@ type state = {
   mutable epoch : int; (* bumped per rerate; validates marks *)
   mutable rev_links : link list; (* newest first; removed links linger until [links] *)
   mutable live_links : link list option; (* [links]' answer, until a link is added or removed *)
-  mutable watched : bool; (* a consumer drains [resolved] *)
-  mutable resolved : link array; (* links re-solved since the last drain, first [n_resolved] *)
-  mutable n_resolved : int;
+  changes : feed;
 }
 
 type t = {
@@ -63,7 +84,7 @@ let solve_subset state flows links =
   let routes = Array.map (fun fl -> (Rated.payload fl).route) flows in
   List.iter
     (fun l ->
-      l.residual <- l.capacity;
+      l.num.residual <- l.capacity;
       l.unfrozen <- 0)
     links;
   Array.iter (fun route -> List.iter (fun l -> l.unfrozen <- l.unfrozen + 1) route) routes;
@@ -74,7 +95,7 @@ let solve_subset state flows links =
       List.fold_left
         (fun acc l ->
           if l.unfrozen = 0 then acc
-          else better (Float.max 0.0 (l.residual /. float_of_int l.unfrozen), l) acc)
+          else better (Float.max 0.0 (l.num.residual /. float_of_int l.unfrozen), l) acc)
         None links
     in
     match bottleneck with
@@ -92,7 +113,7 @@ let solve_subset state flows links =
           decr remaining;
           List.iter
             (fun l ->
-              l.residual <- Float.max 0.0 (l.residual -. fair);
+              l.num.residual <- Float.max 0.0 (l.num.residual -. fair);
               l.unfrozen <- l.unfrozen - 1)
             routes.(i)
         end
@@ -109,46 +130,66 @@ let live_links state =
     state.live_links <- Some links;
     links
 
-(* Fills the pending set's vacant slots, so it never keeps a retired
-   private link alive. *)
-let no_link =
+let new_link id name capacity =
   {
-    id = -1;
-    name = "";
-    capacity = 1.0;
-    residual = 0.0;
+    id;
+    name;
+    capacity;
+    num = { residual = 0.0; util = 0.0 };
     unfrozen = 0;
-    flows_on = Hashtbl.create 1;
+    flows_on = Hashtbl.create 4;
     mark = 0;
-    removed = true;
-    slot = -1;
+    removed = false;
+    pending = 0;
   }
 
-(* Add a link to the watcher's pending set, once until the next drain. *)
-let record state l =
-  if l.slot < 0 then begin
-    if state.n_resolved = Array.length state.resolved then begin
-      let grown = Array.make (max 16 (2 * state.n_resolved)) no_link in
-      Array.blit state.resolved 0 grown 0 state.n_resolved;
-      state.resolved <- grown
+(* Fills a pending queue's vacant slots, so it never keeps a retired
+   private link alive. *)
+let no_link = new_link (-1) "" 1.0
+
+(* Add a link to a reader's pending set, once until its next drain. *)
+let push r l =
+  if l.pending land r.bit = 0 then begin
+    if r.n = Array.length r.queue then begin
+      let grown = Array.make (max 16 (2 * r.n)) no_link in
+      Array.blit r.queue 0 grown 0 r.n;
+      r.queue <- grown
     end;
-    l.slot <- state.n_resolved;
-    state.resolved.(state.n_resolved) <- l;
-    state.n_resolved <- state.n_resolved + 1
+    l.pending <- l.pending lor r.bit;
+    r.queue.(r.n) <- l;
+    r.n <- r.n + 1
   end
 
-(* A retired link carries nothing and is no longer live, so the watcher
-   need not see it: fill its slot with the last pending link. *)
-let unrecord state l =
-  if l.slot >= 0 then begin
-    let last = state.n_resolved - 1 in
-    let moved = state.resolved.(last) in
-    state.resolved.(l.slot) <- moved;
-    moved.slot <- l.slot;
-    state.resolved.(last) <- no_link;
-    state.n_resolved <- last;
-    l.slot <- -1
-  end
+(* Recursive rather than [List.iter], so a re-rate fans out without
+   allocating a closure. *)
+let rec record readers l =
+  match readers with
+  | [] -> ()
+  | r :: rest ->
+    push r l;
+    record rest l
+
+(* A link retired while pending leaves the readers it is newer than: it
+   now carries nothing, and a burst of short-lived private links must not
+   pile up between two drains. A reader newer than the link (a flow
+   monitor sampling it) keeps it, so it sees the link's last reading go
+   to zero. The newest pending links sit at the queue's end, where the
+   search starts. *)
+let rec forget readers l =
+  match readers with
+  | [] -> ()
+  | r :: rest ->
+    if l.pending land r.bit <> 0 && l.id >= r.born then begin
+      let i = ref (r.n - 1) in
+      while r.queue.(!i) != l do
+        decr i
+      done;
+      r.n <- r.n - 1;
+      r.queue.(!i) <- r.queue.(r.n);
+      r.queue.(r.n) <- no_link;
+      l.pending <- l.pending land lnot r.bit
+    end;
+    forget rest l
 
 (* The incremental solve: flows partition into connected components of
    the link-sharing graph, and components are independent — freezing a
@@ -202,6 +243,12 @@ let rerate state set =
     while not (Queue.is_empty queue) do
       let l = Queue.pop queue in
       aff_links := l :: !aff_links;
+      (* Every utilisation or capacity this rerate can change is on an
+         affected link — including a component whose last flow just left
+         and a re-capacitated link no flow crosses — so these are the
+         links whose memo goes stale and that the readers must see. *)
+      l.num.util <- Float.nan;
+      record state.changes.readers l;
       Hashtbl.iter
         (fun _ fl ->
           let inf = Rated.payload fl in
@@ -212,10 +259,6 @@ let rerate state set =
           end)
         l.flows_on
     done;
-    (* Every utilisation or capacity this rerate can change is on an
-       affected link — including a component whose last flow just left
-       and a re-capacitated link no flow crosses. *)
-    if state.watched then List.iter (record state) !aff_links;
     let flows = Array.of_list !aff_flows in
     if Array.length flows > 0 then solve_subset state flows !aff_links
   end
@@ -228,16 +271,14 @@ let create sim =
       epoch = 0;
       rev_links = [];
       live_links = None;
-      watched = false;
-      resolved = [||];
-      n_resolved = 0;
+      changes = { readers = []; bits = 0 };
     }
   in
   { set = Rated.create sim ~name:"fabric" ~rerate:(rerate state); state; next_link = 0; next_fid = 0 }
 
-(* The read barriers: the freeze log, the per-link registries and the
-   pending set are the policy's, so a reader first runs a policy its
-   set's last change left pending. *)
+(* The read barriers: the freeze log, the per-link registries and memos
+   and the pending sets are the policy's, so a reader first runs a policy
+   its set's last change left pending. *)
 let last_bottlenecks t =
   Rated.refresh t.set;
   List.rev t.state.freeze_log
@@ -249,19 +290,7 @@ let add_link t ~name ~capacity =
     invalid_arg "Fabric.add_link: capacity must be positive and finite";
   let id = t.next_link in
   t.next_link <- id + 1;
-  let l =
-    {
-      id;
-      name;
-      capacity;
-      residual = 0.0;
-      unfrozen = 0;
-      flows_on = Hashtbl.create 4;
-      mark = 0;
-      removed = false;
-      slot = -1;
-    }
-  in
+  let l = new_link id name capacity in
   t.state.rev_links <- l :: t.state.rev_links;
   t.state.live_links <- None;
   l
@@ -272,36 +301,56 @@ let remove_link t l =
     invalid_arg ("Fabric.remove_link: a flow still crosses " ^ l.name);
   if not l.removed then begin
     l.removed <- true;
-    unrecord t.state l;
+    if l.pending <> 0 then forget t.state.changes.readers l;
     t.state.live_links <- None
   end
 
 let links t = live_links t.state
 
-let watch t =
-  let state = t.state in
-  if state.watched then invalid_arg "Fabric.watch: the fabric already has a watcher";
-  state.watched <- true;
-  List.iter (record state) (live_links state)
+(* The bits a reader can take: every bit of a non-negative int. *)
+let reader t =
+  let feed = t.state.changes in
+  let free = max_int land lnot feed.bits in
+  if free = 0 then invalid_arg "Fabric.reader: every reader bit is taken";
+  let live = live_links t.state in
+  let r =
+    {
+      set = t.set;
+      feed;
+      bit = free land -free;
+      born = t.next_link;
+      queue = Array.make (max 16 (List.length live)) no_link;
+      n = 0;
+      released = false;
+    }
+  in
+  feed.bits <- feed.bits lor r.bit;
+  feed.readers <- feed.readers @ [ r ];
+  List.iter (push r) live;
+  r
 
-let unwatch t =
-  let state = t.state in
-  state.watched <- false;
-  for i = 0 to state.n_resolved - 1 do
-    state.resolved.(i).slot <- -1
-  done;
-  state.resolved <- [||];
-  state.n_resolved <- 0
+let readers t = List.length t.state.changes.readers
 
-let drain_resolved t f =
-  Rated.refresh t.set;
-  let state = t.state in
-  let n = state.n_resolved in
-  state.n_resolved <- 0;
+let release r =
+  if not r.released then begin
+    r.released <- true;
+    for i = 0 to r.n - 1 do
+      r.queue.(i).pending <- r.queue.(i).pending land lnot r.bit
+    done;
+    r.queue <- [||];
+    r.n <- 0;
+    r.feed.readers <- List.filter (fun x -> x != r) r.feed.readers;
+    r.feed.bits <- r.feed.bits land lnot r.bit
+  end
+
+let drain (r : reader) f =
+  Rated.refresh r.set;
+  let n = r.n in
+  r.n <- 0;
   for i = 0 to n - 1 do
-    let l = state.resolved.(i) in
-    state.resolved.(i) <- no_link;
-    l.slot <- -1;
+    let l = r.queue.(i) in
+    r.queue.(i) <- no_link;
+    l.pending <- l.pending land lnot r.bit;
     f l
   done
 
@@ -346,14 +395,24 @@ let active_flows t = Rated.length t.set
 (* The registry holds exactly the live flows crossing [l]. Summing in
    table order is reproducible: hashing is unseeded and the table's
    layout is a pure function of the simulation's (deterministic)
-   insert/remove history, so replays and [-j N] runs see the same order.
-   The flow monitor polls every link on every tick and most carry
-   nothing, so an idle link answers without allocating. *)
-let link_utilization t l =
+   insert/remove history, so replays and [-j N] runs see the same order. *)
+let resum l =
+  let u =
+    if Hashtbl.length l.flows_on = 0 then 0.0
+    else begin
+      let total = ref 0.0 in
+      Hashtbl.iter (fun _ fl -> total := !total +. Rated.rate fl) l.flows_on;
+      !total
+    end
+  in
+  l.num.util <- u;
+  u
+
+(* Summed once per re-rate that covers the link, which is exact: the
+   registry and its flows' rates change only inside such a re-rate, and
+   that re-rate resets the memo to nan. Inlined, so a caller reads the
+   kept sum without boxing it. *)
+let[@inline] link_utilization t l =
   Rated.refresh t.set;
-  if Hashtbl.length l.flows_on = 0 then 0.0
-  else begin
-    let total = ref 0.0 in
-    Hashtbl.iter (fun _ fl -> total := !total +. Rated.rate fl) l.flows_on;
-    !total
-  end
+  let u = l.num.util in
+  if Float.is_nan u then resum l else u

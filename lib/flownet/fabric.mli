@@ -15,7 +15,7 @@
     The flows are a {!Ninja_engine.Rated} set, so the re-solve runs once
     per instant over every change made in it: at the set's flush, or
     first at a read barrier — {!rate}, {!link_utilization},
-    {!remove_link}, {!drain_resolved} or {!last_bottlenecks}. Membership
+    {!remove_link}, {!drain} or {!last_bottlenecks}. Membership
     ({!active_flows}) is always current.
 
     This models both MPI traffic and migration traffic sharing the same
@@ -51,34 +51,44 @@ val remove_link : t -> link -> unit
     afterwards. *)
 
 val links : t -> link list
-(** The live (added, not removed) links, in creation order — what the
-    flow monitor polls on each tick. The list is cached between additions
-    and removals. *)
+(** The live (added, not removed) links, in creation order. The list is
+    cached between additions and removals. *)
 
-(** {1 Re-solved links}
+(** {1 The change feed}
 
     A link's utilisation and capacity change only inside a re-rate, so a
-    consumer that must look at every changed link (the invariant
-    checker's flow-conservation test) need only look at the links the
-    solver covered since it last looked. *)
+    consumer that must look at every changed link need only look at the
+    links the solver covered since it last looked. Each consumer holds
+    its own {!reader}: the invariant checker's flow-conservation test
+    and the flow monitor's tick hold one each, and each drains on its own
+    rhythm. *)
 
-val watch : t -> unit
-(** Start recording the links each re-rate covers: the re-solved
+type reader
+
+val reader : t -> reader
+(** A new reader of the links each re-rate covers: the re-solved
     components' links, a component whose last flow just left and a
     re-capacitated link no flow crosses included. Every live link starts
-    pending, so the first {!drain_resolved} covers the whole fabric. A
-    fabric has at most one watcher: raises [Invalid_argument] when
-    already watched. An unwatched fabric pays one flag test per
-    re-rate. *)
+    pending, so the reader's first {!drain} covers the whole fabric. A
+    fabric serves up to 62 readers at once (raises [Invalid_argument]
+    past that); a re-rate records each covered link once per reader, and
+    with none it pays a list test. *)
 
-val unwatch : t -> unit
-(** Stop recording and forget the pending links (idempotent). *)
+val drain : reader -> (link -> unit) -> unit
+(** Apply the function to each link pending in this reader, once each,
+    and empty its set; other readers keep theirs. Every live link whose
+    utilisation or capacity differs from the reader's last drain is among
+    them. So is a link removed since then that was pending and is older
+    than the reader (it now carries nothing); a pending link newer than
+    the reader leaves its set when removed. The function must not change
+    the fabric. *)
 
-val drain_resolved : t -> (link -> unit) -> unit
-(** Apply the function to each link recorded since the last drain (or
-    {!watch}), once each, and empty the set. Every live link whose
-    utilisation or capacity differs from the last drain is among them; a
-    link removed since is not. *)
+val release : reader -> unit
+(** Stop recording and forget the pending links (idempotent); a released
+    reader drains nothing and costs re-rates nothing. *)
+
+val readers : t -> int
+(** How many readers the fabric serves. *)
 
 val link_name : link -> string
 
@@ -111,4 +121,6 @@ val is_done : flow -> bool
 val active_flows : t -> int
 
 val link_utilization : t -> link -> float
-(** Sum of the current rates of flows crossing the link, in bytes/s. *)
+(** Sum of the current rates of flows crossing the link, in bytes/s. The
+    sum is taken once per re-rate that covers the link and kept until the
+    next one, so repeated reads cost a barrier and a load. *)

@@ -16,16 +16,17 @@ let stddev l =
     let var = List.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 l in
     sqrt (var /. float_of_int (List.length l))
 
-let percentile_sorted p sorted =
+(* Nearest-rank: the smallest value with at least p% of the sample at or
+   below it; p = 0 is defined as the minimum. *)
+let nearest_rank p n =
   if not (Float.is_finite p) || p < 0.0 || p > 100.0 then
     invalid_arg "Stats.percentile: p must be within [0, 100]";
-  let n = Array.length sorted in
-  if n = 0 then nan
-  else
-    (* Nearest-rank: the smallest value with at least p% of the sample at
-       or below it; p = 0 is defined as the minimum. *)
-    let rank = int_of_float (Float.ceil (p /. 100.0 *. float_of_int n)) in
-    sorted.(max 1 (min n rank) - 1)
+  let rank = int_of_float (Float.ceil (p /. 100.0 *. float_of_int n)) in
+  max 1 (min n rank) - 1
+
+let percentile_sorted p sorted =
+  let i = nearest_rank p (Array.length sorted) in
+  if Array.length sorted = 0 then nan else sorted.(i)
 
 let percentile p l =
   let a = Array.of_list (check l) in

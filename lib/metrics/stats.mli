@@ -24,5 +24,10 @@ val percentile_sorted : float -> float array -> float
     [nan] when [a] is empty. Raises [Invalid_argument] on [p] outside
     [0, 100]. *)
 
+val nearest_rank : float -> int -> int
+(** [nearest_rank p n] is the index of {!percentile}'s answer in an
+    ascending sample of [n > 0] values. Raises [Invalid_argument] on [p]
+    outside [0, 100]. *)
+
 val best_of : int -> (unit -> float) -> float
 (** [best_of n f] runs [f] n times and returns the smallest result. *)

@@ -44,8 +44,9 @@ let validate cfg =
 
 type link_mon = {
   link : Fabric.link;
-  ring : Ring.t;
-  mutable p95 : float;  (* of the ring's last [window] samples; 0 while empty *)
+  ring : Ring.t;  (* keeps the p95 window sorted *)
+  mutable seen : int;  (* the ticks [ring] has a sample for *)
+  mutable queued : int;  (* the tick it is queued to be visited at; 0 if none *)
   mutable hot : bool;
   mutable hot_ticks : int;
   mutable peak : float;
@@ -64,7 +65,12 @@ type t = {
   prng : Prng.t;  (* the sampler's own stream: packet-sampling draws only *)
   m : Metrics.t;
   fabric : Fabric.t;
+  feed : Fabric.reader;  (* the links re-solved since the last tick *)
   links : link_mon array;
+  slot : int array;  (* link id -> index in [links]; -1 when not monitored *)
+  visit : int array;  (* the next tick's visits, first [n_visit] *)
+  mutable n_visit : int;
+  mutable polls : int;
   pairs : (string * string * float) array;  (* canonical declared demand *)
   counts : int array;  (* post-warmup sampled packets per pair *)
   missed_ring : Ring.t;  (* per-tick deadline misses *)
@@ -84,6 +90,8 @@ type t = {
 }
 
 let ticks t = t.ticks
+
+let polls t = t.polls
 
 let observed_window t = t.obs_seconds
 
@@ -161,14 +169,21 @@ let create ?(config = default_config) ?registry cluster ~traffic =
     |> List.map (fun link ->
            {
              link;
-             ring = Ring.create ~capacity:config.retain;
-             p95 = 0.0;
+             ring = Ring.windowed ~capacity:config.retain ~window:config.window;
+             seen = 0;
+             queued = 0;
              hot = false;
              hot_ticks = 0;
              peak = 0.0;
            })
     |> Array.of_list
   in
+  let slot =
+    Array.make
+      (Array.fold_left (fun acc lm -> Stdlib.max acc (Fabric.link_id lm.link + 1)) 0 links)
+      (-1)
+  in
+  Array.iteri (fun i lm -> slot.(Fabric.link_id lm.link) <- i) links;
   (* One sampled stream per canonical pair: duplicate demand entries for
      the same endpoints (a skewed matrix's mouse + elephant rows) merge,
      so estimates compare against the pair's total declared rate. *)
@@ -194,7 +209,12 @@ let create ?(config = default_config) ?registry cluster ~traffic =
       prng = Prng.split (Sim.prng sim);
       m = (match registry with Some m -> m | None -> Metrics.create ());
       fabric;
+      feed = Fabric.reader fabric;
       links;
+      slot;
+      visit = Array.make (Array.length links) 0;
+      n_visit = 0;
+      polls = 0;
       pairs;
       counts = Array.make (Array.length pairs) 0;
       missed_ring = Ring.create ~capacity:config.retain;
@@ -221,6 +241,7 @@ let detach t =
   | None -> ()
   | Some sub ->
     Probe.detach t.probes sub;
+    Fabric.release t.feed;
     t.sub <- None
 
 (* {1 Estimation} *)
@@ -247,10 +268,13 @@ let burn_rate t =
   let total = Ring.fold ~n:t.cfg.window ( +. ) 0.0 t.done_ring in
   if total <= 0.0 then 0.0 else misses /. total
 
+(* The windowed p95; 0 before the first tick. *)
+let p95 lm = if Ring.length lm.ring = 0 then 0.0 else Ring.window_percentile lm.ring 95.0
+
 let hotspots t =
   Array.to_list t.links
   |> List.filter_map (fun lm ->
-         if lm.hot then Some (Fabric.link_name lm.link, lm.p95 /. Fabric.link_capacity lm.link)
+         if lm.hot then Some (Fabric.link_name lm.link, p95 lm /. Fabric.link_capacity lm.link)
          else None)
 
 let slo_attainment t =
@@ -282,7 +306,7 @@ let snapshot t =
   pf "# TYPE flowmon_link_utilization_p95_bytes gauge\n";
   Array.iter
     (fun lm ->
-      pf "flowmon_link_utilization_p95_bytes{link=%S} %g\n" (Fabric.link_name lm.link) lm.p95)
+      pf "flowmon_link_utilization_p95_bytes{link=%S} %g\n" (Fabric.link_name lm.link) (p95 lm))
     t.links;
   pf "# TYPE flowmon_hot_links gauge\nflowmon_hot_links %d\n" t.hot_now;
   pf "# TYPE flowmon_pair_rate_bytes gauge\n";
@@ -302,32 +326,77 @@ let snapshot t =
 
 let snapshots t = List.rev t.rev_snapshots
 
-(* {1 The tick} *)
+(* {1 The tick}
+
+   A tick visits only the links whose sample can differ from the one
+   before: those re-solved since the last tick (drained from the feed),
+   those whose p95 window still holds a sample other than the newest, and
+   hot links, whose [hot_ticks] count every tick. Any other link was
+   covered by no re-solve, so its utilisation and capacity are what they
+   were, and its window is uniform at that value: pushing it again would
+   change no p95, peak or hot flag. Its ring skips those pushes and is
+   caught up ({!catch_up}) before anything reads more than its newest
+   sample and p95. *)
+
+(* Push the newest sample for every tick the ring skipped before [upto]. *)
+let catch_up_link lm upto =
+  Ring.repeat_last lm.ring (upto - lm.seen);
+  lm.seen <- upto
+
+let catch_up t = Array.iter (fun lm -> catch_up_link lm t.ticks) t.links
+
+(* Queue a drained link for this tick's visits, unless it is not
+   monitored or already queued. *)
+let drained t l =
+  let id = Fabric.link_id l in
+  let i = if id < Array.length t.slot then t.slot.(id) else -1 in
+  if i >= 0 && t.links.(i).queued <> t.ticks then begin
+    t.links.(i).queued <- t.ticks;
+    t.visit.(t.n_visit) <- i;
+    t.n_visit <- t.n_visit + 1
+  end
+
+(* Visit one link at tick [t.ticks]; whether it is hot after. *)
+let visit_link t lm =
+  catch_up_link lm (t.ticks - 1);
+  let u = Fabric.link_utilization t.fabric lm.link in
+  t.polls <- t.polls + 1;
+  Ring.push lm.ring u;
+  lm.seen <- t.ticks;
+  if u > lm.peak then lm.peak <- u;
+  let frac = Ring.window_percentile lm.ring 95.0 /. Fabric.link_capacity lm.link in
+  let hot = frac >= t.cfg.hot_threshold in
+  if hot then begin
+    lm.hot_ticks <- lm.hot_ticks + 1;
+    if not lm.hot then Metrics.incr t.m "ctl.hotspot.flagged";
+    Metrics.gauge t.m "ctl.hotspot.frac.max" frac
+  end;
+  lm.hot <- hot;
+  hot
 
 let tick t =
   t.ticks <- t.ticks + 1;
   Metrics.incr t.m "flowmon.ticks";
   let warm = Time.to_sec_f (Time.diff (Sim.now t.sim) t.started) > t.cfg.warmup +. 1e-9 in
-  (* Links: poll the solver's live rates; detect hot links on the
-     windowed p95 of the ring, re-sorted only when the window changed —
-     an idle link pushes a zero that replaces a zero. *)
+  (* Links: the visits carried from the last tick, then the re-solved
+     ones. Links added after the monitor (private migration links) drain
+     too, and are ignored. *)
+  Fabric.drain t.feed (drained t);
+  let n = t.n_visit in
+  t.n_visit <- 0;
   let hot_now = ref 0 in
-  Array.iter
-    (fun lm ->
-      let u = Fabric.link_utilization t.fabric lm.link in
-      if Ring.push_changes lm.ring ~n:t.cfg.window u then
-        lm.p95 <- Ring.percentile ~n:t.cfg.window lm.ring 95.0;
-      if u > lm.peak then lm.peak <- u;
-      let frac = lm.p95 /. Fabric.link_capacity lm.link in
-      let hot = frac >= t.cfg.hot_threshold in
-      if hot then begin
-        incr hot_now;
-        lm.hot_ticks <- lm.hot_ticks + 1;
-        if not lm.hot then Metrics.incr t.m "ctl.hotspot.flagged";
-        Metrics.gauge t.m "ctl.hotspot.frac.max" frac
-      end;
-      lm.hot <- hot)
-    t.links;
+  for k = 0 to n - 1 do
+    let i = t.visit.(k) in
+    let lm = t.links.(i) in
+    let hot = visit_link t lm in
+    if hot then incr hot_now;
+    (* Kept for the next tick, in place: [n_visit <= k]. *)
+    if hot || not (Ring.uniform lm.ring) then begin
+      lm.queued <- t.ticks + 1;
+      t.visit.(t.n_visit) <- i;
+      t.n_visit <- t.n_visit + 1
+    end
+  done;
   t.hot_now <- !hot_now;
   Metrics.gauge t.m "ctl.hotspot.links.max" (float_of_int !hot_now);
   if !hot_now > 0 then Metrics.incr t.m "ctl.hotspot.ticks";
@@ -365,10 +434,17 @@ let start t ~horizon =
   t.started <- Sim.now t.sim;
   let n = int_of_float (ceil (horizon /. t.cfg.period)) in
   Sim.spawn t.sim ~name:"flowmon" (fun () ->
-      for _ = 1 to n do
-        Sim.sleep (Time.of_sec_f t.cfg.period);
-        tick t
-      done)
+      let rec loop k =
+        if k > 0 then begin
+          Sim.sleep (Time.of_sec_f t.cfg.period);
+          (* A detached monitor has released its reader: it stops. *)
+          if Option.is_some t.sub then begin
+            tick t;
+            loop (k - 1)
+          end
+        end
+      in
+      loop n)
 
 (* {1 The end-of-run report} *)
 
@@ -438,4 +514,6 @@ let top_tenants t =
     (slo_attainment t);
   table
 
-let report ?k t = [ top_links ?k t; top_pairs ?k t; top_tenants t ]
+let report ?k t =
+  catch_up t;
+  [ top_links ?k t; top_pairs ?k t; top_tenants t ]

@@ -9,12 +9,23 @@
 
     {2 Sampling model}
 
-    A periodic tick fiber (every [period] sim-seconds) polls
-    {!Ninja_flownet.Fabric.link_utilization} on every link, pushing each
-    link's series into a fixed {!Ring}, and reads the fabric's active
-    flow count. Each link keeps its windowed p95 and re-sorts the window only when
-    the push changed it ({!Ring.push_changes}), so an idle link — most of
-    a datacenter's — costs a comparison per tick and allocates nothing.
+    A periodic tick fiber (every [period] sim-seconds) samples the
+    utilisation ({!Ninja_flownet.Fabric.link_utilization}) of the links
+    present at {!create} into one fixed {!Ring} each, and reads the
+    fabric's active flow count. A tick reads only the links whose sample
+    can differ from the tick before: those the fabric re-solved since
+    (the monitor's own {!Ninja_flownet.Fabric.reader}), those whose p95
+    window still holds a sample other than the newest, and hot links,
+    whose hot ticks count every tick. Any other link was covered by no
+    re-solve, so its utilisation and capacity are unchanged and its
+    window is uniform at that value; its ring is caught up with that
+    value for the ticks it skipped before {!report} reads it, while
+    {!snapshot} and {!hotspots} read only its newest sample and p95,
+    which the skipped pushes would not change. Every ring, p95, peak and
+    counter is therefore what polling every link on every tick gives.
+    The windowed p95 is read from a sorted copy of the window the ring
+    keeps ({!Ring.windowed}).
+
     Inter-VM demand is sampled sFlow-style: a pair at [rate] B/s offers
     [rate*period/pkt_bytes] packets per tick, of which 1-in-[sample_rate]
     is sampled — a Poisson draw with mean
@@ -86,9 +97,15 @@ val start : t -> horizon:float -> unit
     terminates). *)
 
 val detach : t -> unit
-(** Remove the bus subscriber (idempotent). *)
+(** Remove the bus subscriber and release the fabric reader
+    (idempotent): a detached monitor costs the fabric nothing, and its
+    tick fiber stops at its next wake-up. *)
 
 val ticks : t -> int
+
+val polls : t -> int
+(** Link utilisation readings the ticks have taken: at most one per
+    monitored link per tick. *)
 
 (** {1 Estimation} *)
 
@@ -132,4 +149,5 @@ val snapshots : t -> string list
 val report : ?k:int -> t -> Ninja_metrics.Table.t list
 (** The [top]-style end-of-run tables: top-[k] links by mean
     utilization, top-[k] talker VM pairs (observed vs declared), and
-    per-tenant SLO attainment. Default [k] is 5. *)
+    per-tenant SLO attainment. Default [k] is 5. Catches every link's
+    ring up to the last tick first. *)

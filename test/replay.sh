@@ -10,7 +10,7 @@
 set -eu
 
 seed="${1:-1}"
-suites="test_engine test_scheduler test_planner test_controlplane test_topology test_flownet"
+suites="test_engine test_scheduler test_planner test_controlplane test_topology test_flownet test_telemetry test_faults"
 root=$(git rev-parse --show-toplevel)
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT INT TERM

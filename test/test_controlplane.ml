@@ -483,7 +483,7 @@ let oracle_propose cluster vms traffic =
    registered with the cluster and some unknown to it. *)
 let swap_pricing_prop =
   QCheck.Test.make ~name:"propose_swap agrees with the per-pair reference" ~count:150
-    QCheck.small_int (fun salt ->
+    QCheck.int (fun salt ->
       let prng = Prng.create ~seed:(Int64.of_int (1000 + salt)) in
       let sim = Sim.create ~seed:(Int64.of_int salt) () in
       let cluster = Cluster.create sim ~topology:(Topology.gen prng) () in

@@ -3,9 +3,10 @@
    under injected faults (retry to completion, or rollback to the source
    with device state restored).
 
-   Every simulation is seeded from NINJA_TEST_SEED (default 1) so the CI
-   matrix can re-run the whole suite under several fixed seeds and fail on
-   any flake. *)
+   Every simulation, and every property's cases (through Qsuite), is
+   seeded from NINJA_TEST_SEED (default 1) so the CI matrix can re-run the
+   whole suite under several fixed seeds and fail on any flake, and two
+   runs at one seed test the same cases. *)
 
 open Ninja_engine
 open Ninja_faults
@@ -15,10 +16,7 @@ open Ninja_mpi
 open Ninja_metrics
 open Ninja_core
 
-let env_seed =
-  match Sys.getenv_opt "NINJA_TEST_SEED" with
-  | Some s -> ( try Int64.of_string s with Failure _ -> 1L)
-  | None -> 1L
+let env_seed = Qsuite.seed
 
 let sec = Time.to_sec_f
 
@@ -622,7 +620,7 @@ let () =
             test_scheduler_reroutes_dead_destination;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest
+        Qsuite.tests
           [
             prop_migration_leaves_clean_state;
             prop_executor_death_no_deadlock;

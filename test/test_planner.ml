@@ -516,7 +516,7 @@ let oracle_hill_climb env plan =
    staged VMs, bystanders and names unknown to the cluster. *)
 let solver_swap_prop =
   QCheck.Test.make ~name:"Solver Swap agrees with the per-pair reference hill climb"
-    ~count:150 QCheck.small_int (fun salt ->
+    ~count:150 QCheck.int (fun salt ->
       let prng = Prng.create ~seed:(Int64.of_int (2000 + salt)) in
       let sim = Sim.create ~seed:(Int64.of_int salt) () in
       let cluster = Cluster.create sim ~topology:(Topology.gen prng) () in
@@ -627,7 +627,7 @@ let exhaustive_best prices ~n ~movable =
    the same inputs, one scanned by [best] and one by the full scan, must
    agree on every pass bit for bit. *)
 let swap_scan_prop =
-  QCheck.Test.make ~name:"best equals the exhaustive scan" ~count:200 QCheck.small_int
+  QCheck.Test.make ~name:"best equals the exhaustive scan" ~count:200 QCheck.int
     (fun salt ->
       let prng = Prng.create ~seed:(Int64.add Qsuite.seed (Int64.of_int (3000 + salt))) in
       let sim = Sim.create ~seed:(Int64.of_int salt) () in

@@ -129,7 +129,7 @@ let reference_pack ~vms ~candidates ~load_bytes ~bytes_of =
    anywhere (the [Error] case). *)
 let pack_least_loaded_prop =
   QCheck.Test.make ~name:"pack_least_loaded equals filter, sort and head" ~count:300
-    QCheck.small_int (fun salt ->
+    QCheck.int (fun salt ->
       let prng = Prng.create ~seed:(Int64.add Qsuite.seed (Int64.of_int salt)) in
       let gb k = Units.gb (4.0 *. float_of_int k) in
       let k = 1 + Prng.int prng 8 in

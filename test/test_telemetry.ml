@@ -6,7 +6,13 @@
    the breakdown re-derived from a bus-reconstructed migration root is
    exactly the one [Ninja.migrate] returns, fault-free and rolled-back
    alike. A qcheck property runs fuzz scenarios with a recorder attached
-   and asserts every reconstructed tree is sound. *)
+   and asserts every reconstructed tree is sound. The flow monitor, which
+   visits only the links that can have changed, is raced against a
+   monitor that polls every link on every tick (Flowmon_poll).
+
+   Seeded from NINJA_TEST_SEED (default 1, through Qsuite) so the CI seed
+   matrix exercises distinct random streams, and two runs at one seed
+   test the same cases. *)
 
 open Ninja_engine
 open Ninja_faults
@@ -17,10 +23,7 @@ open Ninja_core
 open Ninja_check
 open Ninja_telemetry
 
-let env_seed =
-  match Sys.getenv_opt "NINJA_TEST_SEED" with
-  | Some s -> ( try Int64.of_string s with Failure _ -> 1L)
-  | None -> 1L
+let env_seed = Qsuite.seed
 
 let salted salt = Int64.add env_seed (Int64.of_int salt)
 
@@ -627,7 +630,7 @@ let test_e2e_rollback_breakdown_matches () =
 
 let spans_well_formed_prop =
   QCheck.Test.make ~name:"recorder trees from fuzz scenarios are well-formed" ~count:20
-    QCheck.small_int (fun salt ->
+    QCheck.int (fun salt ->
       let prng = Prng.create ~seed:(salted salt) in
       let sc = Scenario.gen prng in
       let r = Recorder.create () in
@@ -863,28 +866,236 @@ let ring_percentile_matches_stats_prop =
       let got = Ring.percentile ~n r p in
       if window = [] then Float.is_nan got else Float.equal got (Stats.percentile p window))
 
-(* A windowed percentile kept across pushes — re-read only when
-   [Ring.push_changes] reports the window changed, as the flow monitor's
-   per-link p95 is — always equals one recomputed from scratch. Samples
-   come from a tiny alphabet, so runs of equal values (zeros included)
-   are common; windows range from shorter than the ring to its whole
-   capacity. *)
-let ring_kept_percentile_prop =
-  QCheck.Test.make ~name:"a percentile kept through push_changes equals a fresh one"
-    ~count:500
+(* A windowed ring's kept percentile — the flow monitor's per-link p95 —
+   equals one recomputed by copying and sorting the window, after every
+   push and every catch-up ([Ring.repeat_last]), and the ring holds what a
+   list of every sample pushed says it should. Samples come from a tiny
+   alphabet, so runs of equal values (zeros included) are common; windows
+   range from one sample to the ring's whole capacity, and catch-ups from
+   none to past the capacity. *)
+let ring_sorted_window_prop =
+  QCheck.Test.make ~name:"the sorted window's percentile equals a fresh one" ~count:500
     QCheck.(
       quad (int_range 1 12)
-        (list_of_size Gen.(int_range 0 60) (map float_of_int (int_range 0 3)))
+        (list_of_size
+           Gen.(int_range 0 60)
+           (pair (map float_of_int (int_range 0 3)) (int_range (-6) 30)))
         (int_range 0 12) (float_bound_inclusive 100.0))
-    (fun (capacity, pushes, shorter, p) ->
-      let n = Stdlib.max 1 (capacity - shorter) in
-      let r = Ring.create ~capacity in
-      let kept = ref 0.0 in
+    (fun (capacity, ops, shorter, p) ->
+      let window = Stdlib.max 1 (capacity - shorter) in
+      let r = Ring.windowed ~capacity ~window in
+      let all = ref [] in
+      let agrees what =
+        let kept = Ring.window_percentile r p in
+        let fresh = Ring.percentile ~n:window r p in
+        let retained = List.filteri (fun i _ -> i < capacity) !all in
+        let in_window = List.filteri (fun i _ -> i < window) !all in
+        if not (Float.equal kept fresh) then
+          QCheck.Test.fail_reportf "after %s: kept p%g %g, copy-and-sort %g" what p kept fresh
+        else if Ring.to_list r <> List.rev retained || Ring.pushed r <> List.length !all then
+          QCheck.Test.fail_reportf "after %s: the ring does not hold the samples pushed" what
+        else if Ring.uniform r <> List.for_all (Float.equal (List.hd !all)) in_window then
+          QCheck.Test.fail_reportf "after %s: uniform is %b" what (Ring.uniform r)
+        else true
+      in
       List.for_all
-        (fun v ->
-          if Ring.push_changes r ~n v then kept := Ring.percentile ~n r p;
-          Float.equal !kept (Ring.percentile ~n r p))
-        pushes)
+        (fun (v, k) ->
+          (* Non-negative [k]: push [v], then catch up [k] ticks. *)
+          Ring.push r v;
+          all := v :: !all;
+          agrees (Printf.sprintf "a push of %g" v)
+          &&
+          (Ring.repeat_last r k;
+           all := List.init (Stdlib.max 0 k) (fun _ -> v) @ !all;
+           agrees (Printf.sprintf "a catch-up of %d" k)))
+        ops)
+
+(* ------------------------------------------------------------------ *)
+(* The flow monitor against the polling reference *)
+
+module Poll = Flowmon_poll
+
+(* What a monitor shows: its counters, snapshot, hotspots and learned
+   matrix (floats in hex, so equal means bit-identical), its registry
+   table, and with [report] its end-of-run tables over every link. *)
+let observe ~ticks ~snapshot ~hotspots ~learned ~report ~registry ~with_report =
+  let b = Buffer.create 4096 in
+  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+  pf "ticks %d\n%s" ticks snapshot;
+  List.iter (fun (l, frac) -> pf "hot %s %h\n" l frac) hotspots;
+  List.iter (fun (a, b_, r) -> pf "learned %s %s %h\n" a b_ r) learned;
+  pf "%s" (Format.asprintf "%a" Table.pp (Metrics.to_table registry));
+  if with_report then
+    List.iter (fun tbl -> pf "%s" (Format.asprintf "%a" Table.pp tbl)) (report ());
+  Buffer.contents b
+
+type monitor = { watch : with_report:bool -> string; stop : unit -> unit }
+
+(* One random simulation on a generated topology: flows join (some over
+   a private link added after the monitor, retired once its flow is
+   over), leave, complete and are cancelled, capacities change, idle
+   monitored links are removed, requests finish on the bus, and the
+   monitor may be detached half-way. Every period, half a period after
+   each tick, [watch] reads the monitor; [report_every] sets how often
+   that includes the end-of-run tables, which catch every ring up. Returns
+   the readings and the fabric's readers at the end. *)
+let monitored_run seed make =
+  let prng = Prng.create ~seed in
+  let topo = Topology.gen prng in
+  let sim = Sim.create ~seed () in
+  let cluster = Cluster.create sim ~topology:topo () in
+  let fabric = Cluster.fabric cluster in
+  let monitored = Array.of_list (Fabric.links fabric) in
+  let nodes = Array.of_list (Cluster.nodes cluster) in
+  let retain = 1 + Prng.int prng 10 in
+  let config =
+    {
+      Flowmon.default_config with
+      period = 1.0;
+      retain;
+      window = 1 + Prng.int prng retain;
+      hot_threshold = [| 0.3; 0.6; 0.9; 1.0 |].(Prng.int prng 4);
+      warmup = float_of_int (Prng.int prng 3);
+      snapshot_every = float_of_int (Prng.int prng 4);
+    }
+  in
+  let horizon = 12 + Prng.int prng 30 in
+  let report_every = [| 1; 5 |].(Prng.int prng 2) in
+  let traffic = [ ("vm0", "vm1", 2e6); ("vm2", "vm0", 5e5) ] in
+  let m = make ~config cluster ~traffic ~horizon:(float_of_int horizon) in
+  let readings = ref [] in
+  Sim.spawn sim (fun () ->
+      Sim.sleep (Time.ms 500);
+      for k = 0 to horizon do
+        let with_report = k mod report_every = 0 || k = horizon in
+        readings := m.watch ~with_report :: !readings;
+        Sim.sleep (Time.sec 1)
+      done);
+  let removed = Hashtbl.create 8 in
+  let flows = ref [] in
+  let private_links = ref [] in
+  let route () =
+    let src = nodes.(Prng.int prng (Array.length nodes)) in
+    let dst = nodes.(Prng.int prng (Array.length nodes)) in
+    match Cluster.route_opt cluster ~net:Cluster.Eth ~src ~dst with
+    | Some (_ :: _ as r) when not (List.exists (fun l -> Hashtbl.mem removed (Fabric.link_id l)) r)
+      ->
+      Some r
+    | _ -> None
+  in
+  let start route =
+    let bytes = [| 1e8; 2e9; 1e13 |].(Prng.int prng 3) in
+    let fl = Fabric.start fabric ~route ~bytes in
+    flows := (fl, route) :: !flows;
+    fl
+  in
+  let detached = ref false in
+  Sim.spawn sim (fun () ->
+      while Time.to_sec_f (Sim.now sim) < float_of_int horizon do
+        Sim.sleep (Time.of_sec_f (Prng.float prng 2.5));
+        flows := List.filter (fun (fl, _) -> not (Fabric.is_done fl)) !flows;
+        private_links :=
+          List.filter
+            (fun (l, fl) ->
+              if Fabric.is_done fl then begin
+                Fabric.remove_link fabric l;
+                false
+              end
+              else true)
+            !private_links;
+        let x = Prng.int prng 100 in
+        if x < 35 then Option.iter (fun r -> ignore (start r)) (route ())
+        else if x < 50 then begin
+          match !flows with
+          | [] -> ()
+          | live -> Fabric.cancel fabric (fst (List.nth live (Prng.int prng (List.length live))))
+        end
+        else if x < 60 then begin
+          let l = monitored.(Prng.int prng (Array.length monitored)) in
+          if not (Hashtbl.mem removed (Fabric.link_id l)) then
+            Fabric.set_link_capacity fabric l (1e8 *. float_of_int (1 + Prng.int prng 30))
+        end
+        else if x < 70 then begin
+          match route () with
+          | None -> ()
+          | Some r ->
+            let l = Fabric.add_link fabric ~name:"private" ~capacity:5e8 in
+            private_links := (l, start (l :: r)) :: !private_links
+        end
+        else if x < 76 then begin
+          let crossed l = List.exists (fun (_, r) -> List.memq l r) !flows in
+          let n = Array.length monitored in
+          let first = Prng.int prng n in
+          match
+            List.find_opt
+              (fun i ->
+                let l = monitored.((first + i) mod n) in
+                (not (Hashtbl.mem removed (Fabric.link_id l))) && not (crossed l))
+              (List.init n Fun.id)
+          with
+          | None -> ()
+          | Some i ->
+            let l = monitored.((first + i) mod n) in
+            Hashtbl.replace removed (Fabric.link_id l) ();
+            Fabric.remove_link fabric l
+        end
+        else if x < 97 then
+          Probe.emit (Cluster.probes cluster)
+            (request_done
+               (if Prng.bool prng then "tenant-a" else "tenant-b")
+               ~missed:(Prng.int prng 4 = 0))
+        else if (not !detached) && Time.to_sec_f (Sim.now sim) > float_of_int horizon /. 2.0
+        then begin
+          detached := true;
+          m.stop ()
+        end
+      done);
+  Sim.run sim;
+  m.stop ();
+  (List.rev !readings, Fabric.readers fabric)
+
+let under_test ~config cluster ~traffic ~horizon =
+  let registry = Metrics.create () in
+  let fm = Flowmon.create ~config ~registry cluster ~traffic in
+  Flowmon.start fm ~horizon;
+  let k = List.length (Fabric.links (Cluster.fabric cluster)) in
+  {
+    watch =
+      (fun ~with_report ->
+        observe ~ticks:(Flowmon.ticks fm) ~snapshot:(Flowmon.snapshot fm)
+          ~hotspots:(Flowmon.hotspots fm) ~learned:(Flowmon.learned fm)
+          ~report:(fun () -> Flowmon.report ~k fm)
+          ~registry ~with_report);
+    stop = (fun () -> Flowmon.detach fm);
+  }
+
+let reference ~config cluster ~traffic ~horizon =
+  let registry = Metrics.create () in
+  let fm = Poll.create ~config ~registry cluster ~traffic in
+  Poll.start fm ~horizon;
+  let k = List.length (Fabric.links (Cluster.fabric cluster)) in
+  {
+    watch =
+      (fun ~with_report ->
+        observe ~ticks:(Poll.ticks fm) ~snapshot:(Poll.snapshot fm)
+          ~hotspots:(Poll.hotspots fm) ~learned:(Poll.learned fm)
+          ~report:(fun () -> Poll.report ~k fm)
+          ~registry ~with_report);
+    stop = (fun () -> Poll.detach fm);
+  }
+
+let flowmon_matches_polling_prop =
+  QCheck.Test.make ~name:"flowmon equals the polling monitor at every tick" ~count:60 QCheck.int
+    (fun salt ->
+      let seed = salted salt in
+      let got, readers = monitored_run seed under_test in
+      let want, _ = monitored_run seed reference in
+      if readers <> 0 then QCheck.Test.fail_reportf "%d fabric reader(s) left" readers;
+      List.for_all2
+        (fun got want ->
+          Alcotest.(check string) "reading" want got;
+          true)
+        got want)
 
 let () =
   Alcotest.run "ninja_telemetry"
@@ -904,16 +1115,16 @@ let () =
             test_flowmon_hotspot_and_burn;
           Alcotest.test_case "config rejects out-of-range values" `Quick
             test_flowmon_config_validation;
-        ] );
+        ]
+        @ Qsuite.tests [ flowmon_matches_polling_prop ] );
       ( "ring",
         [
           Alcotest.test_case "push, last, windowed aggregates" `Quick test_ring_basics;
           Alcotest.test_case "wraparound keeps the newest window" `Quick
             test_ring_wraparound;
           Alcotest.test_case "nearest-rank percentiles" `Quick test_ring_percentile;
-          QCheck_alcotest.to_alcotest ring_percentile_matches_stats_prop;
-          QCheck_alcotest.to_alcotest ring_kept_percentile_prop;
-        ] );
+        ]
+        @ Qsuite.tests [ ring_percentile_matches_stats_prop; ring_sorted_window_prop ] );
       ( "metrics",
         [
           Alcotest.test_case "counters, gauges, histograms" `Quick test_metrics_basics;
@@ -948,5 +1159,5 @@ let () =
           Alcotest.test_case "rollback breakdown matches exactly" `Quick
             test_e2e_rollback_breakdown_matches;
         ] );
-      ("fuzz", List.map QCheck_alcotest.to_alcotest [ spans_well_formed_prop ]);
+      ("fuzz", Qsuite.tests [ spans_well_formed_prop ]);
     ]

@@ -228,6 +228,9 @@ let test_fuzz_hook () =
 (* ------------------------------------------------------------------ *)
 (* Differential: the incremental solver against the max-min oracle *)
 
+(* A live flow: its link ids, and the flow on each fabric. *)
+type live = { route : int list; flows : Fabric.flow array }
+
 (* The reference flow-conservation check: sweep every live link and keep
    those whose flows exceed its capacity (the checker's tolerance). *)
 let sweep fabric =
@@ -236,51 +239,85 @@ let sweep fabric =
       Fabric.link_utilization fabric l > (Fabric.link_capacity l *. (1.0 +. 1e-6)) +. 1.0)
     (Fabric.links fabric)
 
-(* What the checker relies on instead of the sweep: between two drains,
-   every link whose utilisation or capacity changed was re-solved and so
-   drained. [watch_changes fabric links] watches the fabric and returns a
-   step check naming the first changed link the drain missed. *)
-let watch_changes fabric links =
-  Fabric.watch fabric;
+(* What the checker and the flow monitor rely on instead of the sweep:
+   between two drains of a reader, every link whose utilisation or
+   capacity changed was re-solved and so drained. [watch_changes ~every
+   fabric links] takes a reader of the fabric and returns a step check
+   that drains it every [every]-th step and names the first link that
+   changed since its last drain but was not drained. *)
+let watch_changes ~every fabric links =
+  let reader = Fabric.reader fabric in
   let state () =
     Array.map (fun l -> (Fabric.link_utilization fabric l, Fabric.link_capacity l)) links
   in
   let drained = Hashtbl.create 64 in
-  Fabric.drain_resolved fabric ignore;
+  Fabric.drain reader ignore;
   let prev = ref (state ()) in
+  let steps = ref 0 in
   fun () ->
-    Hashtbl.reset drained;
-    Fabric.drain_resolved fabric (fun l -> Hashtbl.replace drained (Fabric.link_id l) ());
-    let now = state () in
-    let missed = ref None in
-    Array.iteri
-      (fun i l ->
-        let (u0, c0), (u1, c1) = (!prev.(i), now.(i)) in
-        if
-          !missed = None
-          && ((not (Float.equal u0 u1)) || not (Float.equal c0 c1))
-          && not (Hashtbl.mem drained (Fabric.link_id l))
-        then
-          missed :=
-            Some
-              (Printf.sprintf "%s changed (%.17g/%.17g -> %.17g/%.17g) but was not drained"
-                 (Fabric.link_name l) u0 c0 u1 c1))
-      links;
-    prev := now;
-    !missed
+    incr steps;
+    if !steps mod every <> 0 then None
+    else begin
+      Hashtbl.reset drained;
+      Fabric.drain reader (fun l -> Hashtbl.replace drained (Fabric.link_id l) ());
+      let now = state () in
+      let missed = ref None in
+      Array.iteri
+        (fun i l ->
+          let (u0, c0), (u1, c1) = (!prev.(i), now.(i)) in
+          if
+            !missed = None
+            && ((not (Float.equal u0 u1)) || not (Float.equal c0 c1))
+            && not (Hashtbl.mem drained (Fabric.link_id l))
+          then
+            missed :=
+              Some
+                (Printf.sprintf
+                   "%s changed (%.17g/%.17g -> %.17g/%.17g) but a reader draining every %d \
+                    step(s) did not drain it"
+                   (Fabric.link_name l) u0 c0 u1 c1 every))
+        links;
+      prev := now;
+      !missed
+    end
 
 (* After every operation a fabric must have reported every link that
-   changed, and may hold no over-capacity link. *)
+   changed to each of two readers, one draining after every operation and
+   one after every third, and may hold no over-capacity link. *)
 let soundness fabric =
-  let changes = watch_changes fabric (Array.of_list (Fabric.links fabric)) in
+  let links = Array.of_list (Fabric.links fabric) in
+  let each = watch_changes ~every:1 fabric links in
+  let third = watch_changes ~every:3 fabric links in
   fun () ->
-    match (changes (), sweep fabric) with
-    | Some msg, _ -> Some msg
-    | None, l :: _ -> Some (Fabric.link_name l ^ " over capacity")
-    | None, [] -> None
+    match (each (), third (), sweep fabric) with
+    | Some msg, _, _ | None, Some msg, _ -> Some msg
+    | None, None, l :: _ -> Some (Fabric.link_name l ^ " over capacity")
+    | None, None, [] -> None
 
-(* A live flow: its link ids, and the flow on each fabric. *)
-type live = { route : int list; flows : Fabric.flow array }
+(* Each link's utilisation, as the fabric reports it, against the sum of
+   the rates of the live flows crossing it (summed in another order, so
+   within 1e-9 relative). *)
+let utilizations fabric links live =
+  let sums = Hashtbl.create 64 in
+  List.iter
+    (fun f ->
+      let r = Fabric.rate f.flows.(0) in
+      List.iter
+        (fun id ->
+          Hashtbl.replace sums id (r +. Option.value (Hashtbl.find_opt sums id) ~default:0.0))
+        f.route)
+    live;
+  List.find_map
+    (fun l ->
+      let got = Fabric.link_utilization fabric l in
+      let want = Option.value (Hashtbl.find_opt sums (Fabric.link_id l)) ~default:0.0 in
+      if Float.abs (got -. want) <= 1e-9 *. Float.max (Float.abs got) (Float.abs want) then None
+      else
+        Some
+          (Printf.sprintf "%s utilisation %.17g, but its flows sum to %.17g"
+             (Fabric.link_name l) got want))
+    links
+
 
 (* Drive one random join/leave/capacity-change sequence over [copies]
    clusters built from the same generated topology, the same operation on
@@ -347,7 +384,8 @@ let ids l = String.concat "," (List.map string_of_int l)
    the oracle's from-scratch solve over every live flow. The re-rate
    covers only the components the operation touched, so its freeze log
    must be the oracle's freeze order restricted to those components'
-   links: a subsequence of it. *)
+   links: a subsequence of it. Every link's utilisation must be its flows'
+   sum, and both readers must have seen every change. *)
 let against_oracle fabrics =
   let fabric = fabrics.(0) in
   let by_id = Hashtbl.create 64 in
@@ -368,7 +406,10 @@ let against_oracle fabrics =
       Some
         (Printf.sprintf "freeze log [%s] is not a subsequence of the oracle's [%s]" (ids log)
            (ids oracle.Maxmin.freeze_order))
-    | None -> sound ()
+    | None -> (
+      match utilizations fabric (Fabric.links fabric) live with
+      | Some msg -> Some msg
+      | None -> sound ())
 
 let differential_prop =
   QCheck.Test.make ~name:"incremental rates = oracle rates (exact, 300 sequences)" ~count:300
@@ -439,6 +480,43 @@ let test_tie_break_two_equal_links () =
   Alcotest.(check (list int))
     "oracle: equal links freeze in id order" [ Fabric.link_id a; Fabric.link_id b ]
     (freeze_order capacity [ [ shared; b ]; [ shared; a ] ])
+
+(* The change feed's bookkeeping: a new reader starts with every live
+   link pending; a pending link removed stays with the readers older than
+   it and leaves the newer ones; a released reader drains nothing and
+   frees its place, of which a fabric has 62. *)
+let test_feed_readers () =
+  let sim = Sim.create () in
+  let fab = Fabric.create sim in
+  let drained r =
+    let names = ref [] in
+    Fabric.drain r (fun l -> names := Fabric.link_name l :: !names);
+    List.sort compare !names
+  in
+  let a = Fabric.add_link fab ~name:"a" ~capacity:10.0 in
+  let older = Fabric.reader fab in
+  let p = Fabric.add_link fab ~name:"p" ~capacity:10.0 in
+  let younger = Fabric.reader fab in
+  Alcotest.(check (list string)) "the older reader starts with a" [ "a" ] (drained older);
+  Alcotest.(check (list string)) "the younger with a and p" [ "a"; "p" ] (drained younger);
+  Alcotest.(check (list string)) "a drain empties only its own set" [] (drained younger);
+  Fabric.cancel fab (Fabric.start fab ~route:[ a; p ] ~bytes:1e12);
+  Fabric.remove_link fab p;
+  Alcotest.(check (list string)) "p is newer than the older reader" [ "a" ] (drained older);
+  Alcotest.(check (list string)) "and older than the younger" [ "a"; "p" ] (drained younger);
+  Fabric.set_link_capacity fab a 20.0;
+  Fabric.release younger;
+  Fabric.release younger;
+  Alcotest.(check (list string)) "a released reader drains nothing" [] (drained younger);
+  Alcotest.(check (list string)) "the other still sees a" [ "a" ] (drained older);
+  Alcotest.(check int) "one reader left" 1 (Fabric.readers fab);
+  let more = List.init 61 (fun _ -> Fabric.reader fab) in
+  (match Fabric.reader fab with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a 63rd reader was accepted");
+  Fabric.release (List.hd more);
+  ignore (Fabric.reader fab);
+  Alcotest.(check int) "62 readers" 62 (Fabric.readers fab)
 
 (* ------------------------------------------------------------------ *)
 (* Cluster VM index vs a list-scan oracle *)
@@ -534,7 +612,8 @@ let () =
         :: Qsuite.tests [ roundtrip_prop; shrink_prop ] );
       ( "differential",
         Alcotest.test_case "two equal links tie-break" `Quick test_tie_break_two_equal_links
-        :: Qsuite.tests [ differential_prop; tie_break_determinism_prop ] );
+        :: Qsuite.tests [ differential_prop; tie_break_determinism_prop ]
+        @ [ Alcotest.test_case "change feed readers" `Quick test_feed_readers ] );
       ( "cluster-index",
         [ Alcotest.test_case "index matches oracle under churn" `Quick test_cluster_index_oracle ] );
       ( "scale",

@@ -105,7 +105,7 @@ let memory_model_prop =
 let memory_residency_differential_prop =
   let module IS = Set.Make (Int) in
   QCheck.Test.make ~name:"postcopy residency agrees with a set-based oracle" ~count:50
-    QCheck.small_int (fun salt ->
+    QCheck.int (fun salt ->
       let prng = Prng.create ~seed:(Int64.of_int (8000 + salt)) in
       let total = Units.mb 8.0 in
       let m = Memory.create ~total_bytes:total in
