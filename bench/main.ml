@@ -32,11 +32,10 @@ open Ninja_experiments
    misreport) what the user actually waits. *)
 let wall () = Int64.to_float (Mclock.now ()) /. 1e9
 
-(* Machine-readable companion to the printed tables: per-entry wall-clock,
-   CPU and simulated seconds, events executed, heap insertions, rate-set
-   policy runs, swap pairs priced and flow-monitor link polls (and, at
-   [-j 1], minor words), so perf
-   regressions across snapshots can be compared without scraping stdout. [nproc] and the OCaml version say
+(* Machine-readable companion to the printed tables: per-entry wall-clock
+   and CPU seconds, every counter the entry's simulations observe (and, at
+   [-j 1], minor words), so perf regressions across snapshots can be
+   compared without scraping stdout. [nproc] and the OCaml version say
    what a [-j N] row could use. *)
 let next_snapshot () =
   Sys.readdir "."
@@ -51,16 +50,28 @@ let next_snapshot () =
   |> succ
 
 (* What an entry's simulations report through the context's observation
-   hook, summed over the entry. The counts are integers far below 2^53, so
-   their float sums are exact in any order, hence at any [-j]. *)
-type sums = {
-  mutable sim_s : float;
-  mutable events : float;
-  mutable heap_insertions : float;
-  mutable rerates : float;
-  mutable swap_pairs : float;
-  mutable link_polls : float;
-}
+   hook, summed by name over the entry. The counts are integers far below
+   2^53, so their float sums are exact in any order, hence at any [-j]. *)
+type sums = (string, float) Hashtbl.t
+
+(* Every row carries these, in this order, then every other name observed,
+   sorted; each under the name it is observed by, except [sim_events],
+   which rows call [events]. *)
+let first =
+  [ "sim_s"; "sim_events"; "heap_insertions"; "rerates"; "swap_pairs_priced"; "link_polls" ]
+
+let counters (sums : sums) =
+  let others =
+    Hashtbl.fold (fun name _ acc -> if List.mem name first then acc else name :: acc) sums []
+  in
+  List.map
+    (fun name ->
+      ( (if name = "sim_events" then "events" else name),
+        Option.value (Hashtbl.find_opt sums name) ~default:0.0 ))
+    (first @ List.sort String.compare others)
+
+(* Counts print whole; simulated seconds to the millisecond. *)
+let number v = if Float.is_integer v then Printf.sprintf "%.0f" v else Printf.sprintf "%.3f" v
 
 let write_bench_json ctx ~total_wall ~total_cpu entries =
   let n = next_snapshot () in
@@ -77,13 +88,11 @@ let write_bench_json ctx ~total_wall ~total_cpu entries =
   Printf.fprintf oc "  \"total_wall_s\": %.3f,\n  \"total_cpu_s\": %.3f,\n  \"entries\": [\n"
     total_wall total_cpu;
   List.iteri
-    (fun i (name, wall_s, cpu_s, (sums : sums), minor_words) ->
-      Printf.fprintf oc
-        "    {\"name\": %S, \"wall_s\": %.3f, \"cpu_s\": %.3f, \"sim_s\": %.3f, \"events\": %.0f, \
-         \"heap_insertions\": %.0f, \"rerates\": %.0f, \"swap_pairs_priced\": %.0f, \
-         \"link_polls\": %.0f%s}%s\n"
-        name wall_s cpu_s sums.sim_s sums.events sums.heap_insertions sums.rerates
-        sums.swap_pairs sums.link_polls
+    (fun i (name, wall_s, cpu_s, sums, minor_words) ->
+      Printf.fprintf oc "    {\"name\": %S, \"wall_s\": %.3f, \"cpu_s\": %.3f%s%s}%s\n" name wall_s
+        cpu_s
+        (String.concat ""
+           (List.map (fun (key, v) -> Printf.sprintf ", %S: %s" key (number v)) (counters sums)))
         (match minor_words with
         | Some w -> Printf.sprintf ", \"minor_words\": %.0f" w
         | None -> "")
@@ -101,30 +110,15 @@ let run_experiments ~snapshot ctx entries =
       Printf.printf "== %s: %s ==\n%!" e.Registry.name e.Registry.description;
       (* Each simulation reports through the context's observation hook,
          possibly from a pooled domain. *)
-      let sums =
-        {
-          sim_s = 0.0;
-          events = 0.0;
-          heap_insertions = 0.0;
-          rerates = 0.0;
-          swap_pairs = 0.0;
-          link_polls = 0.0;
-        }
-      in
+      let sums = Hashtbl.create 8 in
       let m = Mutex.create () in
       let ectx =
         Ninja_engine.Run_ctx.with_observer
           (Some
              (fun name v ->
                Mutex.protect m (fun () ->
-                   match name with
-                   | "sim_s" -> sums.sim_s <- sums.sim_s +. v
-                   | "sim_events" -> sums.events <- sums.events +. v
-                   | "heap_insertions" -> sums.heap_insertions <- sums.heap_insertions +. v
-                   | "rerates" -> sums.rerates <- sums.rerates +. v
-                   | "swap_pairs_priced" -> sums.swap_pairs <- sums.swap_pairs +. v
-                   | "link_polls" -> sums.link_polls <- sums.link_polls +. v
-                   | _ -> ())))
+                   Hashtbl.replace sums name
+                     (v +. Option.value (Hashtbl.find_opt sums name) ~default:0.0))))
           ctx
       in
       let w = wall () and c = Sys.time () and mw = Gc.minor_words () in
@@ -135,11 +129,9 @@ let run_experiments ~snapshot ctx entries =
       let minor_words =
         if Ninja_engine.Run_ctx.jobs ctx = 1 then Some (Gc.minor_words () -. mw) else None
       in
-      Printf.printf
-        "(generated in %.1fs wall, %.1fs CPU, %.1fs simulated, %.0f events, %.0f heap \
-         insertions, %.0f re-rates, %.0f swap pairs priced, %.0f link polls%s)\n\n%!"
-        wall_s cpu_s sums.sim_s sums.events sums.heap_insertions sums.rerates sums.swap_pairs
-        sums.link_polls
+      Printf.printf "(generated in %.1fs wall, %.1fs CPU, %s%s)\n\n%!" wall_s cpu_s
+        (String.concat ", "
+           (List.map (fun (key, v) -> Printf.sprintf "%s %s" key (number v)) (counters sums)))
         (match minor_words with
         | Some w -> Printf.sprintf ", %.3fG minor words" (w /. 1e9)
         | None -> "");

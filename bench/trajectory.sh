@@ -1,10 +1,8 @@
 #!/bin/sh
 # Bench trajectory: chart wall-time across every committed BENCH_N.json,
-# with each entry's events executed, event-heap insertions, rate-set
-# re-rates, swap pairs priced and flow-monitor link polls where the
-# snapshot records them ("-" before BENCH_13, for re-rates before
-# BENCH_14, for swap pairs before BENCH_15, and for link polls before
-# BENCH_17).
+# with every counter each snapshot records for an entry, as key=value
+# (events, heap insertions, re-rates, ... as far as that snapshot has
+# them; everything but the entry's name and its wall and CPU seconds).
 #
 #   bench/trajectory.sh              # all snapshots in the repo root
 #   bench/trajectory.sh evacuation   # one experiment's trajectory only
@@ -29,6 +27,10 @@ command -v jq >/dev/null 2>&1 || {
   exit 1
 }
 
+# An entry's counters, as one line of key=value pairs in row order.
+counters='to_entries | map(select(.key | IN("name", "wall_s", "cpu_s") | not))
+  | map("\(.key)=\(.value)") | join(" ")'
+
 # One snapshot (a seed checkout) has no trajectory to chart: every bar
 # would trivially be the maximum. Degrade to a single-row table of that
 # snapshot's entries instead of an empty/degenerate chart.
@@ -38,13 +40,10 @@ if [ "$#" -eq 1 ]; then
   w=$(jq -r '.total_wall_s // 0' "$f")
   jobs=$(jq -r '.jobs // 1' "$f")
   printf 'single snapshot (PR %s, -j%s): %ss total wall\n' "$pr" "$jobs" "$w"
-  jq -r '.entries[] | [.name, (.wall_s | tostring), (.events // "-" | tostring),
-      (.heap_insertions // "-" | tostring), (.rerates // "-" | tostring),
-      (.swap_pairs_priced // "-" | tostring), (.link_polls // "-" | tostring)] | @tsv' "$f" \
-    | while IFS="$(printf '\t')" read -r name w ev hi rr sp lp; do
+  jq -r ".entries[] | [.name, (.wall_s | tostring), ($counters)] | @tsv" "$f" \
+    | while IFS="$(printf '\t')" read -r name w counts; do
         if [ -n "$only" ] && [ "$name" != "$only" ]; then continue; fi
-        printf '  %-18s %8.3fs %11s events %11s heap insertions %11s re-rates %11s swap pairs %11s link polls\n' \
-          "$name" "$w" "$ev" "$hi" "$rr" "$sp" "$lp"
+        printf '  %-18s %8.3fs %s\n' "$name" "$w" "$counts"
       done
   exit 0
 fi
@@ -82,7 +81,7 @@ for name in $names; do
     w=$(jq -r --arg n "$name" '[.entries[] | select(.name == $n) | .wall_s] | first // 0' "$f")
     max=$(jq -n --argjson a "$max" --argjson b "$w" 'if $b > $a then $b else $a end')
   done
-  echo "$name: wall, delta, events, heap insertions, re-rates, swap pairs priced, link polls"
+  echo "$name: wall, delta, wall bar, counters"
   prev=""
   for f; do
     pr=$(jq -r '.pr' "$f")
@@ -90,21 +89,14 @@ for name in $names; do
     if [ -z "$w" ]; then
       printf '  PR %-3s %8s\n' "$pr" "-"
     else
-      counts=$(jq -r --arg n "$name" \
-        '[.entries[] | select(.name == $n)
-          | "\(.events // "-") \(.heap_insertions // "-") \(.rerates // "-") \(.swap_pairs_priced // "-") \(.link_polls // "-")"]
-          | first' "$f")
+      counts=$(jq -r --arg n "$name" "[.entries[] | select(.name == \$n) | $counters] | first" "$f")
       delta=""
       if [ -n "$prev" ]; then
         delta=$(jq -n --argjson p "$prev" --argjson w "$w" \
           'if $p <= 0 then "" else ((($w - $p) / $p * 100) | if . >= 0 then "+\(. | floor)%" else "\(. | ceil)%" end) end' \
           | tr -d '"')
       fi
-      read -r ev hi rr sp lp <<EOF
-$counts
-EOF
-      printf '  PR %-3s %8.3fs %6s %11s %11s %11s %11s %11s %s\n' "$pr" "$w" "$delta" "$ev" "$hi" \
-        "$rr" "$sp" "$lp" "$(bar "$w" "$max")"
+      printf '  PR %-3s %8.3fs %6s %-41s %s\n' "$pr" "$w" "$delta" "$(bar "$w" "$max")" "$counts"
       prev="$w"
     fi
   done

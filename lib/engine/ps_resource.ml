@@ -4,7 +4,7 @@ type task = info Rated.task
 
 (* The water-fill's state, shared with the set's rerate callback. *)
 type fill = {
-  mutable cap : float;
+  cap : float;
   mutable order : task array; (* reused per rerate: active tasks sorted by demand *)
   mutable rates : Float.Array.t; (* reused per rerate: their rates *)
 }
@@ -55,11 +55,6 @@ let create sim ~name ~capacity =
   { name; fill; set }
 
 let capacity t = t.fill.cap
-
-let set_capacity t c =
-  if not (c > 0.0) then invalid_arg "Ps_resource.set_capacity: capacity must be positive";
-  t.fill.cap <- c;
-  Rated.kick t.set
 
 let start t ~demand ~work =
   if not (demand > 0.0) then invalid_arg "Ps_resource.start: demand must be positive";

@@ -11,18 +11,17 @@
     exactly the Fig. 8 "2 hosts (TCP)" consolidation penalty in the
     paper.
 
-    The set is a {!Rated} set: however many tasks start, end or change
-    capacity at one instant, the water-fill runs once, at the set's flush
-    or at the first {!utilization} read, whichever comes first. *)
+    The set is a {!Rated} set: however many tasks start or end at one
+    instant, the water-fill runs once, at the set's flush or at the first
+    {!utilization} read, whichever comes first. *)
 
 type t
 
 val create : Sim.t -> name:string -> capacity:float -> t
-(** [capacity] in core-equivalents; must be positive. *)
+(** [capacity] in core-equivalents; must be positive. It never
+    changes. *)
 
 val capacity : t -> float
-
-val set_capacity : t -> float -> unit
 
 val consume : t -> demand:float -> work:float -> unit
 (** Block the calling fiber until [work] core-seconds have been executed,

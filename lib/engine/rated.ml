@@ -256,11 +256,3 @@ let cancel t task =
     compact t;
     changed t
   end
-
-let kick t =
-  settle t;
-  if t.unswept then begin
-    sweep t;
-    compact t
-  end;
-  changed t

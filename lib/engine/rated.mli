@@ -8,8 +8,8 @@
     differ in their rate-assignment policy.
 
     Between events rates are constant, so completions can be scheduled
-    exactly. A change ({!add}, {!cancel}, {!kick} or a completion timer
-    firing) has an eager part and a deferred one. At once the set is
+    exactly. A change ({!add}, {!cancel} or a completion timer firing)
+    has an eager part and a deferred one. At once the set is
     settled (remaining work advanced), tasks out of work complete, and
     the armed completion timer is cancelled. The policy and the timer's
     re-arm run once per instant, in one {e flush} per set that every
@@ -34,9 +34,9 @@ val create : Sim.t -> name:string -> rerate:('a t -> unit) -> 'a t
 (** [rerate] assigns rates with {!set_rate}; it is called with the set
     already settled to the current instant, at most once per change and
     at most once per flush. Its result must depend only on the set's
-    membership and on state the caller changes together with a {!kick}.
-    A global policy re-rates every active task; an incremental policy
-    may consult {!changes} and leave unaffected tasks' rates untouched.
+    membership, since every change is a membership delta. A global policy
+    re-rates every active task; an incremental policy may consult
+    {!changes} and leave unaffected tasks' rates untouched.
     Creating a set allocates no event: its timer and flush come with its
     first change. *)
 
@@ -68,11 +68,6 @@ val await : 'a task -> unit
 val cancel : 'a t -> 'a task -> unit
 (** Remove a task before completion; its waiters are woken. No-op if the
     task already completed. *)
-
-val kick : 'a t -> unit
-(** A change with no membership delta, after an external change the set
-    cannot observe (e.g. a capacity update): settle now, re-rate and
-    re-arm at the flush. *)
 
 val length : 'a t -> int
 (** Number of active tasks. *)

@@ -3,7 +3,7 @@ open Ninja_engine
 type link = {
   id : int;
   name : string;
-  mutable capacity : float;
+  capacity : float;
   num : floats;
   mutable unfrozen : int; (* scratch for the progressive-filling pass *)
   (* Live flows crossing this link (fid -> task), maintained by the
@@ -24,7 +24,9 @@ and floats = {
   mutable util : float; (* [link_utilization]'s memo; nan until summed *)
 }
 
-and info = { fid : int; route : link list; mutable fmark : int }
+(* A flow's route is dropped when it leaves, so a finished flow still in
+   a vacated slot of the rated set keeps no retired link alive. *)
+and info = { fid : int; mutable route : link list; mutable fmark : int }
 
 (* One consumer of the change feed: the links re-rates covered since it
    last drained, each once. *)
@@ -44,17 +46,16 @@ and feed = {
 }
 
 type state = {
-  mutable dirty_links : link list; (* capacity changes since last rerate *)
   mutable freeze_log : int list; (* bottleneck ids of the last solve, reversed *)
   mutable epoch : int; (* bumped per rerate; validates marks *)
-  mutable rev_links : link list; (* newest first; removed links linger until [links] *)
-  mutable live_links : link list option; (* [links]' answer, until a link is added or removed *)
   changes : feed;
 }
 
 type t = {
   set : info Rated.t;
   state : state;
+  mutable live : link array; (* the live links, first [n_live], in id order *)
+  mutable n_live : int;
   mutable next_link : int; (* ids are never reused, so tie-breaks survive removals *)
   mutable next_fid : int;
 }
@@ -120,16 +121,6 @@ let solve_subset state flows links =
       done
   done
 
-(* Rebuilt at most once per add/remove, however often observers sweep. *)
-let live_links state =
-  match state.live_links with
-  | Some links -> links
-  | None ->
-    state.rev_links <- List.filter (fun l -> not l.removed) state.rev_links;
-    let links = List.rev state.rev_links in
-    state.live_links <- Some links;
-    links
-
 let new_link id name capacity =
   {
     id;
@@ -143,20 +134,28 @@ let new_link id name capacity =
     pending = 0;
   }
 
-(* Fills a pending queue's vacant slots, so it never keeps a retired
-   private link alive. *)
+(* Fills the vacant slots of the live set and of the pending queues, so
+   neither keeps a retired private link alive. *)
 let no_link = new_link (-1) "" 1.0
+
+(* [a] with [l] stored after its first [n] links, grown if full. *)
+let append a n l =
+  let a =
+    if n < Array.length a then a
+    else begin
+      let grown = Array.make (max 16 (2 * n)) no_link in
+      Array.blit a 0 grown 0 n;
+      grown
+    end
+  in
+  a.(n) <- l;
+  a
 
 (* Add a link to a reader's pending set, once until its next drain. *)
 let push r l =
   if l.pending land r.bit = 0 then begin
-    if r.n = Array.length r.queue then begin
-      let grown = Array.make (max 16 (2 * r.n)) no_link in
-      Array.blit r.queue 0 grown 0 r.n;
-      r.queue <- grown
-    end;
     l.pending <- l.pending lor r.bit;
-    r.queue.(r.n) <- l;
+    r.queue <- append r.queue r.n l;
     r.n <- r.n + 1
   end
 
@@ -200,8 +199,6 @@ let rec forget readers l =
 let rerate state set =
   state.freeze_log <- [];
   let deltas = Rated.changes set in
-  let dirty = state.dirty_links in
-  state.dirty_links <- [];
   state.epoch <- state.epoch + 1;
   let epoch = state.epoch in
   (* A link enters the work queue at most once per rerate: its mark is
@@ -226,14 +223,14 @@ let rerate state set =
             seed l)
           route
       | Rated.Left fl ->
-        let { fid; route; _ } = Rated.payload fl in
+        let inf = Rated.payload fl in
         List.iter
           (fun l ->
-            Hashtbl.remove l.flows_on fid;
+            Hashtbl.remove l.flows_on inf.fid;
             seed l)
-          route)
+          inf.route;
+        inf.route <- [])
     deltas;
-  List.iter seed dirty;
   if not (Queue.is_empty queue) then begin
     (* Close over the seeds: every flow on an affected link is affected,
        and every link of an affected flow is affected — the resulting
@@ -243,10 +240,9 @@ let rerate state set =
     while not (Queue.is_empty queue) do
       let l = Queue.pop queue in
       aff_links := l :: !aff_links;
-      (* Every utilisation or capacity this rerate can change is on an
-         affected link — including a component whose last flow just left
-         and a re-capacitated link no flow crosses — so these are the
-         links whose memo goes stale and that the readers must see. *)
+      (* Every utilisation this rerate can change is on an affected link
+         — including a component whose last flow just left — so these are
+         the links whose memo goes stale and that the readers must see. *)
       l.num.util <- Float.nan;
       record state.changes.readers l;
       Hashtbl.iter
@@ -264,17 +260,15 @@ let rerate state set =
   end
 
 let create sim =
-  let state =
-    {
-      dirty_links = [];
-      freeze_log = [];
-      epoch = 0;
-      rev_links = [];
-      live_links = None;
-      changes = { readers = []; bits = 0 };
-    }
-  in
-  { set = Rated.create sim ~name:"fabric" ~rerate:(rerate state); state; next_link = 0; next_fid = 0 }
+  let state = { freeze_log = []; epoch = 0; changes = { readers = []; bits = 0 } } in
+  {
+    set = Rated.create sim ~name:"fabric" ~rerate:(rerate state);
+    state;
+    live = [||];
+    n_live = 0;
+    next_link = 0;
+    next_fid = 0;
+  }
 
 (* The read barriers: the freeze log, the per-link registries and memos
    and the pending sets are the policy's, so a reader first runs a policy
@@ -291,8 +285,8 @@ let add_link t ~name ~capacity =
   let id = t.next_link in
   t.next_link <- id + 1;
   let l = new_link id name capacity in
-  t.state.rev_links <- l :: t.state.rev_links;
-  t.state.live_links <- None;
+  t.live <- append t.live t.n_live l;
+  t.n_live <- t.n_live + 1;
   l
 
 let remove_link t l =
@@ -302,31 +296,40 @@ let remove_link t l =
   if not l.removed then begin
     l.removed <- true;
     if l.pending <> 0 then forget t.state.changes.readers l;
-    t.state.live_links <- None
+    (* The links after it close up, keeping id order; a retired private
+       link is nearly always among the newest, at the end. *)
+    let i = ref (t.n_live - 1) in
+    while t.live.(!i) != l do
+      decr i
+    done;
+    t.n_live <- t.n_live - 1;
+    Array.blit t.live (!i + 1) t.live !i (t.n_live - !i);
+    t.live.(t.n_live) <- no_link
   end
 
-let links t = live_links t.state
+let links t = List.init t.n_live (Array.get t.live)
 
 (* The bits a reader can take: every bit of a non-negative int. *)
 let reader t =
   let feed = t.state.changes in
   let free = max_int land lnot feed.bits in
   if free = 0 then invalid_arg "Fabric.reader: every reader bit is taken";
-  let live = live_links t.state in
   let r =
     {
       set = t.set;
       feed;
       bit = free land -free;
       born = t.next_link;
-      queue = Array.make (max 16 (List.length live)) no_link;
+      queue = Array.make (max 16 t.n_live) no_link;
       n = 0;
       released = false;
     }
   in
   feed.bits <- feed.bits lor r.bit;
   feed.readers <- feed.readers @ [ r ];
-  List.iter (push r) live;
+  for i = 0 to t.n_live - 1 do
+    push r t.live.(i)
+  done;
   r
 
 let readers t = List.length t.state.changes.readers
@@ -359,13 +362,6 @@ let link_name l = l.name
 let link_id l = l.id
 
 let link_capacity l = l.capacity
-
-let set_link_capacity t l c =
-  if not (c > 0.0 && Float.is_finite c) then
-    invalid_arg "Fabric.set_link_capacity: capacity must be positive and finite";
-  l.capacity <- c;
-  t.state.dirty_links <- l :: t.state.dirty_links;
-  Rated.kick t.set
 
 let check_route route =
   if route = [] then invalid_arg "Fabric: empty route";

@@ -1,12 +1,12 @@
 (** Flow-level network fabric with max–min fair bandwidth sharing.
 
     A fabric is a set of directed capacity-constrained links; a {e flow} is
-    a bulk transfer routed over a list of links. Whenever the flow
-    population changes (or a capacity changes), flow rates are recomputed
-    by progressive filling: repeatedly saturate the most contended link,
-    freeze its flows at the fair share, and continue with the residual
-    capacities. Only the connected component (flows linked by shared
-    links) that a join, leave or capacity change touches is re-solved;
+    a bulk transfer routed over a list of links. A link's capacity is
+    fixed when it is added. Whenever the flow population changes, flow
+    rates are recomputed by progressive filling: repeatedly saturate the
+    most contended link, freeze its flows at the fair share, and continue
+    with the residual capacities. Only the connected component (flows
+    linked by shared links) that a join or leave touches is re-solved;
     components are independent, so every rate equals that of a solve of
     the whole fabric (see DESIGN), at a cost proportional to the component.
     Between changes rates are constant, so flow completions are exact
@@ -47,41 +47,40 @@ val add_link : t -> name:string -> capacity:float -> link
 val remove_link : t -> link -> unit
 (** Retire a link, e.g. a private first hop whose transfer is over. Raises
     [Invalid_argument] if a flow still crosses it; removing twice is a
-    no-op. Its id is never reused, and no flow may be started over it
-    afterwards. *)
+    no-op. The fabric forgets it at once: it leaves {!links}, and only the
+    readers that hold it pending keep it, until their next {!drain}. Its
+    id is never reused, and no flow may be started over it afterwards. *)
 
 val links : t -> link list
-(** The live (added, not removed) links, in creation order. The list is
-    cached between additions and removals. *)
+(** The live (added, not removed) links, in creation order. *)
 
 (** {1 The change feed}
 
-    A link's utilisation and capacity change only inside a re-rate, so a
-    consumer that must look at every changed link need only look at the
-    links the solver covered since it last looked. Each consumer holds
-    its own {!reader}: the invariant checker's flow-conservation test
-    and the flow monitor's tick hold one each, and each drains on its own
+    A link's utilisation changes only inside a re-rate, so a consumer
+    that must look at every changed link need only look at the links the
+    solver covered since it last looked. Each consumer holds its own
+    {!reader}: the invariant checker's flow-conservation test and the
+    flow monitor's tick hold one each, and each drains on its own
     rhythm. *)
 
 type reader
 
 val reader : t -> reader
 (** A new reader of the links each re-rate covers: the re-solved
-    components' links, a component whose last flow just left and a
-    re-capacitated link no flow crosses included. Every live link starts
-    pending, so the reader's first {!drain} covers the whole fabric. A
-    fabric serves up to 62 readers at once (raises [Invalid_argument]
-    past that); a re-rate records each covered link once per reader, and
-    with none it pays a list test. *)
+    components' links, a component whose last flow just left included.
+    Every live link starts pending, so the reader's first {!drain} covers
+    the whole fabric. A fabric serves up to 62 readers at once (raises
+    [Invalid_argument] past that); a re-rate records each covered link
+    once per reader, and with none it pays a list test. *)
 
 val drain : reader -> (link -> unit) -> unit
 (** Apply the function to each link pending in this reader, once each,
     and empty its set; other readers keep theirs. Every live link whose
-    utilisation or capacity differs from the reader's last drain is among
-    them. So is a link removed since then that was pending and is older
-    than the reader (it now carries nothing); a pending link newer than
-    the reader leaves its set when removed. The function must not change
-    the fabric. *)
+    utilisation differs from the reader's last drain is among them. So is
+    a link removed since then that was pending and is older than the
+    reader (it now carries nothing); a pending link newer than the reader
+    leaves its set when removed. The function must not change the
+    fabric. *)
 
 val release : reader -> unit
 (** Stop recording and forget the pending links (idempotent); a released
@@ -97,9 +96,7 @@ val link_id : link -> int
     hash/set key when reasoning about route overlap. *)
 
 val link_capacity : link -> float
-
-val set_link_capacity : t -> link -> float -> unit
-(** Takes effect immediately; in-flight flows are re-rated. *)
+(** As given to {!add_link}; it never changes. *)
 
 val start : t -> route:link list -> bytes:float -> flow
 (** Begin a transfer (non-blocking). The route must be non-empty and free

@@ -2,7 +2,7 @@ type info = { demand : float }
 
 type t = {
   name : string;
-  cap : float ref;
+  cap : float;
   set : info Rated.t;
 }
 
@@ -30,18 +30,12 @@ let rerate cap set =
 
 let create sim ~name ~capacity =
   if not (capacity > 0.0) then invalid_arg "Ps_resource.create: capacity must be positive";
-  let cap = ref capacity in
-  let set = Rated.create sim ~name ~rerate:(fun set -> rerate !cap set) in
-  { name; cap; set }
+  let set = Rated.create sim ~name ~rerate:(rerate capacity) in
+  { name; cap = capacity; set }
 
 let name t = t.name
 
-let capacity t = !(t.cap)
-
-let set_capacity t c =
-  if not (c > 0.0) then invalid_arg "Ps_resource.set_capacity: capacity must be positive";
-  t.cap := c;
-  Rated.kick t.set
+let capacity t = t.cap
 
 let start t ~demand ~work =
   if not (demand > 0.0) then invalid_arg "Ps_resource.start: demand must be positive";
@@ -60,4 +54,4 @@ let load t =
 
 let utilization t =
   let granted = List.fold_left (fun acc task -> acc +. Rated.rate task) 0.0 (Rated.active t.set) in
-  Float.min 1.0 (granted /. !(t.cap))
+  Float.min 1.0 (granted /. t.cap)

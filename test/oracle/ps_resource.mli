@@ -20,8 +20,6 @@ val name : t -> string
 
 val capacity : t -> float
 
-val set_capacity : t -> float -> unit
-
 val consume : t -> demand:float -> work:float -> unit
 (** Block the calling fiber until [work] core-seconds have been executed,
     drawing at most [demand] cores at any instant. *)

@@ -142,5 +142,3 @@ let cancel t task =
   if task.live then
     change t (fun () ->
         complete t task)
-
-let kick t = change t (fun () -> ())

@@ -8,9 +8,8 @@
     differ in their rate-assignment policy.
 
     Between events rates are constant, so completions can be scheduled
-    exactly; on any membership or capacity change the set is settled
-    (remaining work advanced), re-rated, and the next completion is
-    re-scheduled. *)
+    exactly; on any membership change the set is settled (remaining work
+    advanced), re-rated, and the next completion is re-scheduled. *)
 
 type 'a t
 
@@ -40,10 +39,6 @@ val await : 'a task -> unit
 val cancel : 'a t -> 'a task -> unit
 (** Remove a task before completion; its waiters are woken. No-op if the
     task already completed. *)
-
-val kick : 'a t -> unit
-(** Settle, re-rate and re-schedule after an external change the set
-    cannot observe (e.g. a capacity update). *)
 
 val active : 'a t -> 'a task list
 (** Active (incomplete) tasks, in insertion order. *)

@@ -4,18 +4,16 @@
    while each planted protocol bug is caught and its emitted repro file
    reproduces the failure deterministically.
 
-   Seeded from NINJA_TEST_SEED (default 1) like the fault suite, so the
-   CI seed matrix covers this suite too. *)
+   Seeded from NINJA_TEST_SEED (default 1, through Qsuite) like the fault
+   suite, so the CI seed matrix covers this suite too, and two runs at one
+   seed test the same cases. *)
 
 open Ninja_engine
 open Ninja_hardware
 open Ninja_vmm
 open Ninja_check
 
-let env_seed =
-  match Sys.getenv_opt "NINJA_TEST_SEED" with
-  | Some s -> ( try Int64.of_string s with Failure _ -> 1L)
-  | None -> 1L
+let env_seed = Qsuite.seed
 
 let salted salt = Int64.add env_seed (Int64.of_int salt)
 
@@ -739,8 +737,6 @@ let test_regression_reroute_overcommit_postcopy () =
 let test_regression_reroute_cross_fabric_postcopy () =
   run_repro (postcopy_variant reroute_cross_fabric_repro)
 
-let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
-
 let () =
   Alcotest.run "ninja_check"
     [
@@ -750,9 +746,9 @@ let () =
              test_scenario_parse_comments_and_defaults
         :: Alcotest.test_case "generation is deterministic" `Quick
              test_generate_deterministic
-        :: qsuite [ scenario_roundtrip_prop; generated_scenarios_validate_prop ] );
+        :: Qsuite.tests [ scenario_roundtrip_prop; generated_scenarios_validate_prop ] );
       ( "strategies",
-        qsuite [ strategies_safe_prop ]
+        Qsuite.tests [ strategies_safe_prop ]
         @ [
             Alcotest.test_case "staged swap hops are demoted to precopy" `Quick
               test_staged_swap_demotes_postcopy;

@@ -550,20 +550,6 @@ let test_ps_dynamic_join () =
   (* B: 1 unit done while sharing (t=1..3), 1 unit alone -> ends at 4 s. *)
   check_time "whole run" 4.0 (sec_f (Sim.now sim))
 
-let test_ps_capacity_change () =
-  let sim = Sim.create () in
-  let cpu = Ps_resource.create sim ~name:"cpu" ~capacity:2.0 in
-  let t_done = ref 0.0 in
-  Sim.spawn sim (fun () ->
-      Ps_resource.consume cpu ~demand:2.0 ~work:4.0;
-      t_done := sec_f (Sim.now sim));
-  Sim.spawn sim (fun () ->
-      Sim.sleep (Time.sec 1);
-      Ps_resource.set_capacity cpu 1.0);
-  Sim.run sim;
-  (* 1 s at rate 2 (2 done), then 2 remaining at rate 1 -> ends at 3 s. *)
-  check_time "capacity drop honoured" 3.0 !t_done
-
 let test_ps_cancel () =
   let sim = Sim.create () in
   let cpu = Ps_resource.create sim ~name:"cpu" ~capacity:1.0 in
@@ -591,14 +577,15 @@ let test_ps_zero_work () =
 
 let test_ps_rerate_one_timer () =
   (* Every change cancels the completion timer at once, and the set
-     re-rates and re-arms once per instant: 10,000 capacity changes before
-     any event runs leave one queued flush and no timer; running the
-     instant runs the water-fill once and arms exactly one timer. *)
+     re-rates and re-arms once per instant: 10,000 changes (5,000 starts,
+     each cancelled) before any event runs leave one queued flush and no
+     timer; running the instant runs the water-fill once and arms exactly
+     one timer. *)
   let sim = Sim.create () in
   let cpu = Ps_resource.create sim ~name:"cpu" ~capacity:1.0 in
   let task = Ps_resource.start cpu ~demand:1.0 ~work:5.0 in
-  for i = 1 to 10_000 do
-    Ps_resource.set_capacity cpu (if i mod 2 = 0 then 1.0 else 0.5)
+  for _ = 1 to 5_000 do
+    Ps_resource.cancel cpu (Ps_resource.start cpu ~demand:1.0 ~work:5.0)
   done;
   Alcotest.(check int) "no timer armed yet" 0 (Sim.pending sim);
   Alcotest.(check int) "no re-rate yet" 0 (Ps_resource.rerates cpu);
@@ -732,8 +719,6 @@ module type RATED = sig
 
   val cancel : 'a t -> 'a task -> unit
 
-  val kick : 'a t -> unit
-
   val active : 'a t -> 'a task list
 
   val payload : 'a task -> 'a
@@ -752,8 +737,6 @@ module type PS = sig
 
   val create : Sim.t -> name:string -> capacity:float -> t
 
-  val set_capacity : t -> float -> unit
-
   val start : t -> demand:float -> work:float -> task
 
   val await : task -> unit
@@ -771,14 +754,12 @@ type op =
   | Start of float * float  (** demand, work *)
   | Race of float * float  (** demand, work: a fiber's start, then a sleep to its ETA *)
   | Cancel of int  (** the i-th started task, if any *)
-  | Capacity of float
   | Sleep of float
 
 let pp_op = function
   | Start (d, w) -> Printf.sprintf "start(%g,%g)" d w
   | Race (d, w) -> Printf.sprintf "race(%g,%g)" d w
   | Cancel i -> Printf.sprintf "cancel(%d)" i
-  | Capacity c -> Printf.sprintf "capacity(%g)" c
   | Sleep s -> Printf.sprintf "sleep(%g)" s
 
 (* Bytes and bytes per second: the [giga] set runs every task at 1e9
@@ -798,21 +779,22 @@ type transcript = { lines : string; deltas : string; callbacks : int }
 
 (* Every task goes to a Ps_resource and, with the same demand and work, to
    a raw Rated set re-rated by a water-fill written against the generic
-   API, and to the [giga] set. A task's waiter kicks its set when woken,
-   so changes also come from fibers other than the program's, at instants
-   where other events are already queued: the order in which same-instant
-   events fire (and hence the sequence numbers the timers take) shows up
-   as line order. A race fiber starts a raw task and sleeps to exactly its
-   ETA, so its wake-up shares a key with the timer that change armed.
-   Floats print as %h, so equal transcripts mean bit-equal values. *)
+   API, and to the [giga] set. A task's waiter starts a zero-work task
+   (an echo, id + 10000) in its set when woken, so changes also come from
+   fibers other than the program's, at instants where other events are
+   already queued: the order in which same-instant events fire (and hence
+   the sequence numbers the timers take) shows up as line order. A race
+   fiber starts a raw task and sleeps to exactly its ETA, so its wake-up
+   shares a key with the timer that change armed. Floats print as %h, so
+   equal transcripts mean bit-equal values. *)
 module Transcript (R : RATED) (P : PS) = struct
   let run ops =
     let sim = Sim.create () in
     let log = Buffer.create 4096 and callbacks = ref 0 in
     let line fmt = Printf.kbprintf (fun b -> Buffer.add_char b '\n') log fmt in
     let ns () = Time.to_ns (Sim.now sim) in
-    let cap = ref 2.0 in
-    let cpu = P.create sim ~name:"cpu" ~capacity:!cap in
+    let cap = 2.0 in
+    let cpu = P.create sim ~name:"cpu" ~capacity:cap in
     let rerate deltas scale set =
       incr callbacks;
       let id task = fst (R.payload task) and demand task = snd (R.payload task) in
@@ -824,7 +806,7 @@ module Transcript (R : RATED) (P : PS) = struct
       let tasks =
         List.stable_sort (fun a b -> Float.compare (demand a) (demand b)) (R.active set)
       in
-      let left = ref (List.length tasks) and residual = ref (!cap *. scale) in
+      let left = ref (List.length tasks) and residual = ref (cap *. scale) in
       List.iter
         (fun task ->
           let r = Float.min (demand task) (!residual /. float_of_int !left) in
@@ -837,6 +819,7 @@ module Transcript (R : RATED) (P : PS) = struct
     let set = R.create sim ~name:"set" ~rerate:(rerate deltas 1.0) in
     let gset = R.create sim ~name:"giga" ~rerate:(rerate gdeltas giga) in
     let started = ref [||] and raced = ref [||] in
+    let echo set id demand = ignore (R.add set ~payload:(id + 10_000, demand) ~work:0.0) in
     Sim.spawn sim ~name:"program" (fun () ->
         List.iteri
           (fun step op ->
@@ -852,15 +835,15 @@ module Transcript (R : RATED) (P : PS) = struct
               Sim.spawn sim (fun () ->
                   P.await pt;
                   line "ps %d done %Ld" id (ns ());
-                  P.set_capacity cpu !cap);
+                  ignore (P.start cpu ~demand ~work:0.0));
               Sim.spawn sim (fun () ->
                   R.await rt;
                   line "rated %d done %Ld" id (ns ());
-                  R.kick set);
+                  echo set id demand);
               Sim.spawn sim (fun () ->
                   R.await gt;
                   line "giga %d done %Ld" id (ns ());
-                  R.kick gset)
+                  echo gset id (demand *. giga))
             | Race (demand, work) ->
               let id = 1000 + Array.length !raced in
               Sim.spawn sim (fun () ->
@@ -869,7 +852,7 @@ module Transcript (R : RATED) (P : PS) = struct
                   let r = R.rate rt in
                   if r > 0.0 then Sim.sleep (Time.of_sec_f (work /. r));
                   line "race %d woke %Ld done %b" id (ns ()) (R.is_done rt);
-                  R.kick set)
+                  echo set id demand)
             | Cancel i ->
               if i < Array.length !started then begin
                 let pt, rt, gt = !started.(i) in
@@ -877,11 +860,6 @@ module Transcript (R : RATED) (P : PS) = struct
                 R.cancel set rt;
                 R.cancel gset gt
               end
-            | Capacity c ->
-              cap := c;
-              P.set_capacity cpu c;
-              R.kick set;
-              R.kick gset
             | Sleep s -> Sim.sleep (Time.of_sec_f s));
             line "step %d %s at %Ld events %d active %d load %h util %h" step (pp_op op) (ns ())
               (Sim.events_processed sim) (P.active cpu) (P.load cpu) (P.utilization cpu);
@@ -915,9 +893,9 @@ module Fast =
     (Ps_resource)
 module Reference = Transcript (Engine_oracle.Rated) (Engine_oracle.Ps_resource)
 
-(* 1-40 starts among races, cancels, capacity changes and sleeps. Demands
-   repeat so water-fill ties are common; works include zero and a
-   sub-epsilon amount, which the sweep completes at once. *)
+(* 1-40 starts among races, cancels and sleeps. Demands repeat so
+   water-fill ties are common; works include zero and a sub-epsilon
+   amount, which the sweep completes at once. *)
 let program_gen =
   let open QCheck.Gen in
   let demand = oneofl [ 0.5; 1.0; 1.0; 2.0 ] in
@@ -928,7 +906,6 @@ let program_gen =
         (4, map2 (fun d w -> Start (d, w)) demand work);
         (1, map2 (fun d w -> Race (d, w)) demand work);
         (1, map (fun i -> Cancel i) (int_bound 39));
-        (1, map (fun c -> Capacity c) (oneofl [ 0.5; 1.0; 2.0; 3.5; 8.0 ]));
         (3, map (fun s -> Sleep s) (oneofl [ 0.0; 0.1; 0.25; 0.5; 1.0; 1.7 ]));
       ]
   in
@@ -1320,7 +1297,6 @@ let () =
         :: Alcotest.test_case "overcommit" `Quick test_ps_overcommit_halves_rate
         :: Alcotest.test_case "waterfill mixed" `Quick test_ps_waterfill_mixed_demands
         :: Alcotest.test_case "dynamic join" `Quick test_ps_dynamic_join
-        :: Alcotest.test_case "capacity change" `Quick test_ps_capacity_change
         :: Alcotest.test_case "cancel" `Quick test_ps_cancel
         :: Alcotest.test_case "zero work" `Quick test_ps_zero_work
         :: Alcotest.test_case "rerated 10k times, one timer" `Quick test_ps_rerate_one_timer

@@ -75,21 +75,6 @@ let test_dynamic_join_leave () =
      ends t=7. *)
   check_time "join/leave rates" 7.0 !t1
 
-let test_capacity_change_mid_flight () =
-  let sim = Sim.create () in
-  let fab = Fabric.create sim in
-  let l = Fabric.add_link fab ~name:"l" ~capacity:10.0 in
-  let t1 = ref 0.0 in
-  Sim.spawn sim (fun () ->
-      Fabric.transfer fab ~route:[ l ] ~bytes:100.0;
-      t1 := sec_f (Sim.now sim));
-  Sim.spawn sim (fun () ->
-      Sim.sleep (Time.sec 4);
-      Fabric.set_link_capacity fab l 5.0);
-  Sim.run sim;
-  (* 40 B in 4 s, then 60 B at 5 B/s = 12 s more. *)
-  check_time "degraded link" 16.0 !t1
-
 let test_cancel_releases_bandwidth () =
   let sim = Sim.create () in
   let fab = Fabric.create sim in
@@ -154,6 +139,28 @@ let test_remove_link () =
   let next = Fabric.add_link fab ~name:"next" ~capacity:1.0 in
   Alcotest.(check int) "ids not reused" 2 (Fabric.link_id next);
   Alcotest.(check (list string)) "creation order" [ "shared"; "next" ] (names ())
+
+(* A retired link leaves the fabric at once: after a transfer crosses a
+   private hop and the hop is removed, nothing the fabric keeps holds it,
+   so a weak pointer to it empties at the next major collection. *)
+let test_removed_link_collected () =
+  let sim = Sim.create () in
+  let fab = Fabric.create sim in
+  let shared = Fabric.add_link fab ~name:"shared" ~capacity:1.0 in
+  let hop = Weak.create 1 in
+  let retire () =
+    let l = Fabric.add_link fab ~name:"hop" ~capacity:1.0 in
+    Weak.set hop 0 (Some l);
+    Sim.spawn sim (fun () ->
+        Fabric.transfer fab ~route:[ l; shared ] ~bytes:1.0;
+        Fabric.remove_link fab l);
+    Sim.run sim
+  in
+  retire ();
+  Gc.full_major ();
+  Alcotest.(check bool) "the retired hop is collected" false (Weak.check hop 0);
+  Alcotest.(check (list string)) "live links" [ "shared" ]
+    (List.map Fabric.link_name (Fabric.links fab))
 
 (* The fabric re-solves once per instant, at its flush, so every read
    made in between must run the solve first. Within one event: start a
@@ -309,11 +316,11 @@ let () =
         :: Alcotest.test_case "fair share" `Quick test_two_flows_share_fairly
         :: Alcotest.test_case "max-min classic" `Quick test_max_min_classic
         :: Alcotest.test_case "dynamic join/leave" `Quick test_dynamic_join_leave
-        :: Alcotest.test_case "capacity change" `Quick test_capacity_change_mid_flight
         :: Alcotest.test_case "cancel releases bw" `Quick test_cancel_releases_bandwidth
         :: Alcotest.test_case "zero bytes" `Quick test_zero_byte_flow
         :: Alcotest.test_case "route validation" `Quick test_route_validation
         :: Alcotest.test_case "remove link" `Quick test_remove_link
+        :: Alcotest.test_case "a removed link is collected" `Quick test_removed_link_collected
         :: Alcotest.test_case "reads before the flush" `Quick test_reads_before_flush
         :: Qsuite.tests
              [

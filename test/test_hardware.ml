@@ -188,5 +188,5 @@ let () =
       ( "power",
         Alcotest.test_case "model" `Quick test_power_model
         :: Alcotest.test_case "partial utilization" `Quick test_power_partial_utilization
-        :: List.map QCheck_alcotest.to_alcotest [ ps_capacity_invariant_prop ] );
+        :: Qsuite.tests [ ps_capacity_invariant_prop ] );
     ]

@@ -189,5 +189,5 @@ let () =
         :: Alcotest.test_case "single sample" `Quick test_stats_single_sample
         :: Alcotest.test_case "nearest-rank percentile" `Quick test_percentile
         :: Alcotest.test_case "best_of" `Quick test_best_of
-        :: List.map QCheck_alcotest.to_alcotest stats_props );
+        :: Qsuite.tests stats_props );
     ]

@@ -701,8 +701,6 @@ let p2p_matching_prop =
          means each recv sees the sender's matching message in order. *)
       List.rev !received = expected)
 
-let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
-
 let () =
   Alcotest.run "ninja_mpi"
     [
@@ -736,7 +734,7 @@ let () =
           Alcotest.test_case "sm within VM" `Quick test_sm_collective_within_vm;
           Alcotest.test_case "pinned timings" `Quick test_pinned_timings;
         ] );
-      ("properties", qsuite [ collective_prop; p2p_matching_prop ]);
+      ("properties", Qsuite.tests [ collective_prop; p2p_matching_prop ]);
       ( "checkpoint",
         [
           Alcotest.test_case "quiesce and resume" `Quick test_checkpoint_quiesces_and_resumes;

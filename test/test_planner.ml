@@ -593,11 +593,16 @@ let solver_swap_prop =
           swaps passes;
       true)
 
+(* Full scans that priced a pair at a non-finite gain, which only a pair
+   cost overflowed to infinity yields. *)
+let overflowed_scans = ref 0
+
 (* The full scan [Swap_price.best] prunes: every eligible pair priced with
    [Swap_price.gain] in (i, j) order, the first largest gain above 1e-9
    kept. Returns that and the number of eligible pairs. *)
 let exhaustive_best prices ~n ~movable =
   let best = ref None and best_gain = ref 1e-9 and eligible = ref 0 in
+  let overflowed = ref false in
   for i = 0 to n - 2 do
     if movable i then
       for j = i + 1 to n - 1 do
@@ -605,6 +610,7 @@ let exhaustive_best prices ~n ~movable =
         if movable j && hi.Node.id <> hj.Node.id && Node.has_ib hi = Node.has_ib hj then begin
           incr eligible;
           let g = Swap_price.gain prices i j in
+          if not (Float.is_finite g) then overflowed := true;
           if g > !best_gain then begin
             best_gain := g;
             best := Some (i, j)
@@ -612,6 +618,7 @@ let exhaustive_best prices ~n ~movable =
         end
       done
   done;
+  if !overflowed then incr overflowed_scans;
   (Option.map (fun (i, j) -> (i, j, !best_gain)) !best, !eligible)
 
 (* Scans on generated datacenters in the shapes the bound must survive.
@@ -620,19 +627,50 @@ let exhaustive_best prices ~n ~movable =
    exchange can send a mover home, where its move costs nothing). Byte
    counts are the footprint or explicit. The matrix holds zero rates,
    duplicate rows, self-entries and names the table cannot place; some
-   scans price nothing worth a swap (every gain negative); some route
-   demand into a link so thin that its pair costs overflow to infinity;
-   and some carry a negative rate, under which every eligible pair must
-   be priced. A batch climbs up to four exchanges. Two tables built from
-   the same inputs, one scanned by [best] and one by the full scan, must
-   agree on every pass bit for bit. *)
+   scans price nothing worth a swap (every gain negative); some run on
+   the topology's hosts lowered to a spec plus one host in a rack of its
+   own, which every other rack reaches over a WAN link created so thin
+   that pair costs across it overflow to infinity (no mover sits there,
+   so only demand crosses it); and some carry a negative rate, under
+   which every eligible pair must be priced. A batch climbs up to four
+   exchanges. Two tables built from the same inputs, one scanned by
+   [best] and one by the full scan, must agree on every pass bit for
+   bit. *)
 let swap_scan_prop =
   QCheck.Test.make ~name:"best equals the exhaustive scan" ~count:200 QCheck.int
     (fun salt ->
       let prng = Prng.create ~seed:(Int64.add Qsuite.seed (Int64.of_int (3000 + salt))) in
       let sim = Sim.create ~seed:(Int64.of_int salt) () in
-      let cluster = Cluster.create sim ~topology:(Topology.gen prng) () in
-      let nodes = Array.of_list (Cluster.nodes cluster) in
+      let topology = Topology.gen prng in
+      let racks = Topology.rack_count topology in
+      let cluster, thin_host =
+        if Prng.int prng 5 > 0 then (Cluster.create sim ~topology (), None)
+        else begin
+          let spec = Topology.to_spec topology in
+          let island =
+            {
+              (List.hd spec.Spec.groups) with
+              Spec.count = 1;
+              name_prefix = "thin";
+              rack = racks;
+              with_ib = false;
+            }
+          in
+          let cluster =
+            Cluster.create sim ~spec:{ spec with Spec.groups = spec.Spec.groups @ [ island ] } ()
+          in
+          for r = 0 to racks - 1 do
+            Cluster.set_inter_rack cluster ~rack_a:r ~rack_b:racks ~capacity:1e-320
+              ~latency:Time.zero
+          done;
+          (cluster, Some (Cluster.find_node cluster "thin00"))
+        end
+      in
+      let nodes =
+        Cluster.nodes cluster
+        |> List.filter (fun (z : Node.t) -> z.Node.rack < racks)
+        |> Array.of_list
+      in
       let pick a = a.(Prng.int prng (Array.length a)) in
       let boot ?(host = pick nodes) name =
         Vm.create cluster ~name ~host ~vcpus:2 ~mem_bytes:(Units.gb 8.0)
@@ -651,17 +689,7 @@ let swap_scan_prop =
           srcs
       in
       let outsiders = List.init (Prng.int prng 3) (fun i -> boot (Printf.sprintf "out%d" i)) in
-      let thin =
-        let used (z : Node.t) =
-          Array.exists (fun (h : Node.t) -> h.Node.id = z.Node.id) (Array.append srcs hosts)
-        in
-        match List.filter (fun z -> not (used z)) (Array.to_list nodes) with
-        | z :: _ when Prng.int prng 5 = 0 ->
-          Ninja_flownet.Fabric.set_link_capacity (Cluster.fabric cluster) z.Node.eth_port.rx
-            1e-320;
-          [ boot ~host:z "thin" ]
-        | _ -> []
-      in
+      let thin = match thin_host with Some z -> [ boot ~host:z "thin" ] | None -> [] in
       for _ = 1 to Prng.int prng 6 do
         match Cluster.route_opt cluster ~net:Cluster.Eth ~src:(pick nodes) ~dst:(pick nodes) with
         | Some route ->
@@ -741,6 +769,15 @@ let swap_scan_prop =
       in
       climb 1;
       true)
+
+(* The scan property, which must also price some pair across a thin WAN
+   link: without one, its overflow case would go untested. *)
+let swap_scan_case =
+  let name, speed, run = List.hd (Qsuite.tests [ swap_scan_prop ]) in
+  Alcotest.test_case name speed (fun () ->
+      overflowed_scans := 0;
+      run ();
+      if !overflowed_scans = 0 then Alcotest.fail "no scan priced an overflowed pair cost")
 
 let test_cost_model_decomposition () =
   let _, cluster = setup () in
@@ -995,7 +1032,8 @@ let () =
           Alcotest.test_case "swap prices each direction" `Quick
             test_swap_prices_each_direction;
         ]
-        @ Qsuite.tests [ solver_swap_prop; swap_scan_prop ]
+        @ Qsuite.tests [ solver_swap_prop ]
+        @ [ swap_scan_case ]
         @ [
             Alcotest.test_case "cost model decomposition" `Quick
               test_cost_model_decomposition;

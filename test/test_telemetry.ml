@@ -933,12 +933,12 @@ type monitor = { watch : with_report:bool -> string; stop : unit -> unit }
 
 (* One random simulation on a generated topology: flows join (some over
    a private link added after the monitor, retired once its flow is
-   over), leave, complete and are cancelled, capacities change, idle
-   monitored links are removed, requests finish on the bus, and the
-   monitor may be detached half-way. Every period, half a period after
-   each tick, [watch] reads the monitor; [report_every] sets how often
-   that includes the end-of-run tables, which catch every ring up. Returns
-   the readings and the fabric's readers at the end. *)
+   over), leave, complete and are cancelled, idle monitored links are
+   removed, requests finish on the bus, and the monitor may be detached
+   half-way. Every period, half a period after each tick, [watch] reads
+   the monitor; [report_every] sets how often that includes the end-of-run
+   tables, which catch every ring up. Returns the readings and the
+   fabric's readers at the end. *)
 let monitored_run seed make =
   let prng = Prng.create ~seed in
   let topo = Topology.gen prng in
@@ -1003,7 +1003,7 @@ let monitored_run seed make =
               end
               else true)
             !private_links;
-        let x = Prng.int prng 100 in
+        let x = Prng.int prng 90 in
         if x < 35 then Option.iter (fun r -> ignore (start r)) (route ())
         else if x < 50 then begin
           match !flows with
@@ -1011,18 +1011,13 @@ let monitored_run seed make =
           | live -> Fabric.cancel fabric (fst (List.nth live (Prng.int prng (List.length live))))
         end
         else if x < 60 then begin
-          let l = monitored.(Prng.int prng (Array.length monitored)) in
-          if not (Hashtbl.mem removed (Fabric.link_id l)) then
-            Fabric.set_link_capacity fabric l (1e8 *. float_of_int (1 + Prng.int prng 30))
-        end
-        else if x < 70 then begin
           match route () with
           | None -> ()
           | Some r ->
             let l = Fabric.add_link fabric ~name:"private" ~capacity:5e8 in
             private_links := (l, start (l :: r)) :: !private_links
         end
-        else if x < 76 then begin
+        else if x < 66 then begin
           let crossed l = List.exists (fun (_, r) -> List.memq l r) !flows in
           let n = Array.length monitored in
           let first = Prng.int prng n in
@@ -1039,7 +1034,7 @@ let monitored_run seed make =
             Hashtbl.replace removed (Fabric.link_id l) ();
             Fabric.remove_link fabric l
         end
-        else if x < 97 then
+        else if x < 87 then
           Probe.emit (Cluster.probes cluster)
             (request_done
                (if Prng.bool prng then "tenant-a" else "tenant-b")

@@ -2,7 +2,7 @@
    ways: the topology generator itself (grammar, lowering, reachability,
    oversubscription, seeded placement); a differential suite racing the
    incremental max-min solver against a from-scratch reference
-   (Engine_oracle.Maxmin) over random join/leave/capacity sequences; the
+   (Engine_oracle.Maxmin) over random join/leave sequences; the
    cluster's VM-placement index against a list-scan oracle under
    randomized churn; and the 1000-VM evacuation study under a host-CPU
    budget.
@@ -240,16 +240,14 @@ let sweep fabric =
     (Fabric.links fabric)
 
 (* What the checker and the flow monitor rely on instead of the sweep:
-   between two drains of a reader, every link whose utilisation or
-   capacity changed was re-solved and so drained. [watch_changes ~every
-   fabric links] takes a reader of the fabric and returns a step check
-   that drains it every [every]-th step and names the first link that
-   changed since its last drain but was not drained. *)
+   between two drains of a reader, every link whose utilisation changed
+   was re-solved and so drained. [watch_changes ~every fabric links] takes
+   a reader of the fabric and returns a step check that drains it every
+   [every]-th step and names the first link that changed since its last
+   drain but was not drained. *)
 let watch_changes ~every fabric links =
   let reader = Fabric.reader fabric in
-  let state () =
-    Array.map (fun l -> (Fabric.link_utilization fabric l, Fabric.link_capacity l)) links
-  in
+  let state () = Array.map (Fabric.link_utilization fabric) links in
   let drained = Hashtbl.create 64 in
   Fabric.drain reader ignore;
   let prev = ref (state ()) in
@@ -264,18 +262,18 @@ let watch_changes ~every fabric links =
       let missed = ref None in
       Array.iteri
         (fun i l ->
-          let (u0, c0), (u1, c1) = (!prev.(i), now.(i)) in
+          let u0 = !prev.(i) and u1 = now.(i) in
           if
             !missed = None
-            && ((not (Float.equal u0 u1)) || not (Float.equal c0 c1))
+            && (not (Float.equal u0 u1))
             && not (Hashtbl.mem drained (Fabric.link_id l))
           then
             missed :=
               Some
                 (Printf.sprintf
-                   "%s changed (%.17g/%.17g -> %.17g/%.17g) but a reader draining every %d \
-                    step(s) did not drain it"
-                   (Fabric.link_name l) u0 c0 u1 c1 every))
+                   "%s changed (%.17g -> %.17g) but a reader draining every %d step(s) did \
+                    not drain it"
+                   (Fabric.link_name l) u0 u1 every))
         links;
       prev := now;
       !missed
@@ -319,27 +317,24 @@ let utilizations fabric links live =
     links
 
 
-(* Drive one random join/leave/capacity-change sequence over [copies]
-   clusters built from the same generated topology, the same operation on
-   each. [checker fabrics] is called once, before the first operation; the
-   check it returns is called with the live flows, oldest first, after
-   every operation. Flows carry far more bytes than could ever complete
-   (the simulations never run), so the sequence exercises pure
-   re-rating. *)
+(* Drive one random join/leave sequence over [copies] clusters built from
+   the same generated topology, the same operation on each. [checker
+   fabrics] is called once, before the first operation; the check it
+   returns is called with the live flows, oldest first, after every
+   operation. Flows carry far more bytes than could ever complete (the
+   simulations never run), so the sequence exercises pure re-rating. *)
 let sequence ~ops ~copies ~checker prng =
   let topo = Topology.gen prng in
   let clusters = Array.init copies (fun _ -> Cluster.create (Sim.create ()) ~topology:topo ()) in
   let fabrics = Array.map Cluster.fabric clusters in
   let nodes = Array.map (fun c -> Array.of_list (Cluster.nodes c)) clusters in
-  let links = Array.map (fun f -> Array.of_list (Fabric.links f)) fabrics in
   let check = checker fabrics in
   let n = Array.length nodes.(0) in
   let live = ref [] in
   let rec step i =
     if i > ops then None
     else begin
-      let x = Prng.int prng 100 in
-      if x < 55 || !live = [] then begin
+      if Prng.int prng 85 < 55 || !live = [] then begin
         let s = Prng.int prng n and d = Prng.int prng n in
         let want_ib = Node.has_ib nodes.(0).(s) && Node.has_ib nodes.(0).(d) && Prng.bool prng in
         let route k =
@@ -354,16 +349,11 @@ let sequence ~ops ~copies ~checker prng =
         let flows = Array.mapi (fun k route -> Fabric.start fabrics.(k) ~route ~bytes) routes in
         live := { route = List.map Fabric.link_id routes.(0); flows } :: !live
       end
-      else if x < 85 then begin
+      else begin
         let victim = Prng.int prng (List.length !live) in
         let gone = List.nth !live victim in
         live := List.filteri (fun j _ -> j <> victim) !live;
         Array.iteri (fun k fabric -> Fabric.cancel fabric gone.flows.(k)) fabrics
-      end
-      else begin
-        let li = Prng.int prng (Array.length links.(0)) in
-        let cap = 1e8 *. float_of_int (1 + Prng.int prng 100) in
-        Array.iteri (fun k fabric -> Fabric.set_link_capacity fabric links.(k).(li) cap) fabrics
       end;
       match check (List.rev !live) with
       | Some msg -> Some (Printf.sprintf "step %d: %s" i msg)
@@ -483,7 +473,8 @@ let test_tie_break_two_equal_links () =
 
 (* The change feed's bookkeeping: a new reader starts with every live
    link pending; a pending link removed stays with the readers older than
-   it and leaves the newer ones; a released reader drains nothing and
+   it and leaves the newer ones; a flow that starts and is cancelled
+   makes its links pending again; a released reader drains nothing and
    frees its place, of which a fabric has 62. *)
 let test_feed_readers () =
   let sim = Sim.create () in
@@ -504,7 +495,7 @@ let test_feed_readers () =
   Fabric.remove_link fab p;
   Alcotest.(check (list string)) "p is newer than the older reader" [ "a" ] (drained older);
   Alcotest.(check (list string)) "and older than the younger" [ "a"; "p" ] (drained younger);
-  Fabric.set_link_capacity fab a 20.0;
+  Fabric.cancel fab (Fabric.start fab ~route:[ a ] ~bytes:1e12);
   Fabric.release younger;
   Fabric.release younger;
   Alcotest.(check (list string)) "a released reader drains nothing" [] (drained younger);

@@ -546,8 +546,6 @@ let test_snapshot_save_restore () =
       (Memory.nonzero_bytes (Vm.memory vm2));
     Alcotest.(check bool) "find by name" true (Snapshot.find store ~name:"ckpt1" <> None)
 
-let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
-
 let () =
   Alcotest.run "ninja_vmm"
     [
@@ -555,7 +553,7 @@ let () =
         Alcotest.test_case "counters" `Quick test_memory_counters
         :: Alcotest.test_case "free and reuse" `Quick test_memory_free_and_reuse
         :: Alcotest.test_case "out of memory" `Quick test_memory_out_of_memory
-        :: qsuite
+        :: Qsuite.tests
              [
                memory_invariants_prop; memory_model_prop;
                memory_residency_differential_prop;
