@@ -179,7 +179,20 @@ val propose_swap : t -> bool
     strategy also climbs with; its gains are bit-identical to pricing
     each pair from scratch. Telemetry: [ctl.swap.proposed]/[ctl.swap.gain]
     here, [ctl.swap.applied]/[ctl.swap.rolled_back] when the batch
-    settles. *)
+    settles.
+
+    From its first round until the dispatcher quiesces, the policy keeps
+    one pricing table and a reader of the fabric's change feed (see
+    {!Ninja_flownet.Fabric.reader}), which tells the table which node-pair
+    costs went stale. A round whose matrix, VM hosts, lost flags, host
+    liveness, locks and memory counters equal the last no-op round's,
+    with no link drained since, is a no-op without a scan. After the
+    dispatcher quiesces each call prices a table of its own. *)
+
+val swap_reference : t -> (string * string * float) option
+(** The exchange a table built from scratch would propose now, as
+    [(vm_a, vm_b, gain)]; [None] for a no-op. The oracle of
+    {!propose_swap}'s kept state: it counts and changes nothing. *)
 
 (** {1 Results} *)
 
@@ -190,6 +203,12 @@ val swap_pairs_priced : t -> int
     after {!Ninja_planner.Swap_price.best}'s bound skipped the rest. A
     cost counter kept outside the metrics registry, so [--stats] output
     does not carry it. *)
+
+val swap_pair_costs : t -> int
+(** Node-pair costs the swap policy has computed over every
+    {!propose_swap} round: a first use, or a use after a re-rate covered
+    a link on the pair's route. A cost counter like
+    {!swap_pairs_priced}. *)
 
 val outcomes : t -> (Request.t * outcome) list
 (** In completion order. *)

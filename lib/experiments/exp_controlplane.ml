@@ -75,6 +75,7 @@ let serve rc ?traffic ?flowmon ~tenants ~vms_per_tenant ~mem_gb ~config ~process
   run_to_completion env;
   Run_ctx.observe env.ctx "swap_pairs_priced"
     (float_of_int (Service.swap_pairs_priced service));
+  Run_ctx.observe env.ctx "swap_pair_costs" (float_of_int (Service.swap_pair_costs service));
   Option.iter
     (fun fm -> Run_ctx.observe env.ctx "link_polls" (float_of_int (Flowmon.polls fm)))
     flowmon;

@@ -99,6 +99,7 @@ let measure rc ~pattern ~strategy ?(swap_pricing = Service.Declared) ~vms_per_te
     tenants;
   run_to_completion env;
   Run_ctx.observe env.ctx "swap_pairs_priced" (float_of_int (Service.swap_pairs_priced svc));
+  Run_ctx.observe env.ctx "swap_pair_costs" (float_of_int (Service.swap_pair_costs svc));
   Option.iter
     (fun fm ->
       Run_ctx.observe env.ctx "link_polls" (float_of_int (Ninja_telemetry.Flowmon.polls fm)))

@@ -37,6 +37,7 @@ type t = {
   inter_racks : (int * int, inter_rack) Hashtbl.t;
   injector : Ninja_faults.Injector.t;
   dead_nodes : (int, unit) Hashtbl.t;
+  mutable route_epoch : int; (* bumped by [set_inter_rack], the one route change *)
 }
 
 exception Unreachable of string
@@ -118,6 +119,7 @@ let create sim ?spec ?topology () =
     inter_racks = Hashtbl.create 4;
     injector;
     dead_nodes = Hashtbl.create 4;
+    route_epoch = 0;
   }
 
 let injector t = t.injector
@@ -192,7 +194,10 @@ let set_inter_rack t ~rack_a ~rack_b ~capacity ~latency =
     Fabric.add_link t.fabric ~name:(Printf.sprintf "wan.r%d-r%d" a b) ~capacity
   in
   let ir = { link_ab = mk rack_a rack_b; link_ba = mk rack_b rack_a; latency } in
-  Hashtbl.replace t.inter_racks (rack_a, rack_b) ir
+  Hashtbl.replace t.inter_racks (rack_a, rack_b) ir;
+  t.route_epoch <- t.route_epoch + 1
+
+let route_epoch t = t.route_epoch
 
 let inter_rack_hop t (src : Node.t) (dst : Node.t) =
   if src.rack = dst.rack then None

@@ -106,4 +106,11 @@ val path_latency : t -> net:net -> src:Node.t -> dst:Node.t -> Time.span
 val set_inter_rack : t -> rack_a:int -> rack_b:int -> capacity:float -> latency:Time.span -> unit
 (** Install a constrained Ethernet link pair between two racks (e.g. a WAN
     for cross-data-center evacuation). Without one, cross-rack Ethernet
-    traffic is only limited by the endpoints' ports. *)
+    traffic is only limited by the endpoints' ports. Meant for set-up:
+    it changes the routes between the two racks' nodes, so it bumps
+    {!route_epoch}. *)
+
+val route_epoch : t -> int
+(** How many times the routes have changed ({!set_inter_rack} calls).
+    Routes, and so anything computed from them alone, hold while it
+    stays the same: a consumer that keeps them drops them when it moves. *)

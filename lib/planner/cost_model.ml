@@ -23,14 +23,16 @@ let residual fabric l =
   let cap = Fabric.link_capacity l in
   Float.max (0.01 *. cap) (cap -. Fabric.link_utilization fabric l)
 
+let route_cost e links =
+  let fabric = Cluster.fabric e.cluster in
+  List.fold_left (fun acc l -> acc +. (1.0 /. residual fabric l)) 0.0 links
+
 let pair_cost e a b =
   if Node.(a.id = b.id) then 0.0
   else
     match Cluster.route_opt e.cluster ~net:Cluster.Eth ~src:a ~dst:b with
     | None -> infinity
-    | Some links ->
-      let fabric = Cluster.fabric e.cluster in
-      List.fold_left (fun acc l -> acc +. (1.0 /. residual fabric l)) 0.0 links
+    | Some links -> route_cost e links
 
 let placement_cost e ~lookup =
   List.fold_left
@@ -42,16 +44,16 @@ let placement_cost e ~lookup =
 
 let current_cost e = placement_cost e ~lookup:(fun name -> Cluster.vm_node e.cluster ~name)
 
+let move_seconds_over ~vm ?bytes ~link_cap () =
+  let bytes = match bytes with Some b -> b | None -> Memory.nonzero_bytes (Vm.memory vm) in
+  Ninja_engine.Time.to_sec_f (Estimator.move_duration ~vm ~bytes ~link_cap)
+
 let move_seconds e ~vm ~src ~dst ?bytes () =
   if Node.(src.id = dst.id) then 0.0
   else
-    let bytes =
-      match bytes with Some b -> b | None -> Memory.nonzero_bytes (Vm.memory vm)
-    in
-    let est =
-      Estimator.estimate_move e.cluster ~vm ~src ~dst ~bytes ()
-    in
-    Ninja_engine.Time.to_sec_f est.Estimator.duration
+    move_seconds_over ~vm ?bytes
+      ~link_cap:(Estimator.thinnest_capacity e.cluster ~src ~dst)
+      ()
 
 (* [move_seconds] at the sender's own rate: the estimator's rate is
    [min sender_demand thinnest_capacity], and each step after it (the

@@ -60,6 +60,12 @@ val pair_cost : env -> Node.t -> Node.t -> float
     by this is the fraction of link-seconds it consumes per second —
     dimensionless, comparable across placements. *)
 
+val route_cost : env -> Ninja_flownet.Fabric.link list -> float
+(** {!pair_cost}'s sum over a route of distinct nodes: so [pair_cost e a
+    b] is [route_cost e links] when the Ethernet route from [a] to [b] is
+    [links]. It reads each link's residual now, so it holds until a
+    re-rate covers one of [links]. *)
+
 val placement_cost : env -> lookup:(string -> Node.t option) -> float
 (** Total communication cost of a placement: sum over traffic entries of
     [rate *. pair_cost] between the hosts [lookup] assigns the
@@ -74,6 +80,12 @@ val move_seconds :
 (** Estimated seconds to migrate [vm] from [src] to [dst] ([bytes]
     defaults to the VM's non-zero footprint); 0 when [src] and [dst] are
     the same node. *)
+
+val move_seconds_over : vm:Vm.t -> ?bytes:float -> link_cap:float -> unit -> float
+(** {!move_seconds} between distinct nodes whose route's thinnest link
+    has capacity [link_cap] ({!Estimator.thinnest_capacity}), bit for
+    bit: it reads only [vm]'s memory counters (non-zero, zero and dirty
+    bytes) and [bytes]. *)
 
 val min_move_seconds : vm:Vm.t -> ?bytes:float -> unit -> float
 (** A lower bound on {!move_seconds} of [vm] between any two distinct

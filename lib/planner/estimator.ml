@@ -28,25 +28,36 @@ let thinnest_link links =
       | _ -> Some l)
     None links
 
-let estimate_move cluster ~vm ~src ~dst ~bytes () =
+let thinnest_capacity cluster ~src ~dst =
+  match thinnest_link (route_between cluster ~src ~dst) with
+  | Some l -> Fabric.link_capacity l
+  | None -> infinity
+
+(* The arithmetic of an estimate, given the capacity of the route's
+   thinnest link. *)
+let over ~vm ~bytes ~link_cap =
   let memory = Vm.memory vm in
-  let wire_bytes = bytes in
-  let zero_bytes = Memory.zero_bytes memory in
-  let dirty_bytes = Float.min (Memory.dirty_bytes memory) wire_bytes in
-  let links = route_between cluster ~src ~dst in
-  let thin = thinnest_link links in
-  let link_cap = match thin with Some l -> Fabric.link_capacity l | None -> infinity in
+  let dirty_bytes = Float.min (Memory.dirty_bytes memory) bytes in
   let rate = Float.min sender_demand link_cap in
-  let bottleneck = if link_cap < sender_demand then thin else None in
-  let transfer_sec = (wire_bytes +. dirty_bytes) /. rate in
-  let scan_sec = zero_bytes /. Calibration.zero_scan_rate in
+  let transfer_sec = (bytes +. dirty_bytes) /. rate in
+  let scan_sec = Memory.zero_bytes memory /. Calibration.zero_scan_rate in
+  (dirty_bytes, rate, Time.of_sec_f (transfer_sec +. scan_sec))
+
+let move_duration ~vm ~bytes ~link_cap =
+  let _, _, duration = over ~vm ~bytes ~link_cap in
+  duration
+
+let estimate_move cluster ~vm ~src ~dst ~bytes () =
+  let thin = thinnest_link (route_between cluster ~src ~dst) in
+  let link_cap = match thin with Some l -> Fabric.link_capacity l | None -> infinity in
+  let dirty_bytes, rate, duration = over ~vm ~bytes ~link_cap in
   {
-    wire_bytes;
-    zero_bytes;
+    wire_bytes = bytes;
+    zero_bytes = Memory.zero_bytes (Vm.memory vm);
     dirty_bytes;
     rate;
-    duration = Time.of_sec_f (transfer_sec +. scan_sec);
-    bottleneck;
+    duration;
+    bottleneck = (if link_cap < sender_demand then thin else None);
   }
 
 let estimate cluster (step : Plan.step) =

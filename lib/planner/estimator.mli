@@ -48,6 +48,19 @@ val estimate_move :
     what a destination-swapping solver prices when it weighs moving [vm]
     to a different host than the plan proposed. *)
 
+val thinnest_capacity : Cluster.t -> src:Node.t -> dst:Node.t -> float
+(** The route walk of {!estimate_move}: the capacity of the thinnest link
+    on the Ethernet route from [src] to [dst], [infinity] for a route of
+    no links. Routes and link capacities are fixed once the cluster is
+    set up, so a caller may keep it. *)
+
+val move_duration : vm:Vm.t -> bytes:float -> link_cap:float -> Time.span
+(** The arithmetic of {!estimate_move}: its [duration] for a route whose
+    thinnest link has capacity [link_cap], from [vm]'s current zero and
+    dirty byte counts. [estimate_move c ~vm ~src ~dst ~bytes ()] has
+    duration [move_duration ~vm ~bytes ~link_cap:(thinnest_capacity c
+    ~src ~dst)], bit for bit. *)
+
 val estimate : Cluster.t -> Plan.step -> estimate
 
 val shared_links : Cluster.t -> Plan.step -> Plan.step -> Fabric.link list

@@ -21,10 +21,26 @@
     its host pays nothing to stay, so online the last two terms are
     exactly [0.0].
 
-    No simulated time may pass while a table is in use: node-pair costs
-    and migration estimates are computed on first use and then reused, so
-    every gain is bit-identical to pricing the pair from scratch. *)
+    A table keeps what it computes for as long as it holds, so one table
+    can price many scans: the batch solver's lives for one solve, the
+    online policy's for the whole service. It keeps three things, each
+    bit-identical to computing it afresh until the event that forgets it:
+    - a directed node-pair cost ({!Cost_model.pair_cost}) is forgotten
+      when {!drain} reports a link on the pair's route, since it reads the
+      residuals of those links and nothing else that can change;
+    - a mover's thinnest route capacity to a host
+      ({!Estimator.thinnest_capacity}) is forgotten when its source
+      changes;
+    - a mover's move estimate to a host ({!Cost_model.move_seconds}) is
+      forgotten when its source, its byte count, or its VM's zero or dirty
+      bytes change (precopy clears dirty bits even when it aborts).
+    Routes and link capacities are fixed while {!Cluster.route_epoch}
+    holds; when it moves, everything kept is forgotten. So a table may
+    outlive simulated time only if, before each {!load}, some {!drain}
+    has reported every re-rate since the last one; a table used within
+    one instant (as the batch solver's) needs none. *)
 
+open Ninja_flownet
 open Ninja_hardware
 open Ninja_vmm
 
@@ -37,11 +53,29 @@ type mover = {
 
 type t
 
+val create : Cluster.t -> t
+(** An empty table over the cluster's nodes. *)
+
+val load : t -> Cost_model.env -> place:(string -> Node.t option) -> mover array -> unit
+(** Price these movers against the environment's traffic from now on,
+    keeping what still holds (see above). A traffic endpoint naming a
+    mover sits at that mover's host; any other endpoint sits where
+    [place] puts it now, until the next load, and an entry with an
+    endpoint [place] cannot resolve costs nothing. The environment's
+    cluster must be the table's. *)
+
 val make : Cost_model.env -> place:(string -> Node.t option) -> mover array -> t
-(** A table over the movers and the environment's traffic. A traffic
-    endpoint naming a mover sits at that mover's host; any other endpoint
-    sits where [place] puts it, once and for all, and an entry with an
-    endpoint [place] cannot resolve costs nothing. *)
+(** {!create} and {!load}: a table for one instant. *)
+
+val self_contained : t -> bool
+(** Every endpoint of the loaded traffic names a mover, so no price reads
+    a placement [place] gave. *)
+
+val drain : t -> Fabric.reader -> bool
+(** Empty a reader of the table's cluster's fabric and forget the pair
+    costs whose routes cross a link it reported. [true] when it reported
+    any link, or the routes have changed, since the reader's last drain:
+    a kept input may have moved. *)
 
 val gain : t -> int -> int -> float
 (** The net gain of exchanging the hosts of movers [i] and [j]. *)
@@ -69,6 +103,10 @@ val best : t -> movable:(int -> bool) -> (int * int * float) option
 val priced : t -> int
 (** Pairs that {!best} has priced on this table so far: at most the
     eligible pairs of its scans. *)
+
+val pair_costs : t -> int
+(** Node-pair costs the table has computed so far: a first use, or a use
+    after {!drain} forgot it. *)
 
 val exchange : t -> int -> int -> unit
 (** Exchange the hosts of movers [i] and [j]. *)

@@ -247,9 +247,15 @@ let detach t =
 (* {1 Estimation} *)
 
 let samples t =
-  Array.to_list t.pairs
-  |> List.mapi (fun i (a, b, _) -> (a, b, t.counts.(i)))
-  |> List.filter (fun (_, _, n) -> n > 0)
+  let acc = ref [] in
+  for i = Array.length t.pairs - 1 downto 0 do
+    let n = t.counts.(i) in
+    if n > 0 then begin
+      let a, b, _ = t.pairs.(i) in
+      acc := (a, b, n) :: !acc
+    end
+  done;
+  !acc
 
 (* Invert the sampling: [n] samples over [w] observed seconds estimate
    n * sample_rate * pkt_bytes / w bytes per second. *)

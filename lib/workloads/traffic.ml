@@ -127,19 +127,23 @@ let of_observations ?(sample_rate = 16) ?(pkt_bytes = 1500.0) ~window obs =
     invalid_arg "Traffic.of_observations: window must be positive and finite";
   if sample_rate < 1 then invalid_arg "Traffic.of_observations: sample_rate must be >= 1";
   if pkt_bytes <= 0.0 then invalid_arg "Traffic.of_observations: pkt_bytes must be positive";
-  let counts = Hashtbl.create 16 in
-  List.iter
-    (fun (a, b, n) ->
-      let key = if String.compare a b <= 0 then (a, b) else (b, a) in
-      Hashtbl.replace counts key (n + Option.value (Hashtbl.find_opt counts key) ~default:0))
-    obs;
   let scale = float_of_int sample_rate *. pkt_bytes /. window in
-  Hashtbl.fold
-    (fun (a, b) n acc ->
+  let by_pair (a, b, _) (a', b', _) =
+    match String.compare a a' with 0 -> String.compare b b' | c -> c
+  in
+  (* Endpoints name-ordered, sorted by pair, each run of one pair summed:
+     keys are then unique, so the pair order is the entries' order. *)
+  let rec merge acc = function
+    | (a, b, n) :: (a', b', n') :: rest when String.equal a a' && String.equal b b' ->
+      merge acc ((a, b, n + n') :: rest)
+    | (a, b, n) :: rest ->
       let rate = float_of_int n *. scale in
-      if rate > 0.0 then (a, b, rate) :: acc else acc)
-    counts []
-  |> List.sort compare
+      merge (if rate > 0.0 then (a, b, rate) :: acc else acc) rest
+    | [] -> List.rev acc
+  in
+  List.map (fun ((a, b, n) as o) -> if String.compare a b <= 0 then o else (b, a, n)) obs
+  |> List.sort by_pair
+  |> merge []
 
 let matrix prng p ~vms =
   (match validate p with Ok () -> () | Error e -> invalid_arg ("Traffic.matrix: " ^ e));

@@ -11,7 +11,7 @@ set -eu
 
 seed="${1:-1}"
 suites="test_engine test_scheduler test_planner test_controlplane test_topology test_flownet
-test_telemetry test_faults test_check test_mpi test_vmm test_hardware test_metrics"
+test_telemetry test_faults test_check test_mpi test_vmm test_hardware test_metrics test_workloads"
 root=$(git rev-parse --show-toplevel)
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT INT TERM

@@ -545,6 +545,180 @@ let swap_pricing_prop =
           QCheck.Test.fail_reportf "gain %.17g, reference %.17g" got gain;
         true)
 
+(* {1 Kept pricing state against a table built from scratch} *)
+
+(* A served run on a random leaf-spine or AGC cluster: skewed tenant
+   matrices, open-loop churn, and some of precopy aborts, QMP timeouts,
+   failed attaches and a node death, priced by declared or learned
+   traffic. At every swap round (the [ctl.swap.noop] or [ctl.swap.gain]
+   probe it emits, before simulated time moves) a table built from
+   scratch must take the same decision: a no-op, or the same pair at a
+   [Float.equal] gain. The rounds' proposals must be those the log
+   records. *)
+let kept_pricing_prop =
+  QCheck.Test.make ~name:"kept swap pricing decides as a table built from scratch" ~count:300
+    QCheck.int (fun salt ->
+      let prng = Prng.create ~seed:(Int64.add Qsuite.seed (Int64.of_int (5000 + salt))) in
+      let sim = Sim.create ~seed:(Int64.of_int salt) () in
+      let cluster =
+        if Prng.bool prng then Cluster.create sim ~topology:(Topology.gen prng) ()
+        else Cluster.create sim ~spec:Spec.agc ()
+      in
+      let nodes = Array.of_list (Cluster.nodes cluster) in
+      let faults =
+        List.filter
+          (fun _ -> Prng.int prng 3 > 0)
+          [ "precopy-abort:p=0.3,count=inf";
+            Printf.sprintf "qmp-timeout:p=0.%d,count=inf" (1 + Prng.int prng 4);
+            "attach-fail:p=0.1,count=inf";
+            Printf.sprintf "node-death@%s:n=%d"
+              nodes.(Prng.int prng (Array.length nodes)).Node.name
+              (1 + Prng.int prng 4) ]
+      in
+      List.iter
+        (fun text ->
+          match Ninja_faults.Injector.parse_spec text with
+          | Ok spec -> Ninja_faults.Injector.arm_spec (Cluster.injector cluster) spec
+          | Error msg -> failwith msg)
+        faults;
+      let tenants = List.init (2 + Prng.int prng 2) (fun i -> (Printf.sprintf "t%d" i, 1.0)) in
+      let vms_per_tenant = 2 + Prng.int prng 4 in
+      let mem_bytes = Units.gb 4.0 in
+      if not (Service.fits cluster ~vms:(List.length tenants * vms_per_tenant) ~mem_bytes)
+      then QCheck.assume_fail ()
+      else begin
+        let specs =
+          Service.boot_tenants
+            ~traffic:
+              (Ninja_workloads.Traffic.Skewed
+                 { elephants = 2; rate = Ninja_workloads.Traffic.default_rate; factor = 16.0 })
+            cluster ~tenants ~vms_per_tenant ~mem_bytes
+        in
+        let learned = Prng.bool prng in
+        let fconfig = Ninja_telemetry.Flowmon.default_config in
+        let learned_ref = ref (fun () -> []) in
+        let config =
+          { Service.default_config with
+            Service.max_inflight = 1 + Prng.int prng 3;
+            auto_swap = Some (if learned then Service.Learned else Service.Declared);
+            learned_traffic = (if learned then Some (fun () -> !learned_ref ()) else None) }
+        in
+        let svc = Service.create cluster ~config ~tenants:specs () in
+        let horizon = 600.0 +. Prng.float prng 1200.0 in
+        let fm =
+          if not learned then None
+          else begin
+            let traffic = List.concat_map (fun (ts : Service.tenant_spec) -> ts.traffic) specs in
+            let fm = Ninja_telemetry.Flowmon.create ~config:fconfig cluster ~traffic in
+            learned_ref := Ninja_experiments.Exp_controlplane.learned_traffic fconfig fm;
+            Ninja_telemetry.Flowmon.start fm ~horizon;
+            Some fm
+          end
+        in
+        Service.open_loop svc
+          ~process:(Ninja_workloads.Arrivals.Poisson { rate = 0.02 +. Prng.float prng 0.2 })
+          ~horizon;
+        (* Guests at work: now and then one writes part of a spare region
+           (its non-zero and dirty bytes grow) or has its dirty bits
+           cleared, as a precopy round that then aborted would. *)
+        let fleet = Array.of_list (Service.vms svc) in
+        let spare =
+          Array.map
+            (fun vm -> Ninja_vmm.Memory.alloc (Ninja_vmm.Vm.memory vm) ~bytes:(Units.gb 1.0))
+            fleet
+        in
+        Sim.spawn sim ~name:"guests" (fun () ->
+            while Time.to_sec_f (Sim.now sim) < horizon do
+              Sim.sleep (Time.of_sec_f (20.0 +. Prng.float prng 180.0));
+              let i = Prng.int prng (Array.length fleet) in
+              let memory = Ninja_vmm.Vm.memory fleet.(i) in
+              if Prng.bool prng then Ninja_vmm.Memory.clear_dirty memory
+              else
+                Ninja_vmm.Memory.write memory spare.(i) ~offset:(Prng.float prng (Units.gb 0.5))
+                  ~bytes:(Prng.float prng (Units.gb 0.5))
+            done);
+        let rounds = ref 0 and proposals = ref [] in
+        let decided got =
+          incr rounds;
+          let want = Service.swap_reference svc in
+          let show = function
+            | None -> "no-op"
+            | Some (a, b, g) -> Printf.sprintf "%s<->%s (gain %.17g)" a b g
+          in
+          match (got, want) with
+          | None, None -> ()
+          | Some g, Some (a, b, g') when Float.equal g g' ->
+            proposals := Printf.sprintf "%s<->%s" a b :: !proposals
+          | _ ->
+            QCheck.Test.fail_reportf "round %d at %.1fs: kept pricing %s, from scratch %s"
+              !rounds
+              (Time.to_sec_f (Sim.now sim))
+              (match got with None -> "no-op" | Some g -> Printf.sprintf "gain %.17g" g)
+              (show want)
+        in
+        Probe.with_subscriber (Cluster.probes cluster)
+          (fun ev ->
+            match ev.Probe.payload with
+            | Probe.Stat { name = "ctl.swap.noop"; _ } -> decided None
+            | Probe.Stat { name = "ctl.swap.gain"; value; _ } -> decided (Some value)
+            | _ -> ())
+          (fun () -> Sim.run sim);
+        Option.iter Ninja_telemetry.Flowmon.detach fm;
+        (* Log lines are "[%10.1f] " and the entry. *)
+        let logged =
+          List.filter_map
+            (fun line ->
+              match String.split_on_char ' ' (String.sub line 13 (String.length line - 13)) with
+              | "swap" :: "proposal" :: pair :: _ -> Some pair
+              | _ -> None)
+            (Service.log svc)
+        in
+        let expected = List.rev !proposals in
+        if logged <> expected then
+          QCheck.Test.fail_reportf "logged proposals [%s], decided [%s]"
+            (String.concat "; " logged) (String.concat "; " expected);
+        if !rounds = 0 then QCheck.Test.fail_reportf "no swap round ran";
+        true
+      end)
+
+(* The policy takes its fabric reader at its first round and releases it
+   when the dispatcher quiesces; without auto-swap it takes none. *)
+let test_swap_reader_lifecycle () =
+  let served auto_swap =
+    let sim = Sim.create ~seed:3L () in
+    let cluster =
+      match
+        Topology.v ~tier:Topology.Leaf_spine ~pods:2 ~racks_per_pod:2 ~hosts_per_rack:4
+          ~ib_pods:1 ~oversub:4.0 ~mem_gb:32.0 ~seed:3L ()
+      with
+      | Ok topology -> Cluster.create sim ~topology ()
+      | Error e -> Alcotest.fail e
+    in
+    let fabric = Cluster.fabric cluster in
+    let before = Ninja_flownet.Fabric.readers fabric in
+    let tenants =
+      Service.boot_tenants ~traffic:(Ninja_workloads.Traffic.Ring { rate = 1e6 }) cluster
+        ~tenants:[ ("t0", 1.0); ("t1", 1.0) ] ~vms_per_tenant:3 ~mem_bytes:(Units.gb 2.0)
+    in
+    let config = { Service.default_config with Service.auto_swap } in
+    let svc = Service.create cluster ~config ~tenants () in
+    Alcotest.(check int) "no reader before the first round" before
+      (Ninja_flownet.Fabric.readers fabric);
+    let during = ref (-1) in
+    Service.inject svc ~after:(Time.sec 5) (fun svc ->
+        during := Ninja_flownet.Fabric.readers fabric;
+        Service.make svc ~tenant:"t0" ~kind:Request.Fallback ());
+    Sim.run sim;
+    Alcotest.(check bool) "quiesced" true (Service.quiesced svc);
+    (before, !during, Ninja_flownet.Fabric.readers fabric)
+  in
+  let before, during, after = served (Some Service.Declared) in
+  Alcotest.(check int) "auto-swap holds one reader while serving" (before + 1) during;
+  Alcotest.(check int) "and releases it when the dispatcher quiesces" before after;
+  let before, during, after = served None in
+  Alcotest.(check int) "no auto-swap, no reader" before during;
+  Alcotest.(check int) "none left" before after
+
 (* {1 Open-loop fuzz under faults} *)
 
 let fault_menu =
@@ -662,8 +836,9 @@ let () =
           Alcotest.test_case "swap request exchanges hosts" `Quick
             test_swap_request_exchanges_hosts;
           Alcotest.test_case "auto-swap converges" `Quick test_auto_swap_converges;
+          Alcotest.test_case "swap reader taken and released" `Quick test_swap_reader_lifecycle;
         ]
-        @ Qsuite.tests [ swap_pricing_prop ] );
+        @ Qsuite.tests [ swap_pricing_prop; kept_pricing_prop ] );
       ("fuzz", [ Alcotest.test_case "open loop under faults" `Slow test_fuzz_open_loop ]);
       ( "experiment",
         [

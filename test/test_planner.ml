@@ -779,6 +779,29 @@ let swap_scan_case =
       run ();
       if !overflowed_scans = 0 then Alcotest.fail "no scan priced an overflowed pair cost")
 
+(* A kept table forgets its pair costs and route capacities when
+   [Cluster.set_inter_rack] changes the routes: once a WAN link joins the
+   two racks, it prices every pair as a fresh table does. *)
+let test_swap_table_follows_route_changes () =
+  let _, cluster = setup () in
+  let fleet = [| mk_vm cluster ~name:"a" ~host:"eth00"; mk_vm cluster ~name:"b" ~host:"eth01";
+                 mk_vm cluster ~name:"c" ~host:"ib00" |] in
+  let env = Cost_model.env cluster ~traffic:[ ("a", "c", 1e8); ("b", "c", 1e7) ] () in
+  let place name = Cluster.vm_node cluster ~name in
+  let movers =
+    Array.map (fun vm -> { Swap_price.vm; src = Vm.host vm; host = Vm.host vm; bytes = None }) fleet
+  in
+  let gains t = List.map (fun (i, j) -> Swap_price.gain t i j) [ (0, 1); (0, 2); (1, 2) ] in
+  let kept = Swap_price.create cluster in
+  Swap_price.load kept env ~place movers;
+  let before = gains kept in
+  Cluster.set_inter_rack cluster ~rack_a:0 ~rack_b:1 ~capacity:(Units.gbps 1.0)
+    ~latency:Time.zero;
+  Swap_price.load kept env ~place movers;
+  let fresh = gains (Swap_price.make env ~place movers) in
+  Alcotest.(check bool) "the WAN link moves the prices" true (before <> fresh);
+  Alcotest.(check (list (float 0.0))) "kept table = fresh table" fresh (gains kept)
+
 let test_cost_model_decomposition () =
   let _, cluster = setup () in
   let a = mk_vm cluster ~name:"a" ~host:"ib00" in
@@ -1037,6 +1060,8 @@ let () =
         @ [
             Alcotest.test_case "cost model decomposition" `Quick
               test_cost_model_decomposition;
+            Alcotest.test_case "kept swap table follows route changes" `Quick
+              test_swap_table_follows_route_changes;
           ] );
       ( "executor",
         [

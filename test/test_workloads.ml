@@ -261,6 +261,46 @@ let test_traffic_matrix_deterministic () =
     | Error e -> Alcotest.failf "generated pattern invalid: %s" e
   done
 
+(* [Traffic.of_observations] as it was first written, kept as the
+   reference: a hash table of canonical pairs summing the counts, then a
+   polymorphic sort of the (a, b, rate) triples. *)
+let reference_observations ?(sample_rate = 16) ?(pkt_bytes = 1500.0) ~window obs =
+  let counts = Hashtbl.create 16 in
+  List.iter
+    (fun (a, b, n) ->
+      let key = if String.compare a b <= 0 then (a, b) else (b, a) in
+      Hashtbl.replace counts key (n + Option.value (Hashtbl.find_opt counts key) ~default:0))
+    obs;
+  let scale = float_of_int sample_rate *. pkt_bytes /. window in
+  Hashtbl.fold
+    (fun (a, b) n acc ->
+      let rate = float_of_int n *. scale in
+      if rate > 0.0 then (a, b, rate) :: acc else acc)
+    counts []
+  |> List.sort compare
+
+(* Observations over a few names, so pairs repeat in both orientations
+   (self-pairs too), with zero and negative counts among them. *)
+let observations_prop =
+  let names = [| "a"; "b"; "vm1"; "vm10"; "vm2"; "" |] in
+  let obs =
+    QCheck.(
+      list_of_size Gen.(0 -- 40)
+        (triple (int_bound (Array.length names - 1)) (int_bound (Array.length names - 1))
+           (int_range (-5) 50)))
+  in
+  QCheck.Test.make ~name:"of_observations matches the hash-table reference" ~count:500
+    QCheck.(pair obs (pair (int_range 1 64) (float_range 0.5 3600.0)))
+    (fun (obs, (sample_rate, window)) ->
+      let obs = List.map (fun (a, b, n) -> (names.(a), names.(b), n)) obs in
+      let got = Ninja_workloads.Traffic.of_observations ~sample_rate ~window obs in
+      let want = reference_observations ~sample_rate ~window obs in
+      List.equal
+        (fun (a, b, r) (a', b', r') ->
+          String.equal a a' && String.equal b b'
+          && Int64.equal (Int64.bits_of_float r) (Int64.bits_of_float r'))
+        got want)
+
 let () =
   Alcotest.run "ninja_workloads"
     [
@@ -291,5 +331,6 @@ let () =
           Alcotest.test_case "matrix shapes" `Quick test_traffic_matrix_shapes;
           Alcotest.test_case "matrix deterministic" `Quick
             test_traffic_matrix_deterministic;
-        ] );
+        ]
+        @ Qsuite.tests [ observations_prop ] );
     ]
