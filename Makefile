@@ -1,4 +1,4 @@
-.PHONY: all build test check digests parity scaling replay mutants fmt clean
+.PHONY: all build test check digests counters parity scaling replay mutants fmt clean
 
 all: build
 
@@ -23,6 +23,13 @@ digests:
 	for seed in 0 7; do \
 	  python3 perfbench/run.py --workload fuzz-campaign --seed $$seed --seconds 1 --trace 0 || exit 1; \
 	done
+
+# Deterministic bench counters (CI job bench-counters): `bench quick -j 1`
+# in a temporary directory must reproduce the newest committed
+# BENCH_N.json's events, heap insertions, re-rates, swap pairs and pair
+# costs, link polls and probe events on every entry. Exits 1 otherwise.
+counters:
+	bench/counters.sh
 
 # Byte-identity of the working tree against REV (default HEAD): stdout,
 # exit codes and every output file of a fixed command list, built from

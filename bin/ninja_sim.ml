@@ -596,15 +596,19 @@ let serve_cmd =
         end)
       [
         (positive duration, "--duration must be positive and finite");
-        ( rate >= 0.0 && tenants >= 1 && vms_per_tenant >= 0 && max_inflight >= 1
-          && queue_cap >= 1,
-          "--rate must be non-negative, --tenants, --max-inflight and --queue-cap at least 1"
-        );
+        (rate >= 0.0 && Float.is_finite rate, "--rate must be non-negative and finite");
+        (tenants >= 1, "--tenants must be at least 1");
+        (vms_per_tenant >= 0, "--vms-per-tenant must be non-negative");
+        (max_inflight >= 1, "--max-inflight must be at least 1");
+        (queue_cap >= 1, "--queue-cap must be at least 1");
         (positive mem_gb, "--mem-gb must be positive and finite");
         (positive stats_every, "--stats-every must be positive and finite");
         (Option.fold slo ~none:true ~some:positive, "--slo must be positive and finite");
         ( burst_period = 0.0 || positive burst_period,
           "--burst-period must be 0 or positive and finite" );
+        (burst_period = 0.0 || burst_size >= 0, "--burst-size must be non-negative");
+        ( burst_period = 0.0 || (burst_spread >= 0.0 && burst_spread <= burst_period),
+          "--burst-spread must lie within [0, --burst-period]" );
         (Option.fold top_k ~none:true ~some:(fun k -> k >= 1), "--top must be at least 1");
       ];
     (* Boot placement depends on the context's cluster, so this check
@@ -649,11 +653,6 @@ let serve_cmd =
               { period = burst_period; size = burst_size; spread = burst_spread } ]
       else base
     in
-    (match Ninja_workloads.Arrivals.validate process with
-    | Ok () -> ()
-    | Error msg ->
-      prerr_endline ("serve: " ^ msg);
-      exit 1);
     let worst =
       session ~check:fits @@ fun ctx ->
       let ctx = Run_ctx.with_label "serve" ctx in

@@ -59,25 +59,6 @@ let outcome_name = function
   | Dropped r -> "dropped:" ^ drop_reason_name r
   | Failed _ -> "failed"
 
-(* The swap policy's inputs in one round, per managed VM: its host's id,
-   why it cannot move (bit 0 lost, bit 1 on a dead host, bit 2 locked;
-   0 when movable) and its non-zero, zero and dirty bytes. *)
-type inputs = { hosts : int array; flags : Bytes.t; memory : Float.Array.t }
-
-(* The swap policy's pricing state, kept from its first round until the
-   dispatcher quiesces: a table whose pair costs the fabric reader keeps
-   current, and the last no-op round's inputs. *)
-type pricing = {
-  reader : Fabric.reader option;  (* [None]: a table for one round *)
-  table : Swap_price.t;
-  now : inputs;
-  last : inputs;
-  mutable noop : Cost_model.traffic option;
-      (* [last]'s matrix, while [last] holds a no-op round's inputs and no
-         link has drained since; only a matrix among managed VMs, which
-         reads no other VM's placement *)
-}
-
 type t = {
   cluster : Cluster.t;
   sim : Sim.t;
@@ -101,7 +82,7 @@ type t = {
   mutable swap_pending : bool;  (* an auto-proposed swap is queued or in flight *)
   mutable swap_pairs : int;  (* pairs the swap policy has priced *)
   mutable swap_costs : int;  (* node-pair costs it has computed *)
-  mutable pricing : pricing option;  (* taken at the first round *)
+  mutable prices : Swap_price.t option;  (* the swap policy's, watched from its first round *)
   mutable retired : bool;  (* the dispatcher has quiesced *)
   mutable submitted_n : int;
   mutable rev_done : (Request.t * outcome) list;
@@ -686,148 +667,85 @@ let pricing_traffic t =
     | None -> t.traffic)
   | Some Declared | None -> t.traffic
 
-let inputs n =
-  { hosts = Array.make n 0; flags = Bytes.make n '\000'; memory = Float.Array.make (3 * n) 0.0 }
-
-let read_inputs t (x : inputs) =
-  Array.iteri
-    (fun i vm ->
-      let host = Vm.host vm in
-      let memory = Vm.memory vm in
-      x.hosts.(i) <- host.Node.id;
-      Bytes.set x.flags i
-        (Char.chr
-           ((if Vm.is_lost vm then 1 else 0)
-           lor (if Cluster.node_alive t.cluster host then 0 else 2)
-           lor if Locks.vm_free t.locks (Vm.name vm) then 0 else 4));
-      Float.Array.set x.memory (3 * i) (Memory.nonzero_bytes memory);
-      Float.Array.set x.memory ((3 * i) + 1) (Memory.zero_bytes memory);
-      Float.Array.set x.memory ((3 * i) + 2) (Memory.dirty_bytes memory))
-    t.fleet
-
-let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
-let same_inputs (a : inputs) (b : inputs) =
-  a.hosts = b.hosts
-  && Bytes.equal a.flags b.flags
-  && begin
-    let same = ref true in
-    Float.Array.iteri
-      (fun i x -> if not (same_float x (Float.Array.get b.memory i)) then same := false)
-      a.memory;
-    !same
-  end
-
-let same_traffic a b =
-  a == b
-  || List.equal
-       (fun (x, y, r) (x', y', r') -> String.equal x x' && String.equal y y' && same_float r r')
-       a b
-
-(* A round repeats the last no-op round when nothing it reads has changed
-   since: no link drained (so every pair cost holds), the same matrix,
-   and every VM's host, movability and memory counters as they were, so
-   every move estimate holds too. Its scan would find nothing again. *)
-let repeats p traffic ~drained =
-  match p.noop with
-  | Some last when not drained -> same_traffic traffic last && same_inputs p.now p.last
-  | _ -> false
-
-let pricing t =
-  match t.pricing with
+(* The policy's table, watched from its first round until the dispatcher
+   quiesces; after that, each round prices a table of its own. *)
+let prices t =
+  match t.prices with
   | Some p -> p
   | None ->
-    let n = Array.length t.fleet in
-    let p =
-      {
-        reader = (if t.retired then None else Some (Fabric.reader (Cluster.fabric t.cluster)));
-        table = Swap_price.create t.cluster;
-        now = inputs n;
-        last = inputs n;
-        noop = None;
-      }
-    in
-    if not t.retired then t.pricing <- Some p;
+    let p = Swap_price.create t.cluster in
+    if not t.retired then begin
+      Swap_price.watch p (Fabric.reader (Cluster.fabric t.cluster));
+      t.prices <- Some p
+    end;
     p
 
-(* Every managed VM a mover at its host, scanned against [traffic]. *)
-let scan t table traffic (x : inputs) =
+(* Every managed VM a mover at its host, scanned against [traffic];
+   movable when not lost, on a live host and unlocked. *)
+let scan t table traffic =
   Swap_price.load table
     (Cost_model.env t.cluster ~traffic ())
     ~place:(fun name -> Cluster.vm_node t.cluster ~name)
     (Array.map
        (fun vm -> { Swap_price.vm; src = Vm.host vm; host = Vm.host vm; bytes = None })
        t.fleet);
-  Swap_price.best table ~movable:(fun i -> Bytes.get x.flags i = '\000')
+  Swap_price.best table ~movable:(fun i ->
+      let vm = t.fleet.(i) in
+      (not (Vm.is_lost vm))
+      && Cluster.node_alive t.cluster (Vm.host vm)
+      && Locks.vm_free t.locks (Vm.name vm))
 
 let propose_swap t =
   let traffic = pricing_traffic t in
   if traffic = [] then false
   else begin
-    let p = pricing t in
-    let drained = match p.reader with Some r -> Swap_price.drain p.table r | None -> true in
-    read_inputs t p.now;
-    if repeats p traffic ~drained then begin
+    let p = prices t in
+    let priced = Swap_price.priced p and costs = Swap_price.pair_costs p in
+    let best = scan t p traffic in
+    t.swap_pairs <- t.swap_pairs + Swap_price.priced p - priced;
+    t.swap_costs <- t.swap_costs + Swap_price.pair_costs p - costs;
+    match best with
+    | None ->
       count t "ctl.swap.noop";
       false
-    end
-    else begin
-      let priced = Swap_price.priced p.table and costs = Swap_price.pair_costs p.table in
-      let best = scan t p.table traffic p.now in
-      t.swap_pairs <- t.swap_pairs + Swap_price.priced p.table - priced;
-      t.swap_costs <- t.swap_costs + Swap_price.pair_costs p.table - costs;
-      p.noop <- None;
-      match best with
-      | None ->
-        if Swap_price.self_contained p.table then begin
-          Array.blit p.now.hosts 0 p.last.hosts 0 (Array.length p.now.hosts);
-          Bytes.blit p.now.flags 0 p.last.flags 0 (Bytes.length p.now.flags);
-          Float.Array.blit p.now.memory 0 p.last.memory 0 (Float.Array.length p.now.memory);
-          p.noop <- Some traffic
-        end;
-        count t "ctl.swap.noop";
-        false
-      | Some (i, j, gain) ->
-        let a = t.fleet.(i) and b = t.fleet.(j) in
-        let tenant_of vm =
-          List.find_opt (fun ts -> List.exists (fun v -> v == vm) ts.vms) t.tenants
-        in
-        let tenant =
-          match (tenant_of a, tenant_of b) with
-          | Some ta, Some tb when String.equal ta.name tb.name -> ta.name
-          | _ -> "ops"
-        in
-        let r =
-          make t ~tenant
-            ~kind:(Request.Swap { vm_a = Vm.name a; vm_b = Vm.name b })
-            ~priority:Request.Low ()
-        in
-        (* Set before [submit]: an admission rejection finishes the request
-           synchronously, which clears the flag again. *)
-        t.swap_pending <- true;
-        count t "ctl.swap.proposed";
-        gauge t "ctl.swap.gain" gain;
-        logf t "swap proposal %s<->%s (gain %.3f)" (Vm.name a) (Vm.name b) gain;
-        submit t r;
-        true
-    end
+    | Some (i, j, gain) ->
+      let a = t.fleet.(i) and b = t.fleet.(j) in
+      let tenant_of vm =
+        List.find_opt (fun ts -> List.exists (fun v -> v == vm) ts.vms) t.tenants
+      in
+      let tenant =
+        match (tenant_of a, tenant_of b) with
+        | Some ta, Some tb when String.equal ta.name tb.name -> ta.name
+        | _ -> "ops"
+      in
+      let r =
+        make t ~tenant
+          ~kind:(Request.Swap { vm_a = Vm.name a; vm_b = Vm.name b })
+          ~priority:Request.Low ()
+      in
+      (* Set before [submit]: an admission rejection finishes the request
+         synchronously, which clears the flag again. *)
+      t.swap_pending <- true;
+      count t "ctl.swap.proposed";
+      gauge t "ctl.swap.gain" gain;
+      logf t "swap proposal %s<->%s (gain %.3f)" (Vm.name a) (Vm.name b) gain;
+      submit t r;
+      true
   end
 
 let swap_reference t =
   match pricing_traffic t with
   | [] -> None
   | traffic ->
-    let x = inputs (Array.length t.fleet) in
-    read_inputs t x;
     Option.map
       (fun (i, j, gain) -> (Vm.name t.fleet.(i), Vm.name t.fleet.(j), gain))
-      (scan t (Swap_price.create t.cluster) traffic x)
+      (scan t (Swap_price.create t.cluster) traffic)
 
-(* The dispatcher is done: its pricing state goes, reader and all. *)
+(* The dispatcher is done: its table goes, reader and all. *)
 let retire t =
   t.retired <- true;
-  Option.iter (fun p -> Option.iter Fabric.release p.reader) t.pricing;
-  t.pricing <- None
+  Option.iter Swap_price.release t.prices;
+  t.prices <- None
 
 let rec dispatcher t =
   if t.cfg.auto_swap <> None && not t.swap_pending then ignore (propose_swap t);
@@ -998,7 +916,7 @@ let create cluster ~config ~tenants () =
       swap_pending = false;
       swap_pairs = 0;
       swap_costs = 0;
-      pricing = None;
+      prices = None;
       retired = false;
       submitted_n = 0;
       rev_done = [];

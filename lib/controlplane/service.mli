@@ -182,12 +182,11 @@ val propose_swap : t -> bool
     settles.
 
     From its first round until the dispatcher quiesces, the policy keeps
-    one pricing table and a reader of the fabric's change feed (see
-    {!Ninja_flownet.Fabric.reader}), which tells the table which node-pair
-    costs went stale. A round whose matrix, VM hosts, lost flags, host
-    liveness, locks and memory counters equal the last no-op round's,
-    with no link drained since, is a no-op without a scan. After the
-    dispatcher quiesces each call prices a table of its own. *)
+    one pricing table, which watches the fabric's change feed
+    ({!Ninja_planner.Swap_price.watch}). A round loads it, scans it and
+    counts the result; a round after a no-op, with nothing the scan reads
+    changed since, is a no-op that prices no pair. After the dispatcher
+    quiesces each call prices a table of its own. *)
 
 val swap_reference : t -> (string * string * float) option
 (** The exchange a table built from scratch would propose now, as

@@ -17,16 +17,16 @@ type mover = { vm : Vm.t; src : Node.t; host : Node.t; bytes : float option }
    Kept state, and what invalidates it:
    - [pair]: [Cost_model.pair_cost] of a slot pair, computed on first use.
      It reads the residuals of the route's links, so it is forgotten when
-     [drain] sees a re-rate cover one of them ([crossing] lists each
-     computed cell under every link of its route, once).
+     a load drains a re-rate covering one of them from [reader]
+     ([crossing] lists each computed cell under every link of its route,
+     once), and when the reader is released.
    - [thin]: the capacity of the thinnest link on the route from a
      mover's source to a slot, kept while the mover's source holds.
    - [move]: [Cost_model.move_seconds] of a mover to a slot, kept while
      its source, byte count and the VM's zero and dirty bytes hold.
    Routes and capacities are fixed while [Cluster.route_epoch] holds; when
-   it moves, all three are forgotten. A table that is never drained lives
-   within one instant, so it keeps neither [crossing] nor [thin]; its
-   first drain forgets the pair costs it has and starts both. *)
+   it moves, all three are forgotten. The same comparisons clear
+   [settled], which [best] sets when it finds nothing. *)
 type t = {
   cluster : Cluster.t;
   span : int;  (* [Cluster.node_count], above every slot: cell (a, b)'s key is [a * span + b] *)
@@ -37,13 +37,12 @@ type t = {
   mutable k : int;
   mutable cap : int;  (* the slots [pair], [thin] and [move] have room for *)
   mutable pair : Float.Array.t;  (* slot x slot -> pair cost; nan when not known *)
-  mutable watched : bool;  (* drained at least once *)
-  mutable listed : Bytes.t;  (* slot x slot -> 1 once on [crossing]; watched only *)
+  mutable listed : Bytes.t;  (* slot x slot -> 1 once on [crossing] *)
   mutable crossing : int list array;  (* link id -> keys of the cells its route crosses *)
+  mutable reader : Fabric.reader option;  (* drained by every load *)
   mutable row_src : int array;  (* mover -> the source slot its row was filled from *)
   mutable row_mem : Float.Array.t;  (* mover -> byte count, zero bytes, dirty bytes *)
-  mutable thin : Float.Array.t;
-      (* mover x slot -> thinnest capacity, nan when not known; watched only *)
+  mutable thin : Float.Array.t;  (* mover x slot -> thinnest capacity, nan when not known *)
   mutable move : Float.Array.t;  (* mover x slot -> seconds; nan when not known *)
   mutable env : Cost_model.env;
   mutable movers : mover array;
@@ -59,6 +58,8 @@ type t = {
   mutable rate : Float.Array.t;
   mutable incident : int array array;  (* mover -> its entries, ascending *)
   mutable bounded : bool;  (* every rate is >= 0, so [best] may skip pairs by their bound *)
+  mutable settled : bool;  (* [best] found nothing, and no price can have changed since *)
+  mutable movable : bool array;  (* the movable vector of [best]'s last scan *)
   mutable priced : int;  (* pairs [best] has priced *)
   mutable pair_costs : int;  (* pair costs computed *)
 }
@@ -75,9 +76,9 @@ let create cluster =
     k = 0;
     cap = 0;
     pair = Float.Array.create 0;
-    watched = false;
     listed = Bytes.empty;
     crossing = [||];
+    reader = None;
     row_src = [||];
     row_mem = Float.Array.create 0;
     thin = Float.Array.create 0;
@@ -96,6 +97,8 @@ let create cluster =
     rate = Float.Array.create 0;
     incident = [||];
     bounded = true;
+    settled = false;
+    movable = [||];
     priced = 0;
     pair_costs = 0;
   }
@@ -139,54 +142,56 @@ let fit p =
       done;
       b
     in
+    let listed = Bytes.make (cap * cap) '\000' in
+    for x = 0 to old - 1 do
+      Bytes.blit p.listed (x * old) listed (x * cap) old
+    done;
     p.pair <- square p.pair nan;
-    if p.watched then begin
-      let listed = Bytes.make (cap * cap) '\000' in
-      for x = 0 to old - 1 do
-        Bytes.blit p.listed (x * old) listed (x * cap) old
-      done;
-      p.listed <- listed;
-      p.thin <- rows p.thin
-    end;
+    p.listed <- listed;
+    p.thin <- rows p.thin;
     p.move <- rows p.move;
     p.cap <- cap
   end
 
-(* Forget every kept cost: the routes have changed. *)
-let forget p =
+let forget_pairs p =
   Float.Array.fill p.pair 0 (Float.Array.length p.pair) nan;
   Bytes.fill p.listed 0 (Bytes.length p.listed) '\000';
   p.crossing <- [||];
-  Array.fill p.row_src 0 (Array.length p.row_src) (-1);
-  p.epoch <- Cluster.route_epoch p.cluster
+  p.settled <- false
 
-let routes_moved p =
-  let moved = Cluster.route_epoch p.cluster <> p.epoch in
-  if moved then forget p;
-  moved
+let watch p reader = p.reader <- Some reader
 
+let release p =
+  Option.iter Fabric.release p.reader;
+  p.reader <- None;
+  forget_pairs p
+
+(* Forget the pair costs whose routes cross a link the reader reports. *)
 let drain p reader =
-  if not p.watched then begin
-    p.watched <- true;
-    Float.Array.fill p.pair 0 (Float.Array.length p.pair) nan;
-    p.listed <- Bytes.make (p.cap * p.cap) '\000';
-    p.thin <- Float.Array.make (Array.length p.row_src * p.cap) nan
-  end;
-  let drained = ref (routes_moved p) in
   Fabric.drain reader (fun l ->
-      drained := true;
+      p.settled <- false;
       let id = Fabric.link_id l in
       if id < Array.length p.crossing then
         List.iter
           (fun key ->
             Float.Array.set p.pair (((key / p.span) * p.cap) + (key mod p.span)) nan)
-          p.crossing.(id));
-  !drained
+          p.crossing.(id))
 
 let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
+let same_traffic a b =
+  a == b
+  || List.equal
+       (fun (x, y, r) (x', y', r') -> String.equal x x' && String.equal y y' && same r r')
+       a b
+
 let load p (env : Cost_model.env) ~place movers =
-  ignore (routes_moved p);
+  if Cluster.route_epoch p.cluster <> p.epoch then begin
+    forget_pairs p;
+    Array.fill p.row_src 0 (Array.length p.row_src) (-1);
+    p.epoch <- Cluster.route_epoch p.cluster
+  end;
+  Option.iter (drain p) p.reader;
   let n = Array.length movers in
   let kept_movers =
     n = Array.length p.movers
@@ -200,10 +205,10 @@ let load p (env : Cost_model.env) ~place movers =
     p.src <- Array.make n 0;
     p.row_src <- Array.make n (-1);
     p.row_mem <- Float.Array.make (3 * n) nan;
-    if p.watched then p.thin <- Float.Array.make (n * p.cap) nan;
+    p.thin <- Float.Array.make (n * p.cap) nan;
     p.move <- Float.Array.make (n * p.cap) nan
   end;
-  if not (kept_movers && env.Cost_model.traffic == p.traffic) then begin
+  if not (kept_movers && same_traffic env.Cost_model.traffic p.traffic) then begin
     let entries = Array.of_list env.Cost_model.traffic in
     let m = Array.length entries in
     let mover name = Option.value (Hashtbl.find_opt p.index name) ~default:(-1) in
@@ -215,7 +220,6 @@ let load p (env : Cost_model.env) ~place movers =
       if ex.(e) >= 0 then rev_incident.(ex.(e)) <- e :: rev_incident.(ex.(e));
       if ey.(e) >= 0 && ey.(e) <> ex.(e) then rev_incident.(ey.(e)) <- e :: rev_incident.(ey.(e))
     done;
-    p.traffic <- env.Cost_model.traffic;
     p.entries <- entries;
     p.ex <- ex;
     p.ey <- ey;
@@ -223,22 +227,28 @@ let load p (env : Cost_model.env) ~place movers =
     p.sy <- Array.make m (-1);
     p.rate <- rate;
     p.incident <- Array.map Array.of_list rev_incident;
-    p.bounded <- Float.Array.for_all (fun r -> r >= 0.0) rate
+    p.bounded <- Float.Array.for_all (fun r -> r >= 0.0) rate;
+    p.settled <- false
   end;
   p.env <- env;
+  p.traffic <- env.Cost_model.traffic;
   p.movers <- movers;
   Array.iteri
     (fun i (m : mover) ->
-      p.host.(i) <- slot p m.host;
-      p.src.(i) <- slot p m.src)
+      let host = slot p m.host and src = slot p m.src in
+      if host <> p.host.(i) || src <> p.src.(i) then p.settled <- false;
+      p.host.(i) <- host;
+      p.src.(i) <- src)
     movers;
   let fixed mover name =
     if mover >= 0 then -1 else match place name with Some node -> slot p node | None -> -1
   in
   Array.iteri
     (fun e (x, y, _) ->
-      p.sx.(e) <- fixed p.ex.(e) x;
-      p.sy.(e) <- fixed p.ey.(e) y)
+      let sx = fixed p.ex.(e) x and sy = fixed p.ey.(e) y in
+      if sx <> p.sx.(e) || sy <> p.sy.(e) then p.settled <- false;
+      p.sx.(e) <- sx;
+      p.sy.(e) <- sy)
     p.entries;
   fit p;
   Array.iteri
@@ -247,16 +257,17 @@ let load p (env : Cost_model.env) ~place movers =
       let bytes = match m.bytes with Some b -> b | None -> Memory.nonzero_bytes memory in
       let zero = Memory.zero_bytes memory and dirty = Memory.dirty_bytes memory in
       let src = p.src.(i) in
-      if p.row_src.(i) <> src then begin
-        if p.watched then Float.Array.fill p.thin (i * p.cap) p.cap nan;
+      if p.row_src.(i) <> src then Float.Array.fill p.thin (i * p.cap) p.cap nan;
+      if
+        p.row_src.(i) <> src
+        || not
+             (same bytes (Float.Array.get p.row_mem (3 * i))
+             && same zero (Float.Array.get p.row_mem ((3 * i) + 1))
+             && same dirty (Float.Array.get p.row_mem ((3 * i) + 2)))
+      then begin
+        p.settled <- false;
         Float.Array.fill p.move (i * p.cap) p.cap nan
-      end
-      else if
-        not
-          (same bytes (Float.Array.get p.row_mem (3 * i))
-          && same zero (Float.Array.get p.row_mem ((3 * i) + 1))
-          && same dirty (Float.Array.get p.row_mem ((3 * i) + 2)))
-      then Float.Array.fill p.move (i * p.cap) p.cap nan;
+      end;
       p.row_src.(i) <- src;
       Float.Array.set p.row_mem (3 * i) bytes;
       Float.Array.set p.row_mem ((3 * i) + 1) zero;
@@ -268,14 +279,13 @@ let make env ~place movers =
   load p env ~place movers;
   p
 
-let self_contained p = Array.for_all (fun m -> m >= 0) p.ex && Array.for_all (fun m -> m >= 0) p.ey
-
 let host p i = p.nodes.(p.host.(i))
 
 let exchange p i j =
   let h = p.host.(i) in
   p.host.(i) <- p.host.(j);
-  p.host.(j) <- h
+  p.host.(j) <- h;
+  p.settled <- false
 
 let fill_pair p cell a b =
   p.pair_costs <- p.pair_costs + 1;
@@ -285,7 +295,7 @@ let fill_pair p cell a b =
       match Cluster.route_opt p.cluster ~net:Cluster.Eth ~src:p.nodes.(a) ~dst:p.nodes.(b) with
       | None -> infinity
       | Some links ->
-        if p.watched && Bytes.get p.listed cell = '\000' then begin
+        if Bytes.get p.listed cell = '\000' then begin
           Bytes.set p.listed cell '\001';
           let key = (a * p.span) + b in
           List.iter
@@ -313,15 +323,11 @@ let fill_move p cell i dst =
   Float.Array.set p.move cell
     (if dst = p.src.(i) then 0.0
      else begin
-       let walk () = Estimator.thinnest_capacity p.cluster ~src:m.src ~dst:p.nodes.(dst) in
-       let link_cap =
-         if not p.watched then walk ()
-         else begin
-           if Float.is_nan (Float.Array.get p.thin cell) then Float.Array.set p.thin cell (walk ());
-           Float.Array.get p.thin cell
-         end
-       in
-       Cost_model.move_seconds_over ~vm:m.vm ?bytes:m.bytes ~link_cap ()
+       if Float.is_nan (Float.Array.get p.thin cell) then
+         Float.Array.set p.thin cell
+           (Estimator.thinnest_capacity p.cluster ~src:m.src ~dst:p.nodes.(dst));
+       Cost_model.move_seconds_over ~vm:m.vm ?bytes:m.bytes
+         ~link_cap:(Float.Array.get p.thin cell) ()
      end)
 
 let[@inline] move_seconds p i dst =
@@ -399,9 +405,8 @@ let incident_cost p i =
    comparison is strict), so the scan returns what a full scan would.
    Each mover's terms are computed on its first eligible pair of the
    scan, when a full scan would price them too. *)
-let best p ~movable =
+let scan p ok =
   let n = Array.length p.movers in
-  let ok = Array.init n movable in
   (* Each mover's bound terms, filled on its first eligible pair: [cost]
      its incident entries' cost, [stay] m(i->h_i) and [least] a lower
      bound on a move off its source. *)
@@ -452,3 +457,16 @@ let best p ~movable =
       done
   done;
   Option.map (fun (i, j) -> (i, j, !best_gain)) !best
+
+(* A settled table answers a scan of the same movable vector without
+   pricing: every value the scan would read equals the one its last scan
+   read, and that scan found nothing. *)
+let best p ~movable =
+  let ok = Array.init (Array.length p.movers) movable in
+  if p.settled && ok = p.movable then None
+  else begin
+    p.movable <- ok;
+    let found = scan p ok in
+    p.settled <- Option.is_none found;
+    found
+  end

@@ -26,8 +26,10 @@
     online policy's for the whole service. It keeps three things, each
     bit-identical to computing it afresh until the event that forgets it:
     - a directed node-pair cost ({!Cost_model.pair_cost}) is forgotten
-      when {!drain} reports a link on the pair's route, since it reads the
-      residuals of those links and nothing else that can change;
+      when a {!load} drains a re-rate covering a link on the pair's route
+      from the table's reader ({!watch}), since it reads the residuals of
+      those links and nothing else that can change, or {!release} ends
+      the watch;
     - a mover's thinnest route capacity to a host
       ({!Estimator.thinnest_capacity}) is forgotten when its source
       changes;
@@ -35,10 +37,15 @@
       forgotten when its source, its byte count, or its VM's zero or dirty
       bytes change (precopy clears dirty bits even when it aborts).
     Routes and link capacities are fixed while {!Cluster.route_epoch}
-    holds; when it moves, everything kept is forgotten. So a table may
-    outlive simulated time only if, before each {!load}, some {!drain}
-    has reported every re-rate since the last one; a table used within
-    one instant (as the batch solver's) needs none. *)
+    holds; when it moves, everything kept is forgotten. A table with no
+    reader sees no re-rate, so it lives within one instant, as the batch
+    solver's does.
+
+    A table counts as a change every event that can move a price: a
+    drained link, a moved epoch, another mover set, a mover's new host or
+    source, its new byte, zero or dirty count, a fixed endpoint's new
+    node, a matrix neither the same list nor bitwise equal to the last,
+    an {!exchange} and a {!release}. *)
 
 open Ninja_flownet
 open Ninja_hardware
@@ -57,25 +64,25 @@ val create : Cluster.t -> t
 (** An empty table over the cluster's nodes. *)
 
 val load : t -> Cost_model.env -> place:(string -> Node.t option) -> mover array -> unit
-(** Price these movers against the environment's traffic from now on,
-    keeping what still holds (see above). A traffic endpoint naming a
-    mover sits at that mover's host; any other endpoint sits where
-    [place] puts it now, until the next load, and an entry with an
-    endpoint [place] cannot resolve costs nothing. The environment's
-    cluster must be the table's. *)
+(** Drain the table's reader, if it has one, then price these movers
+    against the environment's traffic from now on, keeping what still
+    holds (see above). A traffic endpoint naming a mover sits at that
+    mover's host; any other endpoint sits where [place] puts it now,
+    until the next load, and an entry with an endpoint [place] cannot
+    resolve costs nothing. The environment's cluster must be the
+    table's. *)
 
 val make : Cost_model.env -> place:(string -> Node.t option) -> mover array -> t
 (** {!create} and {!load}: a table for one instant. *)
 
-val self_contained : t -> bool
-(** Every endpoint of the loaded traffic names a mover, so no price reads
-    a placement [place] gave. *)
+val watch : t -> Fabric.reader -> unit
+(** Hand the table a new reader of its cluster's fabric; every {!load}
+    drains it first, so the table may outlive simulated time. A new
+    reader starts with every link pending: no pair cost computed before
+    it survives its first drain. *)
 
-val drain : t -> Fabric.reader -> bool
-(** Empty a reader of the table's cluster's fabric and forget the pair
-    costs whose routes cross a link it reported. [true] when it reported
-    any link, or the routes have changed, since the reader's last drain:
-    a kept input may have moved. *)
+val release : t -> unit
+(** Release the reader ({!Fabric.release}) and forget the kept pair costs. *)
 
 val gain : t -> int -> int -> float
 (** The net gain of exchanging the hosts of movers [i] and [j]. *)
@@ -98,7 +105,10 @@ val best : t -> movable:(int -> bool) -> (int * int * float) option
     or infinite bound never is. A skipped pair could not have replaced
     the best, so the result is bit-identical to pricing every pair with
     {!gain}. If any rate is negative or NaN the bound does not hold, and
-    every eligible pair is priced. *)
+    every eligible pair is priced.
+
+    After a [None], a scan of the same movable vector with no change
+    since (see above) returns [None] and prices nothing. *)
 
 val priced : t -> int
 (** Pairs that {!best} has priced on this table so far: at most the
@@ -106,7 +116,7 @@ val priced : t -> int
 
 val pair_costs : t -> int
 (** Node-pair costs the table has computed so far: a first use, or a use
-    after {!drain} forgot it. *)
+    after a drain or {!release} forgot it. *)
 
 val exchange : t -> int -> int -> unit
 (** Exchange the hosts of movers [i] and [j]. *)

@@ -802,6 +802,108 @@ let test_swap_table_follows_route_changes () =
   Alcotest.(check bool) "the WAN link moves the prices" true (before <> fresh);
   Alcotest.(check (list (float 0.0))) "kept table = fresh table" fresh (gains kept)
 
+(* A watched table whose scan found nothing answers the next scan itself,
+   pricing no pair, until something a price reads changes. Each event
+   below starts from a fresh no-op scene (two Ethernet VMs that gain
+   nothing by trading hosts, a third on InfiniBand, a fixed endpoint [x]
+   and a guest write that left dirty bytes) and must make the next scan
+   price again and decide as a table built from scratch. *)
+type memo_scene = {
+  cluster : Cluster.t;
+  fleet : Vm.t array;
+  at : Node.t array;  (* each mover's host and source *)
+  x : Node.t ref;  (* where the fixed endpoint "x" sits *)
+  traffic : Cost_model.traffic ref;
+  movable : bool array;
+  kept : Swap_price.t;
+}
+
+(* Load and scan the kept table, [also] applied after its load, and check
+   its answer against a fresh table's; returns the pairs the kept table
+   priced and the fresh table. *)
+let memo_round ?(also = ignore) s event =
+  let env = Cost_model.env s.cluster ~traffic:!(s.traffic) () in
+  let place name = if name = "x" then Some !(s.x) else Cluster.vm_node s.cluster ~name in
+  let movers () =
+    Array.mapi
+      (fun i vm -> { Swap_price.vm; src = s.at.(i); host = s.at.(i); bytes = None })
+      s.fleet
+  in
+  let scan t =
+    also t;
+    Swap_price.best t ~movable:(fun i -> s.movable.(i))
+  in
+  let bits = function
+    | None -> "none"
+    | Some (i, j, g) -> Printf.sprintf "(%d, %d, %Lx)" i j (Int64.bits_of_float g)
+  in
+  Swap_price.load s.kept env ~place (movers ());
+  let priced = Swap_price.priced s.kept in
+  let got = scan s.kept in
+  let fresh = Swap_price.make env ~place (movers ()) in
+  Alcotest.(check string) (event ^ ": kept table = fresh table") (bits (scan fresh)) (bits got);
+  (Swap_price.priced s.kept - priced, fresh)
+
+let memo_scene event =
+  let _, cluster = setup () in
+  let fleet = [| mk_vm cluster ~name:"a" ~host:"eth00"; mk_vm cluster ~name:"b" ~host:"eth01";
+                 mk_vm cluster ~name:"c" ~host:"ib00" |] in
+  let memory = Vm.memory fleet.(0) in
+  Memory.write memory (Memory.alloc memory ~bytes:(Units.gb 0.5)) ~offset:0.0
+    ~bytes:(Units.gb 0.25);
+  let kept = Swap_price.create cluster in
+  Swap_price.watch kept (Ninja_flownet.Fabric.reader (Cluster.fabric cluster));
+  let s =
+    { cluster; fleet; at = Array.map Vm.host fleet; x = ref (node cluster "eth02");
+      traffic = ref [ ("a", "c", 1e8); ("b", "c", 1e7); ("x", "b", 1e6) ];
+      movable = Array.make 3 true; kept }
+  in
+  if fst (memo_round s event) = 0 then Alcotest.failf "%s: the first scan priced nothing" event;
+  Alcotest.(check int) (event ^ ": a repeated no-op scan prices nothing") 0
+    (fst (memo_round s event));
+  s
+
+let test_swap_memo () =
+  let reprices ?also event change =
+    let s = memo_scene event in
+    change s;
+    if fst (memo_round ?also s event) = 0 then Alcotest.failf "%s: answered from the memo" event
+  in
+  reprices "exchange" ignore ~also:(fun t -> Swap_price.exchange t 0 1);
+  reprices "re-rate" (fun s ->
+      match Cluster.route_opt s.cluster ~net:Cluster.Eth ~src:s.at.(0) ~dst:s.at.(2) with
+      | Some route ->
+        ignore (Ninja_flownet.Fabric.start (Cluster.fabric s.cluster) ~route ~bytes:1e15)
+      | None -> Alcotest.fail "no route");
+  reprices "movable flag" (fun s -> s.movable.(2) <- false);
+  reprices "rate" (fun s ->
+      s.traffic :=
+        List.map (fun (x, y, r) -> (x, y, if x = "b" then Float.succ r else r)) !(s.traffic));
+  reprices "guest write" (fun s ->
+      let memory = Vm.memory s.fleet.(1) in
+      Memory.write memory (Memory.alloc memory ~bytes:(Units.gb 0.5)) ~offset:0.0
+        ~bytes:(Units.gb 0.25));
+  reprices "clear_dirty" (fun s -> Memory.clear_dirty (Vm.memory s.fleet.(0)));
+  reprices "moved mover" (fun s -> s.at.(1) <- node s.cluster "eth03");
+  reprices "moved fixed endpoint" (fun s -> s.x := node s.cluster "eth03");
+  let s = memo_scene "equal matrix" in
+  s.traffic := List.map (fun (x, y, r) -> (x, y, r)) !(s.traffic);
+  Alcotest.(check int) "a bitwise-equal matrix keeps the memo" 0
+    (fst (memo_round s "equal matrix"));
+  (* [release] gives the reader back and forgets every pair cost: the
+     next scan computes as many as a fresh table does. *)
+  let s = memo_scene "release" in
+  let fabric = Cluster.fabric s.cluster in
+  let readers = Ninja_flownet.Fabric.readers fabric in
+  Swap_price.release s.kept;
+  Alcotest.(check int) "release gives the reader back" (readers - 1)
+    (Ninja_flownet.Fabric.readers fabric);
+  let costs = Swap_price.pair_costs s.kept in
+  let priced, fresh = memo_round s "release" in
+  if priced = 0 then Alcotest.fail "release: answered from the memo";
+  Alcotest.(check int) "release forgets the kept pair costs" (Swap_price.pair_costs fresh)
+    (Swap_price.pair_costs s.kept - costs)
+
 let test_cost_model_decomposition () =
   let _, cluster = setup () in
   let a = mk_vm cluster ~name:"a" ~host:"ib00" in
@@ -1062,6 +1164,8 @@ let () =
               test_cost_model_decomposition;
             Alcotest.test_case "kept swap table follows route changes" `Quick
               test_swap_table_follows_route_changes;
+            Alcotest.test_case "a kept table answers a repeated no-op scan itself" `Quick
+              test_swap_memo;
           ] );
       ( "executor",
         [
