@@ -9,7 +9,7 @@
 # swap_pair_costs, link_polls and probe_events. They count simulated
 # work, so a change that claims the same work must reproduce them
 # exactly; a counter absent from an entry must stay absent. Wall time,
-# CPU time and minor words are left out: they depend on the machine and
+# CPU time and minor and major words are left out: they depend on the machine and
 # the compiler (snapshots are written on OCaml 5.1.1, CI runs 5.2), and
 # bench/compare.sh gates wall time. Needs jq.
 set -eu

@@ -34,7 +34,7 @@ let wall () = Int64.to_float (Mclock.now ()) /. 1e9
 
 (* Machine-readable companion to the printed tables: per-entry wall-clock
    and CPU seconds, every counter the entry's simulations observe (and, at
-   [-j 1], minor words), so perf regressions across snapshots can be
+   [-j 1], minor and major words), so perf regressions across snapshots can be
    compared without scraping stdout. [nproc] and the OCaml version say
    what a [-j N] row could use. *)
 let next_snapshot () =
@@ -88,13 +88,13 @@ let write_bench_json ctx ~total_wall ~total_cpu entries =
   Printf.fprintf oc "  \"total_wall_s\": %.3f,\n  \"total_cpu_s\": %.3f,\n  \"entries\": [\n"
     total_wall total_cpu;
   List.iteri
-    (fun i (name, wall_s, cpu_s, sums, minor_words) ->
+    (fun i (name, wall_s, cpu_s, sums, words) ->
       Printf.fprintf oc "    {\"name\": %S, \"wall_s\": %.3f, \"cpu_s\": %.3f%s%s}%s\n" name wall_s
         cpu_s
         (String.concat ""
            (List.map (fun (key, v) -> Printf.sprintf ", %S: %s" key (number v)) (counters sums)))
-        (match minor_words with
-        | Some w -> Printf.sprintf ", \"minor_words\": %.0f" w
+        (match words with
+        | Some (minor, major) -> Printf.sprintf ", \"minor_words\": %.0f, \"major_words\": %.0f" minor major
         | None -> "")
         (if i = List.length entries - 1 then "" else ","))
     entries;
@@ -121,21 +121,30 @@ let run_experiments ~snapshot ctx entries =
                      (v +. Option.value (Hashtbl.find_opt sums name) ~default:0.0))))
           ctx
       in
+      (* Read outside the minor-words window, which [Gc.quick_stat]'s
+         record would otherwise count. *)
+      let jw = (Gc.quick_stat ()).major_words in
       let w = wall () and c = Sys.time () and mw = Gc.minor_words () in
       List.iter Ninja_metrics.Table.print (Registry.run_entry ectx e);
       let wall_s = wall () -. w and cpu_s = Sys.time () -. c in
       (* [Gc.minor_words] counts the calling domain only: exact at -j 1,
-         an undercount once pooled domains share the work. *)
-      let minor_words =
-        if Ninja_engine.Run_ctx.jobs ctx = 1 then Some (Gc.minor_words () -. mw) else None
+         an undercount once pooled domains share the work; major words
+         (promoted ones included) are read the same way. *)
+      let words =
+        if Ninja_engine.Run_ctx.jobs ctx = 1 then begin
+          let minor = Gc.minor_words () -. mw in
+          Some (minor, (Gc.quick_stat ()).major_words -. jw)
+        end
+        else None
       in
       Printf.printf "(generated in %.1fs wall, %.1fs CPU, %s%s)\n\n%!" wall_s cpu_s
         (String.concat ", "
            (List.map (fun (key, v) -> Printf.sprintf "%s %s" key (number v)) (counters sums)))
-        (match minor_words with
-        | Some w -> Printf.sprintf ", %.3fG minor words" (w /. 1e9)
+        (match words with
+        | Some (minor, major) ->
+          Printf.sprintf ", %.3fG minor words, %.3fG major words" (minor /. 1e9) (major /. 1e9)
         | None -> "");
-      results := (e.Registry.name, wall_s, cpu_s, sums, minor_words) :: !results)
+      results := (e.Registry.name, wall_s, cpu_s, sums, words) :: !results)
     entries;
   let total_wall = wall () -. w0 and total_cpu = Sys.time () -. c0 in
   Printf.printf "== total: %.1fs wall, %.1fs CPU (%d job%s) ==\n%!" total_wall total_cpu

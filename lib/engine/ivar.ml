@@ -1,16 +1,24 @@
-type 'a state = Empty of ('a -> unit) list | Full of 'a
+(* An empty ivar's readers wait as their resume callbacks, newest first;
+   a woken reader takes the value from the full state. *)
+type 'a state = Empty | Waiting of (unit -> unit) * 'a state | Full of 'a
 
 type 'a t = { mutable state : 'a state }
 
-let create () = { state = Empty [] }
+let create () = { state = Empty }
+
+(* Oldest first: the registration order. *)
+let rec wake = function
+  | Waiting (resume, older) ->
+    wake older;
+    resume ()
+  | Empty | Full _ -> ()
 
 let fill_if_empty t v =
   match t.state with
   | Full _ -> false
-  | Empty waiters ->
+  | waiters ->
     t.state <- Full v;
-    (* Wake in registration order. *)
-    List.iter (fun w -> w v) (List.rev waiters);
+    wake waiters;
     true
 
 let fill t v = if not (fill_if_empty t v) then invalid_arg "Ivar.fill: already full"
@@ -18,22 +26,15 @@ let fill t v = if not (fill_if_empty t v) then invalid_arg "Ivar.fill: already f
 let read t =
   match t.state with
   | Full v -> v
-  | Empty _ ->
-    let result = ref None in
+  | Empty | Waiting _ -> (
     Sim.suspend (fun resume ->
         match t.state with
-        | Full v ->
+        | Full _ ->
           (* Filled between the match and the registration: resume now. *)
-          result := Some v;
           resume ()
-        | Empty waiters ->
-          let wake v =
-            result := Some v;
-            resume ()
-          in
-          t.state <- Empty (wake :: waiters));
-    (match !result with Some v -> v | None -> assert false)
+        | waiters -> t.state <- Waiting (resume, waiters));
+    match t.state with Full v -> v | Empty | Waiting _ -> assert false)
 
-let peek t = match t.state with Full v -> Some v | Empty _ -> None
+let peek t = match t.state with Full v -> Some v | Empty | Waiting _ -> None
 
-let is_full t = match t.state with Full _ -> true | Empty _ -> false
+let is_full t = match t.state with Full _ -> true | Empty | Waiting _ -> false

@@ -7,9 +7,9 @@
     size [n] really uses [n] cores.
 
     Tasks must be self-contained: each one typically creates, runs and
-    tears down its own {!Sim.t}. The simulation kernel keeps its
-    ambient-simulation reference in domain-local storage, so any number
-    of simulations may run concurrently, one per domain.
+    tears down its own {!Sim.t}. The simulation kernel keeps no ambient
+    simulation (each fiber's handler knows its own), so any number of
+    simulations may run concurrently, one per domain.
 
     Determinism: {!map} returns results in submission order regardless
     of completion order, so a parallel sweep over deterministic

@@ -7,6 +7,7 @@ type fill = {
   cap : float;
   mutable order : task array; (* reused per rerate: active tasks sorted by demand *)
   mutable rates : Float.Array.t; (* reused per rerate: their rates *)
+  mutable used : int; (* the slots of [order] the last rerate filled *)
 }
 
 type t = {
@@ -24,7 +25,7 @@ let rerate fill set =
   let n = Rated.length set in
   if n > 0 then begin
     if Array.length fill.order < n then begin
-      fill.order <- Array.make (max 8 (2 * n)) (Rated.get set 0);
+      fill.order <- Array.make (max 8 (2 * n)) (Rated.filler set);
       fill.rates <- Float.Array.create (max 8 (2 * n))
     end;
     let order = fill.order in
@@ -46,12 +47,20 @@ let rerate fill set =
       residual := !residual -. r
     done;
     Rated.set_rates order fill.rates n
-  end
+  end;
+  (* A task leaves at a change, whose rerate overwrites or clears its
+     slot: the order keeps no finished task alive. *)
+  for i = n to fill.used - 1 do
+    fill.order.(i) <- Rated.filler set
+  done;
+  fill.used <- n
+
+let no_task = { demand = 0.0 }
 
 let create sim ~name ~capacity =
   if not (capacity > 0.0) then invalid_arg "Ps_resource.create: capacity must be positive";
-  let fill = { cap = capacity; order = [||]; rates = Float.Array.create 0 } in
-  let set = Rated.create sim ~name ~rerate:(rerate fill) in
+  let fill = { cap = capacity; order = [||]; rates = Float.Array.create 0; used = 0 } in
+  let set = Rated.create sim ~name ~filler:no_task ~log:false ~rerate:(rerate fill) in
   { name; fill; set }
 
 let capacity t = t.fill.cap

@@ -17,6 +17,9 @@ and 'a t = {
   sim : Sim.t;
   name : string;
   rerate : 'a t -> unit;
+  log : bool; (* whether the set keeps [rev_changes] for its policy *)
+  vacant : 'a; (* the payload of [filler] *)
+  mutable filler : 'a task option; (* fills every slot past [n]; made at first use *)
   mutable tasks : 'a task array; (* live tasks in [0, n), insertion order *)
   mutable n : int;
   mutable holes : int; (* completed tasks still in [0, n) *)
@@ -27,7 +30,7 @@ and 'a t = {
   mutable argmin : int; (* index of the task the armed timer completes *)
   mutable timer : Sim.handle; (* the completion timer, re-armed by the flush *)
   mutable flush : Sim.handle; (* the policy and re-arm, once per instant *)
-  mutable rev_changes : 'a change list; (* membership deltas since the policy last ran *)
+  mutable rev_changes : 'a change list; (* membership deltas since the policy last ran, if [log] *)
   mutable rerates : int;
 }
 
@@ -106,11 +109,35 @@ let complete t task =
   if task.live then begin
     task.live <- false;
     t.holes <- t.holes + 1;
-    t.rev_changes <- Left task :: t.rev_changes
+    if t.log then t.rev_changes <- Left task :: t.rev_changes
   end;
   ignore (Ivar.fill_if_empty task.finished ())
 
-let changes t = List.rev t.rev_changes
+(* Oldest first, without reversing the log. *)
+let rec iter_rev f = function
+  | [] -> ()
+  | change :: older ->
+    iter_rev f older;
+    f change
+
+let iter_changes t f = iter_rev f t.rev_changes
+
+(* Made at first use, so a set that never grows allocates none. *)
+let filler t =
+  match t.filler with
+  | Some task -> task
+  | None ->
+    let task =
+      {
+        payload = t.vacant;
+        p = { remaining = 0.0; rate = 0.0 };
+        finished = Ivar.create ();
+        live = false;
+        set = t;
+      }
+    in
+    t.filler <- Some task;
+    task
 
 (* A task is done when its remaining work is negligible relative to the
    unit scale; the argmin task forced below guarantees progress despite
@@ -127,7 +154,8 @@ let sweep t =
     if task.live && task.p.remaining <= eps then complete t task
   done
 
-(* Close the gaps completed tasks left, in place. *)
+(* Close the gaps completed tasks left, in place, and clear the slots
+   they vacate. *)
 let compact t =
   if t.holes > 0 then begin
     let live = ref 0 in
@@ -137,6 +165,10 @@ let compact t =
         if !live < i then t.tasks.(!live) <- task;
         incr live
       end
+    done;
+    let filler = filler t in
+    for i = !live to t.n - 1 do
+      t.tasks.(i) <- filler
     done;
     t.n <- !live;
     t.holes <- 0
@@ -197,11 +229,14 @@ and flush t =
     else Sim.arm_at t.sim t.timer (Time.add (Sim.now t.sim) span) ~seq:t.seq
   end
 
-let create sim ~name ~rerate =
+let create sim ~name ~filler ~log ~rerate =
   {
     sim;
     name;
     rerate;
+    log;
+    vacant = filler;
+    filler = None;
     tasks = [||];
     n = 0;
     holes = 0;
@@ -218,7 +253,7 @@ let create sim ~name ~rerate =
 
 let push t task =
   if t.n = Array.length t.tasks then begin
-    let grown = Array.make (max 8 (2 * t.n)) task in
+    let grown = Array.make (max 8 (2 * t.n)) (filler t) in
     Array.blit t.tasks 0 grown 0 t.n;
     t.tasks <- grown
   end;
@@ -239,7 +274,7 @@ let add t ~payload ~work =
     }
   in
   push t task;
-  t.rev_changes <- Joined task :: t.rev_changes;
+  if t.log then t.rev_changes <- Joined task :: t.rev_changes;
   (* Unless settle advanced work, only the new task can be down to ε. *)
   if t.unswept then sweep t else if work <= eps then complete t task;
   compact t;

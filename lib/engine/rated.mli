@@ -30,22 +30,31 @@ type 'a task
 
 type 'a change = Joined of 'a task | Left of 'a task
 
-val create : Sim.t -> name:string -> rerate:('a t -> unit) -> 'a t
+val create : Sim.t -> name:string -> filler:'a -> log:bool -> rerate:('a t -> unit) -> 'a t
 (** [rerate] assigns rates with {!set_rate}; it is called with the set
     already settled to the current instant, at most once per change and
     at most once per flush. Its result must depend only on the set's
     membership, since every change is a membership delta. A global policy
-    re-rates every active task; an incremental policy may consult
-    {!changes} and leave unaffected tasks' rates untouched.
+    re-rates every active task; an incremental policy creates its set with
+    [~log:true] and consults {!iter_changes} to leave unaffected tasks'
+    rates untouched. A set created with [~log:false] records no delta.
+    [filler] is a payload no task carries: it fills the set's free slots
+    (see {!filler}), so a finished task is never kept alive by the set.
     Creating a set allocates no event: its timer and flush come with its
     first change. *)
 
-val changes : 'a t -> 'a change list
-(** Every membership delta since the previous [rerate] call, oldest
-    first, over however many changes that call covers — only meaningful
-    from within the [rerate] callback (the log is cleared when it
-    returns). A task added and completed between two calls shows up as
-    [Joined] then [Left]. *)
+val iter_changes : 'a t -> ('a change -> unit) -> unit
+(** [iter_changes t f] calls [f] on every membership delta since the
+    previous [rerate] call, oldest first, over however many changes that
+    call covers — only meaningful from within the [rerate] callback of a
+    set created with [~log:true] (the log is cleared when it returns). A
+    task added and completed between two calls shows up as [Joined] then
+    [Left]. *)
+
+val filler : 'a t -> 'a task
+(** A finished task that is never a member of the set, whose payload is
+    [create]'s [filler] (made at its first use): what fills the set's
+    free slots, and what a policy may fill its own scratch arrays with. *)
 
 val refresh : 'a t -> unit
 (** Run the policy now if a change since its last run is pending: the

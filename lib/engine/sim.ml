@@ -145,8 +145,8 @@ type t = {
 exception Deadlock of string list
 
 type _ Effect.t +=
-  | Sleep : t * Time.span -> unit Effect.t
-  | Suspend : t * ((unit -> unit) -> unit) -> unit Effect.t
+  | Sleep : Time.span -> unit Effect.t
+  | Suspend : ((unit -> unit) -> unit) -> unit Effect.t
 
 let create ?(seed = 1L) () =
   {
@@ -175,21 +175,27 @@ let heap_insertions t = t.n_heap
 (* An event at [now] was scheduled after every heap entry keyed [now]
    (those were scheduled before the clock got here), so queueing it behind
    them keeps the (key, seq) order without a sequence number. *)
-let schedule_at t at run =
-  if Time.(at < t.now) then invalid_arg "Sim.schedule_at: time is in the past";
-  let ev = { run; slot = in_fifo } in
-  if Time.equal at t.now then Fifo.push t.fifo ev
+let enqueue t at ev =
+  if Time.equal at t.now then begin
+    ev.slot <- in_fifo;
+    Fifo.push t.fifo ev
+  end
   else begin
     Heap.add t.heap (Time.to_int at) t.seq ev;
     t.seq <- t.seq + 1;
     t.n_heap <- t.n_heap + 1
   end;
-  t.n_pending <- t.n_pending + 1;
+  t.n_pending <- t.n_pending + 1
+
+let schedule_at t at run =
+  if Time.(at < t.now) then invalid_arg "Sim.schedule_at: time is in the past";
+  let ev = { run; slot = in_fifo } in
+  enqueue t at ev;
   ev
 
-let schedule t ~after run =
-  let after = if Time.is_negative after then Time.zero else after in
-  schedule_at t (Time.add t.now after) run
+let[@inline] deadline t after = Time.add t.now (if Time.is_negative after then Time.zero else after)
+
+let schedule t ~after run = schedule_at t (deadline t after) run
 
 let event run = { run; slot = dead }
 
@@ -223,67 +229,95 @@ let cancel t ev =
     t.n_pending <- t.n_pending - 1
   end
 
-(* The per-fiber effect handler. [Suspend]'s register function receives a
-   resume callback that is idempotent: only its first invocation schedules
-   the continuation, so primitives may safely keep stale wakeup references
-   (e.g. a timeout racing a fill). *)
-let run_fiber t id body =
-  let open Effect.Deep in
-  let finish () = Hashtbl.remove t.fibers id in
-  match_with body ()
-    {
-      retc = (fun () -> finish ());
-      exnc = (fun e -> finish (); raise e);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Sleep (st, d) ->
-            Some
-              (fun (k : (a, _) continuation) ->
-                ignore (schedule st ~after:d (fun () -> continue k ())))
-          | Suspend (st, register) ->
-            Some
-              (fun (k : (a, _) continuation) ->
-                let fired = ref false in
-                let resume () =
-                  if not !fired then begin
-                    fired := true;
-                    ignore (schedule st ~after:Time.zero (fun () -> continue k ()))
-                  end
-                in
-                register resume)
-          | _ -> None);
-    }
+(* A fiber waits for one thing at a time, so it owns one event, which
+   starts it and then carries each wake-up, armed at the place a freshly
+   scheduled event would take; and one handler, built when it starts.
+   Between [effc] and the handler's function, [wait] holds the effect
+   being handled, so nothing of it is kept; while the fiber waits, [k]
+   holds the rest of it. *)
+type fiber = {
+  sim : t;
+  id : int;
+  mutable body : unit -> unit; (* until the fiber starts *)
+  mutable k : (unit, unit) Effect.Deep.continuation option;
+  mutable wait : unit Effect.t;
+  mutable ev : event; (* [vacant] until [spawn] makes it *)
+}
+
+let idle = Sleep Time.zero
+
+let finish fb = Hashtbl.remove fb.sim.fibers fb.id
+
+let start fb =
+  let body = fb.body in
+  fb.body <- ignore;
+  match body () with
+  | () -> finish fb
+  | exception e ->
+    finish fb;
+    raise e
+
+(* A [Suspend]'s resume callback: only the first call of the wait it was
+   made for queues the fiber, at the FIFO tail like any event scheduled
+   for now, so a primitive may keep a stale callback (a timeout racing a
+   fill). [k] still holds this wait's continuation until the event fires,
+   and the event is dead only until that first call. *)
+let resume fb k = if fb.k == k && fb.ev.slot = dead then enqueue fb.sim fb.sim.now fb.ev
+
+let on_wait fb k =
+  let wait = fb.wait in
+  fb.wait <- idle;
+  match wait with
+  | Sleep d ->
+    fb.k <- Some k;
+    enqueue fb.sim (deadline fb.sim d) fb.ev
+  | Suspend register ->
+    let k = Some k in
+    fb.k <- k;
+    register (fun () -> resume fb k)
+  | _ -> assert false
+
+let handler fb =
+  let on_wait = Some (on_wait fb) in
+  {
+    Effect.Deep.retc = ignore;
+    exnc = raise;
+    effc =
+      (fun (type a) (eff : a Effect.t) : ((a, unit) Effect.Deep.continuation -> unit) option ->
+        match eff with
+        | Sleep _ ->
+          fb.wait <- eff;
+          on_wait
+        | Suspend _ ->
+          fb.wait <- eff;
+          on_wait
+        | _ -> None);
+  }
+
+let step fb =
+  match fb.k with
+  | Some k ->
+    fb.k <- None;
+    Effect.Deep.continue k ()
+  | None -> Effect.Deep.match_with start fb (handler fb)
 
 let spawn t ?(name = "fiber") body =
   let id = t.next_fiber in
   t.next_fiber <- id + 1;
   Hashtbl.add t.fibers id name;
-  ignore (schedule t ~after:Time.zero (fun () -> run_fiber t id body))
+  let fb = { sim = t; id; body; k = None; wait = idle; ev = vacant } in
+  fb.ev <- { run = (fun () -> step fb); slot = dead };
+  enqueue t t.now fb.ev
 
-(* These are meaningful only inside a fiber; performing an effect outside
-   one raises [Effect.Unhandled], which surfaces as a programming error. *)
-let sleep_on t d = Effect.perform (Sleep (t, d))
+(* Fibers run under a handler that knows their simulation, so a blocking
+   call consults no ambient state, and simulations on different domains
+   never observe each other. Outside every fiber no handler takes the
+   effect. *)
+let outside () = failwith "Sim: blocking call outside of a running simulation"
 
-let suspend_on t register = Effect.perform (Suspend (t, register))
+let sleep d = try Effect.perform (Sleep d) with Effect.Unhandled _ -> outside ()
 
-(* Fibers always run under a handler whose simulation is the one that
-   spawned them, so we can recover [t] from the effect payload; the public
-   API threads it implicitly via these wrappers. The ambient simulation
-   lives in domain-local storage, not a global ref, so independent
-   simulations can run concurrently on different domains (one simulation
-   per domain) without observing each other. *)
-let current_sim : t option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let get_current () =
-  match Domain.DLS.get current_sim with
-  | Some t -> t
-  | None -> failwith "Sim: blocking call outside of a running simulation"
-
-let sleep d = sleep_on (get_current ()) d
-
-let suspend register = suspend_on (get_current ()) register
+let suspend register = try Effect.perform (Suspend register) with Effect.Unhandled _ -> outside ()
 
 let fire t ev =
   ev.slot <- dead;
@@ -294,9 +328,7 @@ let fire t ev =
 (* The one event loop both entry points share: execute events whose
    timestamp is at most [limit], in (key, seq) order. At an instant the
    heap's entries keyed [now] go first, then the FIFO; only then does the
-   clock move to the heap's minimum. Every event of this loop runs under
-   [t] as the ambient simulation, so it is set once here, not per event;
-   a nested drain of another simulation restores it on the way out. *)
+   clock move to the heap's minimum. *)
 let drain t ~limit =
   let h = t.heap and q = t.fifo in
   let rec loop () =
@@ -317,9 +349,7 @@ let drain t ~limit =
       loop ()
     end
   in
-  let saved = Domain.DLS.get current_sim in
-  Domain.DLS.set current_sim (Some t);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set current_sim saved) loop
+  loop ()
 
 let run t =
   drain t ~limit:max_int;

@@ -30,10 +30,17 @@
     scheduling order, as if every timer had been scheduled at the last
     change before it.
 
-    Domain-safety: the ambient simulation that {!sleep} and {!suspend}
-    consult is domain-local, so independent simulations may run
-    concurrently, one per domain (see {!Pool}). A single [t] must still
-    only ever be driven from one domain at a time. *)
+    A fiber waits for one thing at a time, so it owns one event, which
+    every {!sleep} and every {!suspend} resume re-arms where a freshly
+    scheduled event would go, and one effect handler, built when it
+    starts: a wait allocates neither an event nor a closure of the
+    kernel's.
+
+    Domain-safety: {!sleep} and {!suspend} consult no ambient state —
+    the handler of the calling fiber knows its simulation — so
+    independent simulations may run concurrently, one per domain (see
+    {!Pool}). A single [t] must still only ever be driven from one domain
+    at a time. *)
 
 type t
 
@@ -117,15 +124,20 @@ val spawn : t -> ?name:string -> (unit -> unit) -> unit
     simulation run with that exception. *)
 
 val sleep : Time.span -> unit
-(** Block the calling fiber for a simulated duration. Must be called from
-    inside a fiber. *)
+(** Block the calling fiber for a simulated duration, as if it were an
+    event scheduled with {!schedule}. Called outside every fiber (before
+    a simulation runs, or from a raw event), it raises
+    [Failure "Sim: blocking call outside of a running simulation"]. *)
 
 val suspend : ((unit -> unit) -> unit) -> unit
 (** [suspend register] blocks the calling fiber and calls
-    [register resume]. The fiber resumes (as a fresh event at the instant
-    of the call) when [resume ()] is invoked. Calling [resume] more than
-    once is harmless: only the first call counts. This is the single
-    primitive from which all blocking abstractions are built. *)
+    [register resume]. The first [resume ()] queues the fiber at the
+    current instant, behind every event already queued for it, exactly as
+    {!schedule} [~after:Time.zero] would. Calling [resume] again is
+    harmless, and so is a callback kept from an earlier wait: only the
+    first call of the wait it was made for counts. Outside every fiber it
+    raises like {!sleep}. This is the single primitive from which all
+    blocking abstractions are built. *)
 
 (** {1 Running} *)
 

@@ -10,8 +10,7 @@ type link = {
      solver from the rated set's change log. *)
   flows_on : (int, info Rated.task) Hashtbl.t;
   (* Epoch stamp: equal to the state's epoch iff this link is already in
-     the current rerate's affected set. Replaces a per-rerate hashtable so
-     a small-fabric rerate allocates nothing beyond the work queue. *)
+     the current rerate's affected set. *)
   mutable mark : int;
   mutable removed : bool;
   mutable pending : int; (* the readers holding this link pending, one bit each *)
@@ -24,8 +23,8 @@ and floats = {
   mutable util : float; (* [link_utilization]'s memo; nan until summed *)
 }
 
-(* A flow's route is dropped when it leaves, so a finished flow still in
-   a vacated slot of the rated set keeps no retired link alive. *)
+(* A flow's route is dropped when it leaves, so a finished flow that a
+   caller still holds keeps no retired link alive. *)
 and info = { fid : int; mutable route : link list; mutable fmark : int }
 
 (* One consumer of the change feed: the links re-rates covered since it
@@ -45,10 +44,23 @@ and feed = {
   mutable bits : int; (* the bits the readers hold *)
 }
 
+type flow = info Rated.task
+
+(* The re-solve's scratch lives here and is reused, so a re-rate
+   allocates little it does not keep: the affected links in the order
+   they were found (the work queue, first [n_links]) and the affected
+   flows (first [n_flows]) with a freeze flag each. *)
 type state = {
   mutable freeze_log : int list; (* bottleneck ids of the last solve, reversed *)
   mutable epoch : int; (* bumped per rerate; validates marks *)
   changes : feed;
+  mutable links : link array;
+  mutable n_links : int;
+  mutable flows : flow array;
+  mutable frozen : bool array;
+  mutable n_flows : int;
+  apply : info Rated.change -> unit; (* [apply] and [visit] bound to this state *)
+  visit : int -> flow -> unit;
 }
 
 type t = {
@@ -60,65 +72,78 @@ type t = {
   mutable next_fid : int;
 }
 
-type flow = info Rated.task
+let rec crosses id = function [] -> false | l :: rest -> l.id = id || crosses id rest
 
-(* Bottleneck choice: lexicographic minimum of (fair share, link id). A
-   strictly smaller fair share wins; an exact floating-point tie goes to
-   the smaller link id. It is a total order, so the freeze order depends
-   on neither the links' order nor the arrival history, and a replay is
-   deterministic. *)
-let better (fair, l) acc =
-  match acc with
-  | Some (bfair, bl) when bfair < fair || (bfair = fair && bl.id < l.id) -> acc
-  | _ -> Some (fair, l)
+let rec count_unfrozen = function
+  | [] -> ()
+  | l :: rest ->
+    l.unfrozen <- l.unfrozen + 1;
+    count_unfrozen rest
 
-(* Progressive filling (max–min fairness) over a closed subproblem:
-   [links] is exactly the union of the [flows]' routes. Repeatedly pick
-   the bottleneck link (smallest fair share = residual / unfrozen flows),
-   freeze the unfrozen flows crossing it at that share, subtract their
-   rate along their whole routes, and repeat until every flow is frozen.
-   The order of [flows] changes no result: every flow frozen in one round
-   takes the same share, and each link subtracts that share once per such
-   flow, so no rate and no freeze order depends on it. *)
-let solve_subset state flows links =
-  let n = Array.length flows in
-  let routes = Array.map (fun fl -> (Rated.payload fl).route) flows in
-  List.iter
-    (fun l ->
-      l.num.residual <- l.capacity;
-      l.unfrozen <- 0)
-    links;
-  Array.iter (fun route -> List.iter (fun l -> l.unfrozen <- l.unfrozen + 1) route) routes;
-  let frozen = Array.make n false in
+let rec take_share fair = function
+  | [] -> ()
+  | l :: rest ->
+    l.num.residual <- Float.max 0.0 (l.num.residual -. fair);
+    l.unfrozen <- l.unfrozen - 1;
+    take_share fair rest
+
+(* Progressive filling (max–min fairness) over a closed subproblem: the
+   affected links are exactly the union of the affected flows' routes.
+   Repeatedly pick the bottleneck link (smallest fair share = residual /
+   unfrozen flows), freeze the unfrozen flows crossing it at that share,
+   subtract their rate along their whole routes, and repeat until every
+   flow is frozen. The bottleneck is the lexicographic minimum of (fair
+   share, link id): a strictly smaller fair share wins, an exact
+   floating-point tie goes to the smaller link id. It is a total order,
+   so neither the freeze order nor any rate depends on the order of the
+   links or of the flows: every flow frozen in one round takes the same
+   share, and each link subtracts that share once per such flow. *)
+let solve st =
+  let links = st.links and n_links = st.n_links in
+  let flows = st.flows and frozen = st.frozen and n = st.n_flows in
+  for i = 0 to n_links - 1 do
+    let l = links.(i) in
+    l.num.residual <- l.capacity;
+    l.unfrozen <- 0
+  done;
+  for i = 0 to n - 1 do
+    frozen.(i) <- false;
+    count_unfrozen (Rated.payload flows.(i)).route
+  done;
   let remaining = ref n in
   while !remaining > 0 do
-    let bottleneck =
-      List.fold_left
-        (fun acc l ->
-          if l.unfrozen = 0 then acc
-          else better (Float.max 0.0 (l.num.residual /. float_of_int l.unfrozen), l) acc)
-        None links
-    in
-    match bottleneck with
-    | None ->
-      (* Unreachable: every unfrozen flow crosses at least one link that
-         therefore has unfrozen > 0. *)
-      assert false
-    | Some (fair, bottleneck_link) ->
-      state.freeze_log <- bottleneck_link.id :: state.freeze_log;
-      for i = 0 to n - 1 do
-        if (not frozen.(i)) && List.exists (fun l -> l.id = bottleneck_link.id) routes.(i)
+    let best = ref (-1) and best_fair = ref 0.0 in
+    for i = 0 to n_links - 1 do
+      let l = links.(i) in
+      if l.unfrozen > 0 then begin
+        let fair = Float.max 0.0 (l.num.residual /. float_of_int l.unfrozen) in
+        if
+          !best < 0
+          || not (!best_fair < fair || (!best_fair = fair && links.(!best).id < l.id))
         then begin
+          best := i;
+          best_fair := fair
+        end
+      end
+    done;
+    (* Every unfrozen flow crosses at least one link, which therefore
+       has unfrozen > 0: a bottleneck exists. *)
+    assert (!best >= 0);
+    let b = links.(!best) and fair = !best_fair in
+    st.freeze_log <- b.id :: st.freeze_log;
+    for i = 0 to n - 1 do
+      if not frozen.(i) then begin
+        let route = (Rated.payload flows.(i)).route in
+        if crosses b.id route then begin
           frozen.(i) <- true;
           Rated.set_rate flows.(i) fair;
           decr remaining;
-          List.iter
-            (fun l ->
-              l.num.residual <- Float.max 0.0 (l.num.residual -. fair);
-              l.unfrozen <- l.unfrozen - 1)
-            routes.(i)
+          take_share fair route
         end
-      done
+      end
+    done;
+    (* The round froze every unfrozen flow on the bottleneck. *)
+    assert (b.unfrozen = 0)
   done
 
 let new_link id name capacity =
@@ -190,79 +215,117 @@ let rec forget readers l =
     end;
     forget rest l
 
+(* Stamp [l] with the current epoch and queue it, once per rerate. *)
+let seed st l =
+  if l.mark <> st.epoch then begin
+    l.mark <- st.epoch;
+    st.links <- append st.links st.n_links l;
+    st.n_links <- st.n_links + 1
+  end
+
+let rec seed_route st = function
+  | [] -> ()
+  | l :: rest ->
+    seed st l;
+    seed_route st rest
+
+let rec join st fid fl = function
+  | [] -> ()
+  | l :: rest ->
+    Hashtbl.replace l.flows_on fid fl;
+    seed st l;
+    join st fid fl rest
+
+let rec leave st fid = function
+  | [] -> ()
+  | l :: rest ->
+    Hashtbl.remove l.flows_on fid;
+    seed st l;
+    leave st fid rest
+
+(* Sync the per-link flow registries — each membership delta arrives
+   exactly once — and seed the affected set with every touched link. *)
+let apply st = function
+  | Rated.Joined fl ->
+    let inf = Rated.payload fl in
+    join st inf.fid fl inf.route
+  | Rated.Left fl ->
+    let inf = Rated.payload fl in
+    leave st inf.fid inf.route;
+    inf.route <- []
+
+(* Every flow on an affected link is affected, and every link of an
+   affected flow is affected. *)
+let visit st _ fl =
+  let inf = Rated.payload fl in
+  if inf.fmark <> st.epoch then begin
+    inf.fmark <- st.epoch;
+    st.flows.(st.n_flows) <- fl;
+    st.n_flows <- st.n_flows + 1;
+    seed_route st inf.route
+  end
+
 (* The incremental solve: flows partition into connected components of
    the link-sharing graph, and components are independent — freezing a
    flow never touches another component's links. So only the
    component(s) reachable from this change need re-solving; every other
    flow's rate is already exactly what a solve of the whole fabric would
    assign (see DESIGN). *)
-let rerate state set =
-  state.freeze_log <- [];
-  let deltas = Rated.changes set in
-  state.epoch <- state.epoch + 1;
-  let epoch = state.epoch in
-  (* A link enters the work queue at most once per rerate: its mark is
-     stamped with the current epoch on enqueue. *)
-  let queue = Queue.create () in
-  let seed l =
-    if l.mark <> epoch then begin
-      l.mark <- epoch;
-      Queue.add l queue
-    end
-  in
-  (* Sync the per-link flow registries — each membership delta arrives
-     exactly once — and seed the affected set with every touched link. *)
-  List.iter
-    (fun delta ->
-      match delta with
-      | Rated.Joined fl ->
-        let { fid; route; _ } = Rated.payload fl in
-        List.iter
-          (fun l ->
-            Hashtbl.replace l.flows_on fid fl;
-            seed l)
-          route
-      | Rated.Left fl ->
-        let inf = Rated.payload fl in
-        List.iter
-          (fun l ->
-            Hashtbl.remove l.flows_on inf.fid;
-            seed l)
-          inf.route;
-        inf.route <- [])
-    deltas;
-  if not (Queue.is_empty queue) then begin
-    (* Close over the seeds: every flow on an affected link is affected,
-       and every link of an affected flow is affected — the resulting
+let rerate st set =
+  st.freeze_log <- [];
+  st.epoch <- st.epoch + 1;
+  st.n_links <- 0;
+  Rated.iter_changes set st.apply;
+  if st.n_links > 0 then begin
+    (* The affected flows are live, so they fit in the set's length. *)
+    let n = Rated.length set in
+    if Array.length st.flows < n then begin
+      st.flows <- Array.make (2 * n) (Rated.filler set);
+      st.frozen <- Array.make (2 * n) false
+    end;
+    st.n_flows <- 0;
+    (* Close over the seeds, in the order they are found: the resulting
        subproblem is self-contained. *)
-    let aff_links = ref [] in
-    let aff_flows = ref [] in
-    while not (Queue.is_empty queue) do
-      let l = Queue.pop queue in
-      aff_links := l :: !aff_links;
+    let i = ref 0 in
+    while !i < st.n_links do
+      let l = st.links.(!i) in
       (* Every utilisation this rerate can change is on an affected link
          — including a component whose last flow just left — so these are
          the links whose memo goes stale and that the readers must see. *)
       l.num.util <- Float.nan;
-      record state.changes.readers l;
-      Hashtbl.iter
-        (fun _ fl ->
-          let inf = Rated.payload fl in
-          if inf.fmark <> epoch then begin
-            inf.fmark <- epoch;
-            aff_flows := fl :: !aff_flows;
-            List.iter seed inf.route
-          end)
-        l.flows_on
+      record st.changes.readers l;
+      Hashtbl.iter st.visit l.flows_on;
+      incr i
     done;
-    let flows = Array.of_list !aff_flows in
-    if Array.length flows > 0 then solve_subset state flows !aff_links
+    if st.n_flows > 0 then solve st;
+    (* Keep no retired link and no finished flow alive. *)
+    for i = 0 to st.n_links - 1 do
+      st.links.(i) <- no_link
+    done;
+    for i = 0 to st.n_flows - 1 do
+      st.flows.(i) <- Rated.filler set
+    done
   end
 
+let no_info = { fid = -1; route = []; fmark = 0 }
+
 let create sim =
-  let state = { freeze_log = []; epoch = 0; changes = { readers = []; bits = 0 } } in
+  let rec state =
+    {
+      freeze_log = [];
+      epoch = 0;
+      changes = { readers = []; bits = 0 };
+      links = [||];
+      n_links = 0;
+      flows = [||];
+      frozen = [||];
+      n_flows = 0;
+      apply = (fun change -> apply state change);
+      visit = (fun fid fl -> visit state fid fl);
+    }
+  in
   {
-    set = Rated.create sim ~name:"fabric" ~rerate:(rerate state);
+    set = Rated.create sim ~name:"fabric" ~filler:no_info ~log:true ~rerate:(rerate state);
     state;
     live = [||];
     n_live = 0;
@@ -363,12 +426,16 @@ let link_id l = l.id
 
 let link_capacity l = l.capacity
 
+let rec check_distinct = function
+  | [] -> ()
+  | l :: rest ->
+    if crosses l.id rest then invalid_arg "Fabric: route contains duplicate links";
+    check_distinct rest
+
 let check_route route =
   if route = [] then invalid_arg "Fabric: empty route";
   if List.exists (fun l -> l.removed) route then invalid_arg "Fabric: route crosses a removed link";
-  let ids = List.map (fun l -> l.id) route in
-  if List.length (List.sort_uniq compare ids) <> List.length ids then
-    invalid_arg "Fabric: route contains duplicate links"
+  check_distinct route
 
 let start t ~route ~bytes =
   check_route route;

@@ -259,6 +259,28 @@ let route_opt t ~net ~src ~dst =
         in
         Some (((src.Node.eth_port.tx :: hop) @ [ dst.Node.eth_port.rx ])))
 
+(* Whether [route_opt] finds a path, without building it: only an IB
+   path can be missing, and [topo_route] and [route_opt] build one
+   exactly when both ends have a port and share a rack, or, on a
+   generated topology, a pod whose aggregation serves both racks. *)
+let has_route t ~net ~src ~dst =
+  src.Node.id = dst.Node.id
+  ||
+  match net with
+  | Eth -> true
+  | Ib -> (
+    match (src.Node.ib_port, dst.Node.ib_port) with
+    | Some _, Some _ -> (
+      src.Node.rack = dst.Node.rack
+      ||
+      match t.topo with
+      | Some tl ->
+        Topology.pod_of_rack tl.topo src.Node.rack = Topology.pod_of_rack tl.topo dst.Node.rack
+        && Option.is_some tl.ib_up.(src.Node.rack)
+        && Option.is_some tl.ib_down.(dst.Node.rack)
+      | None -> false)
+    | _ -> false)
+
 let route t ~net ~src ~dst =
   match route_opt t ~net ~src ~dst with
   | Some r -> r

@@ -99,6 +99,9 @@ val route : t -> net:net -> src:Node.t -> dst:Node.t -> Fabric.link list
 
 val route_opt : t -> net:net -> src:Node.t -> dst:Node.t -> Fabric.link list option
 
+val has_route : t -> net:net -> src:Node.t -> dst:Node.t -> bool
+(** [route_opt <> None], without building the route. *)
+
 val path_latency : t -> net:net -> src:Node.t -> dst:Node.t -> Time.span
 (** One-way propagation+protocol latency for the device class on [net]
     (plus the inter-rack latency when the path crosses racks). *)

@@ -42,10 +42,10 @@ let reachable cluster ~src ~dst kind =
   | Sm -> src == dst
   | Openib ->
     src != dst && has_ib_device src && has_ib_device dst
-    && Cluster.route_opt cluster ~net:Cluster.Ib ~src:(Vm.host src) ~dst:(Vm.host dst) <> None
+    && Cluster.has_route cluster ~net:Cluster.Ib ~src:(Vm.host src) ~dst:(Vm.host dst)
   | Tcp ->
     has_eth_device src && has_eth_device dst
-    && Cluster.route_opt cluster ~net:Cluster.Eth ~src:(Vm.host src) ~dst:(Vm.host dst) <> None
+    && Cluster.has_route cluster ~net:Cluster.Eth ~src:(Vm.host src) ~dst:(Vm.host dst)
 
 let check_usable cluster ~src ~dst kind =
   if not (reachable cluster ~src ~dst kind) then
@@ -54,12 +54,22 @@ let check_usable cluster ~src ~dst kind =
          (Printf.sprintf "btl_%s: no path from %s to %s (device detached or peer unreachable?)"
             (kind_name kind) (Vm.name src) (Vm.name dst)))
 
-(* Charge protocol CPU work on a host concurrently with the wire transfer;
-   under CPU over-commit the CPU side becomes the bottleneck. *)
-let with_cpu_tasks tasks body =
-  let started = List.map (fun (cpu, work) -> (cpu, Ps_resource.start cpu ~demand:1.0 ~work)) tasks in
-  body ();
-  List.iter (fun (_, task) -> Ps_resource.await task) started
+(* Charge protocol CPU work concurrently with the wire transfer: [work]
+   on each end's host, or twice [work] on the one host both share. Under
+   CPU over-commit the CPU side becomes the bottleneck. *)
+let with_cpu_work (src : Node.t) (dst : Node.t) work body =
+  if src == dst then begin
+    let task = Ps_resource.start src.cpu ~demand:1.0 ~work:(2.0 *. work) in
+    body ();
+    Ps_resource.await task
+  end
+  else begin
+    let at_src = Ps_resource.start src.cpu ~demand:1.0 ~work in
+    let at_dst = Ps_resource.start dst.cpu ~demand:1.0 ~work in
+    body ();
+    Ps_resource.await at_src;
+    Ps_resource.await at_dst
+  end
 
 let control_latency cluster ~src ~dst kind =
   match kind with
@@ -94,12 +104,7 @@ let transfer cluster ~src ~dst kind ~bytes =
         | Some k -> Device.cpu_per_byte k
         | None -> Calibration.virtio_cpu_per_byte
       in
-      let work = bytes *. cpb in
-      let tasks =
-        if src_host == dst_host then [ (src_host.Node.cpu, 2.0 *. work) ]
-        else [ (src_host.Node.cpu, work); (dst_host.Node.cpu, work) ]
-      in
-      with_cpu_tasks tasks (fun () ->
+      with_cpu_work src_host dst_host (bytes *. cpb) (fun () ->
           (* The guest NIC (virtio queue or emulated device) caps below the
              10 GbE line rate; model it as a private first hop, like the
              migration sender, retired once the message is through. *)
@@ -115,8 +120,6 @@ let transfer cluster ~src ~dst kind ~bytes =
           Fabric.transfer fabric ~route:(virtio_cap :: route) ~bytes;
           Fabric.remove_link fabric virtio_cap)
     | Sm ->
-      let work = bytes *. Calibration.sm_cpu_per_byte in
-      with_cpu_tasks
-        [ (src_host.Node.cpu, 2.0 *. work) ]
-        (fun () -> Sim.sleep (Time.of_sec_f (bytes /. Calibration.sm_bandwidth)))
+      with_cpu_work src_host src_host (bytes *. Calibration.sm_cpu_per_byte) (fun () ->
+          Sim.sleep (Time.of_sec_f (bytes /. Calibration.sm_bandwidth)))
   end

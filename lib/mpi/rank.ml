@@ -19,6 +19,13 @@ type delivery = {
 
 type posted = { want_src : int option; want_tag : int option; got : delivery Ivar.t }
 
+(* A matching queue: a FIFO out of which the oldest entry that matches
+   is taken. A linked list with a pointer to its last cell, so neither
+   appending nor taking copies it. *)
+type 'a cell = Nil | Cell of { item : 'a; mutable next : 'a cell }
+
+type 'a queue = { mutable first : 'a cell; mutable last : 'a cell }
+
 type ft_hooks = { on_checkpoint : proc -> unit; on_continue : proc -> unit }
 
 and job = {
@@ -56,8 +63,8 @@ and proc = {
      MPI's add_procs: a device vanishing underneath it is a hard failure,
      not a silent re-route. *)
   peer_kind : Btl.kind option array;
-  mutable posted : posted list;
-  mutable unexpected : delivery list;
+  posted : posted queue;
+  unexpected : delivery queue;
 }
 
 exception No_route of string
@@ -107,8 +114,8 @@ let make_job cluster ~members ~procs_per_vm ~continue_like_restart ~ft_hooks =
           spin_task = None;
           pbtls = [];
           peer_kind = Array.make np None;
-          posted = [];
-          unexpected = [];
+          posted = { first = Nil; last = Nil };
+          unexpected = { first = Nil; last = Nil };
         });
   job
 
@@ -177,30 +184,28 @@ let matches (po : posted) (d : delivery) =
   (match po.want_src with None -> true | Some s -> s = d.d_src)
   && match po.want_tag with None -> true | Some t -> t = d.d_tag
 
-let deliver dst d =
-  let rec take acc = function
-    | [] -> None
-    | po :: rest when matches po d -> Some (po, List.rev_append acc rest)
-    | po :: rest -> take (po :: acc) rest
-  in
-  match take [] dst.posted with
-  | Some (po, rest) ->
-    dst.posted <- rest;
-    Ivar.fill po.got d
-  | None -> dst.unexpected <- dst.unexpected @ [ d ]
+let append q item =
+  let cell = Cell { item; next = Nil } in
+  (match q.last with Nil -> q.first <- cell | Cell last -> last.next <- cell);
+  q.last <- cell
 
-let take_unexpected p ~want_src ~want_tag =
-  let po = { want_src; want_tag; got = Ivar.create () } in
-  let rec take acc = function
-    | [] -> None
-    | d :: rest when matches po d -> Some (d, List.rev_append acc rest)
-    | d :: rest -> take (d :: acc) rest
-  in
-  match take [] p.unexpected with
-  | Some (d, rest) ->
-    p.unexpected <- rest;
-    Some d
-  | None -> None
+let rec take_after q fits key prev = function
+  | Nil -> None
+  | Cell c as cell ->
+    if fits key c.item then begin
+      (match prev with Nil -> q.first <- c.next | Cell p -> p.next <- c.next);
+      if q.last == cell then q.last <- prev;
+      Some c.item
+    end
+    else take_after q fits key cell c.next
+
+(* Take out the oldest [item] for which [fits key item]. *)
+let take q fits key = take_after q fits key Nil q.first
+
+let deliver dst d =
+  match take dst.posted (fun d po -> matches po d) d with
+  | Some po -> Ivar.fill po.got d
+  | None -> append dst.unexpected d
 
 let select_btl p ~dst =
   match p.peer_kind.(dst.prank) with
@@ -264,7 +269,13 @@ let spin_exit p =
 
 let with_spin p f =
   spin_enter p;
-  Fun.protect ~finally:(fun () -> spin_exit p) f
+  match f () with
+  | v ->
+    spin_exit p;
+    v
+  | exception e ->
+    spin_exit p;
+    raise e
 
 (* ------------------------------------------------------------------ *)
 (* Point-to-point *)
@@ -312,13 +323,12 @@ let complete_delivery d =
 
 let recv p ?src ?tag () =
   with_spin p (fun () ->
-      match take_unexpected p ~want_src:src ~want_tag:tag with
+      let po = { want_src = src; want_tag = tag; got = Ivar.create () } in
+      match take p.unexpected matches po with
       | Some d -> complete_delivery d
       | None ->
-        let po = { want_src = src; want_tag = tag; got = Ivar.create () } in
-        p.posted <- p.posted @ [ po ];
-        let d = Ivar.read po.got in
-        complete_delivery d)
+        append p.posted po;
+        complete_delivery (Ivar.read po.got))
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint flow *)

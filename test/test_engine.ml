@@ -360,6 +360,58 @@ let test_sim_pending_per_cancel () =
 (* ------------------------------------------------------------------ *)
 (* Ivar *)
 
+(* A blocking call outside every fiber finds no handler for its effect:
+   before any simulation runs, and inside a raw event of a running one. *)
+let test_sim_outside () =
+  let outside name f =
+    Alcotest.check_raises name (Failure "Sim: blocking call outside of a running simulation") f
+  in
+  outside "sleep" (fun () -> Sim.sleep (Time.ms 1));
+  outside "suspend" (fun () -> Sim.suspend (fun resume -> resume ()));
+  outside "read of an empty ivar" (fun () -> Ivar.read (Ivar.create ()));
+  let sim = Sim.create () in
+  ignore (Sim.schedule sim ~after:Time.zero (fun () -> Sim.sleep (Time.ms 1)));
+  outside "sleep in a raw event" (fun () -> Sim.run sim)
+
+(* Words allocated per operation, with the simulation already set up, so
+   that a change that brings back a closure per wait shows here. Each
+   bound is about 1.5 times what the dev profile measures (OCaml 5.1: 42
+   words per round trip, which blocks twice, and 7 per sleep). *)
+let words_per_op ~ops run =
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  run ();
+  (Gc.minor_words () -. before) /. float_of_int ops
+
+let check_budget name ~bound words =
+  if words > bound then Alcotest.failf "%s: %.1f words per operation, bound %.0f" name words bound
+
+(* Two fibers pass the turn back and forth through fresh ivars, each
+   read blocking until the other fiber's fill. *)
+let test_ivar_round_trip_budget () =
+  let n = 10_000 in
+  let sim = Sim.create () in
+  let ping = Array.init n (fun _ -> Ivar.create ()) and pong = Array.init n (fun _ -> Ivar.create ()) in
+  Sim.spawn sim (fun () ->
+      for i = 0 to n - 1 do
+        Ivar.fill ping.(i) i;
+        ignore (Ivar.read pong.(i))
+      done);
+  Sim.spawn sim (fun () ->
+      for i = 0 to n - 1 do
+        Ivar.fill pong.(i) (Ivar.read ping.(i))
+      done);
+  check_budget "ivar round trip" ~bound:63.0 (words_per_op ~ops:n (fun () -> Sim.run sim))
+
+let test_sleep_budget () =
+  let n = 10_000 in
+  let sim = Sim.create () in
+  Sim.spawn sim (fun () ->
+      for _ = 1 to n do
+        Sim.sleep (Time.ns 1)
+      done);
+  check_budget "sleep" ~bound:11.0 (words_per_op ~ops:n (fun () -> Sim.run sim))
+
 let test_ivar_fill_then_read () =
   let sim = Sim.create () in
   let iv = Ivar.create () in
@@ -605,7 +657,7 @@ let test_ps_rerate_one_timer () =
    runs: this held before re-rating was deferred, and still does. *)
 let test_rated_tiny_work_done_in_add () =
   let sim = Sim.create () in
-  let set = Rated.create sim ~name:"set" ~rerate:(fun set ->
+  let set = Rated.create sim ~name:"set" ~filler:() ~log:false ~rerate:(fun set ->
       for i = 0 to Rated.length set - 1 do
         Rated.set_rate (Rated.get set i) 1.0
       done)
@@ -622,6 +674,28 @@ let test_rated_tiny_work_done_in_add () =
   Sim.run sim;
   Alcotest.(check bool) "the big task completes" true (Rated.is_done big);
   check_time "at its own pace" 1.0 (sec_f (Sim.now sim))
+
+(* A set keeps no finished task: neither in the slots its live tasks
+   vacate nor in the water-fill's order. The long task is still live
+   when the short one is checked. *)
+let test_ps_finished_task_collected () =
+  let sim = Sim.create () in
+  let cpu = Ps_resource.create sim ~name:"cpu" ~capacity:1.0 in
+  let short = Weak.create 1 and long = Weak.create 1 in
+  let start weak ~work =
+    let task = Ps_resource.start cpu ~demand:1.0 ~work in
+    Weak.set weak 0 (Some task)
+  in
+  start long ~work:10.0;
+  start short ~work:1.0;
+  Sim.run_until sim (Time.sec 5);
+  Gc.full_major ();
+  Alcotest.(check bool) "the finished task is collected" false (Weak.check short 0);
+  Alcotest.(check bool) "the live task is not" true (Weak.check long 0);
+  Alcotest.(check int) "one task left" 1 (Ps_resource.active cpu);
+  Sim.run sim;
+  Gc.full_major ();
+  Alcotest.(check bool) "nor, once finished, the last one" false (Weak.check long 0)
 
 let ps_work_conservation_prop =
   (* Total completion time of n equal tasks = total work / min(capacity,
@@ -658,7 +732,7 @@ let rated_conservation_prop =
           Rated.set_rate (Rated.get set i) (capacity /. float_of_int n)
         done
       in
-      let set = Rated.create sim ~name:"net" ~rerate in
+      let set = Rated.create sim ~name:"net" ~filler:() ~log:false ~rerate in
       Sim.spawn sim (fun () ->
           let tasks =
             List.map (fun w -> Rated.add set ~payload:() ~work:(float_of_int w)) works
@@ -683,7 +757,7 @@ let rated_cancel_conservation_prop =
           Rated.set_rate (Rated.get set i) (capacity /. float_of_int n)
         done
       in
-      let set = Rated.create sim ~name:"net" ~rerate in
+      let set = Rated.create sim ~name:"net" ~filler:() ~log:false ~rerate in
       let w = float_of_int work in
       Sim.spawn sim (fun () ->
           let keep = Rated.add set ~payload:() ~work:w in
@@ -709,7 +783,7 @@ module type RATED = sig
 
   type 'a change = Joined of 'a task | Left of 'a task
 
-  val create : Sim.t -> name:string -> rerate:('a t -> unit) -> 'a t
+  val create : Sim.t -> name:string -> filler:'a -> rerate:('a t -> unit) -> 'a t
 
   val changes : 'a t -> 'a change list
 
@@ -816,8 +890,8 @@ module Transcript (R : RATED) (P : PS) = struct
         tasks
     in
     let deltas = Buffer.create 1024 and gdeltas = Buffer.create 1024 in
-    let set = R.create sim ~name:"set" ~rerate:(rerate deltas 1.0) in
-    let gset = R.create sim ~name:"giga" ~rerate:(rerate gdeltas giga) in
+    let set = R.create sim ~name:"set" ~filler:(-1, 0.0) ~rerate:(rerate deltas 1.0) in
+    let gset = R.create sim ~name:"giga" ~filler:(-1, 0.0) ~rerate:(rerate gdeltas giga) in
     let started = ref [||] and raced = ref [||] in
     let echo set id demand = ignore (R.add set ~payload:(id + 10_000, demand) ~work:0.0) in
     Sim.spawn sim ~name:"program" (fun () ->
@@ -882,16 +956,31 @@ module Transcript (R : RATED) (P : PS) = struct
 end
 
 (* The array-backed set has no list of its tasks; the policy's list is
-   built from its [length]/[get]. *)
+   built from its [length]/[get], and its delta list from its log. *)
 module Fast =
   Transcript
     (struct
       include Rated
 
+      let create sim ~name ~filler ~rerate = create sim ~name ~filler ~log:true ~rerate
+
+      let changes set =
+        let rev = ref [] in
+        iter_changes set (fun change -> rev := change :: !rev);
+        List.rev !rev
+
       let active set = List.init (length set) (get set)
     end)
     (Ps_resource)
-module Reference = Transcript (Engine_oracle.Rated) (Engine_oracle.Ps_resource)
+
+module Reference =
+  Transcript
+    (struct
+      include Engine_oracle.Rated
+
+      let create sim ~name ~filler:_ ~rerate = create sim ~name ~rerate
+    end)
+    (Engine_oracle.Ps_resource)
 
 (* 1-40 starts among races, cancels and sleeps. Demands repeat so
    water-fill ties are common; works include zero and a sub-epsilon
@@ -1171,9 +1260,9 @@ let test_pool_shutdown_rejects () =
     (Invalid_argument "Pool.submit: pool is shut down") (fun () ->
       ignore (Pool.submit pool (fun () -> ())))
 
-(* Concurrent simulations on separate domains: the ambient-simulation
-   reference is domain-local, so blocking calls inside one simulation's
-   fibers must not observe another domain's simulation. *)
+(* Concurrent simulations on separate domains: a blocking call finds its
+   simulation through its own fiber's handler, so one simulation's fibers
+   must not observe another domain's simulation. *)
 let test_pool_concurrent_sims () =
   Pool.with_pool ~size:4 (fun pool ->
       let run_sim seed =
@@ -1272,13 +1361,18 @@ let () =
           Alcotest.test_case "run_until below now" `Quick test_sim_run_until_below_now;
           Alcotest.test_case "pending per cancel" `Quick test_sim_pending_per_cancel;
         ]
-        @ Qsuite.tests [ sim_cancel_order_prop; sim_matches_oracle_prop ] );
+        @ Qsuite.tests [ sim_cancel_order_prop; sim_matches_oracle_prop ]
+        @ [
+            Alcotest.test_case "blocking calls outside a simulation" `Quick test_sim_outside;
+            Alcotest.test_case "allocation budget: sleep" `Quick test_sleep_budget;
+          ] );
       ( "ivar",
         [
           Alcotest.test_case "fill then read" `Quick test_ivar_fill_then_read;
           Alcotest.test_case "read blocks" `Quick test_ivar_read_blocks;
           Alcotest.test_case "readers fifo" `Quick test_ivar_multiple_readers_fifo;
           Alcotest.test_case "double fill" `Quick test_ivar_double_fill;
+          Alcotest.test_case "allocation budget: round trip" `Quick test_ivar_round_trip_budget;
         ] );
       ( "channel",
         [
@@ -1300,7 +1394,8 @@ let () =
         :: Alcotest.test_case "cancel" `Quick test_ps_cancel
         :: Alcotest.test_case "zero work" `Quick test_ps_zero_work
         :: Alcotest.test_case "rerated 10k times, one timer" `Quick test_ps_rerate_one_timer
-        :: Qsuite.tests [ ps_work_conservation_prop ] );
+        :: Qsuite.tests [ ps_work_conservation_prop ]
+        @ [ Alcotest.test_case "a finished task is collected" `Quick test_ps_finished_task_collected ] );
       ( "rated",
         Qsuite.tests [ rated_conservation_prop; rated_cancel_conservation_prop; rated_matches_oracle_prop ]
         @ [ Alcotest.test_case "tiny work done in add" `Quick test_rated_tiny_work_done_in_add ] );

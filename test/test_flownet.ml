@@ -162,6 +162,25 @@ let test_removed_link_collected () =
   Alcotest.(check (list string)) "live links" [ "shared" ]
     (List.map Fabric.link_name (Fabric.links fab))
 
+(* Words allocated per one-flow transfer over a fixed two-link route,
+   start, re-solves and completion included, so that a change that brings
+   back lists per re-solve shows here. The bound is about 1.5 times what
+   the dev profile measures (OCaml 5.1: 75 words). *)
+let test_transfer_budget () =
+  let n = 10_000 in
+  let sim = Sim.create () in
+  let fab = Fabric.create sim in
+  let route = [ Fabric.add_link fab ~name:"tx" ~capacity:10.0; Fabric.add_link fab ~name:"rx" ~capacity:4.0 ] in
+  Sim.spawn sim (fun () ->
+      for _ = 1 to n do
+        Fabric.transfer fab ~route ~bytes:1.0
+      done);
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  Sim.run sim;
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  if words > 112.0 then Alcotest.failf "one-flow transfer: %.1f words, bound 112" words
+
 (* The fabric re-solves once per instant, at its flush, so every read
    made in between must run the solve first. Within one event: start a
    flow and read before yielding, start a second one and read again; at
@@ -328,5 +347,7 @@ let () =
                capacity_respected_prop;
                start_cancel_capacity_prop;
                equal_share_prop;
-             ] );
+             ]
+        @ [ Alcotest.test_case "allocation budget: one-flow transfer" `Quick test_transfer_budget ]
+      );
     ]

@@ -74,6 +74,13 @@ let test_cluster_routing () =
   (* No IB path to an Ethernet-only node. *)
   Alcotest.(check bool) "no ib to eth rack" true
     (Cluster.route_opt cluster ~net:Cluster.Ib ~src:ib0 ~dst:eth0 = None);
+  Alcotest.(check (list bool)) "has_route agrees" [ true; false; true; true ]
+    [
+      Cluster.has_route cluster ~net:Cluster.Ib ~src:ib0 ~dst:ib1;
+      Cluster.has_route cluster ~net:Cluster.Ib ~src:ib0 ~dst:eth0;
+      Cluster.has_route cluster ~net:Cluster.Eth ~src:ib0 ~dst:eth0;
+      Cluster.has_route cluster ~net:Cluster.Ib ~src:eth0 ~dst:eth0;
+    ];
   (* Same node: loopback. *)
   Alcotest.(check int) "loopback" 1
     (List.length (Cluster.route cluster ~net:Cluster.Eth ~src:ib0 ~dst:ib0));

@@ -118,7 +118,12 @@ let test_reachability () =
             Alcotest.(check bool)
               (Printf.sprintf "IB path %s -> %s (pod-confined)" src.Node.name
                  dst.Node.name)
-              expect_ib (ib <> None))
+              expect_ib (ib <> None);
+            Alcotest.(check bool)
+              (Printf.sprintf "has_route %s -> %s agrees" src.Node.name dst.Node.name)
+              true
+              (Cluster.has_route cluster ~net:Cluster.Ib ~src ~dst = (ib <> None)
+              && Cluster.has_route cluster ~net:Cluster.Eth ~src ~dst))
           nodes)
       nodes
   done
